@@ -66,6 +66,8 @@ def decode(data: bytes) -> tuple[np.ndarray, int]:
             raise ValueError(f"PNG chunk {tag!r} fails its CRC check")
         pos += 12 + length
         if tag == b"IHDR":
+            if length != 13:
+                raise ValueError(f"PNG IHDR chunk is {length} bytes, expected 13")
             header = struct.unpack(">IIBBBBB", payload)
         elif tag == b"IDAT":
             idat += payload
@@ -92,7 +94,10 @@ def decode(data: bytes) -> tuple[np.ndarray, int]:
     channels = 1 if color_type == 0 else 3
     bpp = channels * (depth // 8)
     stride = width * bpp
-    raw = zlib.decompress(bytes(idat))
+    try:
+        raw = zlib.decompress(bytes(idat))
+    except zlib.error as exc:
+        raise ValueError(f"PNG pixel data is not valid zlib data ({exc})") from exc
     if len(raw) != height * (stride + 1):
         raise ValueError("PNG pixel data has the wrong length")
     flat = _unfilter(raw, height, stride, bpp)

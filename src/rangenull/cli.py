@@ -16,12 +16,12 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .metrics import compare, error_map
-from .pooling import _block_mean, _pd_combine_arr, pd_combine, pool_down, pool_up, verify_consistency
+from .linop import LinearOperator
+from .pooling import PoolingOp, _block_mean, _pd_combine_arr, pd_combine, pool_down, pool_up
 from .resample import FILTERS, PREDICTORS, ResampleSpec, predict_raw, resample
 from .restore import (
     ColorMeanOp,
@@ -29,7 +29,6 @@ from .restore import (
     cs_build,
     cs_measure,
     cs_pinv,
-    generic_pd,
     gray_to_color,
     load_sense_op,
     save_sense_op,
@@ -61,7 +60,9 @@ def _emit(obj: dict) -> None:
 
 def _save_like(t: ImageTensor, path: str, template: str) -> None:
     """Write ``t`` in the same format as the template file."""
-    if Path(template).open("rb").read(8) == _png.SIGNATURE:
+    with open(template, "rb") as f:
+        head = f.read(8)
+    if head == _png.SIGNATURE:
         save_png(t, path)
     else:
         write_raw(t, path)
@@ -72,6 +73,20 @@ def _save_by_extension(t: ImageTensor, path: str) -> None:
         save_png(t, path)
     else:
         write_raw(t, path)
+
+
+def _reconstruct(
+    op: LinearOperator, y: ImageTensor, x_raw: ImageTensor, write, output: str, png: str | None = None
+) -> None:
+    """Combine, write the exact result with ``write``, and report its
+    consistency; with ``png`` also save the 8-bit PNG and report the
+    consistency that quantization left."""
+    x_hat = op.combine(y, x_raw)
+    write(x_hat, output)
+    _emit(op.verify(y, x_hat).to_dict())
+    if png is not None:
+        save_png(x_hat, png)
+        _emit(op.verify(y, x_hat, quantized=True).to_dict())
 
 
 @dataclass(frozen=True)
@@ -199,19 +214,14 @@ def _cmd_degrade(args: argparse.Namespace) -> int:
 def _cmd_pd(args: argparse.Namespace) -> int:
     y = load_tensor(args.lr)
     x_raw = predict_raw(y, args.predictor, args.scale, args.raw)
-    x_hat = pd_combine(y, x_raw, args.scale)
-    write_raw(x_hat, args.output)
-    _emit(verify_consistency(y, x_hat, args.scale).to_dict())
-    if args.png is not None:
-        save_png(x_hat, args.png)
-        _emit(verify_consistency(y, x_hat, args.scale, quantized=True).to_dict())
+    _reconstruct(PoolingOp.for_measurement(y, args.scale), y, x_raw, write_raw, args.output, args.png)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     lr = load_tensor(args.lr)
     sr = load_tensor(args.sr)
-    _emit(compare(lr, pool_down(sr, args.scale)).to_dict())
+    _emit(PoolingOp.for_measurement(lr, args.scale).verify(lr, sr).to_dict())
     return EXIT_OK
 
 
@@ -244,11 +254,7 @@ def _cmd_colorize(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.raw is None:
         raise ValueError("colorize --mode pd needs --raw with the color prediction")
-    x_raw = load_tensor(args.raw)
-    op = ColorMeanOp(x.height, x.width)
-    result = generic_pd(op, x, x_raw)
-    _save_by_extension(result, args.output)
-    _emit(compare(x, color_to_gray(result)).to_dict())
+    _reconstruct(ColorMeanOp(x.height, x.width), x, load_tensor(args.raw), _save_by_extension, args.output)
     return EXIT_OK
 
 
@@ -276,9 +282,7 @@ def _cmd_cs(args: argparse.Namespace) -> int:
     # action == "pd"
     y = load_tensor(_require_flag(args, "lr"))
     x_raw = load_tensor(_require_flag(args, "raw"))
-    result = generic_pd(op, y, x_raw)
-    write_raw(result, args.output)
-    _emit(compare(y, cs_measure(op, result)).to_dict())
+    _reconstruct(op, y, x_raw, write_raw, args.output)
     return EXIT_OK
 
 

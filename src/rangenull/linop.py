@@ -5,11 +5,13 @@ Moore-Penrose identity ``A A+ A = A``.  ``A+ A`` then projects onto the
 subspace the observation can see, ``I - A+ A`` onto the subspace it
 cannot, and the two parts of any input always add back to the input.
 
-Structured operators (pooling, channel mean, block sensing) implement
-their maps directly; ``DenseOperator`` materializes an arbitrary matrix
-and derives its pseudo-inverse through the SVD engine below, which is a
-one-sided Jacobi iteration chosen for determinism on small and medium
-dense matrices.
+Every operator gets the consistent combine ``combine`` (keep ``A+ y``,
+take the null part of a raw prediction) and its check ``verify`` from
+the base class.  Structured operators (pooling, channel mean, block
+sensing) implement their maps directly; ``DenseOperator`` materializes
+an arbitrary matrix and derives its pseudo-inverse through the SVD
+engine below, which is a one-sided Jacobi iteration chosen for
+determinism on small and medium dense matrices.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import ConsistencyReport, compare
 from .rng import Stream
-from .tensor import ImageTensor, read_raw, write_raw
+from .tensor import ImageTensor, quantize, read_raw, write_raw
 
 _MAX_SWEEPS = 60
 _SWEEP_TOL = 1e-14  # relative off-diagonal threshold for a rotation
@@ -45,6 +48,28 @@ class LinearOperator(abc.ABC):
     @abc.abstractmethod
     def pinv(self, y: ImageTensor) -> ImageTensor:
         """Apply the pseudo-inverse."""
+
+    def combine(self, y: ImageTensor, x_raw: ImageTensor) -> ImageTensor:
+        """Consistent combine: ``pinv(y) + (x_raw - pinv(forward(x_raw)))``.
+
+        Pushing the result back through ``forward`` reproduces ``y`` up to
+        float rounding whenever ``forward(pinv(.))`` is the identity.
+        """
+        restored = self.pinv(y)
+        if restored.shape != x_raw.shape:
+            raise ValueError(
+                f"raw prediction shape {x_raw.shape} does not match operator input {restored.shape}"
+            )
+        return ImageTensor(restored.data + (x_raw.data - range_project(self, x_raw).data))
+
+    def verify(self, y: ImageTensor, x_hat: ImageTensor, quantized: bool = False) -> ConsistencyReport:
+        """Compare ``y`` against ``forward(x_hat)``.
+
+        With ``quantized=True`` the reconstruction is first snapped to 8-bit
+        levels, measuring what survives image-format conversion; the library
+        reports that loss but never alters the reconstruction to hide it.
+        """
+        return compare(y, self.forward(quantize(x_hat) if quantized else x_hat))
 
     def _check(self, t: ImageTensor, shape: tuple[int, int, int] | None, role: str) -> None:
         if shape is not None and t.shape != shape:

@@ -1,22 +1,24 @@
-"""Block-mean downsampling, replication upsampling, and the consistent
-combine rule built from them.
+"""Block-mean downsampling, replication upsampling, and ``PoolingOp``,
+the operator built from them.
 
 The two maps form an exact pseudo-inverse pair: downsampling a replicated
 image returns the original bit-for-bit (block means are computed relative
 to the block's first sample, so a constant block averages to exactly that
-constant).  ``pd_combine`` swaps the block means of any raw prediction
-for the reference low-resolution values, which forces the result to
-downsample back to the reference up to float rounding no matter what the
-prediction contains.
+constant).  ``PoolingOp`` inherits ``verify`` from ``LinearOperator`` and
+overrides only ``combine``, with the fused ``pd_combine`` kernel: it swaps
+the block means of any raw prediction for the reference low-resolution
+values in one cache-friendly pass, bit-identical to the generic combine.
+``extract_highfreq`` and ``verify_consistency`` are the scale-argument
+spellings of ``null_project`` and ``PoolingOp.verify``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linop import LinearOperator
-from .metrics import ConsistencyReport, compare
-from .tensor import ImageTensor, quantize
+from .linop import LinearOperator, null_project
+from .metrics import ConsistencyReport
+from .tensor import ImageTensor
 
 
 def _require_divisible(h: int, w: int, s: int) -> None:
@@ -62,12 +64,7 @@ def pool_up(y: ImageTensor, s: int) -> ImageTensor:
 
 def extract_highfreq(x_raw: ImageTensor, s: int) -> ImageTensor:
     """Remove every block's mean, leaving the part pooling cannot see."""
-    _require_divisible(x_raw.height, x_raw.width, s)
-    return ImageTensor(_highfreq_arr(x_raw.data, s))
-
-
-def _highfreq_arr(a: np.ndarray, s: int) -> np.ndarray:
-    return a - _replicate(_block_mean(a, s), s)
+    return null_project(PoolingOp(s, *x_raw.shape), x_raw)
 
 
 def pd_combine(y: ImageTensor, x_raw: ImageTensor, s: int) -> ImageTensor:
@@ -97,27 +94,16 @@ def _pd_combine_arr(y: np.ndarray, x_raw: np.ndarray, s: int) -> np.ndarray:
             r1 = min(r0 + stripe, height // s)
             yv = y[ch : ch + 1, r0:r1]
             xv = x_raw[ch : ch + 1, r0 * s : r1 * s]
-            out[ch : ch + 1, r0 * s : r1 * s] = _replicate(yv, s) + _highfreq_arr(xv, s)
+            highfreq = xv - _replicate(_block_mean(xv, s), s)
+            out[ch : ch + 1, r0 * s : r1 * s] = _replicate(yv, s) + highfreq
     return out
 
 
 def verify_consistency(
     y: ImageTensor, x_hat: ImageTensor, s: int, quantized: bool = False
 ) -> ConsistencyReport:
-    """Compare ``y`` against the pooled-down reconstruction.
-
-    With ``quantized=True`` the reconstruction is first snapped to 8-bit
-    levels, measuring what survives image-format conversion; the library
-    reports that loss but never alters the reconstruction to hide it.
-    """
-    if x_hat.shape != (y.channels, s * y.height, s * y.width):
-        raise ValueError(
-            f"reconstruction shape {x_hat.shape} does not match "
-            f"{(y.channels, s * y.height, s * y.width)} expected for scale {s}"
-        )
-    if quantized:
-        x_hat = quantize(x_hat)
-    return compare(y, pool_down(x_hat, s))
+    """Compare ``y`` against the pooled-down reconstruction (see ``LinearOperator.verify``)."""
+    return PoolingOp.for_measurement(y, s).verify(y, x_hat, quantized)
 
 
 class PoolingOp(LinearOperator):
@@ -129,6 +115,11 @@ class PoolingOp(LinearOperator):
         self.in_shape = (channels, height, width)
         self.out_shape = (channels, height // scale, width // scale)
 
+    @classmethod
+    def for_measurement(cls, y: ImageTensor, scale: int) -> "PoolingOp":
+        """The operator that maps ``scale``-times larger images onto ``y``'s shape."""
+        return cls(scale, y.channels, scale * y.height, scale * y.width)
+
     def forward(self, x: ImageTensor) -> ImageTensor:
         self._check(x, self.in_shape, "input")
         return pool_down(x, self.scale)
@@ -136,3 +127,8 @@ class PoolingOp(LinearOperator):
     def pinv(self, y: ImageTensor) -> ImageTensor:
         self._check(y, self.out_shape, "measurement")
         return pool_up(y, self.scale)
+
+    def combine(self, y: ImageTensor, x_raw: ImageTensor) -> ImageTensor:
+        """Same result as the generic combine, computed by the fused ``pd_combine`` kernel."""
+        self._check(y, self.out_shape, "measurement")
+        return pd_combine(y, x_raw, self.scale)

@@ -1,11 +1,9 @@
-"""Extension operators sharing the consistent-combine machinery:
-per-pixel channel mean (gray observation of a color image) and block
-compressed sensing with orthonormal sampling rows.
+"""Extension operators: per-pixel channel mean (gray observation of a
+color image) and block compressed sensing with orthonormal sampling rows.
 
-``generic_pd`` is the operator-agnostic combine: it keeps the part of a
-raw prediction the operator cannot observe and fills the observed part
-straight from the measurement, so applying the operator to the result
-returns the measurement.
+Both take the consistent combine and its check unchanged from
+``LinearOperator.combine`` and ``LinearOperator.verify``; ``generic_pd``
+is the function spelling of ``op.combine``.
 """
 
 from __future__ import annotations
@@ -125,8 +123,11 @@ def cs_build(block: int, ratio: float, seed: int = 0) -> BlockSenseOp:
 
     The rows are the first q rows of U @ V.T from the SVD of a B^2 x B^2
     standard-normal matrix drawn from the portable SplitMix64 stream
-    (row-major fill), so a given (block, ratio, seed) rebuilds the same
-    operator bit-for-bit on any platform.
+    (row-major fill).  A given (block, ratio, seed) rebuilds the same rows
+    on one platform, but the build goes through BLAS matrix products and
+    numpy's vectorized ``log``/``sin``/``cos``, whose last bits may differ
+    between machines; the saved PDM1 file, not the seed, is the portable
+    identity of an operator.
     """
     q = measurement_count(block, ratio)
     n = block * block
@@ -181,16 +182,5 @@ def load_sense_op(path: str | Path) -> BlockSenseOp:
 
 
 def generic_pd(op: LinearOperator, y: ImageTensor, x_raw: ImageTensor) -> ImageTensor:
-    """Consistent combine for any operator with an exact pseudo-inverse.
-
-    Returns ``pinv(y) + (x_raw - pinv(forward(x_raw)))``; pushing the
-    result back through ``forward`` reproduces ``y`` up to float
-    rounding whenever ``forward(pinv(.))`` is the identity.
-    """
-    restored = op.pinv(y)
-    if restored.shape != x_raw.shape:
-        raise ValueError(
-            f"raw prediction shape {x_raw.shape} does not match operator input {restored.shape}"
-        )
-    projected = op.pinv(op.forward(x_raw))
-    return ImageTensor(restored.data + (x_raw.data - projected.data))
+    """Consistent combine for any operator: ``op.combine(y, x_raw)``."""
+    return op.combine(y, x_raw)

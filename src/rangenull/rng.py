@@ -7,7 +7,10 @@ two-round xor-shift/multiply finalizer with constants
 Uniform doubles take the top 53 bits of a word; Gaussian samples apply
 the Box-Muller transform to consecutive word pairs.  Every draw is a pure
 function of (seed, position), so streams reproduce bit-for-bit across
-runs and platforms and can be generated in vectorized blocks.
+runs and can be generated in vectorized blocks.  Words and uniforms are
+also bit-portable across platforms; Gaussians go through numpy's
+vectorized ``log``, ``sin`` and ``cos``, whose last bits may differ
+between machines.
 """
 
 from __future__ import annotations

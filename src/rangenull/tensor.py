@@ -129,7 +129,8 @@ def read_raw(path: str | Path) -> ImageTensor:
 
 def load_tensor(path: str | Path) -> ImageTensor:
     """Load a tensor from PNG or PDT1, detected by file signature."""
-    head = Path(path).open("rb").read(8)
+    with open(path, "rb") as f:
+        head = f.read(8)
     if head[:8] == _png.SIGNATURE:
         return load_png(path)
     if head[:4] == RAW_MAGIC:

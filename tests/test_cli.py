@@ -178,6 +178,14 @@ class TestVerify:
         assert quantized_psnr < 300.0
 
 
+class TestCraftedPng:
+    def test_verify_exits_3(self, capsys, crafted_png):
+        path = str(crafted_png)
+        code, _, err = run_cli(capsys, "verify", "--lr", path, "--sr", path, "--scale", "1")
+        assert code == 3
+        assert "error:" in err
+
+
 class TestErrmap:
     def test_equal_inputs_black_map(self, capsys, tmp_path, stream):
         t = ImageTensor(stream.uniform((3, 4, 4)))

@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 
 from rangenull import (
+    ColorMeanOp,
     DenseOperator,
     IdentityOperator,
     ImageTensor,
+    LinearOperator,
+    PoolingOp,
+    compare,
+    cs_build,
     load_matrix,
     mp_residuals,
     null_project,
     pinv_from_svd,
+    quantize,
     range_project,
     save_matrix,
     svd,
@@ -209,3 +215,48 @@ class TestMatrixIO:
         write_raw(ImageTensor(np.zeros((2, 2, 2))), path)
         with pytest.raises(ValueError):
             load_matrix(path)
+
+
+# (operator factory taking the test stream, consistency tolerance)
+_OPERATORS = [
+    pytest.param(lambda stream: PoolingOp(2, 3, 8, 8), 1e-12, id="pooling"),
+    pytest.param(lambda stream: ColorMeanOp(5, 5), 1e-12, id="color"),
+    pytest.param(lambda stream: cs_build(4, 0.25, seed=13).bind_shape(3, 8, 8), 1e-10, id="cs"),
+    pytest.param(lambda stream: DenseOperator(stream.gaussian((6, 10))), 1e-10, id="dense"),
+    pytest.param(lambda stream: IdentityOperator((2, 3, 3)), 1e-12, id="identity"),
+]
+
+
+class TestCombineVerify:
+    @pytest.mark.parametrize("make_op, tol", _OPERATORS)
+    def test_combine_then_verify_is_consistent(self, make_op, tol, stream):
+        op = make_op(stream)
+        y = op.forward(ImageTensor(stream.uniform(op.in_shape)))
+        x_raw = ImageTensor(stream.gaussian(op.in_shape) * 3)
+        x_hat = op.combine(y, x_raw)
+        assert x_hat.shape == op.in_shape
+        assert op.verify(y, x_hat).max_abs <= tol
+
+    def test_verify_quantized_measures_the_quantized_reconstruction(self, stream):
+        op = DenseOperator(stream.gaussian((6, 10)))
+        y = op.forward(ImageTensor(stream.uniform(op.in_shape)))
+        x_hat = ImageTensor(stream.gaussian(op.in_shape))
+        assert op.verify(y, x_hat, quantized=True) == compare(y, op.forward(quantize(x_hat)))
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 8])
+    def test_pooling_override_matches_generic_formula_bitwise(self, s, stream):
+        op = PoolingOp(s, 3, 24, 24)
+        y = ImageTensor(stream.uniform(op.out_shape))
+        x_raw = ImageTensor(stream.gaussian(op.in_shape) * 5)
+        formula = op.pinv(y).data + null_project(op, x_raw).data
+        assert np.array_equal(op.combine(y, x_raw).data, formula)
+        assert np.array_equal(LinearOperator.combine(op, y, x_raw).data, formula)
+
+    def test_pooling_for_measurement_geometry(self):
+        op = PoolingOp.for_measurement(ImageTensor(np.zeros((3, 4, 5))), 3)
+        assert (op.scale, op.in_shape, op.out_shape) == (3, (3, 12, 15), (3, 4, 5))
+
+    def test_pooling_combine_checks_measurement_shape(self):
+        op = PoolingOp(2, 1, 4, 4)
+        with pytest.raises(ValueError, match="measurement shape"):
+            op.combine(ImageTensor(np.zeros((1, 3, 3))), ImageTensor(np.zeros((1, 4, 4))))

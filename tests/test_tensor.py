@@ -187,6 +187,11 @@ class TestPngDecoder:
         with pytest.raises(ValueError, match="CRC"):
             load_png(path)
 
+    def test_rejects_crafted_headers(self, crafted_png):
+        # struct.error and zlib.error from crafted chunks must surface as ValueError.
+        with pytest.raises(ValueError, match="IHDR|zlib"):
+            load_png(crafted_png)
+
     @pytest.mark.parametrize("ftype", [1, 2, 3, 4])
     def test_filtered_scanlines(self, tmp_path, ftype, stream):
         # Oracle: filter a known image by hand, then ask the decoder to undo it.
