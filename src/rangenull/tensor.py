@@ -101,7 +101,9 @@ def load_png(path: str | Path) -> ImageTensor:
     """Read an 8- or 16-bit grayscale or RGB PNG, scaled to [0, 1]."""
     samples, depth = _png.decode(Path(path).read_bytes())
     peak = 255.0 if depth == 8 else 65535.0
-    return ImageTensor(samples.astype(np.float64).transpose(2, 0, 1) / peak)
+    height, width, channels = samples.shape
+    planar = np.empty((channels, height, width))
+    return ImageTensor(np.divide(samples.transpose(2, 0, 1), peak, out=planar))
 
 
 def write_raw(t: ImageTensor, path: str | Path) -> None:
