@@ -48,11 +48,9 @@ def encode(samples: np.ndarray) -> bytes:
     else:
         raise ValueError(f"PNG output supports 1 or 3 channels, got {channels}")
     ihdr = struct.pack(">IIBBBBB", width, height, 8, color_type, 0, 0, 0)
-    raw = bytearray()
-    for row in samples:
-        raw.append(0)  # filter: None
-        raw += row.tobytes()
-    idat = zlib.compress(bytes(raw), _ZLIB_LEVEL)
+    raw = np.zeros((height, 1 + width * channels), dtype=np.uint8)  # column 0: filter None
+    raw[:, 1:] = samples.reshape(height, -1)
+    idat = zlib.compress(raw, _ZLIB_LEVEL)
     return b"".join(
         [SIGNATURE, _chunk(b"IHDR", ihdr), _chunk(b"IDAT", idat), _chunk(b"IEND", b"")]
     )

@@ -9,15 +9,13 @@ Every operator gets the consistent combine ``combine`` (keep ``A+ y``,
 take the null part of a raw prediction) and its check ``verify`` from
 the base class.  Structured operators (pooling, channel mean, block
 sensing) implement their maps directly; ``DenseOperator`` materializes
-an arbitrary matrix and derives its pseudo-inverse through the SVD
-engine below, which is a one-sided Jacobi iteration chosen for
-determinism on small and medium dense matrices.
+an arbitrary matrix and derives its pseudo-inverse from its SVD, taken
+from LAPACK through ``numpy.linalg.svd``.
 """
 
 from __future__ import annotations
 
 import abc
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +23,6 @@ import numpy as np
 from .metrics import ConsistencyReport, compare
 from .rng import Stream
 from .tensor import ImageTensor, quantize, read_raw, write_raw
-
-_MAX_SWEEPS = 60
-_SWEEP_TOL = 1e-14  # relative off-diagonal threshold for a rotation
-_SWEEP_TOL_SQ = _SWEEP_TOL * _SWEEP_TOL
 
 
 class LinearOperator(abc.ABC):
@@ -93,9 +87,9 @@ class IdentityOperator(LinearOperator):
 class DenseOperator(LinearOperator):
     """Arbitrary dense matrix acting on flattened tensors.
 
-    The pseudo-inverse is computed once at construction via the Jacobi
-    SVD.  Default shapes are flat rows (1, 1, n); pass explicit shapes to
-    act on images.
+    The pseudo-inverse is computed once at construction from the LAPACK
+    SVD (``svd`` below).  Default shapes are flat rows (1, 1, n); pass
+    explicit shapes to act on images.
     """
 
     def __init__(
@@ -137,108 +131,18 @@ class SvdFactors:
 
 
 def svd(matrix: np.ndarray) -> SvdFactors:
-    """One-sided Jacobi SVD with a fixed cyclic sweep order.
+    """Full SVD from LAPACK (``numpy.linalg.svd``).
 
-    Sweeps rotate column pairs until every off-diagonal coupling falls
-    below 1e-14 relative, capped at 60 sweeps; the fixed order makes the
-    factors deterministic for a given input.
+    Deterministic for a given input on one machine; ``LinAlgError`` (a
+    ``ValueError``) is raised if LAPACK does not converge.
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.size == 0:
         raise ValueError("svd expects a non-empty 2-D matrix")
     if not np.isfinite(m).all():
         raise ValueError("svd requires finite matrix entries")
-    d, cap_d = m.shape
-    if d >= cap_d:
-        u, sigma, v = _jacobi(m)
-    else:
-        v, sigma, u = _jacobi(m.T)
-    return SvdFactors(u=u, sigma=sigma, v=v)
-
-
-def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Factor a tall matrix (rows >= cols) by orthogonalizing its columns."""
-    rows, cols = a.shape
-    w = a.copy()
-    v = np.eye(cols)
-    for _ in range(_MAX_SWEEPS):
-        g = w.T @ w  # fresh Gram matrix each sweep bounds incremental drift
-        rotated = False
-        for p in range(cols - 1):
-            for q in range(p + 1, cols):
-                gpq = g[p, q]
-                gpp = g[p, p]
-                gqq = g[q, q]
-                if gpq * gpq <= _SWEEP_TOL_SQ * gpp * gqq:
-                    continue
-                rotated = True
-                tau = (gqq - gpp) / (2.0 * gpq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                wp = w[:, p].copy()
-                w[:, p] = c * wp - s * w[:, q]
-                w[:, q] = s * wp + c * w[:, q]
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
-                gp = g[p, :].copy()
-                gq = g[q, :].copy()
-                new_p = c * gp - s * gq
-                new_q = s * gp + c * gq
-                g[p, :] = new_p
-                g[:, p] = new_p
-                g[q, :] = new_q
-                g[:, q] = new_q
-                g[p, p] = c * c * gpp - 2.0 * c * s * gpq + s * s * gqq
-                g[q, q] = s * s * gpp + 2.0 * c * s * gpq + c * c * gqq
-                g[p, q] = 0.0
-                g[q, p] = 0.0
-        if not rotated:
-            break
-    norms = np.sqrt(np.sum(w * w, axis=0))
-    order = np.argsort(-norms, kind="stable")
-    sigma = norms[order]
-    u = np.zeros((rows, rows))
-    missing = []
-    for k in range(cols):
-        j = int(order[k])
-        if norms[j] > 0.0:
-            u[:, k] = w[:, j] / norms[j]
-        else:
-            missing.append(k)
-    missing.extend(range(cols, rows))
-    if missing:
-        known = [u[:, k] for k in range(cols) if norms[int(order[k])] > 0.0]
-        for slot, col in zip(missing, _complete_basis(known, rows, len(missing))):
-            u[:, slot] = col
-    return u, sigma, v[:, order]
-
-
-def _complete_basis(existing: list[np.ndarray], dim: int, count: int) -> list[np.ndarray]:
-    """Deterministically extend orthonormal columns to ``count`` more.
-
-    Greedy choice: at each step take the canonical basis vector with the
-    largest residual outside the current span, orthogonalize it twice,
-    and normalize.
-    """
-    if not existing:
-        eye = np.eye(dim)
-        return [eye[:, k] for k in range(count)]
-    basis = list(existing)
-    added = []
-    for _ in range(count):
-        bm = np.column_stack(basis)
-        residual_sq = 1.0 - np.sum(bm * bm, axis=1)
-        k = int(np.argmax(residual_sq))
-        vec = np.zeros(dim)
-        vec[k] = 1.0
-        for _ in range(2):
-            vec = vec - bm @ (bm.T @ vec)
-        vec /= np.linalg.norm(vec)
-        basis.append(vec)
-        added.append(vec)
-    return added
+    u, sigma, vt = np.linalg.svd(m)
+    return SvdFactors(u=u, sigma=sigma, v=vt.T)
 
 
 def pinv_from_svd(factors: SvdFactors, tol: float = 1e-12) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .linop import LinearOperator, svd
 from .rng import Stream
-from .tensor import ImageTensor
+from .tensor import ImageTensor, _read_payload
 
 SENSE_MAGIC = b"PDM1"
 _SENSE_HEADER = struct.Struct("<4sIIQ")
@@ -121,13 +121,13 @@ class BlockSenseOp(LinearOperator):
 def cs_build(block: int, ratio: float, seed: int = 0) -> BlockSenseOp:
     """Construct a block sensing operator from a seeded Gaussian matrix.
 
-    The rows are the first q rows of U @ V.T from the SVD of a B^2 x B^2
-    standard-normal matrix drawn from the portable SplitMix64 stream
-    (row-major fill).  A given (block, ratio, seed) rebuilds the same rows
-    on one platform, but the build goes through BLAS matrix products and
-    numpy's vectorized ``log``/``sin``/``cos``, whose last bits may differ
-    between machines; the saved PDM1 file, not the seed, is the portable
-    identity of an operator.
+    The rows are the first q rows of U @ V.T (the orthogonal polar factor)
+    from the SVD of a B^2 x B^2 standard-normal matrix drawn from the
+    portable SplitMix64 stream (row-major fill).  A given (block, ratio,
+    seed) rebuilds the same rows on one machine, but LAPACK, BLAS and
+    numpy's vectorized ``log``/``sin``/``cos`` may differ in the last bits
+    between machines (and, from block 32, between BLAS thread counts); the
+    saved PDM1 file, not the seed, is the portable identity of an operator.
     """
     q = measurement_count(block, ratio)
     n = block * block
@@ -165,19 +165,23 @@ def cs_pinv(op: BlockSenseOp, m: ImageTensor) -> ImageTensor:
 def save_sense_op(op: BlockSenseOp, path: str | Path) -> None:
     """Write the "PDM1" container: magic, u32 block, u32 q, u64 seed, then
     q*B^2 little-endian f64 row weights."""
-    header = _SENSE_HEADER.pack(SENSE_MAGIC, op.block, op.q, op.seed & 0xFFFFFFFFFFFFFFFF)
-    Path(path).write_bytes(header + op.rows.astype("<f8").tobytes())
+    with open(path, "wb") as f:
+        f.write(_SENSE_HEADER.pack(SENSE_MAGIC, op.block, op.q, op.seed & 0xFFFFFFFFFFFFFFFF))
+        f.write(op.rows.astype("<f8", copy=False))
 
 
 def load_sense_op(path: str | Path) -> BlockSenseOp:
-    blob = Path(path).read_bytes()
-    if len(blob) < _SENSE_HEADER.size or blob[:4] != SENSE_MAGIC:
-        raise ValueError(f"{path}: not a PDM1 operator file (bad magic)")
-    _, block, q, seed = _SENSE_HEADER.unpack_from(blob)
-    n = block * block
-    if len(blob) - _SENSE_HEADER.size != q * n * 8:
-        raise ValueError(f"{path}: payload does not match q={q}, block={block}")
-    rows = np.frombuffer(blob, dtype="<f8", offset=_SENSE_HEADER.size).reshape(q, n)
+    """Read a PDM1 file; the header must declare ``block >= 1`` and
+    ``1 <= q <= block^2``, and the payload must hold exactly those rows."""
+    with open(path, "rb") as f:
+        head = f.read(_SENSE_HEADER.size)
+        if len(head) < _SENSE_HEADER.size or head[:4] != SENSE_MAGIC:
+            raise ValueError(f"{path}: not a PDM1 operator file (bad magic)")
+        _, block, q, seed = _SENSE_HEADER.unpack(head)
+        n = block * block
+        if block < 1 or not 1 <= q <= n:
+            raise ValueError(f"{path}: invalid PDM1 header: block={block}, q={q}")
+        rows = _read_payload(f, path, (q, n), f"q={q} rows of block {block}")
     return BlockSenseOp(block=block, q=q, seed=seed, ratio=q / n, rows=rows)
 
 

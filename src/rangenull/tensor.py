@@ -14,6 +14,8 @@ little-endian f64 samples, planar row-major.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,16 +86,19 @@ def quantize(t: ImageTensor) -> ImageTensor:
     Rounding is half-away-from-zero, so 0.5 maps to 128/255.  Idempotent;
     this is exactly the value loss incurred by ``save_png``.
     """
-    levels = np.floor(np.clip(t.data, 0.0, 1.0) * 255.0 + 0.5)
-    return ImageTensor(levels / 255.0)
+    return ImageTensor(_levels(t) / 255.0)
+
+
+def _levels(t: ImageTensor) -> np.ndarray:
+    # The 8-bit rule shared by ``quantize`` and ``save_png``.
+    return np.floor(np.clip(t.data, 0.0, 1.0) * 255.0 + 0.5)
 
 
 def save_png(t: ImageTensor, path: str | Path) -> None:
     """Write an 8-bit PNG; samples are clamped and rounded as in ``quantize``."""
     if t.channels not in (1, 3):
         raise ValueError(f"PNG output needs 1 or 3 channels, got {t.channels}")
-    levels = np.floor(np.clip(t.data, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
-    samples = np.ascontiguousarray(levels.transpose(1, 2, 0))
+    samples = np.ascontiguousarray(_levels(t).astype(np.uint8).transpose(1, 2, 0))
     Path(path).write_bytes(_png.encode(samples))
 
 
@@ -108,25 +113,33 @@ def load_png(path: str | Path) -> ImageTensor:
 
 def write_raw(t: ImageTensor, path: str | Path) -> None:
     """Write the lossless PDT1 container (bit-exact round trip)."""
-    header = _RAW_HEADER.pack(RAW_MAGIC, t.channels, t.height, t.width)
-    Path(path).write_bytes(header + t.data.astype("<f8").tobytes())
+    with open(path, "wb") as f:
+        f.write(_RAW_HEADER.pack(RAW_MAGIC, t.channels, t.height, t.width))
+        f.write(t.data.astype("<f8", copy=False))
 
 
 def read_raw(path: str | Path) -> ImageTensor:
-    blob = Path(path).read_bytes()
-    if len(blob) < _RAW_HEADER.size or blob[:4] != RAW_MAGIC:
-        raise ValueError(f"{path}: not a PDT1 tensor file (bad magic)")
-    _, c, h, w = _RAW_HEADER.unpack_from(blob)
-    if c < 1 or h < 1 or w < 1:
-        raise ValueError(f"{path}: invalid tensor dimensions {(c, h, w)}")
-    expected = c * h * w * 8
-    if len(blob) - _RAW_HEADER.size != expected:
-        raise ValueError(
-            f"{path}: payload is {len(blob) - _RAW_HEADER.size} bytes, "
-            f"header dimensions need {expected}"
-        )
-    arr = np.frombuffer(blob, dtype="<f8", offset=_RAW_HEADER.size).reshape(c, h, w)
-    return ImageTensor(arr)
+    with open(path, "rb") as f:
+        head = f.read(_RAW_HEADER.size)
+        if len(head) < _RAW_HEADER.size or head[:4] != RAW_MAGIC:
+            raise ValueError(f"{path}: not a PDT1 tensor file (bad magic)")
+        _, c, h, w = _RAW_HEADER.unpack(head)
+        if c < 1 or h < 1 or w < 1:
+            raise ValueError(f"{path}: invalid tensor dimensions {(c, h, w)}")
+        return ImageTensor(_read_payload(f, path, (c, h, w), "header dimensions"))
+
+
+def _read_payload(f, path, shape: tuple[int, ...], declared_by: str) -> np.ndarray:
+    """Read the rest of ``f`` into a fresh little-endian f64 array of ``shape``,
+    checking the size against the file's before allocating anything."""
+    need = 8 * math.prod(shape)
+    have = os.fstat(f.fileno()).st_size - f.tell()
+    if have != need:
+        raise ValueError(f"{path}: payload is {have} bytes, {declared_by} need {need}")
+    arr = np.empty(shape, dtype="<f8")
+    if f.readinto(arr) != need:
+        raise ValueError(f"{path}: payload shrank while it was read")
+    return arr
 
 
 def load_tensor(path: str | Path) -> ImageTensor:

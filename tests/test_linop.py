@@ -53,6 +53,25 @@ class TestSvd:
         assert np.all(f.sigma >= 0.0)
         assert np.all(np.diff(f.sigma) <= 0.0)
 
+    # Inputs whose left basis the SVD must complete on its own: a tall
+    # rank-1 matrix and the all-zero matrix have fewer nonzero singular
+    # values than rows.
+    @pytest.mark.parametrize("kind", ["tall_rank1", "zero_tall", "zero_wide"])
+    def test_factor_invariants_degenerate(self, kind, stream):
+        m = {
+            "tall_rank1": lambda: np.outer(stream.gaussian(9), stream.gaussian(4)),
+            "zero_tall": lambda: np.zeros((6, 3)),
+            "zero_wide": lambda: np.zeros((3, 6)),
+        }[kind]()
+        f = svd(m)
+        d, cap_d = m.shape
+        assert np.max(np.abs(f.u.T @ f.u - np.eye(d))) < 1e-9
+        assert np.max(np.abs(f.v.T @ f.v - np.eye(cap_d))) < 1e-9
+        assert np.max(np.abs(reconstruct(f) - m)) < 1e-9
+        assert np.all(f.sigma >= 0.0)
+        assert np.all(np.diff(f.sigma) <= 0.0)
+        assert np.sum(f.sigma > 1e-10) == (1 if kind == "tall_rank1" else 0)
+
     def test_rank_deficient_input(self, stream):
         m = np.outer(stream.gaussian(6), stream.gaussian(9))
         f = svd(m)

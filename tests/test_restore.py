@@ -18,6 +18,7 @@ from rangenull import (
     pd_combine,
     save_sense_op,
 )
+from rangenull.rng import Stream
 
 
 class TestColor:
@@ -136,6 +137,27 @@ class TestBlockSense:
         assert op.forward(x) == cs_measure(op, x)
         with pytest.raises(ValueError):
             op.bind_shape(1, 6, 6)
+
+
+class TestCsRows:
+    """The rows pinned by what they are, not by how they are computed."""
+
+    @pytest.mark.parametrize("block", [4, 16])
+    def test_full_ratio_rows_are_polar_factor_of_seeded_gaussian(self, block):
+        # U V^T from the SVD G = U S V^T is the orthogonal polar factor of G,
+        # the unique orthogonal R with R^T G = V S V^T symmetric positive
+        # definite (G is nonsingular with probability one).
+        n = block * block
+        rows = cs_build(block, 1.0, seed=5).rows
+        gauss = Stream(5).gaussian((n, n))
+        assert np.max(np.abs(rows @ rows.T - np.eye(n))) < 1e-12
+        sym = rows.T @ gauss
+        scale = np.max(np.abs(sym))
+        assert np.max(np.abs(sym - sym.T)) < 1e-12 * scale
+        assert np.min(np.linalg.eigvalsh((sym + sym.T) / 2.0)) > 0.0
+
+    def test_partial_ratio_takes_leading_rows(self):
+        assert np.array_equal(cs_build(4, 0.25, seed=5).rows, cs_build(4, 1.0, seed=5).rows[:4])
 
 
 class TestSenseOpIO:
