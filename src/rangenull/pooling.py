@@ -10,6 +10,14 @@ the block means of any raw prediction for the reference low-resolution
 values in one cache-friendly pass, bit-identical to the generic combine.
 ``extract_highfreq`` and ``verify_consistency`` are the scale-argument
 spellings of ``null_project`` and ``PoolingOp.verify``.
+
+Both kernels walk the image in stripes of whole block rows of about
+512 KiB, so that a stripe, its output and the temporaries fit a 2 MiB L2
+cache, and work on whole image rows, so every numpy step runs over a
+full row.  A block's mean is built from elementwise operations only, in
+a fixed order, so it does not depend on how the image is striped:
+``pool_down`` and ``pd_combine`` agree bit for bit.  Both keep the input
+dtype.
 """
 
 from __future__ import annotations
@@ -28,19 +36,51 @@ def _require_divisible(h: int, w: int, s: int) -> None:
         raise ValueError(f"image size {h}x{w} is not divisible by scale {s}")
 
 
-def _block_mean(a: np.ndarray, s: int) -> np.ndarray:
-    """Mean over non-overlapping s x s blocks, dtype preserving.
+_STRIPE_BYTES = 1 << 19
+
+
+def _stripes(a: np.ndarray, s: int):
+    """(channel, block-row slice) pieces of ``a`` of about ``_STRIPE_BYTES`` each."""
+    channels, height, width = a.shape
+    step = max(1, _STRIPE_BYTES // (s * width * a.itemsize))
+    for ch in range(channels):
+        for r0 in range(0, height // s, step):
+            yield ch, slice(r0, r0 + step)
+
+
+def _band_mean(rows: np.ndarray, s: int) -> np.ndarray:
+    """Means of the s x s blocks of ``rows``, k block rows shaped (k, s, width).
 
     Anchoring on each block's first sample makes constant blocks average
-    exactly, which is what keeps down(up(y)) bit-identical to y.
+    exactly, which is what keeps down(up(y)) bit-identical to y.  The
+    residuals are summed one block row at a time, then across the s
+    columns of each block.
     """
+    first = rows[:, 0, ::s]
+    anchor = np.repeat(first, s, axis=-1)
+    acc = rows[:, 0] - anchor
+    resid = np.empty_like(acc)
+    for r in range(1, s):
+        acc += np.subtract(rows[:, r], anchor, out=resid)
+    columns = acc.reshape(len(rows), -1, s)
+    total = columns[..., 0].copy()
+    for k in range(1, s):
+        total += columns[..., k]
+    total /= s * s
+    total += first
+    return total
+
+
+def _block_mean(a: np.ndarray, s: int) -> np.ndarray:
+    """Mean over non-overlapping s x s blocks, dtype preserving."""
     if s == 1:
         return a.copy()
-    c, h, w = a.shape
-    blocks = a.reshape(c, h // s, s, w // s, s)
-    first = blocks[:, :, 0, :, 0]
-    resid = blocks - first[:, :, None, :, None]
-    return first + resid.sum(axis=(2, 4)) / (s * s)
+    channels, height, width = a.shape
+    rows = a.reshape(channels, height // s, s, width)
+    out = np.empty((channels, height // s, width // s), a.dtype)
+    for ch, band in _stripes(a, s):
+        out[ch, band] = _band_mean(rows[ch, band], s)
+    return out
 
 
 def _replicate(a: np.ndarray, s: int) -> np.ndarray:
@@ -82,20 +122,20 @@ def pd_combine(y: ImageTensor, x_raw: ImageTensor, s: int) -> ImageTensor:
 
 
 def _pd_combine_arr(y: np.ndarray, x_raw: np.ndarray, s: int) -> np.ndarray:
-    # Processed per channel in stripes of whole block rows so the working
-    # set stays cache-resident; block reductions never cross a stripe, so
-    # the result is bit-identical to the whole-image expression
-    # replicate(y) + (x_raw - replicate(block_mean(x_raw))).
-    out = np.empty_like(x_raw)
+    # Computes (x_raw - replicate(block_mean(x_raw))) + replicate(y), stripe by
+    # stripe, each block-mean row and y row widened once to the image width.
+    # Addition commutes exactly, so this is bit-identical to the generic combine.
+    if s == 1:
+        return (x_raw - x_raw) + y
     channels, height, width = x_raw.shape
-    stripe = max(1, 1_048_576 // max(1, s * width * x_raw.itemsize))
-    for ch in range(channels):
-        for r0 in range(0, height // s, stripe):
-            r1 = min(r0 + stripe, height // s)
-            yv = y[ch : ch + 1, r0:r1]
-            xv = x_raw[ch : ch + 1, r0 * s : r1 * s]
-            highfreq = xv - _replicate(_block_mean(xv, s), s)
-            out[ch : ch + 1, r0 * s : r1 * s] = _replicate(yv, s) + highfreq
+    rows = x_raw.reshape(channels, height // s, s, width)
+    out = np.empty_like(x_raw)
+    out_rows = out.reshape(rows.shape)
+    for ch, band in _stripes(x_raw, s):
+        means = np.repeat(_band_mean(rows[ch, band], s), s, axis=-1)
+        o = out_rows[ch, band]
+        np.subtract(rows[ch, band], means[:, None], out=o)
+        o += np.repeat(y[ch, band], s, axis=-1)[:, None]
     return out
 
 

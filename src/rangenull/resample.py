@@ -8,6 +8,17 @@ pixel ``i`` samples the source at ``(i + 0.5) * s - 0.5`` going down and
 ``(i + 0.5) / s - 0.5`` going up, which keeps constant images fixed and
 the two directions mutually consistent.  Borders clamp to the edge pixel
 and every output pixel's weights are normalized to sum to 1.
+
+With an integer scale the weights repeat with period ``s``: enlarging
+has ``s`` phases of at most five nonzero taps each, shrinking one phase
+that steps ``s`` source pixels at a time (about ``4 s`` taps when
+antialiased).  Each phase's weights are computed once.  Each axis of each
+channel is one batched matrix product of a sliding-window view of the
+edge-padded plane with the small (taps, phases) weight matrix, so the
+cost is proportional to pixels times taps and no (output, input) matrix
+is ever built.  The vertical pass, the cheaper one per output pixel,
+runs on the full-resolution side: first when shrinking, last when
+enlarging.
 """
 
 from __future__ import annotations
@@ -16,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .pooling import pool_up
 from .tensor import ImageTensor, load_tensor
@@ -66,42 +78,70 @@ class ResampleSpec:
             raise ValueError(f"scale must be a positive integer, got {self.scale}")
 
 
-def _axis_weights(n_in: int, n_out: int, spec: ResampleSpec) -> np.ndarray:
+def _phase_weights(spec: ResampleSpec) -> tuple[int, np.ndarray]:
+    """The first tap offset and the normalized (taps, phases) kernel weights.
+
+    Output pixel ``q * phases + p`` is ``sum_k weights[k, p] * src[q * step
+    + first + k]``, with ``step`` = ``scale`` going down and 1 going up and
+    the source index clamped to the edge.  Every phase shares one tap range;
+    taps outside a phase's own support get weight 0.
+    """
     kernel = _KERNELS[spec.filter]
-    # Box downsampling is block averaging whatever the antialias flag says;
-    # an unstretched box would degenerate to nearest-neighbour decimation.
-    stretchy = spec.antialias or spec.filter == "box"
-    stretch = float(spec.scale) if (spec.direction == "down" and stretchy) else 1.0
+    s = spec.scale
+    if spec.direction == "down":
+        # Box downsampling is block averaging whatever the antialias flag says;
+        # an unstretched box would degenerate to nearest-neighbour decimation.
+        stretch = float(s) if (spec.antialias or spec.filter == "box") else 1.0
+        centers = np.array([(s - 1) / 2])
+    else:
+        stretch = 1.0
+        centers = (np.arange(s) + 0.5) / s - 0.5
     support = _RADII[spec.filter] * stretch
-    weights = np.zeros((n_out, n_in))
-    for i in range(n_out):
-        if spec.direction == "down":
-            center = (i + 0.5) * spec.scale - 0.5
-        else:
-            center = (i + 0.5) / spec.scale - 0.5
-        lo = math.floor(center - support)
-        hi = math.ceil(center + support)
-        taps = np.arange(lo, hi + 1)
-        w = kernel((taps - center) / stretch)
-        np.add.at(weights[i], np.clip(taps, 0, n_in - 1), w)
-        weights[i] /= weights[i].sum()
-    return weights
+    offsets = np.arange(math.floor(centers[0] - support), math.ceil(centers[-1] + support) + 1)
+    weights = kernel((offsets[:, None] - centers) / stretch)
+    used = np.flatnonzero(weights.any(axis=1))  # drop the taps no phase reaches
+    weights = weights[used[0] : used[-1] + 1]
+    return int(offsets[used[0]]), weights / weights.sum(axis=0)
+
+
+def _resample_axis(
+    plane: np.ndarray, axis: int, first: int, weights: np.ndarray, step: int, out: np.ndarray
+) -> None:
+    """Write the phase weights applied along ``axis`` of a 2-D ``plane`` into ``out``."""
+    taps, phases = weights.shape
+    size = plane.shape[axis]
+    n = size // step
+    # Edge padding reproduces the clamp; the weights and their sums are unchanged.
+    before = max(0, -first)
+    pad = [(0, 0), (0, 0)]
+    pad[axis] = (before, max(0, (n - 1) * step + first + taps - size))
+    start = first + before
+    window = [slice(None), slice(None)]
+    window[axis] = slice(start, start + (n - 1) * step + 1, step)
+    windows = sliding_window_view(np.pad(plane, pad, mode="edge"), taps, axis=axis)[tuple(window)]
+    split = out.reshape(out.shape[:axis] + (n, phases) + out.shape[axis + 1 :])
+    # Batched over windows with the other image axis as matrix rows, so both
+    # operands and the output are strided matrices that BLAS accepts.
+    np.matmul(np.moveaxis(windows, axis, 0), weights, out=np.moveaxis(split, (axis, axis + 1), (0, -1)))
 
 
 def resample(x: ImageTensor, spec: ResampleSpec) -> ImageTensor:
-    """Apply separable resampling, horizontal pass then vertical pass."""
+    """Apply separable resampling, one channel and one axis at a time."""
     s = spec.scale
     if spec.direction == "down":
         if x.height % s or x.width % s:
             raise ValueError(f"image size {x.height}x{x.width} is not divisible by scale {s}")
         out_h, out_w = x.height // s, x.width // s
+        step, axes, mid_shape = s, (0, 1), (out_h, x.width)
     else:
         out_h, out_w = x.height * s, x.width * s
-    wh = _axis_weights(x.width, out_w, spec)
-    wv = _axis_weights(x.height, out_h, spec)
+        step, axes, mid_shape = 1, (1, 0), (x.height, out_w)
+    first, weights = _phase_weights(spec)
     out = np.empty((x.channels, out_h, out_w))
-    for c in range(x.channels):
-        out[c] = wv @ (x.data[c] @ wh.T)
+    mid = np.empty(mid_shape)
+    for plane, dest in zip(x.data, out):
+        _resample_axis(plane, axes[0], first, weights, step, mid)
+        _resample_axis(mid, axes[1], first, weights, step, dest)
     return ImageTensor(out)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .linop import LinearOperator, svd
 from .rng import Stream
-from .tensor import ImageTensor, _read_payload
+from .tensor import ImageTensor, _read_payload, _write_atomic
 
 SENSE_MAGIC = b"PDM1"
 _SENSE_HEADER = struct.Struct("<4sIIQ")
@@ -165,9 +165,8 @@ def cs_pinv(op: BlockSenseOp, m: ImageTensor) -> ImageTensor:
 def save_sense_op(op: BlockSenseOp, path: str | Path) -> None:
     """Write the "PDM1" container: magic, u32 block, u32 q, u64 seed, then
     q*B^2 little-endian f64 row weights."""
-    with open(path, "wb") as f:
-        f.write(_SENSE_HEADER.pack(SENSE_MAGIC, op.block, op.q, op.seed & 0xFFFFFFFFFFFFFFFF))
-        f.write(op.rows.astype("<f8", copy=False))
+    header = _SENSE_HEADER.pack(SENSE_MAGIC, op.block, op.q, op.seed & 0xFFFFFFFFFFFFFFFF)
+    _write_atomic(path, header, op.rows.astype("<f8", copy=False))
 
 
 def load_sense_op(path: str | Path) -> BlockSenseOp:

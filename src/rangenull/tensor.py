@@ -86,20 +86,47 @@ def quantize(t: ImageTensor) -> ImageTensor:
     Rounding is half-away-from-zero, so 0.5 maps to 128/255.  Idempotent;
     this is exactly the value loss incurred by ``save_png``.
     """
-    return ImageTensor(_levels(t) / 255.0)
+    levels = _levels(t)
+    levels /= 255.0
+    return ImageTensor(levels)
 
 
 def _levels(t: ImageTensor) -> np.ndarray:
-    # The 8-bit rule shared by ``quantize`` and ``save_png``.
-    return np.floor(np.clip(t.data, 0.0, 1.0) * 255.0 + 0.5)
+    # The 8-bit rule shared by ``quantize`` and ``save_png``, computed in one
+    # buffer; clip(x * 255, 0, 255) equals clip(x, 0, 1) * 255 for finite x.
+    levels = np.multiply(t.data, 255.0)
+    np.clip(levels, 0.0, 255.0, out=levels)
+    levels += 0.5
+    return np.floor(levels, out=levels)
+
+
+def _write_atomic(path: str | Path, *payload) -> None:
+    """Write the byte buffers of ``payload`` to ``path`` so that readers see
+    either the old file or the complete new one.
+
+    They go to a uniquely named temporary file in the same directory, opened
+    with ``"xb"`` so the umask sets its mode, which ``os.replace`` then
+    moves onto ``path``; on any error the temporary file is removed.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            for part in payload:
+                f.write(part)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_png(t: ImageTensor, path: str | Path) -> None:
     """Write an 8-bit PNG; samples are clamped and rounded as in ``quantize``."""
     if t.channels not in (1, 3):
         raise ValueError(f"PNG output needs 1 or 3 channels, got {t.channels}")
-    samples = np.ascontiguousarray(_levels(t).astype(np.uint8).transpose(1, 2, 0))
-    Path(path).write_bytes(_png.encode(samples))
+    samples = np.empty((t.height, t.width, t.channels), np.uint8)
+    np.copyto(samples, _levels(t).transpose(1, 2, 0), casting="unsafe")
+    _write_atomic(path, _png.encode(samples))
 
 
 def load_png(path: str | Path) -> ImageTensor:
@@ -113,9 +140,8 @@ def load_png(path: str | Path) -> ImageTensor:
 
 def write_raw(t: ImageTensor, path: str | Path) -> None:
     """Write the lossless PDT1 container (bit-exact round trip)."""
-    with open(path, "wb") as f:
-        f.write(_RAW_HEADER.pack(RAW_MAGIC, t.channels, t.height, t.width))
-        f.write(t.data.astype("<f8", copy=False))
+    header = _RAW_HEADER.pack(RAW_MAGIC, t.channels, t.height, t.width)
+    _write_atomic(path, header, t.data.astype("<f8", copy=False))
 
 
 def read_raw(path: str | Path) -> ImageTensor:

@@ -2,6 +2,7 @@
 clean failures on truncated, mutated or forged input."""
 
 import io
+import os
 import struct
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 from rangenull import ImageTensor, cs_build, load_sense_op, load_tensor, read_raw, save_sense_op, write_raw
 from rangenull.cli import main
+from rangenull import save_png
+from rangenull.tensor import _write_atomic
 
 _PDT1 = struct.Struct("<4sIII")
 _PDM1 = struct.Struct("<4sIIQ")
@@ -174,3 +177,34 @@ class TestFuzz:
         if code == 3:
             assert err.startswith("error: ")
             assert not out.exists()
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("existing", [True, False], ids=["replace", "create"])
+    def test_write_that_raises_mid_payload_leaves_no_trace(self, tmp_path, existing):
+        path = tmp_path / "out.pdt1"
+        if existing:
+            path.write_bytes(b"old")
+        with pytest.raises(TypeError):
+            _write_atomic(path, b"PDT1 header", object())  # the second part is not a buffer
+        assert sorted(tmp_path.iterdir()) == ([path] if existing else [])
+        assert not existing or path.read_bytes() == b"old"
+
+    def test_failed_rename_removes_the_temporary(self, tmp_path, stream):
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(OSError):
+            write_raw(ImageTensor(stream.uniform((1, 2, 2))), target)
+        assert list(tmp_path.iterdir()) == [target] and not any(target.iterdir())
+
+    def test_outputs_follow_the_umask(self, tmp_path, stream):
+        old = os.umask(0o027)
+        try:
+            t = ImageTensor(stream.uniform((3, 4, 4)))
+            write_raw(t, tmp_path / "t.pdt1")
+            save_png(t, tmp_path / "t.png")
+            save_sense_op(cs_build(2, 0.5, seed=1), tmp_path / "op.pdm1")
+        finally:
+            os.umask(old)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["op.pdm1", "t.pdt1", "t.png"]
+        assert {p.stat().st_mode & 0o777 for p in tmp_path.iterdir()} == {0o640}

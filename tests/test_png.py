@@ -17,7 +17,9 @@ from conftest import _chunk
 from rangenull import ImageTensor, load_png, save_png
 from rangenull._png import SIGNATURE, _predict, _unfilter, decode
 from rangenull.cli import main
+from rangenull.tensor import _levels
 from test_tensor import _make_png
+from test_tensor import finite_tensors
 
 
 def _unfilter_scalar(raw, height, stride, bpp):
@@ -256,3 +258,22 @@ class TestFuzz:
         assert proc.returncode == 3
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
         assert not (tmp_path / "sr.pdt1").exists()
+
+
+class TestEncoder:
+    @given(finite_tensors(max_side=24))
+    def test_rows_after_the_first_are_up_filtered(self, tmp_path_factory, t):
+        path = tmp_path_factory.mktemp("enc") / "t.png"
+        save_png(t, path)
+        data, pos, idat = path.read_bytes(), len(SIGNATURE), b""
+        while pos < len(data):
+            (length,) = struct.unpack_from(">I", data, pos)
+            if data[pos + 4 : pos + 8] == b"IDAT":
+                idat += data[pos + 8 : pos + 8 + length]
+            pos += 12 + length
+        raw = zlib.decompress(idat)
+        stride = t.width * t.channels
+        assert [raw[r * (stride + 1)] for r in range(t.height)] == [0] + [2] * (t.height - 1)
+        samples = _unfilter_scalar(raw, t.height, stride, t.channels)
+        expected = _levels(t).astype(np.uint8).transpose(1, 2, 0).reshape(t.height, stride)
+        assert np.array_equal(samples, expected)

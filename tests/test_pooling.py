@@ -1,5 +1,7 @@
 """Block-mean pooling, replication, and the consistent combine."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,6 +18,8 @@ from rangenull import (
     quantize,
     verify_consistency,
 )
+from rangenull import pooling
+from rangenull.pooling import _block_mean, _pd_combine_arr, _replicate
 
 
 def lr_and_raw(max_s=4, lo=-100.0, hi=100.0):
@@ -218,3 +222,53 @@ class TestPoolingOp:
         op = PoolingOp(2, 1, 4, 4)
         with pytest.raises(ValueError):
             op.forward(ImageTensor(np.zeros((1, 4, 6))))
+
+
+# The stripe sizes the kernels are run at: one block row per stripe, a few
+# block rows per stripe, and the default, under which these small images
+# are a single stripe.
+STRIPES = pytest.mark.parametrize("stripe_bytes", [1, 600, pooling._STRIPE_BYTES], ids=["row", "rows", "default"])
+
+
+@st.composite
+def blocked_arrays(draw):
+    """(s, a): scale 1-8 and a float64 or float32 array of whole s x s blocks."""
+    s = draw(st.integers(1, 8))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    shape = (draw(st.sampled_from([1, 3])), s * draw(st.integers(1, 5)), s * draw(st.integers(1, 5)))
+    return s, draw(arrays(dtype, shape, elements=st.floats(-100, 100, width=np.finfo(dtype).bits)))
+
+
+class TestStripedKernels:
+    @STRIPES
+    @given(blocked_arrays())
+    def test_block_mean_matches_reshape_mean(self, stripe_bytes, case):
+        s, a = case
+        c, h, w = a.shape
+        expected = a.astype(np.float64).reshape(c, h // s, s, w // s, s).mean(axis=(2, 4))
+        with mock.patch.object(pooling, "_STRIPE_BYTES", stripe_bytes):
+            got = _block_mean(a, s)
+        assert got.dtype == a.dtype and got.shape == expected.shape
+        # Each of the s*s additions rounds a partial sum of at most s*s * 200
+        # by half an ulp: at most s*s * eps * 100 once divided by s*s.
+        assert np.max(np.abs(got - expected), initial=0.0) <= 2 * s * s * np.finfo(a.dtype).eps * 100
+
+    @STRIPES
+    @given(lr_and_raw(max_s=8))
+    def test_down_undoes_up_bit_exactly_to_scale_8(self, stripe_bytes, case):
+        s, y, _ = case
+        with mock.patch.object(pooling, "_STRIPE_BYTES", stripe_bytes):
+            assert pool_down(pool_up(y, s), s) == y
+
+    @STRIPES
+    @given(lr_and_raw(max_s=8))
+    def test_combine_is_up_plus_highfreq_bitwise(self, stripe_bytes, case):
+        s, y, x_raw = case
+        with mock.patch.object(pooling, "_STRIPE_BYTES", stripe_bytes):
+            via_parts = pool_up(y, s).data + extract_highfreq(x_raw, s).data
+            assert pd_combine(y, x_raw, s).data.tobytes() == via_parts.tobytes()
+            y32, x32 = y.data.astype(np.float32), x_raw.data.astype(np.float32)
+            via_parts32 = _replicate(y32, s) + (x32 - _replicate(_block_mean(x32, s), s))
+            combined32 = _pd_combine_arr(y32, x32, s)
+            assert combined32.dtype == np.float32
+            assert combined32.tobytes() == via_parts32.tobytes()
