@@ -85,8 +85,9 @@ def _reconstruct(
     write(x_hat, output)
     _emit(op.verify(y, x_hat).to_dict())
     if png is not None:
-        save_png(x_hat, png)
-        _emit(op.verify(y, x_hat, quantized=True).to_dict())
+        # Rebinding frees the exact image before the report's temporaries exist.
+        x_hat = save_png(x_hat, png)
+        _emit(op.verify(y, x_hat).to_dict())
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,13 @@ class BenchResult:
         }
 
 
+def _check_scale(size: int, scale: int) -> None:
+    if scale < 1:
+        raise ValueError(f"scale must be a positive integer, got {scale}")
+    if size % scale:
+        raise ValueError(f"size {size} is not divisible by scale {scale}")
+
+
 def run_bench(op_name: str, size: int, scale: int, iterations: int, seed: int) -> BenchResult:
     """Time one operation on seeded random 3-channel tensors.
 
@@ -120,8 +128,7 @@ def run_bench(op_name: str, size: int, scale: int, iterations: int, seed: int) -
         raise ValueError(f"op must be one of {BENCH_OPS}, got {op_name!r}")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    if size % scale:
-        raise ValueError(f"size {size} is not divisible by scale {scale}")
+    _check_scale(size, scale)
     stream = Stream(seed)
     hr = ImageTensor(stream.uniform((3, size, size)))
     lr = ImageTensor(stream.uniform((3, size // scale, size // scale)))
@@ -182,8 +189,7 @@ def run_table1(count: int, size: int, scale: int, seed: int, workers: int = 1) -
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if size % scale:
-        raise ValueError(f"size {size} is not divisible by scale {scale}")
+    _check_scale(size, scale)
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if workers == 1:

@@ -4,6 +4,12 @@ color image) and block compressed sensing with orthonormal sampling rows.
 Both take the consistent combine and its check unchanged from
 ``LinearOperator.combine`` and ``LinearOperator.verify``; ``generic_pd``
 is the function spelling of ``op.combine``.
+
+Block sensing costs one reordering copy and one BLAS matrix product per
+image channel in each direction, so ``cs_measure`` and ``cs_pinv`` run
+at a small multiple of a memory copy.  Reruns at one BLAS thread count
+give the same bytes; other thread counts usually do too, but that is not
+promised (see ``cs_measure``).
 """
 
 from __future__ import annotations
@@ -126,7 +132,7 @@ def cs_build(block: int, ratio: float, seed: int = 0) -> BlockSenseOp:
     portable SplitMix64 stream (row-major fill).  A given (block, ratio,
     seed) rebuilds the same rows on one machine, but LAPACK, BLAS and
     numpy's vectorized ``log``/``sin``/``cos`` may differ in the last bits
-    between machines (and, from block 32, between BLAS thread counts); the
+    between machines (and, from block 24, between BLAS thread counts); the
     saved PDM1 file, not the seed, is the portable identity of an operator.
     """
     q = measurement_count(block, ratio)
@@ -138,27 +144,51 @@ def cs_build(block: int, ratio: float, seed: int = 0) -> BlockSenseOp:
 
 
 def cs_measure(op: BlockSenseOp, x: ImageTensor) -> ImageTensor:
-    """Measure every block of every channel with the sampling rows."""
+    """Measure every block of every channel with the sampling rows.
+
+    One reordering copy lays each channel out one block per row, and one
+    BLAS product per channel (a stacked ``matmul``) applies the transposed
+    rows; a strided copy then moves the ``(blocks, q)`` result into the
+    ``channel * q + row`` layout of a fresh output array.
+
+    The block axis is the product's rows because the other orientation
+    made the last bit follow the BLAS thread count at several block sizes
+    from 4 to 16.  This one gave the same bytes at 1 and 2 OpenBLAS
+    threads at blocks 4 to 16, 24 and 32 on 3 x 240² to 3 x 1440² images,
+    but not at block 20, so the thread count is not promised; reruns at
+    one count are.
+    """
     c, h, w = x.shape
     b = op.block
     if h % b or w % b:
         raise ValueError(f"image size {h}x{w} is not divisible by block {b}")
     nh, nw = h // b, w // b
-    blocks = x.data.reshape(c, nh, b, nw, b).transpose(0, 1, 3, 2, 4).reshape(c, nh, nw, op.n)
-    meas = np.einsum("qn,chwn->cqhw", op.rows, blocks)
-    return ImageTensor(meas.reshape(c * op.q, nh, nw))
+    blocks = np.empty((c, nh, nw, b, b))
+    np.copyto(blocks, x.data.reshape(c, nh, b, nw, b).transpose(0, 1, 3, 2, 4))
+    per_block = np.matmul(blocks.reshape(c, nh * nw, op.n), op.rows.T)
+    out = np.empty((c * op.q, nh, nw))
+    np.copyto(out.reshape(c, op.q, nh * nw), per_block.transpose(0, 2, 1))
+    return ImageTensor(out)
 
 
 def cs_pinv(op: BlockSenseOp, m: ImageTensor) -> ImageTensor:
-    """Back-project measurements through the transposed rows."""
+    """Back-project measurements through the transposed rows.
+
+    One BLAS product per channel maps the measurements, viewed one block
+    per row, through the rows; as in ``cs_measure`` the block axis stays
+    the product's rows (the same bytes at 1 and 2 OpenBLAS threads at every
+    block size tried, 4 to 32).  One strided assignment writes the blocks
+    into a fresh ``(c, h, w)`` array.
+    """
     cq, nh, nw = m.shape
     if cq % op.q:
         raise ValueError(f"measurement channels {cq} are not a multiple of q={op.q}")
     c = cq // op.q
-    per = m.data.reshape(c, op.q, nh, nw)
-    blocks = np.einsum("qn,cqhw->chwn", op.rows, per)
     b = op.block
-    out = blocks.reshape(c, nh, nw, b, b).transpose(0, 1, 3, 2, 4).reshape(c, nh * b, nw * b)
+    per_block = m.data.reshape(c, op.q, nh * nw).transpose(0, 2, 1)
+    blocks = np.matmul(per_block, op.rows)
+    out = np.empty((c, nh * b, nw * b))
+    np.copyto(out.reshape(c, nh, b, nw, b), blocks.reshape(c, nh, nw, b, b).transpose(0, 1, 3, 2, 4))
     return ImageTensor(out)
 
 

@@ -120,19 +120,28 @@ def _write_atomic(path: str | Path, *payload) -> None:
         raise
 
 
-def save_png(t: ImageTensor, path: str | Path) -> None:
-    """Write an 8-bit PNG; samples are clamped and rounded as in ``quantize``."""
+def save_png(t: ImageTensor, path: str | Path) -> ImageTensor:
+    """Write an 8-bit PNG; samples are clamped and rounded as in ``quantize``.
+
+    Returns the image the file holds, equal to ``quantize(t)`` and to what
+    ``load_png`` reads back, so callers need not quantize a second time.
+    """
     if t.channels not in (1, 3):
         raise ValueError(f"PNG output needs 1 or 3 channels, got {t.channels}")
     samples = np.empty((t.height, t.width, t.channels), np.uint8)
     np.copyto(samples, _levels(t).transpose(1, 2, 0), casting="unsafe")
     _write_atomic(path, _png.encode(samples))
+    return _planar(samples, 255.0)
 
 
 def load_png(path: str | Path) -> ImageTensor:
     """Read an 8- or 16-bit grayscale or RGB PNG, scaled to [0, 1]."""
     samples, depth = _png.decode(Path(path).read_bytes())
-    peak = 255.0 if depth == 8 else 65535.0
+    return _planar(samples, 255.0 if depth == 8 else 65535.0)
+
+
+def _planar(samples: np.ndarray, peak: float) -> ImageTensor:
+    # Interleaved (height, width, channels) integer samples to planar [0, 1].
     height, width, channels = samples.shape
     planar = np.empty((channels, height, width))
     return ImageTensor(np.divide(samples.transpose(2, 0, 1), peak, out=planar))

@@ -276,6 +276,16 @@ class TestTable1:
         assert code == 3
 
 
+class TestScaleValidation:
+    @pytest.mark.parametrize("command", ["bench", "table1"])
+    @pytest.mark.parametrize("scale", ["0", "-2"])
+    def test_non_positive_scale_exits_3(self, capsys, command, scale):
+        code, stdout, stderr = run_cli(capsys, command, "--size", "64", "--scale", scale)
+        assert code == 3
+        assert stdout == ""
+        assert stderr == f"error: scale must be a positive integer, got {scale}\n"
+
+
 class TestColorize:
     def test_gray_color_roundtrip(self, capsys, tmp_path, stream):
         g = ImageTensor(stream.uniform((1, 4, 4)))

@@ -1,9 +1,15 @@
 """Channel-mean and block compressed-sensing operators plus the generic combine."""
 
+import functools
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rangenull import (
+    BlockSenseOp,
     ColorMeanOp,
     ImageTensor,
     PoolingOp,
@@ -234,3 +240,112 @@ class TestGenericPd:
         y = ImageTensor(stream.uniform((1, 2, 2)))
         with pytest.raises(ValueError):
             generic_pd(op, y, ImageTensor(np.zeros((3, 3, 3))))
+
+
+@functools.lru_cache(maxsize=None)
+def _orthonormal_rows(block):
+    return cs_build(block, 1.0, seed=block).rows
+
+
+def _measure_oracle(rows, x, b):
+    q = rows.shape[0]
+    c, h, w = x.shape
+    out = np.empty((c * q, h // b, w // b))
+    for k in range(c):
+        for i in range(h // b):
+            for j in range(w // b):
+                out[k * q : (k + 1) * q, i, j] = rows @ x[k, i * b : (i + 1) * b, j * b : (j + 1) * b].ravel()
+    return out
+
+
+def _pinv_oracle(rows, m, b):
+    q = rows.shape[0]
+    cq, nh, nw = m.shape
+    out = np.empty((cq // q, nh * b, nw * b))
+    for k in range(cq // q):
+        for i in range(nh):
+            for j in range(nw):
+                block = rows.T @ m[k * q : (k + 1) * q, i, j]
+                out[k, i * b : (i + 1) * b, j * b : (j + 1) * b] = block.reshape(b, b)
+    return out
+
+
+@st.composite
+def _sense_cases(draw):
+    block = draw(st.integers(1, 16))
+    n = block * block
+    q = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    op = BlockSenseOp(block, q, seed=block, ratio=q / n, rows=_orthonormal_rows(block)[:q])
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    return op, shape, draw(st.integers(0, 2**32 - 1))
+
+
+class TestCsKernels:
+    """``cs_measure`` and ``cs_pinv`` against a loop over single blocks."""
+
+    @given(_sense_cases())
+    def test_measure_and_pinv_match_per_block_products(self, case):
+        op, (c, nh, nw), seed = case
+        b = op.block
+        x = ImageTensor(Stream(seed).uniform((c, nh * b, nw * b)))
+        m = cs_measure(op, x)
+        assert m.shape == (c * op.q, nh, nw)
+        assert np.max(np.abs(m.data - _measure_oracle(op.rows, x.data, b))) <= 1e-13
+        back = cs_pinv(op, m)
+        assert back.shape == x.shape
+        assert np.max(np.abs(back.data - _pinv_oracle(op.rows, m.data, b))) <= 1e-13
+
+    @given(_sense_cases())
+    def test_repeated_calls_are_byte_identical(self, case):
+        op, (c, nh, nw), seed = case
+        x = ImageTensor(Stream(seed).gaussian((c, nh * op.block, nw * op.block)))
+        m = cs_measure(op, x)
+        assert cs_measure(op, x).data.tobytes() == m.data.tobytes()
+        assert cs_pinv(op, m).data.tobytes() == cs_pinv(op, m).data.tobytes()
+
+    @given(_sense_cases())
+    def test_zero_input_gives_exact_zeros(self, case):
+        op, (c, nh, nw), _ = case
+        b = op.block
+        assert np.all(cs_measure(op, ImageTensor(np.zeros((c, nh * b, nw * b)))).data == 0.0)
+        assert np.all(cs_pinv(op, ImageTensor(np.zeros((c * op.q, nh, nw)))).data == 0.0)
+
+
+def _sha256(data):
+    return hashlib.sha256(np.ascontiguousarray(data, dtype="<f8").tobytes()).hexdigest()
+
+
+class TestGoldenHashes:
+    """Digests recorded with numpy 2.4 on OpenBLAS 0.3.31 (x86-64, Haswell
+    kernels); each holds under OPENBLAS_NUM_THREADS=1 and =2.  They catch
+    drift on this platform.  Another BLAS or CPU may change the last bits
+    of the Gaussian, the SVD and the products, and with them every digest;
+    the PDM1 file, not the seed, is what carries an operator exactly."""
+
+    PDM1 = {
+        4: "abb3fc583d65404a212e1d72fdaa301a2b46b39886b9528b0fbddb8578e00dc5",
+        8: "141de50593fd65b0d5349dbe834cf533937a3e85d1034fbbf33f7f3236ff7e01",
+    }
+    KERNELS = {
+        4: (
+            "c058e69ec8ab4be566d2219716ddfc622053935f166386fed62ce37c7afba461",
+            "b704855c2ce76093c68a418e5684dbbbc4b321d0c114c9111b3ab6bc4bb0518b",
+        ),
+        8: (
+            "6549253dda6a68228897adb1df7f8d885d84955fb67aa452ae33e2c04ba9e296",
+            "a06a07ed0f98ee9a6146c2b55fc4436abc4d8b3a99eee8bd6ca01b01211de859",
+        ),
+    }
+
+    @pytest.mark.parametrize("block", sorted(PDM1))
+    def test_cs_build_pdm1_bytes(self, tmp_path, block):
+        path = tmp_path / "op.pdm1"
+        save_sense_op(cs_build(block, 0.25, seed=2026), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PDM1[block]
+
+    @pytest.mark.parametrize("block", sorted(KERNELS))
+    def test_cs_measure_and_pinv_outputs(self, block):
+        op = cs_build(block, 0.25, seed=2026)
+        x = ImageTensor(Stream(2026).uniform((3, 2 * block, 3 * block)))
+        m = cs_measure(op, x)
+        assert (_sha256(m.data), _sha256(cs_pinv(op, m).data)) == self.KERNELS[block]

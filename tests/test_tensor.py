@@ -117,6 +117,25 @@ class TestPng:
         save_png(t, path)
         assert load_png(path) == quantize(t)
 
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_returns_the_written_image(self, tmp_path, stream, channels):
+        # Out-of-range samples and exact half levels next to uniform ones.
+        halves = (np.arange(channels * 4 * 5) % 256 + 0.5) / 255.0
+        data = np.concatenate(
+            [
+                stream.uniform((channels, 6, 5)) * 1.2 - 0.1,
+                halves.reshape(channels, 4, 5),
+                np.full((channels, 1, 5), -3.0),
+                np.full((channels, 1, 5), 7.0),
+            ],
+            axis=1,
+        )
+        t = ImageTensor(data)
+        path = tmp_path / "t.png"
+        written = save_png(t, path)
+        assert written.data.tobytes() == quantize(t).data.tobytes()
+        assert written.data.tobytes() == load_png(path).data.tobytes()
+
     def test_deterministic_bytes(self, tmp_path, stream):
         t = ImageTensor(stream.uniform((3, 9, 7)))
         a, b = tmp_path / "a.png", tmp_path / "b.png"
