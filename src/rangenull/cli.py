@@ -80,10 +80,19 @@ def _reconstruct(
 ) -> None:
     """Combine, write the exact result with ``write``, and report its
     consistency; with ``png`` also save the 8-bit PNG and report the
-    consistency that quantization left."""
+    consistency that quantization left.
+
+    The write runs on one helper thread while this thread verifies; the
+    report is emitted only after the write has finished, so a failed write
+    emits nothing.  Both read the same immutable ``x_hat``, so the output
+    bytes and the report do not depend on the thread count.
+    """
     x_hat = op.combine(y, x_raw)
-    write(x_hat, output)
-    _emit(op.verify(y, x_hat).to_dict())
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        written = helper.submit(write, x_hat, output)
+        report = op.verify(y, x_hat)
+        written.result()
+    _emit(report.to_dict())
     if png is not None:
         # Rebinding frees the exact image before the report's temporaries exist.
         x_hat = save_png(x_hat, png)

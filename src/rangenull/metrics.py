@@ -42,19 +42,23 @@ class ConsistencyReport:
 
 
 def compare(a: ImageTensor, b: ImageTensor) -> ConsistencyReport:
-    """Symmetric PSNR / L1 / MSE / max-abs report for two tensors."""
+    """Symmetric PSNR / L1 / MSE / max-abs report for two tensors.
+
+    All statistics come from one full-size buffer: the difference, made
+    absolute in place for L1 and max-abs, then squared in place for the
+    MSE.  The figures are those of ``d = abs(a - b)``, ``mean(d)``,
+    ``max(d)`` and ``mean(d * d)``, bit for bit.
+    """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    diff = np.abs(a.data - b.data)
-    mse = float(np.mean(diff * diff))
+    diff = np.subtract(a.data, b.data)
+    np.abs(diff, out=diff)
+    l1 = float(np.mean(diff))
+    max_abs = float(np.max(diff))
+    np.square(diff, out=diff)
+    mse = float(np.mean(diff))
     psnr = PSNR_CAP if mse == 0.0 else min(PSNR_CAP, 10.0 * math.log10(1.0 / mse))
-    return ConsistencyReport(
-        psnr=psnr,
-        l1=float(np.mean(diff)),
-        mse=mse,
-        max_abs=float(np.max(diff)),
-        pixel_count=int(diff.size),
-    )
+    return ConsistencyReport(psnr=psnr, l1=l1, mse=mse, max_abs=max_abs, pixel_count=int(diff.size))
 
 
 def error_map(gt: ImageTensor, sr: ImageTensor, gain: float = 5.0) -> ImageTensor:

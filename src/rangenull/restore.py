@@ -30,8 +30,17 @@ _SENSE_HEADER = struct.Struct("<4sIIQ")
 
 def _channel_mean(a: np.ndarray) -> np.ndarray:
     # Anchored on channel 0 so equal channels average to themselves exactly.
+    # The residuals are summed from zero one channel at a time, the order
+    # and result of ``(a - first).sum(axis=0)``, without its all-channel
+    # temporary.
     first = a[:1]
-    return first + (a - first).sum(axis=0, keepdims=True) / a.shape[0]
+    total = np.zeros_like(first)
+    residual = np.empty_like(first)
+    for k in range(1, a.shape[0]):
+        total += np.subtract(a[k : k + 1], first, out=residual)
+    total /= a.shape[0]
+    total += first
+    return total
 
 
 def color_to_gray(x: ImageTensor) -> ImageTensor:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,13 @@ from rangenull import (
 from rangenull.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_the_call():
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before
 
 
 def run_cli(capsys, *argv):
@@ -141,6 +149,33 @@ class TestPd:
         )
         assert code == 3
         assert "error:" in err
+
+    @pytest.mark.parametrize("command", ["pd", "colorize", "cs"])
+    def test_output_directory_exits_3_without_record(self, capsys, tmp_path, stream, command):
+        out = tmp_path / "out"
+        out.mkdir()
+        if command == "pd":
+            y = tmp_path / "y.pdt1"
+            write_raw(ImageTensor(stream.uniform((3, 4, 4))), y)
+            argv = ["pd", "--lr", str(y), "--scale", "2"]
+        elif command == "colorize":
+            y, raw = tmp_path / "y.pdt1", tmp_path / "raw.pdt1"
+            write_raw(ImageTensor(stream.uniform((1, 4, 4))), y)
+            write_raw(ImageTensor(stream.uniform((3, 4, 4))), raw)
+            argv = ["colorize", "--mode", "pd", "--input", str(y), "--raw", str(raw)]
+        else:
+            op, y, raw = tmp_path / "op.pdm1", tmp_path / "y.pdt1", tmp_path / "raw.pdt1"
+            run_cli(capsys, "cs", "--action", "build", "--block", "2", "--ratio", "0.5",
+                    "--output", str(op))
+            write_raw(ImageTensor(stream.uniform((2, 2, 2))), y)
+            write_raw(ImageTensor(stream.uniform((1, 4, 4))), raw)
+            argv = ["cs", "--action", "pd", "--op", str(op), "--lr", str(y), "--raw", str(raw)]
+        before = sorted(tmp_path.rglob("*"))
+        code, stdout, stderr = run_cli(capsys, *argv, "--output", str(out))
+        assert code == 3
+        assert stderr.startswith("error: ") and "Is a directory" in stderr
+        assert stdout == ""
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestVerify:

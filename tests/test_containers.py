@@ -62,6 +62,13 @@ class TestMemory:
         write_raw(t, tmp_path / "t.pdt1")
         assert self._peak(lambda: read_raw(tmp_path / "t.pdt1")) < 1.25 * t.data.nbytes
 
+    def test_read_peak_is_the_array_alone(self, tmp_path, stream):
+        # No full-size temporary: neither a second payload copy nor the
+        # finite check's mask (one eighth of the array).
+        t = ImageTensor(stream.uniform((3, 512, 512)))
+        write_raw(t, tmp_path / "t.pdt1")
+        assert self._peak(lambda: read_raw(tmp_path / "t.pdt1")) < 1.05 * t.data.nbytes
+
     @pytest.mark.parametrize(
         "load, header",
         [

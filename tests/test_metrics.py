@@ -1,6 +1,7 @@
 """Comparison reports and error-map rendering."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,26 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rangenull import ImageTensor, compare, error_map, pd_combine, pool_down
+from rangenull.metrics import PSNR_CAP
+
+# Finite samples with signed zeros and exact ties drawn often.
+_SAMPLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+    st.floats(-1e6, 1e6, allow_nan=False, width=64),
+)
+
+
+def _compare_oracle(a, b):
+    # The three-temporary expression ``compare`` computed before it worked
+    # in one buffer.
+    diff = np.abs(a.data - b.data)
+    mse = float(np.mean(diff * diff))
+    psnr = PSNR_CAP if mse == 0.0 else min(PSNR_CAP, 10.0 * math.log10(1.0 / mse))
+    return psnr, float(np.mean(diff)), mse, float(np.max(diff)), int(diff.size)
+
+
+def _bits(values):
+    return [v.hex() if isinstance(v, float) else v for v in values]
 
 
 class TestCompare:
@@ -46,6 +67,24 @@ class TestCompare:
     def test_symmetric(self, a, b):
         ta, tb = ImageTensor(a), ImageTensor(b)
         assert compare(ta, tb) == compare(tb, ta)
+
+    @given(
+        st.tuples(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5)).flatmap(
+            lambda shape: st.tuples(
+                arrays(np.float64, shape, elements=_SAMPLES),
+                arrays(np.float64, shape, elements=_SAMPLES),
+                st.booleans(),
+            )
+        )
+    )
+    def test_matches_three_temporary_oracle_bit_for_bit(self, case):
+        a, b, equal = case
+        ta, tb = ImageTensor(a), ImageTensor(a.copy() if equal else b)
+        report = compare(ta, tb)
+        fields = (report.psnr, report.l1, report.mse, report.max_abs, report.pixel_count)
+        assert _bits(fields) == _bits(_compare_oracle(ta, tb))
+        if equal:
+            assert report.psnr == PSNR_CAP
 
     def test_invariants(self, stream):
         a = ImageTensor(stream.gaussian((3, 5, 5)))

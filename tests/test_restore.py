@@ -5,8 +5,9 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rangenull import (
     BlockSenseOp,
@@ -24,6 +25,7 @@ from rangenull import (
     pd_combine,
     save_sense_op,
 )
+from rangenull.restore import _channel_mean
 from rangenull.rng import Stream
 
 
@@ -58,6 +60,24 @@ class TestColor:
         back = color_to_gray(gray_to_color(ax, adjoint=True))
         residual = np.max(np.abs(back.data - ax.data))
         assert residual >= 0.5
+
+    @given(
+        st.tuples(st.integers(1, 6), st.integers(1, 4), st.integers(1, 4)).flatmap(
+            lambda shape: arrays(
+                np.float64,
+                shape,
+                elements=st.one_of(
+                    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                    st.floats(-1e6, 1e6, allow_nan=False, width=64),
+                ),
+            )
+        )
+    )
+    @example(Stream(11).gaussian((5, 8, 8)) * 1e3)  # dense values, where summation order shows
+    def test_channel_mean_matches_summed_residual_oracle(self, a):
+        first = a[:1]
+        oracle = first + (a - first).sum(axis=0, keepdims=True) / a.shape[0]
+        assert _channel_mean(a).tobytes() == oracle.tobytes()
 
     def test_operator_wrapper(self, stream):
         op = ColorMeanOp(3, 3)

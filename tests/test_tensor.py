@@ -1,6 +1,8 @@
 """Tensor container, quantization, and file format tests."""
 
+import os
 import struct
+import threading
 import zlib
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rangenull import ImageTensor, load_png, load_tensor, quantize, read_raw, save_png, write_raw
+from rangenull import tensor as tensor_module
 
 
 def finite_tensors(min_side=1, max_side=6, lo=-8.0, hi=8.0):
@@ -270,6 +273,66 @@ class TestRaw:
         path = tmp_path / "short.pdt1"
         path.write_bytes(struct.pack("<4sIII", b"PDT1", 1, 2, 2) + bytes(8))
         with pytest.raises(ValueError, match="payload"):
+            read_raw(path)
+
+    @pytest.fixture(params=["one_read", "two_halves"])
+    def split(self, request, monkeypatch):
+        # Small payloads are read on the calling thread; "two_halves" lowers
+        # the threshold so the concurrent path reads them too.
+        if request.param == "two_halves":
+            monkeypatch.setattr(tensor_module, "_SPLIT_BYTES", 0)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 1, 3), (3, 5, 7), (2, 1, 9)])
+    def test_small_and_odd_shapes(self, tmp_path, stream, shape, split):
+        # An odd sample count splits the two halves mid-sample.
+        path = tmp_path / "t.pdt1"
+        t = ImageTensor(stream.gaussian(shape))
+        write_raw(t, path)
+        back = read_raw(path)
+        assert back.shape == shape and back.data.tobytes() == t.data.tobytes()
+
+    def test_large_payload_is_read_in_two_threads(self, tmp_path, stream, monkeypatch):
+        path = tmp_path / "t.pdt1"
+        t = ImageTensor(stream.uniform((1, 1, tensor_module._SPLIT_BYTES // 8 + 1)))
+        write_raw(t, path)
+        real_preadv, readers = os.preadv, set()
+
+        def preadv_recording_thread(fd, buffers, offset):
+            readers.add(threading.get_ident())
+            return real_preadv(fd, buffers, offset)
+
+        monkeypatch.setattr(os, "preadv", preadv_recording_thread)
+        assert read_raw(path) == t
+        assert len(readers) == 2
+
+    def test_short_reads_are_resumed(self, tmp_path, stream, monkeypatch, split):
+        path = tmp_path / "t.pdt1"
+        t = ImageTensor(stream.gaussian((3, 4, 5)))
+        write_raw(t, path)
+        real_preadv, calls = os.preadv, []
+
+        def preadv_7_bytes(fd, buffers, offset):
+            calls.append(offset)
+            return real_preadv(fd, [buffers[0][:7]], offset)
+
+        monkeypatch.setattr(os, "preadv", preadv_7_bytes)
+        assert read_raw(path) == t
+        assert len(calls) >= t.data.nbytes // 7
+
+    @pytest.mark.parametrize("change, message", [(-8, "shrank"), (8, "grew")])
+    def test_file_changed_after_size_check(self, tmp_path, stream, monkeypatch, split, change, message):
+        path = tmp_path / "t.pdt1"
+        write_raw(ImageTensor(stream.uniform((3, 6, 6))), path)
+        real_fstat = os.fstat
+
+        def fstat_then_resize(fd):
+            result = real_fstat(fd)
+            monkeypatch.setattr(os, "fstat", real_fstat)
+            os.truncate(path, result.st_size + change)
+            return result
+
+        monkeypatch.setattr(os, "fstat", fstat_then_resize)
+        with pytest.raises(ValueError, match=message):
             read_raw(path)
 
     def test_load_tensor_rejects_unknown(self, tmp_path):
