@@ -10,6 +10,7 @@ default seed 0 wherever a --seed flag is omitted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -301,6 +302,7 @@ def _cmd_cs(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rangenull",

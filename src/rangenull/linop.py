@@ -5,12 +5,14 @@ Moore-Penrose identity ``A A+ A = A``.  ``A+ A`` then projects onto the
 subspace the observation can see, ``I - A+ A`` onto the subspace it
 cannot, and the two parts of any input always add back to the input.
 
-Every operator gets the consistent combine ``combine`` (keep ``A+ y``,
-take the null part of a raw prediction) and its check ``verify`` from
-the base class.  Structured operators (pooling, channel mean, block
-sensing) implement their maps directly; ``DenseOperator`` materializes
-an arbitrary matrix and derives its pseudo-inverse from its SVD, taken
-from LAPACK through ``numpy.linalg.svd``.
+The base class defines the consistent combine ``combine`` (keep
+``A+ y``, take the null part of a raw prediction) and its check
+``verify``.  Structured operators (pooling, channel mean, block sensing)
+implement their maps directly and override ``combine`` with a kernel
+that writes the same bytes into one output buffer; every other operator
+takes it unchanged.  ``DenseOperator`` materializes an arbitrary matrix
+and derives its pseudo-inverse from its SVD, taken from LAPACK through
+``numpy.linalg.svd``.
 """
 
 from __future__ import annotations
@@ -48,13 +50,15 @@ class LinearOperator(abc.ABC):
 
         Pushing the result back through ``forward`` reproduces ``y`` up to
         float rounding whenever ``forward(pinv(.))`` is the identity.
+        ``pinv(y)`` is added in place into the difference; addition commutes
+        exactly, so that is the same bits as the sum.  An override must give
+        the same bytes, errors and check order as this method.
         """
         restored = self.pinv(y)
-        if restored.shape != x_raw.shape:
-            raise ValueError(
-                f"raw prediction shape {x_raw.shape} does not match operator input {restored.shape}"
-            )
-        return ImageTensor(restored.data + (x_raw.data - range_project(self, x_raw).data))
+        self._check_raw(x_raw, restored.shape)
+        out = x_raw.data - range_project(self, x_raw).data
+        out += restored.data
+        return ImageTensor(out)
 
     def verify(self, y: ImageTensor, x_hat: ImageTensor, quantized: bool = False) -> ConsistencyReport:
         """Compare ``y`` against ``forward(x_hat)``.
@@ -68,6 +72,11 @@ class LinearOperator(abc.ABC):
     def _check(self, t: ImageTensor, shape: tuple[int, int, int] | None, role: str) -> None:
         if shape is not None and t.shape != shape:
             raise ValueError(f"{role} shape {t.shape} does not match operator shape {shape}")
+
+    @staticmethod
+    def _check_raw(x_raw: ImageTensor, shape: tuple[int, int, int]) -> None:
+        if x_raw.shape != shape:
+            raise ValueError(f"raw prediction shape {x_raw.shape} does not match operator input {shape}")
 
 
 class IdentityOperator(LinearOperator):

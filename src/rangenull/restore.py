@@ -1,9 +1,12 @@
 """Extension operators: per-pixel channel mean (gray observation of a
 color image) and block compressed sensing with orthonormal sampling rows.
 
-Both take the consistent combine and its check unchanged from
-``LinearOperator.combine`` and ``LinearOperator.verify``; ``generic_pd``
-is the function spelling of ``op.combine``.
+Both take ``verify`` unchanged from ``LinearOperator`` and override
+``combine`` with a kernel that gives the generic combine's bytes, errors
+and check order in one output buffer: the channel mean replicates by
+broadcasting, and block sensing works in block layout with the same
+BLAS products on the same operand layouts as ``cs_measure`` and
+``cs_pinv``.  ``generic_pd`` is the function spelling of ``op.combine``.
 
 Block sensing costs one reordering copy and one BLAS matrix product per
 image channel in each direction, so ``cs_measure`` and ``cs_pinv`` run
@@ -82,6 +85,16 @@ class ColorMeanOp(LinearOperator):
         self._check(y, self.out_shape, "measurement")
         return gray_to_color(y)
 
+    def combine(self, y: ImageTensor, x_raw: ImageTensor) -> ImageTensor:
+        """The generic combine's bytes: ``x_raw`` minus its channel mean, then
+        ``y`` added in place, both broadcast over the channels, which
+        replicates them exactly as ``pinv`` does."""
+        self._check(y, self.out_shape, "measurement")
+        self._check_raw(x_raw, (3, *y.shape[1:]))
+        out = np.subtract(x_raw.data, _channel_mean(x_raw.data))
+        out += y.data
+        return ImageTensor(out)
+
 
 def measurement_count(block: int, ratio: float) -> int:
     """Measurements per block: ceil(ratio * block^2)."""
@@ -132,6 +145,25 @@ class BlockSenseOp(LinearOperator):
         self._check(y, self.out_shape, "measurement")
         return cs_pinv(self, y)
 
+    def combine(self, y: ImageTensor, x_raw: ImageTensor) -> ImageTensor:
+        """The generic combine's bytes, computed in block layout.
+
+        One reordering copy of ``x_raw``; the range part is subtracted and
+        ``A+ y`` added in place, each from the BLAS product ``cs_pinv``
+        takes on the operand layout ``cs_measure`` writes; one reordering
+        copy back.
+        """
+        self._check(y, self.out_shape, "measurement")
+        c, nh, nw = _image_blocks(self, y.shape)
+        b = self.block
+        if x_raw.shape != (c, nh * b, nw * b):
+            cs_pinv(self, y)  # the generic combine reports an overflowing A+ y first
+            self._check_raw(x_raw, (c, nh * b, nw * b))
+        blocks = _to_blocks(x_raw.data, b)
+        blocks -= _back_project(self.rows, _measure_blocks(self.rows, blocks, nh, nw))
+        blocks += _back_project(self.rows, y.data)
+        return ImageTensor(_from_blocks(blocks, nh, nw, b))
+
 
 def cs_build(block: int, ratio: float, seed: int = 0) -> BlockSenseOp:
     """Construct a block sensing operator from a seeded Gaussian matrix.
@@ -167,17 +199,11 @@ def cs_measure(op: BlockSenseOp, x: ImageTensor) -> ImageTensor:
     but not at block 20, so the thread count is not promised; reruns at
     one count are.
     """
-    c, h, w = x.shape
+    _, h, w = x.shape
     b = op.block
     if h % b or w % b:
         raise ValueError(f"image size {h}x{w} is not divisible by block {b}")
-    nh, nw = h // b, w // b
-    blocks = np.empty((c, nh, nw, b, b))
-    np.copyto(blocks, x.data.reshape(c, nh, b, nw, b).transpose(0, 1, 3, 2, 4))
-    per_block = np.matmul(blocks.reshape(c, nh * nw, op.n), op.rows.T)
-    out = np.empty((c * op.q, nh, nw))
-    np.copyto(out.reshape(c, op.q, nh * nw), per_block.transpose(0, 2, 1))
-    return ImageTensor(out)
+    return ImageTensor(_measure_blocks(op.rows, _to_blocks(x.data, b), h // b, w // b))
 
 
 def cs_pinv(op: BlockSenseOp, m: ImageTensor) -> ImageTensor:
@@ -189,16 +215,51 @@ def cs_pinv(op: BlockSenseOp, m: ImageTensor) -> ImageTensor:
     block size tried, 4 to 32).  One strided assignment writes the blocks
     into a fresh ``(c, h, w)`` array.
     """
-    cq, nh, nw = m.shape
+    _, nh, nw = _image_blocks(op, m.shape)
+    return ImageTensor(_from_blocks(_back_project(op.rows, m.data), nh, nw, op.block))
+
+
+# Array kernels shared by ``cs_measure``, ``cs_pinv`` and
+# ``BlockSenseOp.combine``, so the three make the same BLAS calls on the
+# same operand layouts.  Blocks are laid out (channels, blocks, B^2), one
+# row-major block per row; measurements (channels * q, nh, nw).
+
+
+def _image_blocks(op: BlockSenseOp, measured: tuple[int, int, int]) -> tuple[int, int, int]:
+    """(image channels, block rows, block columns) of a measurement shape."""
+    cq, nh, nw = measured
     if cq % op.q:
         raise ValueError(f"measurement channels {cq} are not a multiple of q={op.q}")
-    c = cq // op.q
-    b = op.block
-    per_block = m.data.reshape(c, op.q, nh * nw).transpose(0, 2, 1)
-    blocks = np.matmul(per_block, op.rows)
+    return cq // op.q, nh, nw
+
+
+def _to_blocks(x: np.ndarray, b: int) -> np.ndarray:
+    c, h, w = x.shape
+    nh, nw = h // b, w // b
+    blocks = np.empty((c, nh, nw, b, b))
+    np.copyto(blocks, x.reshape(c, nh, b, nw, b).transpose(0, 1, 3, 2, 4))
+    return blocks.reshape(c, nh * nw, b * b)
+
+
+def _from_blocks(blocks: np.ndarray, nh: int, nw: int, b: int) -> np.ndarray:
+    c = blocks.shape[0]
     out = np.empty((c, nh * b, nw * b))
     np.copyto(out.reshape(c, nh, b, nw, b), blocks.reshape(c, nh, nw, b, b).transpose(0, 1, 3, 2, 4))
-    return ImageTensor(out)
+    return out
+
+
+def _measure_blocks(rows: np.ndarray, blocks: np.ndarray, nh: int, nw: int) -> np.ndarray:
+    c, q = blocks.shape[0], rows.shape[0]
+    per_block = np.matmul(blocks, rows.T)
+    out = np.empty((c * q, nh, nw))
+    np.copyto(out.reshape(c, q, nh * nw), per_block.transpose(0, 2, 1))
+    return out
+
+
+def _back_project(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
+    cq, nh, nw = m.shape
+    q = rows.shape[0]
+    return np.matmul(m.reshape(cq // q, q, nh * nw).transpose(0, 2, 1), rows)
 
 
 def save_sense_op(op: BlockSenseOp, path: str | Path) -> None:

@@ -21,6 +21,7 @@ returns).  The bytes do not depend on the split.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import struct
@@ -133,8 +134,14 @@ def _write_atomic(path: str | Path, *payload) -> None:
 
     They go to a uniquely named temporary file in the same directory, opened
     with ``"xb"`` so the umask sets its mode, which ``os.replace`` then
-    moves onto ``path``; on any error the temporary file is removed.
+    moves onto ``path``; on any error the temporary file is removed.  A
+    ``path`` that names a directory (an existing one, or one that ends in a
+    separator, ``.`` or ``..``) raises ``IsADirectoryError`` before anything
+    is created.
     """
+    given = os.fspath(path)
+    if os.path.basename(given) in ("", ".", "..") or os.path.isdir(given):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), given)
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:

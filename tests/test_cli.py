@@ -177,6 +177,28 @@ class TestPd:
         assert stdout == ""
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("flag, dest", [("--output", "."), ("--output", "out/"), ("--png", "out")])
+    def test_directory_destination_exits_3_naming_it(self, capsys, tmp_path, stream, monkeypatch, flag, dest):
+        (tmp_path / "out").mkdir()
+        monkeypatch.chdir(tmp_path)
+        write_raw(ImageTensor(stream.uniform((3, 4, 4))), "y.pdt1")
+        argv = ["pd", "--lr", "y.pdt1", "--scale", "2", "--output", "o.pdt1", flag, dest]
+        code, _, stderr = run_cli(capsys, *argv)
+        assert code == 3
+        assert stderr.startswith("error: ") and repr(dest) in stderr and "Is a directory" in stderr
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_consecutive_calls_parse_independently(self, capsys, tmp_path, stream):
+        lr, out, png = tmp_path / "lr.pdt1", tmp_path / "o.pdt1", tmp_path / "o.png"
+        write_raw(ImageTensor(stream.uniform((3, 4, 4))), lr)
+        argv = ["pd", "--lr", str(lr), "--scale", "2", "--output", str(out)]
+        code, stdout, _ = run_cli(capsys, *argv, "--png", str(png))
+        assert code == 0 and len(json_lines(stdout)) == 2
+        png.unlink()
+        code, stdout, _ = run_cli(capsys, *argv)
+        assert code == 0 and len(json_lines(stdout)) == 1
+        assert not png.exists()
+
 
 class TestVerify:
     def test_pd_output_verifies_high(self, capsys, tmp_path, stream):

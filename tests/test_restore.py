@@ -2,6 +2,12 @@
 
 import functools
 import hashlib
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +31,7 @@ from rangenull import (
     pd_combine,
     save_sense_op,
 )
+from rangenull.linop import LinearOperator
 from rangenull.restore import _channel_mean
 from rangenull.rng import Stream
 
@@ -331,16 +338,164 @@ class TestCsKernels:
         assert np.all(cs_pinv(op, ImageTensor(np.zeros((c * op.q, nh, nw)))).data == 0.0)
 
 
+def _color_case(h, w, scale, seed, signed_zeros):
+    stream = Stream(seed)
+    y, x_raw = stream.gaussian((1, h, w)) * scale, stream.gaussian((3, h, w)) * scale
+    if signed_zeros:
+        for a in (y, x_raw):
+            hit = stream.uniform(a.shape) < 0.5
+            a[hit] = np.copysign(0.0, a[hit])
+    return ColorMeanOp(h, w), ImageTensor(y), ImageTensor(x_raw)
+
+
+def _raised(call):
+    with pytest.raises(Exception) as info, np.errstate(over="ignore", invalid="ignore"):
+        call()
+    return type(info.value), str(info.value)
+
+
+def _peak_over_image_bytes(op, y, x_raw):
+    tracemalloc.start()
+    try:
+        op.combine(y, x_raw)
+        return tracemalloc.get_traced_memory()[1] / x_raw.data.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def _combine_error_cases():
+    big = 1.7e308
+    color = ColorMeanOp(5, 5)
+    gray = ImageTensor(np.full((1, 5, 5), 0.5))
+    sense = cs_build(4, 0.5, seed=1)
+    m = ImageTensor(np.zeros((2 * sense.q, 2, 3)))
+    # Signs that line up with a column or a row of the rows, so that sum of
+    # magnitudes overflows: in A+ y, which the generic combine checks before
+    # the raw shape, and in the measurement of x_raw.
+    rows = cs_build(2, 1.0, seed=3).rows
+    full = BlockSenseOp(2, 4, seed=3, ratio=1.0, rows=rows)
+    return {
+        "color-raw-size": (color, gray, ImageTensor(np.zeros((3, 5, 6)))),
+        "color-raw-channels": (color, gray, ImageTensor(np.zeros((1, 5, 5)))),
+        "color-bound-shape": (color, ImageTensor(np.zeros((1, 4, 4))), ImageTensor(np.zeros((3, 4, 4)))),
+        "color-overflow": (color, gray, ImageTensor(np.full((3, 5, 5), [[[-big]], [[big]], [[0.0]]]))),
+        "cs-raw-size": (sense, m, ImageTensor(np.zeros((2, 8, 8)))),
+        "cs-channels-not-multiple-of-q": (
+            sense, ImageTensor(np.zeros((sense.q + 1, 2, 3))), ImageTensor(np.zeros((1, 8, 12)))
+        ),
+        "cs-sides-not-divisible": (sense, m, ImageTensor(np.zeros((2, 6, 12)))),
+        "cs-bound-shape": (sense.bind_shape(2, 8, 8), m, ImageTensor(np.zeros((2, 8, 12)))),
+        "cs-overflow-pinv-y-before-raw-size": (
+            full, ImageTensor(big * np.sign(rows[:, :1, None])), ImageTensor(np.zeros((1, 4, 4)))
+        ),
+        "cs-overflow-measure": (
+            full, ImageTensor(np.zeros((4, 1, 1))), ImageTensor(big * np.sign(rows[0]).reshape(1, 2, 2))
+        ),
+    }
+
+
+_COMBINE_ERRORS = _combine_error_cases()
+
+
+class TestFusedCombines:
+    """``ColorMeanOp.combine`` and ``BlockSenseOp.combine`` against the
+    generic ``LinearOperator.combine``: the same bytes, the same errors."""
+
+    @given(
+        st.integers(1, 9),
+        st.integers(1, 9),
+        st.sampled_from([1.0, 1e3]),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_color_matches_generic_bytes(self, h, w, scale, seed, signed_zeros):
+        op, y, x_raw = _color_case(h, w, scale, seed, signed_zeros)
+        fused = op.combine(y, x_raw).data.tobytes()
+        assert fused == LinearOperator.combine(op, y, x_raw).data.tobytes()
+
+    @given(_sense_cases(), st.booleans())
+    def test_sense_matches_generic_bytes(self, case, bound):
+        op, (c, nh, nw), seed = case
+        b = op.block
+        if bound:
+            op = op.bind_shape(c, nh * b, nw * b)
+        stream = Stream(seed)
+        y = cs_measure(op, ImageTensor(stream.uniform((c, nh * b, nw * b))))
+        x_raw = ImageTensor(stream.gaussian((c, nh * b, nw * b)))
+        fused = op.combine(y, x_raw).data.tobytes()
+        assert fused == LinearOperator.combine(op, y, x_raw).data.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(_COMBINE_ERRORS))
+    def test_errors_match_generic(self, name):
+        op, y, x_raw = _COMBINE_ERRORS[name]
+        raised = _raised(lambda: op.combine(y, x_raw))
+        assert raised == _raised(lambda: LinearOperator.combine(op, y, x_raw))
+        assert raised[0] is ValueError
+        if "overflow" in name:
+            assert "finite" in raised[1]
+
+    def test_color_peak_memory(self):
+        op, y, x_raw = _color_case(504, 504, 1.0, 5, False)
+        assert _peak_over_image_bytes(op, y, x_raw) <= 1.5
+
+    def test_sense_peak_memory(self):
+        op = cs_build(8, 0.25, seed=5)
+        stream = Stream(5)
+        y = cs_measure(op, ImageTensor(stream.uniform((3, 504, 504))))
+        x_raw = ImageTensor(stream.gaussian((3, 504, 504)))
+        assert _peak_over_image_bytes(op, y, x_raw) <= 2.5
+
+
 def _sha256(data):
     return hashlib.sha256(np.ascontiguousarray(data, dtype="<f8").tobytes()).hexdigest()
 
 
+def _pdm1_digest(block, directory):
+    path = Path(directory) / f"op{block}.pdm1"
+    save_sense_op(cs_build(block, 0.25, seed=2026), path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _kernel_digests(block):
+    op = cs_build(block, 0.25, seed=2026)
+    x = ImageTensor(Stream(2026).uniform((3, 2 * block, 3 * block)))
+    m = cs_measure(op, x)
+    return _sha256(m.data), _sha256(cs_pinv(op, m).data)
+
+
+def _sense_combine_digest(block):
+    op = cs_build(block, 0.25, seed=2026)
+    stream = Stream(2026)
+    y = cs_measure(op, ImageTensor(stream.uniform((3, 2 * block, 3 * block))))
+    x_raw = ImageTensor(stream.gaussian((3, 2 * block, 3 * block)))
+    return _sha256(op.combine(y, x_raw).data)
+
+
+def _color_combine_digest():
+    stream = Stream(2026)
+    y = ImageTensor(stream.uniform((1, 24, 40)))
+    x_raw = ImageTensor(stream.gaussian((3, 24, 40)))
+    return _sha256(ColorMeanOp(24, 40).combine(y, x_raw).data)
+
+
+def _all_digests(directory):
+    """Every golden digest, keyed as in ``TestGoldenHashes.expected``."""
+    digests = {f"pdm1-{b}": _pdm1_digest(b, directory) for b in TestGoldenHashes.PDM1}
+    digests.update({f"kernels-{b}": list(_kernel_digests(b)) for b in TestGoldenHashes.KERNELS})
+    digests.update({f"combine-{b}": _sense_combine_digest(b) for b in TestGoldenHashes.SENSE_COMBINE})
+    digests["combine-color"] = _color_combine_digest()
+    return digests
+
+
 class TestGoldenHashes:
     """Digests recorded with numpy 2.4 on OpenBLAS 0.3.31 (x86-64, Haswell
-    kernels); each holds under OPENBLAS_NUM_THREADS=1 and =2.  They catch
+    kernels); each holds under OPENBLAS_NUM_THREADS=1 and =2, which
+    ``test_digests_hold_at_one_and_two_blas_threads`` checks.  They catch
     drift on this platform.  Another BLAS or CPU may change the last bits
     of the Gaussian, the SVD and the products, and with them every digest;
-    the PDM1 file, not the seed, is what carries an operator exactly."""
+    the PDM1 file, not the seed, is what carries an operator exactly.  The
+    combine digests were recorded through the generic
+    ``LinearOperator.combine``, before the fused overrides existed."""
 
     PDM1 = {
         4: "abb3fc583d65404a212e1d72fdaa301a2b46b39886b9528b0fbddb8578e00dc5",
@@ -356,16 +511,46 @@ class TestGoldenHashes:
             "a06a07ed0f98ee9a6146c2b55fc4436abc4d8b3a99eee8bd6ca01b01211de859",
         ),
     }
+    SENSE_COMBINE = {
+        4: "59146cdd924f0a758c0b206204b9eaaab0a4a307129c2529eb307b396c665673",
+        8: "248e9e86aecab28579dfe772a74b1d58adbda22a30b90d28915df5c6da476245",
+    }
+    COLOR_COMBINE = "d3addd9818be8edc20440ffd7b30db74d9b649a7a877e842f8d914da1d1dfaa0"
+
+    @classmethod
+    def expected(cls):
+        digests = {f"pdm1-{b}": d for b, d in cls.PDM1.items()}
+        digests.update({f"kernels-{b}": list(d) for b, d in cls.KERNELS.items()})
+        digests.update({f"combine-{b}": d for b, d in cls.SENSE_COMBINE.items()})
+        digests["combine-color"] = cls.COLOR_COMBINE
+        return digests
 
     @pytest.mark.parametrize("block", sorted(PDM1))
     def test_cs_build_pdm1_bytes(self, tmp_path, block):
-        path = tmp_path / "op.pdm1"
-        save_sense_op(cs_build(block, 0.25, seed=2026), path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PDM1[block]
+        assert _pdm1_digest(block, tmp_path) == self.PDM1[block]
 
     @pytest.mark.parametrize("block", sorted(KERNELS))
     def test_cs_measure_and_pinv_outputs(self, block):
-        op = cs_build(block, 0.25, seed=2026)
-        x = ImageTensor(Stream(2026).uniform((3, 2 * block, 3 * block)))
-        m = cs_measure(op, x)
-        assert (_sha256(m.data), _sha256(cs_pinv(op, m).data)) == self.KERNELS[block]
+        assert _kernel_digests(block) == self.KERNELS[block]
+
+    @pytest.mark.parametrize("block", sorted(SENSE_COMBINE))
+    def test_sense_combine_output(self, block):
+        assert _sense_combine_digest(block) == self.SENSE_COMBINE[block]
+
+    def test_color_combine_output(self):
+        assert _color_combine_digest() == self.COLOR_COMBINE
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_digests_hold_at_one_and_two_blas_threads(self, tmp_path, threads):
+        tests_dir = Path(__file__).resolve().parent
+        env = {**os.environ, "PYTHONPATH": str(tests_dir.parent / "src"), "OPENBLAS_NUM_THREADS": threads}
+        script = (
+            "import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "from test_restore import _all_digests; print(json.dumps(_all_digests(sys.argv[2])))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tests_dir), str(tmp_path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == self.expected()
