@@ -1,8 +1,11 @@
 """Command-line interface.
 
 Subcommands: degrade, pd, verify, errmap, bench, table1, colorize, cs.
-Machine-readable JSON goes to stdout (one object per line); diagnostics
-go to stderr.  Exit codes: 0 success, 2 usage error, 3 input contract
+An output path ending in ``.png`` (any case) gets an 8-bit PNG, and any
+other path a PDT1 (``cs --action build`` writes its PDM1 operator file).
+Machine-readable JSON goes to stdout (one object per line); every record
+of a reconstruction describes the file it follows.  Diagnostics go to
+stderr.  Exit codes: 0 success, 2 usage error, 3 input contract
 violation.  The environment variable RANGENULL_SEED overrides the
 default seed 0 wherever a --seed flag is omitted.
 """
@@ -16,13 +19,21 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .metrics import compare, error_map
 from .linop import LinearOperator
-from .pooling import PoolingOp, _block_mean, _pd_combine_arr, pd_combine, pool_down, pool_up
+from .pooling import (
+    PoolingOp,
+    _block_mean,
+    _pd_combine_arr,
+    _require_divisible,
+    pd_combine,
+    pool_down,
+    pool_up,
+)
 from .resample import FILTERS, PREDICTORS, ResampleSpec, predict_raw, resample
 from .restore import (
     ColorMeanOp,
@@ -35,8 +46,7 @@ from .restore import (
     save_sense_op,
 )
 from .rng import Stream, derive
-from .tensor import ImageTensor, load_tensor, save_png, write_raw
-from . import _png
+from .tensor import ImageTensor, check_destination, check_png_channels, load_tensor, save_png, write_raw
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -59,45 +69,47 @@ def _emit(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj) + "\n")
 
 
-def _save_like(t: ImageTensor, path: str, template: str) -> None:
-    """Write ``t`` in the same format as the template file."""
-    with open(template, "rb") as f:
-        head = f.read(8)
-    if head == _png.SIGNATURE:
+def _is_png(path: str) -> bool:
+    return path.lower().endswith(".png")
+
+
+def _save(t: ImageTensor, path: str) -> None:
+    """Write ``t`` as an 8-bit PNG if ``path`` ends in ``.png``, else as PDT1."""
+    if _is_png(path):
         save_png(t, path)
     else:
         write_raw(t, path)
 
 
-def _save_by_extension(t: ImageTensor, path: str) -> None:
-    if path.lower().endswith(".png"):
-        save_png(t, path)
-    else:
-        write_raw(t, path)
+def _reconstruct(op: LinearOperator, y: ImageTensor, x_raw: ImageTensor, *paths: str) -> None:
+    """Combine once, write ``x_hat`` to each path in turn, and print one
+    record per file: ``op.verify`` of what that file holds.
 
-
-def _reconstruct(
-    op: LinearOperator, y: ImageTensor, x_raw: ImageTensor, write, output: str, png: str | None = None
-) -> None:
-    """Combine, write the exact result with ``write``, and report its
-    consistency; with ``png`` also save the 8-bit PNG and report the
-    consistency that quantization left.
-
-    The write runs on one helper thread while this thread verifies; the
-    report is emitted only after the write has finished, so a failed write
-    emits nothing.  Both read the same immutable ``x_hat``, so the output
-    bytes and the report do not depend on the thread count.
+    Every destination, and a PNG's channel count, is checked before the
+    first write, and the records are printed after the last, so a failed
+    call prints nothing.  A PDT1 is written on one helper thread while this
+    thread verifies the same immutable ``x_hat``; a PNG rebinds ``x_hat`` to
+    the 8-bit image it holds, which any later path receives.
     """
+    for path in paths:
+        check_destination(path)
     x_hat = op.combine(y, x_raw)
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        written = helper.submit(write, x_hat, output)
-        report = op.verify(y, x_hat)
-        written.result()
-    _emit(report.to_dict())
-    if png is not None:
-        # Rebinding frees the exact image before the report's temporaries exist.
-        x_hat = save_png(x_hat, png)
-        _emit(op.verify(y, x_hat).to_dict())
+    if any(map(_is_png, paths)):
+        check_png_channels(x_hat.channels)
+    records = []
+    for path in paths:
+        if _is_png(path):
+            # Rebinding frees the exact image before the report's temporaries exist.
+            x_hat = save_png(x_hat, path)
+            report = op.verify(y, x_hat)
+        else:
+            with ThreadPoolExecutor(max_workers=1) as helper:
+                written = helper.submit(write_raw, x_hat, path)
+                report = op.verify(y, x_hat)
+                written.result()
+        records.append(report.to_dict())
+    for record in records:
+        _emit(record)
 
 
 @dataclass(frozen=True)
@@ -112,21 +124,7 @@ class BenchResult:
     p95_ms: float
 
     def to_dict(self) -> dict:
-        return {
-            "op_name": self.op_name,
-            "image_size": self.image_size,
-            "iterations": self.iterations,
-            "mean_ms": self.mean_ms,
-            "p50_ms": self.p50_ms,
-            "p95_ms": self.p95_ms,
-        }
-
-
-def _check_scale(size: int, scale: int) -> None:
-    if scale < 1:
-        raise ValueError(f"scale must be a positive integer, got {scale}")
-    if size % scale:
-        raise ValueError(f"size {size} is not divisible by scale {scale}")
+        return asdict(self)
 
 
 def run_bench(op_name: str, size: int, scale: int, iterations: int, seed: int) -> BenchResult:
@@ -138,7 +136,7 @@ def run_bench(op_name: str, size: int, scale: int, iterations: int, seed: int) -
         raise ValueError(f"op must be one of {BENCH_OPS}, got {op_name!r}")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    _check_scale(size, scale)
+    _require_divisible(size, size, scale)
     stream = Stream(seed)
     hr = ImageTensor(stream.uniform((3, size, size)))
     lr = ImageTensor(stream.uniform((3, size // scale, size // scale)))
@@ -199,7 +197,7 @@ def run_table1(count: int, size: int, scale: int, seed: int, workers: int = 1) -
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    _check_scale(size, scale)
+    _require_divisible(size, size, scale)
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if workers == 1:
@@ -207,30 +205,24 @@ def run_table1(count: int, size: int, scale: int, seed: int, workers: int = 1) -
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             cases = list(pool.map(lambda i: _table1_case(seed, i, size, scale), range(count)))
-    return {
-        "count": count,
-        "size": size,
-        "scale": scale,
-        "seed": seed,
-        "mean_psnr": float(np.mean([c["psnr"] for c in cases])),
-        "mean_max_abs": float(np.mean([c["max_abs"] for c in cases])),
-        "mean_l1": float(np.mean([c["l1"] for c in cases])),
-        "mean_psnr_float32": float(np.mean([c["psnr_float32"] for c in cases])),
-        "mean_time_ms": float(np.mean([c["time_ms"] for c in cases])),
-    }
+    summary = {"count": count, "size": size, "scale": scale, "seed": seed}
+    for key in cases[0]:
+        summary[f"mean_{key}"] = float(np.mean([c[key] for c in cases]))
+    return summary
 
 
 def _cmd_degrade(args: argparse.Namespace) -> int:
     x = load_tensor(args.input)
     spec = ResampleSpec(filter=args.filter, antialias=args.antialias, scale=args.scale, direction="down")
-    _save_like(resample(x, spec), args.output, args.input)
+    _save(resample(x, spec), args.output)
     return EXIT_OK
 
 
 def _cmd_pd(args: argparse.Namespace) -> int:
     y = load_tensor(args.lr)
     x_raw = predict_raw(y, args.predictor, args.scale, args.raw)
-    _reconstruct(PoolingOp.for_measurement(y, args.scale), y, x_raw, write_raw, args.output, args.png)
+    pngs = () if args.png is None else (args.png,)
+    _reconstruct(PoolingOp.for_measurement(y, args.scale), y, x_raw, args.output, *pngs)
     return EXIT_OK
 
 
@@ -244,7 +236,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_errmap(args: argparse.Namespace) -> int:
     gt = load_tensor(args.gt)
     sr = load_tensor(args.sr)
-    save_png(error_map(gt, sr, args.gain), args.output)
+    _save(error_map(gt, sr, args.gain), args.output)
     return EXIT_OK
 
 
@@ -262,15 +254,12 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 def _cmd_colorize(args: argparse.Namespace) -> int:
     x = load_tensor(args.input)
-    if args.mode == "gray":
-        _save_by_extension(color_to_gray(x), args.output)
-        return EXIT_OK
-    if args.mode == "color":
-        _save_by_extension(gray_to_color(x), args.output)
+    if args.mode != "pd":
+        _save((color_to_gray if args.mode == "gray" else gray_to_color)(x), args.output)
         return EXIT_OK
     if args.raw is None:
         raise ValueError("colorize --mode pd needs --raw with the color prediction")
-    _reconstruct(ColorMeanOp(x.height, x.width), x, load_tensor(args.raw), _save_by_extension, args.output)
+    _reconstruct(ColorMeanOp(x.height, x.width), x, load_tensor(args.raw), args.output)
     return EXIT_OK
 
 
@@ -289,16 +278,13 @@ def _cmd_cs(args: argparse.Namespace) -> int:
         _emit({"block": op.block, "q": op.q, "ratio": op.ratio, "seed": op.seed})
         return EXIT_OK
     op = load_sense_op(_require_flag(args, "op"))
-    if args.action == "measure":
-        write_raw(cs_measure(op, load_tensor(_require_flag(args, "input"))), args.output)
+    if args.action != "pd":
+        kernel = cs_measure if args.action == "measure" else cs_pinv
+        _save(kernel(op, load_tensor(_require_flag(args, "input"))), args.output)
         return EXIT_OK
-    if args.action == "pinv":
-        write_raw(cs_pinv(op, load_tensor(_require_flag(args, "input"))), args.output)
-        return EXIT_OK
-    # action == "pd"
     y = load_tensor(_require_flag(args, "lr"))
     x_raw = load_tensor(_require_flag(args, "raw"))
-    _reconstruct(op, y, x_raw, write_raw, args.output)
+    _reconstruct(op, y, x_raw, args.output)
     return EXIT_OK
 
 
@@ -306,11 +292,12 @@ def _cmd_cs(args: argparse.Namespace) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rangenull",
-        description="Exact range/null-space decompositions for linear image degradations.",
+        description="Exact range/null-space decompositions for linear image degradations. "
+        "An output path ending in .png gets an 8-bit PNG; any other path gets a PDT1.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("degrade", help="downsample an image (PNG or PDT1, same format out)")
+    p = sub.add_parser("degrade", help="downsample an image (PNG or PDT1 in, format by output extension)")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--scale", required=True, type=int)
@@ -320,12 +307,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "pd",
-        help="reconstruct with the consistent combine; prints the exact-output "
-        "report, then the quantized report when --png is given",
+        help="reconstruct with the consistent combine; prints one consistency "
+        "record per output file, --output first",
     )
     p.add_argument("--lr", required=True)
-    p.add_argument("--output", required=True, help="exact PDT1 output path")
-    p.add_argument("--png", default=None, help="optional quantized PNG output path")
+    p.add_argument("--output", required=True, help="output path: PDT1, or 8-bit PNG if it ends in .png")
+    p.add_argument("--png", default=None, help="optional second output path, written after --output")
     p.add_argument("--scale", required=True, type=int)
     p.add_argument("--predictor", default="nearest", choices=PREDICTORS)
     p.add_argument("--raw", default=None, help="prediction file for --predictor external")
@@ -337,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", required=True, type=int)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("errmap", help="render an amplified error map as PNG")
+    p = sub.add_parser("errmap", help="render an amplified error map (8-bit PNG if the output ends in .png)")
     p.add_argument("--gt", required=True)
     p.add_argument("--sr", required=True)
     p.add_argument("--output", required=True)

@@ -113,11 +113,7 @@ def pd_combine(y: ImageTensor, x_raw: ImageTensor, s: int) -> ImageTensor:
     The output's block means equal ``y`` by construction, so pooling it
     back down reproduces ``y`` to float rounding regardless of ``x_raw``.
     """
-    if x_raw.shape != (y.channels, s * y.height, s * y.width):
-        raise ValueError(
-            f"raw prediction shape {x_raw.shape} does not match "
-            f"{(y.channels, s * y.height, s * y.width)} expected for scale {s}"
-        )
+    LinearOperator._check_raw(x_raw, (y.channels, s * y.height, s * y.width))
     return ImageTensor(_pd_combine_arr(y.data, x_raw.data, s))
 
 

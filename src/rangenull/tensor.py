@@ -128,6 +128,25 @@ def _levels(t: ImageTensor) -> np.ndarray:
     return np.floor(levels, out=levels)
 
 
+def check_destination(path: str | Path) -> None:
+    """Raise, naming ``path``, if no file can be written there:
+    ``IsADirectoryError`` if it names a directory (an existing one, or one
+    that ends in a separator, ``.`` or ``..``), ``FileNotFoundError`` if the
+    directory it would go in does not exist.
+    """
+    given = os.fspath(path)
+    if os.path.basename(given) in ("", ".", "..") or os.path.isdir(given):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), given)
+    if not os.path.isdir(os.path.dirname(given) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), given)
+
+
+def check_png_channels(channels: int) -> None:
+    """Raise ``ValueError`` unless a PNG can hold ``channels`` channels."""
+    if channels not in (1, 3):
+        raise ValueError(f"PNG output needs 1 or 3 channels, got {channels}")
+
+
 def _write_atomic(path: str | Path, *payload) -> None:
     """Write the byte buffers of ``payload`` to ``path`` so that readers see
     either the old file or the complete new one.
@@ -135,13 +154,10 @@ def _write_atomic(path: str | Path, *payload) -> None:
     They go to a uniquely named temporary file in the same directory, opened
     with ``"xb"`` so the umask sets its mode, which ``os.replace`` then
     moves onto ``path``; on any error the temporary file is removed.  A
-    ``path`` that names a directory (an existing one, or one that ends in a
-    separator, ``.`` or ``..``) raises ``IsADirectoryError`` before anything
-    is created.
+    ``path`` that ``check_destination`` refuses raises before anything is
+    created.
     """
-    given = os.fspath(path)
-    if os.path.basename(given) in ("", ".", "..") or os.path.isdir(given):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), given)
+    check_destination(path)
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
@@ -160,8 +176,7 @@ def save_png(t: ImageTensor, path: str | Path) -> ImageTensor:
     Returns the image the file holds, equal to ``quantize(t)`` and to what
     ``load_png`` reads back, so callers need not quantize a second time.
     """
-    if t.channels not in (1, 3):
-        raise ValueError(f"PNG output needs 1 or 3 channels, got {t.channels}")
+    check_png_channels(t.channels)
     samples = np.empty((t.height, t.width, t.channels), np.uint8)
     np.copyto(samples, _levels(t).transpose(1, 2, 0), casting="unsafe")
     _write_atomic(path, _png.encode(samples))

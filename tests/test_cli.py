@@ -11,9 +11,13 @@ import numpy as np
 import pytest
 
 from rangenull import (
+    ColorMeanOp,
     ImageTensor,
+    PoolingOp,
+    cs_measure,
     load_png,
     load_sense_op,
+    load_tensor,
     pool_down,
     pool_up,
     quantize,
@@ -183,9 +187,11 @@ class TestPd:
         monkeypatch.chdir(tmp_path)
         write_raw(ImageTensor(stream.uniform((3, 4, 4))), "y.pdt1")
         argv = ["pd", "--lr", "y.pdt1", "--scale", "2", "--output", "o.pdt1", flag, dest]
-        code, _, stderr = run_cli(capsys, *argv)
+        code, stdout, stderr = run_cli(capsys, *argv)
         assert code == 3
         assert stderr.startswith("error: ") and repr(dest) in stderr and "Is a directory" in stderr
+        assert stdout == ""
+        assert not (tmp_path / "o.pdt1").exists()
         assert not list(tmp_path.rglob("*.tmp"))
 
     def test_consecutive_calls_parse_independently(self, capsys, tmp_path, stream):
@@ -198,6 +204,116 @@ class TestPd:
         code, stdout, _ = run_cli(capsys, *argv)
         assert code == 0 and len(json_lines(stdout)) == 1
         assert not png.exists()
+
+
+PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
+
+
+@pytest.fixture
+def sources(capsys, tmp_path, stream):
+    """Inputs for every writing command, in a directory of their own."""
+    src = tmp_path / "src"
+    src.mkdir()
+    f = {name: str(src / name) for name in ("rgb.png", "rgb.pdt1", "gray.pdt1", "raw.pdt1", "op.pdm1",
+                                             "m.pdt1", "cs_raw.pdt1")}
+    save_png(ImageTensor(stream.uniform((3, 8, 8))), f["rgb.png"])
+    write_raw(ImageTensor(stream.uniform((3, 8, 8))), f["rgb.pdt1"])
+    write_raw(ImageTensor(stream.uniform((1, 4, 4))), f["gray.pdt1"])
+    write_raw(ImageTensor(stream.gaussian((3, 4, 4))), f["raw.pdt1"])
+    run_cli(capsys, "cs", "--action", "build", "--block", "2", "--ratio", "0.5", "--seed", "1",
+            "--output", f["op.pdm1"])
+    write_raw(cs_measure(load_sense_op(f["op.pdm1"]), ImageTensor(stream.uniform((1, 4, 4)))), f["m.pdt1"])
+    write_raw(ImageTensor(stream.gaussian((1, 4, 4))), f["cs_raw.pdt1"])
+    return f
+
+
+# Each writing command, without its --output: (argv, None) for a plain
+# write, (argv, (op, y)) for a reconstruction whose records op.verify(y, .)
+# must reproduce.
+_WRITERS = {
+    "degrade-png": lambda f: (["degrade", "--input", f["rgb.png"], "--scale", "2"], None),
+    "degrade-pdt1": lambda f: (["degrade", "--input", f["rgb.pdt1"], "--scale", "2"], None),
+    "errmap": lambda f: (["errmap", "--gt", f["rgb.png"], "--sr", f["rgb.pdt1"]], None),
+    "colorize-gray": lambda f: (["colorize", "--mode", "gray", "--input", f["rgb.pdt1"]], None),
+    "colorize-color": lambda f: (["colorize", "--mode", "color", "--input", f["gray.pdt1"]], None),
+    "colorize-pd": lambda f: (
+        ["colorize", "--mode", "pd", "--input", f["gray.pdt1"], "--raw", f["raw.pdt1"]],
+        (ColorMeanOp(4, 4), load_tensor(f["gray.pdt1"])),
+    ),
+    "cs-pinv": lambda f: (["cs", "--action", "pinv", "--op", f["op.pdm1"], "--input", f["m.pdt1"]], None),
+    "cs-pd": lambda f: (
+        ["cs", "--action", "pd", "--op", f["op.pdm1"], "--lr", f["m.pdt1"], "--raw", f["cs_raw.pdt1"]],
+        (load_sense_op(f["op.pdm1"]), load_tensor(f["m.pdt1"])),
+    ),
+    "pd": lambda f: (
+        ["pd", "--lr", f["rgb.pdt1"], "--scale", "2", "--predictor", "bicubic"],
+        (PoolingOp(2, 3, 16, 16), load_tensor(f["rgb.pdt1"])),
+    ),
+}
+
+
+class TestOutputRule:
+    """A destination ending in .png (any case) gets an 8-bit PNG and any other
+    a PDT1; each reconstruction record describes the file it follows."""
+
+    @pytest.mark.parametrize("name", ["o.png", "o.PNG", "o.Png", "o.pdt1", "o.png.bak"])
+    @pytest.mark.parametrize("command", sorted(_WRITERS))
+    def test_extension_picks_format(self, capsys, tmp_path, sources, command, name):
+        argv, reconstruction = _WRITERS[command](sources)
+        dest = tmp_path / name
+        code, stdout, stderr = run_cli(capsys, *argv, "--output", str(dest))
+        assert (code, stderr) == (0, "")
+        assert dest.read_bytes().startswith(PNG_SIGNATURE) == name.lower().endswith(".png")
+        if reconstruction is None:
+            assert stdout == ""
+        else:
+            op, y = reconstruction
+            assert json_lines(stdout) == [op.verify(y, load_tensor(dest)).to_dict()]
+
+    @pytest.mark.parametrize("command", sorted(_WRITERS))
+    def test_png_holds_the_quantized_pdt1(self, capsys, tmp_path, sources, command):
+        argv, _ = _WRITERS[command](sources)
+        exact, png = tmp_path / "o.pdt1", tmp_path / "o.png"
+        assert run_cli(capsys, *argv, "--output", str(exact))[0] == 0
+        assert run_cli(capsys, *argv, "--output", str(png))[0] == 0
+        assert load_png(png) == quantize(read_raw(exact))
+
+    @pytest.mark.parametrize("output, png", [("a.pdt1", "b.png"), ("a.png", "b.pdt1"), ("a.PNG", "b.png")])
+    def test_pd_records_follow_both_files(self, capsys, tmp_path, sources, output, png):
+        argv, (op, y) = _WRITERS["pd"](sources)
+        paths = [tmp_path / output, tmp_path / png]
+        code, stdout, _ = run_cli(capsys, *argv, "--output", str(paths[0]), "--png", str(paths[1]))
+        assert code == 0
+        assert json_lines(stdout) == [op.verify(y, load_tensor(p)).to_dict() for p in paths]
+
+    def test_png_measurement_needs_one_or_three_channels(self, capsys, tmp_path, sources):
+        dest = tmp_path / "m.png"
+        code, stdout, stderr = run_cli(capsys, "cs", "--action", "measure", "--op", sources["op.pdm1"],
+                                       "--input", sources["cs_raw.pdt1"], "--output", str(dest))
+        assert code == 3
+        assert stderr == "error: PNG output needs 1 or 3 channels, got 2\n"
+        assert stdout == ""
+        assert list(tmp_path.glob("m*")) == []
+
+    @pytest.mark.parametrize("output, png", [("o.pdt1", "o.png"), ("o.png", None)])
+    def test_pd_png_channel_count_checked_before_any_write(self, capsys, tmp_path, stream, output, png):
+        lr = tmp_path / "y.pdt1"
+        write_raw(ImageTensor(stream.uniform((2, 4, 4))), lr)
+        argv = ["pd", "--lr", str(lr), "--scale", "2", "--output", str(tmp_path / output)]
+        code, stdout, stderr = run_cli(capsys, *argv, *(["--png", str(tmp_path / png)] if png else []))
+        assert code == 3
+        assert stderr == "error: PNG output needs 1 or 3 channels, got 2\n"
+        assert stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["y.pdt1"]
+
+    def test_missing_directory_checked_before_any_write(self, capsys, tmp_path, sources):
+        argv, _ = _WRITERS["pd"](sources)
+        dest = str(tmp_path / "missing" / "o.png")
+        code, stdout, stderr = run_cli(capsys, *argv, "--output", str(tmp_path / "o.pdt1"), "--png", dest)
+        assert code == 3
+        assert stderr.startswith("error: ") and "No such file or directory" in stderr and repr(dest) in stderr
+        assert stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["src"]
 
 
 class TestVerify:

@@ -374,7 +374,14 @@ def _combine_error_cases():
     # the raw shape, and in the measurement of x_raw.
     rows = cs_build(2, 1.0, seed=3).rows
     full = BlockSenseOp(2, 4, seed=3, ratio=1.0, rows=rows)
+    pool = PoolingOp(2, 3, 16, 16)
+    pooled = ImageTensor(np.zeros((3, 8, 8)))
     return {
+        "pool-raw-size": (pool, pooled, ImageTensor(np.zeros((3, 16, 18)))),
+        "pool-raw-channels": (pool, pooled, ImageTensor(np.zeros((1, 16, 16)))),
+        "pool-measurement-shape": (
+            pool, ImageTensor(np.zeros((3, 4, 4))), ImageTensor(np.zeros((3, 16, 16)))
+        ),
         "color-raw-size": (color, gray, ImageTensor(np.zeros((3, 5, 6)))),
         "color-raw-channels": (color, gray, ImageTensor(np.zeros((1, 5, 5)))),
         "color-bound-shape": (color, ImageTensor(np.zeros((1, 4, 4))), ImageTensor(np.zeros((3, 4, 4)))),
@@ -399,7 +406,8 @@ _COMBINE_ERRORS = _combine_error_cases()
 
 class TestFusedCombines:
     """``ColorMeanOp.combine`` and ``BlockSenseOp.combine`` against the
-    generic ``LinearOperator.combine``: the same bytes, the same errors."""
+    generic ``LinearOperator.combine``: the same bytes, the same errors
+    (``PoolingOp.combine`` too, whose bytes ``test_linop`` compares)."""
 
     @given(
         st.integers(1, 9),
