@@ -33,6 +33,7 @@ from .pooling import (
     pd_combine,
     pool_down,
     pool_up,
+    verify_consistency,
 )
 from .resample import FILTERS, PREDICTORS, ResampleSpec, predict_raw, resample
 from .restore import (
@@ -41,6 +42,7 @@ from .restore import (
     cs_build,
     cs_measure,
     cs_pinv,
+    generic_pd,
     gray_to_color,
     load_sense_op,
     save_sense_op,
@@ -63,6 +65,10 @@ def _default_seed() -> int:
         return int(raw)
     except ValueError as exc:
         raise ValueError(f"RANGENULL_SEED must be an integer, got {raw!r}") from exc
+
+
+def _seed(args: argparse.Namespace) -> int:
+    return args.seed if args.seed is not None else _default_seed()
 
 
 def _emit(obj: dict) -> None:
@@ -93,7 +99,7 @@ def _reconstruct(op: LinearOperator, y: ImageTensor, x_raw: ImageTensor, *paths:
     """
     for path in paths:
         check_destination(path)
-    x_hat = op.combine(y, x_raw)
+    x_hat = generic_pd(op, y, x_raw)
     if any(map(_is_png, paths)):
         check_png_channels(x_hat.channels)
     records = []
@@ -229,7 +235,7 @@ def _cmd_pd(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     lr = load_tensor(args.lr)
     sr = load_tensor(args.sr)
-    _emit(PoolingOp.for_measurement(lr, args.scale).verify(lr, sr).to_dict())
+    _emit(verify_consistency(lr, sr, args.scale).to_dict())
     return EXIT_OK
 
 
@@ -241,14 +247,12 @@ def _cmd_errmap(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    _emit(run_bench(args.op, args.size, args.scale, args.iterations, seed).to_dict())
+    _emit(run_bench(args.op, args.size, args.scale, args.iterations, _seed(args)).to_dict())
     return EXIT_OK
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    _emit(run_table1(args.count, args.size, args.scale, seed, args.workers))
+    _emit(run_table1(args.count, args.size, args.scale, _seed(args), args.workers))
     return EXIT_OK
 
 
@@ -272,8 +276,7 @@ def _require_flag(args: argparse.Namespace, name: str) -> str:
 
 def _cmd_cs(args: argparse.Namespace) -> int:
     if args.action == "build":
-        seed = args.seed if args.seed is not None else _default_seed()
-        op = cs_build(args.block, args.ratio, seed)
+        op = cs_build(args.block, args.ratio, _seed(args))
         save_sense_op(op, args.output)
         _emit({"block": op.block, "q": op.q, "ratio": op.ratio, "seed": op.seed})
         return EXIT_OK
@@ -374,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,13 +29,7 @@ class ConsistencyReport:
     pixel_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "psnr": self.psnr,
-            "l1": self.l1,
-            "mse": self.mse,
-            "max_abs": self.max_abs,
-            "pixel_count": self.pixel_count,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())

@@ -1,13 +1,16 @@
 """Separable image resampling with box, bilinear, and bicubic kernels.
 
 Covers the downsamplers a reconstruction is typically tested against.
-Antialiased downsampling stretches the kernel by the scale factor so it
-low-passes before decimation; without antialiasing the kernel keeps its
-unit support and simply interpolates at the decimated positions.  Output
-pixel ``i`` samples the source at ``(i + 0.5) * s - 0.5`` going down and
-``(i + 0.5) / s - 0.5`` going up, which keeps constant images fixed and
-the two directions mutually consistent.  Borders clamp to the edge pixel
-and every output pixel's weights are normalized to sum to 1.
+Box is block pooling, ``pool_down`` shrinking and ``pool_up`` enlarging
+whatever the antialias flag says, so it is the paper's degradation bit
+for bit.  Antialiased bilinear and bicubic downsampling stretches the
+kernel by the scale factor so it low-passes before decimation; without
+antialiasing the kernel keeps its unit support and simply interpolates
+at the decimated positions.  Output pixel ``i`` samples the source at
+``(i + 0.5) * s - 0.5`` going down and ``(i + 0.5) / s - 0.5`` going up,
+which keeps constant images fixed and the two directions mutually
+consistent.  Borders clamp to the edge pixel and every output pixel's
+weights are normalized to sum to 1.
 
 With an integer scale the weights repeat with period ``s``: enlarging
 has ``s`` phases of at most five nonzero taps each, shrinking one phase
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .pooling import pool_up
+from .pooling import pool_down, pool_up
 from .tensor import ImageTensor, load_tensor
 
 FILTERS = ("box", "bilinear", "bicubic")
@@ -37,11 +40,6 @@ DIRECTIONS = ("down", "up")
 PREDICTORS = ("nearest", "bilinear", "bicubic", "external")
 
 _CUBIC_A = -0.5  # Catmull-Rom family coefficient
-
-
-def _kernel_box(t: np.ndarray) -> np.ndarray:
-    # Half-open support so block boundaries land in exactly one patch.
-    return np.where((t >= -0.5) & (t < 0.5), 1.0, 0.0)
 
 
 def _kernel_bilinear(t: np.ndarray) -> np.ndarray:
@@ -56,8 +54,8 @@ def _kernel_bicubic(t: np.ndarray) -> np.ndarray:
     return np.where(at <= 1.0, inner, np.where(at < 2.0, outer, 0.0))
 
 
-_KERNELS = {"box": _kernel_box, "bilinear": _kernel_bilinear, "bicubic": _kernel_bicubic}
-_RADII = {"box": 0.5, "bilinear": 1.0, "bicubic": 2.0}
+_KERNELS = {"bilinear": _kernel_bilinear, "bicubic": _kernel_bicubic}
+_RADII = {"bilinear": 1.0, "bicubic": 2.0}
 
 
 @dataclass(frozen=True)
@@ -89,9 +87,7 @@ def _phase_weights(spec: ResampleSpec) -> tuple[int, np.ndarray]:
     kernel = _KERNELS[spec.filter]
     s = spec.scale
     if spec.direction == "down":
-        # Box downsampling is block averaging whatever the antialias flag says;
-        # an unstretched box would degenerate to nearest-neighbour decimation.
-        stretch = float(s) if (spec.antialias or spec.filter == "box") else 1.0
+        stretch = float(s) if spec.antialias else 1.0
         centers = np.array([(s - 1) / 2])
     else:
         stretch = 1.0
@@ -128,6 +124,8 @@ def _resample_axis(
 def resample(x: ImageTensor, spec: ResampleSpec) -> ImageTensor:
     """Apply separable resampling, one channel and one axis at a time."""
     s = spec.scale
+    if spec.filter == "box":
+        return pool_down(x, s) if spec.direction == "down" else pool_up(x, s)
     if spec.direction == "down":
         if x.height % s or x.width % s:
             raise ValueError(f"image size {x.height}x{x.width} is not divisible by scale {s}")

@@ -93,6 +93,21 @@ class TestDegrade:
         assert code == 3
         assert "error:" in err
 
+    @pytest.mark.parametrize("scale", ["2", "4"])
+    def test_box_degradation_verifies_exactly(self, capsys, tmp_path, stream, scale):
+        gt, lr = tmp_path / "gt.pdt1", tmp_path / "lr.pdt1"
+        write_raw(ImageTensor(stream.uniform((3, 48, 40))), gt)
+        code, _, _ = run_cli(
+            capsys, "degrade", "--input", str(gt), "--output", str(lr), "--scale", scale,
+            "--filter", "box",
+        )
+        assert code == 0
+        code, stdout, _ = run_cli(capsys, "verify", "--lr", str(lr), "--sr", str(gt), "--scale", scale)
+        assert code == 0
+        record = json_lines(stdout)[0]
+        assert record["max_abs"] == 0.0
+        assert record["psnr"] == 300.0
+
     def test_usage_error_exits_2(self, tmp_path, png_256, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["degrade", "--input", str(png_256), "--output", str(tmp_path / "x.png"),
@@ -542,6 +557,43 @@ class TestCs:
                                "--output", str(tmp_path / "m.pdt1"))
         assert code == 3
         assert "--op" in err
+
+
+# The address-space limit makes each size fail at allocation on any host,
+# whatever its overcommit policy.
+_LIMITED_CLI = (
+    "import resource, runpy, sys; "
+    "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)); "
+    "runpy.run_module('rangenull', run_name='__main__')"
+)
+
+
+class TestOversizedNumbers:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pd", "--scale", "1000000", "--predictor", "bicubic"],
+            ["pd", "--scale", "1000000000", "--predictor", "nearest"],
+            ["pd", "--scale", "9223372036854775808", "--predictor", "nearest"],
+            ["bench", "--iterations", "1000000000000"],
+            ["table1", "--count", "1", "--size", "4000000"],
+        ],
+        ids=["bicubic-pib", "nearest-tib", "nearest-overflow", "bench-iterations", "table1-size"],
+    )
+    def test_exits_3_without_traceback(self, tmp_path, stream, argv):
+        lr, out = tmp_path / "lr.pdt1", tmp_path / "o.pdt1"
+        write_raw(ImageTensor(stream.uniform((3, 8, 8))), lr)
+        if argv[0] == "pd":
+            argv = [*argv, "--lr", str(lr), "--output", str(out)]
+        env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", _LIMITED_CLI, *argv], capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        assert not out.exists()
 
 
 class TestProcessLevel:

@@ -75,6 +75,18 @@ class TestBoxEqualsPooling:
         assert abs(resample(x, spec).data[0, 0, 0] - 3.0) < 1e-14
 
 
+class TestBoxIsPooling:
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("antialias", [True, False])
+    @pytest.mark.parametrize("s", range(1, 9))
+    def test_bit_identical_to_pooling(self, s, antialias, channels, stream):
+        x = ImageTensor(stream.uniform((channels, 3 * s, 5 * s)))
+        down = ResampleSpec(filter="box", antialias=antialias, scale=s, direction="down")
+        up = ResampleSpec(filter="box", antialias=antialias, scale=s, direction="up")
+        assert np.array_equal(resample(x, down).data, pool_down(x, s).data)
+        assert np.array_equal(resample(x, up).data, pool_up(x, s).data)
+
+
 class TestKernels:
     @pytest.mark.parametrize("filt", ["box", "bilinear", "bicubic"])
     @pytest.mark.parametrize("antialias", [True, False])
