@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -79,12 +78,13 @@ def _is_png(path: str) -> bool:
     return path.lower().endswith(".png")
 
 
-def _save(t: ImageTensor, path: str) -> None:
-    """Write ``t`` as an 8-bit PNG if ``path`` ends in ``.png``, else as PDT1."""
+def _save(t: ImageTensor, path: str) -> ImageTensor:
+    """Write ``t`` as an 8-bit PNG if ``path`` ends in ``.png``, else as PDT1,
+    and return the image the file holds: the 8-bit image, or ``t`` itself."""
     if _is_png(path):
-        save_png(t, path)
-    else:
-        write_raw(t, path)
+        return save_png(t, path)
+    write_raw(t, path)
+    return t
 
 
 def _reconstruct(op: LinearOperator, y: ImageTensor, x_raw: ImageTensor, *paths: str) -> None:
@@ -93,9 +93,8 @@ def _reconstruct(op: LinearOperator, y: ImageTensor, x_raw: ImageTensor, *paths:
 
     Every destination, and a PNG's channel count, is checked before the
     first write, and the records are printed after the last, so a failed
-    call prints nothing.  A PDT1 is written on one helper thread while this
-    thread verifies the same immutable ``x_hat``; a PNG rebinds ``x_hat`` to
-    the 8-bit image it holds, which any later path receives.
+    call prints nothing.  Each file is written, then verified; a PNG rebinds
+    ``x_hat`` to the 8-bit image it holds, which any later path receives.
     """
     for path in paths:
         check_destination(path)
@@ -104,16 +103,10 @@ def _reconstruct(op: LinearOperator, y: ImageTensor, x_raw: ImageTensor, *paths:
         check_png_channels(x_hat.channels)
     records = []
     for path in paths:
-        if _is_png(path):
-            # Rebinding frees the exact image before the report's temporaries exist.
-            x_hat = save_png(x_hat, path)
-            report = op.verify(y, x_hat)
-        else:
-            with ThreadPoolExecutor(max_workers=1) as helper:
-                written = helper.submit(write_raw, x_hat, path)
-                report = op.verify(y, x_hat)
-                written.result()
-        records.append(report.to_dict())
+        # A PNG's 8-bit image replaces the exact one before the report's
+        # temporaries exist.
+        x_hat = _save(x_hat, path)
+        records.append(op.verify(y, x_hat).to_dict())
     for record in records:
         _emit(record)
 
@@ -192,25 +185,19 @@ def _table1_case(seed: int, index: int, size: int, scale: int) -> dict:
     }
 
 
-def run_table1(count: int, size: int, scale: int, seed: int, workers: int = 1) -> dict:
+def run_table1(count: int, size: int, scale: int, seed: int) -> dict:
     """Consistency protocol over seeded random images and raw predictions.
 
     Per image: draw a random ground truth, pool it down to the reference,
     combine with a random raw prediction, and measure how far the pooled
     result drifts from the reference, in double and in single precision.
-    Results are averaged over ``count`` images and are identical for any
-    worker count (each image derives its own child stream).
+    Results are averaged over ``count`` images; each image derives its own
+    child stream from ``seed``.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     _require_divisible(size, size, scale)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if workers == 1:
-        cases = [_table1_case(seed, i, size, scale) for i in range(count)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cases = list(pool.map(lambda i: _table1_case(seed, i, size, scale), range(count)))
+    cases = [_table1_case(seed, i, size, scale) for i in range(count)]
     summary = {"count": count, "size": size, "scale": scale, "seed": seed}
     for key in cases[0]:
         summary[f"mean_{key}"] = float(np.mean([c[key] for c in cases]))
@@ -252,7 +239,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    _emit(run_table1(args.count, args.size, args.scale, _seed(args), args.workers))
+    _emit(run_table1(args.count, args.size, args.scale, _seed(args)))
     return EXIT_OK
 
 
@@ -347,7 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", default=256, type=int)
     p.add_argument("--scale", default=8, type=int)
     p.add_argument("--seed", default=None, type=int)
-    p.add_argument("--workers", default=1, type=int)
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("colorize", help="channel-mean operator: gray, color, or pd mode")

@@ -86,7 +86,12 @@ def _block_mean(a: np.ndarray, s: int) -> np.ndarray:
 def _replicate(a: np.ndarray, s: int) -> np.ndarray:
     if s == 1:
         return a.copy()
-    return np.repeat(np.repeat(a, s, axis=1), s, axis=2)
+    # The output is allocated first, so a size that cannot be held fails
+    # before any intermediate is filled.
+    channels, height, width = a.shape
+    out = np.empty((channels, height * s, width * s), a.dtype)
+    np.copyto(out.reshape(channels, height, s, width * s), np.repeat(a, s, axis=2)[:, :, None])
+    return out
 
 
 def pool_down(x: ImageTensor, s: int) -> ImageTensor:

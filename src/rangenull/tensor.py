@@ -11,12 +11,10 @@ PDT1 layout: bytes 0-3 magic ASCII "PDT1"; bytes 4-7, 8-11, 12-15
 little-endian u32 channels, height, width; then channels*height*width
 little-endian f64 samples, planar row-major.
 
-Memory and threads: ``ImageTensor`` checks that samples are finite on
-every construction, in slices through one small reused mask, so the check
+Memory: ``ImageTensor`` checks that samples are finite on every
+construction, in slices through one small reused mask, so the check
 allocates no full-size temporary.  A PDT1 or PDM1 payload is read straight
-into its final array with ``os.preadv``; from 16 MiB on, its two halves
-are read concurrently (one helper thread, joined before the read
-returns).  The bytes do not depend on the split.
+into its final array with ``os.preadv``, on the calling thread.
 """
 
 from __future__ import annotations
@@ -36,10 +34,6 @@ RAW_MAGIC = b"PDT1"
 _RAW_HEADER = struct.Struct("<4sIII")
 # Samples checked for finiteness per slice: 128 KiB of mask, reused.
 _FINITE_SLICE = 1 << 17
-# Payloads from this size on are read in two concurrent halves; below it,
-# starting and joining the helper thread (~0.1-0.2 ms) costs more than
-# the second core saves.
-_SPLIT_BYTES = 1 << 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,31 +212,16 @@ def _read_payload(f, path, shape: tuple[int, ...], declared_by: str) -> np.ndarr
     """Read the rest of ``f`` into a fresh little-endian f64 array of ``shape``,
     checking the size against the file's before allocating anything.
 
-    Positioned reads fill the array without moving ``f``; from
-    ``_SPLIT_BYTES`` on, the two halves are filled concurrently, one on a
-    helper thread.  A file that shrinks or grows while it is read raises
-    ``ValueError``.
+    Positioned reads fill the array without moving ``f``.  A file that
+    shrinks or grows while it is read raises ``ValueError``.
     """
-    # Imported here, not at the top: ``concurrent.futures`` loads ``logging``,
-    # which would add several ms to ``import rangenull``.
-    from concurrent.futures import ThreadPoolExecutor
-
     fd, start = f.fileno(), f.tell()
     need = 8 * math.prod(shape)
     have = os.fstat(fd).st_size - start
     if have != need:
         raise ValueError(f"{path}: payload is {have} bytes, {declared_by} need {need}")
     arr = np.empty(shape, dtype="<f8")
-    buf = memoryview(arr).cast("B")
-    if need < _SPLIT_BYTES:
-        complete = _pread_into(fd, buf, start)
-    else:
-        half = need // 2
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            tail = helper.submit(_pread_into, fd, buf[half:], start + half)
-            complete = _pread_into(fd, buf[:half], start)
-            complete = tail.result() and complete
-    if not complete:
+    if not _pread_into(fd, memoryview(arr).cast("B"), start):
         raise ValueError(f"{path}: payload shrank while it was read")
     if os.pread(fd, 1, start + need):
         raise ValueError(f"{path}: payload grew while it was read")

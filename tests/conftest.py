@@ -1,4 +1,5 @@
 import struct
+import threading
 import zlib
 
 import hypothesis
@@ -14,6 +15,16 @@ hypothesis.settings.load_profile("suite")
 @pytest.fixture
 def stream():
     return Stream(20260808)
+
+
+@pytest.fixture
+def refuse_threads(monkeypatch):
+    """Make starting any Python thread raise, as on a host that cannot."""
+
+    def refuse(thread):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
 
 
 def random_tensor(stream, shape, lo=0.0, hi=1.0):

@@ -331,6 +331,23 @@ class TestOutputRule:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["src"]
 
 
+@pytest.mark.usefixtures("refuse_threads")
+class TestOneThread:
+    """Every CLI call runs on the calling Python thread and starts no other."""
+
+    @pytest.mark.parametrize("command", sorted(_WRITERS))
+    def test_writing_commands(self, capsys, tmp_path, sources, command):
+        argv, _ = _WRITERS[command](sources)
+        if command == "pd":
+            argv = [*argv, "--png", str(tmp_path / "o.png")]
+        code, _, stderr = run_cli(capsys, *argv, "--output", str(tmp_path / "o.pdt1"))
+        assert (code, stderr) == (0, "")
+
+    def test_table1(self, capsys):
+        code, stdout, _ = run_cli(capsys, "table1", "--count", "2", "--size", "32", "--scale", "4")
+        assert code == 0 and json_lines(stdout)[0]["count"] == 2
+
+
 class TestVerify:
     def test_pd_output_verifies_high(self, capsys, tmp_path, stream):
         lr = tmp_path / "lr.pdt1"
@@ -450,14 +467,11 @@ class TestTable1:
         assert summary["mean_psnr"] >= 240.0
         assert summary["mean_psnr_float32"] >= 125.0
 
-    def test_workers_do_not_change_numbers(self, capsys):
-        base = ["table1", "--count", "6", "--size", "32", "--scale", "4", "--seed", "2"]
-        _, out_a, _ = run_cli(capsys, *base, "--workers", "1")
-        _, out_b, _ = run_cli(capsys, *base, "--workers", "4")
-        a, b = json_lines(out_a)[0], json_lines(out_b)[0]
-        a.pop("mean_time_ms")
-        b.pop("mean_time_ms")
-        assert a == b
+    def test_workers_option_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", "--count", "2", "--size", "32", "--scale", "4", "--workers", "2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_zero_count_errors(self, capsys):
         code, _, _ = run_cli(capsys, "table1", "--count", "0", "--size", "32", "--scale", "4")
@@ -568,7 +582,35 @@ _LIMITED_CLI = (
 )
 
 
+# Peak RSS of the process, in KiB, printed after ``main`` returns.  It is
+# read from VmHWM, not ``ru_maxrss``, which on Linux keeps the peak of the
+# process image that exec replaced (here, the test runner's).
+_PEAK_AFTER_CLI = (
+    "import re, resource, sys; "
+    "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)); "
+    "from rangenull.cli import main; "
+    "code = main(sys.argv[1:]); "
+    "print(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1]); "
+    "sys.exit(code)"
+)
+
+
 class TestOversizedNumbers:
+    def test_nearest_fails_before_filling_memory(self, tmp_path, stream):
+        # A 3x8x8 image at scale 200000 is 56 TiB: the output is allocated
+        # (and refused) before any intermediate is filled.
+        lr, out = tmp_path / "lr.pdt1", tmp_path / "o.pdt1"
+        write_raw(ImageTensor(stream.uniform((3, 8, 8))), lr)
+        argv = ["pd", "--lr", str(lr), "--output", str(out), "--scale", "200000", "--predictor", "nearest"]
+        env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_AFTER_CLI, *argv], capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error:")
+        assert not out.exists()
+        assert int(proc.stdout) < 100 * 1024
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -597,6 +639,13 @@ class TestOversizedNumbers:
 
 
 class TestProcessLevel:
+    def test_import_loads_no_thread_pool(self):
+        # ``concurrent.futures`` pulls in ``logging``: milliseconds at every start.
+        code = "import sys, rangenull.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": SRC}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
     def test_module_invocation_and_env_seed(self, tmp_path):
         env = {**os.environ, "PYTHONPATH": SRC, "RANGENULL_SEED": "77"}
         proc = subprocess.run(

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rangenull import ImageTensor, load_png, load_tensor, quantize, read_raw, save_png, write_raw
-from rangenull import tensor as tensor_module
 
 
 def finite_tensors(min_side=1, max_side=6, lo=-8.0, hi=8.0):
@@ -275,25 +274,22 @@ class TestRaw:
         with pytest.raises(ValueError, match="payload"):
             read_raw(path)
 
-    @pytest.fixture(params=["one_read", "two_halves"])
-    def split(self, request, monkeypatch):
-        # Small payloads are read on the calling thread; "two_halves" lowers
-        # the threshold so the concurrent path reads them too.
-        if request.param == "two_halves":
-            monkeypatch.setattr(tensor_module, "_SPLIT_BYTES", 0)
+    @pytest.fixture(params=["one_read"])
+    def split(self, request):
+        """Every payload is read by one ``_pread_into`` call."""
 
     @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 1, 3), (3, 5, 7), (2, 1, 9)])
     def test_small_and_odd_shapes(self, tmp_path, stream, shape, split):
-        # An odd sample count splits the two halves mid-sample.
         path = tmp_path / "t.pdt1"
         t = ImageTensor(stream.gaussian(shape))
         write_raw(t, path)
         back = read_raw(path)
         assert back.shape == shape and back.data.tobytes() == t.data.tobytes()
 
-    def test_large_payload_is_read_in_two_threads(self, tmp_path, stream, monkeypatch):
+    def test_large_payload_is_read_on_the_calling_thread(self, tmp_path, stream, monkeypatch, refuse_threads):
+        # 16 MiB and one sample.
         path = tmp_path / "t.pdt1"
-        t = ImageTensor(stream.uniform((1, 1, tensor_module._SPLIT_BYTES // 8 + 1)))
+        t = ImageTensor(stream.uniform((1, 1, (1 << 21) + 1)))
         write_raw(t, path)
         real_preadv, readers = os.preadv, set()
 
@@ -303,7 +299,7 @@ class TestRaw:
 
         monkeypatch.setattr(os, "preadv", preadv_recording_thread)
         assert read_raw(path) == t
-        assert len(readers) == 2
+        assert readers == {threading.get_ident()}
 
     def test_short_reads_are_resumed(self, tmp_path, stream, monkeypatch, split):
         path = tmp_path / "t.pdt1"
