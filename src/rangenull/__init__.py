@@ -27,7 +27,16 @@ from .linop import (
     svd,
 )
 from .metrics import PSNR_CAP, ConsistencyReport, compare, error_map
-from .pooling import PoolingOp, extract_highfreq, pd_combine, pool_down, pool_up, verify_consistency
+from .pooling import (
+    PoolingOp,
+    extract_highfreq,
+    pd_combine,
+    pool_down,
+    pool_up,
+    stream_pd,
+    stream_verify,
+    verify_consistency,
+)
 from .resample import FILTERS, PREDICTORS, ResampleSpec, predict_raw, resample
 from .restore import (
     BlockSenseOp,
@@ -45,6 +54,7 @@ from .restore import (
 from .rng import Stream, derive
 from .tensor import (
     ImageTensor,
+    RawReader,
     load_png,
     load_tensor,
     quantize,
@@ -68,6 +78,7 @@ __all__ = [
     "PREDICTORS",
     "PSNR_CAP",
     "PoolingOp",
+    "RawReader",
     "ResampleSpec",
     "Stream",
     "SvdFactors",
@@ -100,6 +111,8 @@ __all__ = [
     "save_matrix",
     "save_png",
     "save_sense_op",
+    "stream_pd",
+    "stream_verify",
     "svd",
     "verify_consistency",
     "write_raw",

@@ -13,6 +13,7 @@ default seed 0 wherever a --seed flag is omitted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -32,6 +33,8 @@ from .pooling import (
     pd_combine,
     pool_down,
     pool_up,
+    stream_pd,
+    stream_verify,
     verify_consistency,
 )
 from .resample import FILTERS, PREDICTORS, ResampleSpec, predict_raw, resample
@@ -47,7 +50,16 @@ from .restore import (
     save_sense_op,
 )
 from .rng import Stream, derive
-from .tensor import ImageTensor, check_destination, check_png_channels, load_tensor, save_png, write_raw
+from .tensor import (
+    ImageTensor,
+    RawReader,
+    check_destination,
+    check_png_channels,
+    is_raw,
+    load_tensor,
+    save_png,
+    write_raw,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -88,13 +100,16 @@ def _save(t: ImageTensor, path: str) -> ImageTensor:
 
 
 def _reconstruct(op: LinearOperator, y: ImageTensor, x_raw: ImageTensor, *paths: str) -> None:
-    """Combine once, write ``x_hat`` to each path in turn, and print one
-    record per file: ``op.verify`` of what that file holds.
+    """Combine once in memory, write ``x_hat`` to each path in turn, and
+    print one record per file: ``op.verify`` of what that file holds.
 
-    Every destination, and a PNG's channel count, is checked before the
-    first write, and the records are printed after the last, so a failed
-    call prints nothing.  Each file is written, then verified; a PNG rebinds
-    ``x_hat`` to the 8-bit image it holds, which any later path receives.
+    This is the path of every reconstruction that ``pd`` does not stream
+    (see ``_cmd_pd``): a PNG, an interpolating predictor or a PNG input
+    needs the whole image.  Every destination, and a PNG's channel count,
+    is checked before the first write, and the records are printed after
+    the last, so a failed call prints nothing.  Each file is written, then
+    verified; a PNG rebinds ``x_hat`` to the 8-bit image it holds, which
+    any later path receives.
     """
     for path in paths:
         check_destination(path)
@@ -211,8 +226,39 @@ def _cmd_degrade(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _striped(path: str | None, y: ImageTensor, s: int):
+    """Yield ``path`` open as a ``RawReader`` if it is a PDT1 file of ``y``'s
+    shape scaled by ``s``, else None.
+
+    A PDT1 header or payload size that ``read_raw`` would refuse raises
+    here, with its message.  Every other case is left to the in-memory
+    path, which loads the file and reports what is wrong in its own order.
+    """
+    if path is None or s < 1 or not is_raw(path):
+        yield None
+        return
+    with RawReader(path) as reader:
+        yield reader if reader.shape == (y.channels, s * y.height, s * y.width) else None
+
+
 def _cmd_pd(args: argparse.Namespace) -> int:
+    """Reconstruct ``--output`` (then ``--png``) from ``--lr`` and print one
+    record per file.
+
+    An external PDT1 prediction of the output's shape, written to a PDT1
+    ``--output`` with no ``--png``, streams through ``stream_pd``, which
+    holds the low-resolution arrays and two stripes, never the image;
+    its record is ``compare(y, forward)`` of the pooled stripes.  Every
+    other case goes through ``_reconstruct``.  Both give the same bytes and
+    records.
+    """
     y = load_tensor(args.lr)
+    streams = args.predictor == "external" and args.png is None and not _is_png(args.output)
+    with _striped(args.raw if streams else None, y, args.scale) as x_raw:
+        if x_raw is not None:
+            _emit(stream_pd(y, x_raw, args.scale, args.output).to_dict())
+            return EXIT_OK
     x_raw = predict_raw(y, args.predictor, args.scale, args.raw)
     pngs = () if args.png is None else (args.png,)
     _reconstruct(PoolingOp.for_measurement(y, args.scale), y, x_raw, args.output, *pngs)
@@ -221,8 +267,11 @@ def _cmd_pd(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     lr = load_tensor(args.lr)
-    sr = load_tensor(args.sr)
-    _emit(verify_consistency(lr, sr, args.scale).to_dict())
+    with _striped(args.sr, lr, args.scale) as sr:
+        if sr is not None:
+            _emit(stream_verify(lr, sr, args.scale).to_dict())
+            return EXIT_OK
+    _emit(verify_consistency(lr, load_tensor(args.sr), args.scale).to_dict())
     return EXIT_OK
 
 

@@ -18,15 +18,23 @@ full row.  A block's mean is built from elementwise operations only, in
 a fixed order, so it does not depend on how the image is striped:
 ``pool_down`` and ``pd_combine`` agree bit for bit.  Both keep the input
 dtype.
+
+Stripes are also the unit of I/O.  ``stream_pd`` and ``stream_verify``
+run the same stripe kernels on a PDT1 file read one stripe at a time, so
+they hold the low-resolution arrays and two stripes, never the
+high-resolution image, and give the bytes and records of the in-memory
+path.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from .linop import LinearOperator, null_project
-from .metrics import ConsistencyReport
-from .tensor import ImageTensor
+from .metrics import ConsistencyReport, compare
+from .tensor import ImageTensor, RawReader, _check_finite, write_raw_stripes
 
 
 def _require_divisible(h: int, w: int, s: int) -> None:
@@ -39,10 +47,16 @@ def _require_divisible(h: int, w: int, s: int) -> None:
 _STRIPE_BYTES = 1 << 19
 
 
-def _stripes(a: np.ndarray, s: int):
-    """(channel, block-row slice) pieces of ``a`` of about ``_STRIPE_BYTES`` each."""
-    channels, height, width = a.shape
-    step = max(1, _STRIPE_BYTES // (s * width * a.itemsize))
+def _band_rows(width: int, itemsize: int, s: int) -> int:
+    """Block rows per stripe: about ``_STRIPE_BYTES`` of samples, at least one."""
+    return max(1, _STRIPE_BYTES // (s * width * itemsize))
+
+
+def _stripes(shape: tuple[int, int, int], itemsize: int, s: int):
+    """(channel, block-row slice) pieces of an image of ``shape``, in memory
+    order, of ``_band_rows`` block rows each (fewer at a channel's end)."""
+    channels, height, width = shape
+    step = _band_rows(width, itemsize, s)
     for ch in range(channels):
         for r0 in range(0, height // s, step):
             yield ch, slice(r0, r0 + step)
@@ -71,15 +85,38 @@ def _band_mean(rows: np.ndarray, s: int) -> np.ndarray:
     return total
 
 
+def _pool_band(rows: np.ndarray, s: int, out: np.ndarray) -> None:
+    """Write the block means of ``rows``, shaped (k, s, width), into ``out``.
+
+    Scale 1 copies: the anchored mean of -0.0 would be +0.0.
+    """
+    out[...] = rows[:, 0] if s == 1 else _band_mean(rows, s)
+
+
+def _combine_band(rows: np.ndarray, y_rows: np.ndarray, s: int, out: np.ndarray) -> None:
+    """Write ``(rows - replicate(block means)) + replicate(y_rows)`` into ``out``.
+
+    ``rows`` and ``out`` are k block rows shaped (k, s, width), ``y_rows``
+    the matching (k, width // s) rows of the measurement; each mean row and
+    ``y`` row is widened once to the image width.  Scale 1 keeps the
+    generic combine's ``(rows - rows) + y``, whose signed zeros the
+    anchored mean would flip.  Addition commutes exactly, so this is
+    bit-identical to the generic combine.
+    """
+    if s == 1:
+        np.subtract(rows, rows, out=out)
+    else:
+        np.subtract(rows, np.repeat(_band_mean(rows, s), s, axis=-1)[:, None], out=out)
+    out += np.repeat(y_rows, s, axis=-1)[:, None]
+
+
 def _block_mean(a: np.ndarray, s: int) -> np.ndarray:
     """Mean over non-overlapping s x s blocks, dtype preserving."""
-    if s == 1:
-        return a.copy()
     channels, height, width = a.shape
     rows = a.reshape(channels, height // s, s, width)
     out = np.empty((channels, height // s, width // s), a.dtype)
-    for ch, band in _stripes(a, s):
-        out[ch, band] = _band_mean(rows[ch, band], s)
+    for ch, band in _stripes(a.shape, a.itemsize, s):
+        _pool_band(rows[ch, band], s, out[ch, band])
     return out
 
 
@@ -123,21 +160,64 @@ def pd_combine(y: ImageTensor, x_raw: ImageTensor, s: int) -> ImageTensor:
 
 
 def _pd_combine_arr(y: np.ndarray, x_raw: np.ndarray, s: int) -> np.ndarray:
-    # Computes (x_raw - replicate(block_mean(x_raw))) + replicate(y), stripe by
-    # stripe, each block-mean row and y row widened once to the image width.
-    # Addition commutes exactly, so this is bit-identical to the generic combine.
-    if s == 1:
-        return (x_raw - x_raw) + y
+    # (x_raw - replicate(block_mean(x_raw))) + replicate(y), stripe by stripe.
     channels, height, width = x_raw.shape
     rows = x_raw.reshape(channels, height // s, s, width)
     out = np.empty_like(x_raw)
     out_rows = out.reshape(rows.shape)
-    for ch, band in _stripes(x_raw, s):
-        means = np.repeat(_band_mean(rows[ch, band], s), s, axis=-1)
-        o = out_rows[ch, band]
-        np.subtract(rows[ch, band], means[:, None], out=o)
-        o += np.repeat(y[ch, band], s, axis=-1)[:, None]
+    for ch, band in _stripes(x_raw.shape, x_raw.itemsize, s):
+        _combine_band(rows[ch, band], y[ch, band], s, out_rows[ch, band])
     return out
+
+
+def _read_bands(reader: RawReader, s: int):
+    """Yield (rows, channel, block-row slice) for each stripe of ``reader``,
+    the rows shaped (k, s, width), in the stripes of ``_stripes``."""
+    width = reader.shape[2]
+    stripes = reader.stripes(s * _band_rows(width, 8, s))
+    # The reader comes first, so zip resumes it once more after its last
+    # stripe and its end-of-file check runs.
+    for stripe, (ch, band) in zip(stripes, _stripes(reader.shape, 8, s)):
+        yield stripe.reshape(-1, s, width), ch, band
+
+
+def stream_pd(y: ImageTensor, x_raw: RawReader, s: int, path: str | Path) -> ConsistencyReport:
+    """Write ``pd_combine(y, x_raw, s)`` to ``path`` as PDT1 and return
+    ``PoolingOp.verify`` of it, reading ``x_raw`` one stripe at a time.
+
+    Each stripe is combined into one reused buffer, checked finite, written,
+    and pooled into the low-resolution ``forward`` while it is in cache, so
+    memory holds ``y``, ``forward`` and two stripes, never the image.  The
+    file and the record are those of the in-memory path, bit for bit; an
+    error leaves no file, as ``write_raw_stripes`` writes it.
+    """
+    op = PoolingOp.for_measurement(y, s)
+    op._check_raw(x_raw, op.in_shape)
+    forward = np.empty_like(y.data)
+    width = x_raw.shape[2]
+    out = np.empty((min(_band_rows(width, 8, s), y.height), s, width), dtype="<f8")
+
+    def combined():
+        for rows, ch, band in _read_bands(x_raw, s):
+            o = out[: len(rows)]
+            _combine_band(rows, y.data[ch, band], s, o)
+            _check_finite(o)
+            yield o
+            _pool_band(o, s, forward[ch, band])
+
+    write_raw_stripes(path, x_raw.shape, combined())
+    return compare(y, ImageTensor(forward))
+
+
+def stream_verify(y: ImageTensor, x_hat: RawReader, s: int) -> ConsistencyReport:
+    """``verify_consistency(y, x_hat, s)``, reading ``x_hat`` one stripe at a
+    time: memory holds ``y``, the pooled ``forward`` and one stripe."""
+    op = PoolingOp.for_measurement(y, s)
+    op._check(x_hat, op.in_shape, "input")
+    forward = np.empty_like(y.data)
+    for rows, ch, band in _read_bands(x_hat, s):
+        _pool_band(rows, s, forward[ch, band])
+    return compare(y, ImageTensor(forward))
 
 
 def verify_consistency(

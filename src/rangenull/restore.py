@@ -266,7 +266,7 @@ def save_sense_op(op: BlockSenseOp, path: str | Path) -> None:
     """Write the "PDM1" container: magic, u32 block, u32 q, u64 seed, then
     q*B^2 little-endian f64 row weights."""
     header = _SENSE_HEADER.pack(SENSE_MAGIC, op.block, op.q, op.seed & 0xFFFFFFFFFFFFFFFF)
-    _write_atomic(path, header, op.rows.astype("<f8", copy=False))
+    _write_atomic(path, [header, op.rows.astype("<f8", copy=False)])
 
 
 def load_sense_op(path: str | Path) -> BlockSenseOp:

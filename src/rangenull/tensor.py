@@ -14,17 +14,23 @@ little-endian f64 samples, planar row-major.
 Memory: ``ImageTensor`` checks that samples are finite on every
 construction, in slices through one small reused mask, so the check
 allocates no full-size temporary.  A PDT1 or PDM1 payload is read straight
-into its final array with ``os.preadv``, on the calling thread.
+into its final array with ``os.preadv``, on the calling thread.  Stripes
+of whole rows are also a unit of I/O: ``RawReader`` reads a PDT1 payload
+one stripe at a time into one reused buffer, and ``write_raw_stripes``
+writes one from a generator of stripes, so a pass over a PDT1 file need
+not hold the whole image.
 """
 
 from __future__ import annotations
 
 import errno
+import itertools
 import math
 import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -61,8 +67,7 @@ class ImageTensor:
         c, h, w = arr.shape
         if c < 1 or h < 1 or w < 1:
             raise ValueError(f"tensor dimensions must be positive, got {arr.shape}")
-        if not _all_finite(arr.reshape(-1)):
-            raise ValueError("tensor samples must be finite (no NaN or infinity)")
+        _check_finite(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -86,6 +91,13 @@ class ImageTensor:
         if not isinstance(other, ImageTensor):
             return NotImplemented
         return self.shape == other.shape and bool(np.array_equal(self.data, other.data))
+
+
+def _check_finite(arr: np.ndarray) -> None:
+    """Raise ``ImageTensor``'s ``ValueError`` unless every sample of the
+    C-contiguous ``arr`` is finite."""
+    if not _all_finite(arr.reshape(-1)):
+        raise ValueError("tensor samples must be finite (no NaN or infinity)")
 
 
 def _all_finite(flat: np.ndarray) -> bool:
@@ -141,15 +153,16 @@ def check_png_channels(channels: int) -> None:
         raise ValueError(f"PNG output needs 1 or 3 channels, got {channels}")
 
 
-def _write_atomic(path: str | Path, *payload) -> None:
-    """Write the byte buffers of ``payload`` to ``path`` so that readers see
-    either the old file or the complete new one.
+def _write_atomic(path: str | Path, payload: Iterable) -> None:
+    """Write the byte buffers ``payload`` yields to ``path`` so that readers
+    see either the old file or the complete new one.
 
     They go to a uniquely named temporary file in the same directory, opened
     with ``"xb"`` so the umask sets its mode, which ``os.replace`` then
-    moves onto ``path``; on any error the temporary file is removed.  A
-    ``path`` that ``check_destination`` refuses raises before anything is
-    created.
+    moves onto ``path``; on any error, the generator's own included, the
+    temporary file is removed.  A ``path`` that ``check_destination``
+    refuses raises before anything is created, and before ``payload`` is
+    first advanced.
     """
     check_destination(path)
     path = Path(path)
@@ -173,7 +186,7 @@ def save_png(t: ImageTensor, path: str | Path) -> ImageTensor:
     check_png_channels(t.channels)
     samples = np.empty((t.height, t.width, t.channels), np.uint8)
     np.copyto(samples, _levels(t).transpose(1, 2, 0), casting="unsafe")
-    _write_atomic(path, _png.encode(samples))
+    _write_atomic(path, [_png.encode(samples)])
     return _planar(samples, 255.0)
 
 
@@ -192,20 +205,99 @@ def _planar(samples: np.ndarray, peak: float) -> ImageTensor:
 
 def write_raw(t: ImageTensor, path: str | Path) -> None:
     """Write the lossless PDT1 container (bit-exact round trip)."""
-    header = _RAW_HEADER.pack(RAW_MAGIC, t.channels, t.height, t.width)
-    _write_atomic(path, header, t.data.astype("<f8", copy=False))
+    write_raw_stripes(path, t.shape, [t.data.astype("<f8", copy=False)])
+
+
+def write_raw_stripes(path: str | Path, shape: tuple[int, int, int], stripes: Iterable) -> None:
+    """Write a PDT1 file of ``shape`` whose payload is the little-endian f64
+    buffers ``stripes`` yields, in order, atomically as every output is
+    written: an error raised while ``stripes`` is advanced leaves no file.
+    """
+    _write_atomic(path, itertools.chain([_RAW_HEADER.pack(RAW_MAGIC, *shape)], stripes))
 
 
 def read_raw(path: str | Path) -> ImageTensor:
     """Read a PDT1 file; the payload must hold exactly the header's samples."""
     with open(path, "rb") as f:
-        head = f.read(_RAW_HEADER.size)
-        if len(head) < _RAW_HEADER.size or head[:4] != RAW_MAGIC:
-            raise ValueError(f"{path}: not a PDT1 tensor file (bad magic)")
-        _, c, h, w = _RAW_HEADER.unpack(head)
-        if c < 1 or h < 1 or w < 1:
-            raise ValueError(f"{path}: invalid tensor dimensions {(c, h, w)}")
-        return ImageTensor(_read_payload(f, path, (c, h, w), "header dimensions"))
+        shape = _raw_shape(f, path)
+        return ImageTensor(_read_payload(f, path, shape, "header dimensions"))
+
+
+def is_raw(path: str | Path) -> bool:
+    """Whether ``path`` starts with the PDT1 magic, the test by which
+    ``load_tensor`` hands a file to ``read_raw``."""
+    with open(path, "rb") as f:
+        return f.read(len(RAW_MAGIC)) == RAW_MAGIC
+
+
+class RawReader:
+    """A PDT1 file held open to be read one stripe of whole rows at a time.
+
+    Opening checks the header and the payload size as ``read_raw`` does,
+    with the same messages, before anything is read.  ``stripes`` then
+    reads the samples; use the reader as a context manager, which closes
+    the file.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = path
+        self._file = open(path, "rb")
+        try:
+            self.shape = _raw_shape(self._file, path)
+            self._start = _payload_start(self._file, path, self.shape, "header dimensions")
+        except BaseException:
+            self._file.close()
+            raise
+
+    def __enter__(self) -> "RawReader":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._file.close()
+
+    def stripes(self, rows: int):
+        """Yield the samples in file order, each channel as (k, width) arrays
+        of ``rows`` rows (the last one of a channel may be shorter).
+
+        Every stripe is read with ``os.preadv`` into one reused buffer, so
+        it is valid until the next one is read, and checked finite with
+        ``ImageTensor``'s message.  A file that shrinks or grows while it is
+        read raises ``ValueError`` as in ``read_raw``; growth is seen once
+        the last stripe has been read.
+        """
+        channels, height, width = self.shape
+        fd, offset = self._file.fileno(), self._start
+        buf = np.empty((min(rows, height), width), dtype="<f8")
+        for _ in range(channels):
+            for r0 in range(0, height, rows):
+                stripe = buf[: min(rows, height - r0)]
+                _pread_exact(fd, stripe, offset, self.path)
+                _check_finite(stripe)
+                offset += stripe.nbytes
+                yield stripe
+        _check_ended(fd, offset, self.path)
+
+
+def _raw_shape(f, path) -> tuple[int, int, int]:
+    """Read and check the PDT1 header at the start of ``f``; return its shape."""
+    head = f.read(_RAW_HEADER.size)
+    if len(head) < _RAW_HEADER.size or head[:4] != RAW_MAGIC:
+        raise ValueError(f"{path}: not a PDT1 tensor file (bad magic)")
+    _, c, h, w = _RAW_HEADER.unpack(head)
+    if c < 1 or h < 1 or w < 1:
+        raise ValueError(f"{path}: invalid tensor dimensions {(c, h, w)}")
+    return c, h, w
+
+
+def _payload_start(f, path, shape: tuple[int, ...], declared_by: str) -> int:
+    """The position of ``f``, after checking that the rest of the file holds
+    exactly the f64 samples of ``shape``."""
+    start = f.tell()
+    need = 8 * math.prod(shape)
+    have = os.fstat(f.fileno()).st_size - start
+    if have != need:
+        raise ValueError(f"{path}: payload is {have} bytes, {declared_by} need {need}")
+    return start
 
 
 def _read_payload(f, path, shape: tuple[int, ...], declared_by: str) -> np.ndarray:
@@ -215,28 +307,29 @@ def _read_payload(f, path, shape: tuple[int, ...], declared_by: str) -> np.ndarr
     Positioned reads fill the array without moving ``f``.  A file that
     shrinks or grows while it is read raises ``ValueError``.
     """
-    fd, start = f.fileno(), f.tell()
-    need = 8 * math.prod(shape)
-    have = os.fstat(fd).st_size - start
-    if have != need:
-        raise ValueError(f"{path}: payload is {have} bytes, {declared_by} need {need}")
+    start = _payload_start(f, path, shape, declared_by)
     arr = np.empty(shape, dtype="<f8")
-    if not _pread_into(fd, memoryview(arr).cast("B"), start):
-        raise ValueError(f"{path}: payload shrank while it was read")
-    if os.pread(fd, 1, start + need):
-        raise ValueError(f"{path}: payload grew while it was read")
+    _pread_exact(f.fileno(), arr, start, path)
+    _check_ended(f.fileno(), start + arr.nbytes, path)
     return arr
 
 
-def _pread_into(fd: int, view: memoryview, offset: int) -> bool:
-    """Fill ``view`` from ``fd`` at ``offset``, looping over short reads (one
-    read returns at most about 2 GiB on Linux); False if the file ends first."""
+def _pread_exact(fd: int, arr: np.ndarray, offset: int, path) -> None:
+    """Fill the C-contiguous ``arr`` from ``fd`` at ``offset``, looping over
+    short reads (one read returns at most about 2 GiB on Linux); raise if
+    the file ends first."""
+    view = memoryview(arr).cast("B")
     while view:
         n = os.preadv(fd, [view], offset)
         if n == 0:
-            return False
+            raise ValueError(f"{path}: payload shrank while it was read")
         view, offset = view[n:], offset + n
-    return True
+
+
+def _check_ended(fd: int, offset: int, path) -> None:
+    """Raise if ``fd`` holds anything at or past ``offset``, the payload's end."""
+    if os.pread(fd, 1, offset):
+        raise ValueError(f"{path}: payload grew while it was read")
 
 
 def load_tensor(path: str | Path) -> ImageTensor:

@@ -2,9 +2,11 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from rangenull import (
     save_png,
     write_raw,
 )
+from rangenull import pooling
 from rangenull.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -663,3 +666,165 @@ class TestProcessLevel:
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 2
+
+
+def _pdt1(path, a):
+    """Write ``a`` as PDT1 bytes directly, so a test can store what ``write_raw`` refuses."""
+    a = np.asarray(a, dtype="<f8")
+    path.write_bytes(struct.pack("<4sIII", b"PDT1", *a.shape) + a.tobytes())
+
+
+def _resize_on_first_read(monkeypatch, path, change):
+    """Truncate or extend ``path`` by ``change`` bytes at the first ``os.preadv`` on it."""
+    real_preadv, inode = os.preadv, path.stat().st_ino
+
+    def preadv(fd, buffers, offset):
+        if os.fstat(fd).st_ino == inode:
+            monkeypatch.setattr(os, "preadv", real_preadv)
+            os.truncate(path, path.stat().st_size + change)
+        return real_preadv(fd, buffers, offset)
+
+    monkeypatch.setattr(os, "preadv", preadv)
+
+
+# Faults of a PDT1 prediction (``pd --raw``) or reconstruction (``verify
+# --sr``) of shape (3, 8, 10) for a (3, 4, 5) measurement at scale 2, and
+# the message each gives; {path} is the faulty file, {role} its command's
+# shape message.
+_FAULTS = {
+    "bad_magic": "{path}: unrecognized format (expected PNG or PDT1)",
+    "short_header": "{path}: not a PDT1 tensor file (bad magic)",
+    "zero_dimension": "{path}: invalid tensor dimensions (3, 0, 10)",
+    "sample_short": "{path}: payload is 1912 bytes, header dimensions need 1920",
+    "sample_long": "{path}: payload is 1928 bytes, header dimensions need 1920",
+    "nan_in_last_stripe": "tensor samples must be finite (no NaN or infinity)",
+    "shape_mismatch": "{role}",
+    "overflow": "tensor samples must be finite (no NaN or infinity)",
+    "shrinks": "{path}: payload shrank while it was read",
+    "grows": "{path}: payload grew while it was read",
+}
+_SHAPE_MESSAGES = {
+    "pd": "external prediction shape (3, 8, 12), expected (3, 8, 10)",
+    "verify": "input shape (3, 8, 12) does not match operator shape (3, 8, 10)",
+}
+
+
+def _make_fault(fault, path, monkeypatch, stream):
+    """Write the faulty file of ``fault`` at ``path``; return the measurement."""
+    y = stream.uniform((3, 4, 5))
+    x = stream.uniform((3, 8, 10))
+    if fault == "overflow":
+        # Every block mean is 1e308 but the last, whose anchored residual
+        # overflows; y then makes no other sample overflow.
+        y, x = np.full(y.shape, -1e308), np.full(x.shape, 1e308)
+        x[-1, -1, -1] = -1e308
+    if fault == "nan_in_last_stripe":
+        x[-1, -1, -1] = np.nan
+    _pdt1(path, x if fault != "shape_mismatch" else stream.uniform((3, 8, 12)))
+    data = path.read_bytes()
+    if fault == "bad_magic":
+        path.write_bytes(b"NOPE" + data[4:])
+    elif fault == "short_header":
+        path.write_bytes(data[:10])
+    elif fault == "zero_dimension":
+        path.write_bytes(data[:8] + struct.pack("<I", 0) + data[12:])
+    elif fault == "sample_short":
+        path.write_bytes(data[:-8])
+    elif fault == "sample_long":
+        path.write_bytes(data + bytes(8))
+    elif fault in ("shrinks", "grows"):
+        _resize_on_first_read(monkeypatch, path, -8 if fault == "shrinks" else 8)
+    return y
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestStreamedErrors:
+    """``pd --predictor external`` with a PDT1 ``--raw`` and ``verify`` with a
+    PDT1 ``--sr`` read the file one stripe at a time; every fault still
+    exits 3 with the message of the in-memory path, prints nothing and
+    leaves no file behind."""
+
+    @pytest.fixture(autouse=True)
+    def one_block_row_per_stripe(self, monkeypatch):
+        monkeypatch.setattr(pooling, "_STRIPE_BYTES", 1)
+
+    @pytest.mark.parametrize("output", ["o.pdt1", "o.png"], ids=["streamed", "in_memory"])
+    @pytest.mark.parametrize("fault", sorted(_FAULTS))
+    def test_pd(self, capsys, tmp_path, stream, monkeypatch, fault, output):
+        lr, raw, out = tmp_path / "lr.pdt1", tmp_path / "raw.pdt1", tmp_path / output
+        _pdt1(lr, _make_fault(fault, raw, monkeypatch, stream))
+        out.write_bytes(b"old")
+        code, stdout, stderr = run_cli(
+            capsys, "pd", "--lr", str(lr), "--scale", "2", "--predictor", "external",
+            "--raw", str(raw), "--output", str(out),
+        )
+        message = _FAULTS[fault].format(path=raw, role=_SHAPE_MESSAGES["pd"])
+        assert (code, stdout, stderr) == (3, "", f"error: {message}\n")
+        assert out.read_bytes() == b"old"
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("fault", sorted(_FAULTS))
+    def test_verify(self, capsys, tmp_path, stream, monkeypatch, fault):
+        lr, sr = tmp_path / "lr.pdt1", tmp_path / "sr.pdt1"
+        _pdt1(lr, _make_fault(fault, sr, monkeypatch, stream))
+        code, stdout, stderr = run_cli(capsys, "verify", "--lr", str(lr), "--sr", str(sr), "--scale", "2")
+        message = _FAULTS[fault].format(path=sr, role=_SHAPE_MESSAGES["verify"])
+        assert (code, stdout, stderr) == (3, "", f"error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lr.pdt1", "sr.pdt1"]
+
+    @pytest.mark.parametrize("fault", ["nan_in_last_stripe", "shrinks", "grows"])
+    def test_pd_checks_the_destination_before_reading(self, capsys, tmp_path, stream, monkeypatch, fault):
+        # A fault met while reading --raw now comes after the destination
+        # check, which must precede the first streamed write.
+        lr, raw, out = tmp_path / "lr.pdt1", tmp_path / "raw.pdt1", tmp_path / "out"
+        out.mkdir()
+        _pdt1(lr, _make_fault(fault, raw, monkeypatch, stream))
+        code, stdout, stderr = run_cli(
+            capsys, "pd", "--lr", str(lr), "--scale", "2", "--predictor", "external",
+            "--raw", str(raw), "--output", str(out),
+        )
+        assert (code, stdout) == (3, "")
+        assert stderr.startswith("error: ") and "Is a directory" in stderr
+        assert not list(tmp_path.rglob("*.tmp")) and not any(out.iterdir())
+
+    def test_verify_reads_a_mismatched_sr_before_naming_its_shape(self, capsys, tmp_path, stream):
+        # A --sr of the wrong shape is not streamed: a NaN in it is still
+        # reported first, as the in-memory path reads the whole file first.
+        lr, sr = tmp_path / "lr.pdt1", tmp_path / "sr.pdt1"
+        _pdt1(lr, stream.uniform((3, 4, 5)))
+        x = stream.uniform((3, 8, 12))
+        x[-1, -1, -1] = np.nan
+        _pdt1(sr, x)
+        code, stdout, stderr = run_cli(capsys, "verify", "--lr", str(lr), "--sr", str(sr), "--scale", "2")
+        assert (code, stdout) == (3, "")
+        assert stderr == "error: tensor samples must be finite (no NaN or infinity)\n"
+
+
+class TestStreamedMemory:
+    """The streamed commands hold the measurement, its pooled estimate and a
+    few stripes: at scale 4 well under a quarter of one image's bytes,
+    where the in-memory path holds two images for ``pd`` and one for
+    ``verify``."""
+
+    @pytest.mark.parametrize("command", ["pd", "verify"])
+    def test_peak_below_a_quarter_of_the_image(self, capsys, tmp_path, command):
+        shape = (3, 1024, 1024)
+        image_bytes = 8 * np.prod(shape)
+        lr, raw, out = tmp_path / "lr.pdt1", tmp_path / "raw.pdt1", tmp_path / "o.pdt1"
+        x = np.random.default_rng(7).uniform(size=shape)
+        _pdt1(raw, x)
+        _pdt1(lr, x.reshape(3, 256, 4, 256, 4).mean(axis=(2, 4)))
+        del x
+        if command == "pd":
+            argv = ["pd", "--lr", str(lr), "--scale", "4", "--predictor", "external",
+                    "--raw", str(raw), "--output", str(out)]
+        else:
+            argv = ["verify", "--lr", str(lr), "--sr", str(raw), "--scale", "4"]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(json_lines(capsys.readouterr().out)) == 1
+        assert peak < image_bytes / 4

@@ -193,7 +193,7 @@ class TestAtomicWrite:
         if existing:
             path.write_bytes(b"old")
         with pytest.raises(TypeError):
-            _write_atomic(path, b"PDT1 header", object())  # the second part is not a buffer
+            _write_atomic(path, [b"PDT1 header", object()])  # the second part is not a buffer
         assert sorted(tmp_path.iterdir()) == ([path] if existing else [])
         assert not existing or path.read_bytes() == b"old"
 

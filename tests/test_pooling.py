@@ -1,5 +1,7 @@
 """Block-mean pooling, replication, and the consistent combine."""
 
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,23 +13,29 @@ from hypothesis.extra.numpy import arrays
 from rangenull import (
     ImageTensor,
     PoolingOp,
+    RawReader,
     extract_highfreq,
     pd_combine,
     pool_down,
     pool_up,
     quantize,
+    stream_pd,
+    stream_verify,
     verify_consistency,
+    write_raw,
 )
 from rangenull import pooling
 from rangenull.pooling import _block_mean, _pd_combine_arr, _replicate
 
 
-def lr_and_raw(max_s=4, lo=-100.0, hi=100.0):
+def lr_and_raw(max_s=4, lo=-100.0, hi=100.0, signed_zeros=False):
     """Strategy: scale s plus matching LR tensor and raw HR prediction."""
 
     def build(args):
         s, c, h, w = args
         vals = st.floats(lo, hi, allow_nan=False, width=64)
+        if signed_zeros:
+            vals = st.sampled_from([0.0, -0.0]) | vals
         return st.tuples(
             st.just(s),
             arrays(np.float64, (c, h, w), elements=vals).map(ImageTensor),
@@ -272,3 +280,35 @@ class TestStripedKernels:
             combined32 = _pd_combine_arr(y32, x32, s)
             assert combined32.dtype == np.float32
             assert combined32.tobytes() == via_parts32.tobytes()
+
+
+class TestStreamedKernels:
+    """``stream_pd`` and ``stream_verify`` read a PDT1 file one stripe at a
+    time and must give the in-memory path's bytes and records."""
+
+    @STRIPES
+    @given(lr_and_raw(max_s=8, signed_zeros=True))
+    def test_stream_equals_in_memory(self, stripe_bytes, case):
+        s, y, x_raw = case
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(pooling, "_STRIPE_BYTES", stripe_bytes):
+            raw, out, ref = Path(tmp, "raw.pdt1"), Path(tmp, "out.pdt1"), Path(tmp, "ref.pdt1")
+            write_raw(x_raw, raw)
+            with RawReader(raw) as reader:
+                record = stream_pd(y, reader, s, out)
+            x_hat = pd_combine(y, x_raw, s)
+            write_raw(x_hat, ref)
+            assert out.read_bytes() == ref.read_bytes()
+            assert record.to_dict() == PoolingOp.for_measurement(y, s).verify(y, x_hat).to_dict()
+            with RawReader(out) as reader:
+                assert stream_verify(y, reader, s).to_dict() == verify_consistency(y, x_hat, s).to_dict()
+
+    def test_scale_one_keeps_signed_zeros(self, tmp_path):
+        # (x - x) + y, not x minus its anchored mean: the mean of -0.0 is +0.0.
+        y = ImageTensor(np.array([[[-0.0, 0.0, -0.0]]]))
+        raw, out = tmp_path / "raw.pdt1", tmp_path / "out.pdt1"
+        write_raw(ImageTensor(np.array([[[-0.0, -0.0, 0.0]]])), raw)
+        with RawReader(raw) as reader:
+            stream_pd(y, reader, 1, out)
+        with RawReader(out) as reader:
+            (stripe,) = reader.stripes(1)
+            assert np.signbit(stripe).tolist() == [[False, False, False]]

@@ -11,7 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rangenull import ImageTensor, load_png, load_tensor, quantize, read_raw, save_png, write_raw
+from rangenull import ImageTensor, RawReader, load_png, load_tensor, quantize, read_raw, save_png, write_raw
+from rangenull.tensor import is_raw, write_raw_stripes
 
 
 def finite_tensors(min_side=1, max_side=6, lo=-8.0, hi=8.0):
@@ -276,7 +277,7 @@ class TestRaw:
 
     @pytest.fixture(params=["one_read"])
     def split(self, request):
-        """Every payload is read by one ``_pread_into`` call."""
+        """Every payload is read by one ``_pread_exact`` call."""
 
     @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 1, 3), (3, 5, 7), (2, 1, 9)])
     def test_small_and_odd_shapes(self, tmp_path, stream, shape, split):
@@ -336,3 +337,58 @@ class TestRaw:
         path.write_bytes(b"garbage!")
         with pytest.raises(ValueError, match="unrecognized"):
             load_tensor(path)
+
+
+class TestRawStripes:
+    @pytest.mark.parametrize("rows", [1, 2, 5, 7])
+    def test_stripes_are_the_payload_in_order(self, tmp_path, stream, rows):
+        path = tmp_path / "t.pdt1"
+        t = ImageTensor(stream.gaussian((2, 5, 3)))
+        write_raw(t, path)
+        with RawReader(path) as reader:
+            assert reader.shape == t.shape
+            stripes = [s.copy() for s in reader.stripes(rows)]
+        assert all(len(s) <= rows for s in stripes)
+        assert b"".join(s.tobytes() for s in stripes) == t.data.tobytes()
+
+    def test_stripes_written_in_order_make_the_file_of_write_raw(self, tmp_path, stream):
+        t = ImageTensor(stream.gaussian((3, 4, 5)))
+        write_raw(t, tmp_path / "whole.pdt1")
+        stripes = (t.data[c, r : r + 3] for c in range(3) for r in (0, 3))
+        write_raw_stripes(tmp_path / "striped.pdt1", t.shape, stripes)
+        assert (tmp_path / "striped.pdt1").read_bytes() == (tmp_path / "whole.pdt1").read_bytes()
+
+    def test_error_from_the_stripes_leaves_no_file(self, tmp_path):
+        def stripes():
+            yield np.zeros((1, 2))
+            raise ValueError("stop")
+
+        with pytest.raises(ValueError, match="stop"):
+            write_raw_stripes(tmp_path / "t.pdt1", (1, 2, 2), stripes())
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("change, message", [(-8, "shrank"), (8, "grew")])
+    def test_file_changed_after_size_check(self, tmp_path, stream, monkeypatch, change, message):
+        path = tmp_path / "t.pdt1"
+        write_raw(ImageTensor(stream.uniform((3, 6, 6))), path)
+        with RawReader(path) as reader:
+            os.truncate(path, path.stat().st_size + change)
+            with pytest.raises(ValueError, match=message):
+                list(reader.stripes(2))
+
+    def test_non_finite_stripe(self, tmp_path):
+        path = tmp_path / "t.pdt1"
+        a = np.zeros((1, 4, 2))
+        a[0, 3, 1] = np.inf
+        path.write_bytes(struct.pack("<4sIII", b"PDT1", *a.shape) + a.tobytes())
+        with RawReader(path) as reader:
+            stripes = reader.stripes(2)
+            next(stripes)
+            with pytest.raises(ValueError, match="must be finite"):
+                next(stripes)
+
+    def test_is_raw_follows_the_magic(self, tmp_path, stream):
+        t = ImageTensor(stream.uniform((1, 2, 2)))
+        write_raw(t, tmp_path / "t.pdt1")
+        save_png(t, tmp_path / "t.png")
+        assert [is_raw(tmp_path / n) for n in ("t.pdt1", "t.png")] == [True, False]
