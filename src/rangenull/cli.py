@@ -13,7 +13,6 @@ default seed 0 wherever a --seed flag is omitted.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import os
@@ -37,7 +36,7 @@ from .pooling import (
     stream_verify,
     verify_consistency,
 )
-from .resample import FILTERS, PREDICTORS, ResampleSpec, predict_raw, resample
+from .resample import FILTERS, PREDICTORS, ResampleSpec, check_external, predict_raw, resample
 from .restore import (
     ColorMeanOp,
     color_to_gray,
@@ -226,52 +225,37 @@ def _cmd_degrade(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-@contextlib.contextmanager
-def _striped(path: str | None, y: ImageTensor, s: int):
-    """Yield ``path`` open as a ``RawReader`` if it is a PDT1 file of ``y``'s
-    shape scaled by ``s``, else None.
-
-    A PDT1 header or payload size that ``read_raw`` would refuse raises
-    here, with its message.  Every other case is left to the in-memory
-    path, which loads the file and reports what is wrong in its own order.
-    """
-    if path is None or s < 1 or not is_raw(path):
-        yield None
-        return
-    with RawReader(path) as reader:
-        yield reader if reader.shape == (y.channels, s * y.height, s * y.width) else None
-
-
 def _cmd_pd(args: argparse.Namespace) -> int:
     """Reconstruct ``--output`` (then ``--png``) from ``--lr`` and print one
     record per file.
 
-    An external PDT1 prediction of the output's shape, written to a PDT1
-    ``--output`` with no ``--png``, streams through ``stream_pd``, which
-    holds the low-resolution arrays and two stripes, never the image;
-    its record is ``compare(y, forward)`` of the pooled stripes.  Every
-    other case goes through ``_reconstruct``.  Both give the same bytes and
-    records.
+    The file format alone picks the path: an external PDT1 prediction with
+    one PDT1 ``--output`` streams through ``stream_pd``, which holds the
+    low-resolution arrays and two stripes, never the image; one of the
+    wrong shape is refused from its header.  Every other case goes through
+    ``_reconstruct``.  Both give the same bytes, records and messages.
     """
     y = load_tensor(args.lr)
-    streams = args.predictor == "external" and args.png is None and not _is_png(args.output)
-    with _striped(args.raw if streams else None, y, args.scale) as x_raw:
-        if x_raw is not None:
+    op = PoolingOp.for_measurement(y, args.scale)
+    streams = args.predictor == "external" and args.raw is not None and args.png is None
+    if streams and not _is_png(args.output) and is_raw(args.raw):
+        with RawReader(args.raw) as x_raw:
+            check_external(y, args.scale, x_raw.shape)
             _emit(stream_pd(y, x_raw, args.scale, args.output).to_dict())
-            return EXIT_OK
+        return EXIT_OK
     x_raw = predict_raw(y, args.predictor, args.scale, args.raw)
     pngs = () if args.png is None else (args.png,)
-    _reconstruct(PoolingOp.for_measurement(y, args.scale), y, x_raw, args.output, *pngs)
+    _reconstruct(op, y, x_raw, args.output, *pngs)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     lr = load_tensor(args.lr)
-    with _striped(args.sr, lr, args.scale) as sr:
-        if sr is not None:
+    if is_raw(args.sr):
+        with RawReader(args.sr) as sr:
             _emit(stream_verify(lr, sr, args.scale).to_dict())
-            return EXIT_OK
-    _emit(verify_consistency(lr, load_tensor(args.sr), args.scale).to_dict())
+    else:
+        _emit(verify_consistency(lr, load_tensor(args.sr), args.scale).to_dict())
     return EXIT_OK
 
 
@@ -411,7 +395,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Images are checked finite and reports saturate, so numpy's overflow
+        # warnings would only repeat what the call reports itself.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ValueError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT

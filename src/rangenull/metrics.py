@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -17,9 +18,11 @@ PSNR_CAP = 300.0
 class ConsistencyReport:
     """Error statistics between two same-shape tensors.
 
-    ``psnr`` is measured against peak 1.0 and capped at 300 dB so reports
-    stay finite and JSON-safe; ``pixel_count`` is the number of samples
-    compared (channels * height * width).
+    ``psnr`` is measured against peak 1.0 and capped at 300 dB; ``l1``,
+    ``mse`` and ``max_abs`` saturate at the largest finite float, which
+    keeps ``psnr`` at or above -3082.6 dB.  Reports thus stay finite and
+    JSON-safe.  ``pixel_count`` is the number of samples compared
+    (channels * height * width).
     """
 
     psnr: float
@@ -41,16 +44,17 @@ def compare(a: ImageTensor, b: ImageTensor) -> ConsistencyReport:
     All statistics come from one full-size buffer: the difference, made
     absolute in place for L1 and max-abs, then squared in place for the
     MSE.  The figures are those of ``d = abs(a - b)``, ``mean(d)``,
-    ``max(d)`` and ``mean(d * d)``, bit for bit.
+    ``max(d)`` and ``mean(d * d)``, bit for bit, saturated at the largest float.
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     diff = np.subtract(a.data, b.data)
     np.abs(diff, out=diff)
-    l1 = float(np.mean(diff))
-    max_abs = float(np.max(diff))
+    top = sys.float_info.max
+    l1 = min(float(np.mean(diff)), top)
+    max_abs = min(float(np.max(diff)), top)
     np.square(diff, out=diff)
-    mse = float(np.mean(diff))
+    mse = min(float(np.mean(diff)), top)
     psnr = PSNR_CAP if mse == 0.0 else min(PSNR_CAP, 10.0 * math.log10(1.0 / mse))
     return ConsistencyReport(psnr=psnr, l1=l1, mse=mse, max_abs=max_abs, pixel_count=int(diff.size))
 

@@ -19,9 +19,10 @@ a fixed order, so it does not depend on how the image is striped:
 ``pool_down`` and ``pd_combine`` agree bit for bit.  Both keep the input
 dtype.
 
-Stripes are also the unit of I/O.  ``stream_pd`` and ``stream_verify``
-run the same stripe kernels on a PDT1 file read one stripe at a time, so
-they hold the low-resolution arrays and two stripes, never the
+One walk, ``_stripes``, yields the stripes of an array as views or of a
+PDT1 file as it reads them, so the same loops serve both.
+``stream_pd`` and ``stream_verify`` run them on a ``RawReader``: they
+hold the low-resolution arrays and two stripes, never the
 high-resolution image, and give the bytes and records of the in-memory
 path.
 """
@@ -52,14 +53,22 @@ def _band_rows(width: int, itemsize: int, s: int) -> int:
     return max(1, _STRIPE_BYTES // (s * width * itemsize))
 
 
-def _stripes(shape: tuple[int, int, int], itemsize: int, s: int):
-    """(channel, block-row slice) pieces of an image of ``shape``, in memory
-    order, of ``_band_rows`` block rows each (fewer at a channel's end)."""
-    channels, height, width = shape
-    step = _band_rows(width, itemsize, s)
-    for ch in range(channels):
-        for r0 in range(0, height // s, step):
-            yield ch, slice(r0, r0 + step)
+def _stripes(src: np.ndarray | RawReader, s: int):
+    """Yield (rows, channel, block-row slice) for each stripe of ``src``, in
+    memory order: ``_band_rows`` block rows of one channel (fewer at its
+    end), shaped (k, s, width).  An array's stripes are views; a
+    ``RawReader``'s are read into one buffer, valid until the next."""
+    channels, height, width = src.shape
+    step = _band_rows(width, src.dtype.itemsize, s)
+    if isinstance(src, RawReader):
+        pieces = src.stripes(s * step)
+    else:
+        pieces = (plane[r0 : r0 + s * step] for plane in src for r0 in range(0, height, s * step))
+    bands = ((ch, slice(r0, r0 + step)) for ch in range(channels) for r0 in range(0, height // s, step))
+    # The pieces come first, so zip resumes them once more after the last
+    # stripe and a reader's end-of-file check runs.
+    for piece, (ch, band) in zip(pieces, bands):
+        yield piece.reshape(-1, s, width), ch, band
 
 
 def _band_mean(rows: np.ndarray, s: int) -> np.ndarray:
@@ -110,13 +119,13 @@ def _combine_band(rows: np.ndarray, y_rows: np.ndarray, s: int, out: np.ndarray)
     out += np.repeat(y_rows, s, axis=-1)[:, None]
 
 
-def _block_mean(a: np.ndarray, s: int) -> np.ndarray:
-    """Mean over non-overlapping s x s blocks, dtype preserving."""
-    channels, height, width = a.shape
-    rows = a.reshape(channels, height // s, s, width)
-    out = np.empty((channels, height // s, width // s), a.dtype)
-    for ch, band in _stripes(a.shape, a.itemsize, s):
-        _pool_band(rows[ch, band], s, out[ch, band])
+def _block_mean(src: np.ndarray | RawReader, s: int) -> np.ndarray:
+    """Mean over non-overlapping s x s blocks of an array or a ``RawReader``'s
+    file, dtype preserving."""
+    channels, height, width = src.shape
+    out = np.empty((channels, height // s, width // s), src.dtype)
+    for rows, ch, band in _stripes(src, s):
+        _pool_band(rows, s, out[ch, band])
     return out
 
 
@@ -161,24 +170,11 @@ def pd_combine(y: ImageTensor, x_raw: ImageTensor, s: int) -> ImageTensor:
 
 def _pd_combine_arr(y: np.ndarray, x_raw: np.ndarray, s: int) -> np.ndarray:
     # (x_raw - replicate(block_mean(x_raw))) + replicate(y), stripe by stripe.
-    channels, height, width = x_raw.shape
-    rows = x_raw.reshape(channels, height // s, s, width)
     out = np.empty_like(x_raw)
-    out_rows = out.reshape(rows.shape)
-    for ch, band in _stripes(x_raw.shape, x_raw.itemsize, s):
-        _combine_band(rows[ch, band], y[ch, band], s, out_rows[ch, band])
+    out_rows = out.reshape(x_raw.shape[0], -1, s, x_raw.shape[2])
+    for rows, ch, band in _stripes(x_raw, s):
+        _combine_band(rows, y[ch, band], s, out_rows[ch, band])
     return out
-
-
-def _read_bands(reader: RawReader, s: int):
-    """Yield (rows, channel, block-row slice) for each stripe of ``reader``,
-    the rows shaped (k, s, width), in the stripes of ``_stripes``."""
-    width = reader.shape[2]
-    stripes = reader.stripes(s * _band_rows(width, 8, s))
-    # The reader comes first, so zip resumes it once more after its last
-    # stripe and its end-of-file check runs.
-    for stripe, (ch, band) in zip(stripes, _stripes(reader.shape, 8, s)):
-        yield stripe.reshape(-1, s, width), ch, band
 
 
 def stream_pd(y: ImageTensor, x_raw: RawReader, s: int, path: str | Path) -> ConsistencyReport:
@@ -198,7 +194,7 @@ def stream_pd(y: ImageTensor, x_raw: RawReader, s: int, path: str | Path) -> Con
     out = np.empty((min(_band_rows(width, 8, s), y.height), s, width), dtype="<f8")
 
     def combined():
-        for rows, ch, band in _read_bands(x_raw, s):
+        for rows, ch, band in _stripes(x_raw, s):
             o = out[: len(rows)]
             _combine_band(rows, y.data[ch, band], s, o)
             _check_finite(o)
@@ -211,13 +207,16 @@ def stream_pd(y: ImageTensor, x_raw: RawReader, s: int, path: str | Path) -> Con
 
 def stream_verify(y: ImageTensor, x_hat: RawReader, s: int) -> ConsistencyReport:
     """``verify_consistency(y, x_hat, s)``, reading ``x_hat`` one stripe at a
-    time: memory holds ``y``, the pooled ``forward`` and one stripe."""
+    time: memory holds ``y``, the pooled ``forward`` and one stripe.  A
+    file that does not fit is read through before the scale or the shape
+    is refused, so its own faults come first, as when it is loaded whole.
+    """
+    if x_hat.shape != (y.channels, s * y.height, s * y.width):
+        for _ in _stripes(x_hat, 1):
+            pass
     op = PoolingOp.for_measurement(y, s)
     op._check(x_hat, op.in_shape, "input")
-    forward = np.empty_like(y.data)
-    for rows, ch, band in _read_bands(x_hat, s):
-        _pool_band(rows, s, forward[ch, band])
-    return compare(y, ImageTensor(forward))
+    return compare(y, ImageTensor(_block_mean(x_hat, s)))
 
 
 def verify_consistency(

@@ -162,8 +162,13 @@ def predict_raw(
         if external_path is None:
             raise ValueError("external predictor needs a file path")
         t = load_tensor(external_path)
-        expected = (y.channels, s * y.height, s * y.width)
-        if t.shape != expected:
-            raise ValueError(f"external prediction shape {t.shape}, expected {expected}")
+        check_external(y, s, t.shape)
         return t
     return resample(y, ResampleSpec(filter=method, antialias=False, scale=s, direction="up"))
+
+
+def check_external(y: ImageTensor, s: int, shape: tuple[int, ...]) -> None:
+    """Refuse an external prediction's ``shape`` unless it is ``y``'s times ``s``."""
+    expected = (y.channels, s * y.height, s * y.width)
+    if shape != expected:
+        raise ValueError(f"external prediction shape {shape}, expected {expected}")

@@ -239,6 +239,8 @@ class RawReader:
     the file.
     """
 
+    dtype = np.dtype("<f8")  # as in the array of ``read_raw``
+
     def __init__(self, path: str | Path):
         self.path = path
         self._file = open(path, "rb")
@@ -267,7 +269,7 @@ class RawReader:
         """
         channels, height, width = self.shape
         fd, offset = self._file.fileno(), self._start
-        buf = np.empty((min(rows, height), width), dtype="<f8")
+        buf = np.empty((min(rows, height), width), self.dtype)
         for _ in range(channels):
             for r0 in range(0, height, rows):
                 stripe = buf[: min(rows, height - r0)]

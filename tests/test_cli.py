@@ -799,6 +799,44 @@ class TestStreamedErrors:
         assert (code, stdout) == (3, "")
         assert stderr == "error: tensor samples must be finite (no NaN or infinity)\n"
 
+    @pytest.mark.parametrize("fault", ["nan_in_last_stripe", "shrinks", "grows"])
+    def test_pd_names_a_wrong_shape_before_reading(self, capsys, tmp_path, stream, monkeypatch, fault):
+        # A --raw of the wrong shape is refused from its header, so a fault
+        # met only while reading it is not reached: the file is never read.
+        lr, raw, out = tmp_path / "lr.pdt1", tmp_path / "raw.pdt1", tmp_path / "o.pdt1"
+        _pdt1(lr, stream.uniform((3, 4, 5)))
+        x = stream.uniform((3, 8, 12))
+        if fault == "nan_in_last_stripe":
+            x[-1, -1, -1] = np.nan
+        _pdt1(raw, x)
+        if fault in ("shrinks", "grows"):
+            _resize_on_first_read(monkeypatch, raw, -8 if fault == "shrinks" else 8)
+        code, stdout, stderr = run_cli(
+            capsys, "pd", "--lr", str(lr), "--scale", "2", "--predictor", "external",
+            "--raw", str(raw), "--output", str(out),
+        )
+        assert (code, stdout, stderr) == (3, "", f"error: {_SHAPE_MESSAGES['pd']}\n")
+        assert raw.stat().st_size == 16 + 8 * x.size
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change", [-8, 8], ids=["shrinks", "grows"])
+    @pytest.mark.parametrize("shape, scale", [((3, 8, 12), "2"), ((3, 8, 10), "0")], ids=["shape", "scale"])
+    def test_verify_reads_an_unfit_sr_one_stripe_at_a_time(
+        self, capsys, tmp_path, stream, monkeypatch, shape, scale, change
+    ):
+        # An --sr that does not fit is read through in stripes before its
+        # shape or the scale is refused: a NaN in its first stripe is met
+        # before the file's change of size, as on the streamed path.
+        lr, sr = tmp_path / "lr.pdt1", tmp_path / "sr.pdt1"
+        _pdt1(lr, stream.uniform((3, 4, 5)))
+        x = stream.uniform(shape)
+        x[0, 0, 0] = np.nan
+        _pdt1(sr, x)
+        _resize_on_first_read(monkeypatch, sr, change)
+        code, stdout, stderr = run_cli(capsys, "verify", "--lr", str(lr), "--sr", str(sr), "--scale", scale)
+        assert (code, stdout) == (3, "")
+        assert stderr == "error: tensor samples must be finite (no NaN or infinity)\n"
+
 
 class TestStreamedMemory:
     """The streamed commands hold the measurement, its pooled estimate and a
@@ -828,3 +866,85 @@ class TestStreamedMemory:
             tracemalloc.stop()
         assert code == 0 and len(json_lines(capsys.readouterr().out)) == 1
         assert peak < image_bytes / 4
+
+    @pytest.mark.parametrize("command", ["pd", "verify"])
+    def test_wrong_shape_is_refused_below_a_quarter_of_the_image(self, capsys, tmp_path, command):
+        # A 3 x 1024^2 file against a measurement that wants 3 x 1024 x 1020:
+        # refused with the in-memory path's message, without loading it.
+        shape = (3, 1024, 1024)
+        image_bytes = 8 * np.prod(shape)
+        lr, raw, out = tmp_path / "lr.pdt1", tmp_path / "raw.pdt1", tmp_path / "o.pdt1"
+        _pdt1(raw, np.random.default_rng(7).uniform(size=shape))
+        _pdt1(lr, np.zeros((3, 256, 255)))
+        if command == "pd":
+            argv = ["pd", "--lr", str(lr), "--scale", "4", "--predictor", "external",
+                    "--raw", str(raw), "--output", str(out)]
+            message = "external prediction shape (3, 1024, 1024), expected (3, 1024, 1020)"
+        else:
+            argv = ["verify", "--lr", str(lr), "--sr", str(raw), "--scale", "4"]
+            message = "input shape (3, 1024, 1024) does not match operator shape (3, 1024, 1020)"
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, *capsys.readouterr()) == (3, "", f"error: {message}\n")
+        assert not out.exists()
+        assert peak < image_bytes / 4
+
+
+class TestOneDiagnosticLine:
+    """An overflowing combine or pooled mean is reported on exactly one
+    ``error:`` line, with no numpy warning before it, in a fresh process
+    where every warning would be printed."""
+
+    @pytest.mark.parametrize("command", ["pd-streamed", "pd-png", "verify"])
+    def test_overflow_prints_only_the_error(self, tmp_path, command):
+        lr, raw = tmp_path / "lr.pdt1", tmp_path / "raw.pdt1"
+        x = np.full((3, 8, 10), 1e308)
+        x[-1, -1, -1] = -1e308
+        _pdt1(raw, x)
+        _pdt1(lr, np.full((3, 4, 5), -1e308))
+        if command == "verify":
+            argv = ["verify", "--lr", str(lr), "--sr", str(raw), "--scale", "2"]
+        else:
+            out = tmp_path / ("o.png" if command == "pd-png" else "o.pdt1")
+            argv = ["pd", "--lr", str(lr), "--scale", "2", "--predictor", "external",
+                    "--raw", str(raw), "--output", str(out)]
+        env = {**os.environ, "PYTHONPATH": SRC}
+        proc = subprocess.run(
+            [sys.executable, "-m", "rangenull", *argv], capture_output=True, text=True, env=env,
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "error: tensor samples must be finite (no NaN or infinity)\n"
+
+
+class TestSaturatedRecords:
+    """A reconstruction whose squared error overflows still gets its record:
+    the figures saturate at the largest float and the PSNR stays finite."""
+
+    PSNR_FLOOR = 10.0 * np.log10(1.0 / sys.float_info.max)
+
+    def test_verify_of_a_huge_sr(self, capsys, tmp_path):
+        lr, sr = tmp_path / "lr.pdt1", tmp_path / "sr.pdt1"
+        write_raw(ImageTensor(np.zeros((1, 2, 2))), lr)
+        write_raw(ImageTensor(np.full((1, 4, 4), 1e200)), sr)
+        code, stdout, stderr = run_cli(capsys, "verify", "--lr", str(lr), "--sr", str(sr), "--scale", "2")
+        assert (code, stderr) == (0, "")
+        (record,) = json_lines(stdout)
+        assert record["mse"] == sys.float_info.max and record["l1"] == 1e200
+        assert record["psnr"] == pytest.approx(self.PSNR_FLOOR) and record["psnr"] >= -3082.6
+
+    def test_pd_png_of_a_huge_measurement(self, capsys, tmp_path):
+        lr, out, png = tmp_path / "lr.pdt1", tmp_path / "o.pdt1", tmp_path / "o.png"
+        write_raw(ImageTensor(np.full((1, 2, 2), 1e200)), lr)
+        code, stdout, stderr = run_cli(
+            capsys, "pd", "--lr", str(lr), "--output", str(out), "--png", str(png), "--scale", "2",
+        )
+        assert (code, stderr) == (0, "")
+        exact, quantized = json_lines(stdout)
+        assert exact["psnr"] == 300.0
+        assert quantized["mse"] == sys.float_info.max
+        assert quantized["psnr"] == pytest.approx(self.PSNR_FLOOR)
+        assert load_tensor(png) == ImageTensor(np.ones((1, 4, 4)))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -108,6 +109,25 @@ class TestCompare:
         r = ImageTensor(stream.gaussian((3, 12, 12)) * 7)
         report = compare(y, pool_down(pd_combine(y, r, 3), 3))
         assert report.max_abs <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestSaturation:
+    """Finite inputs whose differences or squared differences overflow give
+    figures saturated at the largest float, and a finite PSNR."""
+
+    def test_squared_error_overflow(self):
+        report = compare(ImageTensor(np.full((1, 2, 2), 1e200)), ImageTensor(np.zeros((1, 2, 2))))
+        assert (report.l1, report.max_abs) == (1e200, 1e200)
+        assert report.mse == sys.float_info.max
+        assert report.psnr == 10.0 * math.log10(1.0 / sys.float_info.max)
+        assert report.psnr >= -3082.6
+        json.loads(report.to_json())
+
+    def test_difference_overflow(self):
+        report = compare(ImageTensor(np.full((1, 1, 3), 1e308)), ImageTensor(np.full((1, 1, 3), -1e308)))
+        assert report.l1 == report.max_abs == report.mse == sys.float_info.max
+        assert math.isfinite(report.psnr)
 
 
 class TestErrorMap:
