@@ -41,16 +41,12 @@ def _chunk(tag: bytes, payload: bytes) -> bytes:
 
 
 def encode(samples: np.ndarray) -> bytes:
-    """Encode an (height, width, channels) uint8 array as PNG bytes."""
-    if samples.dtype != np.uint8 or samples.ndim != 3:
-        raise ValueError("encode expects an (h, w, c) uint8 array")
+    """Encode an (height, width, channels) uint8 array as PNG bytes.
+
+    ``tensor.save_png`` has already checked that there are 1 or 3 channels.
+    """
     height, width, channels = samples.shape
-    if channels == 1:
-        color_type = 0
-    elif channels == 3:
-        color_type = 2
-    else:
-        raise ValueError(f"PNG output supports 1 or 3 channels, got {channels}")
+    color_type = 0 if channels == 1 else 2
     ihdr = struct.pack(">IIBBBBB", width, height, 8, color_type, 0, 0, 0)
     rows = samples.reshape(height, -1)
     raw = np.empty((height, 1 + rows.shape[1]), dtype=np.uint8)

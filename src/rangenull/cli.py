@@ -6,8 +6,9 @@ other path a PDT1 (``cs --action build`` writes its PDM1 operator file).
 Machine-readable JSON goes to stdout (one object per line); every record
 of a reconstruction describes the file it follows.  Diagnostics go to
 stderr.  Exit codes: 0 success, 2 usage error, 3 input contract
-violation.  The environment variable RANGENULL_SEED overrides the
-default seed 0 wherever a --seed flag is omitted.
+violation.  A call's outputs depend only on its arguments and input
+files: ``--seed`` defaults to 0.  The ``bench`` and ``table1`` protocols
+live in ``rangenull.bench``.
 """
 
 from __future__ import annotations
@@ -15,27 +16,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
-import time
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .metrics import compare, error_map
+from .bench import BENCH_OPS, run_bench, run_table1
 from .linop import LinearOperator
-from .pooling import (
-    PoolingOp,
-    _block_mean,
-    _pd_combine_arr,
-    _require_divisible,
-    pd_combine,
-    pool_down,
-    pool_up,
-    stream_pd,
-    stream_verify,
-    verify_consistency,
-)
+from .metrics import error_map
+from .pooling import PoolingOp, stream_pd, stream_verify, verify_consistency
 from .resample import FILTERS, PREDICTORS, ResampleSpec, check_external, predict_raw, resample
 from .restore import (
     ColorMeanOp,
@@ -48,7 +36,6 @@ from .restore import (
     load_sense_op,
     save_sense_op,
 )
-from .rng import Stream, derive
 from .tensor import (
     ImageTensor,
     RawReader,
@@ -63,22 +50,6 @@ from .tensor import (
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CONTRACT = 3
-
-BENCH_OPS = ("pd", "pool_down", "pool_up")
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("RANGENULL_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"RANGENULL_SEED must be an integer, got {raw!r}") from exc
-
-
-def _seed(args: argparse.Namespace) -> int:
-    return args.seed if args.seed is not None else _default_seed()
 
 
 def _emit(obj: dict) -> None:
@@ -123,99 +94,6 @@ def _reconstruct(op: LinearOperator, y: ImageTensor, x_raw: ImageTensor, *paths:
         records.append(op.verify(y, x_hat).to_dict())
     for record in records:
         _emit(record)
-
-
-@dataclass(frozen=True)
-class BenchResult:
-    """Timing summary for repeated runs of one operation."""
-
-    op_name: str
-    image_size: int
-    iterations: int
-    mean_ms: float
-    p50_ms: float
-    p95_ms: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def run_bench(op_name: str, size: int, scale: int, iterations: int, seed: int) -> BenchResult:
-    """Time one operation on seeded random 3-channel tensors.
-
-    Two untimed warmup runs precede the measured iterations.
-    """
-    if op_name not in BENCH_OPS:
-        raise ValueError(f"op must be one of {BENCH_OPS}, got {op_name!r}")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    _require_divisible(size, size, scale)
-    stream = Stream(seed)
-    hr = ImageTensor(stream.uniform((3, size, size)))
-    lr = ImageTensor(stream.uniform((3, size // scale, size // scale)))
-    if op_name == "pd":
-        work = lambda: pd_combine(lr, hr, scale)
-    elif op_name == "pool_down":
-        work = lambda: pool_down(hr, scale)
-    else:
-        work = lambda: pool_up(lr, scale)
-    for _ in range(2):
-        work()
-    times = np.empty(iterations)
-    for i in range(iterations):
-        start = time.perf_counter()
-        work()
-        times[i] = (time.perf_counter() - start) * 1e3
-    return BenchResult(
-        op_name=op_name,
-        image_size=size,
-        iterations=iterations,
-        mean_ms=float(times.mean()),
-        p50_ms=float(np.percentile(times, 50)),
-        p95_ms=float(np.percentile(times, 95)),
-    )
-
-
-def _table1_case(seed: int, index: int, size: int, scale: int) -> dict:
-    stream = Stream(derive(seed, index))
-    gt = stream.uniform((3, size, size))
-    raw = stream.uniform((3, size, size))
-    lr = _block_mean(gt, scale)
-    start = time.perf_counter()
-    combined = _pd_combine_arr(lr, raw, scale)
-    elapsed_ms = (time.perf_counter() - start) * 1e3
-    report = compare(ImageTensor(lr), ImageTensor(_block_mean(combined, scale)))
-    # Single-precision rerun of the same combine, compared in double.
-    lr32 = lr.astype(np.float32)
-    combined32 = _pd_combine_arr(lr32, raw.astype(np.float32), scale)
-    down32 = _block_mean(combined32, scale).astype(np.float64)
-    report32 = compare(ImageTensor(lr32.astype(np.float64)), ImageTensor(down32))
-    return {
-        "psnr": report.psnr,
-        "max_abs": report.max_abs,
-        "l1": report.l1,
-        "psnr_float32": report32.psnr,
-        "time_ms": elapsed_ms,
-    }
-
-
-def run_table1(count: int, size: int, scale: int, seed: int) -> dict:
-    """Consistency protocol over seeded random images and raw predictions.
-
-    Per image: draw a random ground truth, pool it down to the reference,
-    combine with a random raw prediction, and measure how far the pooled
-    result drifts from the reference, in double and in single precision.
-    Results are averaged over ``count`` images; each image derives its own
-    child stream from ``seed``.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    _require_divisible(size, size, scale)
-    cases = [_table1_case(seed, i, size, scale) for i in range(count)]
-    summary = {"count": count, "size": size, "scale": scale, "seed": seed}
-    for key in cases[0]:
-        summary[f"mean_{key}"] = float(np.mean([c[key] for c in cases]))
-    return summary
 
 
 def _cmd_degrade(args: argparse.Namespace) -> int:
@@ -267,12 +145,12 @@ def _cmd_errmap(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    _emit(run_bench(args.op, args.size, args.scale, args.iterations, _seed(args)).to_dict())
+    _emit(run_bench(args.op, args.size, args.scale, args.iterations, args.seed).to_dict())
     return EXIT_OK
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    _emit(run_table1(args.count, args.size, args.scale, _seed(args)))
+    _emit(run_table1(args.count, args.size, args.scale, args.seed))
     return EXIT_OK
 
 
@@ -296,7 +174,7 @@ def _require_flag(args: argparse.Namespace, name: str) -> str:
 
 def _cmd_cs(args: argparse.Namespace) -> int:
     if args.action == "build":
-        op = cs_build(args.block, args.ratio, _seed(args))
+        op = cs_build(args.block, args.ratio, args.seed)
         save_sense_op(op, args.output)
         _emit({"block": op.block, "q": op.q, "ratio": op.ratio, "seed": op.seed})
         return EXIT_OK
@@ -359,14 +237,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", default=1024, type=int)
     p.add_argument("--scale", default=8, type=int)
     p.add_argument("--iterations", default=100, type=int)
-    p.add_argument("--seed", default=None, type=int)
+    p.add_argument("--seed", default=0, type=int)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("table1", help="run the random-image consistency protocol")
     p.add_argument("--count", default=100, type=int)
     p.add_argument("--size", default=256, type=int)
     p.add_argument("--scale", default=8, type=int)
-    p.add_argument("--seed", default=None, type=int)
+    p.add_argument("--seed", default=0, type=int)
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("colorize", help="channel-mean operator: gray, color, or pd mode")
@@ -380,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--action", required=True, choices=("build", "measure", "pinv", "pd"))
     p.add_argument("--block", default=8, type=int)
     p.add_argument("--ratio", default=0.25, type=float)
-    p.add_argument("--seed", default=None, type=int)
+    p.add_argument("--seed", default=0, type=int)
     p.add_argument("--op", default=None, help="PDM1 operator file (measure/pinv/pd)")
     p.add_argument("--input", default=None)
     p.add_argument("--lr", default=None, help="measurement file for --action pd")

@@ -45,16 +45,24 @@ def compare(a: ImageTensor, b: ImageTensor) -> ConsistencyReport:
     absolute in place for L1 and max-abs, then squared in place for the
     MSE.  The figures are those of ``d = abs(a - b)``, ``mean(d)``,
     ``max(d)`` and ``mean(d * d)``, bit for bit, saturated at the largest float.
+    Only where the sum of ``d`` overflows is ``mean(d)`` taken as
+    ``max(d) * mean(d / max(d))``.
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     diff = np.subtract(a.data, b.data)
     np.abs(diff, out=diff)
     top = sys.float_info.max
-    l1 = min(float(np.mean(diff)), top)
+    l1 = float(np.mean(diff))
     max_abs = min(float(np.max(diff)), top)
-    np.square(diff, out=diff)
-    mse = min(float(np.mean(diff)), top)
+    if l1 == math.inf:
+        # The sum overflowed, not necessarily the mean.  The squares of
+        # differences this large overflow whatever the count.
+        l1 = min(max_abs * float(np.mean(np.divide(diff, max_abs, out=diff))), top)
+        mse = top
+    else:
+        np.square(diff, out=diff)
+        mse = min(float(np.mean(diff)), top)
     psnr = PSNR_CAP if mse == 0.0 else min(PSNR_CAP, 10.0 * math.log10(1.0 / mse))
     return ConsistencyReport(psnr=psnr, l1=l1, mse=mse, max_abs=max_abs, pixel_count=int(diff.size))
 

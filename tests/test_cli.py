@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, formats, determinism."""
 
+import ast
 import json
 import os
 import struct
@@ -28,7 +29,7 @@ from rangenull import (
     write_raw,
 )
 from rangenull import pooling
-from rangenull.cli import main
+from rangenull.cli import BENCH_OPS, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -435,14 +436,16 @@ class TestBench:
         assert result["iterations"] == 1
         assert result["op_name"] == "pd"
 
-    def test_fields_and_ordering(self, capsys):
+    @pytest.mark.parametrize("op", BENCH_OPS)
+    def test_fields_and_ordering(self, capsys, op):
         code, stdout, _ = run_cli(
-            capsys, "bench", "--op", "pool_down", "--size", "64", "--scale", "4",
+            capsys, "bench", "--op", op, "--size", "64", "--scale", "4",
             "--iterations", "5", "--seed", "1",
         )
         assert code == 0
         result = json_lines(stdout)[0]
         assert sorted(result) == ["image_size", "iterations", "mean_ms", "op_name", "p50_ms", "p95_ms"]
+        assert result["op_name"] == op
         assert 0.0 <= result["p50_ms"] <= result["p95_ms"]
 
     def test_bad_iterations_exits_3(self, capsys):
@@ -650,6 +653,16 @@ class TestProcessLevel:
         assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
     def test_module_invocation_and_env_seed(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": SRC}
+        proc = subprocess.run(
+            [sys.executable, "-m", "rangenull", "table1", "--count", "2", "--size", "32",
+             "--scale", "4", "--seed", "77"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout.strip())["seed"] == 77
+
+    def test_environment_sets_no_seed(self):
         env = {**os.environ, "PYTHONPATH": SRC, "RANGENULL_SEED": "77"}
         proc = subprocess.run(
             [sys.executable, "-m", "rangenull", "table1", "--count", "2", "--size", "32",
@@ -657,7 +670,7 @@ class TestProcessLevel:
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
-        assert json.loads(proc.stdout.strip())["seed"] == 77
+        assert json.loads(proc.stdout.strip())["seed"] == 0
 
     def test_usage_error_exit_code(self):
         env = {**os.environ, "PYTHONPATH": SRC}
@@ -666,6 +679,31 @@ class TestProcessLevel:
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 2
+
+
+class TestCliBoundary:
+    """``cli.py`` parses and dispatches: it reaches the library through public
+    names only, and its outputs depend on nothing but argv and input files."""
+
+    tree = ast.parse((Path(SRC) / "rangenull" / "cli.py").read_text())
+
+    def test_imports_no_private_library_name(self):
+        private = [
+            alias.name
+            for node in ast.walk(self.tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == "rangenull")
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert private == []
+
+    def test_reads_no_environment(self):
+        names = {node.attr for node in ast.walk(self.tree) if isinstance(node, ast.Attribute)}
+        names |= {
+            alias.name for node in ast.walk(self.tree) if isinstance(node, ast.ImportFrom) for alias in node.names
+        }
+        assert not {"environ", "getenv"} & names
 
 
 def _pdt1(path, a):

@@ -129,6 +129,11 @@ class TestSaturation:
         assert report.l1 == report.max_abs == report.mse == sys.float_info.max
         assert math.isfinite(report.psnr)
 
+    def test_sum_overflow_keeps_the_mean(self):
+        report = compare(ImageTensor(np.full((1, 2, 2), 1e308)), ImageTensor(np.zeros((1, 2, 2))))
+        assert report.l1 == 1e308 <= report.max_abs
+        assert report.mse == sys.float_info.max
+
 
 class TestErrorMap:
     def test_zero_difference_is_black(self, stream):
