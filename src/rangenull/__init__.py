@@ -37,7 +37,7 @@ from .pooling import (
     stream_verify,
     verify_consistency,
 )
-from .resample import FILTERS, PREDICTORS, ResampleSpec, predict_raw, resample
+from .resample import FILTERS, PREDICTORS, ResampleSpec, open_prediction, predict_raw, resample
 from .restore import (
     BlockSenseOp,
     ColorMeanOp,
@@ -57,9 +57,11 @@ from .tensor import (
     RawReader,
     load_png,
     load_tensor,
+    open_stripes,
     quantize,
     read_raw,
     save_png,
+    save_tensor,
     write_raw,
 )
 
@@ -99,6 +101,8 @@ __all__ = [
     "measurement_count",
     "mp_residuals",
     "null_project",
+    "open_prediction",
+    "open_stripes",
     "pd_combine",
     "pinv_from_svd",
     "pool_down",
@@ -111,6 +115,7 @@ __all__ = [
     "save_matrix",
     "save_png",
     "save_sense_op",
+    "save_tensor",
     "stream_pd",
     "stream_verify",
     "svd",

@@ -35,13 +35,18 @@ SIGNATURE = b"\x89PNG\r\n\x1a\n"
 _ZLIB_LEVEL = 6
 
 
-def _chunk(tag: bytes, payload: bytes) -> bytes:
-    crc = zlib.crc32(tag + payload) & 0xFFFFFFFF
-    return struct.pack(">I", len(payload)) + tag + payload + struct.pack(">I", crc)
+def _chunk(tag: bytes, *payload: bytes) -> list[bytes]:
+    """One chunk as the parts of its bytes, its payload parts left unjoined."""
+    crc = zlib.crc32(tag)
+    for part in payload:
+        crc = zlib.crc32(part, crc)
+    return [struct.pack(">I", sum(map(len, payload))) + tag, *payload, struct.pack(">I", crc)]
 
 
-def encode(samples: np.ndarray) -> bytes:
-    """Encode an (height, width, channels) uint8 array as PNG bytes.
+def encode(samples: np.ndarray) -> list[bytes]:
+    """Encode an (height, width, channels) uint8 array as the parts of a PNG
+    file, in order; they are not joined, so the compressed pixels are not
+    copied.
 
     ``tensor.save_png`` has already checked that there are 1 or 3 channels.
     """
@@ -54,10 +59,8 @@ def encode(samples: np.ndarray) -> bytes:
     raw[1:, 0] = 2  # filter Up: the byte minus the one above, modulo 256
     np.subtract(rows[1:], rows[:-1], out=raw[1:, 1:])
     deflate = zlib.compressobj(_ZLIB_LEVEL, zlib.DEFLATED, 15, 8, zlib.Z_RLE)
-    idat = deflate.compress(raw) + deflate.flush()
-    return b"".join(
-        [SIGNATURE, _chunk(b"IHDR", ihdr), _chunk(b"IDAT", idat), _chunk(b"IEND", b"")]
-    )
+    idat = _chunk(b"IDAT", deflate.compress(raw), deflate.flush())
+    return [SIGNATURE, *_chunk(b"IHDR", ihdr), *idat, *_chunk(b"IEND")]
 
 
 def decode(data: bytes) -> tuple[np.ndarray, int]:

@@ -23,8 +23,8 @@ import numpy as np
 from .bench import BENCH_OPS, run_bench, run_table1
 from .linop import LinearOperator
 from .metrics import error_map
-from .pooling import PoolingOp, stream_pd, stream_verify, verify_consistency
-from .resample import FILTERS, PREDICTORS, ResampleSpec, check_external, predict_raw, resample
+from .pooling import stream_pd, stream_verify
+from .resample import FILTERS, PREDICTORS, ResampleSpec, open_prediction, resample
 from .restore import (
     ColorMeanOp,
     color_to_gray,
@@ -36,16 +36,7 @@ from .restore import (
     load_sense_op,
     save_sense_op,
 )
-from .tensor import (
-    ImageTensor,
-    RawReader,
-    check_destination,
-    check_png_channels,
-    is_raw,
-    load_tensor,
-    save_png,
-    write_raw,
-)
+from .tensor import ImageTensor, check_destination, load_tensor, open_stripes, save_tensor
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -56,50 +47,23 @@ def _emit(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj) + "\n")
 
 
-def _is_png(path: str) -> bool:
-    return path.lower().endswith(".png")
+def _reconstruct(op: LinearOperator, y: ImageTensor, x_raw: ImageTensor, path: str) -> None:
+    """Combine in memory, write ``x_hat`` to ``path`` and print its record:
+    ``op.verify`` of what the file holds.
 
-
-def _save(t: ImageTensor, path: str) -> ImageTensor:
-    """Write ``t`` as an 8-bit PNG if ``path`` ends in ``.png``, else as PDT1,
-    and return the image the file holds: the 8-bit image, or ``t`` itself."""
-    if _is_png(path):
-        return save_png(t, path)
-    write_raw(t, path)
-    return t
-
-
-def _reconstruct(op: LinearOperator, y: ImageTensor, x_raw: ImageTensor, *paths: str) -> None:
-    """Combine once in memory, write ``x_hat`` to each path in turn, and
-    print one record per file: ``op.verify`` of what that file holds.
-
-    This is the path of every reconstruction that ``pd`` does not stream
-    (see ``_cmd_pd``): a PNG, an interpolating predictor or a PNG input
-    needs the whole image.  Every destination, and a PNG's channel count,
-    is checked before the first write, and the records are printed after
-    the last, so a failed call prints nothing.  Each file is written, then
-    verified; a PNG rebinds ``x_hat`` to the 8-bit image it holds, which
-    any later path receives.
+    This is the path of ``colorize --mode pd`` and ``cs --action pd``.  The
+    destination is checked before the combine, and the record is printed
+    after the write, so a failed call prints nothing.
     """
-    for path in paths:
-        check_destination(path)
-    x_hat = generic_pd(op, y, x_raw)
-    if any(map(_is_png, paths)):
-        check_png_channels(x_hat.channels)
-    records = []
-    for path in paths:
-        # A PNG's 8-bit image replaces the exact one before the report's
-        # temporaries exist.
-        x_hat = _save(x_hat, path)
-        records.append(op.verify(y, x_hat).to_dict())
-    for record in records:
-        _emit(record)
+    check_destination(path)
+    x_hat = save_tensor(generic_pd(op, y, x_raw), path)
+    _emit(op.verify(y, x_hat).to_dict())
 
 
 def _cmd_degrade(args: argparse.Namespace) -> int:
     x = load_tensor(args.input)
     spec = ResampleSpec(filter=args.filter, antialias=args.antialias, scale=args.scale, direction="down")
-    _save(resample(x, spec), args.output)
+    save_tensor(resample(x, spec), args.output)
     return EXIT_OK
 
 
@@ -107,40 +71,33 @@ def _cmd_pd(args: argparse.Namespace) -> int:
     """Reconstruct ``--output`` (then ``--png``) from ``--lr`` and print one
     record per file.
 
-    The file format alone picks the path: an external PDT1 prediction with
-    one PDT1 ``--output`` streams through ``stream_pd``, which holds the
-    low-resolution arrays and two stripes, never the image; one of the
-    wrong shape is refused from its header.  Every other case goes through
-    ``_reconstruct``.  Both give the same bytes, records and messages.
+    Every predictor and output format takes one path: ``stream_pd`` walks
+    the prediction one stripe at a time, from ``open_prediction``, and
+    holds the low-resolution arrays, a few stripes and each PNG's 8-bit
+    image, never the image itself.
     """
+    if args.raw is not None and args.predictor != "external":
+        raise ValueError("pd --raw is read only with --predictor external")
     y = load_tensor(args.lr)
-    op = PoolingOp.for_measurement(y, args.scale)
-    streams = args.predictor == "external" and args.raw is not None and args.png is None
-    if streams and not _is_png(args.output) and is_raw(args.raw):
-        with RawReader(args.raw) as x_raw:
-            check_external(y, args.scale, x_raw.shape)
-            _emit(stream_pd(y, x_raw, args.scale, args.output).to_dict())
-        return EXIT_OK
-    x_raw = predict_raw(y, args.predictor, args.scale, args.raw)
     pngs = () if args.png is None else (args.png,)
-    _reconstruct(op, y, x_raw, args.output, *pngs)
+    with open_prediction(y, args.predictor, args.scale, args.raw) as x_raw:
+        records = stream_pd(y, x_raw, args.scale, args.output, *pngs)
+    for record in records:
+        _emit(record.to_dict())
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     lr = load_tensor(args.lr)
-    if is_raw(args.sr):
-        with RawReader(args.sr) as sr:
-            _emit(stream_verify(lr, sr, args.scale).to_dict())
-    else:
-        _emit(verify_consistency(lr, load_tensor(args.sr), args.scale).to_dict())
+    with open_stripes(args.sr) as sr:
+        _emit(stream_verify(lr, sr, args.scale).to_dict())
     return EXIT_OK
 
 
 def _cmd_errmap(args: argparse.Namespace) -> int:
     gt = load_tensor(args.gt)
     sr = load_tensor(args.sr)
-    _save(error_map(gt, sr, args.gain), args.output)
+    save_tensor(error_map(gt, sr, args.gain), args.output)
     return EXIT_OK
 
 
@@ -157,7 +114,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 def _cmd_colorize(args: argparse.Namespace) -> int:
     x = load_tensor(args.input)
     if args.mode != "pd":
-        _save((color_to_gray if args.mode == "gray" else gray_to_color)(x), args.output)
+        save_tensor((color_to_gray if args.mode == "gray" else gray_to_color)(x), args.output)
         return EXIT_OK
     if args.raw is None:
         raise ValueError("colorize --mode pd needs --raw with the color prediction")
@@ -181,7 +138,7 @@ def _cmd_cs(args: argparse.Namespace) -> int:
     op = load_sense_op(_require_flag(args, "op"))
     if args.action != "pd":
         kernel = cs_measure if args.action == "measure" else cs_pinv
-        _save(kernel(op, load_tensor(_require_flag(args, "input"))), args.output)
+        save_tensor(kernel(op, load_tensor(_require_flag(args, "input"))), args.output)
         return EXIT_OK
     y = load_tensor(_require_flag(args, "lr"))
     x_raw = load_tensor(_require_flag(args, "raw"))

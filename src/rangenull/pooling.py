@@ -7,24 +7,24 @@ to the block's first sample, so a constant block averages to exactly that
 constant).  ``PoolingOp`` inherits ``verify`` from ``LinearOperator`` and
 overrides only ``combine``, with the fused ``pd_combine`` kernel: it swaps
 the block means of any raw prediction for the reference low-resolution
-values in one cache-friendly pass, bit-identical to the generic combine.
+values in one pass, bit-identical to the generic combine.
 ``extract_highfreq`` and ``verify_consistency`` are the scale-argument
 spellings of ``null_project`` and ``PoolingOp.verify``.
 
 Both kernels walk the image in stripes of whole block rows of about
-512 KiB, so that a stripe, its output and the temporaries fit a 2 MiB L2
-cache, and work on whole image rows, so every numpy step runs over a
+512 KiB, and work on whole image rows, so every numpy step runs over a
 full row.  A block's mean is built from elementwise operations only, in
 a fixed order, so it does not depend on how the image is striped:
 ``pool_down`` and ``pd_combine`` agree bit for bit.  Both keep the input
 dtype.
 
-One walk, ``_stripes``, yields the stripes of an array as views or of a
-PDT1 file as it reads them, so the same loops serve both.
-``stream_pd`` and ``stream_verify`` run them on a ``RawReader``: they
-hold the low-resolution arrays and two stripes, never the
+One walk, ``_stripes``, yields the stripes of a source: an array's as
+views, or those of an object that makes them itself, such as a
+``RawReader`` reading a PDT1 file or a predictor enlarging a measurement.
+``stream_pd`` and ``stream_verify`` run the kernels on such a source:
+they hold the low-resolution arrays and a few stripes, never the
 high-resolution image, and give the bytes and records of the in-memory
-path.
+kernels.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from .linop import LinearOperator, null_project
 from .metrics import ConsistencyReport, compare
-from .tensor import ImageTensor, RawReader, _check_finite, write_raw_stripes
+from .tensor import ImageTensor, _check_finite, _write_atomic, _writer
 
 
 def _require_divisible(h: int, w: int, s: int) -> None:
@@ -53,17 +53,19 @@ def _band_rows(width: int, itemsize: int, s: int) -> int:
     return max(1, _STRIPE_BYTES // (s * width * itemsize))
 
 
-def _stripes(src: np.ndarray | RawReader, s: int):
+def _stripes(src, s: int):
     """Yield (rows, channel, block-row slice) for each stripe of ``src``, in
     memory order: ``_band_rows`` block rows of one channel (fewer at its
-    end), shaped (k, s, width).  An array's stripes are views; a
-    ``RawReader``'s are read into one buffer, valid until the next."""
+    end), shaped (k, s, width).  An array's stripes are views.  Any other
+    source has a ``shape``, a ``dtype`` and a ``stripes(rows)`` method that
+    yields each channel's rows, ``rows`` at a time, as ``RawReader`` does;
+    its stripes may share one buffer, valid until the next."""
     channels, height, width = src.shape
     step = _band_rows(width, src.dtype.itemsize, s)
-    if isinstance(src, RawReader):
-        pieces = src.stripes(s * step)
-    else:
+    if isinstance(src, np.ndarray):
         pieces = (plane[r0 : r0 + s * step] for plane in src for r0 in range(0, height, s * step))
+    else:
+        pieces = src.stripes(s * step)
     bands = ((ch, slice(r0, r0 + step)) for ch in range(channels) for r0 in range(0, height // s, step))
     # The pieces come first, so zip resumes them once more after the last
     # stripe and a reader's end-of-file check runs.
@@ -119,9 +121,9 @@ def _combine_band(rows: np.ndarray, y_rows: np.ndarray, s: int, out: np.ndarray)
     out += np.repeat(y_rows, s, axis=-1)[:, None]
 
 
-def _block_mean(src: np.ndarray | RawReader, s: int) -> np.ndarray:
-    """Mean over non-overlapping s x s blocks of an array or a ``RawReader``'s
-    file, dtype preserving."""
+def _block_mean(src, s: int) -> np.ndarray:
+    """Mean over non-overlapping s x s blocks of an array or a stripe source
+    (see ``_stripes``), dtype preserving."""
     channels, height, width = src.shape
     out = np.empty((channels, height // s, width // s), src.dtype)
     for rows, ch, band in _stripes(src, s):
@@ -177,39 +179,54 @@ def _pd_combine_arr(y: np.ndarray, x_raw: np.ndarray, s: int) -> np.ndarray:
     return out
 
 
-def stream_pd(y: ImageTensor, x_raw: RawReader, s: int, path: str | Path) -> ConsistencyReport:
-    """Write ``pd_combine(y, x_raw, s)`` to ``path`` as PDT1 and return
-    ``PoolingOp.verify`` of it, reading ``x_raw`` one stripe at a time.
+def stream_pd(y: ImageTensor, x_raw, s: int, *paths: str | Path) -> list[ConsistencyReport]:
+    """Write ``pd_combine(y, x_raw, s)`` to each of ``paths``, in order, and
+    return ``PoolingOp.verify`` of what each file holds, taking the raw
+    prediction one stripe at a time from the source ``x_raw`` (see
+    ``_stripes``).
 
-    Each stripe is combined into one reused buffer, checked finite, written,
-    and pooled into the low-resolution ``forward`` while it is in cache, so
-    memory holds ``y``, ``forward`` and two stripes, never the image.  The
-    file and the record are those of the in-memory path, bit for bit; an
-    error leaves no file, as ``write_raw_stripes`` writes it.
+    A path's name picks its format, as ``tensor.save_tensor`` does.  Each
+    stripe is combined into one reused buffer and checked finite; each file
+    in turn then writes it and pools what it holds into its own
+    low-resolution ``forward``.  A PNG holds the quantized stripe, which
+    every later file receives, so memory holds ``y``, one ``forward`` per
+    file, a few stripes and each PNG's 8-bit image, never the image itself.
+    Every destination is checked before the first byte is written; the
+    files are renamed into place only after the last stripe, and an error
+    at any point leaves every old file as it was.
     """
     op = PoolingOp.for_measurement(y, s)
     op._check_raw(x_raw, op.in_shape)
-    forward = np.empty_like(y.data)
+    with _write_atomic(*paths) as files:
+        writers = [_writer(f, path, op.in_shape) for f, path in zip(files, paths)]
+        forwards = _combine_into(y.data, x_raw, s, writers)
+    return [compare(y, forward) for forward in forwards]
+
+
+def _combine_into(y: np.ndarray, x_raw, s: int, writers: list) -> list[ImageTensor]:
+    """The walk of ``stream_pd``: combine each stripe of ``x_raw``, hand it
+    to each writer in turn, and return the pooled image of each file."""
     width = x_raw.shape[2]
-    out = np.empty((min(_band_rows(width, 8, s), y.height), s, width), dtype="<f8")
+    forwards = [np.empty_like(y) for _ in writers]
+    out = np.empty((min(_band_rows(width, 8, s), y.shape[1]), s, width), dtype="<f8")
+    for rows, ch, band in _stripes(x_raw, s):
+        held = out[: len(rows)]
+        _combine_band(rows, y[ch, band], s, held)
+        _check_finite(held)
+        for writer, forward in zip(writers, forwards):
+            held = writer.write(held)
+            _pool_band(held, s, forward[ch, band])
+    for writer in writers:
+        writer.finish()
+    return [ImageTensor(forward) for forward in forwards]
 
-    def combined():
-        for rows, ch, band in _stripes(x_raw, s):
-            o = out[: len(rows)]
-            _combine_band(rows, y.data[ch, band], s, o)
-            _check_finite(o)
-            yield o
-            _pool_band(o, s, forward[ch, band])
 
-    write_raw_stripes(path, x_raw.shape, combined())
-    return compare(y, ImageTensor(forward))
-
-
-def stream_verify(y: ImageTensor, x_hat: RawReader, s: int) -> ConsistencyReport:
-    """``verify_consistency(y, x_hat, s)``, reading ``x_hat`` one stripe at a
-    time: memory holds ``y``, the pooled ``forward`` and one stripe.  A
-    file that does not fit is read through before the scale or the shape
-    is refused, so its own faults come first, as when it is loaded whole.
+def stream_verify(y: ImageTensor, x_hat, s: int) -> ConsistencyReport:
+    """``verify_consistency(y, x_hat, s)`` for an array or a stripe source
+    ``x_hat`` (see ``_stripes``), read one stripe at a time: memory holds
+    ``y``, the pooled ``forward`` and one stripe.  A file that does not fit
+    is read through before the scale or the shape is refused, so its own
+    faults come first, as when it is loaded whole.
     """
     if x_hat.shape != (y.channels, s * y.height, s * y.width):
         for _ in _stripes(x_hat, 1):

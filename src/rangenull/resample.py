@@ -21,11 +21,16 @@ edge-padded plane with the small (taps, phases) weight matrix, so the
 cost is proportional to pixels times taps and no (output, input) matrix
 is ever built.  The vertical pass, the cheaper one per output pixel,
 runs on the full-resolution side: first when shrinking, last when
-enlarging.
+enlarging.  So an enlargement can be made one stripe of rows at a time,
+from the horizontal pass of the low-resolution plane and a halo of at
+most two of its rows: ``open_prediction`` hands ``pooling.stream_pd`` the
+predictions of ``predict_raw`` that way, with the kernel ``resample`` runs
+on the whole plane.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -33,7 +38,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .pooling import pool_down, pool_up
-from .tensor import ImageTensor, load_tensor
+from .tensor import ImageTensor, load_tensor, open_stripes
 
 FILTERS = ("box", "bilinear", "bicubic")
 DIRECTIONS = ("down", "up")
@@ -100,11 +105,10 @@ def _phase_weights(spec: ResampleSpec) -> tuple[int, np.ndarray]:
     return int(offsets[used[0]]), weights / weights.sum(axis=0)
 
 
-def _resample_axis(
-    plane: np.ndarray, axis: int, first: int, weights: np.ndarray, step: int, out: np.ndarray
-) -> None:
-    """Write the phase weights applied along ``axis`` of a 2-D ``plane`` into ``out``."""
-    taps, phases = weights.shape
+def _windows(plane: np.ndarray, axis: int, first: int, taps: int, step: int) -> np.ndarray:
+    """The ``taps`` source samples of each output phase group along ``axis``
+    of a 2-D ``plane``, that axis first: (groups, other axis, taps) views of
+    the edge-padded plane."""
     size = plane.shape[axis]
     n = size // step
     # Edge padding reproduces the clamp; the weights and their sums are unchanged.
@@ -115,10 +119,29 @@ def _resample_axis(
     window = [slice(None), slice(None)]
     window[axis] = slice(start, start + (n - 1) * step + 1, step)
     windows = sliding_window_view(np.pad(plane, pad, mode="edge"), taps, axis=axis)[tuple(window)]
-    split = out.reshape(out.shape[:axis] + (n, phases) + out.shape[axis + 1 :])
+    return np.moveaxis(windows, axis, 0)
+
+
+def _apply_phases(windows: np.ndarray, weights: np.ndarray, axis: int, out: np.ndarray) -> None:
+    """Write the phase weights applied to ``windows`` into ``out``, whose
+    ``axis`` holds the windows' groups times the phases.
+
+    Each output is one window's dot product with one phase's weights, at
+    most five going up, so a stripe of groups is expected to give the bytes
+    it has in the whole plane; the tests compare the two byte for byte.
+    """
+    phases = weights.shape[1]
+    split = out.reshape(out.shape[:axis] + (len(windows), phases) + out.shape[axis + 1 :])
     # Batched over windows with the other image axis as matrix rows, so both
     # operands and the output are strided matrices that BLAS accepts.
-    np.matmul(np.moveaxis(windows, axis, 0), weights, out=np.moveaxis(split, (axis, axis + 1), (0, -1)))
+    np.matmul(windows, weights, out=np.moveaxis(split, (axis, axis + 1), (0, -1)))
+
+
+def _resample_axis(
+    plane: np.ndarray, axis: int, first: int, weights: np.ndarray, step: int, out: np.ndarray
+) -> None:
+    """Write the phase weights applied along ``axis`` of a 2-D ``plane`` into ``out``."""
+    _apply_phases(_windows(plane, axis, first, len(weights), step), weights, axis, out)
 
 
 def resample(x: ImageTensor, spec: ResampleSpec) -> ImageTensor:
@@ -151,11 +174,9 @@ def predict_raw(
     ``nearest`` is plain replication (identical to ``pool_up``); the
     interpolating methods give smoother guesses; ``external`` loads a
     prediction produced elsewhere and validates its geometry.
+    ``open_prediction`` gives the same samples one stripe at a time.
     """
-    if method not in PREDICTORS:
-        raise ValueError(f"predictor must be one of {PREDICTORS}, got {method!r}")
-    if s < 1:
-        raise ValueError(f"scale must be a positive integer, got {s}")
+    _check_predictor(method, s)
     if method == "nearest":
         return pool_up(y, s)
     if method == "external":
@@ -165,6 +186,70 @@ def predict_raw(
         check_external(y, s, t.shape)
         return t
     return resample(y, ResampleSpec(filter=method, antialias=False, scale=s, direction="up"))
+
+
+@contextlib.contextmanager
+def open_prediction(y: ImageTensor, method: str, s: int, external_path=None):
+    """Yield the prediction of ``predict_raw`` as a stripe source for
+    ``pooling.stream_pd``, with the same checks and messages.
+
+    ``external`` opens its file with ``tensor.open_stripes``; the others
+    enlarge ``y`` a stripe of rows at a time (see ``_Enlarged``).
+    """
+    _check_predictor(method, s)
+    if method != "external":
+        yield _Enlarged(y, method, s)
+        return
+    if external_path is None:
+        raise ValueError("external predictor needs a file path")
+    with open_stripes(external_path) as x_raw:
+        check_external(y, s, x_raw.shape)
+        yield x_raw
+
+
+def _check_predictor(method: str, s: int) -> None:
+    if method not in PREDICTORS:
+        raise ValueError(f"predictor must be one of {PREDICTORS}, got {method!r}")
+    if s < 1:
+        raise ValueError(f"scale must be a positive integer, got {s}")
+
+
+class _Enlarged:
+    """``y`` enlarged ``s`` times, by replication or by the bilinear or
+    bicubic kernel, made one stripe of whole block rows at a time.
+
+    Each channel's horizontal pass runs once on its low-resolution rows;
+    the vertical pass then makes each stripe from those rows and a halo of
+    at most two more, with the kernel ``resample`` runs on the whole plane,
+    so the samples are those of ``predict_raw``, bit for bit.
+    """
+
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, y: ImageTensor, method: str, s: int):
+        self._y, self._method, self._s = y, method, s
+        self.shape = (y.channels, s * y.height, s * y.width)
+
+    def stripes(self, rows: int):
+        """Yield each channel's rows, ``rows`` (a multiple of the scale) at a
+        time, from one reused buffer."""
+        s, (_, height, width) = self._s, self._y.shape
+        step = rows // s
+        buf = np.empty((min(step, height), s, width * s))
+        if self._method != "nearest":
+            first, weights = _phase_weights(ResampleSpec(self._method, False, s, "up"))
+            mid = np.empty((height, width * s))
+        for plane in self._y.data:
+            if self._method != "nearest":
+                _resample_axis(plane, 1, first, weights, 1, mid)
+                windows = _windows(mid, 0, first, len(weights), 1)
+            for q0 in range(0, height, step):
+                out = buf[: min(step, height - q0)]
+                if self._method == "nearest":
+                    np.copyto(out, np.repeat(plane[q0 : q0 + len(out)], s, axis=-1)[:, None])
+                else:
+                    _apply_phases(windows[q0 : q0 + len(out)], weights, 0, out.reshape(-1, width * s))
+                yield out.reshape(-1, width * s)
 
 
 def check_external(y: ImageTensor, s: int, shape: tuple[int, ...]) -> None:

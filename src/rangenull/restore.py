@@ -266,7 +266,9 @@ def save_sense_op(op: BlockSenseOp, path: str | Path) -> None:
     """Write the "PDM1" container: magic, u32 block, u32 q, u64 seed, then
     q*B^2 little-endian f64 row weights."""
     header = _SENSE_HEADER.pack(SENSE_MAGIC, op.block, op.q, op.seed & 0xFFFFFFFFFFFFFFFF)
-    _write_atomic(path, [header, op.rows.astype("<f8", copy=False)])
+    with _write_atomic(path) as (f,):
+        f.write(header)
+        f.write(op.rows.astype("<f8", copy=False))
 
 
 def load_sense_op(path: str | Path) -> BlockSenseOp:

@@ -16,15 +16,20 @@ construction, in slices through one small reused mask, so the check
 allocates no full-size temporary.  A PDT1 or PDM1 payload is read straight
 into its final array with ``os.preadv``, on the calling thread.  Stripes
 of whole rows are also a unit of I/O: ``RawReader`` reads a PDT1 payload
-one stripe at a time into one reused buffer, and ``write_raw_stripes``
-writes one from a generator of stripes, so a pass over a PDT1 file need
-not hold the whole image.
+one stripe at a time into one reused buffer (``open_stripes`` opens a
+PDT1 that way and decodes a PNG whole), and a file is written one stripe
+at a time by the writer of its format, which ``pooling.stream_pd`` feeds
+as it walks: a PDT1 writes each stripe as it comes, a PNG quantizes it
+into the 8-bit image it encodes at the end.  So a pass over a PDT1 file
+need not hold the whole image.  Every file is written through
+``_write_atomic``, which renames a call's files into place only once all
+of them are complete.
 """
 
 from __future__ import annotations
 
+import contextlib
 import errno
-import itertools
 import math
 import os
 import struct
@@ -120,15 +125,15 @@ def quantize(t: ImageTensor) -> ImageTensor:
     Rounding is half-away-from-zero, so 0.5 maps to 128/255.  Idempotent;
     this is exactly the value loss incurred by ``save_png``.
     """
-    levels = _levels(t)
+    levels = _levels(t.data)
     levels /= 255.0
     return ImageTensor(levels)
 
 
-def _levels(t: ImageTensor) -> np.ndarray:
+def _levels(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # The 8-bit rule shared by ``quantize`` and ``save_png``, computed in one
     # buffer; clip(x * 255, 0, 255) equals clip(x, 0, 1) * 255 for finite x.
-    levels = np.multiply(t.data, 255.0)
+    levels = np.multiply(a, 255.0, out=out)
     np.clip(levels, 0.0, 255.0, out=levels)
     levels += 0.5
     return np.floor(levels, out=levels)
@@ -153,28 +158,109 @@ def check_png_channels(channels: int) -> None:
         raise ValueError(f"PNG output needs 1 or 3 channels, got {channels}")
 
 
-def _write_atomic(path: str | Path, payload: Iterable) -> None:
-    """Write the byte buffers ``payload`` yields to ``path`` so that readers
-    see either the old file or the complete new one.
+@contextlib.contextmanager
+def _write_atomic(*paths: str | Path):
+    """Yield one open binary file per path, in order, for the caller to write
+    into; once the block ends, move each onto its path, so that readers see
+    either the old file or the complete new one.
 
-    They go to a uniquely named temporary file in the same directory, opened
-    with ``"xb"`` so the umask sets its mode, which ``os.replace`` then
-    moves onto ``path``; on any error, the generator's own included, the
-    temporary file is removed.  A ``path`` that ``check_destination``
-    refuses raises before anything is created, and before ``payload`` is
-    first advanced.
+    Every path is checked with ``check_destination`` before anything is
+    created.  Each file is a uniquely named temporary one in its path's
+    directory, opened with ``"xb"`` so the umask sets its mode, which
+    ``os.replace`` moves onto the path.  On any error, the caller's own
+    included, every temporary file is removed, so a failed call that
+    writes several files leaves all their old versions in place.
     """
-    check_destination(path)
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    for path in paths:
+        check_destination(path)
+    moves = []
     try:
-        with open(tmp, "xb") as f:
-            for part in payload:
-                f.write(part)
-        os.replace(tmp, path)
+        with contextlib.ExitStack() as stack:
+            files = []
+            for path in map(Path, paths):
+                tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+                files.append(stack.enter_context(open(tmp, "xb")))
+                moves.append((tmp, path))
+            yield files
+        for tmp, path in moves:
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp, _ in moves:
+            tmp.unlink(missing_ok=True)
         raise
+
+
+def _is_png_path(path: str | Path) -> bool:
+    return os.fspath(path).lower().endswith(".png")
+
+
+def save_tensor(t: ImageTensor, path: str | Path) -> ImageTensor:
+    """Write ``t`` as an 8-bit PNG if ``path`` ends in ``.png`` (any case),
+    else as PDT1, and return the image the file holds: the 8-bit image, or
+    ``t`` itself."""
+    if _is_png_path(path):
+        return save_png(t, path)
+    write_raw(t, path)
+    return t
+
+
+class _RawWriter:
+    """Writes a PDT1 file of ``shape``: the header at once, then the planar
+    samples, in order, one stripe of whole rows per ``write``.
+
+    A file larger than the free space ``os.statvfs`` reports at its
+    directory is refused before its first byte, with ``ENOSPC`` naming
+    ``path``.
+    """
+
+    def __init__(self, f, path: str | Path, shape: tuple[int, int, int]):
+        if max(shape) > 0xFFFFFFFF:
+            raise ValueError(f"tensor shape {shape} does not fit the PDT1 header's 32-bit fields")
+        vfs = os.statvfs(os.path.dirname(os.fspath(path)) or ".")
+        if _RAW_HEADER.size + 8 * math.prod(shape) > vfs.f_bavail * vfs.f_frsize:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), os.fspath(path))
+        f.write(_RAW_HEADER.pack(RAW_MAGIC, *shape))
+        self._file = f
+
+    def write(self, rows: np.ndarray) -> np.ndarray:
+        """Append ``rows``; return them, as the file holds them."""
+        self._file.write(rows.astype("<f8", copy=False))
+        return rows
+
+    def finish(self) -> None:
+        pass
+
+
+class _PngWriter:
+    """Writes the 8-bit PNG of an image of ``shape``: each ``write`` quantizes
+    the next stripe of whole rows, in planar order, into the (height, width,
+    channels) image that PNG rows interleave, and ``finish`` encodes it."""
+
+    def __init__(self, f, path: str | Path, shape: tuple[int, int, int]):
+        check_png_channels(shape[0])
+        self._file = f
+        self._samples = np.empty(shape[1:] + shape[:1], np.uint8)
+        self._row = 0  # rows written, counted across the channels
+
+    def write(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Quantize ``rows`` (one channel's) as ``quantize`` does, into ``out``
+        if given, and return them as the file holds them."""
+        height, width, _ = self._samples.shape
+        ch, r0 = divmod(self._row, height)
+        n = rows.size // width
+        self._row += n
+        levels = _levels(rows, out)
+        np.copyto(self._samples[r0 : r0 + n, :, ch], levels.reshape(n, width), casting="unsafe")
+        levels /= 255.0
+        return levels
+
+    def finish(self) -> None:
+        self._file.writelines(_png.encode(self._samples))
+
+
+def _writer(f, path: str | Path, shape: tuple[int, int, int]) -> _RawWriter | _PngWriter:
+    """The writer of the format that ``path``'s name picks."""
+    return (_PngWriter if _is_png_path(path) else _RawWriter)(f, path, shape)
 
 
 def save_png(t: ImageTensor, path: str | Path) -> ImageTensor:
@@ -183,11 +269,13 @@ def save_png(t: ImageTensor, path: str | Path) -> ImageTensor:
     Returns the image the file holds, equal to ``quantize(t)`` and to what
     ``load_png`` reads back, so callers need not quantize a second time.
     """
-    check_png_channels(t.channels)
-    samples = np.empty((t.height, t.width, t.channels), np.uint8)
-    np.copyto(samples, _levels(t).transpose(1, 2, 0), casting="unsafe")
-    _write_atomic(path, [_png.encode(samples)])
-    return _planar(samples, 255.0)
+    held = np.empty(t.shape)
+    with _write_atomic(path) as (f,):
+        png = _PngWriter(f, path, t.shape)
+        for plane, out in zip(t.data, held):
+            png.write(plane, out)
+        png.finish()
+    return ImageTensor(held)
 
 
 def load_png(path: str | Path) -> ImageTensor:
@@ -205,15 +293,18 @@ def _planar(samples: np.ndarray, peak: float) -> ImageTensor:
 
 def write_raw(t: ImageTensor, path: str | Path) -> None:
     """Write the lossless PDT1 container (bit-exact round trip)."""
-    write_raw_stripes(path, t.shape, [t.data.astype("<f8", copy=False)])
+    write_raw_stripes(path, t.shape, [t.data])
 
 
 def write_raw_stripes(path: str | Path, shape: tuple[int, int, int], stripes: Iterable) -> None:
-    """Write a PDT1 file of ``shape`` whose payload is the little-endian f64
-    buffers ``stripes`` yields, in order, atomically as every output is
+    """Write a PDT1 file of ``shape`` whose payload is the f64 arrays
+    ``stripes`` yields, in order, atomically as every output is
     written: an error raised while ``stripes`` is advanced leaves no file.
     """
-    _write_atomic(path, itertools.chain([_RAW_HEADER.pack(RAW_MAGIC, *shape)], stripes))
+    with _write_atomic(path) as (f,):
+        raw = _RawWriter(f, path, shape)
+        for stripe in stripes:
+            raw.write(stripe)
 
 
 def read_raw(path: str | Path) -> ImageTensor:
@@ -278,6 +369,20 @@ class RawReader:
                 offset += stripe.nbytes
                 yield stripe
         _check_ended(fd, offset, self.path)
+
+
+@contextlib.contextmanager
+def open_stripes(path: str | Path):
+    """Yield the samples of a PNG or PDT1 file as a stripe source for
+    ``pooling``: a PDT1 as an open ``RawReader``, which reads it one stripe
+    at a time, a PNG as its decoded array.  Opening makes the checks and
+    gives the messages of ``load_tensor``.
+    """
+    if is_raw(path):
+        with RawReader(path) as reader:
+            yield reader
+    else:
+        yield load_tensor(path).data
 
 
 def _raw_shape(f, path) -> tuple[int, int, int]:

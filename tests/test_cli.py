@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, formats, determinism."""
 
 import ast
+import hashlib
 import json
 import os
 import struct
@@ -29,6 +30,7 @@ from rangenull import (
     write_raw,
 )
 from rangenull import pooling
+from rangenull.rng import Stream
 from rangenull.cli import BENCH_OPS, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -786,6 +788,8 @@ class TestStreamedErrors:
     def one_block_row_per_stripe(self, monkeypatch):
         monkeypatch.setattr(pooling, "_STRIPE_BYTES", 1)
 
+    # "in_memory" names the PNG output, which pd once wrote from whole
+    # images; it takes the same stripe walk now.
     @pytest.mark.parametrize("output", ["o.pdt1", "o.png"], ids=["streamed", "in_memory"])
     @pytest.mark.parametrize("fault", sorted(_FAULTS))
     def test_pd(self, capsys, tmp_path, stream, monkeypatch, fault, output):
@@ -880,7 +884,8 @@ class TestStreamedMemory:
     """The streamed commands hold the measurement, its pooled estimate and a
     few stripes: at scale 4 well under a quarter of one image's bytes,
     where the in-memory path holds two images for ``pd`` and one for
-    ``verify``."""
+    ``verify``.  Every predictor, with a second PDT1 or a PNG output, stays
+    under one image."""
 
     @pytest.mark.parametrize("command", ["pd", "verify"])
     def test_peak_below_a_quarter_of_the_image(self, capsys, tmp_path, command):
@@ -904,6 +909,35 @@ class TestStreamedMemory:
             tracemalloc.stop()
         assert code == 0 and len(json_lines(capsys.readouterr().out)) == 1
         assert peak < image_bytes / 4
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """A 3 x 256^2 measurement as PNG and PDT1, and a 3 x 1024^2 prediction."""
+        d = tmp_path_factory.mktemp("inputs")
+        rng = np.random.default_rng(7)
+        y = ImageTensor(rng.uniform(size=(3, 256, 256)))
+        save_png(y, d / "lr.png")
+        write_raw(y, d / "lr.pdt1")
+        _pdt1(d / "raw.pdt1", rng.uniform(size=(3, 1024, 1024)))
+        return d
+
+    @pytest.mark.parametrize("predictor", ["nearest", "bilinear", "bicubic", "external"])
+    @pytest.mark.parametrize("lr, second", [("lr.png", "o.png"), ("lr.pdt1", "o2.pdt1")], ids=["png", "pdt1"])
+    def test_every_predictor_stays_below_one_image(self, capsys, tmp_path, inputs, predictor, lr, second):
+        # At scale 4 the in-memory path peaked at 3.2 images with a PNG and at
+        # 2.2 into two PDT1 files.
+        image_bytes = 8 * 3 * 1024 * 1024
+        argv = ["pd", "--lr", str(inputs / lr), "--scale", "4", "--predictor", predictor,
+                "--output", str(tmp_path / "o.pdt1"), "--png", str(tmp_path / second)]
+        argv += ["--raw", str(inputs / "raw.pdt1")] if predictor == "external" else []
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(json_lines(capsys.readouterr().out)) == 2
+        assert peak < image_bytes
 
     @pytest.mark.parametrize("command", ["pd", "verify"])
     def test_wrong_shape_is_refused_below_a_quarter_of_the_image(self, capsys, tmp_path, command):
@@ -930,6 +964,167 @@ class TestStreamedMemory:
         assert (code, *capsys.readouterr()) == (3, "", f"error: {message}\n")
         assert not out.exists()
         assert peak < image_bytes / 4
+
+
+_OUTPUTS = {"pdt1": ("o.pdt1",), "png": ("o.png",), "pdt1+png": ("o.pdt1", "o.png"),
+            "png+pdt1": ("o.png", "o2.pdt1"), "pdt1+pdt1": ("o.pdt1", "o2.pdt1")}
+_GOLDEN_CASES = [
+    *((p, "pdt1", o, 3) for p in ("nearest", "bilinear", "bicubic", "external") for o in _OUTPUTS),
+    *((p, "pdt1", "pdt1+png", s) for p in ("nearest", "bilinear", "bicubic", "external") for s in (1, 2, 4, 8)),
+    *((p, "png", "png+pdt1", 3) for p in ("nearest", "bilinear", "bicubic", "external")),
+]
+
+
+def _golden_digest(capsys, tmp_path, predictor, lr_format, outputs, s):
+    """sha256 of every output file of one ``pd`` call, in order, then its
+    stdout: inputs from ``Stream(16)``, a 3 x 5 x 7 measurement."""
+    rng = Stream(16)
+    y = ImageTensor(rng.uniform((3, 5, 7)) * 1.5 - 0.25)
+    x_raw = ImageTensor(rng.uniform((3, 5 * s, 7 * s)) * 1.5 - 0.25)
+    lr, raw = tmp_path / f"lr.{lr_format}", tmp_path / f"raw.{lr_format}"
+    (save_png if lr_format == "png" else write_raw)(y, lr)
+    (save_png if lr_format == "png" else write_raw)(x_raw, raw)
+    paths = [tmp_path / name for name in _OUTPUTS[outputs]]
+    argv = ["pd", "--lr", str(lr), "--scale", str(s), "--predictor", predictor, "--output", str(paths[0])]
+    argv += ["--png", str(paths[1])] if len(paths) > 1 else []
+    argv += ["--raw", str(raw)] if predictor == "external" else []
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert (code, stderr) == (0, "")
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(path.read_bytes())
+    digest.update(stdout.encode())
+    return digest.hexdigest()[:16]
+
+
+# Recorded with the in-memory ``pd`` that predated the one stripe walk.
+_GOLDEN = {
+    "nearest-pdt1-pdt1-3": "8c83f507fd3b487b",
+    "nearest-pdt1-png-3": "8d7eadd7ec754212",
+    "nearest-pdt1-pdt1+png-3": "b946a79c5f58a23a",
+    "nearest-pdt1-png+pdt1-3": "443154fff9c50059",
+    "nearest-pdt1-pdt1+pdt1-3": "447479162f342b74",
+    "bilinear-pdt1-pdt1-3": "6f0bf9558460c001",
+    "bilinear-pdt1-png-3": "ad184dc515a672aa",
+    "bilinear-pdt1-pdt1+png-3": "fdd4e9f1efe534da",
+    "bilinear-pdt1-png+pdt1-3": "0508daa7c99e0ba2",
+    "bilinear-pdt1-pdt1+pdt1-3": "724e37f995b7171c",
+    "bicubic-pdt1-pdt1-3": "20a1bf67af5920f9",
+    "bicubic-pdt1-png-3": "9f06020736c7a9db",
+    "bicubic-pdt1-pdt1+png-3": "cb8de8dc3c705c4f",
+    "bicubic-pdt1-png+pdt1-3": "b89f91032292fd85",
+    "bicubic-pdt1-pdt1+pdt1-3": "11647619cf93dc76",
+    "external-pdt1-pdt1-3": "18aebc3aa9f13881",
+    "external-pdt1-png-3": "b62089402aecce85",
+    "external-pdt1-pdt1+png-3": "dd719159002b8ac8",
+    "external-pdt1-png+pdt1-3": "0ee3ef2d0758397e",
+    "external-pdt1-pdt1+pdt1-3": "d0ee2d702c835331",
+    "nearest-pdt1-pdt1+png-1": "5ed8f87abfbf4e98",
+    "nearest-pdt1-pdt1+png-2": "dec7acaa1149194e",
+    "nearest-pdt1-pdt1+png-4": "477919ec3403954b",
+    "nearest-pdt1-pdt1+png-8": "79755d32c71b4d3e",
+    "bilinear-pdt1-pdt1+png-1": "5ed8f87abfbf4e98",
+    "bilinear-pdt1-pdt1+png-2": "bf1637bf64917ead",
+    "bilinear-pdt1-pdt1+png-4": "222fec3cade6769e",
+    "bilinear-pdt1-pdt1+png-8": "a048e52fd0126d3f",
+    "bicubic-pdt1-pdt1+png-1": "5ed8f87abfbf4e98",
+    "bicubic-pdt1-pdt1+png-2": "e427e4717e539406",
+    "bicubic-pdt1-pdt1+png-4": "f798bbd135453df2",
+    "bicubic-pdt1-pdt1+png-8": "006c3d530c1f69b2",
+    "external-pdt1-pdt1+png-1": "5ed8f87abfbf4e98",
+    "external-pdt1-pdt1+png-2": "18b2927256257928",
+    "external-pdt1-pdt1+png-4": "494f4317ef098d26",
+    "external-pdt1-pdt1+png-8": "933fe0262b03de9e",
+    "nearest-png-png+pdt1-3": "87712556ffc63c75",
+    "bilinear-png-png+pdt1-3": "a26ee3182e941fd2",
+    "bicubic-png-png+pdt1-3": "622040594119fa4b",
+    "external-png-png+pdt1-3": "3f00ea738853a507",
+}
+
+
+class TestPdGoldenBytes:
+    """Every predictor and output order writes the bytes and prints the
+    records that ``pd`` gave when it held whole images."""
+
+    @pytest.mark.parametrize("case", _GOLDEN_CASES, ids=lambda case: "-".join(map(str, case)))
+    def test_digest(self, capsys, tmp_path, case):
+        assert _golden_digest(capsys, tmp_path, *case) == _GOLDEN["-".join(map(str, case))]
+
+
+class TestPdWalkFaults:
+    """Faults that ``pd`` meets in an order of its own, now that every
+    reconstruction is one stripe walk into files opened first."""
+
+    @pytest.mark.parametrize("predictor", ["nearest", "bilinear", "bicubic"])
+    def test_raw_needs_the_external_predictor(self, capsys, tmp_path, stream, predictor):
+        lr, raw, out = tmp_path / "lr.pdt1", tmp_path / "raw.pdt1", tmp_path / "o.pdt1"
+        write_raw(ImageTensor(stream.uniform((3, 4, 4))), lr)
+        write_raw(ImageTensor(stream.uniform((3, 8, 8))), raw)
+        code, stdout, stderr = run_cli(capsys, "pd", "--lr", str(lr), "--scale", "2", "--predictor", predictor,
+                                       "--raw", str(raw), "--output", str(out))
+        assert (code, stdout, stderr) == (3, "", "error: pd --raw is read only with --predictor external\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("predictor, png", [("bicubic", None), ("external", "o.png")])
+    def test_prediction_faults_come_after_the_destination_check(self, capsys, tmp_path, predictor, png):
+        # A bicubic prediction that overflows, and a PDT1 prediction holding
+        # a NaN that a second output once had read whole before any check.
+        lr, raw, out = tmp_path / "lr.pdt1", tmp_path / "raw.pdt1", tmp_path / "out"
+        y = np.full((1, 4, 4), 1.7e308)
+        y[0, ::2, 1::2] = y[0, 1::2, ::2] = -1.7e308
+        _pdt1(lr, y)
+        x = np.zeros((1, 8, 8))
+        x[0, -1, -1] = np.nan
+        _pdt1(raw, x)
+        argv = ["pd", "--lr", str(lr), "--scale", "2", "--predictor", predictor, "--raw", str(raw)]
+        argv = argv if predictor == "external" else argv[:-2]
+        argv += ["--png", str(tmp_path / png)] if png else []
+        code, stdout, stderr = run_cli(capsys, *argv, "--output", str(tmp_path / "o.pdt1"))
+        assert (code, stdout, stderr) == (3, "", "error: tensor samples must be finite (no NaN or infinity)\n")
+        out.mkdir()
+        code, stdout, stderr = run_cli(capsys, *argv, "--output", str(out))
+        assert (code, stdout) == (3, "")
+        assert stderr.startswith("error: ") and "Is a directory" in stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lr.pdt1", "out", "raw.pdt1"]
+
+    def test_png_channels_are_checked_before_the_walk(self, capsys, tmp_path):
+        lr, raw, out = tmp_path / "lr.pdt1", tmp_path / "raw.pdt1", tmp_path / "o.png"
+        x = np.full((2, 8, 10), 1e308)
+        x[-1, -1, -1] = -1e308
+        _pdt1(raw, x)
+        _pdt1(lr, np.full((2, 4, 5), -1e308))
+        code, stdout, stderr = run_cli(capsys, "pd", "--lr", str(lr), "--scale", "2", "--predictor", "external",
+                                       "--raw", str(raw), "--output", str(out))
+        assert (code, stdout, stderr) == (3, "", "error: PNG output needs 1 or 3 channels, got 2\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("output, png", [("o.pdt1", None), ("o.png", "o2.pdt1")])
+    def test_pdt1_larger_than_the_free_space_is_refused(self, capsys, tmp_path, stream, monkeypatch, output, png):
+        lr, out = tmp_path / "lr.pdt1", tmp_path / output
+        write_raw(ImageTensor(stream.uniform((3, 4, 4))), lr)
+        out.write_bytes(b"old")
+        pdt1 = tmp_path / (png or output)
+        # 16 + 8 * 3 * 8 * 8 bytes are needed; 1535 are free.
+        monkeypatch.setattr(os, "statvfs", lambda path: os.statvfs_result((1, 1, 2048, 1535, 1535, 9, 9, 9, 0, 255)))
+        argv = ["pd", "--lr", str(lr), "--scale", "2", "--output", str(out)]
+        code, stdout, stderr = run_cli(capsys, *argv, *(["--png", str(pdt1)] if png else []))
+        assert (code, stdout, stderr) == (3, "", f"error: [Errno 28] No space left on device: {str(pdt1)!r}\n")
+        assert out.read_bytes() == b"old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"lr.pdt1", output})
+        monkeypatch.setattr(os, "statvfs", lambda path: os.statvfs_result((1, 1, 2048, 1552, 1552, 9, 9, 9, 0, 255)))
+        assert run_cli(capsys, *argv)[0] == 0
+
+    def test_pdt1_dimensions_past_32_bits_are_refused(self, capsys, tmp_path, stream, monkeypatch):
+        # With room enough, the header's u32 fields refuse 8e9 rows before
+        # anything of that size is allocated.
+        lr, out = tmp_path / "lr.pdt1", tmp_path / "o.pdt1"
+        write_raw(ImageTensor(stream.uniform((3, 8, 8))), lr)
+        monkeypatch.setattr(os, "statvfs", lambda path: os.statvfs_result((1, 1, 2**64, 2**64, 2**64, 9, 9, 9, 0, 255)))
+        code, stdout, stderr = run_cli(capsys, "pd", "--lr", str(lr), "--scale", "1000000000", "--output", str(out))
+        shape = (3, 8000000000, 8000000000)
+        assert (code, stdout) == (3, "")
+        assert stderr == f"error: tensor shape {shape} does not fit the PDT1 header's 32-bit fields\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lr.pdt1"]
 
 
 class TestOneDiagnosticLine:

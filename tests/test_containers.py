@@ -192,8 +192,9 @@ class TestAtomicWrite:
         path = tmp_path / "out.pdt1"
         if existing:
             path.write_bytes(b"old")
-        with pytest.raises(TypeError):
-            _write_atomic(path, [b"PDT1 header", object()])  # the second part is not a buffer
+        with pytest.raises(TypeError), _write_atomic(path) as (f,):
+            f.write(b"PDT1 header")
+            f.write(object())  # not a buffer
         assert sorted(tmp_path.iterdir()) == ([path] if existing else [])
         assert not existing or path.read_bytes() == b"old"
 

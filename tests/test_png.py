@@ -275,5 +275,5 @@ class TestEncoder:
         stride = t.width * t.channels
         assert [raw[r * (stride + 1)] for r in range(t.height)] == [0] + [2] * (t.height - 1)
         samples = _unfilter_scalar(raw, t.height, stride, t.channels)
-        expected = _levels(t).astype(np.uint8).transpose(1, 2, 0).reshape(t.height, stride)
+        expected = _levels(t.data).astype(np.uint8).transpose(1, 2, 0).reshape(t.height, stride)
         assert np.array_equal(samples, expected)

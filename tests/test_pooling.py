@@ -11,14 +11,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rangenull import (
+    PREDICTORS,
     ImageTensor,
     PoolingOp,
     RawReader,
     extract_highfreq,
+    open_prediction,
     pd_combine,
     pool_down,
     pool_up,
+    predict_raw,
     quantize,
+    save_png,
     stream_pd,
     stream_verify,
     verify_consistency,
@@ -282,6 +286,25 @@ class TestStripedKernels:
             assert combined32.tobytes() == via_parts32.tobytes()
 
 
+@st.composite
+def walk_cases(draw):
+    """(predictor, raw format, output names, s, y, x): every predictor, a
+    PDT1 or PNG prediction, every order of PDT1 and PNG outputs, odd sides."""
+    s = draw(st.sampled_from([1, 2, 3, 4, 8]))
+    c, h, w = draw(st.sampled_from([1, 3])), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    vals = st.sampled_from([0.0, -0.0]) | st.floats(-0.5, 1.5, width=64)
+    names = draw(st.sampled_from([["o.pdt1"], ["o.png"], ["o.pdt1", "o.png"], ["o.png", "o2.pdt1"],
+                                  ["o.pdt1", "o2.pdt1"]]))
+    return (
+        draw(st.sampled_from(PREDICTORS)),
+        draw(st.sampled_from(["pdt1", "png"])),
+        names,
+        s,
+        ImageTensor(draw(arrays(np.float64, (c, h, w), elements=vals))),
+        ImageTensor(draw(arrays(np.float64, (c, h * s, w * s), elements=vals))),
+    )
+
+
 class TestStreamedKernels:
     """``stream_pd`` and ``stream_verify`` read a PDT1 file one stripe at a
     time and must give the in-memory path's bytes and records."""
@@ -294,13 +317,37 @@ class TestStreamedKernels:
             raw, out, ref = Path(tmp, "raw.pdt1"), Path(tmp, "out.pdt1"), Path(tmp, "ref.pdt1")
             write_raw(x_raw, raw)
             with RawReader(raw) as reader:
-                record = stream_pd(y, reader, s, out)
+                (record,) = stream_pd(y, reader, s, out)
             x_hat = pd_combine(y, x_raw, s)
             write_raw(x_hat, ref)
             assert out.read_bytes() == ref.read_bytes()
             assert record.to_dict() == PoolingOp.for_measurement(y, s).verify(y, x_hat).to_dict()
             with RawReader(out) as reader:
                 assert stream_verify(y, reader, s).to_dict() == verify_consistency(y, x_hat, s).to_dict()
+
+    @pytest.mark.parametrize("stripe_bytes", [1, pooling._STRIPE_BYTES], ids=["row", "default"])
+    @given(walk_cases())
+    def test_walk_equals_the_in_memory_composition(self, stripe_bytes, case):
+        # The files and records of the one walk against predict_raw, then
+        # PoolingOp.combine, then write_raw or save_png and op.verify of each
+        # file in turn, a PNG handing its 8-bit image to the next.
+        predictor, raw_format, names, s, y, x = case
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(pooling, "_STRIPE_BYTES", stripe_bytes):
+            raw = Path(tmp, f"raw.{raw_format}")
+            (save_png if raw_format == "png" else write_raw)(x, raw)
+            raw = raw if predictor == "external" else None
+            with open_prediction(y, predictor, s, raw) as source:
+                records = stream_pd(y, source, s, *(Path(tmp, name) for name in names))
+            op = PoolingOp.for_measurement(y, s)
+            x_hat = op.combine(y, predict_raw(y, predictor, s, raw))
+            for name, record in zip(names, records):
+                ref = Path(tmp, "ref" + name)
+                if name.endswith(".png"):
+                    x_hat = save_png(x_hat, ref)
+                else:
+                    write_raw(x_hat, ref)
+                assert Path(tmp, name).read_bytes() == ref.read_bytes()
+                assert record.to_dict() == op.verify(y, x_hat).to_dict()
 
     def test_scale_one_keeps_signed_zeros(self, tmp_path):
         # (x - x) + y, not x minus its anchored mean: the mean of -0.0 is +0.0.
