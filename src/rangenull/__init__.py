@@ -45,6 +45,9 @@ from .restore import (
     cs_build,
     cs_measure,
     cs_pinv,
+    cs_stream_measure,
+    cs_stream_pd,
+    cs_stream_pinv,
     generic_pd,
     gray_to_color,
     load_sense_op,
@@ -89,6 +92,9 @@ __all__ = [
     "cs_build",
     "cs_measure",
     "cs_pinv",
+    "cs_stream_measure",
+    "cs_stream_pd",
+    "cs_stream_pinv",
     "derive",
     "error_map",
     "extract_highfreq",

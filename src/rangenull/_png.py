@@ -9,7 +9,9 @@ settings (level 6, strategy ``Z_RLE``), so the bytes written for a given
 image are identical from run to run.  On smooth images the Up residuals
 are small values, which run-length matching compresses two to three
 times faster than the default strategy does unfiltered rows, into
-smaller files; on noise the file size is unchanged.
+smaller files; on noise the file size is unchanged.  The rows are
+filtered and compressed one band at a time, so encoding holds the
+compressed stream and one band, not the whole filtered image.
 
 The pixel data is inflated chunk by chunk, never past one byte more than
 the header's dimensions call for, so a small file that would inflate to
@@ -33,6 +35,9 @@ from numpy.lib.stride_tricks import as_strided
 SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
 _ZLIB_LEVEL = 6
+# Filtered bytes per ``compressobj.compress`` call; deflate's output does
+# not depend on how its input is split.
+_BAND_BYTES = 1 << 17
 
 
 def _chunk(tag: bytes, *payload: bytes) -> list[bytes]:
@@ -54,13 +59,20 @@ def encode(samples: np.ndarray) -> list[bytes]:
     color_type = 0 if channels == 1 else 2
     ihdr = struct.pack(">IIBBBBB", width, height, 8, color_type, 0, 0, 0)
     rows = samples.reshape(height, -1)
-    raw = np.empty((height, 1 + rows.shape[1]), dtype=np.uint8)
-    raw[0, 0], raw[0, 1:] = 0, rows[0]  # filter None
-    raw[1:, 0] = 2  # filter Up: the byte minus the one above, modulo 256
-    np.subtract(rows[1:], rows[:-1], out=raw[1:, 1:])
+    band = max(1, _BAND_BYTES // (1 + rows.shape[1]))
+    filtered = np.empty((min(band, height), 1 + rows.shape[1]), dtype=np.uint8)
     deflate = zlib.compressobj(_ZLIB_LEVEL, zlib.DEFLATED, 15, 8, zlib.Z_RLE)
-    idat = _chunk(b"IDAT", deflate.compress(raw), deflate.flush())
-    return [SIGNATURE, *_chunk(b"IHDR", ihdr), *idat, *_chunk(b"IEND")]
+    compressed = []
+    for r0 in range(0, height, band):
+        raw = filtered[: min(band, height - r0)]
+        r1, first = r0 + len(raw), max(r0, 1)
+        raw[:, 0] = 2  # filter Up: the byte minus the one above, modulo 256
+        np.subtract(rows[first:r1], rows[first - 1 : r1 - 1], out=raw[first - r0 :, 1:])
+        if r0 == 0:
+            raw[0, 0], raw[0, 1:] = 0, rows[0]  # filter None
+        compressed.append(deflate.compress(raw))
+    compressed.append(deflate.flush())
+    return [SIGNATURE, *_chunk(b"IHDR", ihdr), *_chunk(b"IDAT", *compressed), *_chunk(b"IEND")]
 
 
 def decode(data: bytes) -> tuple[np.ndarray, int]:

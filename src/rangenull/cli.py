@@ -21,7 +21,6 @@ import sys
 import numpy as np
 
 from .bench import BENCH_OPS, run_bench, run_table1
-from .linop import LinearOperator
 from .metrics import error_map
 from .pooling import stream_pd, stream_verify
 from .resample import FILTERS, PREDICTORS, ResampleSpec, open_prediction, resample
@@ -29,14 +28,15 @@ from .restore import (
     ColorMeanOp,
     color_to_gray,
     cs_build,
-    cs_measure,
-    cs_pinv,
+    cs_stream_measure,
+    cs_stream_pd,
+    cs_stream_pinv,
     generic_pd,
     gray_to_color,
     load_sense_op,
     save_sense_op,
 )
-from .tensor import ImageTensor, check_destination, load_tensor, open_stripes, save_tensor
+from .tensor import check_destination, load_tensor, open_stripes, save_tensor
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -45,19 +45,6 @@ EXIT_CONTRACT = 3
 
 def _emit(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj) + "\n")
-
-
-def _reconstruct(op: LinearOperator, y: ImageTensor, x_raw: ImageTensor, path: str) -> None:
-    """Combine in memory, write ``x_hat`` to ``path`` and print its record:
-    ``op.verify`` of what the file holds.
-
-    This is the path of ``colorize --mode pd`` and ``cs --action pd``.  The
-    destination is checked before the combine, and the record is printed
-    after the write, so a failed call prints nothing.
-    """
-    check_destination(path)
-    x_hat = save_tensor(generic_pd(op, y, x_raw), path)
-    _emit(op.verify(y, x_hat).to_dict())
 
 
 def _cmd_degrade(args: argparse.Namespace) -> int:
@@ -118,7 +105,11 @@ def _cmd_colorize(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.raw is None:
         raise ValueError("colorize --mode pd needs --raw with the color prediction")
-    _reconstruct(ColorMeanOp(x.height, x.width), x, load_tensor(args.raw), args.output)
+    # The destination is checked before the combine and the record printed
+    # after the write, so a failed call prints nothing.
+    op, x_raw = ColorMeanOp(x.height, x.width), load_tensor(args.raw)
+    check_destination(args.output)
+    _emit(op.verify(x, save_tensor(generic_pd(op, x, x_raw), args.output)).to_dict())
     return EXIT_OK
 
 
@@ -130,19 +121,33 @@ def _require_flag(args: argparse.Namespace, name: str) -> str:
 
 
 def _cmd_cs(args: argparse.Namespace) -> int:
+    """``build`` writes a PDM1 operator and prints its fields; ``measure``,
+    ``pinv`` and ``pd`` load it and run the streamed actions of
+    ``restore``.
+
+    ``measure`` reads ``--input`` (a PDT1 one stripe at a time, a PNG
+    decoded whole) straight into block layout.  ``pinv`` loads the
+    measurement and writes the image one stripe at a time.  ``pd`` loads
+    the measurement ``--lr``, reads ``--raw`` as ``measure`` reads its
+    input, writes as ``pinv`` does and prints the record of the file it
+    wrote.  None of them holds the image array beside its block copy.
+    """
     if args.action == "build":
         op = cs_build(args.block, args.ratio, args.seed)
         save_sense_op(op, args.output)
         _emit({"block": op.block, "q": op.q, "ratio": op.ratio, "seed": op.seed})
         return EXIT_OK
     op = load_sense_op(_require_flag(args, "op"))
-    if args.action != "pd":
-        kernel = cs_measure if args.action == "measure" else cs_pinv
-        save_tensor(kernel(op, load_tensor(_require_flag(args, "input"))), args.output)
-        return EXIT_OK
-    y = load_tensor(_require_flag(args, "lr"))
-    x_raw = load_tensor(_require_flag(args, "raw"))
-    _reconstruct(op, y, x_raw, args.output)
+    if args.action == "measure":
+        with open_stripes(_require_flag(args, "input")) as x:
+            cs_stream_measure(op, x, args.output)
+    elif args.action == "pinv":
+        cs_stream_pinv(op, load_tensor(_require_flag(args, "input")), args.output)
+    else:
+        y = load_tensor(_require_flag(args, "lr"))
+        with open_stripes(_require_flag(args, "raw")) as x_raw:
+            record = cs_stream_pd(op, y, x_raw, args.output)
+        _emit(record.to_dict())
     return EXIT_OK
 
 

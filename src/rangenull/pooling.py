@@ -73,6 +73,13 @@ def _stripes(src, s: int):
         yield piece.reshape(-1, s, width), ch, band
 
 
+def _read_through(src) -> None:
+    """Read the stripe source ``src`` to its end, so that its own faults are
+    met before a caller refuses it."""
+    for _ in _stripes(src, 1):
+        pass
+
+
 def _band_mean(rows: np.ndarray, s: int) -> np.ndarray:
     """Means of the s x s blocks of ``rows``, k block rows shaped (k, s, width).
 
@@ -229,8 +236,7 @@ def stream_verify(y: ImageTensor, x_hat, s: int) -> ConsistencyReport:
     faults come first, as when it is loaded whole.
     """
     if x_hat.shape != (y.channels, s * y.height, s * y.width):
-        for _ in _stripes(x_hat, 1):
-            pass
+        _read_through(x_hat)
     op = PoolingOp.for_measurement(y, s)
     op._check(x_hat, op.in_shape, "input")
     return compare(y, ImageTensor(_block_mean(x_hat, s)))

@@ -13,6 +13,15 @@ image channel in each direction, so ``cs_measure`` and ``cs_pinv`` run
 at a small multiple of a memory copy.  Reruns at one BLAS thread count
 give the same bytes; other thread counts usually do too, but that is not
 promised (see ``cs_measure``).
+
+``cs_stream_measure``, ``cs_stream_pinv`` and ``cs_stream_pd`` give the
+bytes, records and errors of ``cs_measure``, ``cs_pinv`` and
+``combine`` followed by ``save_tensor`` and ``verify``, without the
+image array: an input image is read one stripe of whole block rows at a
+time (``pooling._stripes``, from an array or a ``RawReader``) straight
+into block layout, and an output image is unblocked one stripe at a
+time into the writer of its file, so the block buffer is the only
+image-sized array besides the temporaries of the products.
 """
 
 from __future__ import annotations
@@ -24,8 +33,18 @@ from pathlib import Path
 import numpy as np
 
 from .linop import LinearOperator, svd
+from .metrics import ConsistencyReport, compare
+from .pooling import _band_rows, _read_through, _stripes
 from .rng import Stream
-from .tensor import ImageTensor, _read_payload, _write_atomic
+from .tensor import (
+    ImageTensor,
+    _check_finite,
+    _read_payload,
+    _write_atomic,
+    _writer,
+    check_destination,
+    save_tensor,
+)
 
 SENSE_MAGIC = b"PDM1"
 _SENSE_HEADER = struct.Struct("<4sIIQ")
@@ -130,8 +149,7 @@ class BlockSenseOp(LinearOperator):
 
     def bind_shape(self, channels: int, height: int, width: int) -> "BlockSenseOp":
         """Copy with shapes fixed so shape-dependent diagnostics can run."""
-        if height % self.block or width % self.block:
-            raise ValueError(f"image size {height}x{width} is not divisible by block {self.block}")
+        _require_blocks(height, width, self.block)
         bound = BlockSenseOp(self.block, self.q, self.seed, self.ratio, self.rows)
         bound.in_shape = (channels, height, width)
         bound.out_shape = (channels * self.q, height // self.block, width // self.block)
@@ -148,21 +166,24 @@ class BlockSenseOp(LinearOperator):
     def combine(self, y: ImageTensor, x_raw: ImageTensor) -> ImageTensor:
         """The generic combine's bytes, computed in block layout.
 
-        One reordering copy of ``x_raw``; the range part is subtracted and
-        ``A+ y`` added in place, each from the BLAS product ``cs_pinv``
-        takes on the operand layout ``cs_measure`` writes; one reordering
-        copy back.
+        One reordering copy of ``x_raw``, ``_combine_blocks`` in place, one
+        reordering copy back.
         """
+        _, nh, nw = self._combine_checks(y, x_raw)
+        blocks = _to_blocks(x_raw.data, self.block)
+        _combine_blocks(self.rows, y.data, blocks, nh, nw)
+        return ImageTensor(_from_blocks(blocks, nh, nw, self.block))
+
+    def _combine_checks(self, y: ImageTensor, x_raw) -> tuple[int, int, int]:
+        """The generic combine's checks, in its order, of ``y`` and anything
+        with the ``shape`` of a raw prediction; return ``y``'s image blocks."""
         self._check(y, self.out_shape, "measurement")
         c, nh, nw = _image_blocks(self, y.shape)
         b = self.block
         if x_raw.shape != (c, nh * b, nw * b):
             cs_pinv(self, y)  # the generic combine reports an overflowing A+ y first
             self._check_raw(x_raw, (c, nh * b, nw * b))
-        blocks = _to_blocks(x_raw.data, b)
-        blocks -= _back_project(self.rows, _measure_blocks(self.rows, blocks, nh, nw))
-        blocks += _back_project(self.rows, y.data)
-        return ImageTensor(_from_blocks(blocks, nh, nw, b))
+        return c, nh, nw
 
 
 def cs_build(block: int, ratio: float, seed: int = 0) -> BlockSenseOp:
@@ -199,11 +220,8 @@ def cs_measure(op: BlockSenseOp, x: ImageTensor) -> ImageTensor:
     but not at block 20, so the thread count is not promised; reruns at
     one count are.
     """
-    _, h, w = x.shape
-    b = op.block
-    if h % b or w % b:
-        raise ValueError(f"image size {h}x{w} is not divisible by block {b}")
-    return ImageTensor(_measure_blocks(op.rows, _to_blocks(x.data, b), h // b, w // b))
+    nh, nw = _require_blocks(x.height, x.width, op.block)
+    return ImageTensor(_measure_blocks(op.rows, _to_blocks(x.data, op.block), nh, nw))
 
 
 def cs_pinv(op: BlockSenseOp, m: ImageTensor) -> ImageTensor:
@@ -219,10 +237,77 @@ def cs_pinv(op: BlockSenseOp, m: ImageTensor) -> ImageTensor:
     return ImageTensor(_from_blocks(_back_project(op.rows, m.data), nh, nw, op.block))
 
 
-# Array kernels shared by ``cs_measure``, ``cs_pinv`` and
-# ``BlockSenseOp.combine``, so the three make the same BLAS calls on the
+def cs_stream_measure(op: BlockSenseOp, x, path: str | Path) -> None:
+    """Write ``cs_measure`` of the image source ``x`` to ``path``, in the
+    format its name picks (see ``tensor.save_tensor``).
+
+    ``x`` is an array or a ``RawReader`` (see ``tensor.open_stripes``); its
+    stripes are copied straight into block layout, with no image array.  A
+    source whose sides do not divide by the block is read through before
+    it is refused, so its own faults come first, as when it is loaded whole.
+    """
+    _, h, w = x.shape
+    if h % op.block or w % op.block:
+        _read_through(x)
+    nh, nw = _require_blocks(h, w, op.block)
+    # The product of ``_measure_blocks``, spelled out so that the block
+    # buffer is freed before the measurement layout is allocated.
+    per_block = np.matmul(_read_blocks(x, op.block), op.rows.T)
+    save_tensor(ImageTensor(_stack_measurements(per_block, nh, nw)), path)
+
+
+def cs_stream_pinv(op: BlockSenseOp, m: ImageTensor, path: str | Path) -> None:
+    """Write ``cs_pinv(op, m)`` to ``path``, in the format its name picks,
+    unblocking the back-projected blocks one stripe at a time into the
+    file's writer, with no image array."""
+    c, nh, nw = _image_blocks(op, m.shape)
+    b = op.block
+    blocks = _back_project(op.rows, m.data)
+    _check_finite(blocks)
+    with _write_atomic(path) as (f,):
+        _write_blocks(blocks, nh, nw, b, _writer(f, path, (c, nh * b, nw * b)))
+
+
+def cs_stream_pd(op: BlockSenseOp, y: ImageTensor, x_raw, path: str | Path) -> ConsistencyReport:
+    """Write ``op.combine(y, x_raw)`` to ``path``, in the format its name
+    picks, and return ``op.verify`` of what the file holds.
+
+    The raw prediction source ``x_raw`` (an array or a ``RawReader``, see
+    ``tensor.open_stripes``) is read first, straight into block layout; one
+    that does not fit ``y`` is read through instead, so its own faults come
+    first.  Then the destination is checked and the combine makes its
+    checks, in the order of the in-memory path.  The combine runs in place
+    in the block buffer, which is unblocked one stripe at a time into the
+    file's writer; a PNG's quantized stripes are put back, and the record
+    is measured from the buffer, so the output gets no second reordering
+    copy.  An error at any point, a non-finite record included, leaves the
+    old file as it was.
+    """
+    cq, nh, nw = y.shape
+    b = op.block
+    fits = cq % op.q == 0 and x_raw.shape == (cq // op.q, nh * b, nw * b)
+    blocks = _read_blocks(x_raw, b) if fits else _read_through(x_raw)
+    check_destination(path)
+    op._combine_checks(y, x_raw)  # raises if the prediction did not fit
+    _combine_blocks(op.rows, y.data, blocks, nh, nw)
+    _check_finite(blocks)
+    with _write_atomic(path) as (f,):
+        _write_blocks(blocks, nh, nw, b, _writer(f, path, x_raw.shape))
+        forward = ImageTensor(_measure_blocks(op.rows, blocks, nh, nw))
+    return compare(y, forward)
+
+
+# Array kernels shared by ``cs_measure``, ``cs_pinv``, ``BlockSenseOp.combine``
+# and the streamed actions, so all of them make the same BLAS calls on the
 # same operand layouts.  Blocks are laid out (channels, blocks, B^2), one
 # row-major block per row; measurements (channels * q, nh, nw).
+
+
+def _require_blocks(h: int, w: int, b: int) -> tuple[int, int]:
+    """Block rows and columns of an h x w image; raise unless b divides both."""
+    if h % b or w % b:
+        raise ValueError(f"image size {h}x{w} is not divisible by block {b}")
+    return h // b, w // b
 
 
 def _image_blocks(op: BlockSenseOp, measured: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -248,9 +333,52 @@ def _from_blocks(blocks: np.ndarray, nh: int, nw: int, b: int) -> np.ndarray:
     return out
 
 
+def _read_blocks(src, b: int) -> np.ndarray:
+    """``_to_blocks`` of the stripe source ``src`` (see ``pooling._stripes``),
+    whose sides divide by ``b``: each stripe of whole block rows is copied
+    straight into its blocks."""
+    c, h, w = src.shape
+    nh, nw = h // b, w // b
+    blocks = np.empty((c, nh, nw, b, b))
+    for rows, ch, band in _stripes(src, b):
+        np.copyto(blocks[ch, band], rows.reshape(-1, b, nw, b).transpose(0, 2, 1, 3))
+    return blocks.reshape(c, nh * nw, b * b)
+
+
+def _write_blocks(blocks: np.ndarray, nh: int, nw: int, b: int, writer) -> None:
+    """Hand the image of ``blocks`` to ``writer`` (see ``tensor._writer``)
+    one stripe of whole block rows at a time, in planar order, and put
+    back into ``blocks`` what the file holds where it differs: a PNG's
+    quantized stripe."""
+    c = blocks.shape[0]
+    tiles = blocks.reshape(c, nh, nw, b, b).transpose(0, 1, 3, 2, 4)  # (c, nh, b, nw, b)
+    step = _band_rows(nw * b, 8, b)
+    buf = np.empty((min(step, nh), b, nw, b))
+    for ch in range(c):
+        for r0 in range(0, nh, step):
+            band = tiles[ch, r0 : r0 + step]
+            np.copyto(buf[: len(band)], band)
+            rows = buf[: len(band)].reshape(len(band), b, nw * b)
+            held = writer.write(rows)
+            if held is not rows:
+                np.copyto(band, held.reshape(band.shape))
+    writer.finish()
+
+
+def _combine_blocks(rows: np.ndarray, y: np.ndarray, blocks: np.ndarray, nh: int, nw: int) -> None:
+    """The combine in block layout, in place: subtract the range part of
+    ``blocks``, then add ``A+ y``."""
+    blocks -= _back_project(rows, _measure_blocks(rows, blocks, nh, nw))
+    blocks += _back_project(rows, y)
+
+
 def _measure_blocks(rows: np.ndarray, blocks: np.ndarray, nh: int, nw: int) -> np.ndarray:
-    c, q = blocks.shape[0], rows.shape[0]
-    per_block = np.matmul(blocks, rows.T)
+    return _stack_measurements(np.matmul(blocks, rows.T), nh, nw)
+
+
+def _stack_measurements(per_block: np.ndarray, nh: int, nw: int) -> np.ndarray:
+    # The (c, blocks, q) products in the channel * q + row layout of a fresh array.
+    c, _, q = per_block.shape
     out = np.empty((c * q, nh, nw))
     np.copyto(out.reshape(c, q, nh * nw), per_block.transpose(0, 2, 1))
     return out

@@ -18,9 +18,10 @@ into its final array with ``os.preadv``, on the calling thread.  Stripes
 of whole rows are also a unit of I/O: ``RawReader`` reads a PDT1 payload
 one stripe at a time into one reused buffer (``open_stripes`` opens a
 PDT1 that way and decodes a PNG whole), and a file is written one stripe
-at a time by the writer of its format, which ``pooling.stream_pd`` feeds
-as it walks: a PDT1 writes each stripe as it comes, a PNG quantizes it
-into the 8-bit image it encodes at the end.  So a pass over a PDT1 file
+at a time by the writer of its format, which ``pooling.stream_pd`` and
+the streamed ``cs`` actions of ``restore`` feed: a PDT1 writes each
+stripe as it comes, a PNG quantizes it into the 8-bit image it encodes
+at the end.  So a pass over a PDT1 file
 need not hold the whole image.  Every file is written through
 ``_write_atomic``, which renames a call's files into place only once all
 of them are complete.

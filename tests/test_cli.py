@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 
 from rangenull import (
+    BlockSenseOp,
     ColorMeanOp,
     ImageTensor,
     PoolingOp,
+    cs_build,
     cs_measure,
     load_png,
     load_sense_op,
@@ -27,6 +29,7 @@ from rangenull import (
     quantize,
     read_raw,
     save_png,
+    save_sense_op,
     write_raw,
 )
 from rangenull import pooling
@@ -966,6 +969,65 @@ class TestStreamedMemory:
         assert peak < image_bytes / 4
 
 
+def _cs_argv(inputs, action, out):
+    """``cs --action <action>`` on the files of ``TestCsStreamedMemory.inputs``."""
+    given = {"measure": ["--input", "x.pdt1"], "pinv": ["--input", "m.pdt1"],
+             "pd": ["--lr", "m.pdt1", "--raw", "raw.pdt1"]}[action]
+    paths = [str(inputs / name) if name.endswith(".pdt1") else name for name in given]
+    return ["cs", "--action", action, "--op", str(inputs / "op.pdm1"), *paths, "--output", str(out)]
+
+
+def _cs_traced_peak(inputs, action, out):
+    """The tracemalloc peak of one ``cs`` call, after an untraced call has
+    built what the first call builds once."""
+    argv = _cs_argv(inputs, action, out)
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _cs_inputs(d):
+    """A 3 x 1008^2 image and raw prediction as PDT1, a block-8 operator of
+    ratio 0.25 and the image's measurement, in the directory ``d``."""
+    rng = np.random.default_rng(7)
+    x = rng.uniform(size=(3, 1008, 1008))
+    _pdt1(d / "x.pdt1", x)
+    _pdt1(d / "raw.pdt1", x + rng.normal(0.0, 0.03, x.shape))
+    op = cs_build(8, 0.25, seed=1)
+    save_sense_op(op, d / "op.pdm1")
+    write_raw(cs_measure(op, ImageTensor(x)), d / "m.pdt1")
+
+
+class TestCsStreamedMemory:
+    """``cs --action measure|pinv|pd`` hold no image array beside the block
+    copy.  The calls that loaded and wrote whole images peaked with the
+    output image beside the blocks; the streamed calls hold one output
+    stripe in its place, so each peaks at least one image below them, less
+    that stripe and 64 KiB of bookkeeping.  ``measure`` and ``pd`` also
+    drop the input image and peak 30 MB lower; ``pinv`` holds at its peak
+    the measurement, its back-projected blocks and the stripe."""
+
+    IMAGE_BYTES = 8 * 3 * 1008 * 1008
+    # Peaks of the whole-image calls, measured by ``_cs_traced_peak``.
+    WHOLE_IMAGE_PEAKS = {"measure": 60974400, "pinv": 54877768, "pd": 91456920}
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("cs_inputs")
+        _cs_inputs(d)
+        return d
+
+    @pytest.mark.parametrize("action", ["measure", "pinv", "pd"])
+    def test_peak_one_image_below_the_whole_image_call(self, capsys, tmp_path, inputs, action):
+        peak = _cs_traced_peak(inputs, action, tmp_path / "o.pdt1")
+        capsys.readouterr()
+        assert peak <= self.WHOLE_IMAGE_PEAKS[action] - self.IMAGE_BYTES + pooling._STRIPE_BYTES + (1 << 16)
+
+
 _OUTPUTS = {"pdt1": ("o.pdt1",), "png": ("o.png",), "pdt1+png": ("o.pdt1", "o.png"),
             "png+pdt1": ("o.png", "o2.pdt1"), "pdt1+pdt1": ("o.pdt1", "o2.pdt1")}
 _GOLDEN_CASES = [
@@ -1049,6 +1111,242 @@ class TestPdGoldenBytes:
     @pytest.mark.parametrize("case", _GOLDEN_CASES, ids=lambda case: "-".join(map(str, case)))
     def test_digest(self, capsys, tmp_path, case):
         assert _golden_digest(capsys, tmp_path, *case) == _GOLDEN["-".join(map(str, case))]
+
+
+_CS_IO = {"pdt1": ("pdt1", "o.pdt1"), "png": ("png", "o.png"), "pdt1-png": ("pdt1", "o.png")}
+_CS_GOLDEN_CASES = [
+    (action, b, c, io)
+    for action in ("measure", "pinv", "pd")
+    for b in (1, 3, 8, 12)
+    for c in (1, 3)
+    for io in (("pdt1", "png") if action == "pinv" else _CS_IO)
+]
+
+
+def _cs_golden_digest(capsys, tmp_path, action, b, c, io):
+    """sha256 of the exit code, stdout, stderr and output file of one ``cs``
+    call: a 0.25-ratio operator of block ``b`` from seed 2026, and inputs
+    from ``Stream(17)`` of ``c`` x 3b x 2b; the image input (``measure
+    --input``, ``pd --raw``) in the format ``io`` names, the measurement
+    always PDT1."""
+    rng = Stream(17)
+    in_format, name = _CS_IO[io]
+    op_path, m_path, x_path = tmp_path / "op.pdm1", tmp_path / "m.pdt1", tmp_path / f"x.{in_format}"
+    assert run_cli(capsys, "cs", "--action", "build", "--block", str(b), "--ratio", "0.25", "--seed", "2026",
+                   "--output", str(op_path))[0] == 0
+    write_raw(cs_measure(load_sense_op(op_path), ImageTensor(rng.uniform((c, 3 * b, 2 * b)))), m_path)
+    x = ImageTensor(rng.uniform((c, 3 * b, 2 * b)) * 1.5 - 0.25)
+    (save_png if in_format == "png" else write_raw)(x, x_path)
+    inputs = {"measure": ["--input", x_path], "pinv": ["--input", m_path], "pd": ["--lr", m_path, "--raw", x_path]}
+    out = tmp_path / name
+    code, stdout, stderr = run_cli(capsys, "cs", "--action", action, "--op", str(op_path),
+                                   *map(str, inputs[action]), "--output", str(out))
+    digest = hashlib.sha256(f"{code}\n{stdout}\n{stderr.replace(str(tmp_path), '<tmp>')}\n".encode())
+    digest.update(out.read_bytes() if out.exists() else b"<none>")
+    return digest.hexdigest()[:16]
+
+
+# Recorded with the ``cs`` that loaded whole images and wrote them whole.
+_CS_GOLDEN = {
+    "measure-1-1-pdt1": "366d2d41bb75ebdd",
+    "measure-1-1-png": "b9fdac846fa7bbd4",
+    "measure-1-1-pdt1-png": "6f9cb9c118b648bf",
+    "measure-1-3-pdt1": "e7d89e578ccef3ec",
+    "measure-1-3-png": "52b307d2d0fda28e",
+    "measure-1-3-pdt1-png": "caeafd7aafbd9572",
+    "measure-3-1-pdt1": "fd0c2756c31bf120",
+    "measure-3-1-png": "2e7040bd9787d9ab",
+    "measure-3-1-pdt1-png": "d7a401cf1a8a99f2",
+    "measure-3-3-pdt1": "8ff7a197dc1bd2e9",
+    "measure-3-3-png": "c90e2e68a6159c64",
+    "measure-3-3-pdt1-png": "c90e2e68a6159c64",
+    "measure-8-1-pdt1": "68698693172f7f76",
+    "measure-8-1-png": "96ad95b4d0738331",
+    "measure-8-1-pdt1-png": "96ad95b4d0738331",
+    "measure-8-3-pdt1": "e03422c6cc84604d",
+    "measure-8-3-png": "c2aa3aea9a0419a2",
+    "measure-8-3-pdt1-png": "c2aa3aea9a0419a2",
+    "measure-12-1-pdt1": "3a727f1b2ca551de",
+    "measure-12-1-png": "f9aea9c5ce37dc96",
+    "measure-12-1-pdt1-png": "f9aea9c5ce37dc96",
+    "measure-12-3-pdt1": "9c0e2cbc798f97e2",
+    "measure-12-3-png": "e735a160f8267367",
+    "measure-12-3-pdt1-png": "e735a160f8267367",
+    "pinv-1-1-pdt1": "6faed6f4c0991473",
+    "pinv-1-1-png": "22acfb0ef2b1148a",
+    "pinv-1-3-pdt1": "d147a1a02b29db8c",
+    "pinv-1-3-png": "a54bd614a058c176",
+    "pinv-3-1-pdt1": "c05c3daa9c9c6e32",
+    "pinv-3-1-png": "08d320bcf7b73d39",
+    "pinv-3-3-pdt1": "566b8bada1230456",
+    "pinv-3-3-png": "c19f3a6a9abb7c4b",
+    "pinv-8-1-pdt1": "868da8033047e8f2",
+    "pinv-8-1-png": "245058e87bad04ff",
+    "pinv-8-3-pdt1": "0f96e0eacff86c6b",
+    "pinv-8-3-png": "426a8f2d8ed5e03e",
+    "pinv-12-1-pdt1": "a82869f3245d1cb9",
+    "pinv-12-1-png": "858b8127c4361ad5",
+    "pinv-12-3-pdt1": "46e9fcf0433edad1",
+    "pinv-12-3-png": "80864ba162f1b02e",
+    "pd-1-1-pdt1": "72ec4f2d7693586a",
+    "pd-1-1-png": "259226f643496df7",
+    "pd-1-1-pdt1-png": "259226f643496df7",
+    "pd-1-3-pdt1": "55e93e9264d61513",
+    "pd-1-3-png": "f7967385fd735b7c",
+    "pd-1-3-pdt1-png": "f7967385fd735b7c",
+    "pd-3-1-pdt1": "35295b34bd2db75d",
+    "pd-3-1-png": "abdb7100752fa256",
+    "pd-3-1-pdt1-png": "d7106b3e8f0d5fb9",
+    "pd-3-3-pdt1": "820681449d27e6a6",
+    "pd-3-3-png": "f82a5e58cd2d3e84",
+    "pd-3-3-pdt1-png": "6beee3bb051c19f0",
+    "pd-8-1-pdt1": "73164ebc81ae4950",
+    "pd-8-1-png": "00e36a45d02fb673",
+    "pd-8-1-pdt1-png": "fb19b20a35a61d88",
+    "pd-8-3-pdt1": "7dfbd8bf50cd3dd5",
+    "pd-8-3-png": "6dbf2c11357270b5",
+    "pd-8-3-pdt1-png": "97a3d15b61635e19",
+    "pd-12-1-pdt1": "b4674188379df1e5",
+    "pd-12-1-png": "89f764dd4e9b2523",
+    "pd-12-1-pdt1-png": "c8a24aa4be0d6443",
+    "pd-12-3-pdt1": "c2a3aa39160516bc",
+    "pd-12-3-png": "3ebc58feb6bed97e",
+    "pd-12-3-pdt1-png": "630c439b04944858",
+}
+
+
+class TestCsGoldenBytes:
+    """``cs --action measure|pinv|pd`` write the bytes, print the records and
+    refuse with the messages that they gave when they held whole images, at
+    every stripe height."""
+
+    @pytest.mark.parametrize("stripe_bytes", [1, pooling._STRIPE_BYTES], ids=["one_block_row", "default"])
+    @pytest.mark.parametrize("case", _CS_GOLDEN_CASES, ids=lambda case: "-".join(map(str, case)))
+    def test_digest(self, capsys, tmp_path, monkeypatch, case, stripe_bytes):
+        monkeypatch.setattr(pooling, "_STRIPE_BYTES", stripe_bytes)
+        assert _cs_golden_digest(capsys, tmp_path, *case) == _CS_GOLDEN["-".join(map(str, case))]
+
+
+def _cs_fault(fault, action, tmp_path, monkeypatch, stream):
+    """Inputs of one fault of ``cs --action measure|pinv|pd`` with a full-ratio
+    block-2 operator on a 3 x 8 x 10 image; return the argv without
+    ``--output`` and the message the fault gives, {out} standing for the
+    output path."""
+    rows = cs_build(2, 1.0, seed=3).rows
+    op = tmp_path / "op.pdm1"
+    save_sense_op(BlockSenseOp(2, 4, seed=3, ratio=1.0, rows=rows), op)
+    image, m = tmp_path / "x.pdt1", tmp_path / "m.pdt1"
+    x, y = stream.uniform((3, 8, 10)), stream.uniform((12, 4, 5))
+    message = None
+    if fault == "overflow":
+        # Signs that line up with a row (measure) or a column (pinv, pd) of
+        # the rows, so that sums of magnitudes overflow.
+        x[-1, -2:, -2:] = 1.7e308 * np.sign(rows[0]).reshape(2, 2)
+        y[-4:, -1, -1] = 1.7e308 * np.sign(rows[:, 0])
+        message = "tensor samples must be finite (no NaN or infinity)"
+    if fault == "nan_in_last_stripe":
+        x[-1, -1, -1] = np.nan
+        message = "tensor samples must be finite (no NaN or infinity)"
+    if fault in ("shape_mismatch", "shape_mismatch_and_nan"):
+        x = stream.uniform((3, 8, 9))
+        message = {"measure": "image size 8x9 is not divisible by block 2",
+                   "pd": "raw prediction shape (3, 8, 9) does not match operator input (3, 8, 10)"}.get(action)
+        if fault == "shape_mismatch_and_nan":
+            x[-1, -1, -1] = np.nan  # met first: the file is read through before its shape is refused
+            message = "tensor samples must be finite (no NaN or infinity)"
+    if fault == "channels_not_multiple_of_q":
+        y = stream.uniform((10, 4, 5))
+        message = "measurement channels 10 are not a multiple of q=4"
+    if fault == "png_channels":
+        x, y = stream.uniform((2, 8, 10)), stream.uniform((8, 4, 5))
+        message = f"PNG output needs 1 or 3 channels, got {8 if action == 'measure' else 2}"
+    if fault == "directory_output":
+        message = "[Errno 21] Is a directory: {out!r}"
+    # The file of the fault: the image for measure and pd, the measurement for pinv.
+    faulty = m if action == "pinv" else image
+    _pdt1(image, x)
+    _pdt1(m, y)
+    data = faulty.read_bytes()
+    if fault == "sample_short":
+        faulty.write_bytes(data[:-8])
+        message = f"{faulty}: payload is {len(data) - 24} bytes, header dimensions need {len(data) - 16}"
+    elif fault in ("shrinks", "grows"):
+        _resize_on_first_read(monkeypatch, faulty, -8 if fault == "shrinks" else 8)
+        message = f"{faulty}: payload {'shrank' if fault == 'shrinks' else 'grew'} while it was read"
+    inputs = {"measure": ["--input", image], "pinv": ["--input", m], "pd": ["--lr", m, "--raw", image]}
+    return ["cs", "--action", action, "--op", str(op), *map(str, inputs[action])], message
+
+
+_CS_FAULTS = {
+    "measure": ["sample_short", "shrinks", "grows", "nan_in_last_stripe", "shape_mismatch",
+                "shape_mismatch_and_nan", "overflow", "directory_output", "png_channels"],
+    "pinv": ["sample_short", "shrinks", "grows", "channels_not_multiple_of_q", "overflow", "directory_output",
+             "png_channels"],
+    "pd": ["sample_short", "shrinks", "grows", "nan_in_last_stripe", "shape_mismatch", "shape_mismatch_and_nan",
+           "channels_not_multiple_of_q", "overflow", "directory_output", "png_channels"],
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestCsStreamedFaults:
+    """``cs --action measure|pinv|pd`` read and write images one stripe at a
+    time; every single fault exits 3 with the message it gave when they
+    held whole images, prints nothing and leaves the old output and no
+    temporary file."""
+
+    @pytest.fixture(autouse=True)
+    def one_block_row_per_stripe(self, monkeypatch):
+        monkeypatch.setattr(pooling, "_STRIPE_BYTES", 1)
+
+    @pytest.mark.parametrize(
+        "action, fault, output",
+        [
+            (action, fault, output)
+            for action, faults in _CS_FAULTS.items()
+            for fault in faults
+            for output in (("o.png",) if fault == "png_channels" else ("o.pdt1", "o.png"))
+        ],
+    )
+    def test_fault(self, capsys, tmp_path, stream, monkeypatch, action, fault, output):
+        argv, message = _cs_fault(fault, action, tmp_path, monkeypatch, stream)
+        out = tmp_path / output
+        if fault == "directory_output":
+            out.mkdir()
+        else:
+            out.write_bytes(b"old")
+        code, stdout, stderr = run_cli(capsys, *argv, "--output", str(out))
+        assert (code, stdout, stderr) == (3, "", f"error: {message.format(out=str(out))}\n")
+        assert out.is_dir() or out.read_bytes() == b"old"
+        assert not list(tmp_path.rglob("*.tmp"))
+
+
+    def test_pd_measures_its_record_before_the_rename(self, capsys, tmp_path):
+        # A finite combine whose record overflows: A+ y with y at the largest
+        # float measures back to y only up to rounding, and for some seeds
+        # that rounds past it.  When the image was written whole, the file
+        # was in place before the record failed; now the record is measured
+        # before the rename, and the old file stays.
+        y = ImageTensor(np.full((1, 1, 1), sys.float_info.max))
+        x_raw = ImageTensor(np.zeros((1, 2, 2)))
+        for seed in range(64):
+            op = cs_build(2, 0.25, seed=seed)
+            try:
+                with np.errstate(over="ignore"):
+                    cs_measure(op, op.combine(y, x_raw))
+            except ValueError:
+                break
+        else:
+            pytest.fail("no seed below 64 gives an overflowing record")
+        op_path, lr, raw, out = (tmp_path / name for name in ("op.pdm1", "y.pdt1", "raw.pdt1", "o.pdt1"))
+        save_sense_op(op, op_path)
+        write_raw(y, lr)
+        write_raw(x_raw, raw)
+        out.write_bytes(b"old")
+        code, stdout, stderr = run_cli(capsys, "cs", "--action", "pd", "--op", str(op_path), "--lr", str(lr),
+                                       "--raw", str(raw), "--output", str(out))
+        assert (code, stdout, stderr) == (3, "", "error: tensor samples must be finite (no NaN or infinity)\n")
+        assert out.read_bytes() == b"old"
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestPdWalkFaults:

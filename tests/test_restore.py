@@ -6,8 +6,10 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,13 +26,22 @@ from rangenull import (
     cs_build,
     cs_measure,
     cs_pinv,
+    cs_stream_measure,
+    cs_stream_pd,
+    cs_stream_pinv,
     generic_pd,
     gray_to_color,
     load_sense_op,
     measurement_count,
+    load_tensor,
+    open_stripes,
     pd_combine,
+    save_png,
     save_sense_op,
+    save_tensor,
+    write_raw,
 )
+from rangenull import pooling
 from rangenull.linop import LinearOperator
 from rangenull.restore import _channel_mean
 from rangenull.rng import Stream
@@ -336,6 +347,78 @@ class TestCsKernels:
         b = op.block
         assert np.all(cs_measure(op, ImageTensor(np.zeros((c, nh * b, nw * b)))).data == 0.0)
         assert np.all(cs_pinv(op, ImageTensor(np.zeros((c * op.q, nh, nw)))).data == 0.0)
+
+
+@st.composite
+def _streamed_cases(draw):
+    """An operator of block 1, 2, 3, 8 or 12, an image of 1 or 3 channels,
+    the input and output formats and the stripe size."""
+    block = draw(st.sampled_from([1, 2, 3, 8, 12]))
+    n = block * block
+    q = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    op = BlockSenseOp(block, q, seed=block, ratio=q / n, rows=_orthonormal_rows(block)[:q])
+    shape = (draw(st.sampled_from([1, 3])), block * draw(st.integers(1, 3)), block * draw(st.integers(1, 3)))
+    formats = (draw(st.sampled_from(["pdt1", "png"])), draw(st.sampled_from(["pdt1", "png"])))
+    stripe_bytes = draw(st.sampled_from([1, pooling._STRIPE_BYTES]))
+    return op, shape, formats, stripe_bytes, draw(st.integers(0, 2**32 - 1))
+
+
+def _outcome(call, path):
+    """What ``call`` gave and the bytes it left at ``path``, or what it raised."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = call()
+    except ValueError as exc:
+        return "raised", type(exc), str(exc), path.exists()
+    return "returned", result, path.read_bytes()
+
+
+class TestCsStreamed:
+    """``cs_stream_measure``, ``cs_stream_pinv`` and ``cs_stream_pd`` against
+    the in-memory path they replace in the CLI: the same bytes, records and
+    errors for any block, channel count, input and output format and
+    stripe size."""
+
+    @given(_streamed_cases())
+    def test_match_the_in_memory_path(self, case):
+        op, shape, (in_format, out_format), stripe_bytes, seed = case
+        stream = Stream(seed)
+        x = ImageTensor(stream.uniform(shape) * 1.5 - 0.25)
+        y = cs_measure(op, ImageTensor(stream.uniform(shape)))
+        raw = ImageTensor(stream.gaussian(shape) * 0.5 + 0.5)
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(pooling, "_STRIPE_BYTES", stripe_bytes):
+            d = Path(tmp)
+            x_path, raw_path = d / f"x.{in_format}", d / f"raw.{in_format}"
+            (save_png if in_format == "png" else write_raw)(x, x_path)
+            (save_png if in_format == "png" else write_raw)(raw, raw_path)
+            streamed, whole = d / f"s.{out_format}", d / f"w.{out_format}"
+
+            def measure_streamed():
+                with open_stripes(x_path) as src:
+                    cs_stream_measure(op, src, streamed)
+
+            def measure_whole():
+                save_tensor(cs_measure(op, load_tensor(x_path)), whole)
+
+            def pinv_streamed():
+                cs_stream_pinv(op, y, streamed)
+
+            def pinv_whole():
+                save_tensor(cs_pinv(op, y), whole)
+
+            def pd_streamed():
+                with open_stripes(raw_path) as src:
+                    return cs_stream_pd(op, y, src, streamed).to_dict()
+
+            def pd_whole():
+                return op.verify(y, save_tensor(op.combine(y, load_tensor(raw_path)), whole)).to_dict()
+
+            for streamed_call, whole_call in [
+                (measure_streamed, measure_whole), (pinv_streamed, pinv_whole), (pd_streamed, pd_whole)
+            ]:
+                assert _outcome(streamed_call, streamed) == _outcome(whole_call, whole)
+                streamed.unlink(missing_ok=True)
+                whole.unlink(missing_ok=True)
 
 
 def _color_case(h, w, scale, seed, signed_zeros):
