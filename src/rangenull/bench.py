@@ -45,6 +45,8 @@ def run_bench(op_name: str, size: int, scale: int, iterations: int, seed: int) -
         raise ValueError(f"op must be one of {BENCH_OPS}, got {op_name!r}")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    if size < 1:
+        raise ValueError(f"size must be a positive integer, got {size}")
     _require_divisible(size, size, scale)
     stream = Stream(seed)
     hr = ImageTensor(stream.uniform((3, size, size)))
@@ -106,6 +108,8 @@ def run_table1(count: int, size: int, scale: int, seed: int) -> dict:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if size < 1:
+        raise ValueError(f"size must be a positive integer, got {size}")
     _require_divisible(size, size, scale)
     cases = [_table1_case(seed, i, size, scale) for i in range(count)]
     summary = {"count": count, "size": size, "scale": scale, "seed": seed}

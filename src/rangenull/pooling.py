@@ -12,19 +12,18 @@ values in one pass, bit-identical to the generic combine.
 spellings of ``null_project`` and ``PoolingOp.verify``.
 
 Both kernels walk the image in stripes of whole block rows of about
-512 KiB, and work on whole image rows, so every numpy step runs over a
-full row.  A block's mean is built from elementwise operations only, in
-a fixed order, so it does not depend on how the image is striped:
-``pool_down`` and ``pd_combine`` agree bit for bit.  Both keep the input
-dtype.
+512 KiB (``tensor._stripes``), and work on whole image rows, so every
+numpy step runs over a full row.  A block's mean is built from
+elementwise operations only, in a fixed order, so it does not depend on
+how the image is striped: ``pool_down`` and ``pd_combine`` agree bit for
+bit.  Both keep the input dtype.
 
-One walk, ``_stripes``, yields the stripes of a source: an array's as
-views, or those of an object that makes them itself, such as a
-``RawReader`` reading a PDT1 file or a predictor enlarging a measurement.
-``stream_pd`` and ``stream_verify`` run the kernels on such a source:
-they hold the low-resolution arrays and a few stripes, never the
-high-resolution image, and give the bytes and records of the in-memory
-kernels.
+``stream_pd`` and ``stream_verify`` run the kernels on any stripe
+source, such as a ``RawReader`` reading a PDT1 file or a predictor
+enlarging a measurement, and ``stream_pd`` hands each combined stripe to
+the writers of ``tensor._open_writers``: they hold the low-resolution
+arrays and a few stripes, never the high-resolution image, and give the
+bytes and records of the in-memory kernels.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import numpy as np
 
 from .linop import LinearOperator, null_project
 from .metrics import ConsistencyReport, compare
-from .tensor import ImageTensor, _check_finite, _write_atomic, _writer
+from .tensor import ImageTensor, _band_rows, _check_finite, _open_writers, _read_through, _stripes
 
 
 def _require_divisible(h: int, w: int, s: int) -> None:
@@ -43,41 +42,6 @@ def _require_divisible(h: int, w: int, s: int) -> None:
         raise ValueError(f"scale must be a positive integer, got {s}")
     if h % s or w % s:
         raise ValueError(f"image size {h}x{w} is not divisible by scale {s}")
-
-
-_STRIPE_BYTES = 1 << 19
-
-
-def _band_rows(width: int, itemsize: int, s: int) -> int:
-    """Block rows per stripe: about ``_STRIPE_BYTES`` of samples, at least one."""
-    return max(1, _STRIPE_BYTES // (s * width * itemsize))
-
-
-def _stripes(src, s: int):
-    """Yield (rows, channel, block-row slice) for each stripe of ``src``, in
-    memory order: ``_band_rows`` block rows of one channel (fewer at its
-    end), shaped (k, s, width).  An array's stripes are views.  Any other
-    source has a ``shape``, a ``dtype`` and a ``stripes(rows)`` method that
-    yields each channel's rows, ``rows`` at a time, as ``RawReader`` does;
-    its stripes may share one buffer, valid until the next."""
-    channels, height, width = src.shape
-    step = _band_rows(width, src.dtype.itemsize, s)
-    if isinstance(src, np.ndarray):
-        pieces = (plane[r0 : r0 + s * step] for plane in src for r0 in range(0, height, s * step))
-    else:
-        pieces = src.stripes(s * step)
-    bands = ((ch, slice(r0, r0 + step)) for ch in range(channels) for r0 in range(0, height // s, step))
-    # The pieces come first, so zip resumes them once more after the last
-    # stripe and a reader's end-of-file check runs.
-    for piece, (ch, band) in zip(pieces, bands):
-        yield piece.reshape(-1, s, width), ch, band
-
-
-def _read_through(src) -> None:
-    """Read the stripe source ``src`` to its end, so that its own faults are
-    met before a caller refuses it."""
-    for _ in _stripes(src, 1):
-        pass
 
 
 def _band_mean(rows: np.ndarray, s: int) -> np.ndarray:
@@ -130,7 +94,7 @@ def _combine_band(rows: np.ndarray, y_rows: np.ndarray, s: int, out: np.ndarray)
 
 def _block_mean(src, s: int) -> np.ndarray:
     """Mean over non-overlapping s x s blocks of an array or a stripe source
-    (see ``_stripes``), dtype preserving."""
+    (see ``tensor._stripes``), dtype preserving."""
     channels, height, width = src.shape
     out = np.empty((channels, height // s, width // s), src.dtype)
     for rows, ch, band in _stripes(src, s):
@@ -190,7 +154,7 @@ def stream_pd(y: ImageTensor, x_raw, s: int, *paths: str | Path) -> list[Consist
     """Write ``pd_combine(y, x_raw, s)`` to each of ``paths``, in order, and
     return ``PoolingOp.verify`` of what each file holds, taking the raw
     prediction one stripe at a time from the source ``x_raw`` (see
-    ``_stripes``).
+    ``tensor._stripes``).
 
     A path's name picks its format, as ``tensor.save_tensor`` does.  Each
     stripe is combined into one reused buffer and checked finite; each file
@@ -204,8 +168,7 @@ def stream_pd(y: ImageTensor, x_raw, s: int, *paths: str | Path) -> list[Consist
     """
     op = PoolingOp.for_measurement(y, s)
     op._check_raw(x_raw, op.in_shape)
-    with _write_atomic(*paths) as files:
-        writers = [_writer(f, path, op.in_shape) for f, path in zip(files, paths)]
+    with _open_writers(op.in_shape, *paths) as writers:
         forwards = _combine_into(y.data, x_raw, s, writers)
     return [compare(y, forward) for forward in forwards]
 
@@ -223,14 +186,12 @@ def _combine_into(y: np.ndarray, x_raw, s: int, writers: list) -> list[ImageTens
         for writer, forward in zip(writers, forwards):
             held = writer.write(held)
             _pool_band(held, s, forward[ch, band])
-    for writer in writers:
-        writer.finish()
     return [ImageTensor(forward) for forward in forwards]
 
 
 def stream_verify(y: ImageTensor, x_hat, s: int) -> ConsistencyReport:
     """``verify_consistency(y, x_hat, s)`` for an array or a stripe source
-    ``x_hat`` (see ``_stripes``), read one stripe at a time: memory holds
+    ``x_hat`` (see ``tensor._stripes``), read one stripe at a time: memory holds
     ``y``, the pooled ``forward`` and one stripe.  A file that does not fit
     is read through before the scale or the shape is refused, so its own
     faults come first, as when it is loaded whole.

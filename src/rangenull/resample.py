@@ -16,16 +16,18 @@ With an integer scale the weights repeat with period ``s``: enlarging
 has ``s`` phases of at most five nonzero taps each, shrinking one phase
 that steps ``s`` source pixels at a time (about ``4 s`` taps when
 antialiased).  Each phase's weights are computed once.  Each axis of each
-channel is one batched matrix product of a sliding-window view of the
-edge-padded plane with the small (taps, phases) weight matrix, so the
-cost is proportional to pixels times taps and no (output, input) matrix
-is ever built.  The vertical pass, the cheaper one per output pixel,
-runs on the full-resolution side: first when shrinking, last when
-enlarging.  So an enlargement can be made one stripe of rows at a time,
-from the horizontal pass of the low-resolution plane and a halo of at
-most two of its rows: ``open_prediction`` hands ``pooling.stream_pd`` the
-predictions of ``predict_raw`` that way, with the kernel ``resample`` runs
-on the whole plane.
+channel is one batched matrix product (``_apply_phases``) of a
+sliding-window view of the edge-padded plane (``_windows``) with the
+small (taps, phases) weight matrix, so the cost is proportional to
+pixels times taps and no (output, input) matrix is ever built.  The
+vertical pass, the cheaper one per output pixel, runs on the
+full-resolution side: first when shrinking, last when enlarging.  So an
+enlargement can be made one stripe of rows at a time, from the
+horizontal pass of the low-resolution plane and a halo of at most two
+of its rows: ``open_prediction`` hands ``pooling.stream_pd`` the
+predictions of ``predict_raw`` that way, as a stripe source for
+``tensor._stripes``, with the two calls ``resample`` makes on the whole
+plane.
 """
 
 from __future__ import annotations
@@ -137,13 +139,6 @@ def _apply_phases(windows: np.ndarray, weights: np.ndarray, axis: int, out: np.n
     np.matmul(windows, weights, out=np.moveaxis(split, (axis, axis + 1), (0, -1)))
 
 
-def _resample_axis(
-    plane: np.ndarray, axis: int, first: int, weights: np.ndarray, step: int, out: np.ndarray
-) -> None:
-    """Write the phase weights applied along ``axis`` of a 2-D ``plane`` into ``out``."""
-    _apply_phases(_windows(plane, axis, first, len(weights), step), weights, axis, out)
-
-
 def resample(x: ImageTensor, spec: ResampleSpec) -> ImageTensor:
     """Apply separable resampling, one channel and one axis at a time."""
     s = spec.scale
@@ -161,8 +156,8 @@ def resample(x: ImageTensor, spec: ResampleSpec) -> ImageTensor:
     out = np.empty((x.channels, out_h, out_w))
     mid = np.empty(mid_shape)
     for plane, dest in zip(x.data, out):
-        _resample_axis(plane, axes[0], first, weights, step, mid)
-        _resample_axis(mid, axes[1], first, weights, step, dest)
+        _apply_phases(_windows(plane, axes[0], first, len(weights), step), weights, axes[0], mid)
+        _apply_phases(_windows(mid, axes[1], first, len(weights), step), weights, axes[1], dest)
     return ImageTensor(out)
 
 
@@ -241,7 +236,7 @@ class _Enlarged:
             mid = np.empty((height, width * s))
         for plane in self._y.data:
             if self._method != "nearest":
-                _resample_axis(plane, 1, first, weights, 1, mid)
+                _apply_phases(_windows(plane, 1, first, len(weights), 1), weights, 1, mid)
                 windows = _windows(mid, 0, first, len(weights), 1)
             for q0 in range(0, height, step):
                 out = buf[: min(step, height - q0)]

@@ -18,10 +18,11 @@ promised (see ``cs_measure``).
 bytes, records and errors of ``cs_measure``, ``cs_pinv`` and
 ``combine`` followed by ``save_tensor`` and ``verify``, without the
 image array: an input image is read one stripe of whole block rows at a
-time (``pooling._stripes``, from an array or a ``RawReader``) straight
+time (``tensor._stripes``, from an array or a ``RawReader``) straight
 into block layout, and an output image is unblocked one stripe at a
-time into the writer of its file, so the block buffer is the only
-image-sized array besides the temporaries of the products.
+time into the writer ``tensor._open_writers`` gives its file, so the
+block buffer is the only image-sized array besides the temporaries of
+the products.
 """
 
 from __future__ import annotations
@@ -34,14 +35,16 @@ import numpy as np
 
 from .linop import LinearOperator, svd
 from .metrics import ConsistencyReport, compare
-from .pooling import _band_rows, _read_through, _stripes
 from .rng import Stream
 from .tensor import (
     ImageTensor,
+    _band_rows,
     _check_finite,
+    _open_writers,
     _read_payload,
+    _read_through,
+    _stripes,
     _write_atomic,
-    _writer,
     check_destination,
     save_tensor,
 )
@@ -170,7 +173,7 @@ class BlockSenseOp(LinearOperator):
         reordering copy back.
         """
         _, nh, nw = self._combine_checks(y, x_raw)
-        blocks = _to_blocks(x_raw.data, self.block)
+        blocks = _read_blocks(x_raw.data, self.block)
         _combine_blocks(self.rows, y.data, blocks, nh, nw)
         return ImageTensor(_from_blocks(blocks, nh, nw, self.block))
 
@@ -221,7 +224,7 @@ def cs_measure(op: BlockSenseOp, x: ImageTensor) -> ImageTensor:
     one count are.
     """
     nh, nw = _require_blocks(x.height, x.width, op.block)
-    return ImageTensor(_measure_blocks(op.rows, _to_blocks(x.data, op.block), nh, nw))
+    return ImageTensor(_measure_blocks(op.rows, _read_blocks(x.data, op.block), nh, nw))
 
 
 def cs_pinv(op: BlockSenseOp, m: ImageTensor) -> ImageTensor:
@@ -264,8 +267,8 @@ def cs_stream_pinv(op: BlockSenseOp, m: ImageTensor, path: str | Path) -> None:
     b = op.block
     blocks = _back_project(op.rows, m.data)
     _check_finite(blocks)
-    with _write_atomic(path) as (f,):
-        _write_blocks(blocks, nh, nw, b, _writer(f, path, (c, nh * b, nw * b)))
+    with _open_writers((c, nh * b, nw * b), path) as (writer,):
+        _write_blocks(blocks, nh, nw, b, writer)
 
 
 def cs_stream_pd(op: BlockSenseOp, y: ImageTensor, x_raw, path: str | Path) -> ConsistencyReport:
@@ -291,8 +294,8 @@ def cs_stream_pd(op: BlockSenseOp, y: ImageTensor, x_raw, path: str | Path) -> C
     op._combine_checks(y, x_raw)  # raises if the prediction did not fit
     _combine_blocks(op.rows, y.data, blocks, nh, nw)
     _check_finite(blocks)
-    with _write_atomic(path) as (f,):
-        _write_blocks(blocks, nh, nw, b, _writer(f, path, x_raw.shape))
+    with _open_writers(x_raw.shape, path) as (writer,):
+        _write_blocks(blocks, nh, nw, b, writer)
         forward = ImageTensor(_measure_blocks(op.rows, blocks, nh, nw))
     return compare(y, forward)
 
@@ -318,14 +321,6 @@ def _image_blocks(op: BlockSenseOp, measured: tuple[int, int, int]) -> tuple[int
     return cq // op.q, nh, nw
 
 
-def _to_blocks(x: np.ndarray, b: int) -> np.ndarray:
-    c, h, w = x.shape
-    nh, nw = h // b, w // b
-    blocks = np.empty((c, nh, nw, b, b))
-    np.copyto(blocks, x.reshape(c, nh, b, nw, b).transpose(0, 1, 3, 2, 4))
-    return blocks.reshape(c, nh * nw, b * b)
-
-
 def _from_blocks(blocks: np.ndarray, nh: int, nw: int, b: int) -> np.ndarray:
     c = blocks.shape[0]
     out = np.empty((c, nh * b, nw * b))
@@ -334,7 +329,7 @@ def _from_blocks(blocks: np.ndarray, nh: int, nw: int, b: int) -> np.ndarray:
 
 
 def _read_blocks(src, b: int) -> np.ndarray:
-    """``_to_blocks`` of the stripe source ``src`` (see ``pooling._stripes``),
+    """The blocks of the array or stripe source ``src`` (see ``tensor._stripes``),
     whose sides divide by ``b``: each stripe of whole block rows is copied
     straight into its blocks."""
     c, h, w = src.shape
@@ -346,10 +341,10 @@ def _read_blocks(src, b: int) -> np.ndarray:
 
 
 def _write_blocks(blocks: np.ndarray, nh: int, nw: int, b: int, writer) -> None:
-    """Hand the image of ``blocks`` to ``writer`` (see ``tensor._writer``)
-    one stripe of whole block rows at a time, in planar order, and put
-    back into ``blocks`` what the file holds where it differs: a PNG's
-    quantized stripe."""
+    """Hand the image of ``blocks`` to ``writer`` (see
+    ``tensor._open_writers``) one stripe of whole block rows at a time, in
+    planar order, and put back into ``blocks`` what the file holds where it
+    differs: a PNG's quantized stripe."""
     c = blocks.shape[0]
     tiles = blocks.reshape(c, nh, nw, b, b).transpose(0, 1, 3, 2, 4)  # (c, nh, b, nw, b)
     step = _band_rows(nw * b, 8, b)
@@ -362,7 +357,6 @@ def _write_blocks(blocks: np.ndarray, nh: int, nw: int, b: int, writer) -> None:
             held = writer.write(rows)
             if held is not rows:
                 np.copyto(band, held.reshape(band.shape))
-    writer.finish()
 
 
 def _combine_blocks(rows: np.ndarray, y: np.ndarray, blocks: np.ndarray, nh: int, nw: int) -> None:

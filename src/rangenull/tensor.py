@@ -14,17 +14,21 @@ little-endian f64 samples, planar row-major.
 Memory: ``ImageTensor`` checks that samples are finite on every
 construction, in slices through one small reused mask, so the check
 allocates no full-size temporary.  A PDT1 or PDM1 payload is read straight
-into its final array with ``os.preadv``, on the calling thread.  Stripes
-of whole rows are also a unit of I/O: ``RawReader`` reads a PDT1 payload
-one stripe at a time into one reused buffer (``open_stripes`` opens a
-PDT1 that way and decodes a PNG whole), and a file is written one stripe
-at a time by the writer of its format, which ``pooling.stream_pd`` and
-the streamed ``cs`` actions of ``restore`` feed: a PDT1 writes each
-stripe as it comes, a PNG quantizes it into the 8-bit image it encodes
-at the end.  So a pass over a PDT1 file
-need not hold the whole image.  Every file is written through
-``_write_atomic``, which renames a call's files into place only once all
-of them are complete.
+into its final array with ``os.preadv``, on the calling thread.
+
+Stripes of whole rows are the unit of the streamed passes.  One walk,
+``_stripes``, yields the stripes of a source, about ``_STRIPE_BYTES`` of
+whole block rows each: an array's as views, or those of an object that
+makes them itself, such as a ``RawReader`` reading a PDT1 payload into
+one reused buffer (``open_stripes`` opens a PDT1 that way and decodes a
+PNG whole) or a predictor enlarging a measurement.  ``_open_writers``
+gives each output file the writer of its format, which takes the
+stripes in planar order: a PDT1 writes each stripe as it comes, a PNG
+quantizes it into the 8-bit image it encodes at the end.  ``pooling``
+and ``restore`` run their kernels on that walk and those writers, so a
+pass over a PDT1 file need not hold the whole image.  Every file is
+written through ``_write_atomic``, which renames a call's files into
+place only once all of them are complete.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -46,6 +49,8 @@ RAW_MAGIC = b"PDT1"
 _RAW_HEADER = struct.Struct("<4sIII")
 # Samples checked for finiteness per slice: 128 KiB of mask, reused.
 _FINITE_SLICE = 1 << 17
+# Bytes of samples per stripe of a streamed pass (see ``_band_rows``).
+_STRIPE_BYTES = 1 << 19
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,22 +107,17 @@ class ImageTensor:
 def _check_finite(arr: np.ndarray) -> None:
     """Raise ``ImageTensor``'s ``ValueError`` unless every sample of the
     C-contiguous ``arr`` is finite."""
-    if not _all_finite(arr.reshape(-1)):
-        raise ValueError("tensor samples must be finite (no NaN or infinity)")
-
-
-def _all_finite(flat: np.ndarray) -> bool:
-    # ``np.isfinite(flat).all()`` without its full-size mask: the results of
+    # ``np.isfinite(arr).all()`` without its full-size mask: the results of
     # linear maps on finite inputs can still overflow, so every
     # construction is checked.
+    flat = arr.reshape(-1)
     mask = np.empty(min(flat.size, _FINITE_SLICE), dtype=bool)
     for start in range(0, flat.size, _FINITE_SLICE):
         part = flat[start : start + _FINITE_SLICE]
         seen = mask[: part.size]
         np.isfinite(part, out=seen)
         if not seen.all():
-            return False
-    return True
+            raise ValueError("tensor samples must be finite (no NaN or infinity)")
 
 
 def quantize(t: ImageTensor) -> ImageTensor:
@@ -151,12 +151,6 @@ def check_destination(path: str | Path) -> None:
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), given)
     if not os.path.isdir(os.path.dirname(given) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), given)
-
-
-def check_png_channels(channels: int) -> None:
-    """Raise ``ValueError`` unless a PNG can hold ``channels`` channels."""
-    if channels not in (1, 3):
-        raise ValueError(f"PNG output needs 1 or 3 channels, got {channels}")
 
 
 @contextlib.contextmanager
@@ -238,7 +232,8 @@ class _PngWriter:
     channels) image that PNG rows interleave, and ``finish`` encodes it."""
 
     def __init__(self, f, path: str | Path, shape: tuple[int, int, int]):
-        check_png_channels(shape[0])
+        if shape[0] not in (1, 3):
+            raise ValueError(f"PNG output needs 1 or 3 channels, got {shape[0]}")
         self._file = f
         self._samples = np.empty(shape[1:] + shape[:1], np.uint8)
         self._row = 0  # rows written, counted across the channels
@@ -259,9 +254,19 @@ class _PngWriter:
         self._file.writelines(_png.encode(self._samples))
 
 
-def _writer(f, path: str | Path, shape: tuple[int, int, int]) -> _RawWriter | _PngWriter:
-    """The writer of the format that ``path``'s name picks."""
-    return (_PngWriter if _is_png_path(path) else _RawWriter)(f, path, shape)
+@contextlib.contextmanager
+def _open_writers(shape: tuple[int, int, int], *paths: str | Path):
+    """Yield one writer per path, in order, for an image of ``shape``, of the
+    format the path's name picks (as in ``save_tensor``); feed each the
+    image's stripes in planar order.  Once the block ends, every writer
+    finishes its file and ``_write_atomic`` renames them all into place;
+    an error at any point leaves every old file as it was.
+    """
+    with _write_atomic(*paths) as files:
+        writers = [(_PngWriter if _is_png_path(p) else _RawWriter)(f, p, shape) for f, p in zip(files, paths)]
+        yield writers
+        for writer in writers:
+            writer.finish()
 
 
 def save_png(t: ImageTensor, path: str | Path) -> ImageTensor:
@@ -294,18 +299,8 @@ def _planar(samples: np.ndarray, peak: float) -> ImageTensor:
 
 def write_raw(t: ImageTensor, path: str | Path) -> None:
     """Write the lossless PDT1 container (bit-exact round trip)."""
-    write_raw_stripes(path, t.shape, [t.data])
-
-
-def write_raw_stripes(path: str | Path, shape: tuple[int, int, int], stripes: Iterable) -> None:
-    """Write a PDT1 file of ``shape`` whose payload is the f64 arrays
-    ``stripes`` yields, in order, atomically as every output is
-    written: an error raised while ``stripes`` is advanced leaves no file.
-    """
     with _write_atomic(path) as (f,):
-        raw = _RawWriter(f, path, shape)
-        for stripe in stripes:
-            raw.write(stripe)
+        _RawWriter(f, path, t.shape).write(t.data)
 
 
 def read_raw(path: str | Path) -> ImageTensor:
@@ -375,7 +370,7 @@ class RawReader:
 @contextlib.contextmanager
 def open_stripes(path: str | Path):
     """Yield the samples of a PNG or PDT1 file as a stripe source for
-    ``pooling``: a PDT1 as an open ``RawReader``, which reads it one stripe
+    ``_stripes``: a PDT1 as an open ``RawReader``, which reads it one stripe
     at a time, a PNG as its decoded array.  Opening makes the checks and
     gives the messages of ``load_tensor``.
     """
@@ -384,6 +379,38 @@ def open_stripes(path: str | Path):
             yield reader
     else:
         yield load_tensor(path).data
+
+
+def _band_rows(width: int, itemsize: int, s: int) -> int:
+    """Block rows per stripe: about ``_STRIPE_BYTES`` of samples, at least one."""
+    return max(1, _STRIPE_BYTES // (s * width * itemsize))
+
+
+def _stripes(src, s: int):
+    """Yield (rows, channel, block-row slice) for each stripe of ``src``, in
+    memory order: ``_band_rows`` block rows of one channel (fewer at its
+    end), shaped (k, s, width).  An array's stripes are views.  Any other
+    source has a ``shape``, a ``dtype`` and a ``stripes(rows)`` method that
+    yields each channel's rows, ``rows`` at a time, as ``RawReader`` does;
+    its stripes may share one buffer, valid until the next."""
+    channels, height, width = src.shape
+    step = _band_rows(width, src.dtype.itemsize, s)
+    if isinstance(src, np.ndarray):
+        pieces = (plane[r0 : r0 + s * step] for plane in src for r0 in range(0, height, s * step))
+    else:
+        pieces = src.stripes(s * step)
+    bands = ((ch, slice(r0, r0 + step)) for ch in range(channels) for r0 in range(0, height // s, step))
+    # The pieces come first, so zip resumes them once more after the last
+    # stripe and a reader's end-of-file check runs.
+    for piece, (ch, band) in zip(pieces, bands):
+        yield piece.reshape(-1, s, width), ch, band
+
+
+def _read_through(src) -> None:
+    """Read the stripe source ``src`` to its end, so that its own faults are
+    met before a caller refuses it."""
+    for _ in _stripes(src, 1):
+        pass
 
 
 def _raw_shape(f, path) -> tuple[int, int, int]:

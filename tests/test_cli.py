@@ -32,7 +32,7 @@ from rangenull import (
     save_sense_op,
     write_raw,
 )
-from rangenull import pooling
+from rangenull import tensor
 from rangenull.rng import Stream
 from rangenull.cli import BENCH_OPS, main
 
@@ -498,6 +498,14 @@ class TestScaleValidation:
         assert stdout == ""
         assert stderr == f"error: scale must be a positive integer, got {scale}\n"
 
+    @pytest.mark.parametrize("command", ["bench", "table1"])
+    @pytest.mark.parametrize("size", ["0", "-16"])
+    def test_non_positive_size_exits_3(self, capsys, command, size):
+        code, stdout, stderr = run_cli(capsys, command, "--size", size)
+        assert code == 3
+        assert stdout == ""
+        assert stderr == f"error: size must be a positive integer, got {size}\n"
+
 
 class TestColorize:
     def test_gray_color_roundtrip(self, capsys, tmp_path, stream):
@@ -711,6 +719,44 @@ class TestCliBoundary:
         assert not {"environ", "getenv"} & names
 
 
+class TestStripeLayer:
+    """The stripe walk and the file writers live in ``tensor``; ``pooling`` and
+    ``restore`` keep their kernels and reach the walk only through ``tensor``."""
+
+    trees = {path.stem: ast.parse(path.read_text()) for path in (Path(SRC) / "rangenull").glob("*.py")}
+
+    def test_stripe_geometry_is_defined_only_in_tensor(self):
+        defined = set()
+        for module, tree in self.trees.items():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef):
+                    defined.add((module, node.name))
+                elif isinstance(node, ast.Assign):
+                    defined |= {(module, target.id) for target in node.targets if isinstance(target, ast.Name)}
+        walk = {"_STRIPE_BYTES", "_band_rows", "_stripes"}
+        assert {(module, name) for module, name in defined if name in walk} == {("tensor", name) for name in walk}
+
+    def test_restore_imports_nothing_from_pooling(self):
+        imported = []
+        for node in ast.walk(self.trees["restore"]):
+            if isinstance(node, ast.ImportFrom):
+                imported += [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+        assert [name for name in imported if name.split(".")[-1] == "pooling"] == []
+
+    def test_no_module_uses_writer_or_write_raw_stripes(self):
+        # A definition, an import or a use, by name or as an attribute.
+        used = {
+            (module, name)
+            for module, tree in self.trees.items()
+            for node in ast.walk(tree)
+            for name in (getattr(node, "name", None), getattr(node, "id", None), getattr(node, "attr", None))
+            if name in {"_writer", "write_raw_stripes"}
+        }
+        assert used == set()
+
+
 def _pdt1(path, a):
     """Write ``a`` as PDT1 bytes directly, so a test can store what ``write_raw`` refuses."""
     a = np.asarray(a, dtype="<f8")
@@ -789,7 +835,7 @@ class TestStreamedErrors:
 
     @pytest.fixture(autouse=True)
     def one_block_row_per_stripe(self, monkeypatch):
-        monkeypatch.setattr(pooling, "_STRIPE_BYTES", 1)
+        monkeypatch.setattr(tensor, "_STRIPE_BYTES", 1)
 
     # "in_memory" names the PNG output, which pd once wrote from whole
     # images; it takes the same stripe walk now.
@@ -1025,7 +1071,7 @@ class TestCsStreamedMemory:
     def test_peak_one_image_below_the_whole_image_call(self, capsys, tmp_path, inputs, action):
         peak = _cs_traced_peak(inputs, action, tmp_path / "o.pdt1")
         capsys.readouterr()
-        assert peak <= self.WHOLE_IMAGE_PEAKS[action] - self.IMAGE_BYTES + pooling._STRIPE_BYTES + (1 << 16)
+        assert peak <= self.WHOLE_IMAGE_PEAKS[action] - self.IMAGE_BYTES + tensor._STRIPE_BYTES + (1 << 16)
 
 
 _OUTPUTS = {"pdt1": ("o.pdt1",), "png": ("o.png",), "pdt1+png": ("o.pdt1", "o.png"),
@@ -1220,10 +1266,10 @@ class TestCsGoldenBytes:
     refuse with the messages that they gave when they held whole images, at
     every stripe height."""
 
-    @pytest.mark.parametrize("stripe_bytes", [1, pooling._STRIPE_BYTES], ids=["one_block_row", "default"])
+    @pytest.mark.parametrize("stripe_bytes", [1, tensor._STRIPE_BYTES], ids=["one_block_row", "default"])
     @pytest.mark.parametrize("case", _CS_GOLDEN_CASES, ids=lambda case: "-".join(map(str, case)))
     def test_digest(self, capsys, tmp_path, monkeypatch, case, stripe_bytes):
-        monkeypatch.setattr(pooling, "_STRIPE_BYTES", stripe_bytes)
+        monkeypatch.setattr(tensor, "_STRIPE_BYTES", stripe_bytes)
         assert _cs_golden_digest(capsys, tmp_path, *case) == _CS_GOLDEN["-".join(map(str, case))]
 
 
@@ -1296,7 +1342,7 @@ class TestCsStreamedFaults:
 
     @pytest.fixture(autouse=True)
     def one_block_row_per_stripe(self, monkeypatch):
-        monkeypatch.setattr(pooling, "_STRIPE_BYTES", 1)
+        monkeypatch.setattr(tensor, "_STRIPE_BYTES", 1)
 
     @pytest.mark.parametrize(
         "action, fault, output",

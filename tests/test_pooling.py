@@ -28,7 +28,7 @@ from rangenull import (
     verify_consistency,
     write_raw,
 )
-from rangenull import pooling
+from rangenull import tensor
 from rangenull.pooling import _block_mean, _pd_combine_arr, _replicate
 
 
@@ -239,7 +239,7 @@ class TestPoolingOp:
 # The stripe sizes the kernels are run at: one block row per stripe, a few
 # block rows per stripe, and the default, under which these small images
 # are a single stripe.
-STRIPES = pytest.mark.parametrize("stripe_bytes", [1, 600, pooling._STRIPE_BYTES], ids=["row", "rows", "default"])
+STRIPES = pytest.mark.parametrize("stripe_bytes", [1, 600, tensor._STRIPE_BYTES], ids=["row", "rows", "default"])
 
 
 @st.composite
@@ -258,7 +258,7 @@ class TestStripedKernels:
         s, a = case
         c, h, w = a.shape
         expected = a.astype(np.float64).reshape(c, h // s, s, w // s, s).mean(axis=(2, 4))
-        with mock.patch.object(pooling, "_STRIPE_BYTES", stripe_bytes):
+        with mock.patch.object(tensor, "_STRIPE_BYTES", stripe_bytes):
             got = _block_mean(a, s)
         assert got.dtype == a.dtype and got.shape == expected.shape
         # Each of the s*s additions rounds a partial sum of at most s*s * 200
@@ -269,14 +269,14 @@ class TestStripedKernels:
     @given(lr_and_raw(max_s=8))
     def test_down_undoes_up_bit_exactly_to_scale_8(self, stripe_bytes, case):
         s, y, _ = case
-        with mock.patch.object(pooling, "_STRIPE_BYTES", stripe_bytes):
+        with mock.patch.object(tensor, "_STRIPE_BYTES", stripe_bytes):
             assert pool_down(pool_up(y, s), s) == y
 
     @STRIPES
     @given(lr_and_raw(max_s=8))
     def test_combine_is_up_plus_highfreq_bitwise(self, stripe_bytes, case):
         s, y, x_raw = case
-        with mock.patch.object(pooling, "_STRIPE_BYTES", stripe_bytes):
+        with mock.patch.object(tensor, "_STRIPE_BYTES", stripe_bytes):
             via_parts = pool_up(y, s).data + extract_highfreq(x_raw, s).data
             assert pd_combine(y, x_raw, s).data.tobytes() == via_parts.tobytes()
             y32, x32 = y.data.astype(np.float32), x_raw.data.astype(np.float32)
@@ -313,7 +313,7 @@ class TestStreamedKernels:
     @given(lr_and_raw(max_s=8, signed_zeros=True))
     def test_stream_equals_in_memory(self, stripe_bytes, case):
         s, y, x_raw = case
-        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(pooling, "_STRIPE_BYTES", stripe_bytes):
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(tensor, "_STRIPE_BYTES", stripe_bytes):
             raw, out, ref = Path(tmp, "raw.pdt1"), Path(tmp, "out.pdt1"), Path(tmp, "ref.pdt1")
             write_raw(x_raw, raw)
             with RawReader(raw) as reader:
@@ -325,14 +325,14 @@ class TestStreamedKernels:
             with RawReader(out) as reader:
                 assert stream_verify(y, reader, s).to_dict() == verify_consistency(y, x_hat, s).to_dict()
 
-    @pytest.mark.parametrize("stripe_bytes", [1, pooling._STRIPE_BYTES], ids=["row", "default"])
+    @pytest.mark.parametrize("stripe_bytes", [1, tensor._STRIPE_BYTES], ids=["row", "default"])
     @given(walk_cases())
     def test_walk_equals_the_in_memory_composition(self, stripe_bytes, case):
         # The files and records of the one walk against predict_raw, then
         # PoolingOp.combine, then write_raw or save_png and op.verify of each
         # file in turn, a PNG handing its 8-bit image to the next.
         predictor, raw_format, names, s, y, x = case
-        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(pooling, "_STRIPE_BYTES", stripe_bytes):
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(tensor, "_STRIPE_BYTES", stripe_bytes):
             raw = Path(tmp, f"raw.{raw_format}")
             (save_png if raw_format == "png" else write_raw)(x, raw)
             raw = raw if predictor == "external" else None

@@ -41,7 +41,7 @@ from rangenull import (
     save_tensor,
     write_raw,
 )
-from rangenull import pooling
+from rangenull import tensor
 from rangenull.linop import LinearOperator
 from rangenull.restore import _channel_mean
 from rangenull.rng import Stream
@@ -359,7 +359,7 @@ def _streamed_cases(draw):
     op = BlockSenseOp(block, q, seed=block, ratio=q / n, rows=_orthonormal_rows(block)[:q])
     shape = (draw(st.sampled_from([1, 3])), block * draw(st.integers(1, 3)), block * draw(st.integers(1, 3)))
     formats = (draw(st.sampled_from(["pdt1", "png"])), draw(st.sampled_from(["pdt1", "png"])))
-    stripe_bytes = draw(st.sampled_from([1, pooling._STRIPE_BYTES]))
+    stripe_bytes = draw(st.sampled_from([1, tensor._STRIPE_BYTES]))
     return op, shape, formats, stripe_bytes, draw(st.integers(0, 2**32 - 1))
 
 
@@ -386,7 +386,7 @@ class TestCsStreamed:
         x = ImageTensor(stream.uniform(shape) * 1.5 - 0.25)
         y = cs_measure(op, ImageTensor(stream.uniform(shape)))
         raw = ImageTensor(stream.gaussian(shape) * 0.5 + 0.5)
-        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(pooling, "_STRIPE_BYTES", stripe_bytes):
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(tensor, "_STRIPE_BYTES", stripe_bytes):
             d = Path(tmp)
             x_path, raw_path = d / f"x.{in_format}", d / f"raw.{in_format}"
             (save_png if in_format == "png" else write_raw)(x, x_path)

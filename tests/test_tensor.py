@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rangenull import ImageTensor, RawReader, load_png, load_tensor, quantize, read_raw, save_png, write_raw
-from rangenull.tensor import is_raw, write_raw_stripes
+from rangenull.tensor import _open_writers, is_raw
 
 
 def finite_tensors(min_side=1, max_side=6, lo=-8.0, hi=8.0):
@@ -352,19 +352,24 @@ class TestRawStripes:
         assert b"".join(s.tobytes() for s in stripes) == t.data.tobytes()
 
     def test_stripes_written_in_order_make_the_file_of_write_raw(self, tmp_path, stream):
+        # The PNG gets the file of save_png: each writer of ``_open_writers``
+        # takes the same stripes, in planar order.
         t = ImageTensor(stream.gaussian((3, 4, 5)))
         write_raw(t, tmp_path / "whole.pdt1")
-        stripes = (t.data[c, r : r + 3] for c in range(3) for r in (0, 3))
-        write_raw_stripes(tmp_path / "striped.pdt1", t.shape, stripes)
-        assert (tmp_path / "striped.pdt1").read_bytes() == (tmp_path / "whole.pdt1").read_bytes()
+        save_png(t, tmp_path / "whole.png")
+        with _open_writers(t.shape, tmp_path / "o.pdt1", tmp_path / "o.png") as writers:
+            for stripe in (t.data[c, r : r + 3] for c in range(3) for r in (0, 3)):
+                for writer in writers:
+                    writer.write(stripe)
+        assert (tmp_path / "o.pdt1").read_bytes() == (tmp_path / "whole.pdt1").read_bytes()
+        assert (tmp_path / "o.png").read_bytes() == (tmp_path / "whole.png").read_bytes()
 
     def test_error_from_the_stripes_leaves_no_file(self, tmp_path):
-        def stripes():
-            yield np.zeros((1, 2))
-            raise ValueError("stop")
-
         with pytest.raises(ValueError, match="stop"):
-            write_raw_stripes(tmp_path / "t.pdt1", (1, 2, 2), stripes())
+            with _open_writers((1, 2, 2), tmp_path / "o.pdt1", tmp_path / "o.png") as writers:
+                for writer in writers:
+                    writer.write(np.zeros((1, 2)))
+                raise ValueError("stop")
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("change, message", [(-8, "shrank"), (8, "grew")])
