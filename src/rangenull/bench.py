@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .metrics import compare
-from .pooling import _block_mean, _pd_combine_arr, _require_divisible, pd_combine, pool_down, pool_up
+from .pooling import PoolingOp
 from .rng import Stream, derive
 from .tensor import ImageTensor
 
@@ -47,16 +47,16 @@ def run_bench(op_name: str, size: int, scale: int, iterations: int, seed: int) -
         raise ValueError("iterations must be >= 1")
     if size < 1:
         raise ValueError(f"size must be a positive integer, got {size}")
-    _require_divisible(size, size, scale)
+    op = PoolingOp(scale, 3, size, size)
     stream = Stream(seed)
-    hr = ImageTensor(stream.uniform((3, size, size)))
-    lr = ImageTensor(stream.uniform((3, size // scale, size // scale)))
+    hr = ImageTensor(stream.uniform(op.in_shape))
+    lr = ImageTensor(stream.uniform(op.out_shape))
     if op_name == "pd":
-        work = lambda: pd_combine(lr, hr, scale)
+        work = lambda: op.combine(lr, hr)
     elif op_name == "pool_down":
-        work = lambda: pool_down(hr, scale)
+        work = lambda: op.forward(hr)
     else:
-        work = lambda: pool_up(lr, scale)
+        work = lambda: op.pinv(lr)
     for _ in range(2):
         work()
     times = np.empty(iterations)
@@ -74,19 +74,19 @@ def run_bench(op_name: str, size: int, scale: int, iterations: int, seed: int) -
     )
 
 
-def _table1_case(seed: int, index: int, size: int, scale: int) -> dict:
+def _table1_case(op: PoolingOp, seed: int, index: int) -> dict:
     stream = Stream(derive(seed, index))
-    gt = stream.uniform((3, size, size))
-    raw = stream.uniform((3, size, size))
-    lr = _block_mean(gt, scale)
+    gt = stream.uniform(op.in_shape)
+    raw = stream.uniform(op.in_shape)
+    lr = op._forward_walk(gt)
     start = time.perf_counter()
-    combined = _pd_combine_arr(lr, raw, scale)
+    combined = op._combine_walk(lr, raw)
     elapsed_ms = (time.perf_counter() - start) * 1e3
-    report = compare(ImageTensor(lr), ImageTensor(_block_mean(combined, scale)))
+    report = compare(ImageTensor(lr), ImageTensor(op._forward_walk(combined)))
     # Single-precision rerun of the same combine, compared in double.
     lr32 = lr.astype(np.float32)
-    combined32 = _pd_combine_arr(lr32, raw.astype(np.float32), scale)
-    down32 = _block_mean(combined32, scale).astype(np.float64)
+    combined32 = op._combine_walk(lr32, raw.astype(np.float32))
+    down32 = op._forward_walk(combined32).astype(np.float64)
     report32 = compare(ImageTensor(lr32.astype(np.float64)), ImageTensor(down32))
     return {
         "psnr": report.psnr,
@@ -110,8 +110,8 @@ def run_table1(count: int, size: int, scale: int, seed: int) -> dict:
         raise ValueError("count must be >= 1")
     if size < 1:
         raise ValueError(f"size must be a positive integer, got {size}")
-    _require_divisible(size, size, scale)
-    cases = [_table1_case(seed, i, size, scale) for i in range(count)]
+    op = PoolingOp(scale, 3, size, size)
+    cases = [_table1_case(op, seed, i) for i in range(count)]
     summary = {"count": count, "size": size, "scale": scale, "seed": seed}
     for key in cases[0]:
         summary[f"mean_{key}"] = float(np.mean([c[key] for c in cases]))

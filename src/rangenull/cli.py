@@ -126,11 +126,11 @@ def _cmd_cs(args: argparse.Namespace) -> int:
     ``restore``.
 
     ``measure`` reads ``--input`` (a PDT1 one stripe at a time, a PNG
-    decoded whole) straight into block layout.  ``pinv`` loads the
-    measurement and writes the image one stripe at a time.  ``pd`` loads
-    the measurement ``--lr``, reads ``--raw`` as ``measure`` reads its
-    input, writes as ``pinv`` does and prints the record of the file it
-    wrote.  None of them holds the image array beside its block copy.
+    decoded whole) and measures it one stripe at a time.  ``pinv`` loads
+    the measurement and writes the image one stripe at a time.  ``pd``
+    loads the measurement ``--lr``, reads ``--raw`` as ``measure`` reads
+    its input, writes as ``pinv`` does and prints the record of the file
+    it wrote.  None of them holds an image-sized array.
     """
     if args.action == "build":
         op = cs_build(args.block, args.ratio, args.seed)

@@ -7,11 +7,15 @@ cannot, and the two parts of any input always add back to the input.
 
 The base class defines the consistent combine ``combine`` (keep
 ``A+ y``, take the null part of a raw prediction) and its check
-``verify``.  Structured operators (pooling, channel mean, block sensing)
-implement their maps directly and override ``combine`` with a kernel
-that writes the same bytes into one output buffer; every other operator
-takes it unchanged.  ``DenseOperator`` materializes an arbitrary matrix
-and derives its pseudo-inverse from its SVD, taken from LAPACK through
+``verify``.  ``BlockOperator`` is the base of the operators that measure
+each block x block tile of each channel on its own (pooling, block
+sensing): they give two kernels for one stripe of whole block rows, and
+the three walks here run them over ``tensor._stripes``, for the forward
+map, the in-memory combine and the combine streamed into files.  Every
+other operator takes ``combine`` unchanged or overrides it with a
+kernel that writes the same bytes into one output buffer (channel
+mean).  ``DenseOperator`` materializes an arbitrary matrix and derives
+its pseudo-inverse from its SVD, taken from LAPACK through
 ``numpy.linalg.svd``.
 """
 
@@ -24,7 +28,7 @@ import numpy as np
 
 from .metrics import ConsistencyReport, compare
 from .rng import Stream
-from .tensor import ImageTensor, quantize, read_raw, write_raw
+from .tensor import ImageTensor, _band_rows, _check_finite, _stripes, quantize, read_raw, write_raw
 
 
 class LinearOperator(abc.ABC):
@@ -77,6 +81,68 @@ class LinearOperator(abc.ABC):
     def _check_raw(x_raw: ImageTensor, shape: tuple[int, int, int]) -> None:
         if x_raw.shape != shape:
             raise ValueError(f"raw prediction shape {x_raw.shape} does not match operator input {shape}")
+
+
+class BlockOperator(LinearOperator):
+    """An operator that maps each ``block`` x ``block`` tile of each image
+    channel to ``q`` measurements, stacked as channel ``c * q + row``.
+
+    A subclass gives two kernels over one stripe of whole block rows
+    ``rows``, shaped (k, block, width) as ``tensor._stripes`` yields it,
+    and the matching slice ``y``/``out`` of a measurement, shaped (q, k,
+    width // block): ``_forward_band`` writes the stripe's measurements
+    into ``out``, and ``_combine_band`` writes the combine of the stripe
+    with ``y`` into a (k, block, width) buffer.  The walks below run them
+    and keep the input's dtype.
+    """
+
+    block: int
+    q: int
+
+    @abc.abstractmethod
+    def _forward_band(self, rows: np.ndarray, out: np.ndarray) -> None:
+        """Write the measurements of ``rows`` into ``out``."""
+
+    @abc.abstractmethod
+    def _combine_band(self, rows: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+        """Write the combine of ``rows`` with the measurements ``y`` into ``out``."""
+
+    def _band(self, a: np.ndarray, ch: int, band: slice) -> np.ndarray:
+        """The measurements of image channel ``ch``'s block rows ``band`` in ``a``."""
+        return a[ch * self.q : (ch + 1) * self.q, band]
+
+    def _forward_walk(self, src) -> np.ndarray:
+        """The measurement of an array or a stripe source (see ``tensor._stripes``)."""
+        c, h, w = src.shape
+        b = self.block
+        out = np.empty((c * self.q, h // b, w // b), src.dtype)
+        for rows, ch, band in _stripes(src, b):
+            self._forward_band(rows, self._band(out, ch, band))
+        return out
+
+    def _combine_walk(self, y: np.ndarray, x_raw: np.ndarray) -> np.ndarray:
+        """The combine of the arrays ``y`` and ``x_raw``, stripe by stripe."""
+        out = np.empty_like(x_raw)
+        out_rows = out.reshape(x_raw.shape[0], -1, self.block, x_raw.shape[2])
+        for rows, ch, band in _stripes(x_raw, self.block):
+            self._combine_band(rows, self._band(y, ch, band), out_rows[ch, band])
+        return out
+
+    def _stream_walk(self, y: np.ndarray, x_raw, writers: list) -> list[ImageTensor]:
+        """Combine each stripe of the source ``x_raw`` into one reused buffer,
+        check it finite, hand it to each writer of ``tensor._open_writers`` in
+        turn, and return the measurement of what each file holds."""
+        b, width = self.block, x_raw.shape[2]
+        forwards = [np.empty_like(y) for _ in writers]
+        out = np.empty((min(_band_rows(width, x_raw.dtype.itemsize, b), y.shape[1]), b, width), dtype="<f8")
+        for rows, ch, band in _stripes(x_raw, b):
+            held = out[: len(rows)]
+            self._combine_band(rows, self._band(y, ch, band), held)
+            _check_finite(held)
+            for writer, forward in zip(writers, forwards):
+                held = writer.write(held)
+                self._forward_band(held, self._band(forward, ch, band))
+        return [ImageTensor(forward) for forward in forwards]
 
 
 class IdentityOperator(LinearOperator):

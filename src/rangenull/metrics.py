@@ -83,6 +83,9 @@ def error_map(gt: ImageTensor, sr: ImageTensor, gain: float = 5.0) -> ImageTenso
         raise ValueError(f"shape mismatch: {gt.shape} vs {sr.shape}")
     if not gain > 0.0:
         raise ValueError(f"gain must be positive, got {gain}")
+    if gain == math.inf:
+        # 0 * inf would make NaN samples wherever the inputs agree.
+        raise ValueError(f"gain must be a positive finite number, got {gain}")
     amplified = np.minimum(gain * np.abs(gt.data - sr.data), 1.0)
     magnitude = amplified.mean(axis=0)
     red = np.clip(3.0 * magnitude, 0.0, 1.0)

@@ -4,21 +4,22 @@ the operator built from them.
 The two maps form an exact pseudo-inverse pair: downsampling a replicated
 image returns the original bit-for-bit (block means are computed relative
 to the block's first sample, so a constant block averages to exactly that
-constant).  ``PoolingOp`` inherits ``verify`` from ``LinearOperator`` and
-overrides only ``combine``, with the fused ``pd_combine`` kernel: it swaps
+constant).  ``PoolingOp`` is a ``linop.BlockOperator`` with one
+measurement per block: it inherits ``verify`` and the stripe walks, and
+overrides ``combine`` with the fused ``pd_combine`` kernel, which swaps
 the block means of any raw prediction for the reference low-resolution
 values in one pass, bit-identical to the generic combine.
 ``extract_highfreq`` and ``verify_consistency`` are the scale-argument
 spellings of ``null_project`` and ``PoolingOp.verify``.
 
-Both kernels walk the image in stripes of whole block rows of about
-512 KiB (``tensor._stripes``), and work on whole image rows, so every
-numpy step runs over a full row.  A block's mean is built from
-elementwise operations only, in a fixed order, so it does not depend on
-how the image is striped: ``pool_down`` and ``pd_combine`` agree bit for
-bit.  Both keep the input dtype.
+The band kernels ``PoolingOp._forward_band`` (block means) and
+``_combine_band`` work on one stripe of whole block rows, about 512 KiB
+(``tensor._stripes``), so every numpy step runs over full image rows.  A
+block's mean is built from elementwise operations only, in a fixed
+order, so it does not depend on how the image is striped: ``pool_down``
+and ``pd_combine`` agree bit for bit.  Both keep the input dtype.
 
-``stream_pd`` and ``stream_verify`` run the kernels on any stripe
+``stream_pd`` and ``stream_verify`` run the same walks on any stripe
 source, such as a ``RawReader`` reading a PDT1 file or a predictor
 enlarging a measurement, and ``stream_pd`` hands each combined stripe to
 the writers of ``tensor._open_writers``: they hold the low-resolution
@@ -32,9 +33,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .linop import LinearOperator, null_project
+from .linop import BlockOperator, LinearOperator, null_project
 from .metrics import ConsistencyReport, compare
-from .tensor import ImageTensor, _band_rows, _check_finite, _open_writers, _read_through, _stripes
+from .tensor import ImageTensor, _open_writers, _read_through
 
 
 def _require_divisible(h: int, w: int, s: int) -> None:
@@ -67,41 +68,6 @@ def _band_mean(rows: np.ndarray, s: int) -> np.ndarray:
     return total
 
 
-def _pool_band(rows: np.ndarray, s: int, out: np.ndarray) -> None:
-    """Write the block means of ``rows``, shaped (k, s, width), into ``out``.
-
-    Scale 1 copies: the anchored mean of -0.0 would be +0.0.
-    """
-    out[...] = rows[:, 0] if s == 1 else _band_mean(rows, s)
-
-
-def _combine_band(rows: np.ndarray, y_rows: np.ndarray, s: int, out: np.ndarray) -> None:
-    """Write ``(rows - replicate(block means)) + replicate(y_rows)`` into ``out``.
-
-    ``rows`` and ``out`` are k block rows shaped (k, s, width), ``y_rows``
-    the matching (k, width // s) rows of the measurement; each mean row and
-    ``y`` row is widened once to the image width.  Scale 1 keeps the
-    generic combine's ``(rows - rows) + y``, whose signed zeros the
-    anchored mean would flip.  Addition commutes exactly, so this is
-    bit-identical to the generic combine.
-    """
-    if s == 1:
-        np.subtract(rows, rows, out=out)
-    else:
-        np.subtract(rows, np.repeat(_band_mean(rows, s), s, axis=-1)[:, None], out=out)
-    out += np.repeat(y_rows, s, axis=-1)[:, None]
-
-
-def _block_mean(src, s: int) -> np.ndarray:
-    """Mean over non-overlapping s x s blocks of an array or a stripe source
-    (see ``tensor._stripes``), dtype preserving."""
-    channels, height, width = src.shape
-    out = np.empty((channels, height // s, width // s), src.dtype)
-    for rows, ch, band in _stripes(src, s):
-        _pool_band(rows, s, out[ch, band])
-    return out
-
-
 def _replicate(a: np.ndarray, s: int) -> np.ndarray:
     if s == 1:
         return a.copy()
@@ -115,8 +81,7 @@ def _replicate(a: np.ndarray, s: int) -> np.ndarray:
 
 def pool_down(x: ImageTensor, s: int) -> ImageTensor:
     """Average each s x s block into one pixel (hard error if not divisible)."""
-    _require_divisible(x.height, x.width, s)
-    return ImageTensor(_block_mean(x.data, s))
+    return ImageTensor(PoolingOp(s, *x.shape)._forward_walk(x.data))
 
 
 def pool_up(y: ImageTensor, s: int) -> ImageTensor:
@@ -138,16 +103,7 @@ def pd_combine(y: ImageTensor, x_raw: ImageTensor, s: int) -> ImageTensor:
     back down reproduces ``y`` to float rounding regardless of ``x_raw``.
     """
     LinearOperator._check_raw(x_raw, (y.channels, s * y.height, s * y.width))
-    return ImageTensor(_pd_combine_arr(y.data, x_raw.data, s))
-
-
-def _pd_combine_arr(y: np.ndarray, x_raw: np.ndarray, s: int) -> np.ndarray:
-    # (x_raw - replicate(block_mean(x_raw))) + replicate(y), stripe by stripe.
-    out = np.empty_like(x_raw)
-    out_rows = out.reshape(x_raw.shape[0], -1, s, x_raw.shape[2])
-    for rows, ch, band in _stripes(x_raw, s):
-        _combine_band(rows, y[ch, band], s, out_rows[ch, band])
-    return out
+    return ImageTensor(PoolingOp.for_measurement(y, s)._combine_walk(y.data, x_raw.data))
 
 
 def stream_pd(y: ImageTensor, x_raw, s: int, *paths: str | Path) -> list[ConsistencyReport]:
@@ -169,24 +125,8 @@ def stream_pd(y: ImageTensor, x_raw, s: int, *paths: str | Path) -> list[Consist
     op = PoolingOp.for_measurement(y, s)
     op._check_raw(x_raw, op.in_shape)
     with _open_writers(op.in_shape, *paths) as writers:
-        forwards = _combine_into(y.data, x_raw, s, writers)
+        forwards = op._stream_walk(y.data, x_raw, writers)
     return [compare(y, forward) for forward in forwards]
-
-
-def _combine_into(y: np.ndarray, x_raw, s: int, writers: list) -> list[ImageTensor]:
-    """The walk of ``stream_pd``: combine each stripe of ``x_raw``, hand it
-    to each writer in turn, and return the pooled image of each file."""
-    width = x_raw.shape[2]
-    forwards = [np.empty_like(y) for _ in writers]
-    out = np.empty((min(_band_rows(width, 8, s), y.shape[1]), s, width), dtype="<f8")
-    for rows, ch, band in _stripes(x_raw, s):
-        held = out[: len(rows)]
-        _combine_band(rows, y[ch, band], s, held)
-        _check_finite(held)
-        for writer, forward in zip(writers, forwards):
-            held = writer.write(held)
-            _pool_band(held, s, forward[ch, band])
-    return [ImageTensor(forward) for forward in forwards]
 
 
 def stream_verify(y: ImageTensor, x_hat, s: int) -> ConsistencyReport:
@@ -200,7 +140,7 @@ def stream_verify(y: ImageTensor, x_hat, s: int) -> ConsistencyReport:
         _read_through(x_hat)
     op = PoolingOp.for_measurement(y, s)
     op._check(x_hat, op.in_shape, "input")
-    return compare(y, ImageTensor(_block_mean(x_hat, s)))
+    return compare(y, ImageTensor(op._forward_walk(x_hat)))
 
 
 def verify_consistency(
@@ -210,12 +150,15 @@ def verify_consistency(
     return PoolingOp.for_measurement(y, s).verify(y, x_hat, quantized)
 
 
-class PoolingOp(LinearOperator):
-    """Block-mean downsampler bound to a fixed geometry."""
+class PoolingOp(BlockOperator):
+    """Block-mean downsampler bound to a fixed geometry: a block operator
+    whose one measurement per block is the block's mean."""
+
+    q = 1
 
     def __init__(self, scale: int, channels: int, height: int, width: int):
         _require_divisible(height, width, scale)
-        self.scale = scale
+        self.scale = self.block = scale
         self.in_shape = (channels, height, width)
         self.out_shape = (channels, height // scale, width // scale)
 
@@ -236,3 +179,22 @@ class PoolingOp(LinearOperator):
         """Same result as the generic combine, computed by the fused ``pd_combine`` kernel."""
         self._check(y, self.out_shape, "measurement")
         return pd_combine(y, x_raw, self.scale)
+
+    def _forward_band(self, rows: np.ndarray, out: np.ndarray) -> None:
+        # Scale 1 copies: the anchored mean of -0.0 would be +0.0.
+        out[...] = rows[:, 0] if self.scale == 1 else _band_mean(rows, self.scale)
+
+    def _combine_band(self, rows: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+        """Write ``(rows - replicate(block means)) + replicate(y)`` into ``out``.
+
+        Each mean row and ``y`` row is widened once to the image width.
+        Scale 1 keeps the generic combine's ``(rows - rows) + y``, whose
+        signed zeros the anchored mean would flip.  Addition commutes
+        exactly, so this is bit-identical to the generic combine.
+        """
+        s = self.scale
+        if s == 1:
+            np.subtract(rows, rows, out=out)
+        else:
+            np.subtract(rows, np.repeat(_band_mean(rows, s), s, axis=-1)[:, None], out=out)
+        out += np.repeat(y[0], s, axis=-1)[:, None]

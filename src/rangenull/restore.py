@@ -1,28 +1,28 @@
 """Extension operators: per-pixel channel mean (gray observation of a
 color image) and block compressed sensing with orthonormal sampling rows.
 
-Both take ``verify`` unchanged from ``LinearOperator`` and override
-``combine`` with a kernel that gives the generic combine's bytes, errors
-and check order in one output buffer: the channel mean replicates by
-broadcasting, and block sensing works in block layout with the same
-BLAS products on the same operand layouts as ``cs_measure`` and
-``cs_pinv``.  ``generic_pd`` is the function spelling of ``op.combine``.
+Both take ``verify`` unchanged from ``LinearOperator`` and give the
+generic combine's bytes, errors and check order in one output buffer:
+the channel mean replicates by broadcasting, and ``BlockSenseOp`` is a
+``linop.BlockOperator`` whose band kernels measure and back-project one
+stripe of whole block rows with one BLAS product each: ``combine`` and
+``cs_measure`` run on the stripe walks of ``linop`` as pooling does, and
+``cs_pinv`` fills its output one stripe at a time.  ``generic_pd`` is
+the function spelling of ``op.combine``.
 
-Block sensing costs one reordering copy and one BLAS matrix product per
-image channel in each direction, so ``cs_measure`` and ``cs_pinv`` run
-at a small multiple of a memory copy.  Reruns at one BLAS thread count
-give the same bytes; other thread counts usually do too, but that is not
-promised (see ``cs_measure``).
+Each stripe costs one reordering copy and one BLAS product per
+direction, so ``cs_measure`` and ``cs_pinv`` run at a small multiple of
+a memory copy and hold no image-sized temporary.  Reruns at one BLAS
+thread count give the same bytes; other thread counts usually do too,
+but that is not promised (see ``cs_measure``).
 
 ``cs_stream_measure``, ``cs_stream_pinv`` and ``cs_stream_pd`` give the
 bytes, records and errors of ``cs_measure``, ``cs_pinv`` and
 ``combine`` followed by ``save_tensor`` and ``verify``, without the
-image array: an input image is read one stripe of whole block rows at a
-time (``tensor._stripes``, from an array or a ``RawReader``) straight
-into block layout, and an output image is unblocked one stripe at a
-time into the writer ``tensor._open_writers`` gives its file, so the
-block buffer is the only image-sized array besides the temporaries of
-the products.
+image array: an input image is read one stripe at a time
+(``tensor._stripes``, from an array or a ``RawReader``) and an output
+image is written one stripe at a time into the writer
+``tensor._open_writers`` gives its file.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linop import LinearOperator, svd
+from .linop import BlockOperator, LinearOperator, svd
 from .metrics import ConsistencyReport, compare
 from .rng import Stream
 from .tensor import (
@@ -127,7 +127,7 @@ def measurement_count(block: int, ratio: float) -> int:
     return int(math.ceil(ratio * block * block))
 
 
-class BlockSenseOp(LinearOperator):
+class BlockSenseOp(BlockOperator):
     """Blockwise sensing with orthonormal rows.
 
     Each B x B block, flattened row-major, is measured by ``q``
@@ -167,26 +167,50 @@ class BlockSenseOp(LinearOperator):
         return cs_pinv(self, y)
 
     def combine(self, y: ImageTensor, x_raw: ImageTensor) -> ImageTensor:
-        """The generic combine's bytes, computed in block layout.
+        """The generic combine's bytes, computed one stripe of block rows at a
+        time by ``_combine_band``."""
+        self._combine_checks(y, x_raw)
+        return ImageTensor(self._combine_walk(y.data, x_raw.data))
 
-        One reordering copy of ``x_raw``, ``_combine_blocks`` in place, one
-        reordering copy back.
-        """
-        _, nh, nw = self._combine_checks(y, x_raw)
-        blocks = _read_blocks(x_raw.data, self.block)
-        _combine_blocks(self.rows, y.data, blocks, nh, nw)
-        return ImageTensor(_from_blocks(blocks, nh, nw, self.block))
-
-    def _combine_checks(self, y: ImageTensor, x_raw) -> tuple[int, int, int]:
+    def _combine_checks(self, y: ImageTensor, x_raw) -> None:
         """The generic combine's checks, in its order, of ``y`` and anything
-        with the ``shape`` of a raw prediction; return ``y``'s image blocks."""
+        with the ``shape`` of a raw prediction."""
         self._check(y, self.out_shape, "measurement")
         c, nh, nw = _image_blocks(self, y.shape)
         b = self.block
         if x_raw.shape != (c, nh * b, nw * b):
             cs_pinv(self, y)  # the generic combine reports an overflowing A+ y first
             self._check_raw(x_raw, (c, nh * b, nw * b))
-        return c, nh, nw
+
+    def _forward_band(self, rows: np.ndarray, out: np.ndarray) -> None:
+        """Measure the blocks of ``rows`` into ``out``: one reordering copy lays
+        them out one block per row, one BLAS product applies the transposed
+        rows, and a strided copy moves the (blocks, q) result into ``out``."""
+        k, b, w = rows.shape
+        blocks = rows.reshape(k, b, w // b, b).transpose(0, 2, 1, 3).reshape(-1, b * b)
+        np.copyto(out, np.matmul(blocks, self.rows.T).reshape(k, w // b, self.q).transpose(2, 0, 1))
+
+    def _pinv_tiles(self, m: np.ndarray) -> np.ndarray:
+        """``A+ m`` for the measurements ``m`` of k block rows, shaped (q, k,
+        nw): one BLAS product of ``m``, viewed one block per row, by the
+        rows, returned as a (k, block, nw, block) view of image rows."""
+        q, k, nw = m.shape
+        b = self.block
+        return np.matmul(m.reshape(q, k * nw).T, self.rows).reshape(k, nw, b, b).transpose(0, 2, 1, 3)
+
+    def _pinv_band(self, m: np.ndarray, out: np.ndarray) -> None:
+        """Write ``A+ m`` into ``out``, k block rows shaped (k, block, width)."""
+        np.copyto(out.reshape(len(out), self.block, -1, self.block), self._pinv_tiles(m))
+
+    def _combine_band(self, rows: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+        """``(rows - A+ A rows) + A+ y`` into ``out``, through the products of
+        ``_forward_band`` and ``_pinv_tiles``; addition commutes exactly,
+        so these are the generic combine's bytes."""
+        measured = np.empty(y.shape)
+        self._forward_band(rows, measured)
+        tiles = out.reshape(len(out), self.block, -1, self.block)
+        np.subtract(rows.reshape(tiles.shape), self._pinv_tiles(measured), out=tiles)
+        tiles += self._pinv_tiles(y)
 
 
 def cs_build(block: int, ratio: float, seed: int = 0) -> BlockSenseOp:
@@ -209,108 +233,103 @@ def cs_build(block: int, ratio: float, seed: int = 0) -> BlockSenseOp:
 
 
 def cs_measure(op: BlockSenseOp, x: ImageTensor) -> ImageTensor:
-    """Measure every block of every channel with the sampling rows.
-
-    One reordering copy lays each channel out one block per row, and one
-    BLAS product per channel (a stacked ``matmul``) applies the transposed
-    rows; a strided copy then moves the ``(blocks, q)`` result into the
-    ``channel * q + row`` layout of a fresh output array.
+    """Measure every block of every channel with the sampling rows, one
+    stripe of whole block rows at a time (``BlockSenseOp._forward_band``).
 
     The block axis is the product's rows because the other orientation
     made the last bit follow the BLAS thread count at several block sizes
-    from 4 to 16.  This one gave the same bytes at 1 and 2 OpenBLAS
-    threads at blocks 4 to 16, 24 and 32 on 3 x 240² to 3 x 1440² images,
-    but not at block 20, so the thread count is not promised; reruns at
-    one count are.
+    from 4 to 16.  With the rows held fixed, this one gave the same bytes
+    at 1 and 2 OpenBLAS threads at blocks 1 to 16, 24 and 32 on 3 x 240²
+    to 3 x 1440² images, but not at block 20, so the thread count is not
+    promised; reruns at one count are.  A product's bytes can also follow
+    its size: OpenBLAS's SkylakeX small-matrix kernel, which it takes for
+    products of at most 1200 outputs over blocks of at least 32 samples,
+    rounds differently, so a stripe of few blocks, such as the last one
+    of a narrow image, can differ in the last bit from a product over
+    more blocks.
     """
-    nh, nw = _require_blocks(x.height, x.width, op.block)
-    return ImageTensor(_measure_blocks(op.rows, _read_blocks(x.data, op.block), nh, nw))
+    _require_blocks(x.height, x.width, op.block)
+    return ImageTensor(op._forward_walk(x.data))
 
 
 def cs_pinv(op: BlockSenseOp, m: ImageTensor) -> ImageTensor:
-    """Back-project measurements through the transposed rows.
+    """Back-project measurements through the transposed rows, one stripe
+    of whole block rows at a time (``BlockSenseOp._pinv_band``), into a
+    fresh ``(c, h, w)`` array.
 
-    One BLAS product per channel maps the measurements, viewed one block
-    per row, through the rows; as in ``cs_measure`` the block axis stays
-    the product's rows (the same bytes at 1 and 2 OpenBLAS threads at every
-    block size tried, 4 to 32).  One strided assignment writes the blocks
-    into a fresh ``(c, h, w)`` array.
+    As in ``cs_measure`` the block axis stays the product's rows, which
+    gives the same bytes at 1 and 2 OpenBLAS threads at every block size
+    tried, 1 to 32; a stripe of one block is a matrix-vector product and
+    can differ in the last bit.
     """
-    _, nh, nw = _image_blocks(op, m.shape)
-    return ImageTensor(_from_blocks(_back_project(op.rows, m.data), nh, nw, op.block))
+    c, nh, nw = _image_blocks(op, m.shape)
+    out = np.empty((c, nh * op.block, nw * op.block))
+    for rows, ch, band in _stripes(out, op.block):
+        op._pinv_band(op._band(m.data, ch, band), rows)
+    return ImageTensor(out)
 
 
 def cs_stream_measure(op: BlockSenseOp, x, path: str | Path) -> None:
     """Write ``cs_measure`` of the image source ``x`` to ``path``, in the
     format its name picks (see ``tensor.save_tensor``).
 
-    ``x`` is an array or a ``RawReader`` (see ``tensor.open_stripes``); its
-    stripes are copied straight into block layout, with no image array.  A
-    source whose sides do not divide by the block is read through before
-    it is refused, so its own faults come first, as when it is loaded whole.
+    ``x`` is an array or a ``RawReader`` (see ``tensor.open_stripes``),
+    measured one stripe at a time, with no image array.  A source whose
+    sides do not divide by the block is read through before it is refused,
+    so its own faults come first, as when it is loaded whole.
     """
     _, h, w = x.shape
     if h % op.block or w % op.block:
         _read_through(x)
-    nh, nw = _require_blocks(h, w, op.block)
-    # The product of ``_measure_blocks``, spelled out so that the block
-    # buffer is freed before the measurement layout is allocated.
-    per_block = np.matmul(_read_blocks(x, op.block), op.rows.T)
-    save_tensor(ImageTensor(_stack_measurements(per_block, nh, nw)), path)
+    _require_blocks(h, w, op.block)
+    save_tensor(ImageTensor(op._forward_walk(x)), path)
 
 
 def cs_stream_pinv(op: BlockSenseOp, m: ImageTensor, path: str | Path) -> None:
     """Write ``cs_pinv(op, m)`` to ``path``, in the format its name picks,
-    unblocking the back-projected blocks one stripe at a time into the
-    file's writer, with no image array."""
+    back-projecting one stripe at a time into one reused buffer, which is
+    checked finite and handed to the file's writer; an error at any point
+    leaves the old file as it was."""
     c, nh, nw = _image_blocks(op, m.shape)
     b = op.block
-    blocks = _back_project(op.rows, m.data)
-    _check_finite(blocks)
+    held = np.empty((min(_band_rows(nw * b, 8, b), nh), b, nw * b))
     with _open_writers((c, nh * b, nw * b), path) as (writer,):
-        _write_blocks(blocks, nh, nw, b, writer)
+        for ch in range(c):
+            for r0 in range(0, nh, len(held)):
+                rows = held[: nh - r0]
+                op._pinv_band(op._band(m.data, ch, slice(r0, r0 + len(rows))), rows)
+                _check_finite(rows)
+                writer.write(rows)
 
 
 def cs_stream_pd(op: BlockSenseOp, y: ImageTensor, x_raw, path: str | Path) -> ConsistencyReport:
     """Write ``op.combine(y, x_raw)`` to ``path``, in the format its name
     picks, and return ``op.verify`` of what the file holds.
 
-    The raw prediction source ``x_raw`` (an array or a ``RawReader``, see
-    ``tensor.open_stripes``) is read first, straight into block layout; one
-    that does not fit ``y`` is read through instead, so its own faults come
-    first.  Then the destination is checked and the combine makes its
-    checks, in the order of the in-memory path.  The combine runs in place
-    in the block buffer, which is unblocked one stripe at a time into the
-    file's writer; a PNG's quantized stripes are put back, and the record
-    is measured from the buffer, so the output gets no second reordering
-    copy.  An error at any point, a non-finite record included, leaves the
-    old file as it was.
+    A raw prediction source ``x_raw`` (an array or a ``RawReader``, see
+    ``tensor.open_stripes``) that does not fit ``y`` is read through
+    first, so its own faults come first.  Then the destination is checked
+    and the combine makes its checks, in the order of the in-memory path,
+    and ``BlockOperator._stream_walk`` combines ``x_raw`` one stripe at a
+    time into the file's writer and measures what the file holds.  An
+    error at any point, a non-finite record included, leaves the old file
+    as it was.
     """
     cq, nh, nw = y.shape
     b = op.block
-    fits = cq % op.q == 0 and x_raw.shape == (cq // op.q, nh * b, nw * b)
-    blocks = _read_blocks(x_raw, b) if fits else _read_through(x_raw)
+    if cq % op.q or x_raw.shape != (cq // op.q, nh * b, nw * b):
+        _read_through(x_raw)
     check_destination(path)
     op._combine_checks(y, x_raw)  # raises if the prediction did not fit
-    _combine_blocks(op.rows, y.data, blocks, nh, nw)
-    _check_finite(blocks)
-    with _open_writers(x_raw.shape, path) as (writer,):
-        _write_blocks(blocks, nh, nw, b, writer)
-        forward = ImageTensor(_measure_blocks(op.rows, blocks, nh, nw))
+    with _open_writers(x_raw.shape, path) as writers:
+        (forward,) = op._stream_walk(y.data, x_raw, writers)
     return compare(y, forward)
 
 
-# Array kernels shared by ``cs_measure``, ``cs_pinv``, ``BlockSenseOp.combine``
-# and the streamed actions, so all of them make the same BLAS calls on the
-# same operand layouts.  Blocks are laid out (channels, blocks, B^2), one
-# row-major block per row; measurements (channels * q, nh, nw).
-
-
-def _require_blocks(h: int, w: int, b: int) -> tuple[int, int]:
-    """Block rows and columns of an h x w image; raise unless b divides both."""
+def _require_blocks(h: int, w: int, b: int) -> None:
+    """Raise unless the block b divides both sides of an h x w image."""
     if h % b or w % b:
         raise ValueError(f"image size {h}x{w} is not divisible by block {b}")
-    return h // b, w // b
 
 
 def _image_blocks(op: BlockSenseOp, measured: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -319,69 +338,6 @@ def _image_blocks(op: BlockSenseOp, measured: tuple[int, int, int]) -> tuple[int
     if cq % op.q:
         raise ValueError(f"measurement channels {cq} are not a multiple of q={op.q}")
     return cq // op.q, nh, nw
-
-
-def _from_blocks(blocks: np.ndarray, nh: int, nw: int, b: int) -> np.ndarray:
-    c = blocks.shape[0]
-    out = np.empty((c, nh * b, nw * b))
-    np.copyto(out.reshape(c, nh, b, nw, b), blocks.reshape(c, nh, nw, b, b).transpose(0, 1, 3, 2, 4))
-    return out
-
-
-def _read_blocks(src, b: int) -> np.ndarray:
-    """The blocks of the array or stripe source ``src`` (see ``tensor._stripes``),
-    whose sides divide by ``b``: each stripe of whole block rows is copied
-    straight into its blocks."""
-    c, h, w = src.shape
-    nh, nw = h // b, w // b
-    blocks = np.empty((c, nh, nw, b, b))
-    for rows, ch, band in _stripes(src, b):
-        np.copyto(blocks[ch, band], rows.reshape(-1, b, nw, b).transpose(0, 2, 1, 3))
-    return blocks.reshape(c, nh * nw, b * b)
-
-
-def _write_blocks(blocks: np.ndarray, nh: int, nw: int, b: int, writer) -> None:
-    """Hand the image of ``blocks`` to ``writer`` (see
-    ``tensor._open_writers``) one stripe of whole block rows at a time, in
-    planar order, and put back into ``blocks`` what the file holds where it
-    differs: a PNG's quantized stripe."""
-    c = blocks.shape[0]
-    tiles = blocks.reshape(c, nh, nw, b, b).transpose(0, 1, 3, 2, 4)  # (c, nh, b, nw, b)
-    step = _band_rows(nw * b, 8, b)
-    buf = np.empty((min(step, nh), b, nw, b))
-    for ch in range(c):
-        for r0 in range(0, nh, step):
-            band = tiles[ch, r0 : r0 + step]
-            np.copyto(buf[: len(band)], band)
-            rows = buf[: len(band)].reshape(len(band), b, nw * b)
-            held = writer.write(rows)
-            if held is not rows:
-                np.copyto(band, held.reshape(band.shape))
-
-
-def _combine_blocks(rows: np.ndarray, y: np.ndarray, blocks: np.ndarray, nh: int, nw: int) -> None:
-    """The combine in block layout, in place: subtract the range part of
-    ``blocks``, then add ``A+ y``."""
-    blocks -= _back_project(rows, _measure_blocks(rows, blocks, nh, nw))
-    blocks += _back_project(rows, y)
-
-
-def _measure_blocks(rows: np.ndarray, blocks: np.ndarray, nh: int, nw: int) -> np.ndarray:
-    return _stack_measurements(np.matmul(blocks, rows.T), nh, nw)
-
-
-def _stack_measurements(per_block: np.ndarray, nh: int, nw: int) -> np.ndarray:
-    # The (c, blocks, q) products in the channel * q + row layout of a fresh array.
-    c, _, q = per_block.shape
-    out = np.empty((c * q, nh, nw))
-    np.copyto(out.reshape(c, q, nh * nw), per_block.transpose(0, 2, 1))
-    return out
-
-
-def _back_project(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
-    cq, nh, nw = m.shape
-    q = rows.shape[0]
-    return np.matmul(m.reshape(cq // q, q, nh * nw).transpose(0, 2, 1), rows)
 
 
 def save_sense_op(op: BlockSenseOp, path: str | Path) -> None:

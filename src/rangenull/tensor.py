@@ -24,11 +24,11 @@ one reused buffer (``open_stripes`` opens a PDT1 that way and decodes a
 PNG whole) or a predictor enlarging a measurement.  ``_open_writers``
 gives each output file the writer of its format, which takes the
 stripes in planar order: a PDT1 writes each stripe as it comes, a PNG
-quantizes it into the 8-bit image it encodes at the end.  ``pooling``
-and ``restore`` run their kernels on that walk and those writers, so a
-pass over a PDT1 file need not hold the whole image.  Every file is
-written through ``_write_atomic``, which renames a call's files into
-place only once all of them are complete.
+quantizes it into the 8-bit image it encodes at the end.  The walks of
+``linop.BlockOperator`` (pooling, block sensing) run on that walk and
+those writers, so a pass over a PDT1 file need not hold the whole
+image.  Every file is written through ``_write_atomic``, which renames a
+call's files into place only once all of them are complete.
 """
 
 from __future__ import annotations

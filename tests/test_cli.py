@@ -428,6 +428,19 @@ class TestErrmap:
         run_cli(capsys, "errmap", "--gt", str(gt), "--sr", str(sr), "--output", str(g10), "--gain", "10")
         assert np.all(load_png(g10).data >= load_png(g5).data)
 
+    def test_infinite_gain_exits_3_on_equal_and_on_different_inputs(self, capsys, tmp_path, stream):
+        # 0 * inf once made NaN where the inputs agree, so equal inputs
+        # exited 3 naming non-finite samples and different ones exited 0.
+        gt, sr, out = tmp_path / "gt.pdt1", tmp_path / "sr.pdt1", tmp_path / "map.png"
+        a = stream.uniform((3, 4, 4))
+        write_raw(ImageTensor(a), gt)
+        for b in (a, a + 0.5):
+            write_raw(ImageTensor(b), sr)
+            code, stdout, stderr = run_cli(capsys, "errmap", "--gt", str(gt), "--sr", str(sr), "--output", str(out),
+                                           "--gain", "inf")
+            assert (code, stdout, stderr) == (3, "", "error: gain must be a positive finite number, got inf\n")
+            assert not out.exists()
+
 
 class TestBench:
     def test_single_iteration_collapses_percentiles(self, capsys):
@@ -1049,13 +1062,11 @@ def _cs_inputs(d):
 
 
 class TestCsStreamedMemory:
-    """``cs --action measure|pinv|pd`` hold no image array beside the block
-    copy.  The calls that loaded and wrote whole images peaked with the
-    output image beside the blocks; the streamed calls hold one output
-    stripe in its place, so each peaks at least one image below them, less
-    that stripe and 64 KiB of bookkeeping.  ``measure`` and ``pd`` also
-    drop the input image and peak 30 MB lower; ``pinv`` holds at its peak
-    the measurement, its back-projected blocks and the stripe."""
+    """``cs --action measure|pinv|pd`` hold no image array.  The calls that
+    loaded and wrote whole images peaked with the output image beside a
+    block copy; the streamed calls hold stripes in their place, so each
+    peaks at least one image below them, less a stripe and 64 KiB of
+    bookkeeping, and below one image."""
 
     IMAGE_BYTES = 8 * 3 * 1008 * 1008
     # Peaks of the whole-image calls, measured by ``_cs_traced_peak``.
@@ -1072,6 +1083,16 @@ class TestCsStreamedMemory:
         peak = _cs_traced_peak(inputs, action, tmp_path / "o.pdt1")
         capsys.readouterr()
         assert peak <= self.WHOLE_IMAGE_PEAKS[action] - self.IMAGE_BYTES + tensor._STRIPE_BYTES + (1 << 16)
+
+    @pytest.mark.parametrize("action", ["measure", "pinv", "pd"])
+    def test_peak_below_one_image(self, capsys, tmp_path, inputs, action):
+        # The products run one stripe of block rows at a time, so no call
+        # holds an image-sized array: the measurement and, for pd, its
+        # record and the difference that compare takes are each a quarter
+        # image at this ratio.
+        peak = _cs_traced_peak(inputs, action, tmp_path / "o.pdt1")
+        capsys.readouterr()
+        assert peak < self.IMAGE_BYTES
 
 
 _OUTPUTS = {"pdt1": ("o.pdt1",), "png": ("o.png",), "pdt1+png": ("o.pdt1", "o.png"),
@@ -1392,6 +1413,37 @@ class TestCsStreamedFaults:
                                        "--raw", str(raw), "--output", str(out))
         assert (code, stdout, stderr) == (3, "", "error: tensor samples must be finite (no NaN or infinity)\n")
         assert out.read_bytes() == b"old"
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("action", ["pinv", "pd"])
+    def test_png_channels_come_before_an_overflowing_result(self, capsys, tmp_path, stream, action):
+        # A 2-channel measurement whose back-projection overflows: the
+        # result is checked finite one stripe at a time, once the PNG writer
+        # has refused the channel count.  Into a PDT1 the overflow shows.
+        rows = cs_build(2, 1.0, seed=3).rows
+        op, m, raw = tmp_path / "op.pdm1", tmp_path / "m.pdt1", tmp_path / "raw.pdt1"
+        save_sense_op(BlockSenseOp(2, 4, seed=3, ratio=1.0, rows=rows), op)
+        y = stream.uniform((8, 4, 5))
+        y[-4:, -1, -1] = 1.7e308 * np.sign(rows[:, 0])
+        _pdt1(m, y)
+        _pdt1(raw, stream.uniform((2, 8, 10)))
+        inputs = {"pinv": ["--input", m], "pd": ["--lr", m, "--raw", raw]}[action]
+        argv = ["cs", "--action", action, "--op", str(op), *map(str, inputs), "--output"]
+        for name, message in [("o.png", "PNG output needs 1 or 3 channels, got 2"),
+                              ("o.pdt1", "tensor samples must be finite (no NaN or infinity)")]:
+            out = tmp_path / name
+            out.write_bytes(b"old")
+            assert run_cli(capsys, *argv, str(out)) == (3, "", f"error: {message}\n")
+            assert out.read_bytes() == b"old"
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("fault", ["nan_in_last_stripe", "shrinks", "grows"])
+    def test_pd_checks_the_destination_before_reading_the_raw(self, capsys, tmp_path, stream, monkeypatch, fault):
+        argv, _ = _cs_fault(fault, "pd", tmp_path, monkeypatch, stream)
+        out = tmp_path / "out"
+        out.mkdir()
+        code, stdout, stderr = run_cli(capsys, *argv, "--output", str(out))
+        assert (code, stdout, stderr) == (3, "", f"error: [Errno 21] Is a directory: {str(out)!r}\n")
         assert not list(tmp_path.rglob("*.tmp"))
 
 

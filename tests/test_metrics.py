@@ -178,6 +178,12 @@ class TestErrorMap:
         with pytest.raises(ValueError):
             error_map(a, a, gain=0.0)
 
+    def test_infinite_gain_is_refused(self, stream):
+        a = ImageTensor(stream.uniform((1, 2, 2)))
+        for b in (a, ImageTensor(a.data + 0.5)):
+            with pytest.raises(ValueError, match="^gain must be a positive finite number, got inf$"):
+                error_map(a, b, gain=float("inf"))
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             error_map(ImageTensor(np.zeros((1, 2, 2))), ImageTensor(np.zeros((3, 2, 2))))

@@ -29,7 +29,7 @@ from rangenull import (
     write_raw,
 )
 from rangenull import tensor
-from rangenull.pooling import _block_mean, _pd_combine_arr, _replicate
+from rangenull.pooling import _replicate
 
 
 def lr_and_raw(max_s=4, lo=-100.0, hi=100.0, signed_zeros=False):
@@ -259,7 +259,7 @@ class TestStripedKernels:
         c, h, w = a.shape
         expected = a.astype(np.float64).reshape(c, h // s, s, w // s, s).mean(axis=(2, 4))
         with mock.patch.object(tensor, "_STRIPE_BYTES", stripe_bytes):
-            got = _block_mean(a, s)
+            got = PoolingOp(s, *a.shape)._forward_walk(a)
         assert got.dtype == a.dtype and got.shape == expected.shape
         # Each of the s*s additions rounds a partial sum of at most s*s * 200
         # by half an ulp: at most s*s * eps * 100 once divided by s*s.
@@ -280,8 +280,9 @@ class TestStripedKernels:
             via_parts = pool_up(y, s).data + extract_highfreq(x_raw, s).data
             assert pd_combine(y, x_raw, s).data.tobytes() == via_parts.tobytes()
             y32, x32 = y.data.astype(np.float32), x_raw.data.astype(np.float32)
-            via_parts32 = _replicate(y32, s) + (x32 - _replicate(_block_mean(x32, s), s))
-            combined32 = _pd_combine_arr(y32, x32, s)
+            op = PoolingOp(s, *x32.shape)
+            via_parts32 = _replicate(y32, s) + (x32 - _replicate(op._forward_walk(x32), s))
+            combined32 = op._combine_walk(y32, x32)
             assert combined32.dtype == np.float32
             assert combined32.tobytes() == via_parts32.tobytes()
 

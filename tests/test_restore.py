@@ -536,6 +536,14 @@ class TestFusedCombines:
         x_raw = ImageTensor(stream.gaussian((3, 504, 504)))
         assert _peak_over_image_bytes(op, y, x_raw) <= 2.5
 
+    def test_sense_peak_memory_of_the_stripe_walk(self):
+        # The output and stripe-sized temporaries: no image-sized temporary.
+        op = cs_build(8, 0.25, seed=5)
+        stream = Stream(5)
+        y = cs_measure(op, ImageTensor(stream.uniform((3, 504, 504))))
+        x_raw = ImageTensor(stream.gaussian((3, 504, 504)))
+        assert _peak_over_image_bytes(op, y, x_raw) <= 1.5
+
 
 def _sha256(data):
     return hashlib.sha256(np.ascontiguousarray(data, dtype="<f8").tobytes()).hexdigest()
