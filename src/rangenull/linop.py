@@ -9,14 +9,14 @@ The base class defines the consistent combine ``combine`` (keep
 ``A+ y``, take the null part of a raw prediction) and its check
 ``verify``.  ``BlockOperator`` is the base of the operators that measure
 each block x block tile of each channel on its own (pooling, block
-sensing): they give two kernels for one stripe of whole block rows, and
-the three walks here run them over ``tensor._stripes``, for the forward
-map, the in-memory combine and the combine streamed into files.  Every
-other operator takes ``combine`` unchanged or overrides it with a
-kernel that writes the same bytes into one output buffer (channel
-mean).  ``DenseOperator`` materializes an arbitrary matrix and derives
-its pseudo-inverse from its SVD, taken from LAPACK through
-``numpy.linalg.svd``.
+sensing): they give two kernels for one stripe of whole block rows (for
+block sensing, a whole channel), and the three walks here run them over
+``tensor._stripes``, for the forward map, the in-memory combine and the
+combine streamed into files.  Every other operator takes ``combine``
+unchanged or overrides it with a kernel that writes the same bytes into
+one output buffer (channel mean).  ``DenseOperator`` materializes an
+arbitrary matrix and derives its pseudo-inverse from its SVD, taken from
+LAPACK through ``numpy.linalg.svd``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .metrics import ConsistencyReport, compare
 from .rng import Stream
-from .tensor import ImageTensor, _band_rows, _check_finite, _stripes, quantize, read_raw, write_raw
+from .tensor import ImageTensor, _Blank, _check_finite, _stripes, quantize, read_raw, write_raw
 
 
 class LinearOperator(abc.ABC):
@@ -93,11 +93,14 @@ class BlockOperator(LinearOperator):
     width // block): ``_forward_band`` writes the stripe's measurements
     into ``out``, and ``_combine_band`` writes the combine of the stripe
     with ``y`` into a (k, block, width) buffer.  The walks below run them
-    and keep the input's dtype.
+    and keep the input's dtype.  A stripe holds about
+    ``tensor._STRIPE_BYTES``, or a whole channel where ``whole_channels``
+    is set.
     """
 
     block: int
     q: int
+    whole_channels = False
 
     @abc.abstractmethod
     def _forward_band(self, rows: np.ndarray, out: np.ndarray) -> None:
@@ -111,12 +114,16 @@ class BlockOperator(LinearOperator):
         """The measurements of image channel ``ch``'s block rows ``band`` in ``a``."""
         return a[ch * self.q : (ch + 1) * self.q, band]
 
+    def _walk(self, src):
+        """``tensor._stripes`` of ``src`` in the stripes the kernels take."""
+        return _stripes(src, self.block, src.shape[1] // self.block if self.whole_channels else None)
+
     def _forward_walk(self, src) -> np.ndarray:
         """The measurement of an array or a stripe source (see ``tensor._stripes``)."""
         c, h, w = src.shape
         b = self.block
         out = np.empty((c * self.q, h // b, w // b), src.dtype)
-        for rows, ch, band in _stripes(src, b):
+        for rows, ch, band in self._walk(src):
             self._forward_band(rows, self._band(out, ch, band))
         return out
 
@@ -124,7 +131,7 @@ class BlockOperator(LinearOperator):
         """The combine of the arrays ``y`` and ``x_raw``, stripe by stripe."""
         out = np.empty_like(x_raw)
         out_rows = out.reshape(x_raw.shape[0], -1, self.block, x_raw.shape[2])
-        for rows, ch, band in _stripes(x_raw, self.block):
+        for rows, ch, band in self._walk(x_raw):
             self._combine_band(rows, self._band(y, ch, band), out_rows[ch, band])
         return out
 
@@ -132,11 +139,9 @@ class BlockOperator(LinearOperator):
         """Combine each stripe of the source ``x_raw`` into one reused buffer,
         check it finite, hand it to each writer of ``tensor._open_writers`` in
         turn, and return the measurement of what each file holds."""
-        b, width = self.block, x_raw.shape[2]
         forwards = [np.empty_like(y) for _ in writers]
-        out = np.empty((min(_band_rows(width, x_raw.dtype.itemsize, b), y.shape[1]), b, width), dtype="<f8")
-        for rows, ch, band in _stripes(x_raw, b):
-            held = out[: len(rows)]
+        # Every such source holds float64 samples, so both walks have one geometry.
+        for (rows, ch, band), (held, _, _) in zip(self._walk(x_raw), self._walk(_Blank(x_raw.shape))):
             self._combine_band(rows, self._band(y, ch, band), held)
             _check_finite(held)
             for writer, forward in zip(writers, forwards):

@@ -4,13 +4,13 @@ color image) and block compressed sensing with orthonormal sampling rows.
 Both take ``verify`` unchanged from ``LinearOperator`` and give the
 generic combine's bytes, errors and check order in one output buffer:
 the channel mean replicates by broadcasting, and ``BlockSenseOp`` is a
-``linop.BlockOperator`` whose band kernels measure and back-project one
-stripe of whole block rows with one BLAS product each: ``combine`` and
-``cs_measure`` run on the stripe walks of ``linop`` as pooling does, and
-``cs_pinv`` fills its output one stripe at a time.  ``generic_pd`` is
-the function spelling of ``op.combine``.
+``linop.BlockOperator`` whose band kernels measure and back-project a
+whole channel with one BLAS product each: ``combine`` and ``cs_measure``
+run on the walks of ``linop`` as pooling does, and ``cs_pinv`` fills its
+output one channel at a time.  ``generic_pd`` is the function spelling
+of ``op.combine``.
 
-Each stripe costs one reordering copy and one BLAS product per
+Each channel costs one reordering copy and one BLAS product per
 direction, so ``cs_measure`` and ``cs_pinv`` run at a small multiple of
 a memory copy and hold no image-sized temporary.  Reruns at one BLAS
 thread count give the same bytes; other thread counts usually do too,
@@ -19,9 +19,9 @@ but that is not promised (see ``cs_measure``).
 ``cs_stream_measure``, ``cs_stream_pinv`` and ``cs_stream_pd`` give the
 bytes, records and errors of ``cs_measure``, ``cs_pinv`` and
 ``combine`` followed by ``save_tensor`` and ``verify``, without the
-image array: an input image is read one stripe at a time
+image array: an input image is read one channel at a time
 (``tensor._stripes``, from an array or a ``RawReader``) and an output
-image is written one stripe at a time into the writer
+image is written one channel at a time into the writer
 ``tensor._open_writers`` gives its file.
 """
 
@@ -38,12 +38,11 @@ from .metrics import ConsistencyReport, compare
 from .rng import Stream
 from .tensor import (
     ImageTensor,
-    _band_rows,
+    _Blank,
     _check_finite,
     _open_writers,
     _read_payload,
     _read_through,
-    _stripes,
     _write_atomic,
     check_destination,
     save_tensor,
@@ -136,7 +135,15 @@ class BlockSenseOp(BlockOperator):
     the channel axis as channel_index = image_channel * q + row_index.
     The operator applies to any image whose sides divide by B, so shapes
     stay unbound unless ``bind_shape`` is called.
+
+    The kernels take whole channels, so that each channel is measured and
+    back-projected in one BLAS product whatever the image's shape and the
+    stripe size: a product's last bit can follow how many blocks it spans
+    (OpenBLAS picks its kernel and splits the work among its threads by
+    the product's size).
     """
+
+    whole_channels = True
 
     def __init__(self, block: int, q: int, seed: int, ratio: float, rows: np.ndarray):
         rows = np.array(rows, dtype=np.float64)
@@ -167,8 +174,8 @@ class BlockSenseOp(BlockOperator):
         return cs_pinv(self, y)
 
     def combine(self, y: ImageTensor, x_raw: ImageTensor) -> ImageTensor:
-        """The generic combine's bytes, computed one stripe of block rows at a
-        time by ``_combine_band``."""
+        """The generic combine's bytes, computed one channel at a time by
+        ``_combine_band``."""
         self._combine_checks(y, x_raw)
         return ImageTensor(self._combine_walk(y.data, x_raw.data))
 
@@ -182,13 +189,16 @@ class BlockSenseOp(BlockOperator):
             cs_pinv(self, y)  # the generic combine reports an overflowing A+ y first
             self._check_raw(x_raw, (c, nh * b, nw * b))
 
-    def _forward_band(self, rows: np.ndarray, out: np.ndarray) -> None:
-        """Measure the blocks of ``rows`` into ``out``: one reordering copy lays
-        them out one block per row, one BLAS product applies the transposed
-        rows, and a strided copy moves the (blocks, q) result into ``out``."""
+    def _per_block(self, rows: np.ndarray) -> np.ndarray:
+        """The (blocks, q) measurements of ``rows``: one reordering copy lays
+        the blocks out one per row, and one BLAS product applies the
+        transposed rows."""
         k, b, w = rows.shape
-        blocks = rows.reshape(k, b, w // b, b).transpose(0, 2, 1, 3).reshape(-1, b * b)
-        np.copyto(out, np.matmul(blocks, self.rows.T).reshape(k, w // b, self.q).transpose(2, 0, 1))
+        return np.matmul(rows.reshape(k, b, w // b, b).transpose(0, 2, 1, 3).reshape(-1, b * b), self.rows.T)
+
+    def _forward_band(self, rows: np.ndarray, out: np.ndarray) -> None:
+        """Measure the blocks of ``rows`` into ``out`` with one strided copy."""
+        np.copyto(out, self._per_block(rows).reshape(len(rows), -1, self.q).transpose(2, 0, 1))
 
     def _pinv_tiles(self, m: np.ndarray) -> np.ndarray:
         """``A+ m`` for the measurements ``m`` of k block rows, shaped (q, k,
@@ -198,16 +208,22 @@ class BlockSenseOp(BlockOperator):
         b = self.block
         return np.matmul(m.reshape(q, k * nw).T, self.rows).reshape(k, nw, b, b).transpose(0, 2, 1, 3)
 
-    def _pinv_band(self, m: np.ndarray, out: np.ndarray) -> None:
-        """Write ``A+ m`` into ``out``, k block rows shaped (k, block, width)."""
-        np.copyto(out.reshape(len(out), self.block, -1, self.block), self._pinv_tiles(m))
+    def _pinv_walk(self, m: np.ndarray, out):
+        """Write ``A+ m`` into each channel of ``out``, an image array or a
+        ``tensor._Blank`` of its shape (one reused channel buffer), and
+        yield the channel."""
+        b = self.block
+        for rows, ch, band in self._walk(out):
+            np.copyto(rows.reshape(len(rows), b, -1, b), self._pinv_tiles(self._band(m, ch, band)))
+            yield rows
 
     def _combine_band(self, rows: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
         """``(rows - A+ A rows) + A+ y`` into ``out``, through the products of
-        ``_forward_band`` and ``_pinv_tiles``; addition commutes exactly,
-        so these are the generic combine's bytes."""
-        measured = np.empty(y.shape)
-        self._forward_band(rows, measured)
+        ``_per_block`` and ``_pinv_tiles``; addition commutes exactly,
+        so these are the generic combine's bytes.  The measurement takes
+        the layout of ``y``, so that both back-projections are the same
+        product."""
+        measured = np.ascontiguousarray(self._per_block(rows).T).reshape(y.shape)
         tiles = out.reshape(len(out), self.block, -1, self.block)
         np.subtract(rows.reshape(tiles.shape), self._pinv_tiles(measured), out=tiles)
         tiles += self._pinv_tiles(y)
@@ -234,38 +250,34 @@ def cs_build(block: int, ratio: float, seed: int = 0) -> BlockSenseOp:
 
 def cs_measure(op: BlockSenseOp, x: ImageTensor) -> ImageTensor:
     """Measure every block of every channel with the sampling rows, one
-    stripe of whole block rows at a time (``BlockSenseOp._forward_band``).
+    BLAS product per channel (``BlockSenseOp._forward_band``).
 
     The block axis is the product's rows because the other orientation
     made the last bit follow the BLAS thread count at several block sizes
     from 4 to 16.  With the rows held fixed, this one gave the same bytes
     at 1 and 2 OpenBLAS threads at blocks 1 to 16, 24 and 32 on 3 x 240²
     to 3 x 1440² images, but not at block 20, so the thread count is not
-    promised; reruns at one count are.  A product's bytes can also follow
-    its size: OpenBLAS's SkylakeX small-matrix kernel, which it takes for
-    products of at most 1200 outputs over blocks of at least 32 samples,
-    rounds differently, so a stripe of few blocks, such as the last one
-    of a narrow image, can differ in the last bit from a product over
-    more blocks.
+    promised; reruns at one count are.  A product over part of a channel
+    could round otherwise: OpenBLAS picks its kernel and splits the work
+    among its threads by the product's size.
     """
     _require_blocks(x.height, x.width, op.block)
     return ImageTensor(op._forward_walk(x.data))
 
 
 def cs_pinv(op: BlockSenseOp, m: ImageTensor) -> ImageTensor:
-    """Back-project measurements through the transposed rows, one stripe
-    of whole block rows at a time (``BlockSenseOp._pinv_band``), into a
-    fresh ``(c, h, w)`` array.
+    """Back-project measurements through the transposed rows, one BLAS
+    product per channel (``BlockSenseOp._pinv_walk``), into a fresh
+    ``(c, h, w)`` array.
 
     As in ``cs_measure`` the block axis stays the product's rows, which
     gives the same bytes at 1 and 2 OpenBLAS threads at every block size
-    tried, 1 to 32; a stripe of one block is a matrix-vector product and
-    can differ in the last bit.
+    tried, 1 to 32.
     """
     c, nh, nw = _image_blocks(op, m.shape)
     out = np.empty((c, nh * op.block, nw * op.block))
-    for rows, ch, band in _stripes(out, op.block):
-        op._pinv_band(op._band(m.data, ch, band), rows)
+    for _ in op._pinv_walk(m.data, out):
+        pass
     return ImageTensor(out)
 
 
@@ -274,7 +286,7 @@ def cs_stream_measure(op: BlockSenseOp, x, path: str | Path) -> None:
     format its name picks (see ``tensor.save_tensor``).
 
     ``x`` is an array or a ``RawReader`` (see ``tensor.open_stripes``),
-    measured one stripe at a time, with no image array.  A source whose
+    measured one channel at a time, with no image array.  A source whose
     sides do not divide by the block is read through before it is refused,
     so its own faults come first, as when it is loaded whole.
     """
@@ -287,19 +299,15 @@ def cs_stream_measure(op: BlockSenseOp, x, path: str | Path) -> None:
 
 def cs_stream_pinv(op: BlockSenseOp, m: ImageTensor, path: str | Path) -> None:
     """Write ``cs_pinv(op, m)`` to ``path``, in the format its name picks,
-    back-projecting one stripe at a time into one reused buffer, which is
+    back-projecting one channel at a time into one reused buffer, which is
     checked finite and handed to the file's writer; an error at any point
     leaves the old file as it was."""
     c, nh, nw = _image_blocks(op, m.shape)
-    b = op.block
-    held = np.empty((min(_band_rows(nw * b, 8, b), nh), b, nw * b))
-    with _open_writers((c, nh * b, nw * b), path) as (writer,):
-        for ch in range(c):
-            for r0 in range(0, nh, len(held)):
-                rows = held[: nh - r0]
-                op._pinv_band(op._band(m.data, ch, slice(r0, r0 + len(rows))), rows)
-                _check_finite(rows)
-                writer.write(rows)
+    shape = (c, nh * op.block, nw * op.block)
+    with _open_writers(shape, path) as (writer,):
+        for rows in op._pinv_walk(m.data, _Blank(shape)):
+            _check_finite(rows)
+            writer.write(rows)
 
 
 def cs_stream_pd(op: BlockSenseOp, y: ImageTensor, x_raw, path: str | Path) -> ConsistencyReport:
@@ -310,7 +318,7 @@ def cs_stream_pd(op: BlockSenseOp, y: ImageTensor, x_raw, path: str | Path) -> C
     ``tensor.open_stripes``) that does not fit ``y`` is read through
     first, so its own faults come first.  Then the destination is checked
     and the combine makes its checks, in the order of the in-memory path,
-    and ``BlockOperator._stream_walk`` combines ``x_raw`` one stripe at a
+    and ``BlockOperator._stream_walk`` combines ``x_raw`` one channel at a
     time into the file's writer and measures what the file holds.  An
     error at any point, a non-finite record included, leaves the old file
     as it was.

@@ -21,7 +21,8 @@ Stripes of whole rows are the unit of the streamed passes.  One walk,
 whole block rows each: an array's as views, or those of an object that
 makes them itself, such as a ``RawReader`` reading a PDT1 payload into
 one reused buffer (``open_stripes`` opens a PDT1 that way and decodes a
-PNG whole) or a predictor enlarging a measurement.  ``_open_writers``
+PNG whole), a predictor enlarging a measurement, or a ``_Blank`` buffer
+for a walk that fills each stripe itself.  ``_open_writers``
 gives each output file the writer of its format, which takes the
 stripes in planar order: a PDT1 writes each stripe as it comes, a PNG
 quantizes it into the 8-bit image it encodes at the end.  The walks of
@@ -386,15 +387,16 @@ def _band_rows(width: int, itemsize: int, s: int) -> int:
     return max(1, _STRIPE_BYTES // (s * width * itemsize))
 
 
-def _stripes(src, s: int):
+def _stripes(src, s: int, step: int | None = None):
     """Yield (rows, channel, block-row slice) for each stripe of ``src``, in
-    memory order: ``_band_rows`` block rows of one channel (fewer at its
-    end), shaped (k, s, width).  An array's stripes are views.  Any other
-    source has a ``shape``, a ``dtype`` and a ``stripes(rows)`` method that
-    yields each channel's rows, ``rows`` at a time, as ``RawReader`` does;
-    its stripes may share one buffer, valid until the next."""
+    memory order: ``step`` block rows of one channel (fewer at its end),
+    ``_band_rows`` by default, shaped (k, s, width).  An array's stripes
+    are views.  Any other source has a ``shape``, a ``dtype`` and a
+    ``stripes(rows)`` method that yields each channel's rows, ``rows`` at
+    a time, as ``RawReader`` does; its stripes may share one buffer, valid
+    until the next."""
     channels, height, width = src.shape
-    step = _band_rows(width, src.dtype.itemsize, s)
+    step = step or _band_rows(width, src.dtype.itemsize, s)
     if isinstance(src, np.ndarray):
         pieces = (plane[r0 : r0 + s * step] for plane in src for r0 in range(0, height, s * step))
     else:
@@ -404,6 +406,21 @@ def _stripes(src, s: int):
     # stripe and a reader's end-of-file check runs.
     for piece, (ch, band) in zip(pieces, bands):
         yield piece.reshape(-1, s, width), ch, band
+
+
+@dataclass(frozen=True)
+class _Blank:
+    """A stripe source of ``shape`` whose stripes are one reused buffer of
+    unset samples, for a walk that fills each stripe itself."""
+
+    shape: tuple[int, int, int]
+    dtype = np.dtype("<f8")
+
+    def stripes(self, rows: int):
+        channels, height, width = self.shape
+        buf = np.empty((min(rows, height), width), self.dtype)
+        for _ in range(channels):
+            yield from (buf[: height - r0] for r0 in range(0, height, rows))
 
 
 def _read_through(src) -> None:

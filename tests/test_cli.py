@@ -1064,9 +1064,9 @@ def _cs_inputs(d):
 class TestCsStreamedMemory:
     """``cs --action measure|pinv|pd`` hold no image array.  The calls that
     loaded and wrote whole images peaked with the output image beside a
-    block copy; the streamed calls hold stripes in their place, so each
+    block copy; the streamed calls hold channels in their place, so each
     peaks at least one image below them, less a stripe and 64 KiB of
-    bookkeeping, and below one image."""
+    bookkeeping."""
 
     IMAGE_BYTES = 8 * 3 * 1008 * 1008
     # Peaks of the whole-image calls, measured by ``_cs_traced_peak``.
@@ -1084,15 +1084,20 @@ class TestCsStreamedMemory:
         capsys.readouterr()
         assert peak <= self.WHOLE_IMAGE_PEAKS[action] - self.IMAGE_BYTES + tensor._STRIPE_BYTES + (1 << 16)
 
+    # What each call holds at its peak: whole measurements (a quarter image
+    # at this ratio: the one read or written, and pd's record), whole
+    # channels (the one read from the file or handed to the writer and its
+    # block copy or back-projection; pd holds both of its channels and one
+    # back-projection) and one channel's measurements (measure, pd).
+    HELD = {"measure": (1, 2, 1), "pinv": (1, 2, 0), "pd": (2, 3, 1)}
+
     @pytest.mark.parametrize("action", ["measure", "pinv", "pd"])
-    def test_peak_below_one_image(self, capsys, tmp_path, inputs, action):
-        # The products run one stripe of block rows at a time, so no call
-        # holds an image-sized array: the measurement and, for pd, its
-        # record and the difference that compare takes are each a quarter
-        # image at this ratio.
+    def test_peak_of_one_product_per_channel(self, capsys, tmp_path, inputs, action):
+        measurements, channels, products = self.HELD[action]
+        m, channel = self.IMAGE_BYTES // 4, self.IMAGE_BYTES // 3
         peak = _cs_traced_peak(inputs, action, tmp_path / "o.pdt1")
         capsys.readouterr()
-        assert peak < self.IMAGE_BYTES
+        assert peak <= measurements * m + channels * channel + products * m // 3 + (1 << 17)
 
 
 _OUTPUTS = {"pdt1": ("o.pdt1",), "png": ("o.png",), "pdt1+png": ("o.pdt1", "o.png"),
@@ -1190,19 +1195,20 @@ _CS_GOLDEN_CASES = [
 ]
 
 
-def _cs_golden_digest(capsys, tmp_path, action, b, c, io):
+def _cs_golden_digest(capsys, tmp_path, action, b, c, io, ratio=0.25, size=None):
     """sha256 of the exit code, stdout, stderr and output file of one ``cs``
-    call: a 0.25-ratio operator of block ``b`` from seed 2026, and inputs
-    from ``Stream(17)`` of ``c`` x 3b x 2b; the image input (``measure
-    --input``, ``pd --raw``) in the format ``io`` names, the measurement
-    always PDT1."""
+    call: an operator of block ``b`` and ``ratio`` from seed 2026, and
+    inputs from ``Stream(17)`` of ``c`` x 3b x 2b, or ``c`` x ``size``; the
+    image input (``measure --input``, ``pd --raw``) in the format ``io``
+    names, the measurement always PDT1."""
     rng = Stream(17)
     in_format, name = _CS_IO[io]
+    shape = (c, *(size or (3 * b, 2 * b)))
     op_path, m_path, x_path = tmp_path / "op.pdm1", tmp_path / "m.pdt1", tmp_path / f"x.{in_format}"
-    assert run_cli(capsys, "cs", "--action", "build", "--block", str(b), "--ratio", "0.25", "--seed", "2026",
+    assert run_cli(capsys, "cs", "--action", "build", "--block", str(b), "--ratio", str(ratio), "--seed", "2026",
                    "--output", str(op_path))[0] == 0
-    write_raw(cs_measure(load_sense_op(op_path), ImageTensor(rng.uniform((c, 3 * b, 2 * b)))), m_path)
-    x = ImageTensor(rng.uniform((c, 3 * b, 2 * b)) * 1.5 - 0.25)
+    write_raw(cs_measure(load_sense_op(op_path), ImageTensor(rng.uniform(shape))), m_path)
+    x = ImageTensor(rng.uniform(shape) * 1.5 - 0.25)
     (save_png if in_format == "png" else write_raw)(x, x_path)
     inputs = {"measure": ["--input", x_path], "pinv": ["--input", m_path], "pd": ["--lr", m_path, "--raw", x_path]}
     out = tmp_path / name
@@ -1292,6 +1298,33 @@ class TestCsGoldenBytes:
     def test_digest(self, capsys, tmp_path, monkeypatch, case, stripe_bytes):
         monkeypatch.setattr(tensor, "_STRIPE_BYTES", stripe_bytes)
         assert _cs_golden_digest(capsys, tmp_path, *case) == _CS_GOLDEN["-".join(map(str, case))]
+
+    # Shapes whose channels span several stripes, one with a short last
+    # stripe (216 x 304) and one a single block wide (8200 x 8), and low
+    # ratios: products over a stripe of such a channel rounded otherwise.
+    # Recorded with the ``cs`` that measured and back-projected a block copy
+    # of the whole image.
+    WIDE = {
+        ("measure", 8, 0.25, (216, 304)): "1f0ef1b87a012e66",
+        ("pinv", 8, 0.25, (216, 304)): "2f70c5d2c2631f0f",
+        ("pd", 8, 0.25, (216, 304)): "560ebcffcf3eb8d1",
+        ("measure", 8, 0.25, (8200, 8)): "f543c263bcc48d3b",
+        ("pinv", 8, 0.25, (8200, 8)): "d26b406e2bab699c",
+        ("pd", 8, 0.25, (8200, 8)): "50a1cbcfb3406331",
+        ("measure", 8, 0.02, (216, 304)): "cdc46e7706df6ec8",
+        ("pinv", 8, 0.02, (216, 304)): "23a2786a774cfdbc",
+        ("pd", 8, 0.02, (216, 304)): "2b01e23b7a4566fa",
+        ("measure", 3, 0.1, (219, 303)): "3efbe5cb73f71ffa",
+        ("pinv", 3, 0.1, (219, 303)): "a4f4affbd62aa6ec",
+        ("pd", 3, 0.1, (219, 303)): "5236d469643fe8b6",
+    }
+
+    @pytest.mark.parametrize("stripe_bytes", [1, tensor._STRIPE_BYTES], ids=["one_block_row", "default"])
+    @pytest.mark.parametrize("case", list(WIDE), ids=lambda case: "-".join(map(str, case)).replace(", ", "x"))
+    def test_digest_of_channels_of_several_stripes(self, capsys, tmp_path, monkeypatch, case, stripe_bytes):
+        monkeypatch.setattr(tensor, "_STRIPE_BYTES", stripe_bytes)
+        action, b, ratio, size = case
+        assert _cs_golden_digest(capsys, tmp_path, action, b, 3, "pdt1", ratio, size) == self.WIDE[case]
 
 
 def _cs_fault(fault, action, tmp_path, monkeypatch, stream):

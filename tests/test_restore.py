@@ -537,7 +537,8 @@ class TestFusedCombines:
         assert _peak_over_image_bytes(op, y, x_raw) <= 2.5
 
     def test_sense_peak_memory_of_the_stripe_walk(self):
-        # The output and stripe-sized temporaries: no image-sized temporary.
+        # The output beside one channel's block copy or back-projection and
+        # its measurement: no image-sized temporary.
         op = cs_build(8, 0.25, seed=5)
         stream = Stream(5)
         y = cs_measure(op, ImageTensor(stream.uniform((3, 504, 504))))
