@@ -41,6 +41,7 @@ from .resample import FILTERS, PREDICTORS, ResampleSpec, open_prediction, predic
 from .restore import (
     BlockSenseOp,
     ColorMeanOp,
+    color_stream_pd,
     color_to_gray,
     cs_build,
     cs_measure,
@@ -87,6 +88,7 @@ __all__ = [
     "ResampleSpec",
     "Stream",
     "SvdFactors",
+    "color_stream_pd",
     "color_to_gray",
     "compare",
     "cs_build",

@@ -25,18 +25,17 @@ from .metrics import error_map
 from .pooling import stream_pd, stream_verify
 from .resample import FILTERS, PREDICTORS, ResampleSpec, open_prediction, resample
 from .restore import (
-    ColorMeanOp,
+    color_stream_pd,
     color_to_gray,
     cs_build,
     cs_stream_measure,
     cs_stream_pd,
     cs_stream_pinv,
-    generic_pd,
     gray_to_color,
     load_sense_op,
     save_sense_op,
 )
-from .tensor import check_destination, load_tensor, open_stripes, save_tensor
+from .tensor import load_tensor, open_stripes, save_tensor
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -99,17 +98,23 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_colorize(args: argparse.Namespace) -> int:
+    """``gray`` and ``color`` map ``--input`` whole.  ``pd`` loads the gray
+    measurement ``--input``, runs ``color_stream_pd`` on the color
+    prediction ``--raw`` (a PDT1 read one stripe at a time in each of its
+    two walks, a PNG decoded whole) and prints the record of the file it
+    wrote; with a PDT1 ``--raw`` it holds no color image.
+    """
+    if args.raw is not None and args.mode != "pd":
+        raise ValueError("colorize --raw is read only with --mode pd")
     x = load_tensor(args.input)
     if args.mode != "pd":
         save_tensor((color_to_gray if args.mode == "gray" else gray_to_color)(x), args.output)
         return EXIT_OK
     if args.raw is None:
         raise ValueError("colorize --mode pd needs --raw with the color prediction")
-    # The destination is checked before the combine and the record printed
-    # after the write, so a failed call prints nothing.
-    op, x_raw = ColorMeanOp(x.height, x.width), load_tensor(args.raw)
-    check_destination(args.output)
-    _emit(op.verify(x, save_tensor(generic_pd(op, x, x_raw), args.output)).to_dict())
+    with open_stripes(args.raw) as x_raw:
+        record = color_stream_pd(x, x_raw, args.output)
+    _emit(record.to_dict())
     return EXIT_OK
 
 

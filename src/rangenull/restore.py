@@ -3,12 +3,13 @@ color image) and block compressed sensing with orthonormal sampling rows.
 
 Both take ``verify`` unchanged from ``LinearOperator`` and give the
 generic combine's bytes, errors and check order in one output buffer:
-the channel mean replicates by broadcasting, and ``BlockSenseOp`` is a
-``linop.BlockOperator`` whose band kernels measure and back-project a
-whole channel with one BLAS product each: ``combine`` and ``cs_measure``
-run on the walks of ``linop`` as pooling does, and ``cs_pinv`` fills its
-output one channel at a time.  ``generic_pd`` is the function spelling
-of ``op.combine``.
+the channel mean replicates by broadcasting (the mean is summed one
+stripe of rows at a time, holding channel 0 and the sum), and
+``BlockSenseOp`` is a ``linop.BlockOperator`` whose band kernels measure
+and back-project a whole channel with one BLAS product each: ``combine``
+and ``cs_measure`` run on the walks of ``linop`` as pooling does, and
+``cs_pinv`` fills its output one channel at a time.  ``generic_pd`` is
+the function spelling of ``op.combine``.
 
 Each channel costs one reordering copy and one BLAS product per
 direction, so ``cs_measure`` and ``cs_pinv`` run at a small multiple of
@@ -22,7 +23,10 @@ bytes, records and errors of ``cs_measure``, ``cs_pinv`` and
 image array: an input image is read one channel at a time
 (``tensor._stripes``, from an array or a ``RawReader``) and an output
 image is written one channel at a time into the writer
-``tensor._open_writers`` gives its file.
+``tensor._open_writers`` gives its file.  ``color_stream_pd`` does the
+same for the channel mean's ``combine``, ``save_tensor`` and ``verify``
+in two walks of stripes of rows: one for the prediction's channel mean,
+one for the combine.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .tensor import (
     _open_writers,
     _read_payload,
     _read_through,
+    _writable_stripes,
     _write_atomic,
     check_destination,
     save_tensor,
@@ -52,19 +57,48 @@ SENSE_MAGIC = b"PDM1"
 _SENSE_HEADER = struct.Struct("<4sIIQ")
 
 
-def _channel_mean(a: np.ndarray) -> np.ndarray:
-    # Anchored on channel 0 so equal channels average to themselves exactly.
-    # The residuals are summed from zero one channel at a time, the order
-    # and result of ``(a - first).sum(axis=0)``, without its all-channel
-    # temporary.
-    first = a[:1]
-    total = np.zeros_like(first)
-    residual = np.empty_like(first)
-    for k in range(1, a.shape[0]):
-        total += np.subtract(a[k : k + 1], first, out=residual)
-    total /= a.shape[0]
-    total += first
-    return total
+class _ChannelMean:
+    """The channel mean of an image of ``shape`` whose stripes of whole rows
+    are given to ``add`` in planar order.
+
+    Anchored on channel 0, so that equal channels average to themselves
+    exactly: the residuals are summed from zero one channel at a time, the
+    order and result of ``first + (a - first).sum(axis=0) / channels``,
+    holding channel 0 and the sum, never the image.
+    """
+
+    def __init__(self, shape: tuple[int, int, int]):
+        channels, height, width = shape
+        self._channels = channels
+        self._first = np.empty((height, width))
+        self._total = np.zeros((1, height, width))
+
+    def add(self, rows: np.ndarray, ch: int, band: slice, spare: np.ndarray) -> None:
+        """Take the (k, width) rows ``band`` of channel ``ch``; ``spare`` is a
+        buffer of their shape that the call may overwrite, ``rows`` itself
+        included."""
+        if ch == 0:
+            self._first[band] = rows
+        else:
+            self._total[0, band] += np.subtract(rows, self._first[band], out=spare)
+
+    def mean(self) -> np.ndarray:
+        """The (1, height, width) mean, in the array that held the sum; the
+        accumulator lets go of both planes."""
+        total, first = self._total, self._first
+        del self._total, self._first
+        total /= self._channels
+        total += first
+        return total
+
+
+def _channel_mean(src) -> np.ndarray:
+    """The (1, height, width) per-pixel mean of the channels of ``src``, an
+    array or a stripe source (see ``tensor._stripes``), walked once."""
+    mean = _ChannelMean(src.shape)
+    for rows, spare, ch, band in _writable_stripes(src, 1):
+        mean.add(rows[:, 0], ch, band, spare[:, 0])
+    return mean.mean()
 
 
 def color_to_gray(x: ImageTensor) -> ImageTensor:
@@ -110,11 +144,16 @@ class ColorMeanOp(LinearOperator):
         """The generic combine's bytes: ``x_raw`` minus its channel mean, then
         ``y`` added in place, both broadcast over the channels, which
         replicates them exactly as ``pinv`` does."""
-        self._check(y, self.out_shape, "measurement")
-        self._check_raw(x_raw, (3, *y.shape[1:]))
+        self._combine_checks(y, x_raw)
         out = np.subtract(x_raw.data, _channel_mean(x_raw.data))
         out += y.data
         return ImageTensor(out)
+
+    def _combine_checks(self, y: ImageTensor, x_raw) -> None:
+        """The combine's checks, in its order, of ``y`` and anything with the
+        ``shape`` of a raw prediction."""
+        self._check(y, self.out_shape, "measurement")
+        self._check_raw(x_raw, (3, *y.shape[1:]))
 
 
 def measurement_count(block: int, ratio: float) -> int:
@@ -331,6 +370,44 @@ def cs_stream_pd(op: BlockSenseOp, y: ImageTensor, x_raw, path: str | Path) -> C
     op._combine_checks(y, x_raw)  # raises if the prediction did not fit
     with _open_writers(x_raw.shape, path) as writers:
         (forward,) = op._stream_walk(y.data, x_raw, writers)
+    return compare(y, forward)
+
+
+def color_stream_pd(y: ImageTensor, x_raw, path: str | Path) -> ConsistencyReport:
+    """Write ``ColorMeanOp.combine(y, x_raw)`` to ``path``, in the format its
+    name picks, and return ``verify`` of what the file holds.
+
+    The raw prediction source ``x_raw`` (an array or a ``RawReader``, see
+    ``tensor.open_stripes``) is walked twice.  The first walk reads it
+    through and, if it fits ``y``, forms its channel mean, so its own
+    faults come first, as when it is loaded whole.  Then the destination
+    is checked and the combine makes its checks, in the order of the
+    in-memory path.  The second walk combines each stripe as ``(x - mean)
+    + y`` in place (``tensor._writable_stripes``), checks it finite, hands
+    it to the file's writer, which quantizes a PNG's stripe in place too,
+    and takes the channel mean of what the file holds for the record.  An
+    error at any point, a PDT1 changed between the walks included, leaves
+    the old file as it was.  The call holds ``y``, the mean and the
+    record's two planes (1.33 images), a PNG's 8-bit image (0.13) and one
+    stripe.
+    """
+    op = ColorMeanOp(y.height, y.width)
+    if x_raw.shape == op.in_shape:
+        mean = _channel_mean(x_raw)[0]
+    else:
+        _read_through(x_raw)
+    check_destination(path)
+    op._combine_checks(y, x_raw)  # raises if the prediction did not fit
+    with _open_writers(op.in_shape, path) as (writer,):
+        forward = _ChannelMean(op.in_shape)
+        for rows, held, ch, band in _writable_stripes(x_raw, 1):
+            combined = np.subtract(rows[:, 0], mean[band], out=held[:, 0])
+            combined += y.data[0, band]
+            _check_finite(combined)
+            written = writer.write(combined, combined)
+            forward.add(written, ch, band, written)
+        del mean
+        forward = ImageTensor(forward.mean())
     return compare(y, forward)
 
 

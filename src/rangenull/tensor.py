@@ -218,8 +218,9 @@ class _RawWriter:
         f.write(_RAW_HEADER.pack(RAW_MAGIC, *shape))
         self._file = f
 
-    def write(self, rows: np.ndarray) -> np.ndarray:
-        """Append ``rows``; return them, as the file holds them."""
+    def write(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Append ``rows``; return them, as the file holds them.  ``out`` is
+        taken as the PNG writer takes it; a PDT1 holds the rows themselves."""
         self._file.write(rows.astype("<f8", copy=False))
         return rows
 
@@ -323,8 +324,8 @@ class RawReader:
 
     Opening checks the header and the payload size as ``read_raw`` does,
     with the same messages, before anything is read.  ``stripes`` then
-    reads the samples; use the reader as a context manager, which closes
-    the file.
+    reads the samples, once or more; use the reader as a context manager,
+    which closes the file.
     """
 
     dtype = np.dtype("<f8")  # as in the array of ``read_raw``
@@ -335,9 +336,11 @@ class RawReader:
         try:
             self.shape = _raw_shape(self._file, path)
             self._start = _payload_start(self._file, path, self.shape, "header dimensions")
+            self._stamp = _stamp(self._file.fileno())
         except BaseException:
             self._file.close()
             raise
+        self._walked = False
 
     def __enter__(self) -> "RawReader":
         return self
@@ -353,10 +356,16 @@ class RawReader:
         it is valid until the next one is read, and checked finite with
         ``ImageTensor``'s message.  A file that shrinks or grows while it is
         read raises ``ValueError`` as in ``read_raw``; growth is seen once
-        the last stripe has been read.
+        the last stripe has been read.  A walk after the first raises
+        ``ValueError`` at its start and at its end if the file's size or
+        modification time is not what it was when the reader opened it, so
+        that every walk reads the same samples.
         """
         channels, height, width = self.shape
         fd, offset = self._file.fileno(), self._start
+        again, self._walked = self._walked, True
+        if again:
+            self._check_unchanged()
         buf = np.empty((min(rows, height), width), self.dtype)
         for _ in range(channels):
             for r0 in range(0, height, rows):
@@ -366,6 +375,18 @@ class RawReader:
                 offset += stripe.nbytes
                 yield stripe
         _check_ended(fd, offset, self.path)
+        if again:
+            self._check_unchanged()
+
+    def _check_unchanged(self) -> None:
+        if _stamp(self._file.fileno()) != self._stamp:
+            raise ValueError(f"{self.path}: file changed between two reads")
+
+
+def _stamp(fd: int) -> tuple[int, int]:
+    """The size and modification time of the open file ``fd``."""
+    st = os.fstat(fd)
+    return st.st_size, st.st_mtime_ns
 
 
 @contextlib.contextmanager
@@ -421,6 +442,19 @@ class _Blank:
         buf = np.empty((min(rows, height), width), self.dtype)
         for _ in range(channels):
             yield from (buf[: height - r0] for r0 in range(0, height, rows))
+
+
+def _writable_stripes(src, s: int):
+    """Yield (rows, spare, channel, block-row slice) for each stripe of
+    ``src``, as ``_stripes`` does, with a buffer of the stripe's shape that
+    the caller may overwrite: the stripe itself for a ``RawReader``, whose
+    next read overwrites it anyway, else one reused ``_Blank`` buffer."""
+    if isinstance(src, RawReader):
+        for rows, ch, band in _stripes(src, s):
+            yield rows, rows, ch, band
+    else:
+        for (rows, ch, band), (spare, _, _) in zip(_stripes(src, s), _stripes(_Blank(src.shape), s)):
+            yield rows, spare, ch, band
 
 
 def _read_through(src) -> None:

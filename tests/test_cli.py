@@ -554,6 +554,16 @@ class TestColorize:
                              "--output", str(tmp_path / "o.pdt1"))
         assert code == 3
 
+    @pytest.mark.parametrize("mode, channels", [("gray", 3), ("color", 1)])
+    def test_raw_needs_the_pd_mode(self, capsys, tmp_path, stream, mode, channels):
+        x, raw, out = tmp_path / "x.pdt1", tmp_path / "raw.pdt1", tmp_path / "o.pdt1"
+        write_raw(ImageTensor(stream.uniform((channels, 4, 4))), x)
+        write_raw(ImageTensor(stream.uniform((3, 4, 4))), raw)
+        code, stdout, stderr = run_cli(capsys, "colorize", "--mode", mode, "--input", str(x), "--raw", str(raw),
+                                       "--output", str(out))
+        assert (code, stdout, stderr) == (3, "", "error: colorize --raw is read only with --mode pd\n")
+        assert not out.exists()
+
 
 class TestCs:
     def test_build_measure_pinv_pd_flow(self, capsys, tmp_path, stream):
@@ -776,14 +786,18 @@ def _pdt1(path, a):
     path.write_bytes(struct.pack("<4sIII", b"PDT1", *a.shape) + a.tobytes())
 
 
-def _resize_on_first_read(monkeypatch, path, change):
-    """Truncate or extend ``path`` by ``change`` bytes at the first ``os.preadv`` on it."""
+def _resize_on_first_read(monkeypatch, path, change, after=0):
+    """Truncate or extend ``path`` by ``change`` bytes at the first ``os.preadv``
+    on it after ``after`` others."""
     real_preadv, inode = os.preadv, path.stat().st_ino
+    seen = []
 
     def preadv(fd, buffers, offset):
         if os.fstat(fd).st_ino == inode:
-            monkeypatch.setattr(os, "preadv", real_preadv)
-            os.truncate(path, path.stat().st_size + change)
+            seen.append(fd)
+            if len(seen) > after:
+                monkeypatch.setattr(os, "preadv", real_preadv)
+                os.truncate(path, path.stat().st_size + change)
         return real_preadv(fd, buffers, offset)
 
     monkeypatch.setattr(os, "preadv", preadv)
@@ -1037,9 +1051,13 @@ def _cs_argv(inputs, action, out):
 
 
 def _cs_traced_peak(inputs, action, out):
-    """The tracemalloc peak of one ``cs`` call, after an untraced call has
-    built what the first call builds once."""
-    argv = _cs_argv(inputs, action, out)
+    """The tracemalloc peak of one ``cs`` call (see ``_traced_peak``)."""
+    return _traced_peak(_cs_argv(inputs, action, out))
+
+
+def _traced_peak(argv):
+    """The tracemalloc peak of one CLI call, after an untraced call has built
+    what the first call builds once."""
     assert main(argv) == 0
     tracemalloc.start()
     try:
@@ -1610,3 +1628,222 @@ class TestSaturatedRecords:
         assert quantized["mse"] == sys.float_info.max
         assert quantized["psnr"] == pytest.approx(self.PSNR_FLOOR)
         assert load_tensor(png) == ImageTensor(np.ones((1, 4, 4)))
+
+
+# Sizes of the ``colorize --mode pd`` golden cases: one pixel, one row, one
+# column, odd sides, and 2100 x 64, three stripes of a channel at the
+# default stripe size, the last one short.
+_COLOR_SIZES = [(1, 1), (1, 7), (9, 1), (5, 7), (13, 9), (2100, 64)]
+_COLOR_GOLDEN_CASES = [(raw, out, size) for raw in ("pdt1", "png") for out in ("pdt1", "png") for size in _COLOR_SIZES]
+
+
+def _color_case_id(case):
+    raw, out, (h, w) = case
+    return f"{raw}-{out}-{h}x{w}"
+
+
+def _color_golden_digest(capsys, tmp_path, raw_format, out_format, size):
+    """sha256 of the output file of one ``colorize --mode pd`` call, then of
+    its stdout: a gray PDT1 measurement and a color prediction of ``size``
+    from ``Stream(17)``, with signed zeros and samples outside [0, 1]."""
+    rng = Stream(17)
+    y, x = (rng.uniform((c, *size)) * 1.5 - 0.25 for c in (1, 3))
+    # Pixels whose samples are all zeros of either sign, so that the output
+    # holds zeros of both signs.
+    zero = rng.uniform(size) < 0.3
+    signs = np.copysign(0.0, rng.uniform((4, *size)) - 0.5)
+    y[:, zero], x[:, zero] = signs[:1, zero], signs[1:, zero]
+    lr, raw, out = tmp_path / "y.pdt1", tmp_path / f"raw.{raw_format}", tmp_path / f"o.{out_format}"
+    write_raw(ImageTensor(y), lr)
+    (save_png if raw_format == "png" else write_raw)(ImageTensor(x), raw)
+    code, stdout, stderr = run_cli(capsys, "colorize", "--mode", "pd", "--input", str(lr), "--raw", str(raw),
+                                   "--output", str(out))
+    assert (code, stderr) == (0, "")
+    return hashlib.sha256(out.read_bytes() + stdout.encode()).hexdigest()[:16]
+
+
+class TestColorizeGoldenBytes:
+    """``colorize --mode pd`` writes the bytes and prints the record that it
+    gave when it combined whole images in memory, at every stripe height.
+    Recorded with ``ColorMeanOp.combine``, ``save_tensor`` and ``verify``."""
+
+    GOLDEN = {
+        "pdt1-pdt1-1x1": "270d2655543210c9",
+        "pdt1-pdt1-1x7": "c32649cc629d68f5",
+        "pdt1-pdt1-9x1": "2602c02eed5f021c",
+        "pdt1-pdt1-5x7": "24fbe14c352057bc",
+        "pdt1-pdt1-13x9": "1c5bd379235bac93",
+        "pdt1-pdt1-2100x64": "af1a273626b36edd",
+        "pdt1-png-1x1": "4ac260e18a946151",
+        "pdt1-png-1x7": "d9a44b8b0b5cb277",
+        "pdt1-png-9x1": "41a867ac7edcb09c",
+        "pdt1-png-5x7": "605a44fb3e46140d",
+        "pdt1-png-13x9": "c5190fa2b89e3072",
+        "pdt1-png-2100x64": "be0fe0a17d28e433",
+        "png-pdt1-1x1": "ffbf5a41b07591fa",
+        "png-pdt1-1x7": "bf711f8426e93bb3",
+        "png-pdt1-9x1": "2f1dfbee2a46ffcb",
+        "png-pdt1-5x7": "244fb6f467ade669",
+        "png-pdt1-13x9": "3ad7760f03a08fb0",
+        "png-pdt1-2100x64": "14a2573e4b464eed",
+        "png-png-1x1": "4ac260e18a946151",
+        "png-png-1x7": "03ffee502b46a5f6",
+        "png-png-9x1": "52a2047497f865dc",
+        "png-png-5x7": "52809a40c88c8566",
+        "png-png-13x9": "9c18b797df2c3d1a",
+        "png-png-2100x64": "0ffe269987e03206",
+    }
+
+    @pytest.mark.parametrize("stripe_bytes", [1, tensor._STRIPE_BYTES], ids=["one_row", "default"])
+    @pytest.mark.parametrize("case", _COLOR_GOLDEN_CASES, ids=_color_case_id)
+    def test_digest(self, capsys, tmp_path, monkeypatch, case, stripe_bytes):
+        monkeypatch.setattr(tensor, "_STRIPE_BYTES", stripe_bytes)
+        assert _color_golden_digest(capsys, tmp_path, *case) == self.GOLDEN[_color_case_id(case)]
+
+
+def _rewrite_after_reads(monkeypatch, path, reads):
+    """Once ``reads`` calls of ``os.preadv`` on ``path`` have returned, give it
+    zero samples of the same size and a later modification time."""
+    real_preadv, inode = os.preadv, path.stat().st_ino
+    seen = []
+
+    def preadv(fd, buffers, offset):
+        n = real_preadv(fd, buffers, offset)
+        if os.fstat(fd).st_ino == inode:
+            seen.append(fd)
+        if len(seen) == reads:
+            monkeypatch.setattr(os, "preadv", real_preadv)
+            before = path.stat()
+            path.write_bytes(path.read_bytes()[:16] + bytes(before.st_size - 16))
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 1_000_000))
+        return n
+
+    monkeypatch.setattr(os, "preadv", preadv)
+
+
+# Faults of ``colorize --mode pd`` with a (1, 8, 10) measurement and a PDT1
+# prediction read one row at a time, 24 reads a walk; the message each
+# gives, {raw} standing for the prediction's path and {out} for the output's.
+_COLOR_FAULTS = {
+    "truncated": "{raw}: payload is 1912 bytes, header dimensions need 1920",
+    "nan_in_first_stripe": "tensor samples must be finite (no NaN or infinity)",
+    "nan_in_last_stripe": "tensor samples must be finite (no NaN or infinity)",
+    "overflow": "tensor samples must be finite (no NaN or infinity)",
+    "shrinks_in_the_first_walk": "{raw}: payload shrank while it was read",
+    "grows_in_the_first_walk": "{raw}: payload grew while it was read",
+    "shrinks_in_the_second_walk": "{raw}: payload shrank while it was read",
+    "grows_in_the_second_walk": "{raw}: payload grew while it was read",
+    "rewritten_between_the_walks": "{raw}: file changed between two reads",
+    "rewritten_in_the_second_walk": "{raw}: file changed between two reads",
+    "wrong_shape": "raw prediction shape (3, 8, 12) does not match operator input (3, 8, 10)",
+    "color_input": "measurement shape (3, 8, 10) does not match operator shape (1, 8, 10)",
+    "directory_output": "[Errno 21] Is a directory: {out!r}",
+    "missing_directory": "[Errno 2] No such file or directory: {out!r}",
+}
+
+
+def _color_fault(fault, tmp_path, monkeypatch, stream):
+    """Write the inputs of ``fault``; return the argv without ``--output``."""
+    lr, raw = tmp_path / "y.pdt1", tmp_path / "raw.pdt1"
+    y, x = stream.uniform((1, 8, 10)), stream.uniform((3, 8, 10))
+    if fault == "nan_in_first_stripe":
+        x[0, 0, 0] = np.nan
+    elif fault == "nan_in_last_stripe":
+        x[-1, -1, -1] = np.nan
+    elif fault == "overflow":
+        x[:, -1, -1] = [-1.7e308, 1.7e308, 0.0]  # the residual of channel 1 overflows
+    elif fault == "wrong_shape":
+        x = stream.uniform((3, 8, 12))
+    elif fault == "color_input":
+        y = stream.uniform((3, 8, 10))
+    _pdt1(lr, y)
+    _pdt1(raw, x)
+    if fault == "truncated":
+        raw.write_bytes(raw.read_bytes()[:-8])
+    elif fault.startswith(("shrinks", "grows")):
+        reads = 0 if fault.endswith("first_walk") else 24
+        _resize_on_first_read(monkeypatch, raw, -8 if fault.startswith("shrinks") else 8, after=reads)
+    elif fault.startswith("rewritten"):
+        _rewrite_after_reads(monkeypatch, raw, 24 if fault.endswith("between_the_walks") else 25)
+    return ["colorize", "--mode", "pd", "--input", str(lr), "--raw", str(raw)]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestColorizeStreamedFaults:
+    """``colorize --mode pd`` walks a PDT1 ``--raw`` twice; every single fault
+    exits 3 with the message it gave when the prediction was loaded whole,
+    prints nothing and leaves the old output and no temporary file.  A
+    ``--raw`` whose size or modification time changes between the walks is
+    refused."""
+
+    @pytest.fixture(autouse=True)
+    def one_row_per_stripe(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_STRIPE_BYTES", 1)
+
+    @pytest.mark.parametrize("output", ["o.pdt1", "o.png"])
+    @pytest.mark.parametrize("fault", list(_COLOR_FAULTS))
+    def test_fault(self, capsys, tmp_path, stream, monkeypatch, fault, output):
+        argv = _color_fault(fault, tmp_path, monkeypatch, stream)
+        out = tmp_path / output
+        if fault == "directory_output":
+            out.mkdir()
+        elif fault == "missing_directory":
+            out = tmp_path / "missing" / output
+        else:
+            out.write_bytes(b"old")
+        message = _COLOR_FAULTS[fault].format(raw=str(tmp_path / "raw.pdt1"), out=str(out))
+        code, stdout, stderr = run_cli(capsys, *argv, "--output", str(out))
+        assert (code, stdout, stderr) == (3, "", f"error: {message}\n")
+        assert out.is_dir() or not out.parent.exists() or out.read_bytes() == b"old"
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("fault", ["nan_in_last_stripe", "shrinks_in_the_first_walk", "wrong_shape"])
+    def test_raw_faults_come_before_the_destination(self, capsys, tmp_path, stream, monkeypatch, fault):
+        argv = _color_fault(fault, tmp_path, monkeypatch, stream)
+        out = tmp_path / "out"
+        out.mkdir()
+        message = _COLOR_FAULTS[fault].format(raw=str(tmp_path / "raw.pdt1"))
+        if fault == "wrong_shape":
+            message = f"[Errno 21] Is a directory: {str(out)!r}"  # read through, then refused after the destination
+        assert run_cli(capsys, *argv, "--output", str(out)) == (3, "", f"error: {message}\n")
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_no_free_space_comes_before_an_overflowing_combine(self, capsys, tmp_path, stream, monkeypatch):
+        # Loaded whole, the prediction was combined before its file was
+        # opened, so the overflow was named; streamed, the file is opened
+        # first and its free space refused.  Into a PNG, which has no such
+        # check, the overflow shows.
+        argv = _color_fault("overflow", tmp_path, monkeypatch, stream)
+        monkeypatch.setattr(os, "statvfs", lambda path: os.statvfs_result((1, 1, 2048, 0, 0, 9, 9, 9, 0, 255)))
+        for name, message in [("o.pdt1", None), ("o.png", "tensor samples must be finite (no NaN or infinity)")]:
+            out = tmp_path / name
+            out.write_bytes(b"old")
+            message = message or f"[Errno 28] No space left on device: {str(out)!r}"
+            assert run_cli(capsys, *argv, "--output", str(out)) == (3, "", f"error: {message}\n")
+            assert out.read_bytes() == b"old"
+        assert not list(tmp_path.rglob("*.tmp"))
+
+
+class TestColorizeStreamedMemory:
+    """``colorize --mode pd`` holds the measurement, the prediction's channel
+    mean, the record's two planes and one stripe, and into a PNG the 8-bit
+    image: at 3 x 1008² at most 1.5 images, where combining whole images
+    peaked at 3.0 (PDT1) and 3.6 (PNG)."""
+
+    IMAGE_BYTES = 8 * 3 * 1008 * 1008
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("color_inputs")
+        rng = np.random.default_rng(7)
+        _pdt1(d / "y.pdt1", rng.uniform(size=(1, 1008, 1008)))
+        _pdt1(d / "raw.pdt1", rng.uniform(size=(3, 1008, 1008)))
+        return d
+
+    @pytest.mark.parametrize("output", ["o.pdt1", "o.png"])
+    def test_peak_at_most_one_and_a_half_images(self, capsys, tmp_path, inputs, output):
+        argv = ["colorize", "--mode", "pd", "--input", str(inputs / "y.pdt1"), "--raw", str(inputs / "raw.pdt1"),
+                "--output", str(tmp_path / output)]
+        peak = _traced_peak(argv)
+        capsys.readouterr()
+        assert peak <= 1.5 * self.IMAGE_BYTES

@@ -22,6 +22,7 @@ from rangenull import (
     ColorMeanOp,
     ImageTensor,
     PoolingOp,
+    color_stream_pd,
     color_to_gray,
     cs_build,
     cs_measure,
@@ -429,6 +430,49 @@ def _color_case(h, w, scale, seed, signed_zeros):
             hit = stream.uniform(a.shape) < 0.5
             a[hit] = np.copysign(0.0, a[hit])
     return ColorMeanOp(h, w), ImageTensor(y), ImageTensor(x_raw)
+
+
+class TestColorStreamed:
+    """``color_stream_pd`` against the in-memory path it replaces in the CLI,
+    ``ColorMeanOp.combine``, ``save_tensor`` and ``verify``: the same bytes,
+    records and errors for any size, prediction source and shape, output
+    format and stripe size."""
+
+    @given(
+        st.integers(1, 9),
+        st.integers(1, 9),
+        st.sampled_from([1.0, 1e3, 1e307]),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.sampled_from(["array", "pdt1", "png"]),
+        # Shapes (y channels, raw channels, raw rows, raw columns) beside the fitting one.
+        st.sampled_from([(1, 3, 0, 0), (1, 3, 0, 1), (1, 3, 1, 0), (1, 1, 0, 0), (3, 3, 0, 0)]),
+        st.sampled_from(["pdt1", "png"]),
+        st.sampled_from([1, 64, tensor._STRIPE_BYTES]),
+    )
+    def test_matches_the_in_memory_path(self, h, w, scale, seed, signed_zeros, source, shapes, out_format,
+                                        stripe_bytes):
+        op, y, x_raw = _color_case(h, w, scale, seed, signed_zeros)
+        yc, c, dh, dw = shapes
+        y = ImageTensor(np.resize(y.data, (yc, h, w)))
+        x_raw = ImageTensor(np.resize(x_raw.data, (c, h + dh, w + dw)))
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(tensor, "_STRIPE_BYTES", stripe_bytes):
+            d = Path(tmp)
+            raw_path, streamed, whole = d / f"raw.{source}", d / f"s.{out_format}", d / f"w.{out_format}"
+            with np.errstate(over="ignore"):
+                (save_png if source == "png" else write_raw)(x_raw, raw_path)
+
+            def streamed_call():
+                if source == "array":
+                    return color_stream_pd(y, x_raw.data, streamed).to_dict()
+                with open_stripes(raw_path) as src:
+                    return color_stream_pd(y, src, streamed).to_dict()
+
+            def whole_call():
+                x = x_raw if source == "array" else load_tensor(raw_path)
+                return op.verify(y, save_tensor(op.combine(y, x), whole)).to_dict()
+
+            assert _outcome(streamed_call, streamed) == _outcome(whole_call, whole)
 
 
 def _raised(call):

@@ -381,6 +381,24 @@ class TestRawStripes:
             with pytest.raises(ValueError, match=message):
                 list(reader.stripes(2))
 
+    def test_every_walk_reads_the_file_it_opened(self, tmp_path, stream):
+        # A file renamed over the path leaves the open one as it was; one
+        # rewritten in place, at its size, is refused from the next walk on.
+        path = tmp_path / "t.pdt1"
+        t = ImageTensor(stream.gaussian((2, 5, 3)))
+        write_raw(t, path)
+        with RawReader(path) as reader:
+            write_raw(ImageTensor(stream.gaussian((2, 5, 3))), path)
+            for _ in range(2):
+                assert b"".join(s.tobytes() for s in reader.stripes(2)) == t.data.tobytes()
+        with RawReader(path) as reader:
+            list(reader.stripes(2))
+            before = path.stat()
+            path.write_bytes(path.read_bytes())
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 1_000_000))
+            with pytest.raises(ValueError, match="file changed between two reads"):
+                next(reader.stripes(2))
+
     def test_non_finite_stripe(self, tmp_path):
         path = tmp_path / "t.pdt1"
         a = np.zeros((1, 4, 2))
