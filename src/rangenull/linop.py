@@ -28,7 +28,7 @@ import numpy as np
 
 from .metrics import ConsistencyReport, compare
 from .rng import Stream
-from .tensor import ImageTensor, _Blank, _check_finite, _stripes, quantize, read_raw, write_raw
+from .tensor import ImageTensor, _Blank, _check_finite, _RawWriter, _stripes, quantize, read_raw, write_raw
 
 
 class LinearOperator(abc.ABC):
@@ -114,18 +114,34 @@ class BlockOperator(LinearOperator):
         """The measurements of image channel ``ch``'s block rows ``band`` in ``a``."""
         return a[ch * self.q : (ch + 1) * self.q, band]
 
-    def _walk(self, src):
+    def _walk(self, src, checked: bool = True):
         """``tensor._stripes`` of ``src`` in the stripes the kernels take."""
-        return _stripes(src, self.block, src.shape[1] // self.block if self.whole_channels else None)
+        return _stripes(src, self.block, src.shape[1] // self.block if self.whole_channels else None, checked)
 
-    def _forward_walk(self, src) -> np.ndarray:
-        """The measurement of an array or a stripe source (see ``tensor._stripes``)."""
+    def _forward_walk(self, src, by_band: bool = False) -> np.ndarray:
+        """The measurement of an array or a stripe source (see ``tensor._stripes``).
+
+        With ``by_band`` a ``RawReader`` is read without its own finiteness
+        check, and each stripe is checked instead where its measurement is
+        not finite (``_forward_checked``), before the next is read: the same
+        error at the same stripe, for an operator whose measurement of a
+        block is not finite wherever the block is not (pooling).
+        """
         c, h, w = src.shape
         b = self.block
         out = np.empty((c * self.q, h // b, w // b), src.dtype)
-        for rows, ch, band in self._walk(src):
-            self._forward_band(rows, self._band(out, ch, band))
+        forward = self._forward_checked if by_band else self._forward_band
+        for rows, ch, band in self._walk(src, not by_band):
+            forward(rows, self._band(out, ch, band))
         return out
+
+    def _forward_checked(self, rows: np.ndarray, out: np.ndarray) -> None:
+        """``_forward_band``, then, if the measurement is not finite,
+        ``ImageTensor``'s finiteness check of ``rows``, which passes when
+        the measurement only overflowed."""
+        self._forward_band(rows, out)
+        if not np.isfinite(out).all():
+            _check_finite(rows)
 
     def _combine_walk(self, y: np.ndarray, x_raw: np.ndarray) -> np.ndarray:
         """The combine of the arrays ``y`` and ``x_raw``, stripe by stripe."""
@@ -135,19 +151,38 @@ class BlockOperator(LinearOperator):
             self._combine_band(rows, self._band(y, ch, band), out_rows[ch, band])
         return out
 
-    def _stream_walk(self, y: np.ndarray, x_raw, writers: list) -> list[ImageTensor]:
+    def _stream_walk(self, y: np.ndarray, x_raw, writers: list, by_band: bool = False) -> list[np.ndarray]:
         """Combine each stripe of the source ``x_raw`` into one reused buffer,
         check it finite, hand it to each writer of ``tensor._open_writers`` in
-        turn, and return the measurement of what each file holds."""
+        turn, and return the measurement of what each file holds, checked
+        finite as ``ImageTensor`` checks it.
+
+        With ``by_band`` a ``RawReader`` is read without its own check, for
+        an operator whose combine, like its measurement, is not finite
+        wherever the stripe is not (pooling): the combined stripe is
+        checked before any file takes it.  If the first file is a PDT1,
+        which holds that stripe itself, its measurement is taken before the
+        write and checks the stripe as in ``_forward_walk``.
+        """
         forwards = [np.empty_like(y) for _ in writers]
+        # Files whose measurement is taken before the write: none, or a first PDT1.
+        early = 1 if by_band and isinstance(writers[0], _RawWriter) else 0
         # Every such source holds float64 samples, so both walks have one geometry.
-        for (rows, ch, band), (held, _, _) in zip(self._walk(x_raw), self._walk(_Blank(x_raw.shape))):
+        walks = zip(self._walk(x_raw, not by_band), self._walk(_Blank(x_raw.shape)))
+        for (rows, ch, band), (held, _, _) in walks:
             self._combine_band(rows, self._band(y, ch, band), held)
-            _check_finite(held)
-            for writer, forward in zip(writers, forwards):
+            outs = [self._band(forward, ch, band) for forward in forwards]
+            if early:
+                self._forward_checked(held, outs[0])
+            else:
+                _check_finite(held)
+            for i, (writer, out) in enumerate(zip(writers, outs)):
                 held = writer.write(held)
-                self._forward_band(held, self._band(forward, ch, band))
-        return [ImageTensor(forward) for forward in forwards]
+                if i >= early:
+                    self._forward_band(held, out)
+        for forward in forwards:
+            _check_finite(forward)
+        return forwards
 
 
 class IdentityOperator(LinearOperator):

@@ -50,7 +50,19 @@ def compare(a: ImageTensor, b: ImageTensor) -> ConsistencyReport:
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    diff = np.subtract(a.data, b.data)
+    return _report(np.subtract(a.data, b.data))
+
+
+def _compare_fresh(a: ImageTensor, b: np.ndarray) -> ConsistencyReport:
+    """``compare(a, ImageTensor(b))`` for a fresh finite float64 array ``b``
+    of ``a``'s shape that the caller gives up, such as the measurement a
+    stripe walk returns: the difference is computed into ``b`` itself, so
+    no other array of its size is allocated."""
+    return _report(np.subtract(a.data, b, out=b))
+
+
+def _report(diff: np.ndarray) -> ConsistencyReport:
+    """The report of ``compare`` from the difference ``diff``, which it overwrites."""
     np.abs(diff, out=diff)
     top = sys.float_info.max
     l1 = float(np.mean(diff))

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .linop import BlockOperator, LinearOperator, svd
-from .metrics import ConsistencyReport, compare
+from .metrics import ConsistencyReport, _compare_fresh
 from .rng import Stream
 from .tensor import (
     ImageTensor,
@@ -370,7 +370,7 @@ def cs_stream_pd(op: BlockSenseOp, y: ImageTensor, x_raw, path: str | Path) -> C
     op._combine_checks(y, x_raw)  # raises if the prediction did not fit
     with _open_writers(x_raw.shape, path) as writers:
         (forward,) = op._stream_walk(y.data, x_raw, writers)
-    return compare(y, forward)
+    return _compare_fresh(y, forward)
 
 
 def color_stream_pd(y: ImageTensor, x_raw, path: str | Path) -> ConsistencyReport:
@@ -407,8 +407,9 @@ def color_stream_pd(y: ImageTensor, x_raw, path: str | Path) -> ConsistencyRepor
             written = writer.write(combined, combined)
             forward.add(written, ch, band, written)
         del mean
-        forward = ImageTensor(forward.mean())
-    return compare(y, forward)
+        forward = forward.mean()
+        _check_finite(forward)
+    return _compare_fresh(y, forward)
 
 
 def _require_blocks(h: int, w: int, b: int) -> None:

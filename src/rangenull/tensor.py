@@ -20,8 +20,10 @@ Stripes of whole rows are the unit of the streamed passes.  One walk,
 ``_stripes``, yields the stripes of a source, about ``_STRIPE_BYTES`` of
 whole block rows each: an array's as views, or those of an object that
 makes them itself, such as a ``RawReader`` reading a PDT1 payload into
-one reused buffer (``open_stripes`` opens a PDT1 that way and decodes a
-PNG whole), a predictor enlarging a measurement, or a ``_Blank`` buffer
+one reused buffer and checking each stripe finite, unless its caller
+checks what it computes from the stripe instead (``open_stripes`` opens
+a PDT1 that way and decodes a PNG whole), a predictor enlarging a
+measurement, or a ``_Blank`` buffer
 for a walk that fills each stripe itself.  ``_open_writers``
 gives each output file the writer of its format, which takes the
 stripes in planar order: a PDT1 writes each stripe as it comes, a PNG
@@ -157,15 +159,23 @@ def check_destination(path: str | Path) -> None:
 @contextlib.contextmanager
 def _write_atomic(*paths: str | Path):
     """Yield one open binary file per path, in order, for the caller to write
-    into; once the block ends, move each onto its path, so that readers see
-    either the old file or the complete new one.
+    into; once the block ends, move each onto its path, so that no reader
+    ever sees a half-written file.
 
     Every path is checked with ``check_destination`` before anything is
     created.  Each file is a uniquely named temporary one in its path's
-    directory, opened with ``"xb"`` so the umask sets its mode, which
-    ``os.replace`` moves onto the path.  On any error, the caller's own
-    included, every temporary file is removed, so a failed call that
-    writes several files leaves all their old versions in place.
+    directory, opened with ``"xb"`` so the umask sets its mode.  An
+    existing file at the path is first renamed aside, then the new file is
+    renamed onto the free path, then the old one is unlinked: renaming
+    over an existing file can make the file system flush the new one
+    first, which costs many times the write.  A reader that opens the path
+    meanwhile therefore sees the old file, no file for the moment between
+    the two renames, or the complete new one; one that already holds the
+    old file open keeps reading it; a process killed between the two
+    renames leaves the old file under its temporary name.  If the new file
+    cannot be renamed onto the path, the old one is renamed back.  On any error, the
+    caller's own included, every temporary file is removed, so a failed
+    call that writes several files leaves all their old versions in place.
     """
     for path in paths:
         check_destination(path)
@@ -174,16 +184,38 @@ def _write_atomic(*paths: str | Path):
         with contextlib.ExitStack() as stack:
             files = []
             for path in map(Path, paths):
-                tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+                tmp = _temporary(path)
                 files.append(stack.enter_context(open(tmp, "xb")))
                 moves.append((tmp, path))
             yield files
         for tmp, path in moves:
-            os.replace(tmp, path)
+            _move_in(tmp, path)
     except BaseException:
         for tmp, _ in moves:
             tmp.unlink(missing_ok=True)
         raise
+
+
+def _temporary(path: Path) -> Path:
+    """A new hidden name in ``path``'s directory, for a file on its way in or out."""
+    return path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+
+
+def _move_in(tmp: Path, path: Path) -> None:
+    """Rename ``tmp`` onto ``path``, setting an existing file there aside
+    first and unlinking it after; if the rename fails, put it back."""
+    aside = _temporary(path)
+    try:
+        os.rename(path, aside)
+    except FileNotFoundError:
+        os.replace(tmp, path)
+        return
+    try:
+        os.replace(tmp, path)
+    except BaseException:
+        os.rename(aside, path)
+        raise
+    aside.unlink()
 
 
 def _is_png_path(path: str | Path) -> bool:
@@ -348,35 +380,38 @@ class RawReader:
     def __exit__(self, *exc_info) -> None:
         self._file.close()
 
-    def stripes(self, rows: int):
+    def stripes(self, rows: int, checked: bool = True):
         """Yield the samples in file order, each channel as (k, width) arrays
         of ``rows`` rows (the last one of a channel may be shorter).
 
         Every stripe is read with ``os.preadv`` into one reused buffer, so
-        it is valid until the next one is read, and checked finite with
-        ``ImageTensor``'s message.  A file that shrinks or grows while it is
+        it is valid until the next one is read, and, if ``checked``, checked
+        finite with ``ImageTensor``'s message.  A caller that passes
+        ``checked=False`` checks what it computes from each stripe instead,
+        before it reads the next.  A file that shrinks or grows while it is
         read raises ``ValueError`` as in ``read_raw``; growth is seen once
-        the last stripe has been read.  A walk after the first raises
-        ``ValueError`` at its start and at its end if the file's size or
-        modification time is not what it was when the reader opened it, so
-        that every walk reads the same samples.
+        the last stripe has been read.  Every walk then raises
+        ``ValueError``, naming the path, if the file's size or modification
+        time is not what it was when the reader opened it, and a walk after
+        the first checks that at its start too, so that no walk mixes two
+        versions of the file and every walk reads the same samples.
         """
         channels, height, width = self.shape
         fd, offset = self._file.fileno(), self._start
-        again, self._walked = self._walked, True
-        if again:
+        if self._walked:
             self._check_unchanged()
+        self._walked = True
         buf = np.empty((min(rows, height), width), self.dtype)
         for _ in range(channels):
             for r0 in range(0, height, rows):
                 stripe = buf[: min(rows, height - r0)]
                 _pread_exact(fd, stripe, offset, self.path)
-                _check_finite(stripe)
+                if checked:
+                    _check_finite(stripe)
                 offset += stripe.nbytes
                 yield stripe
         _check_ended(fd, offset, self.path)
-        if again:
-            self._check_unchanged()
+        self._check_unchanged()
 
     def _check_unchanged(self) -> None:
         if _stamp(self._file.fileno()) != self._stamp:
@@ -408,18 +443,21 @@ def _band_rows(width: int, itemsize: int, s: int) -> int:
     return max(1, _STRIPE_BYTES // (s * width * itemsize))
 
 
-def _stripes(src, s: int, step: int | None = None):
+def _stripes(src, s: int, step: int | None = None, checked: bool = True):
     """Yield (rows, channel, block-row slice) for each stripe of ``src``, in
     memory order: ``step`` block rows of one channel (fewer at its end),
     ``_band_rows`` by default, shaped (k, s, width).  An array's stripes
     are views.  Any other source has a ``shape``, a ``dtype`` and a
     ``stripes(rows)`` method that yields each channel's rows, ``rows`` at
     a time, as ``RawReader`` does; its stripes may share one buffer, valid
-    until the next."""
+    until the next.  ``checked=False`` reads a ``RawReader`` without its
+    finiteness check, for a walk that checks what it computes instead."""
     channels, height, width = src.shape
     step = step or _band_rows(width, src.dtype.itemsize, s)
     if isinstance(src, np.ndarray):
         pieces = (plane[r0 : r0 + s * step] for plane in src for r0 in range(0, height, s * step))
+    elif isinstance(src, RawReader):
+        pieces = src.stripes(s * step, checked)
     else:
         pieces = src.stripes(s * step)
     bands = ((ch, slice(r0, r0 + step)) for ch in range(channels) for r0 in range(0, height // s, step))

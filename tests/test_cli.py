@@ -32,7 +32,7 @@ from rangenull import (
     save_sense_op,
     write_raw,
 )
-from rangenull import tensor
+from rangenull import linop, pooling, tensor
 from rangenull.rng import Stream
 from rangenull.cli import BENCH_OPS, main
 
@@ -954,6 +954,149 @@ class TestStreamedErrors:
         code, stdout, stderr = run_cli(capsys, "verify", "--lr", str(lr), "--sr", str(sr), "--scale", scale)
         assert (code, stdout) == (3, "")
         assert stderr == "error: tensor samples must be finite (no NaN or infinity)\n"
+
+
+# Faults of a PDT1 prediction (``pd --raw``) or reconstruction (``verify
+# --sr``) of shape (3, 4s, 5s) for a (3, 4, 5) measurement at scale s, read
+# one block row at a time, 12 stripes: a NaN or an infinity in the first,
+# a middle or the last stripe, a block whose residual from its first
+# sample overflows (none at scale 1, where every sample is its own
+# block), a file that shrinks or grows from the sixth read on, and pairs
+# of these, where the fault a per-stripe check meets first names the error.
+_PARITY_SAMPLES = {"first": lambda s: (0, 0, 0), "middle": lambda s: (1, 3 * s - 1, 3), "last": lambda s: (-1, -1, -1)}
+_PARITY_FAULTS = [
+    *(f"{value}_in_{where}" for value in ("nan", "+inf", "-inf") for where in _PARITY_SAMPLES),
+    "overflow",
+    "shrinks",
+    "grows",
+    "nan_in_first, grows",
+    "-inf_in_middle, shrinks",
+    "overflow, grows",
+]
+
+
+def _make_parity_fault(fault, path, s, command, monkeypatch, stream):
+    """Write the faulty file of ``fault`` at ``path`` for ``command``; return
+    the measurement, and the message the fault gives, or None where the call
+    succeeds."""
+    x = stream.uniform((3, 4 * s, 5 * s))
+    finite = "tensor samples must be finite (no NaN or infinity)"
+    # (when it is met, message): at its stripe (0), at the last read (1),
+    # once the walk has ended (2).
+    messages, resize = [], None
+    for part in fault.split(", "):
+        if part == "overflow":
+            x[1, 2 * s, :2] = [1.7e308, -1.7e308]
+            # pd meets it in the combined stripe, verify in its measurement.
+            messages += [(0 if command == "pd" else 2, finite)] if s > 1 else []
+        elif part in ("shrinks", "grows"):
+            resize = -8 if part == "shrinks" else 8
+            messages.append((1, f"{path}: payload {'shrank' if part == 'shrinks' else 'grew'} while it was read"))
+        else:
+            value, where = part.split("_in_")
+            x[_PARITY_SAMPLES[where](s)] = float(value)
+            messages.append((0, finite))
+    _pdt1(path, x)
+    if resize:
+        _resize_on_first_read(monkeypatch, path, resize, after=5)
+    return stream.uniform((3, 4, 5)), min(messages)[1] if messages else None
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestStreamedFaultParity:
+    """A non-finite sample anywhere in a PDT1 ``--raw`` or ``--sr``, at every
+    scale and into every order of outputs, exits 3 with the message it gave
+    when the reader checked every stripe, prints nothing and leaves no
+    output and no temporary file; a block whose mean overflows is refused
+    as before, and so are files that change size."""
+
+    @pytest.fixture(autouse=True)
+    def one_block_row_per_stripe(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_STRIPE_BYTES", 1)
+
+    @pytest.mark.parametrize("outputs", [("o.pdt1",), ("o.png",), ("o.png", "o2.pdt1")], ids="+".join)
+    @pytest.mark.parametrize("fault", _PARITY_FAULTS)
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 8])
+    def test_pd(self, capsys, tmp_path, stream, monkeypatch, s, fault, outputs):
+        lr, raw = tmp_path / "lr.pdt1", tmp_path / "raw.pdt1"
+        y, message = _make_parity_fault(fault, raw, s, "pd", monkeypatch, stream)
+        _pdt1(lr, y)
+        argv = ["pd", "--lr", str(lr), "--scale", str(s), "--predictor", "external", "--raw", str(raw),
+                "--output", str(tmp_path / outputs[0])]
+        argv += ["--png", str(tmp_path / outputs[1])] if len(outputs) > 1 else []
+        code, stdout, stderr = run_cli(capsys, *argv)
+        if message is None:
+            assert (code, stderr, len(json_lines(stdout))) == (0, "", len(outputs))
+            return
+        assert (code, stdout, stderr) == (3, "", f"error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lr.pdt1", "raw.pdt1"]
+
+    @pytest.mark.parametrize("fault", _PARITY_FAULTS)
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 8])
+    def test_verify(self, capsys, tmp_path, stream, monkeypatch, s, fault):
+        lr, sr = tmp_path / "lr.pdt1", tmp_path / "sr.pdt1"
+        y, message = _make_parity_fault(fault, sr, s, "verify", monkeypatch, stream)
+        _pdt1(lr, y)
+        code, stdout, stderr = run_cli(capsys, "verify", "--lr", str(lr), "--sr", str(sr), "--scale", str(s))
+        if message is None:
+            assert (code, stderr, len(json_lines(stdout))) == (0, "", 1)
+            return
+        assert (code, stdout, stderr) == (3, "", f"error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lr.pdt1", "sr.pdt1"]
+
+
+class TestFiniteChecks:
+    """On finite inputs, ``pd --predictor external`` into a PDT1 and
+    ``verify`` check finiteness through the block means: no full-resolution
+    stripe goes through ``_check_finite``, only low-resolution arrays."""
+
+    def test_no_full_resolution_stripe_is_checked(self, capsys, tmp_path, stream, monkeypatch):
+        lr, raw, out = tmp_path / "lr.pdt1", tmp_path / "raw.pdt1", tmp_path / "o.pdt1"
+        _pdt1(lr, stream.uniform((3, 16, 16)))
+        _pdt1(raw, stream.uniform((3, 64, 64)))
+        checked = []
+
+        def record(arr, real=tensor._check_finite):
+            checked.append(arr.shape)
+            real(arr)
+
+        for module in (tensor, linop, pooling):
+            monkeypatch.setattr(module, "_check_finite", record)
+        code, _, _ = run_cli(capsys, "pd", "--lr", str(lr), "--scale", "4", "--predictor", "external",
+                             "--raw", str(raw), "--output", str(out))
+        assert code == 0
+        assert run_cli(capsys, "verify", "--lr", str(lr), "--sr", str(out), "--scale", "4")[0] == 0
+        assert checked and all(shape[-1] == 16 for shape in checked)
+
+
+class TestTornWalk:
+    """A PDT1 rewritten in place, at its size, while one walk reads it is
+    refused at the end of that walk, naming the file: the command exits 3,
+    prints nothing and writes no output."""
+
+    @pytest.fixture(autouse=True)
+    def one_block_row_per_stripe(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_STRIPE_BYTES", 1)
+
+    @pytest.mark.parametrize("command", ["pd", "verify", "cs"])
+    def test_refused(self, capsys, tmp_path, stream, monkeypatch, command):
+        lr, x, out = tmp_path / "lr.pdt1", tmp_path / "x.pdt1", tmp_path / "o.pdt1"
+        _pdt1(lr, stream.uniform((3, 4, 5)))
+        _pdt1(x, stream.uniform((3, 8, 10)))
+        if command == "pd":
+            argv = ["pd", "--lr", str(lr), "--scale", "2", "--predictor", "external", "--raw", str(x),
+                    "--output", str(out)]
+        elif command == "verify":
+            argv = ["verify", "--lr", str(lr), "--sr", str(x), "--scale", "2"]
+        else:
+            save_sense_op(cs_build(2, 0.5, seed=1), tmp_path / "op.pdm1")
+            argv = ["cs", "--action", "measure", "--op", str(tmp_path / "op.pdm1"), "--input", str(x),
+                    "--output", str(out)]
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        _rewrite_after_reads(monkeypatch, x, 1)
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert (code, stdout, stderr) == (3, "", f"error: {x}: file changed between two reads\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
 
 class TestStreamedMemory:
