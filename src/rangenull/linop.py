@@ -96,11 +96,19 @@ class BlockOperator(LinearOperator):
     and keep the input's dtype.  A stripe holds about
     ``tensor._STRIPE_BYTES``, or a whole channel where ``whole_channels``
     is set.
+
+    Where ``by_band`` is set, the measurement and the combine of a block
+    are not finite wherever the block is not (pooling), so the walks read
+    a ``RawReader`` without its own finiteness check and check what they
+    compute instead: a stripe is checked sample by sample only where its
+    measurement is not finite, which gives the same error at the same
+    stripe.
     """
 
     block: int
     q: int
     whole_channels = False
+    by_band = False
 
     @abc.abstractmethod
     def _forward_band(self, rows: np.ndarray, out: np.ndarray) -> None:
@@ -114,24 +122,20 @@ class BlockOperator(LinearOperator):
         """The measurements of image channel ``ch``'s block rows ``band`` in ``a``."""
         return a[ch * self.q : (ch + 1) * self.q, band]
 
-    def _walk(self, src, checked: bool = True):
+    def _walk(self, src):
         """``tensor._stripes`` of ``src`` in the stripes the kernels take."""
-        return _stripes(src, self.block, src.shape[1] // self.block if self.whole_channels else None, checked)
+        step = src.shape[1] // self.block if self.whole_channels else None
+        return _stripes(src, self.block, step, checked=not self.by_band)
 
-    def _forward_walk(self, src, by_band: bool = False) -> np.ndarray:
-        """The measurement of an array or a stripe source (see ``tensor._stripes``).
-
-        With ``by_band`` a ``RawReader`` is read without its own finiteness
-        check, and each stripe is checked instead where its measurement is
-        not finite (``_forward_checked``), before the next is read: the same
-        error at the same stripe, for an operator whose measurement of a
-        block is not finite wherever the block is not (pooling).
-        """
+    def _forward_walk(self, src) -> np.ndarray:
+        """The measurement of an array or a stripe source (see ``tensor._stripes``),
+        each stripe checked through its measurement (``_forward_checked``)
+        where ``by_band`` is set, before the next is read."""
         c, h, w = src.shape
         b = self.block
         out = np.empty((c * self.q, h // b, w // b), src.dtype)
-        forward = self._forward_checked if by_band else self._forward_band
-        for rows, ch, band in self._walk(src, not by_band):
+        forward = self._forward_checked if self.by_band else self._forward_band
+        for rows, ch, band in self._walk(src):
             forward(rows, self._band(out, ch, band))
         return out
 
@@ -151,24 +155,21 @@ class BlockOperator(LinearOperator):
             self._combine_band(rows, self._band(y, ch, band), out_rows[ch, band])
         return out
 
-    def _stream_walk(self, y: np.ndarray, x_raw, writers: list, by_band: bool = False) -> list[np.ndarray]:
+    def _stream_walk(self, y: np.ndarray, x_raw, writers: list) -> list[np.ndarray]:
         """Combine each stripe of the source ``x_raw`` into one reused buffer,
         check it finite, hand it to each writer of ``tensor._open_writers`` in
         turn, and return the measurement of what each file holds, checked
         finite as ``ImageTensor`` checks it.
 
-        With ``by_band`` a ``RawReader`` is read without its own check, for
-        an operator whose combine, like its measurement, is not finite
-        wherever the stripe is not (pooling): the combined stripe is
-        checked before any file takes it.  If the first file is a PDT1,
-        which holds that stripe itself, its measurement is taken before the
+        Where ``by_band`` is set and the first file is a PDT1, which holds
+        the combined stripe itself, its measurement is taken before the
         write and checks the stripe as in ``_forward_walk``.
         """
         forwards = [np.empty_like(y) for _ in writers]
         # Files whose measurement is taken before the write: none, or a first PDT1.
-        early = 1 if by_band and isinstance(writers[0], _RawWriter) else 0
+        early = 1 if self.by_band and isinstance(writers[0], _RawWriter) else 0
         # Every such source holds float64 samples, so both walks have one geometry.
-        walks = zip(self._walk(x_raw, not by_band), self._walk(_Blank(x_raw.shape)))
+        walks = zip(self._walk(x_raw), self._walk(_Blank(x_raw.shape)))
         for (rows, ch, band), (held, _, _) in walks:
             self._combine_band(rows, self._band(y, ch, band), held)
             outs = [self._band(forward, ch, band) for forward in forwards]

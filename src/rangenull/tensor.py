@@ -159,23 +159,15 @@ def check_destination(path: str | Path) -> None:
 @contextlib.contextmanager
 def _write_atomic(*paths: str | Path):
     """Yield one open binary file per path, in order, for the caller to write
-    into; once the block ends, move each onto its path, so that no reader
-    ever sees a half-written file.
+    into; once the block ends, move each onto its path, so that readers see
+    either the old file or the complete new one.
 
     Every path is checked with ``check_destination`` before anything is
     created.  Each file is a uniquely named temporary one in its path's
-    directory, opened with ``"xb"`` so the umask sets its mode.  An
-    existing file at the path is first renamed aside, then the new file is
-    renamed onto the free path, then the old one is unlinked: renaming
-    over an existing file can make the file system flush the new one
-    first, which costs many times the write.  A reader that opens the path
-    meanwhile therefore sees the old file, no file for the moment between
-    the two renames, or the complete new one; one that already holds the
-    old file open keeps reading it; a process killed between the two
-    renames leaves the old file under its temporary name.  If the new file
-    cannot be renamed onto the path, the old one is renamed back.  On any error, the
-    caller's own included, every temporary file is removed, so a failed
-    call that writes several files leaves all their old versions in place.
+    directory, opened with ``"xb"`` so the umask sets its mode, which
+    ``os.replace`` moves onto the path.  On any error, the caller's own
+    included, every temporary file is removed, so a failed call that
+    writes several files leaves all their old versions in place.
     """
     for path in paths:
         check_destination(path)
@@ -184,38 +176,16 @@ def _write_atomic(*paths: str | Path):
         with contextlib.ExitStack() as stack:
             files = []
             for path in map(Path, paths):
-                tmp = _temporary(path)
+                tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
                 files.append(stack.enter_context(open(tmp, "xb")))
                 moves.append((tmp, path))
             yield files
         for tmp, path in moves:
-            _move_in(tmp, path)
+            os.replace(tmp, path)
     except BaseException:
         for tmp, _ in moves:
             tmp.unlink(missing_ok=True)
         raise
-
-
-def _temporary(path: Path) -> Path:
-    """A new hidden name in ``path``'s directory, for a file on its way in or out."""
-    return path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-
-
-def _move_in(tmp: Path, path: Path) -> None:
-    """Rename ``tmp`` onto ``path``, setting an existing file there aside
-    first and unlinking it after; if the rename fails, put it back."""
-    aside = _temporary(path)
-    try:
-        os.rename(path, aside)
-    except FileNotFoundError:
-        os.replace(tmp, path)
-        return
-    try:
-        os.replace(tmp, path)
-    except BaseException:
-        os.rename(aside, path)
-        raise
-    aside.unlink()
 
 
 def _is_png_path(path: str | Path) -> bool:

@@ -216,39 +216,3 @@ class TestAtomicWrite:
             os.umask(old)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["op.pdm1", "t.pdt1", "t.png"]
         assert {p.stat().st_mode & 0o777 for p in tmp_path.iterdir()} == {0o640}
-
-
-class TestOverwrite:
-    """An existing output is renamed aside, the new file renamed onto the
-    free path, and the old one unlinked; if that rename fails, the old
-    file goes back."""
-
-    def test_overwrite_leaves_only_the_new_file(self, tmp_path, stream):
-        path = tmp_path / "out.pdt1"
-        path.write_bytes(b"old")
-        t = ImageTensor(stream.uniform((1, 2, 2)))
-        write_raw(t, path)
-        assert list(tmp_path.iterdir()) == [path] and read_raw(path) == t
-
-    @pytest.mark.parametrize("existing", [True, False], ids=["replace", "create"])
-    def test_failed_final_rename_keeps_the_old_bytes(self, tmp_path, stream, monkeypatch, existing):
-        path = tmp_path / "out.pdt1"
-        if existing:
-            path.write_bytes(b"old")
-
-        def refuse(src, dst):
-            raise PermissionError(13, "refused", str(dst))
-
-        monkeypatch.setattr(os, "replace", refuse)
-        with pytest.raises(PermissionError, match="refused"):
-            write_raw(ImageTensor(stream.uniform((1, 2, 2))), path)
-        assert sorted(tmp_path.iterdir()) == ([path] if existing else [])
-        assert not existing or path.read_bytes() == b"old"
-
-    def test_a_reader_of_the_old_file_keeps_it(self, tmp_path, stream):
-        path = tmp_path / "out.pdt1"
-        old = ImageTensor(stream.uniform((1, 2, 2)))
-        write_raw(old, path)
-        with open(path, "rb") as f:
-            write_raw(ImageTensor(stream.uniform((1, 2, 2))), path)
-            assert f.read() == _PDT1.pack(b"PDT1", 1, 2, 2) + old.data.tobytes()
