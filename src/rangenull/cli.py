@@ -59,8 +59,8 @@ def _cmd_pd(args: argparse.Namespace) -> int:
 
     Every predictor and output format takes one path: ``stream_pd`` walks
     the prediction one stripe at a time, from ``open_prediction``, and
-    holds the low-resolution arrays, a few stripes and each PNG's 8-bit
-    image, never the image itself.
+    holds the low-resolution arrays, one stripe, the kernels' scratch and
+    each PNG's 8-bit image, never the image itself.
     """
     if args.raw is not None and args.predictor != "external":
         raise ValueError("pd --raw is read only with --predictor external")

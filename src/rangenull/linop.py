@@ -28,7 +28,17 @@ import numpy as np
 
 from .metrics import ConsistencyReport, compare
 from .rng import Stream
-from .tensor import ImageTensor, _Blank, _check_finite, _RawWriter, _stripes, quantize, read_raw, write_raw
+from .tensor import (
+    ImageTensor,
+    _check_finite,
+    _pooling_rows,
+    _RawWriter,
+    _stripes,
+    _writable_stripes,
+    quantize,
+    read_raw,
+    write_raw,
+)
 
 
 class LinearOperator(abc.ABC):
@@ -92,17 +102,24 @@ class BlockOperator(LinearOperator):
     and the matching slice ``y``/``out`` of a measurement, shaped (q, k,
     width // block): ``_forward_band`` writes the stripe's measurements
     into ``out``, and ``_combine_band`` writes the combine of the stripe
-    with ``y`` into a (k, block, width) buffer.  The walks below run them
-    and keep the input's dtype.  A stripe holds about
-    ``tensor._STRIPE_BYTES``, or a whole channel where ``whole_channels``
-    is set.
+    with ``y`` into a (k, block, width) buffer, which may be ``rows``
+    itself.  Both may use the ``scratch`` that ``_scratch`` makes, once
+    per walk, in the input's dtype.  The walks below run them and keep the
+    input's dtype.  A stripe holds about twice ``tensor._STRIPE_BYTES``
+    (``tensor._pooling_rows``), or a whole channel where
+    ``whole_channels`` is set.  The walk into files combines each stripe
+    in place, in the buffer of a source that makes its own stripes (a
+    ``RawReader``, a predictor), and in one reused ``tensor._Blank``
+    buffer beside an array (``tensor._writable_stripes``): it holds that
+    one stripe buffer, the kernels' scratch and the measurements.
 
     Where ``by_band`` is set, the measurement and the combine of a block
     are not finite wherever the block is not (pooling), so the walks read
     a ``RawReader`` without its own finiteness check and check what they
     compute instead: a stripe is checked sample by sample only where its
     measurement is not finite, which gives the same error at the same
-    stripe.
+    stripe, and a measurement checked that way is checked whole only if
+    it overflowed from finite samples.
     """
 
     block: int
@@ -111,78 +128,99 @@ class BlockOperator(LinearOperator):
     by_band = False
 
     @abc.abstractmethod
-    def _forward_band(self, rows: np.ndarray, out: np.ndarray) -> None:
+    def _forward_band(self, rows: np.ndarray, out: np.ndarray, scratch) -> None:
         """Write the measurements of ``rows`` into ``out``."""
 
     @abc.abstractmethod
-    def _combine_band(self, rows: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+    def _combine_band(self, rows: np.ndarray, y: np.ndarray, out: np.ndarray, scratch) -> None:
         """Write the combine of ``rows`` with the measurements ``y`` into ``out``."""
+
+    def _scratch(self, rows: int, width: int, dtype: np.dtype):
+        """Scratch for the kernels on stripes of at most ``rows`` block rows
+        of ``width`` samples of ``dtype``; none unless a subclass needs it."""
+        return None
 
     def _band(self, a: np.ndarray, ch: int, band: slice) -> np.ndarray:
         """The measurements of image channel ``ch``'s block rows ``band`` in ``a``."""
         return a[ch * self.q : (ch + 1) * self.q, band]
 
-    def _walk(self, src):
-        """``tensor._stripes`` of ``src`` in the stripes the kernels take."""
-        step = src.shape[1] // self.block if self.whole_channels else None
-        return _stripes(src, self.block, step, checked=not self.by_band)
+    def _walk(self, src, stripes=_stripes):
+        """``stripes`` of ``src`` (``tensor._stripes`` or
+        ``tensor._writable_stripes``) in the stripes the kernels take, and
+        the kernels' scratch for them."""
+        _, h, w = src.shape
+        b = self.block
+        step = h // b if self.whole_channels else _pooling_rows(w, src.dtype.itemsize, b)
+        return stripes(src, b, step, checked=not self.by_band), self._scratch(min(step, h // b), w, src.dtype)
 
     def _forward_walk(self, src) -> np.ndarray:
-        """The measurement of an array or a stripe source (see ``tensor._stripes``),
-        each stripe checked through its measurement (``_forward_checked``)
-        where ``by_band`` is set, before the next is read."""
+        """The measurement of an array or a stripe source (see ``tensor._stripes``).
+        Where ``by_band`` is set, each stripe is checked through its
+        measurement (``_forward_checked``) before the next is read, and the
+        measurement as ``ImageTensor`` checks it after the last."""
         c, h, w = src.shape
         b = self.block
         out = np.empty((c * self.q, h // b, w // b), src.dtype)
-        forward = self._forward_checked if self.by_band else self._forward_band
-        for rows, ch, band in self._walk(src):
-            forward(rows, self._band(out, ch, band))
+        stripes, scratch = self._walk(src)
+        finite = True
+        for rows, ch, band in stripes:
+            if self.by_band:
+                finite &= self._forward_checked(rows, self._band(out, ch, band), scratch)
+            else:
+                self._forward_band(rows, self._band(out, ch, band), scratch)
+        if not finite:
+            _check_finite(out)
         return out
 
-    def _forward_checked(self, rows: np.ndarray, out: np.ndarray) -> None:
+    def _forward_checked(self, rows: np.ndarray, out: np.ndarray, scratch) -> bool:
         """``_forward_band``, then, if the measurement is not finite,
         ``ImageTensor``'s finiteness check of ``rows``, which passes when
-        the measurement only overflowed."""
-        self._forward_band(rows, out)
-        if not np.isfinite(out).all():
-            _check_finite(rows)
+        the measurement only overflowed.  Return whether it is finite."""
+        self._forward_band(rows, out, scratch)
+        if np.isfinite(out).all():
+            return True
+        _check_finite(rows)
+        return False
 
     def _combine_walk(self, y: np.ndarray, x_raw: np.ndarray) -> np.ndarray:
         """The combine of the arrays ``y`` and ``x_raw``, stripe by stripe."""
         out = np.empty_like(x_raw)
         out_rows = out.reshape(x_raw.shape[0], -1, self.block, x_raw.shape[2])
-        for rows, ch, band in self._walk(x_raw):
-            self._combine_band(rows, self._band(y, ch, band), out_rows[ch, band])
+        stripes, scratch = self._walk(x_raw)
+        for rows, ch, band in stripes:
+            self._combine_band(rows, self._band(y, ch, band), out_rows[ch, band], scratch)
         return out
 
     def _stream_walk(self, y: np.ndarray, x_raw, writers: list) -> list[np.ndarray]:
-        """Combine each stripe of the source ``x_raw`` into one reused buffer,
-        check it finite, hand it to each writer of ``tensor._open_writers`` in
-        turn, and return the measurement of what each file holds, checked
+        """Combine each stripe of the source ``x_raw`` in place
+        (``tensor._writable_stripes``), check it finite, hand it to each
+        writer of ``tensor._open_writers`` in turn, which may quantize it in
+        place, and return the measurement of what each file holds, checked
         finite as ``ImageTensor`` checks it.
 
         Where ``by_band`` is set and the first file is a PDT1, which holds
         the combined stripe itself, its measurement is taken before the
-        write and checks the stripe as in ``_forward_walk``.
+        write and checks the stripe and itself as in ``_forward_walk``.
         """
         forwards = [np.empty_like(y) for _ in writers]
         # Files whose measurement is taken before the write: none, or a first PDT1.
         early = 1 if self.by_band and isinstance(writers[0], _RawWriter) else 0
-        # Every such source holds float64 samples, so both walks have one geometry.
-        walks = zip(self._walk(x_raw), self._walk(_Blank(x_raw.shape)))
-        for (rows, ch, band), (held, _, _) in walks:
-            self._combine_band(rows, self._band(y, ch, band), held)
+        finite = True  # whether every band of an early measurement was finite
+        stripes, scratch = self._walk(x_raw, _writable_stripes)
+        for rows, held, ch, band in stripes:
+            self._combine_band(rows, self._band(y, ch, band), held, scratch)
             outs = [self._band(forward, ch, band) for forward in forwards]
             if early:
-                self._forward_checked(held, outs[0])
+                finite &= self._forward_checked(held, outs[0], scratch)
             else:
                 _check_finite(held)
             for i, (writer, out) in enumerate(zip(writers, outs)):
-                held = writer.write(held)
+                held = writer.write(held, held)
                 if i >= early:
-                    self._forward_band(held, out)
-        for forward in forwards:
-            _check_finite(forward)
+                    self._forward_band(held, out, scratch)
+        for i, forward in enumerate(forwards):
+            if i >= early or not finite:
+                _check_finite(forward)
         return forwards
 
 

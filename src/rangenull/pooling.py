@@ -13,24 +13,31 @@ values in one pass, bit-identical to the generic combine.
 spellings of ``null_project`` and ``PoolingOp.verify``.
 
 The band kernels ``PoolingOp._forward_band`` (block means) and
-``_combine_band`` work on one stripe of whole block rows, about 512 KiB
-(``tensor._stripes``), so every numpy step runs over full image rows.  A
-block's mean is built from elementwise operations only, in a fixed
-order, so it does not depend on how the image is striped: ``pool_down``
-and ``pd_combine`` agree bit for bit.  Both keep the input dtype.
+``_combine_band`` work on one stripe of whole block rows, about 1 MiB
+(``tensor._pooling_rows``), so every numpy step runs over full image
+rows.  Each walk makes their scratch once, in the input's dtype: three
+planes of a stripe's block rows' width for the block means, into which
+the anchors, the means and ``y`` are widened by strided copies, and the
+stripe's means.  A block's mean is built from elementwise operations
+only, in a fixed order, so it does not depend on how the image is
+striped: ``pool_down`` and ``pd_combine`` agree bit for bit.  Both keep
+the input dtype.
 
 ``stream_pd`` and ``stream_verify`` run the same walks on any stripe
 source, such as a ``RawReader`` reading a PDT1 file or a predictor
-enlarging a measurement, and ``stream_pd`` hands each combined stripe to
+enlarging a measurement, and ``stream_pd`` combines each stripe in the
+source's own buffer (in a second one only for an array) and hands it to
 the writers of ``tensor._open_writers``: they hold the low-resolution
-arrays and a few stripes, never the high-resolution image, and give the
-bytes and records of the in-memory kernels.  They check finiteness
-through the block means rather than through every sample: a block's
-anchored mean is NaN or infinite wherever a sample of the block is
-(``inf - inf`` is NaN, and NaN propagates; scale 1 copies), and so is
+arrays, one stripe and the scratch, never the high-resolution image,
+and give the bytes and records of the in-memory kernels.  They check
+finiteness through the block means rather than through every sample: a
+block's anchored mean is NaN or infinite wherever a sample of the block
+is (``inf - inf`` is NaN, and NaN propagates; scale 1 copies), and so is
 the combine of the block.  So a ``RawReader`` is read without its
-per-stripe check, and a stripe is checked sample by sample only where a
-mean is not finite, which gives the same error at the same stripe.
+per-stripe check, a stripe is checked sample by sample only where a
+mean is not finite, which gives the same error at the same stripe, and
+a measurement checked that way is checked whole only where a mean
+overflowed from finite samples.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ import numpy as np
 
 from .linop import BlockOperator, LinearOperator, null_project
 from .metrics import ConsistencyReport, _compare_fresh
-from .tensor import ImageTensor, _check_finite, _open_writers, _read_through
+from .tensor import ImageTensor, _open_writers, _read_through
 
 
 def _require_divisible(h: int, w: int, s: int) -> None:
@@ -51,27 +58,37 @@ def _require_divisible(h: int, w: int, s: int) -> None:
         raise ValueError(f"image size {h}x{w} is not divisible by scale {s}")
 
 
-def _band_mean(rows: np.ndarray, s: int) -> np.ndarray:
-    """Means of the s x s blocks of ``rows``, k block rows shaped (k, s, width).
+def _widen(a: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:
+    """Write each sample of ``a`` ``s`` times along the last axis into
+    ``out``, one strided copy per column of a block, and return ``out``."""
+    for j in range(s):
+        out[..., j::s] = a
+    return out
+
+
+def _band_mean(rows: np.ndarray, s: int, scratch: np.ndarray, out: np.ndarray) -> None:
+    """Write the means of the s x s blocks of ``rows``, k block rows shaped
+    (k, s, width), into ``out``, shaped (k, width // s), using the first k
+    rows of the (3, rows, width) ``scratch``.
 
     Anchoring on each block's first sample makes constant blocks average
     exactly, which is what keeps down(up(y)) bit-identical to y.  The
     residuals are summed one block row at a time, then across the s
     columns of each block.
     """
+    k = len(rows)
+    anchor, acc, resid = scratch[:, :k]
     first = rows[:, 0, ::s]
-    anchor = np.repeat(first, s, axis=-1)
-    acc = rows[:, 0] - anchor
-    resid = np.empty_like(acc)
+    _widen(first, s, anchor)
+    np.subtract(rows[:, 0], anchor, out=acc)
     for r in range(1, s):
         acc += np.subtract(rows[:, r], anchor, out=resid)
-    columns = acc.reshape(len(rows), -1, s)
-    total = columns[..., 0].copy()
-    for k in range(1, s):
-        total += columns[..., k]
-    total /= s * s
-    total += first
-    return total
+    columns = acc.reshape(k, -1, s)
+    np.add(columns[..., 0], columns[..., 1], out=out)
+    for j in range(2, s):
+        out += columns[..., j]
+    out /= s * s
+    out += first
 
 
 def _replicate(a: np.ndarray, s: int) -> np.ndarray:
@@ -119,12 +136,13 @@ def stream_pd(y: ImageTensor, x_raw, s: int, *paths: str | Path) -> list[Consist
     ``tensor._stripes``).
 
     A path's name picks its format, as ``tensor.save_tensor`` does.  Each
-    stripe is combined into one reused buffer and checked finite, through
-    its block means when the first file is a PDT1; each file in turn then
-    writes it and pools what it holds into its own low-resolution
-    ``forward``, which then holds the difference for its record.  A PNG
-    holds the quantized stripe, which every later file receives, so
-    memory holds ``y``, one ``forward`` per file, a few stripes and each
+    stripe is combined in place, in the source's own stripe buffer or, for
+    an array, in one reused buffer, and checked finite, through its block
+    means when the first file is a PDT1; each file in turn then writes it
+    and pools what it holds into its own low-resolution ``forward``, which
+    then holds the difference for its record.  A PNG quantizes the stripe
+    in place, and every later file receives that, so memory holds ``y``,
+    one ``forward`` per file, one stripe, the kernels' scratch and each
     PNG's 8-bit image, never the image itself.
     Every destination is checked before the first byte is written; the
     files are renamed into place only after the last stripe, and an error
@@ -142,11 +160,12 @@ def stream_pd(y: ImageTensor, x_raw, s: int, *paths: str | Path) -> list[Consist
 def stream_verify(y: ImageTensor, x_hat, s: int) -> ConsistencyReport:
     """``verify_consistency(y, x_hat, s)`` for an array or a stripe source
     ``x_hat`` (see ``tensor._stripes``), read one stripe at a time, each
-    checked finite through its block means: memory holds ``y``, the pooled
-    ``forward``, which then holds the difference, and one stripe.  A file
-    that does not fit is read through, each stripe checked as it is read,
-    before the scale or the shape is refused, so its own faults come
-    first, as when it is loaded whole.
+    checked finite through its block means, and the pooled ``forward``
+    checked whole only if a mean overflowed: memory holds ``y``,
+    ``forward``, which then holds the difference, one stripe and the block
+    means' scratch.  A file that does not fit is read through, each stripe
+    checked as it is read, before the scale or the shape is refused, so
+    its own faults come first, as when it is loaded whole.
     """
     if x_hat.shape != (y.channels, s * y.height, s * y.width):
         _read_through(x_hat)
@@ -154,7 +173,6 @@ def stream_verify(y: ImageTensor, x_hat, s: int) -> ConsistencyReport:
     op._check(x_hat, op.in_shape, "input")
     with np.errstate(invalid="ignore"):
         forward = op._forward_walk(x_hat)
-    _check_finite(forward)
     return _compare_fresh(y, forward)
 
 
@@ -197,21 +215,37 @@ class PoolingOp(BlockOperator):
         self._check(y, self.out_shape, "measurement")
         return pd_combine(y, x_raw, self.scale)
 
-    def _forward_band(self, rows: np.ndarray, out: np.ndarray) -> None:
+    def _scratch(self, rows: int, width: int, dtype: np.dtype):
+        """``_band_mean``'s (3, rows, width) scratch and the combine's
+        (rows, width // s) block means; none at scale 1, which copies."""
+        if self.scale == 1:
+            return None
+        return np.empty((3, rows, width), dtype), np.empty((rows, width // self.scale), dtype)
+
+    def _forward_band(self, rows: np.ndarray, out: np.ndarray, scratch) -> None:
         # Scale 1 copies: the anchored mean of -0.0 would be +0.0.
-        out[...] = rows[:, 0] if self.scale == 1 else _band_mean(rows, self.scale)
+        if self.scale == 1:
+            out[...] = rows[:, 0]
+        else:
+            _band_mean(rows, self.scale, scratch[0], out[0])
 
-    def _combine_band(self, rows: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
-        """Write ``(rows - replicate(block means)) + replicate(y)`` into ``out``.
+    def _combine_band(self, rows: np.ndarray, y: np.ndarray, out: np.ndarray, scratch) -> None:
+        """Write ``(rows - replicate(block means)) + replicate(y)`` into
+        ``out``, which may be ``rows``: the means are taken first.
 
-        Each mean row and ``y`` row is widened once to the image width.
-        Scale 1 keeps the generic combine's ``(rows - rows) + y``, whose
-        signed zeros the anchored mean would flip.  Addition commutes
-        exactly, so this is bit-identical to the generic combine.
+        Each mean row and ``y`` row is widened once to the image width, into
+        the scratch.  Scale 1 keeps the generic combine's ``(rows - rows) +
+        y``, whose signed zeros the anchored mean would flip.  Addition
+        commutes exactly, so this is bit-identical to the generic combine.
         """
         s = self.scale
         if s == 1:
             np.subtract(rows, rows, out=out)
-        else:
-            np.subtract(rows, np.repeat(_band_mean(rows, s), s, axis=-1)[:, None], out=out)
-        out += np.repeat(y[0], s, axis=-1)[:, None]
+            out += y[0][:, None]
+            return
+        planes, means = scratch
+        k = len(rows)
+        _band_mean(rows, s, planes, means[:k])
+        wide = _widen(means[:k], s, planes[0, :k])
+        np.subtract(rows, wide[:, None], out=out)
+        out += _widen(y[0], s, wide)[:, None]

@@ -235,7 +235,7 @@ class BlockSenseOp(BlockOperator):
         k, b, w = rows.shape
         return np.matmul(rows.reshape(k, b, w // b, b).transpose(0, 2, 1, 3).reshape(-1, b * b), self.rows.T)
 
-    def _forward_band(self, rows: np.ndarray, out: np.ndarray) -> None:
+    def _forward_band(self, rows: np.ndarray, out: np.ndarray, scratch=None) -> None:
         """Measure the blocks of ``rows`` into ``out`` with one strided copy."""
         np.copyto(out, self._per_block(rows).reshape(len(rows), -1, self.q).transpose(2, 0, 1))
 
@@ -252,16 +252,17 @@ class BlockSenseOp(BlockOperator):
         ``tensor._Blank`` of its shape (one reused channel buffer), and
         yield the channel."""
         b = self.block
-        for rows, ch, band in self._walk(out):
+        stripes, _ = self._walk(out)
+        for rows, ch, band in stripes:
             np.copyto(rows.reshape(len(rows), b, -1, b), self._pinv_tiles(self._band(m, ch, band)))
             yield rows
 
-    def _combine_band(self, rows: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+    def _combine_band(self, rows: np.ndarray, y: np.ndarray, out: np.ndarray, scratch=None) -> None:
         """``(rows - A+ A rows) + A+ y`` into ``out``, through the products of
         ``_per_block`` and ``_pinv_tiles``; addition commutes exactly,
         so these are the generic combine's bytes.  The measurement takes
         the layout of ``y``, so that both back-projections are the same
-        product."""
+        product.  ``out`` may be ``rows``: the measurement is taken first."""
         measured = np.ascontiguousarray(self._per_block(rows).T).reshape(y.shape)
         tiles = out.reshape(len(out), self.block, -1, self.block)
         np.subtract(rows.reshape(tiles.shape), self._pinv_tiles(measured), out=tiles)
@@ -358,9 +359,9 @@ def cs_stream_pd(op: BlockSenseOp, y: ImageTensor, x_raw, path: str | Path) -> C
     first, so its own faults come first.  Then the destination is checked
     and the combine makes its checks, in the order of the in-memory path,
     and ``BlockOperator._stream_walk`` combines ``x_raw`` one channel at a
-    time into the file's writer and measures what the file holds.  An
-    error at any point, a non-finite record included, leaves the old file
-    as it was.
+    time, in place in a ``RawReader``'s channel buffer, into the file's
+    writer and measures what the file holds.  An error at any point, a
+    non-finite record included, leaves the old file as it was.
     """
     cq, nh, nw = y.shape
     b = op.block

@@ -18,13 +18,17 @@ into its final array with ``os.preadv``, on the calling thread.
 
 Stripes of whole rows are the unit of the streamed passes.  One walk,
 ``_stripes``, yields the stripes of a source, about ``_STRIPE_BYTES`` of
-whole block rows each: an array's as views, or those of an object that
-makes them itself, such as a ``RawReader`` reading a PDT1 payload into
-one reused buffer and checking each stripe finite, unless its caller
-checks what it computes from the stripe instead (``open_stripes`` opens
-a PDT1 that way and decodes a PNG whole), a predictor enlarging a
-measurement, or a ``_Blank`` buffer
-for a walk that fills each stripe itself.  ``_open_writers``
+whole block rows each, or about twice that for the pooling walks
+(``_pooling_rows``): an array's as views, or those of an object that
+makes them itself in one reused buffer, such as a ``RawReader`` reading
+a PDT1 payload and checking each stripe finite, unless its caller checks
+what it computes from the stripe instead (``open_stripes`` opens a PDT1
+that way and decodes a PNG whole), a predictor enlarging a measurement,
+or a ``_Blank`` buffer for a walk that fills each stripe itself.  Such
+an object's buffer is the caller's to overwrite until the next stripe,
+so a walk that rewrites each stripe (``_writable_stripes``) does so in
+place and holds one stripe buffer, and two only for an array, whose
+views it must not change.  ``_open_writers``
 gives each output file the writer of its format, which takes the
 stripes in planar order: a PDT1 writes each stripe as it comes, a PNG
 quantizes it into the 8-bit image it encodes at the end.  The walks of
@@ -413,6 +417,16 @@ def _band_rows(width: int, itemsize: int, s: int) -> int:
     return max(1, _STRIPE_BYTES // (s * width * itemsize))
 
 
+def _pooling_rows(width: int, itemsize: int, s: int) -> int:
+    """Block rows per stripe of a pooling walk: about twice
+    ``_STRIPE_BYTES`` of samples, at least one.  Such a walk combines in
+    the stripe of a source that makes its own (see ``_writable_stripes``)
+    and so holds one stripe buffer, which pays for the larger stripe; at
+    twice this size the streamed ``pd`` and ``verify`` of a 3 x 1024²
+    image at scale 4 no longer stay under a quarter of it."""
+    return max(1, 2 * _STRIPE_BYTES // (s * width * itemsize))
+
+
 def _stripes(src, s: int, step: int | None = None, checked: bool = True):
     """Yield (rows, channel, block-row slice) for each stripe of ``src``, in
     memory order: ``step`` block rows of one channel (fewer at its end),
@@ -420,8 +434,9 @@ def _stripes(src, s: int, step: int | None = None, checked: bool = True):
     are views.  Any other source has a ``shape``, a ``dtype`` and a
     ``stripes(rows)`` method that yields each channel's rows, ``rows`` at
     a time, as ``RawReader`` does; its stripes may share one buffer, valid
-    until the next.  ``checked=False`` reads a ``RawReader`` without its
-    finiteness check, for a walk that checks what it computes instead."""
+    until the next, which the caller may overwrite meanwhile.
+    ``checked=False`` reads a ``RawReader`` without its finiteness check,
+    for a walk that checks what it computes instead."""
     channels, height, width = src.shape
     step = step or _band_rows(width, src.dtype.itemsize, s)
     if isinstance(src, np.ndarray):
@@ -439,11 +454,12 @@ def _stripes(src, s: int, step: int | None = None, checked: bool = True):
 
 @dataclass(frozen=True)
 class _Blank:
-    """A stripe source of ``shape`` whose stripes are one reused buffer of
-    unset samples, for a walk that fills each stripe itself."""
+    """A stripe source of ``shape`` and ``dtype`` whose stripes are one
+    reused buffer of unset samples, for a walk that fills each stripe
+    itself."""
 
     shape: tuple[int, int, int]
-    dtype = np.dtype("<f8")
+    dtype: np.dtype = np.dtype("<f8")
 
     def stripes(self, rows: int):
         channels, height, width = self.shape
@@ -452,16 +468,20 @@ class _Blank:
             yield from (buf[: height - r0] for r0 in range(0, height, rows))
 
 
-def _writable_stripes(src, s: int):
+def _writable_stripes(src, s: int, step: int | None = None, checked: bool = True):
     """Yield (rows, spare, channel, block-row slice) for each stripe of
-    ``src``, as ``_stripes`` does, with a buffer of the stripe's shape that
-    the caller may overwrite: the stripe itself for a ``RawReader``, whose
-    next read overwrites it anyway, else one reused ``_Blank`` buffer."""
-    if isinstance(src, RawReader):
-        for rows, ch, band in _stripes(src, s):
+    ``src``, as ``_stripes(src, s, step, checked)`` does, with a buffer of
+    the stripe's shape and dtype that the caller may overwrite: the stripe
+    itself for a source that makes its stripes in its own buffer, such as
+    a ``RawReader``, whose next stripe overwrites it anyway, and one reused
+    ``_Blank`` buffer for an array."""
+    stripes = _stripes(src, s, step, checked)
+    if not isinstance(src, np.ndarray):
+        for rows, ch, band in stripes:
             yield rows, rows, ch, band
     else:
-        for (rows, ch, band), (spare, _, _) in zip(_stripes(src, s), _stripes(_Blank(src.shape), s)):
+        blank = _stripes(_Blank(src.shape, src.dtype), s, step)
+        for (rows, ch, band), (spare, _, _) in zip(stripes, blank):
             yield rows, spare, ch, band
 
 

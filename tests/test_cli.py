@@ -756,7 +756,7 @@ class TestStripeLayer:
                     defined.add((module, node.name))
                 elif isinstance(node, ast.Assign):
                     defined |= {(module, target.id) for target in node.targets if isinstance(target, ast.Name)}
-        walk = {"_STRIPE_BYTES", "_band_rows", "_stripes"}
+        walk = {"_STRIPE_BYTES", "_band_rows", "_pooling_rows", "_stripes"}
         assert {(module, name) for module, name in defined if name in walk} == {("tensor", name) for name in walk}
 
     def test_restore_imports_nothing_from_pooling(self):
@@ -1061,7 +1061,8 @@ class TestFiniteChecks:
             real(arr)
 
         for module in (tensor, linop, pooling):
-            monkeypatch.setattr(module, "_check_finite", record)
+            # pooling checks nothing itself today; set there too, should it again.
+            monkeypatch.setattr(module, "_check_finite", record, raising=False)
         code, _, _ = run_cli(capsys, "pd", "--lr", str(lr), "--scale", "4", "--predictor", "external",
                              "--raw", str(raw), "--output", str(out))
         assert code == 0
@@ -1248,9 +1249,10 @@ class TestCsStreamedMemory:
     # What each call holds at its peak: whole measurements (a quarter image
     # at this ratio: the one read or written, and pd's record), whole
     # channels (the one read from the file or handed to the writer and its
-    # block copy or back-projection; pd holds both of its channels and one
-    # back-projection) and one channel's measurements (measure, pd).
-    HELD = {"measure": (1, 2, 1), "pinv": (1, 2, 0), "pd": (2, 3, 1)}
+    # block copy or back-projection; pd combines in the channel it read, so
+    # it holds that and one block copy or back-projection) and one
+    # channel's measurements (measure, pd).
+    HELD = {"measure": (1, 2, 1), "pinv": (1, 2, 0), "pd": (2, 2, 1)}
 
     @pytest.mark.parametrize("action", ["measure", "pinv", "pd"])
     def test_peak_of_one_product_per_channel(self, capsys, tmp_path, inputs, action):
@@ -1715,6 +1717,43 @@ class TestPdWalkFaults:
         assert (code, stdout) == (3, "")
         assert stderr == f"error: tensor shape {shape} does not fit the PDT1 header's 32-bit fields\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["lr.pdt1"]
+
+
+class TestPdCombinesInPlace:
+    """``pd`` combines each stripe in the buffer its prediction source made
+    it in: a PDT1 ``--raw`` and an enlarging predictor need no second
+    stripe buffer, and only a decoded PNG ``--raw``, an array, gets one."""
+
+    @pytest.fixture
+    def no_blank(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a _Blank stripe buffer was built")
+
+        monkeypatch.setattr(tensor, "_Blank", refuse)
+
+    @pytest.mark.parametrize("predictor, raw_format", [("external", "pdt1"), ("bicubic", None)])
+    def test_no_blank_buffer_beside_a_source_that_makes_its_stripes(
+        self, capsys, tmp_path, stream, no_blank, predictor, raw_format
+    ):
+        lr, raw = tmp_path / "lr.pdt1", tmp_path / "raw.pdt1"
+        write_raw(ImageTensor(stream.uniform((3, 6, 5))), lr)
+        write_raw(ImageTensor(stream.uniform((3, 24, 20))), raw)
+        argv = ["pd", "--lr", str(lr), "--scale", "4", "--predictor", predictor,
+                "--output", str(tmp_path / "o.pdt1"), "--png", str(tmp_path / "o.png")]
+        argv += ["--raw", str(raw)] if raw_format else []
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert (code, stderr) == (0, "") and len(json_lines(stdout)) == 2
+
+    def test_a_png_raw_gets_a_blank_buffer(self, tmp_path, stream, no_blank):
+        # The patch above is live: a decoded PNG is an array, which the walk
+        # must not overwrite.
+        lr, raw = tmp_path / "lr.pdt1", tmp_path / "raw.png"
+        write_raw(ImageTensor(stream.uniform((3, 6, 5))), lr)
+        save_png(ImageTensor(stream.uniform((3, 24, 20))), raw)
+        argv = ["pd", "--lr", str(lr), "--scale", "4", "--predictor", "external", "--raw", str(raw),
+                "--output", str(tmp_path / "o.pdt1")]
+        with pytest.raises(AssertionError, match="_Blank"):
+            main(argv)
 
 
 class TestOneDiagnosticLine:

@@ -287,6 +287,27 @@ class TestStripedKernels:
             assert combined32.tobytes() == via_parts32.tobytes()
 
 
+class TestOneOperatorTwoDtypes:
+    def test_float32_then_float64_walks_give_the_bytes_of_the_parts(self):
+        # Scratch is made per walk in the input's dtype.  At 600 stripe
+        # bytes a width of 8 takes 18 float32 or 9 float64 block rows per
+        # stripe at scale 2, so 20 block rows end in a short stripe.
+        rng = np.random.default_rng(3)
+        s, shape = 2, (3, 40, 8)
+        op = PoolingOp(s, *shape)
+        y = ImageTensor(rng.uniform(-1.0, 2.0, (3, 20, 4)))
+        x_raw = ImageTensor(rng.uniform(-1.0, 2.0, shape))
+        y32, x32 = y.data.astype(np.float32), x_raw.data.astype(np.float32)
+        with mock.patch.object(tensor, "_STRIPE_BYTES", 600):
+            assert [tensor._pooling_rows(8, a.itemsize, s) for a in (x32, x_raw.data)] == [18, 9]
+            combined32 = op._combine_walk(y32, x32)
+            via_parts32 = _replicate(y32, s) + (x32 - _replicate(op._forward_walk(x32), s))
+            combined = op._combine_walk(y.data, x_raw.data)
+            via_parts = pool_up(y, s).data + extract_highfreq(x_raw, s).data
+        assert combined32.dtype == np.float32 and combined32.tobytes() == via_parts32.tobytes()
+        assert combined.dtype == np.float64 and combined.tobytes() == via_parts.tobytes()
+
+
 @st.composite
 def walk_cases(draw):
     """(predictor, raw format, output names, s, y, x): every predictor, a
@@ -349,6 +370,23 @@ class TestStreamedKernels:
                     write_raw(x_hat, ref)
                 assert Path(tmp, name).read_bytes() == ref.read_bytes()
                 assert record.to_dict() == op.verify(y, x_hat).to_dict()
+
+    @STRIPES
+    @pytest.mark.parametrize("s", [1, 2, 8])
+    def test_an_array_source_is_left_as_it_was(self, tmp_path, stripe_bytes, s):
+        # The walk combines a stripe source's stripes in place, but an
+        # array's only in a buffer of its own, even a writable array.
+        rng = np.random.default_rng(5)
+        y = ImageTensor(rng.uniform(size=(3, 3, 4)))
+        x_raw = rng.uniform(size=(3, 3 * s, 4 * s))
+        before = x_raw.tobytes()
+        with mock.patch.object(tensor, "_STRIPE_BYTES", stripe_bytes):
+            (record,) = stream_pd(y, x_raw, s, tmp_path / "o.pdt1")
+        assert x_raw.flags.writeable and x_raw.tobytes() == before
+        x_hat = pd_combine(y, ImageTensor(x_raw.copy()), s)
+        with RawReader(tmp_path / "o.pdt1") as reader:
+            assert b"".join(stripe.tobytes() for stripe in reader.stripes(1)) == x_hat.data.tobytes()
+        assert record.to_dict() == verify_consistency(y, x_hat, s).to_dict()
 
     def test_scale_one_keeps_signed_zeros(self, tmp_path):
         # (x - x) + y, not x minus its anchored mean: the mean of -0.0 is +0.0.
