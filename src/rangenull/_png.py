@@ -13,13 +13,17 @@ smaller files; on noise the file size is unchanged.  The rows are
 filtered and compressed one band at a time, so encoding holds the
 compressed stream and one band, not the whole filtered image.
 
-The pixel data is inflated chunk by chunk, never past one byte more than
-the header's dimensions call for, so a small file that would inflate to
-gigabytes is rejected after allocating only what it declares.  The five
-scanline filters are undone along anti-diagonals of the image: every
-pixel on one diagonal depends only on pixels of the two before it, so the
-decode is height + width - 1 numpy steps whatever filter each row uses,
-with cost and memory linear in the pixel count.
+Chunks are read and CRC-checked in place, without copying their
+payloads.  The pixel data is inflated chunk by chunk, never past one byte
+more than the header's dimensions call for, so a small file that would
+inflate to gigabytes is rejected after allocating only what it declares.
+The five scanline filters are undone along anti-diagonals of the image:
+every pixel on one diagonal depends only on pixels of the two before it,
+so the decode is height + width - 1 numpy steps, with cost and memory
+linear in the pixel count.  Each step runs the predictor of the image's
+most common filter type over the whole diagonal and patches only the
+lanes of the rows of other types, so rows whose filter differs from most
+cost time in proportion to their own pixels.
 """
 
 from __future__ import annotations
@@ -83,14 +87,15 @@ def decode(data: bytes) -> tuple[np.ndarray, int]:
     header = None
     idat = []
     seen_end = False
+    view = memoryview(data)  # payloads are read in place, never copied
     while pos + 8 <= len(data):
         (length,) = struct.unpack_from(">I", data, pos)
         tag = data[pos + 4 : pos + 8]
-        payload = data[pos + 8 : pos + 8 + length]
+        payload = view[pos + 8 : pos + 8 + length]
         if len(payload) != length or pos + 12 + length > len(data):
             raise ValueError("truncated PNG chunk")
         (crc,) = struct.unpack_from(">I", data, pos + 8 + length)
-        if crc != zlib.crc32(tag + payload) & 0xFFFFFFFF:
+        if crc != zlib.crc32(payload, zlib.crc32(tag)):
             raise ValueError(f"PNG chunk {tag!r} fails its CRC check")
         pos += 12 + length
         if tag == b"IHDR":
@@ -160,11 +165,19 @@ def _unfilter(raw: np.ndarray, height: int, width: int, bpp: int) -> np.ndarray:
 
     Byte lane k of pixel (r, j) depends only on lane k of pixels (r, j-1),
     (r-1, j) and (r-1, j-1), so every pixel on one anti-diagonal r + j = d
-    is decoded in one numpy step over all its lanes, each row through its
-    own filter type.  The buffers are stored skewed, ``[d, s]`` with s the
-    index along the shorter image side, so a diagonal and its three
-    neighbours are contiguous slices and the buffers hold
-    (height + width) * min(height, width) * bpp samples.
+    is decoded in one numpy step over all its lanes.  The step evaluates
+    the predictor of the image's most common filter type over the whole
+    diagonal, then patches the lanes of each other type's rows that cross
+    it: one slice of lanes where those rows are adjacent, gathered lanes
+    otherwise.  Each type's rows crossing a diagonal are a slice of its
+    sorted rows, found for every diagonal before the loop.  So an image
+    whose rows mostly share one filter, as encoders write them, costs one
+    predictor per diagonal, and the rows of the other types cost time in
+    proportion to their own pixels.  The buffers are stored skewed,
+    ``[d, s]`` with s the index along the shorter image side, so a
+    diagonal and its three neighbours are contiguous slices; they hold
+    (height + width) * min(height, width) * bpp int32 samples, so the
+    predictors and sums run without casts.
     """
     rows = raw.reshape(height, 1 + width * bpp)
     ftype = rows[:, 0]
@@ -174,56 +187,76 @@ def _unfilter(raw: np.ndarray, height: int, width: int, bpp: int) -> np.ndarray:
     # In (s, l) coordinates s runs along the short side and l along the long one.
     wide = height <= width
     short, long = min(height, width), max(height, width)
-    if wide:
-        src, types = filtered, np.broadcast_to(ftype[:, None, None], (short, long, 1))
-    else:
-        src, types = filtered.transpose(1, 0, 2), np.broadcast_to(ftype[None, :, None], (short, long, 1))
     diagonals = height + width - 1
-    filt = np.empty((diagonals, short, bpp), np.int16)
-    _skew(filt)[...] = src
-    kind = np.empty((diagonals, short, 1), np.uint8)
-    _skew(kind)[...] = types
-    # The rows crossing diagonal d are one contiguous range, so prefix counts
-    # give the filter types each step has to evaluate.
+    filt = np.empty((diagonals, short, bpp), np.int32)
+    _skew(filt)[...] = filtered if wide else filtered.transpose(1, 0, 2)
+    # The rows crossing diagonal d are one contiguous range, [first, stop),
+    # so each other type's rows crossing it are one slice of its sorted rows.
     d = np.arange(diagonals)
     lo, hi = np.maximum(d - long + 1, 0), np.minimum(d + 1, short)
     first, stop = (lo, hi) if wide else (d - hi + 1, d - lo + 1)
-    counts = np.zeros((height + 1, 5), np.int64)
-    np.cumsum(ftype[:, None] == np.arange(5), axis=0, out=counts[1:])
-    present = counts[stop] > counts[first]
+    counts = np.bincount(ftype, minlength=5)
+    common = int(counts.argmax())
+    others = []
+    for kind in np.flatnonzero(counts).tolist():
+        if kind != common:
+            rows_of = np.flatnonzero(ftype == kind)
+            bounds = list(zip(rows_of.searchsorted(first).tolist(), rows_of.searchsorted(stop).tolist()))
+            others.append((kind, rows_of, rows_of.tolist(), bounds))
     # Two leading diagonals and one leading lane of zeros are the image border.
-    out = np.zeros((diagonals + 2, short + 1, bpp), np.int16)
-    for d in range(diagonals):
-        lo, hi = max(0, d - long + 1), min(short, d + 1)
-        kinds = np.flatnonzero(present[d])
-        same, prev = out[d + 1, lo + 1 : hi + 1], out[d + 1, lo:hi]
-        left, up = (same, prev) if wide else (prev, same)
-        upleft = out[d, lo:hi]
-        if len(kinds) == 1:
-            pred = _predict(kinds[0], left, up, upleft)
-        else:
-            t = kind[d, lo:hi]
-            pred = np.zeros_like(left)
-            for k in kinds:
-                np.copyto(pred, _predict(k, left, up, upleft), where=t == k)
-        np.bitwise_and(filt[d, lo:hi] + pred, 0xFF, out=out[d + 2, lo + 1 : hi + 1])
+    out = np.zeros((diagonals + 2, short + 1, bpp), np.int32)
+    scratch = np.empty((short, bpp), np.int32)
+    for d, (lo, hi) in enumerate(zip(lo.tolist(), hi.tolist())):
+        # The whole diagonal through the common type, then each other type's
+        # rows: a slice of lanes [a, b) if the rows are adjacent, else
+        # gathered lanes.
+        runs, scattered = [(common, lo, hi)], []
+        for kind, rows_of, row_list, bounds in others:
+            begin, end = bounds[d]
+            if begin == end:
+                continue
+            top, bottom = row_list[begin], row_list[end - 1]
+            if bottom - top == end - begin - 1:
+                runs.append((kind, top, bottom + 1) if wide else (kind, d - bottom, d - top + 1))
+            else:
+                scattered.append((kind, rows_of[begin:end] if wide else d - rows_of[begin:end]))
+        cur, prev, upleft, here = out[d + 2], out[d + 1], out[d], filt[d]
+        for kind, a, b in runs:
+            same, before = prev[a + 1 : b + 1], prev[a:b]
+            left, up = (same, before) if wide else (before, same)
+            dest = cur[a + 1 : b + 1]
+            np.add(here[a:b], _predict(kind, left, up, upleft[a:b], scratch[: b - a]), out=dest)
+            np.bitwise_and(dest, 0xFF, out=dest)
+        for kind, lanes in scattered:
+            same, before = prev.take(lanes + 1, axis=0), prev.take(lanes, axis=0)
+            left, up = (same, before) if wide else (before, same)
+            value = here.take(lanes, axis=0)
+            value += _predict(kind, left, up, upleft.take(lanes, axis=0))
+            cur[lanes + 1] = value & 0xFF
     samples = np.empty((height, width, bpp), np.uint8)
     (samples if wide else samples.transpose(1, 0, 2))[...] = _skew(out[2:, 1:])
     return samples
 
 
-def _predict(ftype: int, left: np.ndarray, up: np.ndarray, upleft: np.ndarray) -> np.ndarray | int:
-    """The prediction of one filter type (None, Sub, Up, Average, Paeth) from the decoded neighbours."""
+def _predict(
+    ftype: int, left: np.ndarray, up: np.ndarray, upleft: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray | int:
+    """The prediction of one filter type (None, Sub, Up, Average, Paeth) from
+    the decoded neighbours; Average and Paeth compute it in int32, in
+    ``out`` if it is given."""
     if ftype == 1:
         return left
     if ftype == 2:
         return up
     if ftype == 3:
-        return (left + up) >> 1
+        total = np.add(left, up, out=out, dtype=np.int32)
+        return np.right_shift(total, 1, out=total)
     if ftype == 4:
-        key = np.multiply(left - upleft, 511, dtype=np.int32)
-        key += up - upleft
-        return _paeth_offsets().take(key) + upleft
+        key = np.subtract(left, upleft, out=out, dtype=np.int32)
+        key *= 511
+        key += up
+        key -= upleft
+        return np.add(_paeth_offsets().take(key), upleft, out=key)
     return 0
 
 
@@ -243,7 +276,7 @@ def _paeth_offsets() -> np.ndarray:
     y = key - 511 * x
     to_left, to_up, to_upleft = np.abs(y), np.abs(x), np.abs(x + y)
     offset = np.where((to_left <= to_up) & (to_left <= to_upleft), x, np.where(to_up <= to_upleft, y, 0))
-    offset = offset.astype(np.int16)
+    offset = offset.astype(np.int32)
     offset.setflags(write=False)  # shared by every caller through the cache
     return offset
 

@@ -116,6 +116,64 @@ class TestUnfilter:
         expected = [_paeth_scalar(a, b, c) for a, b, c in zip(left.tolist(), up.tolist(), upleft.tolist())]
         assert _predict(4, left, up, upleft).tolist() == expected
 
+    @pytest.mark.parametrize("height, width", [(100, 130), (130, 100)], ids=["wide", "tall"])
+    @pytest.mark.parametrize("common, bpp", [(0, 6), (1, 3), (2, 2), (3, 1), (4, 3)])
+    def test_one_common_filter_with_sparse_others(self, height, width, common, bpp):
+        # Rows of the four other types at the first and the last row, two
+        # adjacent rows of one type next to a row of another, so that many
+        # diagonals cross rows of two types, and two adjacent rows of
+        # different types further down.
+        others = [k for k in range(5) if k != common]
+        filters = np.full(height, common, np.uint8)
+        for row, kind in {0: 0, height - 1: 1, 20: 2, 21: 2, 22: 3, 60: 0, 61: 1, 90: 3}.items():
+            filters[row] = others[kind]
+        self._check(filters, width, bpp, seed=common)
+
+    @pytest.mark.parametrize("height, width", [(100, 130), (130, 100)], ids=["wide", "tall"])
+    @pytest.mark.parametrize("bpp", [1, 6])
+    def test_two_types_tied_for_most_common(self, height, width, bpp):
+        filters = np.where(np.arange(height) % 2, 4, 1).astype(np.uint8)
+        filters[[10, 11, 50, 51]] = [0, 2, 3, 2]
+        counts = np.bincount(filters, minlength=5)
+        assert counts[1] == counts[4] > counts[[0, 2, 3]].max()
+        self._check(filters, width, bpp, seed=bpp)
+
+    @staticmethod
+    def _check(filters, width, bpp, seed):
+        height = len(filters)
+        rows = np.random.default_rng(seed).integers(0, 256, (height, 1 + width * bpp), dtype=np.uint8)
+        rows[:, 0] = filters
+        raw = rows.tobytes()
+        got = _unfilter(np.frombuffer(raw, dtype=np.uint8), height, width, bpp)
+        assert np.array_equal(got.reshape(height, width * bpp), _unfilter_scalar(raw, height, width * bpp, bpp))
+
+    @pytest.mark.parametrize("height, width", [(40, 60), (60, 40)], ids=["wide", "tall"])
+    def test_other_types_run_only_on_their_own_lanes(self, monkeypatch, height, width):
+        # A Paeth image with a few rows of other types, adjacent (17, 18) or
+        # not (0, 30): Paeth runs once over each whole diagonal, and each
+        # other type once on each diagonal its rows cross, over those rows'
+        # lanes alone.
+        odd = {0: 1, 17: 2, 18: 2, 25: 3, 30: 1, height - 1: 0}
+        filters = np.full(height, 4, np.uint8)
+        filters[list(odd)] = list(odd.values())
+        rows = np.random.default_rng(3).integers(0, 256, (height, 1 + width * 3), dtype=np.uint8)
+        rows[:, 0] = filters
+        calls = {kind: [] for kind in range(5)}
+        predict = codec._predict
+
+        def counting(ftype, left, *args, **kwargs):
+            calls[ftype].append(len(left))
+            return predict(ftype, left, *args, **kwargs)
+
+        monkeypatch.setattr(codec, "_predict", counting)
+        _unfilter(rows.ravel(), height, width, 3)
+        assert len(calls[4]) == height + width - 1 and sum(calls[4]) == height * width
+        for kind in range(4):
+            kind_rows = [row for row, k in odd.items() if k == kind]
+            crossed = {row + j for row in kind_rows for j in range(width)}
+            assert len(calls[kind]) == len(crossed)
+            assert sum(calls[kind]) == len(kind_rows) * width
+
     def test_unknown_filter_type_in_any_row(self):
         raw, height, width, bpp = _scanlines([4, 0, 1, 5], 3, 3, 0)
         with pytest.raises(ValueError, match="^unknown PNG filter type 5$"):

@@ -19,6 +19,7 @@ from rangenull import (
     verify_consistency,
     write_raw,
 )
+from rangenull.resample import _Enlarged, _intermediate
 
 
 def _reference_axis_weights(n_in, n_out, scale, direction, kernel, radius, stretch):
@@ -172,6 +173,27 @@ class TestPredictRaw:
         y = ImageTensor(stream.uniform((1, 2, 2)))
         with pytest.raises(ValueError):
             predict_raw(y, "lanczos", 2)
+
+
+class TestEnlargedStripes:
+    @pytest.mark.parametrize("side, s", [(128, 8), (256, 4), (512, 2)])
+    @pytest.mark.parametrize("method", ["bilinear", "bicubic"])
+    def test_power_of_two_rows_give_the_whole_plane_bytes(self, side, s, method):
+        # Enlarged to 1024 samples, 8 KiB, a row; the horizontal pass writes
+        # into rows padded off that stride, and the bytes must not move.
+        y = ImageTensor(np.random.default_rng(side).uniform(size=(1, side, side)))
+        whole = predict_raw(y, method, s).data.tobytes()
+        spec = ResampleSpec(filter=method, antialias=False, scale=s, direction="up")
+        assert resample(y, spec).data.tobytes() == whole
+        for rows in (s, 96 * s):
+            assert b"".join(stripe.tobytes() for stripe in _Enlarged(y, method, s).stripes(rows)) == whole
+
+    def test_intermediate_rows_are_never_4_kib_apart(self):
+        for width in range(1, 4097):
+            plane = _intermediate(2, width)
+            stride = plane.strides[0]
+            assert plane.shape == (2, width) and plane.dtype == np.float64
+            assert stride % 4096 and stride % 128 == 64 and stride < 8 * width + 128
 
 
 def _box(t):
