@@ -23,6 +23,7 @@ from .linop import (
     null_project,
     pinv_from_svd,
     range_project,
+    reconstruct,
     save_matrix,
     svd,
 )
@@ -33,7 +34,6 @@ from .pooling import (
     pd_combine,
     pool_down,
     pool_up,
-    stream_pd,
     stream_verify,
     verify_consistency,
 )
@@ -41,13 +41,11 @@ from .resample import FILTERS, PREDICTORS, ResampleSpec, open_prediction, predic
 from .restore import (
     BlockSenseOp,
     ColorMeanOp,
-    color_stream_pd,
     color_to_gray,
     cs_build,
     cs_measure,
     cs_pinv,
     cs_stream_measure,
-    cs_stream_pd,
     cs_stream_pinv,
     generic_pd,
     gray_to_color,
@@ -88,14 +86,12 @@ __all__ = [
     "ResampleSpec",
     "Stream",
     "SvdFactors",
-    "color_stream_pd",
     "color_to_gray",
     "compare",
     "cs_build",
     "cs_measure",
     "cs_pinv",
     "cs_stream_measure",
-    "cs_stream_pd",
     "cs_stream_pinv",
     "derive",
     "error_map",
@@ -119,12 +115,12 @@ __all__ = [
     "quantize",
     "range_project",
     "read_raw",
+    "reconstruct",
     "resample",
     "save_matrix",
     "save_png",
     "save_sense_op",
     "save_tensor",
-    "stream_pd",
     "stream_verify",
     "svd",
     "verify_consistency",

@@ -21,15 +21,15 @@ import sys
 import numpy as np
 
 from .bench import BENCH_OPS, run_bench, run_table1
+from .linop import reconstruct
 from .metrics import error_map
-from .pooling import stream_pd, stream_verify
+from .pooling import PoolingOp, stream_verify
 from .resample import FILTERS, PREDICTORS, ResampleSpec, open_prediction, resample
 from .restore import (
-    color_stream_pd,
+    ColorMeanOp,
     color_to_gray,
     cs_build,
     cs_stream_measure,
-    cs_stream_pd,
     cs_stream_pinv,
     gray_to_color,
     load_sense_op,
@@ -57,17 +57,18 @@ def _cmd_pd(args: argparse.Namespace) -> int:
     """Reconstruct ``--output`` (then ``--png``) from ``--lr`` and print one
     record per file.
 
-    Every predictor and output format takes one path: ``stream_pd`` walks
-    the prediction one stripe at a time, from ``open_prediction``, and
-    holds the low-resolution arrays, one stripe, the kernels' scratch and
-    each PNG's 8-bit image, never the image itself.
+    Every predictor and output format takes one path: ``reconstruct``
+    with a ``PoolingOp`` walks the prediction one stripe at a time, from
+    ``open_prediction``, and holds the low-resolution arrays, one stripe,
+    the kernels' scratch and each PNG's 8-bit image, never the image
+    itself.
     """
     if args.raw is not None and args.predictor != "external":
         raise ValueError("pd --raw is read only with --predictor external")
     y = load_tensor(args.lr)
     pngs = () if args.png is None else (args.png,)
     with open_prediction(y, args.predictor, args.scale, args.raw) as x_raw:
-        records = stream_pd(y, x_raw, args.scale, args.output, *pngs)
+        records = reconstruct(PoolingOp.for_measurement(y, args.scale), y, x_raw, args.output, *pngs)
     for record in records:
         _emit(record.to_dict())
     return EXIT_OK
@@ -99,10 +100,10 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 def _cmd_colorize(args: argparse.Namespace) -> int:
     """``gray`` and ``color`` map ``--input`` whole.  ``pd`` loads the gray
-    measurement ``--input``, runs ``color_stream_pd`` on the color
-    prediction ``--raw`` (a PDT1 read one stripe at a time in each of its
-    two walks, a PNG decoded whole) and prints the record of the file it
-    wrote; with a PDT1 ``--raw`` it holds no color image.
+    measurement ``--input``, runs ``reconstruct`` with a ``ColorMeanOp``
+    on the color prediction ``--raw`` (a PDT1 read one stripe at a time in
+    each of its two walks, a PNG decoded whole) and prints the record of
+    the file it wrote; with a PDT1 ``--raw`` it holds no color image.
     """
     if args.raw is not None and args.mode != "pd":
         raise ValueError("colorize --raw is read only with --mode pd")
@@ -113,7 +114,7 @@ def _cmd_colorize(args: argparse.Namespace) -> int:
     if args.raw is None:
         raise ValueError("colorize --mode pd needs --raw with the color prediction")
     with open_stripes(args.raw) as x_raw:
-        record = color_stream_pd(x, x_raw, args.output)
+        (record,) = reconstruct(ColorMeanOp(x.height, x.width), x, x_raw, args.output)
     _emit(record.to_dict())
     return EXIT_OK
 
@@ -128,7 +129,7 @@ def _require_flag(args: argparse.Namespace, name: str) -> str:
 def _cmd_cs(args: argparse.Namespace) -> int:
     """``build`` writes a PDM1 operator and prints its fields; ``measure``,
     ``pinv`` and ``pd`` load it and run the streamed actions of
-    ``restore``.
+    ``restore`` and, for ``pd``, ``reconstruct``.
 
     ``measure`` reads ``--input`` (a PDT1 one stripe at a time, a PNG
     decoded whole) and measures it one stripe at a time.  ``pinv`` loads
@@ -151,7 +152,7 @@ def _cmd_cs(args: argparse.Namespace) -> int:
     else:
         y = load_tensor(_require_flag(args, "lr"))
         with open_stripes(_require_flag(args, "raw")) as x_raw:
-            record = cs_stream_pd(op, y, x_raw, args.output)
+            (record,) = reconstruct(op, y, x_raw, args.output)
         _emit(record.to_dict())
     return EXIT_OK
 

@@ -6,17 +6,19 @@ subspace the observation can see, ``I - A+ A`` onto the subspace it
 cannot, and the two parts of any input always add back to the input.
 
 The base class defines the consistent combine ``combine`` (keep
-``A+ y``, take the null part of a raw prediction) and its check
-``verify``.  ``BlockOperator`` is the base of the operators that measure
-each block x block tile of each channel on its own (pooling, block
-sensing): they give two kernels for one stripe of whole block rows (for
-block sensing, a whole channel), and the three walks here run them over
-``tensor._stripes``, for the forward map, the in-memory combine and the
-combine streamed into files.  Every other operator takes ``combine``
-unchanged or overrides it with a kernel that writes the same bytes into
-one output buffer (channel mean).  ``DenseOperator`` materializes an
-arbitrary matrix and derives its pseudo-inverse from its SVD, taken from
-LAPACK through ``numpy.linalg.svd``.
+``A+ y``, take the null part of a raw prediction), its check ``verify``
+and, in ``reconstruct``, the one protocol that streams the combine into
+files.  ``BlockOperator`` is the base of the operators that measure each
+block x block tile of each channel on its own (pooling, block sensing):
+they give two kernels for one stripe of whole block rows (for block
+sensing, a whole channel), and the three walks here run them over
+``tensor._stripes``, for the forward map, the in-memory combine and
+``reconstruct``.  Every other operator takes ``combine`` unchanged or
+overrides it with a kernel that writes the same bytes into one output
+buffer (channel mean, which also gives ``reconstruct`` its own walk).
+``DenseOperator`` materializes an arbitrary matrix and derives its
+pseudo-inverse from its SVD, taken from LAPACK through
+``numpy.linalg.svd``.
 """
 
 from __future__ import annotations
@@ -26,15 +28,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import ConsistencyReport, compare
+from .metrics import ConsistencyReport, _compare_fresh, compare
 from .rng import Stream
 from .tensor import (
     ImageTensor,
     _check_finite,
+    _open_writers,
     _pooling_rows,
     _RawWriter,
+    _read_through,
     _stripes,
     _writable_stripes,
+    check_destination,
     quantize,
     read_raw,
     write_raw,
@@ -82,6 +87,19 @@ class LinearOperator(abc.ABC):
         reports that loss but never alters the reconstruction to hide it.
         """
         return compare(y, self.forward(quantize(x_hat) if quantized else x_hat))
+
+    def _read_first(self, y: ImageTensor, x_raw):
+        """Read the stripe source ``x_raw`` through unless it fits, so that its
+        own faults come first, as when it is loaded whole; return what
+        ``_stream_walk`` takes as ``first``, here nothing."""
+        if x_raw.shape != self.in_shape:
+            _read_through(x_raw)
+
+    def _combine_checks(self, y: ImageTensor, x_raw) -> None:
+        """The combine's checks, in its order, of ``y`` and anything with the
+        ``shape`` of a raw prediction."""
+        self._check(y, self.out_shape, "measurement")
+        self._check_raw(x_raw, self.in_shape)
 
     def _check(self, t: ImageTensor, shape: tuple[int, int, int] | None, role: str) -> None:
         if shape is not None and t.shape != shape:
@@ -191,12 +209,12 @@ class BlockOperator(LinearOperator):
             self._combine_band(rows, self._band(y, ch, band), out_rows[ch, band], scratch)
         return out
 
-    def _stream_walk(self, y: np.ndarray, x_raw, writers: list) -> list[np.ndarray]:
-        """Combine each stripe of the source ``x_raw`` in place
-        (``tensor._writable_stripes``), check it finite, hand it to each
-        writer of ``tensor._open_writers`` in turn, which may quantize it in
-        place, and return the measurement of what each file holds, checked
-        finite as ``ImageTensor`` checks it.
+    def _stream_walk(self, y: np.ndarray, x_raw, writers: list, first) -> list[np.ndarray]:
+        """``reconstruct``'s walk: combine each stripe of the source ``x_raw``
+        in place (``tensor._writable_stripes``), check it finite, hand it to
+        each writer in turn, which may quantize it in place, and return the
+        measurement of what each file holds, checked finite as
+        ``ImageTensor`` checks it.  ``first`` is unused.
 
         Where ``by_band`` is set and the first file is a PDT1, which holds
         the combined stripe itself, its measurement is taken before the
@@ -326,6 +344,33 @@ def range_project(op: LinearOperator, x: ImageTensor) -> ImageTensor:
 def null_project(op: LinearOperator, x: ImageTensor) -> ImageTensor:
     """Part of ``x`` invisible to the observation: ``x - range_project(x)``."""
     return ImageTensor(x.data - range_project(op, x).data)
+
+
+def reconstruct(op: LinearOperator, y: ImageTensor, x_raw, *paths) -> list[ConsistencyReport]:
+    """Write ``op.combine(y, x_raw)`` to each of ``paths``, in order, and
+    return ``op.verify`` of what each file holds, taking the raw prediction
+    one stripe at a time from the source ``x_raw`` (an array or a stripe
+    source, see ``tensor._stripes``).
+
+    A path's name picks its format, as ``tensor.save_tensor`` does; a PNG
+    quantizes each stripe in place, and every later file receives that, as
+    ``save_tensor`` chained file by file would.  A source that does not fit
+    is read through first (``_read_first``), so its own faults come first;
+    then every destination is checked, then the combine makes its checks
+    in its own order.  ``op._stream_walk`` combines, writes and measures;
+    the files are renamed into place only after the last stripe, and an
+    error at any point, a non-finite sample or record included, leaves
+    every old file as it was.
+    """
+    first = op._read_first(y, x_raw)
+    for path in paths:
+        check_destination(path)
+    op._combine_checks(y, x_raw)
+    # A non-finite sample is carried into the combine to be checked there,
+    # where inf - inf would warn besides.
+    with _open_writers(x_raw.shape, *paths) as writers, np.errstate(invalid="ignore"):
+        forwards = op._stream_walk(y.data, x_raw, writers, first)
+    return [_compare_fresh(y, forward) for forward in forwards]
 
 
 @dataclass(frozen=True)

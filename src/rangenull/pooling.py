@@ -23,11 +23,11 @@ only, in a fixed order, so it does not depend on how the image is
 striped: ``pool_down`` and ``pd_combine`` agree bit for bit.  Both keep
 the input dtype.
 
-``stream_pd`` and ``stream_verify`` run the same walks on any stripe
-source, such as a ``RawReader`` reading a PDT1 file or a predictor
-enlarging a measurement, and ``stream_pd`` combines each stripe in the
-source's own buffer (in a second one only for an array) and hands it to
-the writers of ``tensor._open_writers``: they hold the low-resolution
+``linop.reconstruct`` with a ``PoolingOp`` and ``stream_verify`` run the
+same walks on any stripe source, such as a ``RawReader`` reading a PDT1
+file or a predictor enlarging a measurement; ``reconstruct`` combines
+each stripe in the source's own buffer (in a second one only for an
+array) and hands it to the file writers.  They hold the low-resolution
 arrays, one stripe and the scratch, never the high-resolution image,
 and give the bytes and records of the in-memory kernels.  They check
 finiteness through the block means rather than through every sample: a
@@ -42,13 +42,11 @@ overflowed from finite samples.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from .linop import BlockOperator, LinearOperator, null_project
 from .metrics import ConsistencyReport, _compare_fresh
-from .tensor import ImageTensor, _open_writers, _read_through
+from .tensor import ImageTensor, _read_through
 
 
 def _require_divisible(h: int, w: int, s: int) -> None:
@@ -127,34 +125,6 @@ def pd_combine(y: ImageTensor, x_raw: ImageTensor, s: int) -> ImageTensor:
     """
     LinearOperator._check_raw(x_raw, (y.channels, s * y.height, s * y.width))
     return ImageTensor(PoolingOp.for_measurement(y, s)._combine_walk(y.data, x_raw.data))
-
-
-def stream_pd(y: ImageTensor, x_raw, s: int, *paths: str | Path) -> list[ConsistencyReport]:
-    """Write ``pd_combine(y, x_raw, s)`` to each of ``paths``, in order, and
-    return ``PoolingOp.verify`` of what each file holds, taking the raw
-    prediction one stripe at a time from the source ``x_raw`` (see
-    ``tensor._stripes``).
-
-    A path's name picks its format, as ``tensor.save_tensor`` does.  Each
-    stripe is combined in place, in the source's own stripe buffer or, for
-    an array, in one reused buffer, and checked finite, through its block
-    means when the first file is a PDT1; each file in turn then writes it
-    and pools what it holds into its own low-resolution ``forward``, which
-    then holds the difference for its record.  A PNG quantizes the stripe
-    in place, and every later file receives that, so memory holds ``y``,
-    one ``forward`` per file, one stripe, the kernels' scratch and each
-    PNG's 8-bit image, never the image itself.
-    Every destination is checked before the first byte is written; the
-    files are renamed into place only after the last stripe, and an error
-    at any point leaves every old file as it was.
-    """
-    op = PoolingOp.for_measurement(y, s)
-    op._check_raw(x_raw, op.in_shape)
-    # A non-finite sample is carried into the combine to be checked there,
-    # where inf - inf would warn besides.
-    with _open_writers(op.in_shape, *paths) as writers, np.errstate(invalid="ignore"):
-        forwards = op._stream_walk(y.data, x_raw, writers)
-    return [_compare_fresh(y, forward) for forward in forwards]
 
 
 def stream_verify(y: ImageTensor, x_hat, s: int) -> ConsistencyReport:

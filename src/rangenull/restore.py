@@ -17,16 +17,16 @@ a memory copy and hold no image-sized temporary.  Reruns at one BLAS
 thread count give the same bytes; other thread counts usually do too,
 but that is not promised (see ``cs_measure``).
 
-``cs_stream_measure``, ``cs_stream_pinv`` and ``cs_stream_pd`` give the
-bytes, records and errors of ``cs_measure``, ``cs_pinv`` and
-``combine`` followed by ``save_tensor`` and ``verify``, without the
-image array: an input image is read one channel at a time
+``cs_stream_measure`` and ``cs_stream_pinv`` give the bytes and errors
+of ``cs_measure`` and ``cs_pinv`` followed by ``save_tensor``, without
+the image array: an input image is read one channel at a time
 (``tensor._stripes``, from an array or a ``RawReader``) and an output
 image is written one channel at a time into the writer
-``tensor._open_writers`` gives its file.  ``color_stream_pd`` does the
-same for the channel mean's ``combine``, ``save_tensor`` and ``verify``
-in two walks of stripes of rows: one for the prediction's channel mean,
-one for the combine.
+``tensor._open_writers`` gives its file.  ``linop.reconstruct`` streams
+the combine of either operator the same way, on ``BlockOperator``'s walk
+for block sensing and, for the channel mean, in two walks of stripes of
+rows: ``ColorMeanOp._read_first`` for the prediction's channel mean,
+``ColorMeanOp._stream_walk`` for the combine.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from pathlib import Path
 import numpy as np
 
 from .linop import BlockOperator, LinearOperator, svd
-from .metrics import ConsistencyReport, _compare_fresh
 from .rng import Stream
 from .tensor import (
     ImageTensor,
@@ -49,7 +48,6 @@ from .tensor import (
     _read_through,
     _writable_stripes,
     _write_atomic,
-    check_destination,
     save_tensor,
 )
 
@@ -149,11 +147,39 @@ class ColorMeanOp(LinearOperator):
         out += y.data
         return ImageTensor(out)
 
-    def _combine_checks(self, y: ImageTensor, x_raw) -> None:
-        """The combine's checks, in its order, of ``y`` and anything with the
-        ``shape`` of a raw prediction."""
-        self._check(y, self.out_shape, "measurement")
-        self._check_raw(x_raw, (3, *y.shape[1:]))
+    def _read_first(self, y: ImageTensor, x_raw) -> np.ndarray | None:
+        """The first of ``reconstruct``'s two walks: read ``x_raw`` through
+        and, if it fits, return its (height, width) channel mean."""
+        if x_raw.shape == self.in_shape:
+            return _channel_mean(x_raw)[0]
+        _read_through(x_raw)
+
+    def _stream_walk(self, y: np.ndarray, x_raw, writers: list, mean: np.ndarray) -> list[np.ndarray]:
+        """The second walk: combine each stripe as ``(x - mean) + y`` in place
+        (``tensor._writable_stripes``), check it finite, hand it to each
+        writer in turn, which may quantize it in place, and return the
+        checked channel mean of what each file holds.
+
+        The last file's mean takes the stripe itself as its spare buffer;
+        only with several files is a spare stripe made for the others.  The
+        walk holds ``y``, ``mean``, each file's two record planes, a PNG's
+        8-bit image and one stripe, or two beside an array.
+        """
+        forwards = [_ChannelMean(self.in_shape) for _ in writers]
+        spare = None
+        for rows, held, ch, band in _writable_stripes(x_raw, 1):
+            combined = np.subtract(rows[:, 0], mean[band], out=held[:, 0])
+            combined += y[0, band]
+            _check_finite(combined)
+            if spare is None and len(writers) > 1:
+                spare = np.empty_like(combined)  # a channel's first stripe is its largest
+            for writer, forward in zip(writers, forwards):
+                written = writer.write(combined, combined)
+                forward.add(written, ch, band, written if forward is forwards[-1] else spare[: len(written)])
+        forwards = [forward.mean() for forward in forwards]
+        for forward in forwards:
+            _check_finite(forward)
+        return forwards
 
 
 def measurement_count(block: int, ratio: float) -> int:
@@ -217,6 +243,14 @@ class BlockSenseOp(BlockOperator):
         ``_combine_band``."""
         self._combine_checks(y, x_raw)
         return ImageTensor(self._combine_walk(y.data, x_raw.data))
+
+    def _read_first(self, y: ImageTensor, x_raw) -> None:
+        """Read ``x_raw`` through unless it fits ``y``, which needs
+        ``y``'s channels to be a multiple of ``q``."""
+        cq, nh, nw = y.shape
+        b = self.block
+        if cq % self.q or x_raw.shape != (cq // self.q, nh * b, nw * b):
+            _read_through(x_raw)
 
     def _combine_checks(self, y: ImageTensor, x_raw) -> None:
         """The generic combine's checks, in its order, of ``y`` and anything
@@ -348,69 +382,6 @@ def cs_stream_pinv(op: BlockSenseOp, m: ImageTensor, path: str | Path) -> None:
         for rows in op._pinv_walk(m.data, _Blank(shape)):
             _check_finite(rows)
             writer.write(rows)
-
-
-def cs_stream_pd(op: BlockSenseOp, y: ImageTensor, x_raw, path: str | Path) -> ConsistencyReport:
-    """Write ``op.combine(y, x_raw)`` to ``path``, in the format its name
-    picks, and return ``op.verify`` of what the file holds.
-
-    A raw prediction source ``x_raw`` (an array or a ``RawReader``, see
-    ``tensor.open_stripes``) that does not fit ``y`` is read through
-    first, so its own faults come first.  Then the destination is checked
-    and the combine makes its checks, in the order of the in-memory path,
-    and ``BlockOperator._stream_walk`` combines ``x_raw`` one channel at a
-    time, in place in a ``RawReader``'s channel buffer, into the file's
-    writer and measures what the file holds.  An error at any point, a
-    non-finite record included, leaves the old file as it was.
-    """
-    cq, nh, nw = y.shape
-    b = op.block
-    if cq % op.q or x_raw.shape != (cq // op.q, nh * b, nw * b):
-        _read_through(x_raw)
-    check_destination(path)
-    op._combine_checks(y, x_raw)  # raises if the prediction did not fit
-    with _open_writers(x_raw.shape, path) as writers:
-        (forward,) = op._stream_walk(y.data, x_raw, writers)
-    return _compare_fresh(y, forward)
-
-
-def color_stream_pd(y: ImageTensor, x_raw, path: str | Path) -> ConsistencyReport:
-    """Write ``ColorMeanOp.combine(y, x_raw)`` to ``path``, in the format its
-    name picks, and return ``verify`` of what the file holds.
-
-    The raw prediction source ``x_raw`` (an array or a ``RawReader``, see
-    ``tensor.open_stripes``) is walked twice.  The first walk reads it
-    through and, if it fits ``y``, forms its channel mean, so its own
-    faults come first, as when it is loaded whole.  Then the destination
-    is checked and the combine makes its checks, in the order of the
-    in-memory path.  The second walk combines each stripe as ``(x - mean)
-    + y`` in place (``tensor._writable_stripes``), checks it finite, hands
-    it to the file's writer, which quantizes a PNG's stripe in place too,
-    and takes the channel mean of what the file holds for the record.  An
-    error at any point, a PDT1 changed between the walks included, leaves
-    the old file as it was.  The call holds ``y``, the mean and the
-    record's two planes (1.33 images), a PNG's 8-bit image (0.13) and one
-    stripe.
-    """
-    op = ColorMeanOp(y.height, y.width)
-    if x_raw.shape == op.in_shape:
-        mean = _channel_mean(x_raw)[0]
-    else:
-        _read_through(x_raw)
-    check_destination(path)
-    op._combine_checks(y, x_raw)  # raises if the prediction did not fit
-    with _open_writers(op.in_shape, path) as (writer,):
-        forward = _ChannelMean(op.in_shape)
-        for rows, held, ch, band in _writable_stripes(x_raw, 1):
-            combined = np.subtract(rows[:, 0], mean[band], out=held[:, 0])
-            combined += y.data[0, band]
-            _check_finite(combined)
-            written = writer.write(combined, combined)
-            forward.add(written, ch, band, written)
-        del mean
-        forward = forward.mean()
-        _check_finite(forward)
-    return _compare_fresh(y, forward)
 
 
 def _require_blocks(h: int, w: int, b: int) -> None:

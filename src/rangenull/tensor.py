@@ -28,14 +28,15 @@ or a ``_Blank`` buffer for a walk that fills each stripe itself.  Such
 an object's buffer is the caller's to overwrite until the next stripe,
 so a walk that rewrites each stripe (``_writable_stripes``) does so in
 place and holds one stripe buffer, and two only for an array, whose
-views it must not change.  ``_open_writers``
-gives each output file the writer of its format, which takes the
-stripes in planar order: a PDT1 writes each stripe as it comes, a PNG
-quantizes it into the 8-bit image it encodes at the end.  The walks of
-``linop.BlockOperator`` (pooling, block sensing) run on that walk and
-those writers, so a pass over a PDT1 file need not hold the whole
-image.  Every file is written through ``_write_atomic``, which renames a
-call's files into place only once all of them are complete.
+views it must not change.  ``_open_writers`` gives each output file
+the writer of its format, which takes the stripes in planar order: a
+PDT1 writes each stripe as it comes, a PNG quantizes it into the 8-bit
+image it encodes at the end.  ``linop.reconstruct``, the streamed
+combine of every operator, and ``restore.cs_stream_pinv`` are its only
+callers, and the walks they run take their stripes from ``_stripes``,
+so a pass over a PDT1 file need not hold the whole image.  Every file
+is written through ``_write_atomic``, which renames a call's files into
+place only once all of them are complete.
 """
 
 from __future__ import annotations

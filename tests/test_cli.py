@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, formats, determinism."""
 
 import ast
+import errno
 import hashlib
 import json
 import os
@@ -19,6 +20,7 @@ from rangenull import (
     ColorMeanOp,
     ImageTensor,
     PoolingOp,
+    RawReader,
     cs_build,
     cs_measure,
     load_png,
@@ -28,6 +30,7 @@ from rangenull import (
     pool_up,
     quantize,
     read_raw,
+    reconstruct,
     save_png,
     save_sense_op,
     write_raw,
@@ -779,6 +782,20 @@ class TestStripeLayer:
         }
         assert used == set()
 
+    def test_one_combine_opens_writers(self):
+        # No per-operator streamed combine is left, and only
+        # ``linop.reconstruct`` and ``restore.cs_stream_pinv`` open writers
+        # outside ``tensor``: a use by name or as an attribute, not an import.
+        defined, users = set(), set()
+        for module, tree in self.trees.items():
+            for function in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+                defined.add(function.name)
+                for node in ast.walk(function):
+                    if "_open_writers" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                        users.add(module if module in ("linop", "tensor") else f"{module}.{function.name}")
+        assert not defined & {"stream_pd", "cs_stream_pd", "color_stream_pd"}
+        assert users <= {"linop", "tensor", "restore.cs_stream_pinv"} and "linop" in users
+
 
 def _pdt1(path, a):
     """Write ``a`` as PDT1 bytes directly, so a test can store what ``write_raw`` refuses."""
@@ -954,6 +971,51 @@ class TestStreamedErrors:
         code, stdout, stderr = run_cli(capsys, "verify", "--lr", str(lr), "--sr", str(sr), "--scale", scale)
         assert (code, stdout) == (3, "")
         assert stderr == "error: tensor samples must be finite (no NaN or infinity)\n"
+
+
+class TestReconstructFaultOrder:
+    """``reconstruct`` with a prediction that does not fit, for every
+    operator: the prediction's own faults come first, then the
+    destination's, then the shape's, and no file is left behind."""
+
+    @pytest.fixture(autouse=True)
+    def one_row_per_stripe(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_STRIPE_BYTES", 1)
+
+    @pytest.mark.parametrize("destination", ["directory", "file"])
+    @pytest.mark.parametrize("source, fault", [("pdt1", "nan_in_last_stripe"), ("pdt1", "shrinks"),
+                                               ("pdt1", None), ("array", None)])
+    @pytest.mark.parametrize("operator", ["pooling", "cs", "color"])
+    def test_order(self, tmp_path, stream, monkeypatch, operator, source, fault, destination):
+        x = stream.uniform((3, 8, 10))
+        if operator == "pooling":
+            y = pool_down(ImageTensor(x), 2)
+            op = PoolingOp.for_measurement(y, 2)
+        elif operator == "cs":
+            op = cs_build(2, 0.5, seed=1)
+            y = cs_measure(op, ImageTensor(x))
+        else:
+            op, y = ColorMeanOp(8, 10), ImageTensor(x[:1])
+        misfit, raw, out = stream.uniform((3, 8, 12)), tmp_path / "raw.pdt1", tmp_path / "out"
+        if fault == "nan_in_last_stripe":
+            misfit[-1, -1, -1] = np.nan
+        _pdt1(raw, misfit)
+        if destination == "directory":
+            out.mkdir()
+        if fault == "shrinks":
+            _resize_on_first_read(monkeypatch, raw, -8)
+        with RawReader(raw) as reader, pytest.raises(Exception) as info:
+            reconstruct(op, y, reader if source == "pdt1" else misfit, out)
+        if fault == "nan_in_last_stripe":
+            expected = (ValueError, "tensor samples must be finite (no NaN or infinity)")
+        elif fault == "shrinks":
+            expected = (ValueError, f"{raw}: payload shrank while it was read")
+        elif destination == "directory":
+            expected = (IsADirectoryError, str(IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))))
+        else:
+            expected = (ValueError, "raw prediction shape (3, 8, 12) does not match operator input (3, 8, 10)")
+        assert (type(info.value), str(info.value)) == expected
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["out", "raw.pdt1"][destination == "file":]
 
 
 # Faults of a PDT1 prediction (``pd --raw``) or reconstruction (``verify

@@ -22,8 +22,8 @@ from rangenull import (
     pool_up,
     predict_raw,
     quantize,
+    reconstruct,
     save_png,
-    stream_pd,
     stream_verify,
     verify_consistency,
     write_raw,
@@ -328,7 +328,7 @@ def walk_cases(draw):
 
 
 class TestStreamedKernels:
-    """``stream_pd`` and ``stream_verify`` read a PDT1 file one stripe at a
+    """``reconstruct`` and ``stream_verify`` read a PDT1 file one stripe at a
     time and must give the in-memory path's bytes and records."""
 
     @STRIPES
@@ -339,7 +339,7 @@ class TestStreamedKernels:
             raw, out, ref = Path(tmp, "raw.pdt1"), Path(tmp, "out.pdt1"), Path(tmp, "ref.pdt1")
             write_raw(x_raw, raw)
             with RawReader(raw) as reader:
-                (record,) = stream_pd(y, reader, s, out)
+                (record,) = reconstruct(PoolingOp.for_measurement(y, s), y, reader, out)
             x_hat = pd_combine(y, x_raw, s)
             write_raw(x_hat, ref)
             assert out.read_bytes() == ref.read_bytes()
@@ -359,7 +359,7 @@ class TestStreamedKernels:
             (save_png if raw_format == "png" else write_raw)(x, raw)
             raw = raw if predictor == "external" else None
             with open_prediction(y, predictor, s, raw) as source:
-                records = stream_pd(y, source, s, *(Path(tmp, name) for name in names))
+                records = reconstruct(PoolingOp.for_measurement(y, s), y, source, *(Path(tmp, name) for name in names))
             op = PoolingOp.for_measurement(y, s)
             x_hat = op.combine(y, predict_raw(y, predictor, s, raw))
             for name, record in zip(names, records):
@@ -381,7 +381,7 @@ class TestStreamedKernels:
         x_raw = rng.uniform(size=(3, 3 * s, 4 * s))
         before = x_raw.tobytes()
         with mock.patch.object(tensor, "_STRIPE_BYTES", stripe_bytes):
-            (record,) = stream_pd(y, x_raw, s, tmp_path / "o.pdt1")
+            (record,) = reconstruct(PoolingOp.for_measurement(y, s), y, x_raw, tmp_path / "o.pdt1")
         assert x_raw.flags.writeable and x_raw.tobytes() == before
         x_hat = pd_combine(y, ImageTensor(x_raw.copy()), s)
         with RawReader(tmp_path / "o.pdt1") as reader:
@@ -394,7 +394,7 @@ class TestStreamedKernels:
         raw, out = tmp_path / "raw.pdt1", tmp_path / "out.pdt1"
         write_raw(ImageTensor(np.array([[[-0.0, -0.0, 0.0]]])), raw)
         with RawReader(raw) as reader:
-            stream_pd(y, reader, 1, out)
+            reconstruct(PoolingOp.for_measurement(y, 1), y, reader, out)
         with RawReader(out) as reader:
             (stripe,) = reader.stripes(1)
             assert np.signbit(stripe).tolist() == [[False, False, False]]

@@ -1,5 +1,7 @@
 """Resampling kernels, alignment, and raw predictors."""
 
+import hashlib
+import importlib
 import math
 
 import numpy as np
@@ -20,6 +22,9 @@ from rangenull import (
     write_raw,
 )
 from rangenull.resample import _Enlarged, _intermediate
+
+# The module, which the package's ``resample`` function shadows as an attribute.
+resample_module = importlib.import_module("rangenull.resample")
 
 
 def _reference_axis_weights(n_in, n_out, scale, direction, kernel, radius, stretch):
@@ -187,6 +192,29 @@ class TestEnlargedStripes:
         assert resample(y, spec).data.tobytes() == whole
         for rows in (s, 96 * s):
             assert b"".join(stripe.tobytes() for stripe in _Enlarged(y, method, s).stripes(rows)) == whole
+
+    # sha256 of the reductions of 2 x 4s x width uniform samples, seeded by the width.
+    @pytest.mark.parametrize("width, s, method, digest", [
+        (1024, 2, "bilinear", "c9e71fdea76c674f52710a2ee75336bcd3fe99067ccc6b04f164c6bbe82325e5"),
+        (1024, 2, "bicubic", "505db5e79db40cdadd36ac6f7bf5ad1c5fc678d96530aca72fc1f1453d7a1e8f"),
+        (2048, 4, "bilinear", "fe18cb673e90a835545488b3a98fb627f00ce97c7da67c3c722ea8211e69b733"),
+        (2048, 4, "bicubic", "1ea7b0f0743f0ebcaf44ac9e9f19d96fa176100abf701c470787424f55e6ff17"),
+    ])
+    def test_power_of_two_reductions_write_padded_rows(self, monkeypatch, width, s, method, digest):
+        # Reduced to 512 samples, 4 KiB, a row; the horizontal pass writes
+        # into rows padded off that stride, and the bytes must not move.
+        x = ImageTensor(np.random.default_rng(width).uniform(size=(2, 4 * s, width)))
+        strides, real = [], resample_module._apply_phases
+
+        def record(windows, weights, axis, out):
+            strides.append((axis, out.strides[0]))
+            real(windows, weights, axis, out)
+
+        monkeypatch.setattr(resample_module, "_apply_phases", record)
+        got = resample(x, ResampleSpec(filter=method, antialias=True, scale=s, direction="down"))
+        assert hashlib.sha256(got.data.tobytes()).hexdigest() == digest
+        assert [axis for axis, _ in strides] == [0, 1, 0, 1]
+        assert all(stride % 128 == 64 for axis, stride in strides if axis == 1)
 
     def test_intermediate_rows_are_never_4_kib_apart(self):
         for width in range(1, 4097):

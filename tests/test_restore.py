@@ -22,13 +22,11 @@ from rangenull import (
     ColorMeanOp,
     ImageTensor,
     PoolingOp,
-    color_stream_pd,
     color_to_gray,
     cs_build,
     cs_measure,
     cs_pinv,
     cs_stream_measure,
-    cs_stream_pd,
     cs_stream_pinv,
     generic_pd,
     gray_to_color,
@@ -37,6 +35,7 @@ from rangenull import (
     load_tensor,
     open_stripes,
     pd_combine,
+    reconstruct,
     save_png,
     save_sense_op,
     save_tensor,
@@ -375,7 +374,7 @@ def _outcome(call, path):
 
 
 class TestCsStreamed:
-    """``cs_stream_measure``, ``cs_stream_pinv`` and ``cs_stream_pd`` against
+    """``cs_stream_measure``, ``cs_stream_pinv`` and ``reconstruct`` against
     the in-memory path they replace in the CLI: the same bytes, records and
     errors for any block, channel count, input and output format and
     stripe size."""
@@ -409,7 +408,7 @@ class TestCsStreamed:
 
             def pd_streamed():
                 with open_stripes(raw_path) as src:
-                    return cs_stream_pd(op, y, src, streamed).to_dict()
+                    return reconstruct(op, y, src, streamed)[0].to_dict()
 
             def pd_whole():
                 return op.verify(y, save_tensor(op.combine(y, load_tensor(raw_path)), whole)).to_dict()
@@ -433,10 +432,10 @@ def _color_case(h, w, scale, seed, signed_zeros):
 
 
 class TestColorStreamed:
-    """``color_stream_pd`` against the in-memory path it replaces in the CLI,
-    ``ColorMeanOp.combine``, ``save_tensor`` and ``verify``: the same bytes,
-    records and errors for any size, prediction source and shape, output
-    format and stripe size."""
+    """``reconstruct`` with a ``ColorMeanOp`` against the in-memory path it
+    replaces in the CLI, ``ColorMeanOp.combine``, ``save_tensor`` and
+    ``verify``: the same bytes, records and errors for any size,
+    prediction source and shape, output format and stripe size."""
 
     @given(
         st.integers(1, 9),
@@ -464,15 +463,46 @@ class TestColorStreamed:
 
             def streamed_call():
                 if source == "array":
-                    return color_stream_pd(y, x_raw.data, streamed).to_dict()
+                    return reconstruct(op, y, x_raw.data, streamed)[0].to_dict()
                 with open_stripes(raw_path) as src:
-                    return color_stream_pd(y, src, streamed).to_dict()
+                    return reconstruct(op, y, src, streamed)[0].to_dict()
 
             def whole_call():
                 x = x_raw if source == "array" else load_tensor(raw_path)
                 return op.verify(y, save_tensor(op.combine(y, x), whole)).to_dict()
 
             assert _outcome(streamed_call, streamed) == _outcome(whole_call, whole)
+
+
+class TestReconstructSeveralOutputs:
+    """``reconstruct`` into two files, for every operator, gives the files
+    and records of ``op.combine`` followed, file by file, by ``save_tensor``
+    and ``op.verify``, each file receiving what the one before it holds."""
+
+    @pytest.mark.parametrize("stripe_bytes", [1, 64, tensor._STRIPE_BYTES])
+    @pytest.mark.parametrize("names", [("a.pdt1", "b.png"), ("a.png", "b.pdt1"), ("a.pdt1", "b.pdt1"),
+                                       ("a.png", "b.png")], ids="+".join)
+    @pytest.mark.parametrize("source", ["array", "pdt1"])
+    @pytest.mark.parametrize("operator", ["pooling", "cs", "color"])
+    def test_match_the_in_memory_path(self, tmp_path, stream, operator, source, names, stripe_bytes):
+        # Ten rows of two samples: the channel mean's 64-byte stripes hold
+        # four rows, so each channel ends on a shorter one.
+        x = ImageTensor(stream.uniform((3, 10, 2)) * 1.5 - 0.25)
+        if operator == "pooling":
+            op = PoolingOp(2, 3, 10, 2)
+        elif operator == "cs":
+            op = cs_build(2, 0.5, seed=4)
+        else:
+            op = ColorMeanOp(10, 2)
+        y = op.forward(ImageTensor(stream.uniform(x.shape)))
+        write_raw(x, tmp_path / "raw.pdt1")
+        with mock.patch.object(tensor, "_STRIPE_BYTES", stripe_bytes), open_stripes(tmp_path / "raw.pdt1") as src:
+            records = reconstruct(op, y, x.data if source == "array" else src, *(tmp_path / n for n in names))
+        x_hat = op.combine(y, x)
+        for name, record in zip(names, records, strict=True):
+            x_hat = save_tensor(x_hat, tmp_path / f"ref-{name}")
+            assert (tmp_path / name).read_bytes() == (tmp_path / f"ref-{name}").read_bytes()
+            assert record.to_dict() == op.verify(y, x_hat).to_dict()
 
 
 def _raised(call):
