@@ -6,25 +6,25 @@ subspace the observation can see, ``I - A+ A`` onto the subspace it
 cannot, and the two parts of any input always add back to the input.
 
 The base class defines the consistent combine ``combine`` (keep
-``A+ y``, take the null part of a raw prediction), its check ``verify``
-and, in ``reconstruct``, the one protocol that streams the combine into
-files.  ``BlockOperator`` is the base of the operators that measure each
-block x block tile of each channel on its own (pooling, block sensing):
-they give two kernels for one stripe of whole block rows (for block
-sensing, a whole channel), and the three walks here run them over
-``tensor._stripes``, for the forward map, the in-memory combine and
-``reconstruct``.  Every other operator takes ``combine`` unchanged or
-overrides it with a kernel that writes the same bytes into one output
-buffer (channel mean, which also gives ``reconstruct`` its own walk).
-``DenseOperator`` materializes an arbitrary matrix and derives its
-pseudo-inverse from its SVD, taken from LAPACK through
-``numpy.linalg.svd``.
+``A+ y``, take the null part of a raw prediction), the reference every
+fused kernel must equal, its check ``verify`` and ``reconstruct``, the
+one protocol that writes the combine into files through an operator's
+``_stream_walk``.  An operator with a walk of its own (pooling, block
+sensing, channel mean) runs its in-memory ``combine`` on that walk too,
+with no files, into one output array; the others are gathered and
+combined whole.  ``BlockOperator`` is the base of the operators that
+measure each block x block tile of each channel on its own: they give
+two kernels for one stripe of whole block rows (for block sensing, a
+whole channel), run here on ``tensor._stripes``.  ``DenseOperator``
+materializes an arbitrary matrix and derives its pseudo-inverse from its
+SVD, taken from LAPACK through ``numpy.linalg.svd``.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .rng import Stream
 from .tensor import (
     ImageTensor,
     _check_finite,
+    _gather,
     _open_writers,
     _pooling_rows,
     _RawWriter,
@@ -95,6 +96,18 @@ class LinearOperator(abc.ABC):
         if x_raw.shape != self.in_shape:
             _read_through(x_raw)
 
+    def _stream_walk(self, y: np.ndarray, x_raw, writers: list, first) -> list[np.ndarray]:
+        """``reconstruct``'s walk for an operator without one of its own:
+        gather the source ``x_raw`` into one array, ``combine`` it whole,
+        hand each channel to each writer in turn and return, as fresh
+        arrays, the ``forward`` of what each file holds."""
+        x_hat = self.combine(ImageTensor(y), ImageTensor(_gather(x_raw)))
+        held = [np.empty(x_hat.shape) for _ in writers]
+        for ch, plane in enumerate(x_hat.data):
+            for writer, file in zip(writers, held):
+                plane = file[ch] = writer.write(plane)
+        return [self.forward(ImageTensor(file)).data.copy() for file in held]
+
     def _combine_checks(self, y: ImageTensor, x_raw) -> None:
         """The combine's checks, in its order, of ``y`` and anything with the
         ``shape`` of a raw prediction."""
@@ -125,11 +138,11 @@ class BlockOperator(LinearOperator):
     per walk, in the input's dtype.  The walks below run them and keep the
     input's dtype.  A stripe holds about twice ``tensor._STRIPE_BYTES``
     (``tensor._pooling_rows``), or a whole channel where
-    ``whole_channels`` is set.  The walk into files combines each stripe
-    in place, in the buffer of a source that makes its own stripes (a
-    ``RawReader``, a predictor), and in one reused ``tensor._Blank``
-    buffer beside an array (``tensor._writable_stripes``): it holds that
-    one stripe buffer, the kernels' scratch and the measurements.
+    ``whole_channels`` is set.  The combine walk, ``_stream_walk``,
+    combines each stripe in place, in the buffer of a source that makes
+    its own stripes (a ``RawReader``, a predictor), in one reused
+    ``tensor._Blank`` buffer beside an array, or in ``combine``'s output
+    (``tensor._writable_stripes``), beside the scratch and measurements.
 
     Where ``by_band`` is set, the measurement and the combine of a block
     are not finite wherever the block is not (pooling), so the walks read
@@ -200,21 +213,24 @@ class BlockOperator(LinearOperator):
         _check_finite(rows)
         return False
 
+    def combine(self, y: ImageTensor, x_raw: ImageTensor) -> ImageTensor:
+        """The generic combine's bytes, errors and check order, on ``_combine_walk``."""
+        self._combine_checks(y, x_raw)
+        return ImageTensor(self._combine_walk(y.data, x_raw.data))
+
     def _combine_walk(self, y: np.ndarray, x_raw: np.ndarray) -> np.ndarray:
-        """The combine of the arrays ``y`` and ``x_raw``, stripe by stripe."""
+        """``combine`` of the arrays ``y`` and ``x_raw``: ``_stream_walk`` into a fresh array."""
         out = np.empty_like(x_raw)
-        out_rows = out.reshape(x_raw.shape[0], -1, self.block, x_raw.shape[2])
-        stripes, scratch = self._walk(x_raw)
-        for rows, ch, band in stripes:
-            self._combine_band(rows, self._band(y, ch, band), out_rows[ch, band], scratch)
+        self._stream_walk(y, x_raw, [], None, out)
         return out
 
-    def _stream_walk(self, y: np.ndarray, x_raw, writers: list, first) -> list[np.ndarray]:
+    def _stream_walk(self, y: np.ndarray, x_raw, writers: list, first, out=None) -> list[np.ndarray]:
         """``reconstruct``'s walk: combine each stripe of the source ``x_raw``
-        in place (``tensor._writable_stripes``), check it finite, hand it to
-        each writer in turn, which may quantize it in place, and return the
-        measurement of what each file holds, checked finite as
-        ``ImageTensor`` checks it.  ``first`` is unused.
+        in place, or into ``out`` (``tensor._writable_stripes``), check it
+        finite, hand it to each writer in turn, which may quantize it in
+        place, and return the measurement of what each file holds, checked
+        finite as ``ImageTensor`` checks it.  ``first`` is unused.  With no
+        writers nothing is checked: ``out`` is made an ``ImageTensor``.
 
         Where ``by_band`` is set and the first file is a PDT1, which holds
         the combined stripe itself, its measurement is taken before the
@@ -222,20 +238,20 @@ class BlockOperator(LinearOperator):
         """
         forwards = [np.empty_like(y) for _ in writers]
         # Files whose measurement is taken before the write: none, or a first PDT1.
-        early = 1 if self.by_band and isinstance(writers[0], _RawWriter) else 0
+        early = 1 if self.by_band and writers and isinstance(writers[0], _RawWriter) else 0
         finite = True  # whether every band of an early measurement was finite
-        stripes, scratch = self._walk(x_raw, _writable_stripes)
+        stripes, scratch = self._walk(x_raw, partial(_writable_stripes, out=out))
         for rows, held, ch, band in stripes:
             self._combine_band(rows, self._band(y, ch, band), held, scratch)
             outs = [self._band(forward, ch, band) for forward in forwards]
             if early:
                 finite &= self._forward_checked(held, outs[0], scratch)
-            else:
+            elif writers:
                 _check_finite(held)
-            for i, (writer, out) in enumerate(zip(writers, outs)):
+            for i, (writer, measured) in enumerate(zip(writers, outs)):
                 held = writer.write(held, held)
                 if i >= early:
-                    self._forward_band(held, out, scratch)
+                    self._forward_band(held, measured, scratch)
         for i, forward in enumerate(forwards):
             if i >= early or not finite:
                 _check_finite(forward)
@@ -362,6 +378,8 @@ def reconstruct(op: LinearOperator, y: ImageTensor, x_raw, *paths) -> list[Consi
     error at any point, a non-finite sample or record included, leaves
     every old file as it was.
     """
+    if not paths:
+        raise ValueError("reconstruct needs at least one output path")
     first = op._read_first(y, x_raw)
     for path in paths:
         check_destination(path)

@@ -5,12 +5,12 @@ The two maps form an exact pseudo-inverse pair: downsampling a replicated
 image returns the original bit-for-bit (block means are computed relative
 to the block's first sample, so a constant block averages to exactly that
 constant).  ``PoolingOp`` is a ``linop.BlockOperator`` with one
-measurement per block: it inherits ``verify`` and the stripe walks, and
-overrides ``combine`` with the fused ``pd_combine`` kernel, which swaps
-the block means of any raw prediction for the reference low-resolution
-values in one pass, bit-identical to the generic combine.
-``extract_highfreq`` and ``verify_consistency`` are the scale-argument
-spellings of ``null_project`` and ``PoolingOp.verify``.
+measurement per block: it inherits ``combine``, ``verify`` and the stripe
+walks, and its combine kernel swaps the block means of any raw
+prediction for the reference low-resolution values in one pass,
+bit-identical to the generic combine.  ``extract_highfreq`` and
+``verify_consistency`` are the scale-argument spellings of
+``null_project`` and ``PoolingOp.verify``.
 
 The band kernels ``PoolingOp._forward_band`` (block means) and
 ``_combine_band`` work on one stripe of whole block rows, about 1 MiB
@@ -23,18 +23,19 @@ only, in a fixed order, so it does not depend on how the image is
 striped: ``pool_down`` and ``pd_combine`` agree bit for bit.  Both keep
 the input dtype.
 
+``PoolingOp.combine`` runs the combine walk into its output array, and
 ``linop.reconstruct`` with a ``PoolingOp`` and ``stream_verify`` run the
 same walks on any stripe source, such as a ``RawReader`` reading a PDT1
 file or a predictor enlarging a measurement; ``reconstruct`` combines
 each stripe in the source's own buffer (in a second one only for an
 array) and hands it to the file writers.  They hold the low-resolution
 arrays, one stripe and the scratch, never the high-resolution image,
-and give the bytes and records of the in-memory kernels.  They check
-finiteness through the block means rather than through every sample: a
-block's anchored mean is NaN or infinite wherever a sample of the block
-is (``inf - inf`` is NaN, and NaN propagates; scale 1 copies), and so is
-the combine of the block.  So a ``RawReader`` is read without its
-per-stripe check, a stripe is checked sample by sample only where a
+and give the bytes and records of ``combine`` and ``verify``.  They
+check finiteness through the block means rather than through every
+sample: a block's anchored mean is NaN or infinite wherever a sample of
+the block is (``inf - inf`` is NaN, and NaN propagates; scale 1 copies),
+and so is the combine of the block.  So a ``RawReader`` is read without
+its per-stripe check, a stripe is checked sample by sample only where a
 mean is not finite, which gives the same error at the same stripe, and
 a measurement checked that way is checked whole only where a mean
 overflowed from finite samples.
@@ -179,11 +180,6 @@ class PoolingOp(BlockOperator):
     def pinv(self, y: ImageTensor) -> ImageTensor:
         self._check(y, self.out_shape, "measurement")
         return pool_up(y, self.scale)
-
-    def combine(self, y: ImageTensor, x_raw: ImageTensor) -> ImageTensor:
-        """Same result as the generic combine, computed by the fused ``pd_combine`` kernel."""
-        self._check(y, self.out_shape, "measurement")
-        return pd_combine(y, x_raw, self.scale)
 
     def _scratch(self, rows: int, width: int, dtype: np.dtype):
         """``_band_mean``'s (3, rows, width) scratch and the combine's

@@ -22,15 +22,15 @@ small (taps, phases) weight matrix, so the cost is proportional to
 pixels times taps and no (output, input) matrix is ever built.  The
 vertical pass, the cheaper one per output pixel, runs on the
 full-resolution side: first when shrinking, last when enlarging.  So an
-enlargement can be made one stripe of rows at a time, from the
-horizontal pass of the low-resolution plane and a halo of at most two
-of its rows: ``open_prediction`` hands ``linop.reconstruct`` the
-predictions of ``predict_raw`` that way, as a stripe source for
-``tensor._stripes``, with the two calls ``resample`` makes on the whole
-plane.  The horizontal pass writes its plane down columns, so that
-plane's rows are padded to an odd number of 64-byte cache lines
-(``_intermediate``): at a power-of-two width every row would fall in
-the same cache sets.  Shrinking copies that plane into the output.
+enlargement is made one stripe of rows at a time (``_Enlarged``), from
+the horizontal pass of the low-resolution plane and a halo of at most
+two of its rows, as a stripe source for ``tensor._stripes``, which
+``open_prediction`` hands to ``linop.reconstruct`` and ``resample`` and
+``predict_raw`` gather.  The horizontal pass writes its plane down
+columns, so that plane's rows are padded to an odd number of 64-byte
+cache lines (``_intermediate``): at a power-of-two width every row would
+fall in the same cache sets.  Shrinking copies that plane into the
+output.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .pooling import pool_down, pool_up
-from .tensor import ImageTensor, load_tensor, open_stripes
+from .tensor import ImageTensor, _gather, load_tensor, open_stripes
 
 FILTERS = ("box", "bilinear", "bicubic")
 DIRECTIONS = ("down", "up")
@@ -164,22 +164,18 @@ def resample(x: ImageTensor, spec: ResampleSpec) -> ImageTensor:
     s = spec.scale
     if spec.filter == "box":
         return pool_down(x, s) if spec.direction == "down" else pool_up(x, s)
-    if spec.direction == "down":
-        if x.height % s or x.width % s:
-            raise ValueError(f"image size {x.height}x{x.width} is not divisible by scale {s}")
-        out_h, out_w = x.height // s, x.width // s
-        step, axes, mid, last = s, (0, 1), np.empty((out_h, x.width)), _intermediate(out_h, out_w)
-    else:
-        out_h, out_w = x.height * s, x.width * s
-        step, axes, mid, last = 1, (1, 0), _intermediate(x.height, out_w), None
+    if spec.direction == "up":
+        return ImageTensor(_gather(_Enlarged(x, spec.filter, s), s))
+    if x.height % s or x.width % s:
+        raise ValueError(f"image size {x.height}x{x.width} is not divisible by scale {s}")
+    out_h, out_w = x.height // s, x.width // s
     first, weights = _phase_weights(spec)
+    mid, last = np.empty((out_h, x.width)), _intermediate(out_h, out_w)
     out = np.empty((x.channels, out_h, out_w))
     for plane, dest in zip(x.data, out):
-        _apply_phases(_windows(plane, axes[0], first, len(weights), step), weights, axes[0], mid)
-        into = dest if last is None else last
-        _apply_phases(_windows(mid, axes[1], first, len(weights), step), weights, axes[1], into)
-        if last is not None:
-            np.copyto(dest, last)
+        _apply_phases(_windows(plane, 0, first, len(weights), s), weights, 0, mid)
+        _apply_phases(_windows(mid, 1, first, len(weights), s), weights, 1, last)
+        np.copyto(dest, last)
     return ImageTensor(out)
 
 
@@ -190,19 +186,17 @@ def predict_raw(
 
     ``nearest`` is plain replication (identical to ``pool_up``); the
     interpolating methods give smoother guesses; ``external`` loads a
-    prediction produced elsewhere and validates its geometry.
-    ``open_prediction`` gives the same samples one stripe at a time.
+    prediction produced elsewhere and validates its geometry.  The others
+    gather the stripes that ``open_prediction`` yields (``_Enlarged``).
     """
     _check_predictor(method, s)
-    if method == "nearest":
-        return pool_up(y, s)
     if method == "external":
         if external_path is None:
             raise ValueError("external predictor needs a file path")
         t = load_tensor(external_path)
         check_external(y, s, t.shape)
         return t
-    return resample(y, ResampleSpec(filter=method, antialias=False, scale=s, direction="up"))
+    return ImageTensor(_gather(_Enlarged(y, method, s), s))
 
 
 @contextlib.contextmanager
@@ -237,8 +231,8 @@ class _Enlarged:
 
     Each channel's horizontal pass runs once on its low-resolution rows;
     the vertical pass then makes each stripe from those rows and a halo of
-    at most two more, with the kernel ``resample`` runs on the whole plane,
-    so the samples are those of ``predict_raw``, bit for bit.
+    at most two more.  ``resample`` and ``predict_raw`` gather these
+    stripes, so every enlargement runs this one kernel.
     """
 
     dtype = np.dtype(np.float64)

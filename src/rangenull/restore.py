@@ -2,14 +2,17 @@
 color image) and block compressed sensing with orthonormal sampling rows.
 
 Both take ``verify`` unchanged from ``LinearOperator`` and give the
-generic combine's bytes, errors and check order in one output buffer:
-the channel mean replicates by broadcasting (the mean is summed one
-stripe of rows at a time, holding channel 0 and the sum), and
+generic combine's bytes, errors and check order in one output buffer,
+each on the one walk it gives ``linop.reconstruct``, run with no files:
 ``BlockSenseOp`` is a ``linop.BlockOperator`` whose band kernels measure
-and back-project a whole channel with one BLAS product each: ``combine``
-and ``cs_measure`` run on the walks of ``linop`` as pooling does, and
-``cs_pinv`` fills its output one channel at a time.  ``generic_pd`` is
-the function spelling of ``op.combine``.
+and back-project a whole channel with one BLAS product each, so
+``combine`` and ``cs_measure`` run on the walks of ``linop`` as pooling
+does, and ``cs_pinv`` fills its output one channel at a time.  The
+channel mean takes two walks of stripes of rows: ``_read_first`` sums
+the prediction's channel mean one stripe at a time, holding channel 0
+and the sum, and ``ColorMeanOp._stream_walk`` subtracts that mean from
+each channel and adds ``y``, exactly the replication ``pinv`` does.
+``generic_pd`` is the function spelling of ``op.combine``.
 
 Each channel costs one reordering copy and one BLAS product per
 direction, so ``cs_measure`` and ``cs_pinv`` run at a small multiple of
@@ -22,11 +25,7 @@ of ``cs_measure`` and ``cs_pinv`` followed by ``save_tensor``, without
 the image array: an input image is read one channel at a time
 (``tensor._stripes``, from an array or a ``RawReader``) and an output
 image is written one channel at a time into the writer
-``tensor._open_writers`` gives its file.  ``linop.reconstruct`` streams
-the combine of either operator the same way, on ``BlockOperator``'s walk
-for block sensing and, for the channel mean, in two walks of stripes of
-rows: ``ColorMeanOp._read_first`` for the prediction's channel mean,
-``ColorMeanOp._stream_walk`` for the combine.
+``tensor._open_writers`` gives its file.
 """
 
 from __future__ import annotations
@@ -139,12 +138,13 @@ class ColorMeanOp(LinearOperator):
         return gray_to_color(y)
 
     def combine(self, y: ImageTensor, x_raw: ImageTensor) -> ImageTensor:
-        """The generic combine's bytes: ``x_raw`` minus its channel mean, then
-        ``y`` added in place, both broadcast over the channels, which
-        replicates them exactly as ``pinv`` does."""
+        """The generic combine's bytes, errors and check order: ``_stream_walk``
+        with no writers into one output array, made after the channel mean,
+        so that the two planes that sum the mean are gone by then."""
         self._combine_checks(y, x_raw)
-        out = np.subtract(x_raw.data, _channel_mean(x_raw.data))
-        out += y.data
+        mean = _channel_mean(x_raw.data)[0]
+        out = np.empty_like(x_raw.data)
+        self._stream_walk(y.data, x_raw.data, [], mean, out)
         return ImageTensor(out)
 
     def _read_first(self, y: ImageTensor, x_raw) -> np.ndarray | None:
@@ -154,11 +154,12 @@ class ColorMeanOp(LinearOperator):
             return _channel_mean(x_raw)[0]
         _read_through(x_raw)
 
-    def _stream_walk(self, y: np.ndarray, x_raw, writers: list, mean: np.ndarray) -> list[np.ndarray]:
-        """The second walk: combine each stripe as ``(x - mean) + y`` in place
-        (``tensor._writable_stripes``), check it finite, hand it to each
-        writer in turn, which may quantize it in place, and return the
-        checked channel mean of what each file holds.
+    def _stream_walk(self, y: np.ndarray, x_raw, writers: list, mean: np.ndarray, out=None) -> list[np.ndarray]:
+        """The second walk: combine each stripe as ``(x - mean) + y`` in place,
+        or into ``out`` (``tensor._writable_stripes``), check it finite, hand
+        it to each writer in turn, which may quantize it in place, and
+        return the checked channel mean of what each file holds.  With no
+        writers nothing is checked: ``out`` is made an ``ImageTensor``.
 
         The last file's mean takes the stripe itself as its spare buffer;
         only with several files is a spare stripe made for the others.  The
@@ -167,10 +168,11 @@ class ColorMeanOp(LinearOperator):
         """
         forwards = [_ChannelMean(self.in_shape) for _ in writers]
         spare = None
-        for rows, held, ch, band in _writable_stripes(x_raw, 1):
+        for rows, held, ch, band in _writable_stripes(x_raw, 1, out=out):
             combined = np.subtract(rows[:, 0], mean[band], out=held[:, 0])
             combined += y[0, band]
-            _check_finite(combined)
+            if writers:
+                _check_finite(combined)
             if spare is None and len(writers) > 1:
                 spare = np.empty_like(combined)  # a channel's first stripe is its largest
             for writer, forward in zip(writers, forwards):
@@ -237,12 +239,6 @@ class BlockSenseOp(BlockOperator):
     def pinv(self, y: ImageTensor) -> ImageTensor:
         self._check(y, self.out_shape, "measurement")
         return cs_pinv(self, y)
-
-    def combine(self, y: ImageTensor, x_raw: ImageTensor) -> ImageTensor:
-        """The generic combine's bytes, computed one channel at a time by
-        ``_combine_band``."""
-        self._combine_checks(y, x_raw)
-        return ImageTensor(self._combine_walk(y.data, x_raw.data))
 
     def _read_first(self, y: ImageTensor, x_raw) -> None:
         """Read ``x_raw`` through unless it fits ``y``, which needs

@@ -28,15 +28,16 @@ or a ``_Blank`` buffer for a walk that fills each stripe itself.  Such
 an object's buffer is the caller's to overwrite until the next stripe,
 so a walk that rewrites each stripe (``_writable_stripes``) does so in
 place and holds one stripe buffer, and two only for an array, whose
-views it must not change.  ``_open_writers`` gives each output file
-the writer of its format, which takes the stripes in planar order: a
-PDT1 writes each stripe as it comes, a PNG quantizes it into the 8-bit
-image it encodes at the end.  ``linop.reconstruct``, the streamed
-combine of every operator, and ``restore.cs_stream_pinv`` are its only
-callers, and the walks they run take their stripes from ``_stripes``,
-so a pass over a PDT1 file need not hold the whole image.  Every file
-is written through ``_write_atomic``, which renames a call's files into
-place only once all of them are complete.
+views it must not change, unless it writes each stripe into an output
+array, as the in-memory combines and ``_gather`` do.  ``_open_writers``
+gives each output file the writer of its format, which takes the stripes
+in planar order: a PDT1 writes each stripe as it comes, a PNG quantizes
+it into the 8-bit image it encodes at the end.  ``linop.reconstruct``,
+the streamed combine of every operator, and ``restore.cs_stream_pinv``
+are its only callers, and the walks they run take their stripes from
+``_stripes``, so a pass over a PDT1 file need not hold the whole image.
+Every file is written through ``_write_atomic``, which renames a call's
+files into place only once all of them are complete.
 """
 
 from __future__ import annotations
@@ -469,21 +470,30 @@ class _Blank:
             yield from (buf[: height - r0] for r0 in range(0, height, rows))
 
 
-def _writable_stripes(src, s: int, step: int | None = None, checked: bool = True):
+def _writable_stripes(src, s: int, step: int | None = None, checked: bool = True, out: np.ndarray | None = None):
     """Yield (rows, spare, channel, block-row slice) for each stripe of
     ``src``, as ``_stripes(src, s, step, checked)`` does, with a buffer of
     the stripe's shape and dtype that the caller may overwrite: the stripe
-    itself for a source that makes its stripes in its own buffer, such as
-    a ``RawReader``, whose next stripe overwrites it anyway, and one reused
+    of ``out``, an array like ``src``, if given; else the stripe itself for
+    a source that makes its stripes in its own buffer, such as a
+    ``RawReader``, whose next stripe overwrites it anyway, and one reused
     ``_Blank`` buffer for an array."""
     stripes = _stripes(src, s, step, checked)
-    if not isinstance(src, np.ndarray):
+    if out is None and not isinstance(src, np.ndarray):
         for rows, ch, band in stripes:
             yield rows, rows, ch, band
     else:
-        blank = _stripes(_Blank(src.shape, src.dtype), s, step)
-        for (rows, ch, band), (spare, _, _) in zip(stripes, blank):
+        spares = _stripes(_Blank(src.shape, src.dtype) if out is None else out, s, step)
+        for (rows, ch, band), (spare, _, _) in zip(stripes, spares):
             yield rows, spare, ch, band
+
+
+def _gather(src, s: int = 1) -> np.ndarray:
+    """The samples of the stripe source ``src``, in stripes of ``s``-row blocks, in one fresh array."""
+    out = np.empty(src.shape, src.dtype)
+    for rows, spare, _, _ in _writable_stripes(src, s, out=out):
+        np.copyto(spare, rows)
+    return out
 
 
 def _read_through(src) -> None:

@@ -796,6 +796,39 @@ class TestStripeLayer:
         assert not defined & {"stream_pd", "cs_stream_pd", "color_stream_pd"}
         assert users <= {"linop", "tensor", "restore.cs_stream_pinv"} and "linop" in users
 
+    def _callers(self, name):
+        """(module, class or None, function) of each top-level function or
+        method that calls ``name``, by name or as an attribute."""
+        found = set()
+        for module, tree in self.trees.items():
+            scopes = [(None, node) for node in tree.body]
+            for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+                scopes += [(cls.name, node) for node in cls.body]
+            for owner, function in scopes:
+                if isinstance(function, ast.FunctionDef) and _calls(function, name):
+                    found.add((module, owner, function.name))
+        return found
+
+    def test_one_combine_walk_per_operator(self):
+        # The in-memory combines of pooling and block sensing run the walk
+        # ``reconstruct`` runs, and neither operator overrides ``combine``.
+        assert self._callers("_combine_band") == {("linop", "BlockOperator", "_stream_walk")}
+        for module, cls in (("pooling", "PoolingOp"), ("restore", "BlockSenseOp")):
+            (body,) = [node.body for node in self.trees[module].body if getattr(node, "name", None) == cls]
+            assert "combine" not in {getattr(node, "name", None) for node in body}
+        # ``resample`` has no enlargement of its own: its phases run only in
+        # its reduction loop and in ``_Enlarged``'s stripes.
+        expected = {("resample", None, "resample"), ("resample", "_Enlarged", "stripes")}
+        assert self._callers("_apply_phases") == expected
+        (resample,) = [node for node in self.trees["resample"].body if getattr(node, "name", None) == "resample"]
+        (loop,) = [node for node in resample.body if isinstance(node, ast.For)]
+        assert _calls(resample, "_apply_phases") == _calls(loop, "_apply_phases") == 2
+
+
+def _calls(tree, name):
+    """How many calls to ``name``, by name or as an attribute, ``tree`` holds."""
+    funcs = (node.func for node in ast.walk(tree) if isinstance(node, ast.Call))
+    return sum(name in (getattr(func, "id", None), getattr(func, "attr", None)) for func in funcs)
 
 def _pdt1(path, a):
     """Write ``a`` as PDT1 bytes directly, so a test can store what ``write_raw`` refuses."""

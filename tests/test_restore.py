@@ -20,6 +20,8 @@ from hypothesis.extra.numpy import arrays
 from rangenull import (
     BlockSenseOp,
     ColorMeanOp,
+    DenseOperator,
+    IdentityOperator,
     ImageTensor,
     PoolingOp,
     color_to_gray,
@@ -503,6 +505,60 @@ class TestReconstructSeveralOutputs:
             x_hat = save_tensor(x_hat, tmp_path / f"ref-{name}")
             assert (tmp_path / name).read_bytes() == (tmp_path / f"ref-{name}").read_bytes()
             assert record.to_dict() == op.verify(y, x_hat).to_dict()
+
+
+class TestReconstructAnyOperator:
+    """``reconstruct`` with an operator that has no walk of its own gathers
+    the prediction and combines it whole, with the files and records of
+    ``op.combine`` followed, file by file, by ``save_tensor`` and
+    ``op.verify`` of what each file holds."""
+
+    @pytest.mark.parametrize("names", [("o.pdt1", "o.png"), ("o.png", "o.pdt1")], ids="+".join)
+    @pytest.mark.parametrize("source", ["array", "pdt1"])
+    @pytest.mark.parametrize("operator", ["dense", "identity"])
+    def test_match_the_in_memory_path(self, tmp_path, stream, operator, source, names):
+        x = ImageTensor(stream.uniform((3, 10, 2)) * 1.5 - 0.25)
+        if operator == "dense":
+            op = DenseOperator(stream.gaussian((12, 60)), in_shape=(3, 10, 2), out_shape=(1, 6, 2))
+        else:
+            op = IdentityOperator((3, 10, 2))
+        y = op.forward(ImageTensor(stream.uniform(x.shape)))
+        write_raw(x, tmp_path / "raw.pdt1")
+        with mock.patch.object(tensor, "_STRIPE_BYTES", 64), open_stripes(tmp_path / "raw.pdt1") as src:
+            records = reconstruct(op, y, x.data if source == "array" else src, *(tmp_path / n for n in names))
+        x_hat = op.combine(y, x)
+        for name, record in zip(names, records, strict=True):
+            x_hat = save_tensor(x_hat, tmp_path / f"ref-{name}")
+            assert (tmp_path / name).read_bytes() == (tmp_path / f"ref-{name}").read_bytes()
+            assert record.to_dict() == op.verify(y, load_tensor(tmp_path / name)).to_dict()
+
+
+class _Unread:
+    """A stripe source of ``shape`` that fails if it is read."""
+
+    dtype = np.dtype("<f8")
+
+    def __init__(self, shape):
+        self.shape = shape
+
+    def stripes(self, rows):
+        raise AssertionError("the source was read")
+
+
+class TestReconstructNeedsAPath:
+    @pytest.mark.parametrize("operator", ["pooling", "cs", "color", "dense"])
+    def test_no_paths_is_refused_before_anything_is_read(self, stream, operator):
+        if operator == "pooling":
+            op = PoolingOp(2, 3, 4, 2)
+        elif operator == "cs":
+            op = cs_build(2, 0.5, seed=4)
+        elif operator == "color":
+            op = ColorMeanOp(4, 2)
+        else:
+            op = DenseOperator(stream.gaussian((6, 24)), in_shape=(3, 4, 2), out_shape=(1, 3, 2))
+        y = op.forward(ImageTensor(stream.uniform((3, 4, 2))))
+        with pytest.raises(ValueError, match="at least one output path"):
+            reconstruct(op, y, _Unread((3, 4, 2)))
 
 
 def _raised(call):
