@@ -19,6 +19,7 @@ from .linop import (
     MoorePenroseResiduals,
     SvdFactors,
     load_matrix,
+    measure,
     mp_residuals,
     null_project,
     pinv_from_svd,
@@ -102,6 +103,7 @@ __all__ = [
     "load_png",
     "load_sense_op",
     "load_tensor",
+    "measure",
     "measurement_count",
     "mp_residuals",
     "null_project",

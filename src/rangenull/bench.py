@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .linop import measure
 from .metrics import compare
 from .pooling import PoolingOp
 from .rng import Stream, derive
@@ -78,15 +79,15 @@ def _table1_case(op: PoolingOp, seed: int, index: int) -> dict:
     stream = Stream(derive(seed, index))
     gt = stream.uniform(op.in_shape)
     raw = stream.uniform(op.in_shape)
-    lr = op._forward_walk(gt)
+    lr = measure(op, gt)
     start = time.perf_counter()
     combined = op._combine_walk(lr, raw)
     elapsed_ms = (time.perf_counter() - start) * 1e3
-    report = compare(ImageTensor(lr), ImageTensor(op._forward_walk(combined)))
+    report = compare(ImageTensor(lr), ImageTensor(measure(op, combined)))
     # Single-precision rerun of the same combine, compared in double.
     lr32 = lr.astype(np.float32)
     combined32 = op._combine_walk(lr32, raw.astype(np.float32))
-    down32 = op._forward_walk(combined32).astype(np.float64)
+    down32 = measure(op, combined32).astype(np.float64)
     report32 = compare(ImageTensor(lr32.astype(np.float64)), ImageTensor(down32))
     return {
         "psnr": report.psnr,

@@ -21,15 +21,13 @@ import sys
 import numpy as np
 
 from .bench import BENCH_OPS, run_bench, run_table1
-from .linop import reconstruct
+from .linop import measure, reconstruct
 from .metrics import error_map
 from .pooling import PoolingOp, stream_verify
 from .resample import FILTERS, PREDICTORS, ResampleSpec, open_prediction, resample
 from .restore import (
     ColorMeanOp,
-    color_to_gray,
     cs_build,
-    cs_stream_measure,
     cs_stream_pinv,
     gray_to_color,
     load_sense_op,
@@ -55,14 +53,8 @@ def _cmd_degrade(args: argparse.Namespace) -> int:
 
 def _cmd_pd(args: argparse.Namespace) -> int:
     """Reconstruct ``--output`` (then ``--png``) from ``--lr`` and print one
-    record per file.
-
-    Every predictor and output format takes one path: ``reconstruct``
-    with a ``PoolingOp`` walks the prediction one stripe at a time, from
-    ``open_prediction``, and holds the low-resolution arrays, one stripe,
-    the kernels' scratch and each PNG's 8-bit image, never the image
-    itself.
-    """
+    record per file: ``reconstruct`` with a ``PoolingOp`` walks every
+    prediction one stripe at a time, from ``open_prediction``."""
     if args.raw is not None and args.predictor != "external":
         raise ValueError("pd --raw is read only with --predictor external")
     y = load_tensor(args.lr)
@@ -99,17 +91,19 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_colorize(args: argparse.Namespace) -> int:
-    """``gray`` and ``color`` map ``--input`` whole.  ``pd`` loads the gray
-    measurement ``--input``, runs ``reconstruct`` with a ``ColorMeanOp``
-    on the color prediction ``--raw`` (a PDT1 read one stripe at a time in
-    each of its two walks, a PNG decoded whole) and prints the record of
-    the file it wrote; with a PDT1 ``--raw`` it holds no color image.
-    """
+    """``gray`` runs ``measure`` with a ``ColorMeanOp`` on ``--input``, and
+    ``pd`` runs ``reconstruct`` with one on the color prediction ``--raw``
+    and prints its record; a PDT1 color image is read one stripe at a
+    time, a PNG decoded whole.  ``color`` maps ``--input`` whole."""
     if args.raw is not None and args.mode != "pd":
         raise ValueError("colorize --raw is read only with --mode pd")
+    if args.mode == "gray":
+        with open_stripes(args.input) as x:
+            measure(ColorMeanOp(*x.shape[1:]), x, args.output)
+        return EXIT_OK
     x = load_tensor(args.input)
-    if args.mode != "pd":
-        save_tensor((color_to_gray if args.mode == "gray" else gray_to_color)(x), args.output)
+    if args.mode == "color":
+        save_tensor(gray_to_color(x), args.output)
         return EXIT_OK
     if args.raw is None:
         raise ValueError("colorize --mode pd needs --raw with the color prediction")
@@ -128,15 +122,10 @@ def _require_flag(args: argparse.Namespace, name: str) -> str:
 
 def _cmd_cs(args: argparse.Namespace) -> int:
     """``build`` writes a PDM1 operator and prints its fields; ``measure``,
-    ``pinv`` and ``pd`` load it and run the streamed actions of
-    ``restore`` and, for ``pd``, ``reconstruct``.
-
-    ``measure`` reads ``--input`` (a PDT1 one stripe at a time, a PNG
-    decoded whole) and measures it one stripe at a time.  ``pinv`` loads
-    the measurement and writes the image one stripe at a time.  ``pd``
-    loads the measurement ``--lr``, reads ``--raw`` as ``measure`` reads
-    its input, writes as ``pinv`` does and prints the record of the file
-    it wrote.  None of them holds an image-sized array.
+    ``pinv`` and ``pd`` load it and run ``linop.measure``,
+    ``restore.cs_stream_pinv`` and ``linop.reconstruct``, which read a
+    PDT1 image (a PNG is decoded whole) and write the image one stripe at
+    a time, so none of them holds an image-sized array.
     """
     if args.action == "build":
         op = cs_build(args.block, args.ratio, args.seed)
@@ -146,7 +135,7 @@ def _cmd_cs(args: argparse.Namespace) -> int:
     op = load_sense_op(_require_flag(args, "op"))
     if args.action == "measure":
         with open_stripes(_require_flag(args, "input")) as x:
-            cs_stream_measure(op, x, args.output)
+            measure(op, x, args.output)
     elif args.action == "pinv":
         cs_stream_pinv(op, load_tensor(_require_flag(args, "input")), args.output)
     else:

@@ -7,15 +7,16 @@ cannot, and the two parts of any input always add back to the input.
 
 The base class defines the consistent combine ``combine`` (keep
 ``A+ y``, take the null part of a raw prediction), the reference every
-fused kernel must equal, its check ``verify`` and ``reconstruct``, the
-one protocol that writes the combine into files through an operator's
-``_stream_walk``.  An operator with a walk of its own (pooling, block
-sensing, channel mean) runs its in-memory ``combine`` on that walk too,
-with no files, into one output array; the others are gathered and
-combined whole.  ``BlockOperator`` is the base of the operators that
-measure each block x block tile of each channel on its own: they give
-two kernels for one stripe of whole block rows (for block sensing, a
-whole channel), run here on ``tensor._stripes``.  ``DenseOperator``
+fused kernel must equal, and its check ``verify``.  Two protocols run an
+operator over a stripe source: ``reconstruct`` writes the combine into
+files through the operator's ``_stream_walk``, and ``measure`` takes the
+forward through its ``_forward_walk``.  An operator with walks of its own
+(pooling, block sensing, channel mean) runs its in-memory ``combine`` and
+forward on those walks too, with no files; the others are gathered and
+combined or measured whole.  ``BlockOperator`` is the base of the
+operators that measure each block x block tile of each channel on its
+own: they give two kernels for one stripe of whole block rows (for block
+sensing, a whole channel), run here on ``tensor._stripes``.  ``DenseOperator``
 materializes an arbitrary matrix and derives its pseudo-inverse from its
 SVD, taken from LAPACK through ``numpy.linalg.svd``.
 """
@@ -43,6 +44,7 @@ from .tensor import (
     check_destination,
     quantize,
     read_raw,
+    save_tensor,
     write_raw,
 )
 
@@ -88,6 +90,17 @@ class LinearOperator(abc.ABC):
         reports that loss but never alters the reconstruction to hide it.
         """
         return compare(y, self.forward(quantize(x_hat) if quantized else x_hat))
+
+    def _check_input(self, x) -> None:
+        """Raise the operator's own ``ValueError`` unless it measures an input
+        of the ``shape`` of ``x``, an array or a stripe source."""
+        self._check(x, self.in_shape, "input")
+
+    def _forward_walk(self, src) -> np.ndarray:
+        """``measure``'s walk for an operator without one of its own: gather
+        the array or stripe source ``src`` into one array and return its
+        ``forward`` as a fresh array, checked finite."""
+        return self.forward(ImageTensor(_gather(src))).data.copy()
 
     def _read_first(self, y: ImageTensor, x_raw):
         """Read the stripe source ``x_raw`` through unless it fits, so that its
@@ -138,19 +151,14 @@ class BlockOperator(LinearOperator):
     per walk, in the input's dtype.  The walks below run them and keep the
     input's dtype.  A stripe holds about twice ``tensor._STRIPE_BYTES``
     (``tensor._pooling_rows``), or a whole channel where
-    ``whole_channels`` is set.  The combine walk, ``_stream_walk``,
-    combines each stripe in place, in the buffer of a source that makes
-    its own stripes (a ``RawReader``, a predictor), in one reused
-    ``tensor._Blank`` buffer beside an array, or in ``combine``'s output
-    (``tensor._writable_stripes``), beside the scratch and measurements.
+    ``whole_channels`` is set.
 
     Where ``by_band`` is set, the measurement and the combine of a block
     are not finite wherever the block is not (pooling), so the walks read
     a ``RawReader`` without its own finiteness check and check what they
     compute instead: a stripe is checked sample by sample only where its
     measurement is not finite, which gives the same error at the same
-    stripe, and a measurement checked that way is checked whole only if
-    it overflowed from finite samples.
+    stripe, and a measurement is checked whole only if it overflowed.
     """
 
     block: int
@@ -185,15 +193,14 @@ class BlockOperator(LinearOperator):
         return stripes(src, b, step, checked=not self.by_band), self._scratch(min(step, h // b), w, src.dtype)
 
     def _forward_walk(self, src) -> np.ndarray:
-        """The measurement of an array or a stripe source (see ``tensor._stripes``).
-        Where ``by_band`` is set, each stripe is checked through its
-        measurement (``_forward_checked``) before the next is read, and the
-        measurement as ``ImageTensor`` checks it after the last."""
+        """The measurement of an array or a stripe source, checked finite:
+        through each stripe's measurement (``_forward_checked``) where
+        ``by_band`` is set, else whole after the last stripe."""
         c, h, w = src.shape
         b = self.block
         out = np.empty((c * self.q, h // b, w // b), src.dtype)
         stripes, scratch = self._walk(src)
-        finite = True
+        finite = self.by_band  # whether every band is known to be finite
         for rows, ch, band in stripes:
             if self.by_band:
                 finite &= self._forward_checked(rows, self._band(out, ch, band), scratch)
@@ -226,8 +233,9 @@ class BlockOperator(LinearOperator):
 
     def _stream_walk(self, y: np.ndarray, x_raw, writers: list, first, out=None) -> list[np.ndarray]:
         """``reconstruct``'s walk: combine each stripe of the source ``x_raw``
-        in place, or into ``out`` (``tensor._writable_stripes``), check it
-        finite, hand it to each writer in turn, which may quantize it in
+        in place, in the buffer of a source that makes its own stripes or
+        one reused buffer beside an array, or into ``out``
+        (``tensor._writable_stripes``), check it finite, hand it to each writer in turn, which may quantize it in
         place, and return the measurement of what each file holds, checked
         finite as ``ImageTensor`` checks it.  ``first`` is unused.  With no
         writers nothing is checked: ``out`` is made an ``ImageTensor``.
@@ -365,18 +373,16 @@ def null_project(op: LinearOperator, x: ImageTensor) -> ImageTensor:
 def reconstruct(op: LinearOperator, y: ImageTensor, x_raw, *paths) -> list[ConsistencyReport]:
     """Write ``op.combine(y, x_raw)`` to each of ``paths``, in order, and
     return ``op.verify`` of what each file holds, taking the raw prediction
-    one stripe at a time from the source ``x_raw`` (an array or a stripe
-    source, see ``tensor._stripes``).
+    one stripe at a time from the array or stripe source ``x_raw``.
 
     A path's name picks its format, as ``tensor.save_tensor`` does; a PNG
-    quantizes each stripe in place, and every later file receives that, as
-    ``save_tensor`` chained file by file would.  A source that does not fit
-    is read through first (``_read_first``), so its own faults come first;
-    then every destination is checked, then the combine makes its checks
-    in its own order.  ``op._stream_walk`` combines, writes and measures;
-    the files are renamed into place only after the last stripe, and an
-    error at any point, a non-finite sample or record included, leaves
-    every old file as it was.
+    quantizes each stripe in place, and every later file receives that.  A
+    source that does not fit is read through first (``_read_first``), so
+    its own faults come first; then every destination is checked, then the
+    combine makes its checks in its own order.  ``op._stream_walk``
+    combines, writes and measures; the files are renamed into place, one
+    by one, after the last stripe, so an error before the renames leaves
+    every old file as it was (see ``tensor._write_atomic``).
     """
     if not paths:
         raise ValueError("reconstruct needs at least one output path")
@@ -389,6 +395,30 @@ def reconstruct(op: LinearOperator, y: ImageTensor, x_raw, *paths) -> list[Consi
     with _open_writers(x_raw.shape, *paths) as writers, np.errstate(invalid="ignore"):
         forwards = op._stream_walk(y.data, x_raw, writers, first)
     return [_compare_fresh(y, forward) for forward in forwards]
+
+
+def measure(op: LinearOperator, x, *paths) -> np.ndarray | None:
+    """Write ``op.forward`` of the array or stripe source ``x``, taken on
+    ``op._forward_walk``, to each of ``paths`` in turn with
+    ``tensor.save_tensor``, or, with no paths, return it as a fresh array,
+    checked finite.  A source that ``op._check_input`` refuses is read
+    through first, so its own faults come first, then refused; faults met
+    in the walk come next, and each destination is checked last.
+    """
+    try:
+        op._check_input(x)
+    except ValueError:
+        _read_through(x)
+        raise
+    # A non-finite sample is carried into the walk to be checked there,
+    # where inf - inf would warn besides.
+    with np.errstate(invalid="ignore"):
+        forward = op._forward_walk(x)
+    if not paths:
+        return forward
+    measured = ImageTensor(forward)
+    for path in paths:
+        save_tensor(measured, path)
 
 
 @dataclass(frozen=True)

@@ -23,29 +23,22 @@ only, in a fixed order, so it does not depend on how the image is
 striped: ``pool_down`` and ``pd_combine`` agree bit for bit.  Both keep
 the input dtype.
 
-``PoolingOp.combine`` runs the combine walk into its output array, and
-``linop.reconstruct`` with a ``PoolingOp`` and ``stream_verify`` run the
-same walks on any stripe source, such as a ``RawReader`` reading a PDT1
-file or a predictor enlarging a measurement; ``reconstruct`` combines
-each stripe in the source's own buffer (in a second one only for an
-array) and hands it to the file writers.  They hold the low-resolution
-arrays, one stripe and the scratch, never the high-resolution image,
-and give the bytes and records of ``combine`` and ``verify``.  They
-check finiteness through the block means rather than through every
-sample: a block's anchored mean is NaN or infinite wherever a sample of
-the block is (``inf - inf`` is NaN, and NaN propagates; scale 1 copies),
-and so is the combine of the block.  So a ``RawReader`` is read without
-its per-stripe check, a stripe is checked sample by sample only where a
-mean is not finite, which gives the same error at the same stripe, and
-a measurement checked that way is checked whole only where a mean
-overflowed from finite samples.
+``PoolingOp.combine``, ``linop.reconstruct`` and ``linop.measure`` run
+these kernels on ``linop``'s walks over an array or any stripe source,
+such as a ``RawReader`` or a predictor, and hold the low-resolution
+arrays, one stripe and the scratch, never the high-resolution image;
+``stream_verify`` is ``verify_consistency`` on ``measure``.  The walks
+check finiteness through the block means (``BlockOperator.by_band``): a
+block's anchored mean is NaN or infinite wherever a sample of the block
+is (``inf - inf`` is NaN, and NaN propagates; scale 1 copies), and so is
+the combine of the block.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linop import BlockOperator, LinearOperator, null_project
+from .linop import BlockOperator, LinearOperator, measure, null_project
 from .metrics import ConsistencyReport, _compare_fresh
 from .tensor import ImageTensor, _read_through
 
@@ -103,7 +96,7 @@ def _replicate(a: np.ndarray, s: int) -> np.ndarray:
 
 def pool_down(x: ImageTensor, s: int) -> ImageTensor:
     """Average each s x s block into one pixel (hard error if not divisible)."""
-    return ImageTensor(PoolingOp(s, *x.shape)._forward_walk(x.data))
+    return ImageTensor(measure(PoolingOp(s, *x.shape), x.data))
 
 
 def pool_up(y: ImageTensor, s: int) -> ImageTensor:
@@ -130,21 +123,15 @@ def pd_combine(y: ImageTensor, x_raw: ImageTensor, s: int) -> ImageTensor:
 
 def stream_verify(y: ImageTensor, x_hat, s: int) -> ConsistencyReport:
     """``verify_consistency(y, x_hat, s)`` for an array or a stripe source
-    ``x_hat`` (see ``tensor._stripes``), read one stripe at a time, each
-    checked finite through its block means, and the pooled ``forward``
-    checked whole only if a mean overflowed: memory holds ``y``,
-    ``forward``, which then holds the difference, one stripe and the block
-    means' scratch.  A file that does not fit is read through, each stripe
-    checked as it is read, before the scale or the shape is refused, so
-    its own faults come first, as when it is loaded whole.
-    """
-    if x_hat.shape != (y.channels, s * y.height, s * y.width):
+    ``x_hat``, measured by ``linop.measure`` into the array that then holds
+    the difference.  A scale below 1 is refused, as ``measure`` refuses a
+    shape, only once the source has been read through."""
+    try:
+        op = PoolingOp.for_measurement(y, s)
+    except ValueError:
         _read_through(x_hat)
-    op = PoolingOp.for_measurement(y, s)
-    op._check(x_hat, op.in_shape, "input")
-    with np.errstate(invalid="ignore"):
-        forward = op._forward_walk(x_hat)
-    return _compare_fresh(y, forward)
+        raise
+    return _compare_fresh(y, measure(op, x_hat))
 
 
 def verify_consistency(

@@ -1,31 +1,21 @@
 """Extension operators: per-pixel channel mean (gray observation of a
 color image) and block compressed sensing with orthonormal sampling rows.
 
-Both take ``verify`` unchanged from ``LinearOperator`` and give the
-generic combine's bytes, errors and check order in one output buffer,
-each on the one walk it gives ``linop.reconstruct``, run with no files:
-``BlockSenseOp`` is a ``linop.BlockOperator`` whose band kernels measure
-and back-project a whole channel with one BLAS product each, so
-``combine`` and ``cs_measure`` run on the walks of ``linop`` as pooling
-does, and ``cs_pinv`` fills its output one channel at a time.  The
-channel mean takes two walks of stripes of rows: ``_read_first`` sums
-the prediction's channel mean one stripe at a time, holding channel 0
-and the sum, and ``ColorMeanOp._stream_walk`` subtracts that mean from
-each channel and adds ``y``, exactly the replication ``pinv`` does.
-``generic_pd`` is the function spelling of ``op.combine``.
-
-Each channel costs one reordering copy and one BLAS product per
-direction, so ``cs_measure`` and ``cs_pinv`` run at a small multiple of
-a memory copy and hold no image-sized temporary.  Reruns at one BLAS
-thread count give the same bytes; other thread counts usually do too,
-but that is not promised (see ``cs_measure``).
-
-``cs_stream_measure`` and ``cs_stream_pinv`` give the bytes and errors
-of ``cs_measure`` and ``cs_pinv`` followed by ``save_tensor``, without
-the image array: an input image is read one channel at a time
-(``tensor._stripes``, from an array or a ``RawReader``) and an output
-image is written one channel at a time into the writer
-``tensor._open_writers`` gives its file.
+Both take ``verify`` from ``LinearOperator`` and run their in-memory
+``combine`` and forward on the walks they give ``linop.reconstruct`` and
+``linop.measure``, with the generic combine's bytes, errors and check
+order.  ``BlockSenseOp`` is a ``linop.BlockOperator`` whose band kernels
+measure and back-project a whole channel with one BLAS product and one
+reordering copy each, a small multiple of a memory copy with no
+image-sized temporary; reruns at one BLAS thread count give the same
+bytes (see ``cs_measure``).  The channel mean walks stripes of rows:
+``_channel_mean``, the forward walk and the first of ``reconstruct``'s
+two, sums an image's channel mean holding channel 0 and the sum, and
+``ColorMeanOp._stream_walk`` subtracts that mean from each channel and
+adds ``y``, exactly the replication ``pinv`` does.  ``cs_stream_measure``
+(``linop.measure``) and ``cs_stream_pinv`` give the bytes and errors of
+``cs_measure`` and ``cs_pinv`` followed by ``save_tensor``, one channel
+at a time; ``generic_pd`` is the function spelling of ``op.combine``.
 """
 
 from __future__ import annotations
@@ -36,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linop import BlockOperator, LinearOperator, svd
+from .linop import BlockOperator, LinearOperator, measure, svd
 from .rng import Stream
 from .tensor import (
     ImageTensor,
@@ -47,7 +37,6 @@ from .tensor import (
     _read_through,
     _writable_stripes,
     _write_atomic,
-    save_tensor,
 )
 
 SENSE_MAGIC = b"PDM1"
@@ -100,9 +89,7 @@ def _channel_mean(src) -> np.ndarray:
 
 def color_to_gray(x: ImageTensor) -> ImageTensor:
     """Per-pixel mean of the three channels."""
-    if x.channels != 3:
-        raise ValueError(f"expected a 3-channel image, got {x.channels}")
-    return ImageTensor(_channel_mean(x.data))
+    return ImageTensor(measure(ColorMeanOp(x.height, x.width), x.data))
 
 
 def gray_to_color(g: ImageTensor, adjoint: bool = False) -> ImageTensor:
@@ -137,12 +124,24 @@ class ColorMeanOp(LinearOperator):
         self._check(y, self.out_shape, "measurement")
         return gray_to_color(y)
 
+    def _check_input(self, x) -> None:
+        """Refuse an input of other than three channels, then one of another size."""
+        if x.shape[0] != 3:
+            raise ValueError(f"expected a 3-channel image, got {x.shape[0]}")
+        super()._check_input(x)
+
+    def _forward_walk(self, src) -> np.ndarray:
+        """``measure``'s walk: ``_channel_mean``, checked finite."""
+        mean = _channel_mean(src)
+        _check_finite(mean)
+        return mean
+
     def combine(self, y: ImageTensor, x_raw: ImageTensor) -> ImageTensor:
         """The generic combine's bytes, errors and check order: ``_stream_walk``
         with no writers into one output array, made after the channel mean,
         so that the two planes that sum the mean are gone by then."""
         self._combine_checks(y, x_raw)
-        mean = _channel_mean(x_raw.data)[0]
+        mean = self._read_first(y, x_raw.data)
         out = np.empty_like(x_raw.data)
         self._stream_walk(y.data, x_raw.data, [], mean, out)
         return ImageTensor(out)
@@ -240,6 +239,10 @@ class BlockSenseOp(BlockOperator):
         self._check(y, self.out_shape, "measurement")
         return cs_pinv(self, y)
 
+    def _check_input(self, x) -> None:
+        """Refuse an image whose sides the block does not divide, bound or not."""
+        _require_blocks(*x.shape[1:], self.block)
+
     def _read_first(self, y: ImageTensor, x_raw) -> None:
         """Read ``x_raw`` through unless it fits ``y``, which needs
         ``y``'s channels to be a multiple of ``q``."""
@@ -309,7 +312,9 @@ def cs_build(block: int, ratio: float, seed: int = 0) -> BlockSenseOp:
     numpy's vectorized ``log``/``sin``/``cos`` may differ in the last bits
     between machines (and, from block 24, between BLAS thread counts); the
     saved PDM1 file, not the seed, is the portable identity of an operator.
+    The operator keeps the seed modulo 2**64, as its file does.
     """
+    seed &= 0xFFFFFFFFFFFFFFFF  # as the stream and the PDM1 file hold it
     q = measurement_count(block, ratio)
     n = block * block
     gauss = Stream(seed).gaussian((n, n))
@@ -327,12 +332,9 @@ def cs_measure(op: BlockSenseOp, x: ImageTensor) -> ImageTensor:
     from 4 to 16.  With the rows held fixed, this one gave the same bytes
     at 1 and 2 OpenBLAS threads at blocks 1 to 16, 24 and 32 on 3 x 240²
     to 3 x 1440² images, but not at block 20, so the thread count is not
-    promised; reruns at one count are.  A product over part of a channel
-    could round otherwise: OpenBLAS picks its kernel and splits the work
-    among its threads by the product's size.
+    promised; reruns at one count are.
     """
-    _require_blocks(x.height, x.width, op.block)
-    return ImageTensor(op._forward_walk(x.data))
+    return ImageTensor(measure(op, x.data))
 
 
 def cs_pinv(op: BlockSenseOp, m: ImageTensor) -> ImageTensor:
@@ -352,19 +354,9 @@ def cs_pinv(op: BlockSenseOp, m: ImageTensor) -> ImageTensor:
 
 
 def cs_stream_measure(op: BlockSenseOp, x, path: str | Path) -> None:
-    """Write ``cs_measure`` of the image source ``x`` to ``path``, in the
-    format its name picks (see ``tensor.save_tensor``).
-
-    ``x`` is an array or a ``RawReader`` (see ``tensor.open_stripes``),
-    measured one channel at a time, with no image array.  A source whose
-    sides do not divide by the block is read through before it is refused,
-    so its own faults come first, as when it is loaded whole.
-    """
-    _, h, w = x.shape
-    if h % op.block or w % op.block:
-        _read_through(x)
-    _require_blocks(h, w, op.block)
-    save_tensor(ImageTensor(op._forward_walk(x)), path)
+    """Write ``cs_measure`` of the array or stripe source ``x`` to ``path``:
+    ``linop.measure``, one channel at a time."""
+    measure(op, x, path)
 
 
 def cs_stream_pinv(op: BlockSenseOp, m: ImageTensor, path: str | Path) -> None:

@@ -17,27 +17,20 @@ allocates no full-size temporary.  A PDT1 or PDM1 payload is read straight
 into its final array with ``os.preadv``, on the calling thread.
 
 Stripes of whole rows are the unit of the streamed passes.  One walk,
-``_stripes``, yields the stripes of a source, about ``_STRIPE_BYTES`` of
-whole block rows each, or about twice that for the pooling walks
-(``_pooling_rows``): an array's as views, or those of an object that
-makes them itself in one reused buffer, such as a ``RawReader`` reading
-a PDT1 payload and checking each stripe finite, unless its caller checks
-what it computes from the stripe instead (``open_stripes`` opens a PDT1
-that way and decodes a PNG whole), a predictor enlarging a measurement,
-or a ``_Blank`` buffer for a walk that fills each stripe itself.  Such
-an object's buffer is the caller's to overwrite until the next stripe,
-so a walk that rewrites each stripe (``_writable_stripes``) does so in
-place and holds one stripe buffer, and two only for an array, whose
-views it must not change, unless it writes each stripe into an output
-array, as the in-memory combines and ``_gather`` do.  ``_open_writers``
-gives each output file the writer of its format, which takes the stripes
-in planar order: a PDT1 writes each stripe as it comes, a PNG quantizes
-it into the 8-bit image it encodes at the end.  ``linop.reconstruct``,
-the streamed combine of every operator, and ``restore.cs_stream_pinv``
-are its only callers, and the walks they run take their stripes from
-``_stripes``, so a pass over a PDT1 file need not hold the whole image.
-Every file is written through ``_write_atomic``, which renames a call's
-files into place only once all of them are complete.
+``_stripes``, yields the stripes of an array, as views, or of a stripe
+source that makes them in one reused buffer, the caller's to overwrite
+until the next: a ``RawReader`` reading a PDT1 payload (``open_stripes``
+opens a PDT1 that way and decodes a PNG whole), a predictor, or a
+``_Blank`` buffer; ``_writable_stripes`` pairs each with a buffer to
+rewrite it in.  ``_open_writers`` gives each output file the writer of
+its format: a PDT1 writes each stripe as it comes, a PNG quantizes it
+into the 8-bit image it encodes at the end.  ``linop.reconstruct`` and
+``linop.measure``, the streamed combine and forward of every operator,
+and ``restore.cs_stream_pinv`` walk a PDT1 this way and never hold the
+whole image; ``reconstruct`` and ``cs_stream_pinv`` are the only callers
+of ``_open_writers`` outside this module, and ``measure`` writes with
+``save_tensor``.  Every file is written through ``_write_atomic``, which
+renames a call's files into place, one by one, once all are complete.
 """
 
 from __future__ import annotations
@@ -171,9 +164,11 @@ def _write_atomic(*paths: str | Path):
     Every path is checked with ``check_destination`` before anything is
     created.  Each file is a uniquely named temporary one in its path's
     directory, opened with ``"xb"`` so the umask sets its mode, which
-    ``os.replace`` moves onto the path.  On any error, the caller's own
-    included, every temporary file is removed, so a failed call that
-    writes several files leaves all their old versions in place.
+    ``os.replace`` moves onto the path, one path after another.  On any
+    error, the caller's own included, every temporary file not yet moved
+    is removed.  So an error before the moves leaves every old file in
+    place, but a move that fails leaves the paths before it already
+    holding their new files, and it and the paths after it their old ones.
     """
     for path in paths:
         check_destination(path)
@@ -269,8 +264,8 @@ def _open_writers(shape: tuple[int, int, int], *paths: str | Path):
     """Yield one writer per path, in order, for an image of ``shape``, of the
     format the path's name picks (as in ``save_tensor``); feed each the
     image's stripes in planar order.  Once the block ends, every writer
-    finishes its file and ``_write_atomic`` renames them all into place;
-    an error at any point leaves every old file as it was.
+    finishes its file and ``_write_atomic`` renames them into place, one
+    by one; an error before the renames leaves every old file as it was.
     """
     with _write_atomic(*paths) as files:
         writers = [(_PngWriter if _is_png_path(p) else _RawWriter)(f, p, shape) for f, p in zip(files, paths)]

@@ -26,6 +26,7 @@ from rangenull import (
     load_png,
     load_sense_op,
     load_tensor,
+    measure,
     pool_down,
     pool_up,
     quantize,
@@ -611,6 +612,17 @@ class TestCs:
         op = load_sense_op(op_path)
         assert (op.block, op.q, op.seed) == (4, 8, 1)
 
+    @pytest.mark.parametrize("seed, kept", [(-1, 2**64 - 1), (2**64 + 5, 5), (7, 7)])
+    def test_build_record_holds_the_seed_of_its_file(self, capsys, tmp_path, seed, kept):
+        # The record, the operator and its PDM1 file keep the seed modulo 2**64.
+        op_path, in_range = tmp_path / "op.pdm1", tmp_path / "kept.pdm1"
+        args = ["cs", "--action", "build", "--block", "2", "--ratio", "0.5", "--seed"]
+        code, stdout, _ = run_cli(capsys, *args, str(seed), "--output", str(op_path))
+        assert code == 0
+        assert json_lines(stdout)[0]["seed"] == kept == load_sense_op(op_path).seed == cs_build(2, 0.5, seed).seed
+        assert run_cli(capsys, *args, str(kept), "--output", str(in_range))[0] == 0
+        assert op_path.read_bytes() == in_range.read_bytes()
+
     def test_missing_flags_exit_3(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "cs", "--action", "measure", "--input", "x.pdt1",
                                "--output", str(tmp_path / "m.pdt1"))
@@ -823,6 +835,27 @@ class TestStripeLayer:
         (resample,) = [node for node in self.trees["resample"].body if getattr(node, "name", None) == "resample"]
         (loop,) = [node for node in resample.body if isinstance(node, ast.For)]
         assert _calls(resample, "_apply_phases") == _calls(loop, "_apply_phases") == 2
+
+    def test_one_forward_walk_per_operator(self):
+        # Every forward of an array or a stripe source runs ``linop.measure``;
+        # the channel mean and the read-through are reached besides only
+        # from the operators' hooks for ``measure`` and ``reconstruct``, and
+        # from ``stream_verify``, which reads its source through before it
+        # refuses a scale below 1.
+        assert self._callers("_forward_walk") == {("linop", None, "measure")}
+        assert self._callers("_channel_mean") == {("restore", "ColorMeanOp", "_forward_walk"),
+                                                  ("restore", "ColorMeanOp", "_read_first")}
+        assert self._callers("_read_through") == {
+            ("linop", None, "measure"),
+            ("linop", "LinearOperator", "_read_first"),
+            ("restore", "BlockSenseOp", "_read_first"),
+            ("restore", "ColorMeanOp", "_read_first"),
+            ("pooling", None, "stream_verify"),
+        }
+        hooks = {"_check_input": "measure", "_read_first": "reconstruct"}
+        for hook, protocol in hooks.items():
+            assert {caller for caller in self._callers(hook) if caller[2] != hook} <= {
+                ("linop", None, protocol), ("restore", "ColorMeanOp", "combine")}
 
 
 def _calls(tree, name):
@@ -1047,6 +1080,60 @@ class TestReconstructFaultOrder:
             expected = (IsADirectoryError, str(IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))))
         else:
             expected = (ValueError, "raw prediction shape (3, 8, 12) does not match operator input (3, 8, 10)")
+        assert (type(info.value), str(info.value)) == expected
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["out", "raw.pdt1"][destination == "file":]
+
+
+class TestMeasureFaultOrder:
+    """``measure`` for every operator: a source that does not fit is read
+    through, so its own faults come first, then refused with the operator's
+    message; a source that fits meets its faults in the walk, and only then
+    is the destination checked.  No file is left behind."""
+
+    # The misfit source of each operator, and its refusal.
+    MISFITS = {
+        "pooling": ((3, 8, 12), "input shape (3, 8, 12) does not match operator shape (3, 8, 10)"),
+        "cs": ((3, 8, 11), "image size 8x11 is not divisible by block 2"),
+        "color": ((2, 8, 10), "expected a 3-channel image, got 2"),
+    }
+
+    @pytest.fixture(autouse=True)
+    def one_row_per_stripe(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_STRIPE_BYTES", 1)
+
+    @pytest.mark.parametrize("destination", ["directory", "file"])
+    @pytest.mark.parametrize("source, fault", [("pdt1", "nan_in_last_stripe"), ("pdt1", "shrinks"),
+                                               ("pdt1", None), ("array", None)])
+    @pytest.mark.parametrize("fits", [False, True], ids=["misfit", "fit"])
+    @pytest.mark.parametrize("operator", list(MISFITS))
+    def test_order(self, tmp_path, stream, monkeypatch, operator, fits, source, fault, destination):
+        op = {"pooling": PoolingOp(2, 3, 8, 10), "cs": cs_build(2, 0.5, seed=1), "color": ColorMeanOp(8, 10)}[operator]
+        shape, refusal = self.MISFITS[operator]
+        x = stream.uniform((3, 8, 10) if fits else shape)
+        if fault == "nan_in_last_stripe":
+            x[-1, -1, -1] = np.nan
+        raw, out = tmp_path / "raw.pdt1", tmp_path / "out"
+        _pdt1(raw, x)
+        if destination == "directory":
+            out.mkdir()
+        if fault == "shrinks":
+            _resize_on_first_read(monkeypatch, raw, -8)
+        with RawReader(raw) as reader:
+            src = reader if source == "pdt1" else x
+            if fits and fault is None and destination == "file":
+                assert measure(op, src, out) is None
+                assert read_raw(out) == op.forward(ImageTensor(x))
+                return
+            with pytest.raises(Exception) as info:
+                measure(op, src, out)
+        if fault == "nan_in_last_stripe":
+            expected = (ValueError, "tensor samples must be finite (no NaN or infinity)")
+        elif fault == "shrinks":
+            expected = (ValueError, f"{raw}: payload shrank while it was read")
+        elif not fits:
+            expected = (ValueError, refusal)
+        else:
+            expected = (IsADirectoryError, str(IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))))
         assert (type(info.value), str(info.value)) == expected
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["out", "raw.pdt1"][destination == "file":]
 
@@ -2124,3 +2211,14 @@ class TestColorizeStreamedMemory:
         peak = _traced_peak(argv)
         capsys.readouterr()
         assert peak <= 1.5 * self.IMAGE_BYTES
+
+    @pytest.mark.parametrize("output", ["o.pdt1", "o.png"])
+    def test_gray_holds_no_color_image(self, capsys, tmp_path, inputs, output):
+        # ``--mode gray`` holds channel 0, the sum and one stripe, then the
+        # gray image and, into a PNG, its quantized copy, 8-bit image and
+        # encoding: 0.69 images into a PDT1 and 0.78 into a PNG, where
+        # loading the color image whole peaked at 1.69 and 1.78.
+        argv = ["colorize", "--mode", "gray", "--input", str(inputs / "raw.pdt1"), "--output", str(tmp_path / output)]
+        peak = _traced_peak(argv)
+        capsys.readouterr()
+        assert peak <= 0.8 * self.IMAGE_BYTES

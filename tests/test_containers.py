@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from rangenull import ImageTensor, cs_build, load_sense_op, load_tensor, read_raw, save_sense_op, write_raw
 from rangenull.cli import main
 from rangenull import save_png
-from rangenull.tensor import _write_atomic
+from rangenull.tensor import _open_writers, _write_atomic
 
 _PDT1 = struct.Struct("<4sIII")
 _PDM1 = struct.Struct("<4sIIQ")
@@ -204,6 +204,29 @@ class TestAtomicWrite:
         with pytest.raises(OSError):
             write_raw(ImageTensor(stream.uniform((1, 2, 2))), target)
         assert list(tmp_path.iterdir()) == [target] and not any(target.iterdir())
+
+    def test_a_later_failed_rename_leaves_the_earlier_files_replaced(self, tmp_path, monkeypatch):
+        # The renames run one by one: when the second fails, the first path
+        # already holds its new file, the second keeps its old one, and no
+        # temporary file is left.
+        a, b = tmp_path / "a.pdt1", tmp_path / "b.pdt1"
+        a.write_bytes(b"old-a")
+        b.write_bytes(b"old-b")
+        real_replace, calls = os.replace, []
+
+        def replace(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError("rename refused")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="rename refused"), _open_writers((1, 2, 2), a, b) as writers:
+            for writer in writers:
+                writer.write(np.ones((2, 2)))
+        assert a.read_bytes() == _PDT1.pack(b"PDT1", 1, 2, 2) + np.ones(4, "<f8").tobytes()
+        assert b.read_bytes() == b"old-b"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pdt1", "b.pdt1"]
 
     def test_outputs_follow_the_umask(self, tmp_path, stream):
         old = os.umask(0o027)

@@ -10,16 +10,20 @@ from rangenull import (
     ImageTensor,
     LinearOperator,
     PoolingOp,
+    RawReader,
     compare,
     cs_build,
     load_matrix,
+    measure,
     mp_residuals,
     null_project,
     pinv_from_svd,
     quantize,
     range_project,
     save_matrix,
+    save_tensor,
     svd,
+    write_raw,
 )
 
 
@@ -279,3 +283,39 @@ class TestCombineVerify:
         op = PoolingOp(2, 1, 4, 4)
         with pytest.raises(ValueError, match="measurement shape"):
             op.combine(ImageTensor(np.zeros((1, 3, 3))), ImageTensor(np.zeros((1, 4, 4))))
+
+
+class TestMeasure:
+    """``measure`` with an operator that has no walk of its own gathers the
+    source and runs ``forward``: the same bits, and with a path the bytes
+    ``save_tensor`` writes."""
+
+    MAKERS = {
+        "identity": lambda stream: IdentityOperator((3, 3, 4)),
+        "dense": lambda stream: DenseOperator(stream.gaussian((6, 36)), in_shape=(3, 3, 4), out_shape=(1, 2, 3)),
+    }
+
+    @pytest.mark.parametrize("name", list(MAKERS))
+    def test_equals_forward_bit_for_bit(self, tmp_path, stream, name):
+        op = self.MAKERS[name](stream)
+        x = stream.gaussian(op.in_shape)
+        expected = op.forward(ImageTensor(x.copy())).data
+        got = measure(op, x)
+        assert (got.shape, got.tobytes()) == (expected.shape, expected.tobytes())
+        assert got.flags.writeable and x.flags.writeable  # fresh, and the caller's array is left writable
+        write_raw(ImageTensor(x), tmp_path / "x.pdt1")
+        with RawReader(tmp_path / "x.pdt1") as reader:
+            assert measure(op, reader).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", list(MAKERS))
+    @pytest.mark.parametrize("suffix", ["pdt1", "png"])
+    def test_writes_the_save_tensor_bytes(self, tmp_path, stream, name, suffix):
+        op = self.MAKERS[name](stream)
+        x = stream.uniform(op.in_shape)
+        assert measure(op, x, tmp_path / f"m.{suffix}") is None
+        save_tensor(op.forward(ImageTensor(x.copy())), tmp_path / f"ref.{suffix}")
+        assert (tmp_path / f"m.{suffix}").read_bytes() == (tmp_path / f"ref.{suffix}").read_bytes()
+
+    def test_refuses_a_misfit_with_the_operator_message(self):
+        with pytest.raises(ValueError, match=r"^input shape \(3, 3, 5\) does not match operator shape \(3, 3, 4\)$"):
+            measure(IdentityOperator((3, 3, 4)), np.zeros((3, 3, 5)))
