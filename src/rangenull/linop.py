@@ -44,7 +44,6 @@ from .tensor import (
     check_destination,
     quantize,
     read_raw,
-    save_tensor,
     write_raw,
 )
 
@@ -399,11 +398,14 @@ def reconstruct(op: LinearOperator, y: ImageTensor, x_raw, *paths) -> list[Consi
 
 def measure(op: LinearOperator, x, *paths) -> np.ndarray | None:
     """Write ``op.forward`` of the array or stripe source ``x``, taken on
-    ``op._forward_walk``, to each of ``paths`` in turn with
-    ``tensor.save_tensor``, or, with no paths, return it as a fresh array,
-    checked finite.  A source that ``op._check_input`` refuses is read
-    through first, so its own faults come first, then refused; faults met
-    in the walk come next, and each destination is checked last.
+    ``op._forward_walk``, which checks it finite, to each of ``paths``
+    through ``tensor._open_writers``, or, with no paths, return it as a
+    fresh array.  Each file gets the forward itself, a PNG its quantization,
+    which the last file makes in place.  A source that ``op._check_input``
+    refuses is read through first, so its own faults come first, then
+    refused; faults met in the walk come next, then every destination is
+    checked before the first byte is written.  The files are renamed into
+    place one by one after the last is complete (``tensor._write_atomic``).
     """
     try:
         op._check_input(x)
@@ -416,9 +418,10 @@ def measure(op: LinearOperator, x, *paths) -> np.ndarray | None:
         forward = op._forward_walk(x)
     if not paths:
         return forward
-    measured = ImageTensor(forward)
-    for path in paths:
-        save_tensor(measured, path)
+    with _open_writers(forward.shape, *paths) as writers:
+        for plane in forward:
+            for writer in writers:
+                writer.write(plane, plane if writer is writers[-1] else None)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,8 @@ the input dtype.
 ``PoolingOp.combine``, ``linop.reconstruct`` and ``linop.measure`` run
 these kernels on ``linop``'s walks over an array or any stripe source,
 such as a ``RawReader`` or a predictor, and hold the low-resolution
-arrays, one stripe and the scratch, never the high-resolution image;
+arrays, one stripe and the scratch, never the high-resolution image.
+``PoolingOp.forward``, and so ``pool_down``, is ``measure`` of an array;
 ``stream_verify`` is ``verify_consistency`` on ``measure``.  The walks
 check finiteness through the block means (``BlockOperator.by_band``): a
 block's anchored mean is NaN or infinite wherever a sample of the block
@@ -96,7 +97,7 @@ def _replicate(a: np.ndarray, s: int) -> np.ndarray:
 
 def pool_down(x: ImageTensor, s: int) -> ImageTensor:
     """Average each s x s block into one pixel (hard error if not divisible)."""
-    return ImageTensor(measure(PoolingOp(s, *x.shape), x.data))
+    return PoolingOp(s, *x.shape).forward(x)
 
 
 def pool_up(y: ImageTensor, s: int) -> ImageTensor:
@@ -161,8 +162,7 @@ class PoolingOp(BlockOperator):
         return cls(scale, y.channels, scale * y.height, scale * y.width)
 
     def forward(self, x: ImageTensor) -> ImageTensor:
-        self._check(x, self.in_shape, "input")
-        return pool_down(x, self.scale)
+        return ImageTensor(measure(self, x.data))
 
     def pinv(self, y: ImageTensor) -> ImageTensor:
         self._check(y, self.out_shape, "measurement")

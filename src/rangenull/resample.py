@@ -25,12 +25,12 @@ full-resolution side: first when shrinking, last when enlarging.  So an
 enlargement is made one stripe of rows at a time (``_Enlarged``), from
 the horizontal pass of the low-resolution plane and a halo of at most
 two of its rows, as a stripe source for ``tensor._stripes``, which
-``open_prediction`` hands to ``linop.reconstruct`` and ``resample`` and
-``predict_raw`` gather.  The horizontal pass writes its plane down
-columns, so that plane's rows are padded to an odd number of 64-byte
-cache lines (``_intermediate``): at a power-of-two width every row would
-fall in the same cache sets.  Shrinking copies that plane into the
-output.
+``resample`` gathers and ``open_prediction``, the one predictor dispatch,
+yields to ``linop.reconstruct`` and to ``predict_raw``, which gathers it.
+The horizontal pass writes its plane down columns, so that plane's rows
+are padded to an odd number of 64-byte cache lines (``_intermediate``):
+at a power-of-two width every row would fall in the same cache sets.
+Shrinking copies that plane into the output.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .pooling import pool_down, pool_up
-from .tensor import ImageTensor, _gather, load_tensor, open_stripes
+from .tensor import ImageTensor, _gather, open_stripes
 
 FILTERS = ("box", "bilinear", "bicubic")
 DIRECTIONS = ("down", "up")
@@ -179,35 +179,31 @@ def resample(x: ImageTensor, spec: ResampleSpec) -> ImageTensor:
     return ImageTensor(out)
 
 
-def predict_raw(
-    y: ImageTensor, method: str, s: int, external_path=None
-) -> ImageTensor:
-    """Produce a raw upsampled prediction to feed the consistent combine.
+def predict_raw(y: ImageTensor, method: str, s: int, external_path=None) -> ImageTensor:
+    """Produce a raw upsampled prediction to feed the consistent combine:
+    the stripes ``open_prediction`` yields, gathered into one array.
 
     ``nearest`` is plain replication (identical to ``pool_up``); the
     interpolating methods give smoother guesses; ``external`` loads a
-    prediction produced elsewhere and validates its geometry.  The others
-    gather the stripes that ``open_prediction`` yields (``_Enlarged``).
+    prediction produced elsewhere and validates its geometry.
     """
-    _check_predictor(method, s)
-    if method == "external":
-        if external_path is None:
-            raise ValueError("external predictor needs a file path")
-        t = load_tensor(external_path)
-        check_external(y, s, t.shape)
-        return t
-    return ImageTensor(_gather(_Enlarged(y, method, s), s))
+    with open_prediction(y, method, s, external_path) as x_raw:
+        return ImageTensor(_gather(x_raw, s))
 
 
 @contextlib.contextmanager
 def open_prediction(y: ImageTensor, method: str, s: int, external_path=None):
-    """Yield the prediction of ``predict_raw`` as a stripe source for
-    ``linop.reconstruct``, with the same checks and messages.
+    """Yield the prediction of ``y`` enlarged ``s`` times by ``method`` as a
+    stripe source, for ``linop.reconstruct`` and ``predict_raw``.
 
-    ``external`` opens its file with ``tensor.open_stripes``; the others
-    enlarge ``y`` a stripe of rows at a time (see ``_Enlarged``).
+    ``external`` opens its file with ``tensor.open_stripes`` and refuses a
+    shape other than ``y``'s times ``s`` before it reads a PDT1's samples;
+    the others enlarge ``y`` a stripe of rows at a time (``_Enlarged``).
     """
-    _check_predictor(method, s)
+    if method not in PREDICTORS:
+        raise ValueError(f"predictor must be one of {PREDICTORS}, got {method!r}")
+    if s < 1:
+        raise ValueError(f"scale must be a positive integer, got {s}")
     if method != "external":
         yield _Enlarged(y, method, s)
         return
@@ -216,13 +212,6 @@ def open_prediction(y: ImageTensor, method: str, s: int, external_path=None):
     with open_stripes(external_path) as x_raw:
         check_external(y, s, x_raw.shape)
         yield x_raw
-
-
-def _check_predictor(method: str, s: int) -> None:
-    if method not in PREDICTORS:
-        raise ValueError(f"predictor must be one of {PREDICTORS}, got {method!r}")
-    if s < 1:
-        raise ValueError(f"scale must be a positive integer, got {s}")
 
 
 class _Enlarged:

@@ -2,10 +2,11 @@
 color image) and block compressed sensing with orthonormal sampling rows.
 
 Both take ``verify`` from ``LinearOperator`` and run their in-memory
-``combine`` and forward on the walks they give ``linop.reconstruct`` and
-``linop.measure``, with the generic combine's bytes, errors and check
-order.  ``BlockSenseOp`` is a ``linop.BlockOperator`` whose band kernels
-measure and back-project a whole channel with one BLAS product and one
+``combine`` on the walk they give ``linop.reconstruct``, with the
+generic combine's bytes, errors and check order; their ``forward``,
+which ``color_to_gray`` and ``cs_measure`` call, is ``linop.measure``.
+``BlockSenseOp`` is a ``linop.BlockOperator`` whose band kernels measure
+and back-project a whole channel with one BLAS product and one
 reordering copy each, a small multiple of a memory copy with no
 image-sized temporary; reruns at one BLAS thread count give the same
 bytes (see ``cs_measure``).  The channel mean walks stripes of rows:
@@ -89,7 +90,7 @@ def _channel_mean(src) -> np.ndarray:
 
 def color_to_gray(x: ImageTensor) -> ImageTensor:
     """Per-pixel mean of the three channels."""
-    return ImageTensor(measure(ColorMeanOp(x.height, x.width), x.data))
+    return ColorMeanOp(x.height, x.width).forward(x)
 
 
 def gray_to_color(g: ImageTensor, adjoint: bool = False) -> ImageTensor:
@@ -117,8 +118,7 @@ class ColorMeanOp(LinearOperator):
         self.out_shape = (1, height, width)
 
     def forward(self, x: ImageTensor) -> ImageTensor:
-        self._check(x, self.in_shape, "input")
-        return color_to_gray(x)
+        return ImageTensor(measure(self, x.data))
 
     def pinv(self, y: ImageTensor) -> ImageTensor:
         self._check(y, self.out_shape, "measurement")
@@ -232,15 +232,16 @@ class BlockSenseOp(BlockOperator):
         return bound
 
     def forward(self, x: ImageTensor) -> ImageTensor:
-        self._check(x, self.in_shape, "input")
-        return cs_measure(self, x)
+        return ImageTensor(measure(self, x.data))
 
     def pinv(self, y: ImageTensor) -> ImageTensor:
         self._check(y, self.out_shape, "measurement")
         return cs_pinv(self, y)
 
     def _check_input(self, x) -> None:
-        """Refuse an image whose sides the block does not divide, bound or not."""
+        """Refuse an input of another shape than a bound one, then one whose
+        sides the block does not divide."""
+        super()._check_input(x)
         _require_blocks(*x.shape[1:], self.block)
 
     def _read_first(self, y: ImageTensor, x_raw) -> None:
@@ -334,7 +335,7 @@ def cs_measure(op: BlockSenseOp, x: ImageTensor) -> ImageTensor:
     to 3 x 1440² images, but not at block 20, so the thread count is not
     promised; reruns at one count are.
     """
-    return ImageTensor(measure(op, x.data))
+    return op.forward(x)
 
 
 def cs_pinv(op: BlockSenseOp, m: ImageTensor) -> ImageTensor:

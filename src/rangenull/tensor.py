@@ -27,9 +27,8 @@ its format: a PDT1 writes each stripe as it comes, a PNG quantizes it
 into the 8-bit image it encodes at the end.  ``linop.reconstruct`` and
 ``linop.measure``, the streamed combine and forward of every operator,
 and ``restore.cs_stream_pinv`` walk a PDT1 this way and never hold the
-whole image; ``reconstruct`` and ``cs_stream_pinv`` are the only callers
-of ``_open_writers`` outside this module, and ``measure`` writes with
-``save_tensor``.  Every file is written through ``_write_atomic``, which
+whole image; they are the only callers of ``_open_writers`` outside this
+module.  Every file is written through ``_write_atomic``, which
 renames a call's files into place, one by one, once all are complete.
 """
 

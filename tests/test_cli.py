@@ -856,12 +856,63 @@ class TestStripeLayer:
         for hook, protocol in hooks.items():
             assert {caller for caller in self._callers(hook) if caller[2] != hook} <= {
                 ("linop", None, protocol), ("restore", "ColorMeanOp", "combine")}
+        # Each walk operator's ``forward`` is ``measure`` itself: no check and
+        # no detour through a function that builds a second operator.
+        for module, cls in (("pooling", "PoolingOp"), ("restore", "BlockSenseOp"), ("restore", "ColorMeanOp")):
+            (body,) = [node.body for node in self.trees[module].body if getattr(node, "name", None) == cls]
+            (forward,) = [node for node in body if getattr(node, "name", None) == "forward"]
+            assert _calls(forward, "measure") == 1
+            for name in ("_check", "pool_down", "cs_measure", "color_to_gray"):
+                assert _calls(forward, name) == 0
+        # ``measure`` writes through the writers ``reconstruct`` uses.
+        assert "save_tensor" not in _names(self.trees["linop"])
+
+    def test_one_prediction_dispatch(self):
+        # ``predict_raw`` gathers what ``open_prediction`` yields, which alone
+        # picks the predictor: it alone opens an external file or enlarges,
+        # beside ``resample``'s own enlargement.
+        (predict_raw,) = [node for node in self.trees["resample"].body if getattr(node, "name", None) == "predict_raw"]
+        assert _calls(predict_raw, "open_prediction") == 1 and _calls(predict_raw, "load_tensor") == 0
+        assert self._callers("_Enlarged") == {("resample", None, "open_prediction"), ("resample", None, "resample")}
+        opening = {caller for caller in self._callers("open_stripes") if caller[0] == "resample"}
+        assert opening == {("resample", None, "open_prediction")}
+        assert "load_tensor" not in _names(self.trees["resample"])
+
+
+class TestNoUnusedImports:
+    """Every name a library module imports is used in it (``__init__`` only
+    re-exports, so it is left out)."""
+
+    MODULES = sorted(path.name for path in (Path(SRC) / "rangenull").glob("*.py") if path.name != "__init__.py")
+
+    @pytest.mark.parametrize("module", MODULES)
+    def test_every_imported_name_is_used(self, module):
+        tree = ast.parse((Path(SRC) / "rangenull" / module).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported - used == set()
 
 
 def _calls(tree, name):
     """How many calls to ``name``, by name or as an attribute, ``tree`` holds."""
     funcs = (node.func for node in ast.walk(tree) if isinstance(node, ast.Call))
     return sum(name in (getattr(func, "id", None), getattr(func, "attr", None)) for func in funcs)
+
+
+def _names(tree):
+    """Every name ``tree`` defines, imports or uses, by name or as an attribute."""
+    return {
+        name
+        for node in ast.walk(tree)
+        for name in (getattr(node, "name", None), getattr(node, "id", None), getattr(node, "attr", None))
+        if isinstance(name, str)
+    }
+
 
 def _pdt1(path, a):
     """Write ``a`` as PDT1 bytes directly, so a test can store what ``write_raw`` refuses."""
@@ -2222,3 +2273,14 @@ class TestColorizeStreamedMemory:
         peak = _traced_peak(argv)
         capsys.readouterr()
         assert peak <= 0.8 * self.IMAGE_BYTES
+
+    def test_gray_into_a_png_holds_no_quantized_copy(self, capsys, tmp_path, inputs):
+        # The PNG quantizes the gray image in place into its 8-bit image, so
+        # it peaks as a PDT1 does: 0.69 images each, where a quantized copy
+        # held beside the gray image took the PNG to 0.78.
+        peaks = {}
+        for output in ("o.pdt1", "o.png"):
+            peaks[output] = _traced_peak(["colorize", "--mode", "gray", "--input", str(inputs / "raw.pdt1"),
+                                          "--output", str(tmp_path / output)])
+        capsys.readouterr()
+        assert peaks["o.png"] <= peaks["o.pdt1"] + 0.02 * self.IMAGE_BYTES

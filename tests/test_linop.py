@@ -319,3 +319,40 @@ class TestMeasure:
     def test_refuses_a_misfit_with_the_operator_message(self):
         with pytest.raises(ValueError, match=r"^input shape \(3, 3, 5\) does not match operator shape \(3, 3, 4\)$"):
             measure(IdentityOperator((3, 3, 4)), np.zeros((3, 3, 5)))
+
+
+class TestMeasureWritesEveryFileAtOnce:
+    """``measure`` into several paths writes them through one set of writers:
+    every file gets the float forward, and a bad destination anywhere
+    leaves every path as it was."""
+
+    MAKERS = {
+        "identity": lambda: IdentityOperator((3, 4, 6)),
+        "pooling": lambda: PoolingOp(2, 3, 4, 6),
+        "color": lambda: ColorMeanOp(4, 6),
+        "cs": lambda: cs_build(2, 0.25, seed=1),
+    }
+
+    @pytest.mark.parametrize("name", list(MAKERS))
+    @pytest.mark.parametrize("names", [("a.png", "b.pdt1"), ("a.pdt1", "b.png"), ("a.png", "b.png")])
+    def test_each_file_holds_the_forward(self, tmp_path, stream, name, names):
+        op = self.MAKERS[name]()
+        x = stream.uniform((3, 4, 6))
+        measure(op, x, *(tmp_path / n for n in names))
+        forward = op.forward(ImageTensor(x.copy()))
+        for n in names:
+            save_tensor(forward, tmp_path / f"ref_{n}")
+            assert (tmp_path / n).read_bytes() == (tmp_path / f"ref_{n}").read_bytes()
+
+    @pytest.mark.parametrize("name", list(MAKERS))
+    @pytest.mark.parametrize("old", [None, b"old"])
+    def test_a_directory_among_the_paths_writes_nothing(self, tmp_path, stream, name, old):
+        op = self.MAKERS[name]()
+        target = tmp_path / "a.pdt1"
+        if old is not None:
+            target.write_bytes(old)
+        (tmp_path / "d").mkdir()
+        with pytest.raises(IsADirectoryError):
+            measure(op, stream.uniform((3, 4, 6)), target, tmp_path / "d")
+        assert (target.read_bytes() if target.exists() else None) == old
+        assert not list(tmp_path.rglob("*.tmp"))

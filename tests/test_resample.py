@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -172,6 +173,17 @@ class TestPredictRaw:
         path = tmp_path / "pred.pdt1"
         write_raw(ImageTensor(stream.uniform((1, 6, 6))), path)
         with pytest.raises(ValueError):
+            predict_raw(y, "external", 2, path)
+
+    def test_external_misfit_is_named_before_its_samples_are_read(self, tmp_path, stream):
+        # As ``pd`` reports it: the header's shape first, so a non-finite
+        # sample of a misfit is never reached.
+        y = ImageTensor(stream.uniform((1, 2, 2)))
+        bad = stream.uniform((1, 6, 6))
+        bad[0, -1, -1] = np.nan
+        path = tmp_path / "pred.pdt1"
+        path.write_bytes(struct.pack("<4sIII", b"PDT1", *bad.shape) + bad.astype("<f8").tobytes())
+        with pytest.raises(ValueError, match=r"^external prediction shape \(1, 6, 6\), expected \(1, 4, 4\)$"):
             predict_raw(y, "external", 2, path)
 
     def test_unknown_method(self, stream):

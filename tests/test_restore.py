@@ -35,6 +35,7 @@ from rangenull import (
     load_sense_op,
     measurement_count,
     load_tensor,
+    measure,
     open_stripes,
     pd_combine,
     reconstruct,
@@ -107,6 +108,14 @@ class TestColor:
         assert op.pinv(g) == gray_to_color(g)
         with pytest.raises(ValueError):
             op.forward(ImageTensor(np.zeros((3, 4, 4))))
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_forward_names_the_channel_count_as_measure_does(self, channels):
+        x = np.zeros((channels, 2, 2))
+        for call in (lambda: ColorMeanOp(2, 2).forward(ImageTensor(x)), lambda: color_to_gray(ImageTensor(x)),
+                     lambda: measure(ColorMeanOp(2, 2), x)):
+            with pytest.raises(ValueError, match=rf"^expected a 3-channel image, got {channels}$"):
+                call()
 
 
 class TestMeasurementCount:
@@ -183,6 +192,18 @@ class TestBlockSense:
         assert op.forward(x) == cs_measure(op, x)
         with pytest.raises(ValueError):
             op.bind_shape(1, 6, 6)
+
+    def test_bound_refuses_a_divisible_misfit_as_forward_does(self, tmp_path, stream):
+        op = cs_build(2, 0.5, seed=1).bind_shape(3, 8, 10)
+        x = stream.uniform((3, 8, 12))
+        write_raw(ImageTensor(x), tmp_path / "x.pdt1")
+        message = r"^input shape \(3, 8, 12\) does not match operator shape \(3, 8, 10\)$"
+        with open_stripes(tmp_path / "x.pdt1") as reader:
+            for call in (lambda: op.forward(ImageTensor(x)), lambda: cs_measure(op, ImageTensor(x)),
+                         lambda: measure(op, x), lambda: measure(op, reader, tmp_path / "m.pdt1")):
+                with pytest.raises(ValueError, match=message):
+                    call()
+        assert not (tmp_path / "m.pdt1").exists()
 
 
 class TestCsRows:
