@@ -35,7 +35,6 @@ from .pooling import (
     pd_combine,
     pool_down,
     pool_up,
-    stream_verify,
     verify_consistency,
 )
 from .resample import FILTERS, PREDICTORS, ResampleSpec, open_prediction, predict_raw, resample
@@ -46,7 +45,6 @@ from .restore import (
     cs_build,
     cs_measure,
     cs_pinv,
-    cs_stream_measure,
     cs_stream_pinv,
     generic_pd,
     gray_to_color,
@@ -92,7 +90,6 @@ __all__ = [
     "cs_build",
     "cs_measure",
     "cs_pinv",
-    "cs_stream_measure",
     "cs_stream_pinv",
     "derive",
     "error_map",
@@ -123,7 +120,6 @@ __all__ = [
     "save_png",
     "save_sense_op",
     "save_tensor",
-    "stream_verify",
     "svd",
     "verify_consistency",
     "write_raw",

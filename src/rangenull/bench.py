@@ -83,7 +83,7 @@ def _table1_case(op: PoolingOp, seed: int, index: int) -> dict:
     start = time.perf_counter()
     combined = op._combine_walk(lr, raw)
     elapsed_ms = (time.perf_counter() - start) * 1e3
-    report = compare(ImageTensor(lr), ImageTensor(measure(op, combined)))
+    report = op.verify(ImageTensor(lr), combined)
     # Single-precision rerun of the same combine, compared in double.
     lr32 = lr.astype(np.float32)
     combined32 = op._combine_walk(lr32, raw.astype(np.float32))

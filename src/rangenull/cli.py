@@ -23,7 +23,7 @@ import numpy as np
 from .bench import BENCH_OPS, run_bench, run_table1
 from .linop import measure, reconstruct
 from .metrics import error_map
-from .pooling import PoolingOp, stream_verify
+from .pooling import PoolingOp, verify_consistency
 from .resample import FILTERS, PREDICTORS, ResampleSpec, open_prediction, resample
 from .restore import (
     ColorMeanOp,
@@ -69,7 +69,7 @@ def _cmd_pd(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     lr = load_tensor(args.lr)
     with open_stripes(args.sr) as sr:
-        _emit(stream_verify(lr, sr, args.scale).to_dict())
+        _emit(verify_consistency(lr, sr, args.scale).to_dict())
     return EXIT_OK
 
 

@@ -7,16 +7,18 @@ cannot, and the two parts of any input always add back to the input.
 
 The base class defines the consistent combine ``combine`` (keep
 ``A+ y``, take the null part of a raw prediction), the reference every
-fused kernel must equal, and its check ``verify``.  Two protocols run an
-operator over a stripe source: ``reconstruct`` writes the combine into
+fused kernel must equal, and its check ``verify``, which compares ``y``
+with ``measure`` of an image, array or stripe source.  Two protocols run
+an operator over a stripe source: ``reconstruct`` writes the combine into
 files through the operator's ``_stream_walk``, and ``measure`` takes the
-forward through its ``_forward_walk``.  An operator with walks of its own
-(pooling, block sensing, channel mean) runs its in-memory ``combine`` and
-forward on those walks too, with no files; the others are gathered and
-combined or measured whole.  ``BlockOperator`` is the base of the
-operators that measure each block x block tile of each channel on its
-own: they give two kernels for one stripe of whole block rows (for block
-sensing, a whole channel), run here on ``tensor._stripes``.  ``DenseOperator``
+forward through its ``_forward_walk``; the operators without walks of
+their own are gathered and combined or measured whole.  ``_WalkOperator``
+is the base of those with walks (pooling, block sensing, channel mean):
+its ``forward`` is ``measure`` and its ``combine`` the ``_stream_walk``
+with no files.  ``BlockOperator`` is the base of the walk operators that
+measure each block x block tile of each channel on its own: they give
+two kernels for one stripe of whole block rows (for block sensing, a
+whole channel), run here on ``tensor._stripes``.  ``DenseOperator``
 materializes an arbitrary matrix and derives its pseudo-inverse from its
 SVD, taken from LAPACK through ``numpy.linalg.svd``.
 """
@@ -29,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from .metrics import ConsistencyReport, _compare_fresh, compare
+from .metrics import ConsistencyReport, _compare_fresh
 from .rng import Stream
 from .tensor import (
     ImageTensor,
@@ -81,14 +83,17 @@ class LinearOperator(abc.ABC):
         out += restored.data
         return ImageTensor(out)
 
-    def verify(self, y: ImageTensor, x_hat: ImageTensor, quantized: bool = False) -> ConsistencyReport:
-        """Compare ``y`` against ``forward(x_hat)``.
+    def verify(self, y: ImageTensor, x_hat, quantized: bool = False) -> ConsistencyReport:
+        """Compare ``y`` against the forward of ``x_hat``, an ``ImageTensor``,
+        an array or a stripe source, taken by ``measure`` into the array
+        that then holds the difference.
 
-        With ``quantized=True`` the reconstruction is first snapped to 8-bit
-        levels, measuring what survives image-format conversion; the library
-        reports that loss but never alters the reconstruction to hide it.
+        With ``quantized=True`` the reconstruction, then an ``ImageTensor``
+        only, is first snapped to 8-bit levels, measuring what survives
+        image-format conversion; the library reports that loss but never
+        alters the reconstruction to hide it.
         """
-        return compare(y, self.forward(quantize(x_hat) if quantized else x_hat))
+        return _compare_fresh(y, measure(self, quantize(x_hat) if quantized else x_hat))
 
     def _check_input(self, x) -> None:
         """Raise the operator's own ``ValueError`` unless it measures an input
@@ -101,7 +106,7 @@ class LinearOperator(abc.ABC):
         ``forward`` as a fresh array, checked finite."""
         return self.forward(ImageTensor(_gather(src))).data.copy()
 
-    def _read_first(self, y: ImageTensor, x_raw):
+    def _read_first(self, y, x_raw):
         """Read the stripe source ``x_raw`` through unless it fits, so that its
         own faults come first, as when it is loaded whole; return what
         ``_stream_walk`` takes as ``first``, here nothing."""
@@ -136,7 +141,31 @@ class LinearOperator(abc.ABC):
             raise ValueError(f"raw prediction shape {x_raw.shape} does not match operator input {shape}")
 
 
-class BlockOperator(LinearOperator):
+class _WalkOperator(LinearOperator):
+    """An operator with walks of its own: ``_forward_walk``, and a
+    ``_stream_walk`` that, beside its writers, takes ``out``, an array like
+    the source that receives the combine (``tensor._writable_stripes``).
+    Its ``forward`` is ``measure`` and its ``combine`` that walk with no
+    writers, with the generic combine's bytes, errors and check order."""
+
+    def forward(self, x: ImageTensor) -> ImageTensor:
+        return ImageTensor(measure(self, x))
+
+    def combine(self, y: ImageTensor, x_raw: ImageTensor) -> ImageTensor:
+        self._combine_checks(y, x_raw)
+        return ImageTensor(self._combine_walk(y.data, x_raw.data))
+
+    def _combine_walk(self, y: np.ndarray, x_raw: np.ndarray) -> np.ndarray:
+        """The combine of the arrays ``y`` and ``x_raw``: ``_read_first``, then
+        ``_stream_walk`` with no writers into a fresh array made after it,
+        so that what the first walk held is gone by then."""
+        first = self._read_first(y, x_raw)
+        out = np.empty_like(x_raw)
+        self._stream_walk(y, x_raw, [], first, out)
+        return out
+
+
+class BlockOperator(_WalkOperator):
     """An operator that maps each ``block`` x ``block`` tile of each image
     channel to ``q`` measurements, stacked as channel ``c * q + row``.
 
@@ -218,17 +247,6 @@ class BlockOperator(LinearOperator):
             return True
         _check_finite(rows)
         return False
-
-    def combine(self, y: ImageTensor, x_raw: ImageTensor) -> ImageTensor:
-        """The generic combine's bytes, errors and check order, on ``_combine_walk``."""
-        self._combine_checks(y, x_raw)
-        return ImageTensor(self._combine_walk(y.data, x_raw.data))
-
-    def _combine_walk(self, y: np.ndarray, x_raw: np.ndarray) -> np.ndarray:
-        """``combine`` of the arrays ``y`` and ``x_raw``: ``_stream_walk`` into a fresh array."""
-        out = np.empty_like(x_raw)
-        self._stream_walk(y, x_raw, [], None, out)
-        return out
 
     def _stream_walk(self, y: np.ndarray, x_raw, writers: list, first, out=None) -> list[np.ndarray]:
         """``reconstruct``'s walk: combine each stripe of the source ``x_raw``
@@ -397,16 +415,19 @@ def reconstruct(op: LinearOperator, y: ImageTensor, x_raw, *paths) -> list[Consi
 
 
 def measure(op: LinearOperator, x, *paths) -> np.ndarray | None:
-    """Write ``op.forward`` of the array or stripe source ``x``, taken on
-    ``op._forward_walk``, which checks it finite, to each of ``paths``
-    through ``tensor._open_writers``, or, with no paths, return it as a
-    fresh array.  Each file gets the forward itself, a PNG its quantization,
-    which the last file makes in place.  A source that ``op._check_input``
-    refuses is read through first, so its own faults come first, then
-    refused; faults met in the walk come next, then every destination is
-    checked before the first byte is written.  The files are renamed into
-    place one by one after the last is complete (``tensor._write_atomic``).
+    """Write ``op.forward`` of the ``ImageTensor``, array or stripe source
+    ``x``, taken on ``op._forward_walk``, which checks it finite, to each
+    of ``paths`` through ``tensor._open_writers``, or, with no paths,
+    return it as a fresh array.  Each file gets the forward itself, a PNG
+    its quantization, which the last file makes in place.  A source that
+    ``op._check_input`` refuses is read through first, so its own faults
+    come first, then refused; faults met in the walk come next, then every
+    destination is checked before the first byte is written.  The files
+    are renamed into place one by one after the last is complete
+    (``tensor._write_atomic``).
     """
+    if isinstance(x, ImageTensor):
+        x = x.data
     try:
         op._check_input(x)
     except ValueError:

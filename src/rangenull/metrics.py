@@ -55,9 +55,11 @@ def compare(a: ImageTensor, b: ImageTensor) -> ConsistencyReport:
 
 def _compare_fresh(a: ImageTensor, b: np.ndarray) -> ConsistencyReport:
     """``compare(a, ImageTensor(b))`` for a fresh finite float64 array ``b``
-    of ``a``'s shape that the caller gives up, such as the measurement a
-    stripe walk returns: the difference is computed into ``b`` itself, so
-    no other array of its size is allocated."""
+    that the caller gives up, such as the measurement a stripe walk
+    returns: the difference is computed into ``b`` itself, so no other
+    array of its size is allocated."""
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return _report(np.subtract(a.data, b, out=b))
 
 

@@ -5,9 +5,9 @@ The two maps form an exact pseudo-inverse pair: downsampling a replicated
 image returns the original bit-for-bit (block means are computed relative
 to the block's first sample, so a constant block averages to exactly that
 constant).  ``PoolingOp`` is a ``linop.BlockOperator`` with one
-measurement per block: it inherits ``combine``, ``verify`` and the stripe
-walks, and its combine kernel swaps the block means of any raw
-prediction for the reference low-resolution values in one pass,
+measurement per block: it inherits ``forward``, ``combine``, ``verify``
+and the stripe walks, and its combine kernel swaps the block means of
+any raw prediction for the reference low-resolution values in one pass,
 bit-identical to the generic combine.  ``extract_highfreq`` and
 ``verify_consistency`` are the scale-argument spellings of
 ``null_project`` and ``PoolingOp.verify``.
@@ -27,8 +27,8 @@ the input dtype.
 these kernels on ``linop``'s walks over an array or any stripe source,
 such as a ``RawReader`` or a predictor, and hold the low-resolution
 arrays, one stripe and the scratch, never the high-resolution image.
-``PoolingOp.forward``, and so ``pool_down``, is ``measure`` of an array;
-``stream_verify`` is ``verify_consistency`` on ``measure``.  The walks
+``PoolingOp.forward``, and so ``pool_down``, is ``measure`` of an array,
+and ``verify_consistency`` takes an array or a stripe source too.  The walks
 check finiteness through the block means (``BlockOperator.by_band``): a
 block's anchored mean is NaN or infinite wherever a sample of the block
 is (``inf - inf`` is NaN, and NaN propagates; scale 1 copies), and so is
@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linop import BlockOperator, LinearOperator, measure, null_project
-from .metrics import ConsistencyReport, _compare_fresh
+from .linop import BlockOperator, LinearOperator, null_project
+from .metrics import ConsistencyReport
 from .tensor import ImageTensor, _read_through
 
 
@@ -122,24 +122,18 @@ def pd_combine(y: ImageTensor, x_raw: ImageTensor, s: int) -> ImageTensor:
     return ImageTensor(PoolingOp.for_measurement(y, s)._combine_walk(y.data, x_raw.data))
 
 
-def stream_verify(y: ImageTensor, x_hat, s: int) -> ConsistencyReport:
-    """``verify_consistency(y, x_hat, s)`` for an array or a stripe source
-    ``x_hat``, measured by ``linop.measure`` into the array that then holds
-    the difference.  A scale below 1 is refused, as ``measure`` refuses a
-    shape, only once the source has been read through."""
+def verify_consistency(y: ImageTensor, x_hat, s: int, quantized: bool = False) -> ConsistencyReport:
+    """Compare ``y`` against the pooled-down reconstruction ``x_hat``, an
+    ``ImageTensor``, an array or a stripe source (see
+    ``LinearOperator.verify``).  A scale below 1 is refused, as ``measure``
+    refuses a shape, only once a stripe source has been read through."""
     try:
         op = PoolingOp.for_measurement(y, s)
     except ValueError:
-        _read_through(x_hat)
+        if not isinstance(x_hat, ImageTensor):
+            _read_through(x_hat)
         raise
-    return _compare_fresh(y, measure(op, x_hat))
-
-
-def verify_consistency(
-    y: ImageTensor, x_hat: ImageTensor, s: int, quantized: bool = False
-) -> ConsistencyReport:
-    """Compare ``y`` against the pooled-down reconstruction (see ``LinearOperator.verify``)."""
-    return PoolingOp.for_measurement(y, s).verify(y, x_hat, quantized)
+    return op.verify(y, x_hat, quantized)
 
 
 class PoolingOp(BlockOperator):
@@ -160,9 +154,6 @@ class PoolingOp(BlockOperator):
     def for_measurement(cls, y: ImageTensor, scale: int) -> "PoolingOp":
         """The operator that maps ``scale``-times larger images onto ``y``'s shape."""
         return cls(scale, y.channels, scale * y.height, scale * y.width)
-
-    def forward(self, x: ImageTensor) -> ImageTensor:
-        return ImageTensor(measure(self, x.data))
 
     def pinv(self, y: ImageTensor) -> ImageTensor:
         self._check(y, self.out_shape, "measurement")

@@ -210,7 +210,9 @@ def open_prediction(y: ImageTensor, method: str, s: int, external_path=None):
     if external_path is None:
         raise ValueError("external predictor needs a file path")
     with open_stripes(external_path) as x_raw:
-        check_external(y, s, x_raw.shape)
+        expected = (y.channels, s * y.height, s * y.width)
+        if x_raw.shape != expected:
+            raise ValueError(f"external prediction shape {x_raw.shape}, expected {expected}")
         yield x_raw
 
 
@@ -250,10 +252,3 @@ class _Enlarged:
                 else:
                     _apply_phases(windows[q0 : q0 + len(out)], weights, 0, out.reshape(-1, width * s))
                 yield out.reshape(-1, width * s)
-
-
-def check_external(y: ImageTensor, s: int, shape: tuple[int, ...]) -> None:
-    """Refuse an external prediction's ``shape`` unless it is ``y``'s times ``s``."""
-    expected = (y.channels, s * y.height, s * y.width)
-    if shape != expected:
-        raise ValueError(f"external prediction shape {shape}, expected {expected}")

@@ -1,10 +1,11 @@
 """Extension operators: per-pixel channel mean (gray observation of a
 color image) and block compressed sensing with orthonormal sampling rows.
 
-Both take ``verify`` from ``LinearOperator`` and run their in-memory
-``combine`` on the walk they give ``linop.reconstruct``, with the
-generic combine's bytes, errors and check order; their ``forward``,
-which ``color_to_gray`` and ``cs_measure`` call, is ``linop.measure``.
+Both are walk operators (``linop._WalkOperator``): their ``forward``,
+which ``color_to_gray`` and ``cs_measure`` call, is ``linop.measure``,
+their in-memory ``combine`` runs the walk they give
+``linop.reconstruct``, with the generic combine's bytes, errors and
+check order, and their ``verify`` is ``LinearOperator``'s.
 ``BlockSenseOp`` is a ``linop.BlockOperator`` whose band kernels measure
 and back-project a whole channel with one BLAS product and one
 reordering copy each, a small multiple of a memory copy with no
@@ -13,10 +14,10 @@ bytes (see ``cs_measure``).  The channel mean walks stripes of rows:
 ``_channel_mean``, the forward walk and the first of ``reconstruct``'s
 two, sums an image's channel mean holding channel 0 and the sum, and
 ``ColorMeanOp._stream_walk`` subtracts that mean from each channel and
-adds ``y``, exactly the replication ``pinv`` does.  ``cs_stream_measure``
-(``linop.measure``) and ``cs_stream_pinv`` give the bytes and errors of
-``cs_measure`` and ``cs_pinv`` followed by ``save_tensor``, one channel
-at a time; ``generic_pd`` is the function spelling of ``op.combine``.
+adds ``y``, exactly the replication ``pinv`` does.  ``cs_stream_pinv``
+gives the bytes and errors of ``cs_pinv`` followed by ``save_tensor``,
+one channel at a time, as ``linop.measure`` does for ``cs_measure``;
+``generic_pd`` is the function spelling of ``op.combine``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linop import BlockOperator, LinearOperator, measure, svd
+from .linop import BlockOperator, LinearOperator, _WalkOperator, svd
 from .rng import Stream
 from .tensor import (
     ImageTensor,
@@ -110,15 +111,12 @@ def gray_to_color(g: ImageTensor, adjoint: bool = False) -> ImageTensor:
     return ImageTensor(data)
 
 
-class ColorMeanOp(LinearOperator):
+class ColorMeanOp(_WalkOperator):
     """Channel-mean observation of a fixed-size color image."""
 
     def __init__(self, height: int, width: int):
         self.in_shape = (3, height, width)
         self.out_shape = (1, height, width)
-
-    def forward(self, x: ImageTensor) -> ImageTensor:
-        return ImageTensor(measure(self, x.data))
 
     def pinv(self, y: ImageTensor) -> ImageTensor:
         self._check(y, self.out_shape, "measurement")
@@ -136,17 +134,7 @@ class ColorMeanOp(LinearOperator):
         _check_finite(mean)
         return mean
 
-    def combine(self, y: ImageTensor, x_raw: ImageTensor) -> ImageTensor:
-        """The generic combine's bytes, errors and check order: ``_stream_walk``
-        with no writers into one output array, made after the channel mean,
-        so that the two planes that sum the mean are gone by then."""
-        self._combine_checks(y, x_raw)
-        mean = self._read_first(y, x_raw.data)
-        out = np.empty_like(x_raw.data)
-        self._stream_walk(y.data, x_raw.data, [], mean, out)
-        return ImageTensor(out)
-
-    def _read_first(self, y: ImageTensor, x_raw) -> np.ndarray | None:
+    def _read_first(self, y, x_raw) -> np.ndarray | None:
         """The first of ``reconstruct``'s two walks: read ``x_raw`` through
         and, if it fits, return its (height, width) channel mean."""
         if x_raw.shape == self.in_shape:
@@ -231,9 +219,6 @@ class BlockSenseOp(BlockOperator):
         bound.out_shape = (channels * self.q, height // self.block, width // self.block)
         return bound
 
-    def forward(self, x: ImageTensor) -> ImageTensor:
-        return ImageTensor(measure(self, x.data))
-
     def pinv(self, y: ImageTensor) -> ImageTensor:
         self._check(y, self.out_shape, "measurement")
         return cs_pinv(self, y)
@@ -244,7 +229,7 @@ class BlockSenseOp(BlockOperator):
         super()._check_input(x)
         _require_blocks(*x.shape[1:], self.block)
 
-    def _read_first(self, y: ImageTensor, x_raw) -> None:
+    def _read_first(self, y, x_raw) -> None:
         """Read ``x_raw`` through unless it fits ``y``, which needs
         ``y``'s channels to be a multiple of ``q``."""
         cq, nh, nw = y.shape
@@ -352,12 +337,6 @@ def cs_pinv(op: BlockSenseOp, m: ImageTensor) -> ImageTensor:
     for _ in op._pinv_walk(m.data, out):
         pass
     return ImageTensor(out)
-
-
-def cs_stream_measure(op: BlockSenseOp, x, path: str | Path) -> None:
-    """Write ``cs_measure`` of the array or stripe source ``x`` to ``path``:
-    ``linop.measure``, one channel at a time."""
-    measure(op, x, path)
 
 
 def cs_stream_pinv(op: BlockSenseOp, m: ImageTensor, path: str | Path) -> None:

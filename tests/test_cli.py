@@ -840,8 +840,8 @@ class TestStripeLayer:
         # Every forward of an array or a stripe source runs ``linop.measure``;
         # the channel mean and the read-through are reached besides only
         # from the operators' hooks for ``measure`` and ``reconstruct``, and
-        # from ``stream_verify``, which reads its source through before it
-        # refuses a scale below 1.
+        # from ``verify_consistency``, which reads its source through before
+        # it refuses a scale below 1.
         assert self._callers("_forward_walk") == {("linop", None, "measure")}
         assert self._callers("_channel_mean") == {("restore", "ColorMeanOp", "_forward_walk"),
                                                   ("restore", "ColorMeanOp", "_read_first")}
@@ -850,20 +850,24 @@ class TestStripeLayer:
             ("linop", "LinearOperator", "_read_first"),
             ("restore", "BlockSenseOp", "_read_first"),
             ("restore", "ColorMeanOp", "_read_first"),
-            ("pooling", None, "stream_verify"),
+            ("pooling", None, "verify_consistency"),
         }
-        hooks = {"_check_input": "measure", "_read_first": "reconstruct"}
-        for hook, protocol in hooks.items():
-            assert {caller for caller in self._callers(hook) if caller[2] != hook} <= {
-                ("linop", None, protocol), ("restore", "ColorMeanOp", "combine")}
-        # Each walk operator's ``forward`` is ``measure`` itself: no check and
-        # no detour through a function that builds a second operator.
-        for module, cls in (("pooling", "PoolingOp"), ("restore", "BlockSenseOp"), ("restore", "ColorMeanOp")):
+        assert {caller for caller in self._callers("_check_input") if caller[2] != "_check_input"} <= {
+            ("linop", None, "measure")}
+        assert {caller for caller in self._callers("_read_first") if caller[2] != "_read_first"} == {
+            ("linop", None, "reconstruct"), ("linop", "_WalkOperator", "_combine_walk")}
+        # The walk operators share one ``forward``, which is ``measure``
+        # itself, one ``combine`` on their walk, and ``LinearOperator``'s
+        # ``verify``: none defines its own.
+        for module, cls in (("pooling", "PoolingOp"), ("restore", "BlockSenseOp"),
+                            ("restore", "ColorMeanOp"), ("linop", "BlockOperator")):
             (body,) = [node.body for node in self.trees[module].body if getattr(node, "name", None) == cls]
-            (forward,) = [node for node in body if getattr(node, "name", None) == "forward"]
-            assert _calls(forward, "measure") == 1
-            for name in ("_check", "pool_down", "cs_measure", "color_to_gray"):
-                assert _calls(forward, name) == 0
+            assert not {"forward", "combine", "verify"} & {getattr(node, "name", None) for node in body}
+        (body,) = [node.body for node in self.trees["linop"].body if getattr(node, "name", None) == "_WalkOperator"]
+        (forward,) = [node for node in body if getattr(node, "name", None) == "forward"]
+        assert _calls(forward, "measure") == 1
+        for name in ("_check", "pool_down", "cs_measure", "color_to_gray"):
+            assert _calls(forward, name) == 0
         # ``measure`` writes through the writers ``reconstruct`` uses.
         assert "save_tensor" not in _names(self.trees["linop"])
 

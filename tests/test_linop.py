@@ -1,5 +1,7 @@
 """SVD engine, pseudo-inverse construction, projections, diagnostics."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -259,6 +261,28 @@ class TestCombineVerify:
         x_hat = op.combine(y, x_raw)
         assert x_hat.shape == op.in_shape
         assert op.verify(y, x_hat).max_abs <= tol
+
+    @pytest.mark.parametrize("make_op, tol", _OPERATORS)
+    def test_verify_takes_an_array_or_a_stripe_source(self, make_op, tol, stream, tmp_path):
+        # The report of ``compare`` with the forward, for an ``ImageTensor``,
+        # its array and a ``RawReader`` on its PDT1 alike.
+        op = make_op(stream)
+        y = ImageTensor(stream.uniform(op.out_shape))
+        x_hat = ImageTensor(stream.gaussian(op.in_shape))
+        expected = compare(y, op.forward(x_hat))
+        assert op.verify(y, x_hat) == expected
+        assert op.verify(y, x_hat.data.copy()) == expected
+        write_raw(x_hat, tmp_path / "x.pdt1")
+        with RawReader(tmp_path / "x.pdt1") as reader:
+            assert op.verify(y, reader) == expected
+
+    @pytest.mark.parametrize("make_op, tol", _OPERATORS)
+    def test_verify_refuses_a_misfit_measurement(self, make_op, tol, stream):
+        op = make_op(stream)
+        c, h, w = op.out_shape
+        y = ImageTensor(stream.uniform((c, h, w + 1)))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'shape mismatch: {y.shape} vs {op.out_shape}')}$"):
+            op.verify(y, ImageTensor(stream.uniform(op.in_shape)))
 
     def test_verify_quantized_measures_the_quantized_reconstruction(self, stream):
         op = DenseOperator(stream.gaussian((6, 10)))

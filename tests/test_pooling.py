@@ -1,6 +1,7 @@
 """Block-mean pooling, replication, and the consistent combine."""
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -24,7 +25,6 @@ from rangenull import (
     quantize,
     reconstruct,
     save_png,
-    stream_verify,
     verify_consistency,
     write_raw,
 )
@@ -217,6 +217,23 @@ class TestVerifyConsistency:
         with pytest.raises(ValueError):
             verify_consistency(y, ImageTensor(np.zeros((1, 4, 6))), 2)
 
+    def test_in_memory_verify_peaks_below_one_and_a_half_measurements(self):
+        # The forward is measured into one fresh array, which then holds the
+        # difference: no second measurement-sized array beside the walk's
+        # scratch.
+        rng = np.random.default_rng(3)
+        op = PoolingOp(2, 3, 1024, 1024)
+        x_hat = ImageTensor(rng.uniform(size=op.in_shape))
+        y = ImageTensor(rng.uniform(size=op.out_shape))
+        op.verify(y, x_hat)
+        tracemalloc.start()
+        try:
+            op.verify(y, x_hat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * y.data.nbytes
+
 
 class TestPoolingOp:
     def test_forward_pinv_match_functions(self, stream):
@@ -328,8 +345,8 @@ def walk_cases(draw):
 
 
 class TestStreamedKernels:
-    """``reconstruct`` and ``stream_verify`` read a PDT1 file one stripe at a
-    time and must give the in-memory path's bytes and records."""
+    """``reconstruct`` and ``verify_consistency`` read a PDT1 file one stripe
+    at a time and must give the in-memory path's bytes and records."""
 
     @STRIPES
     @given(lr_and_raw(max_s=8, signed_zeros=True))
@@ -345,7 +362,7 @@ class TestStreamedKernels:
             assert out.read_bytes() == ref.read_bytes()
             assert record.to_dict() == PoolingOp.for_measurement(y, s).verify(y, x_hat).to_dict()
             with RawReader(out) as reader:
-                assert stream_verify(y, reader, s).to_dict() == verify_consistency(y, x_hat, s).to_dict()
+                assert verify_consistency(y, reader, s).to_dict() == verify_consistency(y, x_hat, s).to_dict()
 
     @pytest.mark.parametrize("stripe_bytes", [1, tensor._STRIPE_BYTES], ids=["row", "default"])
     @given(walk_cases())

@@ -28,7 +28,6 @@ from rangenull import (
     cs_build,
     cs_measure,
     cs_pinv,
-    cs_stream_measure,
     cs_stream_pinv,
     generic_pd,
     gray_to_color,
@@ -397,7 +396,7 @@ def _outcome(call, path):
 
 
 class TestCsStreamed:
-    """``cs_stream_measure``, ``cs_stream_pinv`` and ``reconstruct`` against
+    """``measure``, ``cs_stream_pinv`` and ``reconstruct`` against
     the in-memory path they replace in the CLI: the same bytes, records and
     errors for any block, channel count, input and output format and
     stripe size."""
@@ -418,7 +417,7 @@ class TestCsStreamed:
 
             def measure_streamed():
                 with open_stripes(x_path) as src:
-                    cs_stream_measure(op, src, streamed)
+                    measure(op, src, streamed)
 
             def measure_whole():
                 save_tensor(cs_measure(op, load_tensor(x_path)), whole)
