@@ -181,18 +181,17 @@ class BlockOperator(_WalkOperator):
     (``tensor._pooling_rows``), or a whole channel where
     ``whole_channels`` is set.
 
-    Where ``by_band`` is set, the measurement and the combine of a block
-    are not finite wherever the block is not (pooling), so the walks read
-    a ``RawReader`` without its own finiteness check and check what they
-    compute instead: a stripe is checked sample by sample only where its
-    measurement is not finite, which gives the same error at the same
-    stripe, and a measurement is checked whole only if it overflowed.
+    The walks check finiteness through the measurements they take
+    (``_forward_checked``), which are NaN or infinite wherever a sample of
+    their block is: by elementwise arithmetic for pooling, and for block
+    sensing because IEEE gives ``0 * NaN = 0 * inf = NaN`` in its BLAS
+    product.  So a stripe is checked sample by sample only where its
+    measurement is not finite, and a measurement whole only if it overflowed.
     """
 
     block: int
     q: int
     whole_channels = False
-    by_band = False
 
     @abc.abstractmethod
     def _forward_band(self, rows: np.ndarray, out: np.ndarray, scratch) -> None:
@@ -218,22 +217,18 @@ class BlockOperator(_WalkOperator):
         _, h, w = src.shape
         b = self.block
         step = h // b if self.whole_channels else _pooling_rows(w, src.dtype.itemsize, b)
-        return stripes(src, b, step, checked=not self.by_band), self._scratch(min(step, h // b), w, src.dtype)
+        return stripes(src, b, step), self._scratch(min(step, h // b), w, src.dtype)
 
     def _forward_walk(self, src) -> np.ndarray:
-        """The measurement of an array or a stripe source, checked finite:
-        through each stripe's measurement (``_forward_checked``) where
-        ``by_band`` is set, else whole after the last stripe."""
+        """The measurement of an array or a stripe source, checked finite
+        through each stripe's measurement (``_forward_checked``)."""
         c, h, w = src.shape
         b = self.block
         out = np.empty((c * self.q, h // b, w // b), src.dtype)
         stripes, scratch = self._walk(src)
-        finite = self.by_band  # whether every band is known to be finite
+        finite = True  # whether every band was finite
         for rows, ch, band in stripes:
-            if self.by_band:
-                finite &= self._forward_checked(rows, self._band(out, ch, band), scratch)
-            else:
-                self._forward_band(rows, self._band(out, ch, band), scratch)
+            finite &= self._forward_checked(rows, self._band(out, ch, band), scratch)
         if not finite:
             _check_finite(out)
         return out
@@ -252,33 +247,31 @@ class BlockOperator(_WalkOperator):
         """``reconstruct``'s walk: combine each stripe of the source ``x_raw``
         in place, in the buffer of a source that makes its own stripes or
         one reused buffer beside an array, or into ``out``
-        (``tensor._writable_stripes``), check it finite, hand it to each writer in turn, which may quantize it in
-        place, and return the measurement of what each file holds, checked
-        finite as ``ImageTensor`` checks it.  ``first`` is unused.  With no
-        writers nothing is checked: ``out`` is made an ``ImageTensor``.
-
-        Where ``by_band`` is set and the first file is a PDT1, which holds
-        the combined stripe itself, its measurement is taken before the
-        write and checks the stripe and itself as in ``_forward_walk``.
+        (``tensor._writable_stripes``), hand it to each writer in turn,
+        which may quantize it in place, and return the measurement of what
+        each file holds, checked as in ``_forward_walk``; a PDT1, which
+        holds the stripe itself, is measured before its write.  Only a first
+        PNG, which would quantize it, has the stripe checked sample by
+        sample first.  ``first`` is unused.  With no writers nothing is
+        checked: ``out`` is made an ``ImageTensor``.
         """
         forwards = [np.empty_like(y) for _ in writers]
-        # Files whose measurement is taken before the write: none, or a first PDT1.
-        early = 1 if self.by_band and writers and isinstance(writers[0], _RawWriter) else 0
-        finite = True  # whether every band of an early measurement was finite
+        finite = True  # whether every band of every measurement was finite
         stripes, scratch = self._walk(x_raw, partial(_writable_stripes, out=out))
         for rows, held, ch, band in stripes:
             self._combine_band(rows, self._band(y, ch, band), held, scratch)
-            outs = [self._band(forward, ch, band) for forward in forwards]
-            if early:
-                finite &= self._forward_checked(held, outs[0], scratch)
-            elif writers:
+            if writers and not isinstance(writers[0], _RawWriter):
                 _check_finite(held)
-            for i, (writer, measured) in enumerate(zip(writers, outs)):
-                held = writer.write(held, held)
-                if i >= early:
-                    self._forward_band(held, measured, scratch)
-        for i, forward in enumerate(forwards):
-            if i >= early or not finite:
+            for writer, forward in zip(writers, forwards):
+                measured = self._band(forward, ch, band)
+                if isinstance(writer, _RawWriter):
+                    finite &= self._forward_checked(held, measured, scratch)
+                    writer.write(held)
+                else:
+                    held = writer.write(held, held)
+                    finite &= self._forward_checked(held, measured, scratch)
+        if not finite:
+            for forward in forwards:
                 _check_finite(forward)
         return forwards
 
@@ -291,6 +284,12 @@ class IdentityOperator(LinearOperator):
     def forward(self, x: ImageTensor) -> ImageTensor:
         self._check(x, self.in_shape, "input")
         return x
+
+    def _forward_walk(self, src) -> np.ndarray:
+        """``measure``'s walk: the gathered source itself, checked finite."""
+        out = _gather(src)
+        _check_finite(out)
+        return out
 
     def pinv(self, y: ImageTensor) -> ImageTensor:
         self._check(y, self.out_shape, "measurement")

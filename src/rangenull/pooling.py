@@ -29,10 +29,10 @@ such as a ``RawReader`` or a predictor, and hold the low-resolution
 arrays, one stripe and the scratch, never the high-resolution image.
 ``PoolingOp.forward``, and so ``pool_down``, is ``measure`` of an array,
 and ``verify_consistency`` takes an array or a stripe source too.  The walks
-check finiteness through the block means (``BlockOperator.by_band``): a
-block's anchored mean is NaN or infinite wherever a sample of the block
-is (``inf - inf`` is NaN, and NaN propagates; scale 1 copies), and so is
-the combine of the block.
+check finiteness through the block means, as every ``BlockOperator``
+does: a block's anchored mean is NaN or infinite wherever a sample of the
+block is (``inf - inf`` is NaN, and NaN propagates; scale 1 copies), and
+so is the combine of the block.
 """
 
 from __future__ import annotations
@@ -141,8 +141,6 @@ class PoolingOp(BlockOperator):
     whose one measurement per block is the block's mean."""
 
     q = 1
-    # A block's anchored mean is not finite wherever a sample is (see above).
-    by_band = True
 
     def __init__(self, scale: int, channels: int, height: int, width: int):
         _require_divisible(height, width, scale)

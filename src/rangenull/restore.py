@@ -14,7 +14,10 @@ bytes (see ``cs_measure``).  The channel mean walks stripes of rows:
 ``_channel_mean``, the forward walk and the first of ``reconstruct``'s
 two, sums an image's channel mean holding channel 0 and the sum, and
 ``ColorMeanOp._stream_walk`` subtracts that mean from each channel and
-adds ``y``, exactly the replication ``pinv`` does.  ``cs_stream_pinv``
+adds ``y``, exactly the replication ``pinv`` does.  Each walk checks
+finiteness through what it computes (see ``linop.BlockOperator``): the
+channel mean through the mean, the second walk each combined stripe.
+``cs_stream_pinv``
 gives the bytes and errors of ``cs_pinv`` followed by ``save_tensor``,
 one channel at a time, as ``linop.measure`` does for ``cs_measure``;
 ``generic_pd`` is the function spelling of ``op.combine``.
@@ -129,17 +132,21 @@ class ColorMeanOp(_WalkOperator):
         super()._check_input(x)
 
     def _forward_walk(self, src) -> np.ndarray:
-        """``measure``'s walk: ``_channel_mean``, checked finite."""
+        """``measure``'s walk: ``_channel_mean``, checked finite, as the samples are."""
         mean = _channel_mean(src)
         _check_finite(mean)
         return mean
 
     def _read_first(self, y, x_raw) -> np.ndarray | None:
         """The first of ``reconstruct``'s two walks: read ``x_raw`` through
-        and, if it fits, return its (height, width) channel mean."""
-        if x_raw.shape == self.in_shape:
-            return _channel_mean(x_raw)[0]
-        _read_through(x_raw)
+        and, if it fits, return its (height, width) channel mean.  The mean
+        is NaN or infinite wherever a sample is; where it is not finite, the
+        source is read through again, checked, so that a bad sample is
+        refused here and an overflow is left to the second walk."""
+        mean = _channel_mean(x_raw)[0] if x_raw.shape == self.in_shape else None
+        if mean is None or not np.isfinite(mean).all():
+            _read_through(x_raw)
+        return mean
 
     def _stream_walk(self, y: np.ndarray, x_raw, writers: list, mean: np.ndarray, out=None) -> list[np.ndarray]:
         """The second walk: combine each stripe as ``(x - mean) + y`` in place,

@@ -22,9 +22,11 @@ source that makes them in one reused buffer, the caller's to overwrite
 until the next: a ``RawReader`` reading a PDT1 payload (``open_stripes``
 opens a PDT1 that way and decodes a PNG whole), a predictor, or a
 ``_Blank`` buffer; ``_writable_stripes`` pairs each with a buffer to
-rewrite it in.  ``_open_writers`` gives each output file the writer of
-its format: a PDT1 writes each stripe as it comes, a PNG quantizes it
-into the 8-bit image it encodes at the end.  ``linop.reconstruct`` and
+rewrite it in.  No source checks its samples finite: a walk checks what
+it computes from them (see ``linop``), and ``_read_through`` the samples
+of a source its caller refuses.  ``_open_writers`` gives each output
+file the writer of its format: a PDT1 writes each stripe as it comes, a
+PNG quantizes it into the 8-bit image it encodes at the end.  ``linop.reconstruct`` and
 ``linop.measure``, the streamed combine and forward of every operator,
 and ``restore.cs_stream_pinv`` walk a PDT1 this way and never hold the
 whole image; they are the only callers of ``_open_writers`` outside this
@@ -350,16 +352,13 @@ class RawReader:
     def __exit__(self, *exc_info) -> None:
         self._file.close()
 
-    def stripes(self, rows: int, checked: bool = True):
+    def stripes(self, rows: int):
         """Yield the samples in file order, each channel as (k, width) arrays
         of ``rows`` rows (the last one of a channel may be shorter).
 
         Every stripe is read with ``os.preadv`` into one reused buffer, so
-        it is valid until the next one is read, and, if ``checked``, checked
-        finite with ``ImageTensor``'s message.  A caller that passes
-        ``checked=False`` checks what it computes from each stripe instead,
-        before it reads the next.  A file that shrinks or grows while it is
-        read raises ``ValueError`` as in ``read_raw``; growth is seen once
+        it is valid until the next one is read, and not checked finite.  A
+        file that shrinks or grows while it is read raises ``ValueError`` as in ``read_raw``; growth is seen once
         the last stripe has been read.  Every walk then raises
         ``ValueError``, naming the path, if the file's size or modification
         time is not what it was when the reader opened it, and a walk after
@@ -376,8 +375,6 @@ class RawReader:
             for r0 in range(0, height, rows):
                 stripe = buf[: min(rows, height - r0)]
                 _pread_exact(fd, stripe, offset, self.path)
-                if checked:
-                    _check_finite(stripe)
                 offset += stripe.nbytes
                 yield stripe
         _check_ended(fd, offset, self.path)
@@ -423,22 +420,18 @@ def _pooling_rows(width: int, itemsize: int, s: int) -> int:
     return max(1, 2 * _STRIPE_BYTES // (s * width * itemsize))
 
 
-def _stripes(src, s: int, step: int | None = None, checked: bool = True):
+def _stripes(src, s: int, step: int | None = None):
     """Yield (rows, channel, block-row slice) for each stripe of ``src``, in
     memory order: ``step`` block rows of one channel (fewer at its end),
     ``_band_rows`` by default, shaped (k, s, width).  An array's stripes
     are views.  Any other source has a ``shape``, a ``dtype`` and a
     ``stripes(rows)`` method that yields each channel's rows, ``rows`` at
     a time, as ``RawReader`` does; its stripes may share one buffer, valid
-    until the next, which the caller may overwrite meanwhile.
-    ``checked=False`` reads a ``RawReader`` without its finiteness check,
-    for a walk that checks what it computes instead."""
+    until the next, which the caller may overwrite meanwhile."""
     channels, height, width = src.shape
     step = step or _band_rows(width, src.dtype.itemsize, s)
     if isinstance(src, np.ndarray):
         pieces = (plane[r0 : r0 + s * step] for plane in src for r0 in range(0, height, s * step))
-    elif isinstance(src, RawReader):
-        pieces = src.stripes(s * step, checked)
     else:
         pieces = src.stripes(s * step)
     bands = ((ch, slice(r0, r0 + step)) for ch in range(channels) for r0 in range(0, height // s, step))
@@ -464,15 +457,15 @@ class _Blank:
             yield from (buf[: height - r0] for r0 in range(0, height, rows))
 
 
-def _writable_stripes(src, s: int, step: int | None = None, checked: bool = True, out: np.ndarray | None = None):
+def _writable_stripes(src, s: int, step: int | None = None, out: np.ndarray | None = None):
     """Yield (rows, spare, channel, block-row slice) for each stripe of
-    ``src``, as ``_stripes(src, s, step, checked)`` does, with a buffer of
+    ``src``, as ``_stripes(src, s, step)`` does, with a buffer of
     the stripe's shape and dtype that the caller may overwrite: the stripe
     of ``out``, an array like ``src``, if given; else the stripe itself for
     a source that makes its stripes in its own buffer, such as a
     ``RawReader``, whose next stripe overwrites it anyway, and one reused
     ``_Blank`` buffer for an array."""
-    stripes = _stripes(src, s, step, checked)
+    stripes = _stripes(src, s, step)
     if out is None and not isinstance(src, np.ndarray):
         for rows, ch, band in stripes:
             yield rows, rows, ch, band
@@ -491,10 +484,10 @@ def _gather(src, s: int = 1) -> np.ndarray:
 
 
 def _read_through(src) -> None:
-    """Read the stripe source ``src`` to its end, so that its own faults are
-    met before a caller refuses it."""
-    for _ in _stripes(src, 1):
-        pass
+    """Read the stripe source ``src`` to its end, checking each stripe
+    finite, so that its own faults are met before a caller refuses it."""
+    for rows, _, _ in _stripes(src, 1):
+        _check_finite(rows)
 
 
 def _raw_shape(f, path) -> tuple[int, int, int]:

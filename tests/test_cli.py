@@ -5,6 +5,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -36,7 +37,7 @@ from rangenull import (
     save_sense_op,
     write_raw,
 )
-from rangenull import linop, pooling, tensor
+from rangenull import linop, pooling, restore, tensor
 from rangenull.rng import Stream
 from rangenull.cli import BENCH_OPS, main
 
@@ -871,6 +872,24 @@ class TestStripeLayer:
         # ``measure`` writes through the writers ``reconstruct`` uses.
         assert "save_tensor" not in _names(self.trees["linop"])
 
+    def test_one_finiteness_rule(self):
+        # A stripe source never checks its samples: no function takes a
+        # ``checked`` flag and no class says whether its walks check by
+        # band.  ``_read_through`` alone checks a source's own samples.
+        for module, tree in self.trees.items():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef):
+                    args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                    assert "checked" not in {arg.arg for arg in args}, (module, node.name)
+                elif isinstance(node, ast.ClassDef):
+                    assigned = {target.id for item in node.body if isinstance(item, ast.Assign)
+                                for target in item.targets if isinstance(target, ast.Name)}
+                    assigned |= {item.target.id for item in node.body
+                                 if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+                    assert "by_band" not in assigned, (module, node.name)
+        (read_through,) = [node for node in self.trees["tensor"].body if getattr(node, "name", None) == "_read_through"]
+        assert _calls(read_through, "_check_finite") == 1
+
     def test_one_prediction_dispatch(self):
         # ``predict_raw`` gathers what ``open_prediction`` yields, which alone
         # picks the predictor: it alone opens an external file or enlarges,
@@ -1305,6 +1324,79 @@ class TestFiniteChecks:
         assert code == 0
         assert run_cli(capsys, "verify", "--lr", str(lr), "--sr", str(out), "--scale", "4")[0] == 0
         assert checked and all(shape[-1] == 16 for shape in checked)
+
+    @staticmethod
+    def _record_checks(monkeypatch):
+        """The shapes of the arrays passed to ``_check_finite``, in order."""
+        checked = []
+
+        def record(arr, real=tensor._check_finite):
+            checked.append(arr.shape)
+            real(arr)
+
+        for module in (tensor, linop, pooling, restore):
+            monkeypatch.setattr(module, "_check_finite", record, raising=False)
+        return checked
+
+    @pytest.mark.parametrize("action", ["measure", "pd"])
+    def test_cs_checks_no_full_resolution_stripe(self, capsys, tmp_path, stream, monkeypatch, action):
+        # Block sensing checks through its measurements, into a PDT1.
+        op, x = tmp_path / "op.pdm1", tmp_path / "x.pdt1"
+        sense = cs_build(8, 0.25, seed=1)
+        save_sense_op(sense, op)
+        _pdt1(x, stream.uniform((3, 64, 64)))
+        if action == "measure":
+            argv = ["--input", str(x)]
+        else:
+            _pdt1(tmp_path / "y.pdt1", stream.uniform((3 * sense.q, 8, 8)))
+            argv = ["--lr", str(tmp_path / "y.pdt1"), "--raw", str(x)]
+        checked = self._record_checks(monkeypatch)
+        code, _, _ = run_cli(capsys, "cs", "--action", action, "--op", str(op), *argv,
+                             "--output", str(tmp_path / "o.pdt1"))
+        assert code == 0
+        assert [shape for shape in checked if shape[-1] == 64] == []
+
+    @pytest.mark.parametrize("output", ["o.pdt1", "o.png"])
+    def test_colorize_pd_checks_each_color_sample_once(self, capsys, tmp_path, stream, monkeypatch, output):
+        # The combined stripes, (k, 64) each, and never the prediction's; the
+        # gray input and the record's mean are (1, 64, 64).
+        gray, raw = tmp_path / "g.pdt1", tmp_path / "raw.pdt1"
+        _pdt1(gray, stream.uniform((1, 64, 64)))
+        _pdt1(raw, stream.uniform((3, 64, 64)))
+        checked = self._record_checks(monkeypatch)
+        code, _, _ = run_cli(capsys, "colorize", "--mode", "pd", "--input", str(gray), "--raw", str(raw),
+                             "--output", str(tmp_path / output))
+        assert code == 0
+        assert sum(k * w for k, w in (shape for shape in checked if len(shape) == 2)) == 3 * 64 * 64
+        assert [shape for shape in checked if len(shape) != 2] == [(1, 64, 64)] * 2
+
+
+class TestSensingChecksThroughItsProduct:
+    """Block sensing checks a sample only through the BLAS product of its
+    block, which must carry ``0 * NaN`` and ``0 * inf`` as NaN: with rows
+    that select pixels most weights are exactly 0, and a non-finite pixel
+    that no row samples is still refused, with nothing written."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_unsampled_pixel_is_refused(self, capsys, tmp_path, stream, value):
+        op = BlockSenseOp(4, 4, seed=0, ratio=0.25, rows=np.eye(16)[:4])  # the first row of each block
+        save_sense_op(op, tmp_path / "op.pdm1")
+        x = stream.uniform((3, 8, 12))
+        x[1, 5, 2] = value  # the second row of its block
+        _pdt1(tmp_path / "x.pdt1", x)
+        _pdt1(tmp_path / "y.pdt1", stream.uniform((3 * op.q, 2, 3)))
+        message = "tensor samples must be finite (no NaN or infinity)"
+        with RawReader(tmp_path / "x.pdt1") as reader, pytest.raises(ValueError, match=re.escape(message)):
+            measure(load_sense_op(tmp_path / "op.pdm1"), reader)
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        common = ["cs", "--op", str(tmp_path / "op.pdm1")]
+        for argv in (["--action", "measure", "--input", str(tmp_path / "x.pdt1"), "--output", str(tmp_path / "m.pdt1")],
+                     ["--action", "pd", "--lr", str(tmp_path / "y.pdt1"), "--raw", str(tmp_path / "x.pdt1"),
+                      "--output", str(tmp_path / "o.pdt1")],
+                     ["--action", "pd", "--lr", str(tmp_path / "y.pdt1"), "--raw", str(tmp_path / "x.pdt1"),
+                      "--output", str(tmp_path / "o.png")]):
+            assert run_cli(capsys, *common, *argv) == (3, "", f"error: {message}\n")
+            assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
 
 class TestTornWalk:

@@ -1,6 +1,8 @@
 """SVD engine, pseudo-inverse construction, projections, diagnostics."""
 
 import re
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -343,6 +345,26 @@ class TestMeasure:
     def test_refuses_a_misfit_with_the_operator_message(self):
         with pytest.raises(ValueError, match=r"^input shape \(3, 3, 5\) does not match operator shape \(3, 3, 4\)$"):
             measure(IdentityOperator((3, 3, 4)), np.zeros((3, 3, 5)))
+
+    def test_identity_checks_the_gathered_source(self, tmp_path):
+        x = np.zeros((1, 2, 2))
+        x[0, 1, 0] = np.inf
+        (tmp_path / "x.pdt1").write_bytes(struct.pack("<4sIII", b"PDT1", *x.shape) + x.tobytes())
+        with RawReader(tmp_path / "x.pdt1") as reader, pytest.raises(ValueError, match="must be finite"):
+            measure(IdentityOperator((1, 2, 2)), reader)
+
+    def test_identity_verify_holds_one_measurement(self):
+        # The gathered source is the forward, which then holds the difference.
+        rng = np.random.default_rng(5)
+        op = IdentityOperator((3, 1024, 1024))
+        y, x_hat = (ImageTensor(rng.uniform(size=op.in_shape)) for _ in range(2))
+        tracemalloc.start()
+        try:
+            op.verify(y, x_hat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * y.data.nbytes
 
 
 class TestMeasureWritesEveryFileAtOnce:

@@ -11,7 +11,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rangenull import ImageTensor, RawReader, load_png, load_tensor, quantize, read_raw, save_png, write_raw
+from rangenull import (
+    ColorMeanOp,
+    ImageTensor,
+    RawReader,
+    load_png,
+    load_tensor,
+    measure,
+    quantize,
+    read_raw,
+    save_png,
+    verify_consistency,
+    write_raw,
+)
 from rangenull.tensor import _open_writers, is_raw
 
 
@@ -400,15 +412,19 @@ class TestRawStripes:
                 next(reader.stripes(2))
 
     def test_non_finite_stripe(self, tmp_path):
+        # The reader yields what the file holds; its consumers check it:
+        # pooling through its block means, and ``measure`` of a source the
+        # channel mean refuses through ``_read_through``.
         path = tmp_path / "t.pdt1"
         a = np.zeros((1, 4, 2))
         a[0, 3, 1] = np.inf
         path.write_bytes(struct.pack("<4sIII", b"PDT1", *a.shape) + a.tobytes())
         with RawReader(path) as reader:
-            stripes = reader.stripes(2)
-            next(stripes)
+            assert np.array_equal(np.concatenate([rows.copy() for rows in reader.stripes(2)]), a[0])
             with pytest.raises(ValueError, match="must be finite"):
-                next(stripes)
+                verify_consistency(ImageTensor(np.zeros((1, 2, 1))), reader, 2)
+            with pytest.raises(ValueError, match="must be finite"):
+                measure(ColorMeanOp(4, 2), reader)
 
     def test_is_raw_follows_the_magic(self, tmp_path, stream):
         t = ImageTensor(stream.uniform((1, 2, 2)))
