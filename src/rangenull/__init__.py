@@ -18,6 +18,7 @@ from .linop import (
     LinearOperator,
     MoorePenroseResiduals,
     SvdFactors,
+    lift,
     load_matrix,
     measure,
     mp_residuals,
@@ -45,7 +46,6 @@ from .restore import (
     cs_build,
     cs_measure,
     cs_pinv,
-    cs_stream_pinv,
     generic_pd,
     gray_to_color,
     load_sense_op,
@@ -90,12 +90,12 @@ __all__ = [
     "cs_build",
     "cs_measure",
     "cs_pinv",
-    "cs_stream_pinv",
     "derive",
     "error_map",
     "extract_highfreq",
     "generic_pd",
     "gray_to_color",
+    "lift",
     "load_matrix",
     "load_png",
     "load_sense_op",

@@ -21,18 +21,11 @@ import sys
 import numpy as np
 
 from .bench import BENCH_OPS, run_bench, run_table1
-from .linop import measure, reconstruct
+from .linop import lift, measure, reconstruct
 from .metrics import error_map
 from .pooling import PoolingOp, verify_consistency
 from .resample import FILTERS, PREDICTORS, ResampleSpec, open_prediction, resample
-from .restore import (
-    ColorMeanOp,
-    cs_build,
-    cs_stream_pinv,
-    gray_to_color,
-    load_sense_op,
-    save_sense_op,
-)
+from .restore import ColorMeanOp, cs_build, load_sense_op, save_sense_op
 from .tensor import load_tensor, open_stripes, save_tensor
 
 EXIT_OK = 0
@@ -91,10 +84,10 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_colorize(args: argparse.Namespace) -> int:
-    """``gray`` runs ``measure`` with a ``ColorMeanOp`` on ``--input``, and
-    ``pd`` runs ``reconstruct`` with one on the color prediction ``--raw``
-    and prints its record; a PDT1 color image is read one stripe at a
-    time, a PNG decoded whole.  ``color`` maps ``--input`` whole."""
+    """``gray``, ``color`` and ``pd`` run ``measure``, ``lift`` and
+    ``reconstruct`` with a ``ColorMeanOp``, on ``--input`` or, for ``pd``,
+    the color prediction ``--raw``; ``pd`` prints its record.  Color images
+    are read (from a PDT1) and written one stripe at a time."""
     if args.raw is not None and args.mode != "pd":
         raise ValueError("colorize --raw is read only with --mode pd")
     if args.mode == "gray":
@@ -103,7 +96,7 @@ def _cmd_colorize(args: argparse.Namespace) -> int:
         return EXIT_OK
     x = load_tensor(args.input)
     if args.mode == "color":
-        save_tensor(gray_to_color(x), args.output)
+        lift(ColorMeanOp.for_measurement(x), x, args.output)
         return EXIT_OK
     if args.raw is None:
         raise ValueError("colorize --mode pd needs --raw with the color prediction")
@@ -122,10 +115,10 @@ def _require_flag(args: argparse.Namespace, name: str) -> str:
 
 def _cmd_cs(args: argparse.Namespace) -> int:
     """``build`` writes a PDM1 operator and prints its fields; ``measure``,
-    ``pinv`` and ``pd`` load it and run ``linop.measure``,
-    ``restore.cs_stream_pinv`` and ``linop.reconstruct``, which read a
-    PDT1 image (a PNG is decoded whole) and write the image one stripe at
-    a time, so none of them holds an image-sized array.
+    ``pinv`` and ``pd`` load it and run ``linop.measure``, ``linop.lift``
+    and ``linop.reconstruct``, which read a PDT1 image (a PNG is decoded
+    whole) and write the image one stripe at a time, so none of them holds
+    an image-sized array.
     """
     if args.action == "build":
         op = cs_build(args.block, args.ratio, args.seed)
@@ -137,7 +130,7 @@ def _cmd_cs(args: argparse.Namespace) -> int:
         with open_stripes(_require_flag(args, "input")) as x:
             measure(op, x, args.output)
     elif args.action == "pinv":
-        cs_stream_pinv(op, load_tensor(_require_flag(args, "input")), args.output)
+        lift(op, load_tensor(_require_flag(args, "input")), args.output)
     else:
         y = load_tensor(_require_flag(args, "lr"))
         with open_stripes(_require_flag(args, "raw")) as x_raw:

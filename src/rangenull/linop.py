@@ -7,25 +7,25 @@ cannot, and the two parts of any input always add back to the input.
 
 The base class defines the consistent combine ``combine`` (keep
 ``A+ y``, take the null part of a raw prediction), the reference every
-fused kernel must equal, and its check ``verify``, which compares ``y``
-with ``measure`` of an image, array or stripe source.  Two protocols run
-an operator over a stripe source: ``reconstruct`` writes the combine into
-files through the operator's ``_stream_walk``, and ``measure`` takes the
-forward through its ``_forward_walk``; the operators without walks of
-their own are gathered and combined or measured whole.  ``_WalkOperator``
-is the base of those with walks (pooling, block sensing, channel mean):
-its ``forward`` is ``measure`` and its ``combine`` the ``_stream_walk``
-with no files.  ``BlockOperator`` is the base of the walk operators that
-measure each block x block tile of each channel on its own: they give
-two kernels for one stripe of whole block rows (for block sensing, a
-whole channel), run here on ``tensor._stripes``.  ``DenseOperator``
-materializes an arbitrary matrix and derives its pseudo-inverse from its
-SVD, taken from LAPACK through ``numpy.linalg.svd``.
+fused kernel must equal, and its check ``verify``.  Three protocols run
+an operator one stripe at a time: ``measure`` (the forward),
+``reconstruct`` (the combine) and ``lift`` (``A+ y``), each into files
+through ``tensor._open_writers`` or, but ``reconstruct``, into a fresh
+array.  ``_WalkOperator`` (pooling, block sensing, channel mean) gives
+them walks of its own and runs its ``forward``, ``pinv`` and ``combine``
+on them; any other operator is gathered and taken whole.
+``BlockOperator`` is the walk base of the operators that measure each
+block x block tile of each channel on its own, through three kernels on
+one stripe of whole block rows (for block sensing, a whole channel).
+``DenseOperator`` materializes an arbitrary matrix and derives its
+pseudo-inverse from its SVD, taken from LAPACK through
+``numpy.linalg.svd``.
 """
 
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -35,6 +35,7 @@ from .metrics import ConsistencyReport, _compare_fresh
 from .rng import Stream
 from .tensor import (
     ImageTensor,
+    _Blank,
     _check_finite,
     _gather,
     _open_writers,
@@ -106,6 +107,11 @@ class LinearOperator(abc.ABC):
         ``forward`` as a fresh array, checked finite."""
         return self.forward(ImageTensor(_gather(src))).data.copy()
 
+    def _lift_source(self, y: ImageTensor):
+        """``lift``'s stripe source of ``A+ y``, made after the measurement's
+        checks: for an operator without a walk of its own, ``pinv``'s array."""
+        return self.pinv(y).data
+
     def _read_first(self, y, x_raw):
         """Read the stripe source ``x_raw`` through unless it fits, so that its
         own faults come first, as when it is loaded whole; return what
@@ -116,13 +122,10 @@ class LinearOperator(abc.ABC):
     def _stream_walk(self, y: np.ndarray, x_raw, writers: list, first) -> list[np.ndarray]:
         """``reconstruct``'s walk for an operator without one of its own:
         gather the source ``x_raw`` into one array, ``combine`` it whole,
-        hand each channel to each writer in turn and return, as fresh
-        arrays, the ``forward`` of what each file holds."""
-        x_hat = self.combine(ImageTensor(y), ImageTensor(_gather(x_raw)))
-        held = [np.empty(x_hat.shape) for _ in writers]
-        for ch, plane in enumerate(x_hat.data):
-            for writer, file in zip(writers, held):
-                plane = file[ch] = writer.write(plane)
+        hand it to each writer in turn and return, as fresh arrays, the
+        ``forward`` of what each file holds."""
+        x_hat = self.combine(ImageTensor(y), ImageTensor(_gather(x_raw))).data
+        held = [x_hat := writer.write(x_hat) for writer in writers]
         return [self.forward(ImageTensor(file)).data.copy() for file in held]
 
     def _combine_checks(self, y: ImageTensor, x_raw) -> None:
@@ -142,14 +145,18 @@ class LinearOperator(abc.ABC):
 
 
 class _WalkOperator(LinearOperator):
-    """An operator with walks of its own: ``_forward_walk``, and a
-    ``_stream_walk`` that, beside its writers, takes ``out``, an array like
-    the source that receives the combine (``tensor._writable_stripes``).
-    Its ``forward`` is ``measure`` and its ``combine`` that walk with no
-    writers, with the generic combine's bytes, errors and check order."""
+    """An operator with walks of its own: ``_forward_walk``, ``_lift_source``
+    and a ``_stream_walk`` that, beside its writers, takes ``out``, an array
+    like the source that receives the combine (``tensor._writable_stripes``).
+    Its ``forward`` is ``measure``, its ``pinv`` is ``lift`` and its
+    ``combine`` that walk with no writers, with the generic combine's bytes,
+    errors and check order."""
 
     def forward(self, x: ImageTensor) -> ImageTensor:
         return ImageTensor(measure(self, x))
+
+    def pinv(self, y: ImageTensor) -> ImageTensor:
+        return ImageTensor(lift(self, y))
 
     def combine(self, y: ImageTensor, x_raw: ImageTensor) -> ImageTensor:
         self._combine_checks(y, x_raw)
@@ -169,13 +176,14 @@ class BlockOperator(_WalkOperator):
     """An operator that maps each ``block`` x ``block`` tile of each image
     channel to ``q`` measurements, stacked as channel ``c * q + row``.
 
-    A subclass gives two kernels over one stripe of whole block rows
+    A subclass gives three kernels over one stripe of whole block rows
     ``rows``, shaped (k, block, width) as ``tensor._stripes`` yields it,
     and the matching slice ``y``/``out`` of a measurement, shaped (q, k,
     width // block): ``_forward_band`` writes the stripe's measurements
-    into ``out``, and ``_combine_band`` writes the combine of the stripe
+    into ``out``, ``_combine_band`` writes the combine of the stripe
     with ``y`` into a (k, block, width) buffer, which may be ``rows``
-    itself.  Both may use the ``scratch`` that ``_scratch`` makes, once
+    itself, and ``_lift_band`` writes ``A+ y`` into such a buffer.  The
+    first two may use the ``scratch`` that ``_scratch`` makes, once
     per walk, in the input's dtype.  The walks below run them and keep the
     input's dtype.  A stripe holds about twice ``tensor._STRIPE_BYTES``
     (``tensor._pooling_rows``), or a whole channel where
@@ -201,6 +209,10 @@ class BlockOperator(_WalkOperator):
     def _combine_band(self, rows: np.ndarray, y: np.ndarray, out: np.ndarray, scratch) -> None:
         """Write the combine of ``rows`` with the measurements ``y`` into ``out``."""
 
+    @abc.abstractmethod
+    def _lift_band(self, y: np.ndarray, out: np.ndarray) -> None:
+        """Write ``A+ y`` of the measurements ``y`` into ``out``."""
+
     def _scratch(self, rows: int, width: int, dtype: np.dtype):
         """Scratch for the kernels on stripes of at most ``rows`` block rows
         of ``width`` samples of ``dtype``; none unless a subclass needs it."""
@@ -218,6 +230,17 @@ class BlockOperator(_WalkOperator):
         b = self.block
         step = h // b if self.whole_channels else _pooling_rows(w, src.dtype.itemsize, b)
         return stripes(src, b, step), self._scratch(min(step, h // b), w, src.dtype)
+
+    def _lift_source(self, y: ImageTensor) -> "_Lifted":
+        self._check(y, self.out_shape, "measurement")
+        return _Lifted(self, y.data, self._image_shape(y.shape))
+
+    def _image_shape(self, measured: tuple[int, int, int]) -> tuple[int, int, int]:
+        """The shape of the images whose measurements have the shape ``measured``."""
+        cq, nh, nw = measured
+        if cq % self.q:
+            raise ValueError(f"measurement channels {cq} are not a multiple of q={self.q}")
+        return cq // self.q, nh * self.block, nw * self.block
 
     def _forward_walk(self, src) -> np.ndarray:
         """The measurement of an array or a stripe source, checked finite
@@ -274,6 +297,24 @@ class BlockOperator(_WalkOperator):
             for forward in forwards:
                 _check_finite(forward)
         return forwards
+
+
+class _Lifted:
+    """``A+ y`` of the block operator ``op``, a stripe source of ``shape``:
+    ``op._lift_band`` makes each whole channel, or with ``whole_channels``
+    unset each stripe of whole block rows and whole stripes of ``rows``, in
+    one reused buffer, which is yielded ``rows`` rows at a time."""
+
+    def __init__(self, op: BlockOperator, y: np.ndarray, shape: tuple[int, int, int]):
+        self._op, self._y, self.shape, self.dtype = op, y, shape, y.dtype
+
+    def stripes(self, rows: int):
+        op, (_, height, width) = self._op, self.shape
+        step = (height if op.whole_channels else math.lcm(rows, op.block)) // op.block
+        for out, ch, band in _stripes(_Blank(self.shape, self.dtype), op.block, step):
+            op._lift_band(op._band(self._y, ch, band), out)
+            plane = out.reshape(-1, width)
+            yield from (plane[r0 : r0 + rows] for r0 in range(0, len(plane), rows))
 
 
 class IdentityOperator(LinearOperator):
@@ -416,14 +457,14 @@ def reconstruct(op: LinearOperator, y: ImageTensor, x_raw, *paths) -> list[Consi
 def measure(op: LinearOperator, x, *paths) -> np.ndarray | None:
     """Write ``op.forward`` of the ``ImageTensor``, array or stripe source
     ``x``, taken on ``op._forward_walk``, which checks it finite, to each
-    of ``paths`` through ``tensor._open_writers``, or, with no paths,
-    return it as a fresh array.  Each file gets the forward itself, a PNG
-    its quantization, which the last file makes in place.  A source that
-    ``op._check_input`` refuses is read through first, so its own faults
-    come first, then refused; faults met in the walk come next, then every
-    destination is checked before the first byte is written.  The files
-    are renamed into place one by one after the last is complete
-    (``tensor._write_atomic``).
+    of ``paths`` through ``tensor._open_writers``, in one call to each
+    writer, or, with no paths, return it as a fresh array.  Each file gets
+    the forward itself, a PNG its quantization, which the last file makes
+    in place.  A source that ``op._check_input`` refuses is read through
+    first, so its own faults come first, then refused; faults met in the
+    walk come next, then every destination is checked before the first byte
+    is written.  The files are renamed into place one by one after the last
+    is complete (``tensor._write_atomic``).
     """
     if isinstance(x, ImageTensor):
         x = x.data
@@ -439,9 +480,26 @@ def measure(op: LinearOperator, x, *paths) -> np.ndarray | None:
     if not paths:
         return forward
     with _open_writers(forward.shape, *paths) as writers:
-        for plane in forward:
+        for writer in writers:
+            writer.write(forward, forward if writer is writers[-1] else None)
+
+
+def lift(op: LinearOperator, y: ImageTensor, *paths) -> np.ndarray | None:
+    """Write ``op.pinv(y)``, taken one stripe at a time from the array or
+    stripe source ``op._lift_source`` makes, to each of ``paths`` as
+    ``measure`` writes, the last file's PNG quantizing into the stripe's
+    spare buffer (``tensor._writable_stripes``), or, with no paths, return
+    it as a fresh array.  The measurement's checks come first, then every
+    destination, then the walk's own (block sensing checks each channel
+    finite)."""
+    src = op._lift_source(y)
+    if not paths:
+        return _gather(src)
+    whole = isinstance(op, BlockOperator) and op.whole_channels  # then each channel goes in one write
+    with _open_writers(src.shape, *paths) as writers:
+        for rows, spare, _, _ in _writable_stripes(src, 1, src.shape[1] if whole else None):
             for writer in writers:
-                writer.write(plane, plane if writer is writers[-1] else None)
+                writer.write(rows, spare if writer is writers[-1] else None)
 
 
 @dataclass(frozen=True)

@@ -5,15 +5,16 @@ The two maps form an exact pseudo-inverse pair: downsampling a replicated
 image returns the original bit-for-bit (block means are computed relative
 to the block's first sample, so a constant block averages to exactly that
 constant).  ``PoolingOp`` is a ``linop.BlockOperator`` with one
-measurement per block: it inherits ``forward``, ``combine``, ``verify``
-and the stripe walks, and its combine kernel swaps the block means of
-any raw prediction for the reference low-resolution values in one pass,
-bit-identical to the generic combine.  ``extract_highfreq`` and
-``verify_consistency`` are the scale-argument spellings of
-``null_project`` and ``PoolingOp.verify``.
+measurement per block: it inherits ``forward``, ``pinv``, ``combine``,
+``verify`` and the stripe walks.  Its band kernels take the block means
+(``_forward_band``), swap them for ``y`` in a raw prediction in one pass,
+bit-identical to the generic combine (``_combine_band``), and widen ``y``
+into its blocks (``_lift_band``), the ``A+ y`` of ``pool_up`` and of
+``resample.open_prediction``'s ``nearest`` prediction.
+``extract_highfreq`` and ``verify_consistency`` are the scale-argument
+spellings of ``null_project`` and ``PoolingOp.verify``.
 
-The band kernels ``PoolingOp._forward_band`` (block means) and
-``_combine_band`` work on one stripe of whole block rows, about 1 MiB
+The kernels work on one stripe of whole block rows, about 1 MiB
 (``tensor._pooling_rows``), so every numpy step runs over full image
 rows.  Each walk makes their scratch once, in the input's dtype: three
 planes of a stripe's block rows' width for the block means, into which
@@ -23,23 +24,20 @@ only, in a fixed order, so it does not depend on how the image is
 striped: ``pool_down`` and ``pd_combine`` agree bit for bit.  Both keep
 the input dtype.
 
-``PoolingOp.combine``, ``linop.reconstruct`` and ``linop.measure`` run
-these kernels on ``linop``'s walks over an array or any stripe source,
+``linop``'s walks run these kernels over an array or any stripe source,
 such as a ``RawReader`` or a predictor, and hold the low-resolution
 arrays, one stripe and the scratch, never the high-resolution image.
-``PoolingOp.forward``, and so ``pool_down``, is ``measure`` of an array,
-and ``verify_consistency`` takes an array or a stripe source too.  The walks
-check finiteness through the block means, as every ``BlockOperator``
-does: a block's anchored mean is NaN or infinite wherever a sample of the
-block is (``inf - inf`` is NaN, and NaN propagates; scale 1 copies), and
-so is the combine of the block.
+The walks check finiteness through the block means, as every
+``BlockOperator`` does: a block's anchored mean is NaN or infinite
+wherever a sample of the block is (``inf - inf`` is NaN, and NaN
+propagates; scale 1 copies), and so is the combine of the block.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linop import BlockOperator, LinearOperator, null_project
+from .linop import BlockOperator, LinearOperator, lift, null_project
 from .metrics import ConsistencyReport
 from .tensor import ImageTensor, _read_through
 
@@ -84,17 +82,6 @@ def _band_mean(rows: np.ndarray, s: int, scratch: np.ndarray, out: np.ndarray) -
     out += first
 
 
-def _replicate(a: np.ndarray, s: int) -> np.ndarray:
-    if s == 1:
-        return a.copy()
-    # The output is allocated first, so a size that cannot be held fails
-    # before any intermediate is filled.
-    channels, height, width = a.shape
-    out = np.empty((channels, height * s, width * s), a.dtype)
-    np.copyto(out.reshape(channels, height, s, width * s), np.repeat(a, s, axis=2)[:, :, None])
-    return out
-
-
 def pool_down(x: ImageTensor, s: int) -> ImageTensor:
     """Average each s x s block into one pixel (hard error if not divisible)."""
     return PoolingOp(s, *x.shape).forward(x)
@@ -102,9 +89,7 @@ def pool_down(x: ImageTensor, s: int) -> ImageTensor:
 
 def pool_up(y: ImageTensor, s: int) -> ImageTensor:
     """Replicate each pixel into an s x s block; pool_down undoes it exactly."""
-    if s < 1:
-        raise ValueError(f"scale must be a positive integer, got {s}")
-    return ImageTensor(_replicate(y.data, s))
+    return ImageTensor(lift(PoolingOp.for_measurement(y, s), y))
 
 
 def extract_highfreq(x_raw: ImageTensor, s: int) -> ImageTensor:
@@ -153,9 +138,6 @@ class PoolingOp(BlockOperator):
         """The operator that maps ``scale``-times larger images onto ``y``'s shape."""
         return cls(scale, y.channels, scale * y.height, scale * y.width)
 
-    def pinv(self, y: ImageTensor) -> ImageTensor:
-        self._check(y, self.out_shape, "measurement")
-        return pool_up(y, self.scale)
 
     def _scratch(self, rows: int, width: int, dtype: np.dtype):
         """``_band_mean``'s (3, rows, width) scratch and the combine's
@@ -170,6 +152,11 @@ class PoolingOp(BlockOperator):
             out[...] = rows[:, 0]
         else:
             _band_mean(rows, self.scale, scratch[0], out[0])
+
+    def _lift_band(self, y: np.ndarray, out: np.ndarray) -> None:
+        """Widen each row of ``y`` into its block's first row, and copy that."""
+        _widen(y[0], self.scale, out[:, 0])
+        out[:, 1:] = out[:, :1]
 
     def _combine_band(self, rows: np.ndarray, y: np.ndarray, out: np.ndarray, scratch) -> None:
         """Write ``(rows - replicate(block means)) + replicate(y)`` into

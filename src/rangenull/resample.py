@@ -26,7 +26,8 @@ enlargement is made one stripe of rows at a time (``_Enlarged``), from
 the horizontal pass of the low-resolution plane and a halo of at most
 two of its rows, as a stripe source for ``tensor._stripes``, which
 ``resample`` gathers and ``open_prediction``, the one predictor dispatch,
-yields to ``linop.reconstruct`` and to ``predict_raw``, which gathers it.
+yields to ``linop.reconstruct`` and to ``predict_raw``, which gathers it,
+beside ``nearest``, pooling's ``A+ y`` source (``linop.lift``).
 The horizontal pass writes its plane down columns, so that plane's rows
 are padded to an odd number of 64-byte cache lines (``_intermediate``):
 at a power-of-two width every row would fall in the same cache sets.
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .pooling import pool_down, pool_up
+from .pooling import PoolingOp, pool_down, pool_up
 from .tensor import ImageTensor, _gather, open_stripes
 
 FILTERS = ("box", "bilinear", "bicubic")
@@ -183,8 +184,8 @@ def predict_raw(y: ImageTensor, method: str, s: int, external_path=None) -> Imag
     """Produce a raw upsampled prediction to feed the consistent combine:
     the stripes ``open_prediction`` yields, gathered into one array.
 
-    ``nearest`` is plain replication (identical to ``pool_up``); the
-    interpolating methods give smoother guesses; ``external`` loads a
+    ``nearest`` is plain replication (``pool_up``); the interpolating
+    methods give smoother guesses; ``external`` loads a
     prediction produced elsewhere and validates its geometry.
     """
     with open_prediction(y, method, s, external_path) as x_raw:
@@ -198,14 +199,15 @@ def open_prediction(y: ImageTensor, method: str, s: int, external_path=None):
 
     ``external`` opens its file with ``tensor.open_stripes`` and refuses a
     shape other than ``y``'s times ``s`` before it reads a PDT1's samples;
-    the others enlarge ``y`` a stripe of rows at a time (``_Enlarged``).
+    the others enlarge ``y`` a stripe of rows at a time, ``nearest`` as
+    ``PoolingOp``'s ``A+ y``, the others by ``_Enlarged``.
     """
     if method not in PREDICTORS:
         raise ValueError(f"predictor must be one of {PREDICTORS}, got {method!r}")
     if s < 1:
         raise ValueError(f"scale must be a positive integer, got {s}")
     if method != "external":
-        yield _Enlarged(y, method, s)
+        yield PoolingOp.for_measurement(y, s)._lift_source(y) if method == "nearest" else _Enlarged(y, method, s)
         return
     if external_path is None:
         raise ValueError("external predictor needs a file path")
@@ -217,13 +219,13 @@ def open_prediction(y: ImageTensor, method: str, s: int, external_path=None):
 
 
 class _Enlarged:
-    """``y`` enlarged ``s`` times, by replication or by the bilinear or
-    bicubic kernel, made one stripe of whole block rows at a time.
+    """``y`` enlarged ``s`` times by the bilinear or bicubic kernel, made one
+    stripe of whole block rows at a time.
 
     Each channel's horizontal pass runs once on its low-resolution rows;
     the vertical pass then makes each stripe from those rows and a halo of
     at most two more.  ``resample`` and ``predict_raw`` gather these
-    stripes, so every enlargement runs this one kernel.
+    stripes, so every interpolating enlargement runs this one kernel.
     """
 
     dtype = np.dtype(np.float64)
@@ -238,17 +240,12 @@ class _Enlarged:
         s, (_, height, width) = self._s, self._y.shape
         step = rows // s
         buf = np.empty((min(step, height), s, width * s))
-        if self._method != "nearest":
-            first, weights = _phase_weights(ResampleSpec(self._method, False, s, "up"))
-            mid = _intermediate(height, width * s)
+        first, weights = _phase_weights(ResampleSpec(self._method, False, s, "up"))
+        mid = _intermediate(height, width * s)
         for plane in self._y.data:
-            if self._method != "nearest":
-                _apply_phases(_windows(plane, 1, first, len(weights), 1), weights, 1, mid)
-                windows = _windows(mid, 0, first, len(weights), 1)
+            _apply_phases(_windows(plane, 1, first, len(weights), 1), weights, 1, mid)
+            windows = _windows(mid, 0, first, len(weights), 1)
             for q0 in range(0, height, step):
                 out = buf[: min(step, height - q0)]
-                if self._method == "nearest":
-                    np.copyto(out, np.repeat(plane[q0 : q0 + len(out)], s, axis=-1)[:, None])
-                else:
-                    _apply_phases(windows[q0 : q0 + len(out)], weights, 0, out.reshape(-1, width * s))
+                _apply_phases(windows[q0 : q0 + len(out)], weights, 0, out.reshape(-1, width * s))
                 yield out.reshape(-1, width * s)

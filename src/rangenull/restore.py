@@ -1,25 +1,21 @@
 """Extension operators: per-pixel channel mean (gray observation of a
 color image) and block compressed sensing with orthonormal sampling rows.
 
-Both are walk operators (``linop._WalkOperator``): their ``forward``,
-which ``color_to_gray`` and ``cs_measure`` call, is ``linop.measure``,
-their in-memory ``combine`` runs the walk they give
-``linop.reconstruct``, with the generic combine's bytes, errors and
-check order, and their ``verify`` is ``LinearOperator``'s.
-``BlockSenseOp`` is a ``linop.BlockOperator`` whose band kernels measure
-and back-project a whole channel with one BLAS product and one
-reordering copy each, a small multiple of a memory copy with no
-image-sized temporary; reruns at one BLAS thread count give the same
+Both are walk operators (``linop._WalkOperator``): ``forward`` (which
+``color_to_gray`` and ``cs_measure`` call) is ``linop.measure``, ``pinv``
+(``gray_to_color``, ``cs_pinv``) is ``linop.lift``, ``combine`` runs the
+walk they give ``linop.reconstruct``, with the generic combine's bytes,
+errors and check order, and ``verify`` is ``LinearOperator``'s.
+``BlockSenseOp`` is a ``linop.BlockOperator`` whose band kernels
+measure and back-project a whole channel with one BLAS product and one
+reordering copy each; reruns at one BLAS thread count give the same
 bytes (see ``cs_measure``).  The channel mean walks stripes of rows:
-``_channel_mean``, the forward walk and the first of ``reconstruct``'s
-two, sums an image's channel mean holding channel 0 and the sum, and
-``ColorMeanOp._stream_walk`` subtracts that mean from each channel and
-adds ``y``, exactly the replication ``pinv`` does.  Each walk checks
-finiteness through what it computes (see ``linop.BlockOperator``): the
-channel mean through the mean, the second walk each combined stripe.
-``cs_stream_pinv``
-gives the bytes and errors of ``cs_pinv`` followed by ``save_tensor``,
-one channel at a time, as ``linop.measure`` does for ``cs_measure``;
+``_channel_mean`` sums the mean holding the sum and channel 0 (read in
+place from an array), ``A+ y`` hands ``y``'s rows to every channel, and
+``ColorMeanOp._stream_walk`` subtracts the mean from each channel and
+adds that.  Each walk checks finiteness through what it computes (see
+``linop.BlockOperator``): the channel mean through the mean, the second
+walk each combined stripe, block sensing's ``A+ y`` each channel.
 ``generic_pd`` is the function spelling of ``op.combine``.
 """
 
@@ -31,13 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .linop import BlockOperator, LinearOperator, _WalkOperator, svd
+from .linop import BlockOperator, LinearOperator, _WalkOperator, lift, svd
 from .rng import Stream
 from .tensor import (
     ImageTensor,
-    _Blank,
     _check_finite,
-    _open_writers,
     _read_payload,
     _read_through,
     _writable_stripes,
@@ -55,23 +49,25 @@ class _ChannelMean:
     Anchored on channel 0, so that equal channels average to themselves
     exactly: the residuals are summed from zero one channel at a time, the
     order and result of ``first + (a - first).sum(axis=0) / channels``,
-    holding channel 0 and the sum, never the image.
+    holding channel 0 and the sum, never the image: ``first``, the plane of
+    an image held whole, read in place, if given, else a copy ``add`` makes.
     """
 
-    def __init__(self, shape: tuple[int, int, int]):
+    def __init__(self, shape: tuple[int, int, int], first: np.ndarray | None = None):
         channels, height, width = shape
         self._channels = channels
-        self._first = np.empty((height, width))
+        self._copied = first is None
+        self._first = np.empty((height, width)) if first is None else first
         self._total = np.zeros((1, height, width))
 
     def add(self, rows: np.ndarray, ch: int, band: slice, spare: np.ndarray) -> None:
         """Take the (k, width) rows ``band`` of channel ``ch``; ``spare`` is a
         buffer of their shape that the call may overwrite, ``rows`` itself
         included."""
-        if ch == 0:
-            self._first[band] = rows
-        else:
+        if ch:
             self._total[0, band] += np.subtract(rows, self._first[band], out=spare)
+        elif self._copied:
+            self._first[band] = rows
 
     def mean(self) -> np.ndarray:
         """The (1, height, width) mean, in the array that held the sum; the
@@ -86,7 +82,7 @@ class _ChannelMean:
 def _channel_mean(src) -> np.ndarray:
     """The (1, height, width) per-pixel mean of the channels of ``src``, an
     array or a stripe source (see ``tensor._stripes``), walked once."""
-    mean = _ChannelMean(src.shape)
+    mean = _ChannelMean(src.shape, src[0] if isinstance(src, np.ndarray) else None)
     for rows, spare, ch, band in _writable_stripes(src, 1):
         mean.add(rows[:, 0], ch, band, spare[:, 0])
     return mean.mean()
@@ -106,11 +102,9 @@ def gray_to_color(g: ImageTensor, adjoint: bool = False) -> ImageTensor:
     forward map); that variant is provided only for comparison and is not
     a pseudo-inverse, so it does not preserve the round trip.
     """
-    if g.channels != 1:
-        raise ValueError(f"expected a 1-channel image, got {g.channels}")
-    data = np.repeat(g.data, 3, axis=0)
+    data = lift(ColorMeanOp.for_measurement(g), g)
     if adjoint:
-        data = data / 3.0
+        data /= 3.0
     return ImageTensor(data)
 
 
@@ -121,9 +115,17 @@ class ColorMeanOp(_WalkOperator):
         self.in_shape = (3, height, width)
         self.out_shape = (1, height, width)
 
-    def pinv(self, y: ImageTensor) -> ImageTensor:
+    @classmethod
+    def for_measurement(cls, y: ImageTensor) -> "ColorMeanOp":
+        """The operator onto the gray image ``y``, refused unless 1-channel."""
+        if y.channels != 1:
+            raise ValueError(f"expected a 1-channel image, got {y.channels}")
+        return cls(y.height, y.width)
+
+    def _lift_source(self, y: ImageTensor) -> np.ndarray:
+        """``y`` handed to every channel: seen, not copied, as three."""
         self._check(y, self.out_shape, "measurement")
-        return gray_to_color(y)
+        return np.broadcast_to(y.data, self.in_shape)
 
     def _check_input(self, x) -> None:
         """Refuse an input of other than three channels, then one of another size."""
@@ -226,10 +228,6 @@ class BlockSenseOp(BlockOperator):
         bound.out_shape = (channels * self.q, height // self.block, width // self.block)
         return bound
 
-    def pinv(self, y: ImageTensor) -> ImageTensor:
-        self._check(y, self.out_shape, "measurement")
-        return cs_pinv(self, y)
-
     def _check_input(self, x) -> None:
         """Refuse an input of another shape than a bound one, then one whose
         sides the block does not divide."""
@@ -239,20 +237,16 @@ class BlockSenseOp(BlockOperator):
     def _read_first(self, y, x_raw) -> None:
         """Read ``x_raw`` through unless it fits ``y``, which needs
         ``y``'s channels to be a multiple of ``q``."""
-        cq, nh, nw = y.shape
-        b = self.block
-        if cq % self.q or x_raw.shape != (cq // self.q, nh * b, nw * b):
+        if y.shape[0] % self.q or x_raw.shape != self._image_shape(y.shape):
             _read_through(x_raw)
 
     def _combine_checks(self, y: ImageTensor, x_raw) -> None:
         """The generic combine's checks, in its order, of ``y`` and anything
         with the ``shape`` of a raw prediction."""
-        self._check(y, self.out_shape, "measurement")
-        c, nh, nw = _image_blocks(self, y.shape)
-        b = self.block
-        if x_raw.shape != (c, nh * b, nw * b):
+        shape = self._lift_source(y).shape  # the checks of ``pinv``
+        if x_raw.shape != shape:
             cs_pinv(self, y)  # the generic combine reports an overflowing A+ y first
-            self._check_raw(x_raw, (c, nh * b, nw * b))
+            self._check_raw(x_raw, shape)
 
     def _per_block(self, rows: np.ndarray) -> np.ndarray:
         """The (blocks, q) measurements of ``rows``: one reordering copy lays
@@ -273,15 +267,11 @@ class BlockSenseOp(BlockOperator):
         b = self.block
         return np.matmul(m.reshape(q, k * nw).T, self.rows).reshape(k, nw, b, b).transpose(0, 2, 1, 3)
 
-    def _pinv_walk(self, m: np.ndarray, out):
-        """Write ``A+ m`` into each channel of ``out``, an image array or a
-        ``tensor._Blank`` of its shape (one reused channel buffer), and
-        yield the channel."""
-        b = self.block
-        stripes, _ = self._walk(out)
-        for rows, ch, band in stripes:
-            np.copyto(rows.reshape(len(rows), b, -1, b), self._pinv_tiles(self._band(m, ch, band)))
-            yield rows
+    def _lift_band(self, y: np.ndarray, out: np.ndarray) -> None:
+        """``A+ y`` of a whole channel with one product (``_pinv_tiles``),
+        checked finite: unlike a mean, it can overflow."""
+        np.copyto(out.reshape(len(out), self.block, -1, self.block), self._pinv_tiles(y))
+        _check_finite(out)
 
     def _combine_band(self, rows: np.ndarray, y: np.ndarray, out: np.ndarray, scratch=None) -> None:
         """``(rows - A+ A rows) + A+ y`` into ``out``, through the products of
@@ -331,46 +321,19 @@ def cs_measure(op: BlockSenseOp, x: ImageTensor) -> ImageTensor:
 
 
 def cs_pinv(op: BlockSenseOp, m: ImageTensor) -> ImageTensor:
-    """Back-project measurements through the transposed rows, one BLAS
-    product per channel (``BlockSenseOp._pinv_walk``), into a fresh
-    ``(c, h, w)`` array.
-
-    As in ``cs_measure`` the block axis stays the product's rows, which
-    gives the same bytes at 1 and 2 OpenBLAS threads at every block size
-    tried, 1 to 32.
+    """Back-project measurements through the transposed rows into a fresh
+    ``(c, h, w)`` array: ``linop.lift``, one BLAS product per channel
+    (``BlockSenseOp._lift_band``) whose rows are blocks, as in
+    ``cs_measure``; that gave the same bytes at 1 and 2 OpenBLAS threads
+    at every block size tried, 1 to 32.
     """
-    c, nh, nw = _image_blocks(op, m.shape)
-    out = np.empty((c, nh * op.block, nw * op.block))
-    for _ in op._pinv_walk(m.data, out):
-        pass
-    return ImageTensor(out)
-
-
-def cs_stream_pinv(op: BlockSenseOp, m: ImageTensor, path: str | Path) -> None:
-    """Write ``cs_pinv(op, m)`` to ``path``, in the format its name picks,
-    back-projecting one channel at a time into one reused buffer, which is
-    checked finite and handed to the file's writer; an error at any point
-    leaves the old file as it was."""
-    c, nh, nw = _image_blocks(op, m.shape)
-    shape = (c, nh * op.block, nw * op.block)
-    with _open_writers(shape, path) as (writer,):
-        for rows in op._pinv_walk(m.data, _Blank(shape)):
-            _check_finite(rows)
-            writer.write(rows)
+    return ImageTensor(lift(op, m))
 
 
 def _require_blocks(h: int, w: int, b: int) -> None:
     """Raise unless the block b divides both sides of an h x w image."""
     if h % b or w % b:
         raise ValueError(f"image size {h}x{w} is not divisible by block {b}")
-
-
-def _image_blocks(op: BlockSenseOp, measured: tuple[int, int, int]) -> tuple[int, int, int]:
-    """(image channels, block rows, block columns) of a measurement shape."""
-    cq, nh, nw = measured
-    if cq % op.q:
-        raise ValueError(f"measurement channels {cq} are not a multiple of q={op.q}")
-    return cq // op.q, nh, nw
 
 
 def save_sense_op(op: BlockSenseOp, path: str | Path) -> None:

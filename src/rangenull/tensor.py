@@ -25,13 +25,13 @@ opens a PDT1 that way and decodes a PNG whole), a predictor, or a
 rewrite it in.  No source checks its samples finite: a walk checks what
 it computes from them (see ``linop``), and ``_read_through`` the samples
 of a source its caller refuses.  ``_open_writers`` gives each output
-file the writer of its format: a PDT1 writes each stripe as it comes, a
-PNG quantizes it into the 8-bit image it encodes at the end.  ``linop.reconstruct`` and
-``linop.measure``, the streamed combine and forward of every operator,
-and ``restore.cs_stream_pinv`` walk a PDT1 this way and never hold the
-whole image; they are the only callers of ``_open_writers`` outside this
-module.  Every file is written through ``_write_atomic``, which
-renames a call's files into place, one by one, once all are complete.
+file the writer of its format: a PDT1 writes whole rows as they come, a
+PNG quantizes them into the 8-bit image it encodes at the end.
+``linop.measure``, ``linop.reconstruct`` and ``linop.lift``, the
+streamed protocols of every operator, are the only callers of
+``_open_writers`` outside this module.  Every file is written through
+``_write_atomic``, which renames a call's files into place, one by one,
+once all are complete.
 """
 
 from __future__ import annotations
@@ -206,7 +206,7 @@ def save_tensor(t: ImageTensor, path: str | Path) -> ImageTensor:
 
 class _RawWriter:
     """Writes a PDT1 file of ``shape``: the header at once, then the planar
-    samples, in order, one stripe of whole rows per ``write``.
+    samples, in order, whole rows of one channel or more per ``write``.
 
     A file larger than the free space ``os.statvfs`` reports at its
     directory is refused before its first byte, with ``ENOSPC`` naming
@@ -234,7 +234,7 @@ class _RawWriter:
 
 class _PngWriter:
     """Writes the 8-bit PNG of an image of ``shape``: each ``write`` quantizes
-    the next stripe of whole rows, in planar order, into the (height, width,
+    the next whole rows, in planar order, into the (height, width,
     channels) image that PNG rows interleave, and ``finish`` encodes it."""
 
     def __init__(self, f, path: str | Path, shape: tuple[int, int, int]):
@@ -245,14 +245,16 @@ class _PngWriter:
         self._row = 0  # rows written, counted across the channels
 
     def write(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Quantize ``rows`` (one channel's) as ``quantize`` does, into ``out``
-        if given, and return them as the file holds them."""
+        """Quantize ``rows``, of one channel or more, as ``quantize`` does, into
+        ``out`` if given, and return them as the file holds them."""
         height, width, _ = self._samples.shape
-        ch, r0 = divmod(self._row, height)
-        n = rows.size // width
-        self._row += n
         levels = _levels(rows, out)
-        np.copyto(self._samples[r0 : r0 + n, :, ch], levels.reshape(n, width), casting="unsafe")
+        flat = levels.reshape(-1, width)
+        while len(flat):
+            ch, r0 = divmod(self._row, height)
+            part, flat = flat[: height - r0], flat[height - r0 :]
+            np.copyto(self._samples[r0 : r0 + len(part), :, ch], part, casting="unsafe")
+            self._row += len(part)
         levels /= 255.0
         return levels
 
@@ -284,8 +286,7 @@ def save_png(t: ImageTensor, path: str | Path) -> ImageTensor:
     held = np.empty(t.shape)
     with _write_atomic(path) as (f,):
         png = _PngWriter(f, path, t.shape)
-        for plane, out in zip(t.data, held):
-            png.write(plane, out)
+        png.write(t.data, held)
         png.finish()
     return ImageTensor(held)
 

@@ -796,9 +796,9 @@ class TestStripeLayer:
         assert used == set()
 
     def test_one_combine_opens_writers(self):
-        # No per-operator streamed combine is left, and only
-        # ``linop.reconstruct`` and ``restore.cs_stream_pinv`` open writers
-        # outside ``tensor``: a use by name or as an attribute, not an import.
+        # No per-operator streamed combine is left, and only ``linop`` opens
+        # writers outside ``tensor``: a use by name or as an attribute, not
+        # an import.
         defined, users = set(), set()
         for module, tree in self.trees.items():
             for function in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
@@ -807,7 +807,7 @@ class TestStripeLayer:
                     if "_open_writers" in (getattr(node, "id", None), getattr(node, "attr", None)):
                         users.add(module if module in ("linop", "tensor") else f"{module}.{function.name}")
         assert not defined & {"stream_pd", "cs_stream_pd", "color_stream_pd"}
-        assert users <= {"linop", "tensor", "restore.cs_stream_pinv"} and "linop" in users
+        assert users <= {"linop", "tensor"} and "linop" in users
 
     def _callers(self, name):
         """(module, class or None, function) of each top-level function or
@@ -900,6 +900,24 @@ class TestStripeLayer:
         opening = {caller for caller in self._callers("open_stripes") if caller[0] == "resample"}
         assert opening == {("resample", None, "open_prediction")}
         assert "load_tensor" not in _names(self.trees["resample"])
+
+    def test_one_pseudo_inverse(self):
+        # ``lift`` alone walks a pseudo-inverse source: the walk operators'
+        # ``pinv``, ``pool_up``, ``gray_to_color``, ``cs_pinv`` and the CLI
+        # call it, none of them defines ``pinv`` or replicates by itself,
+        # and ``nearest`` is pooling's source.
+        assert self._callers("_lift_source") == {
+            ("linop", None, "lift"), ("restore", "BlockSenseOp", "_combine_checks"),
+            ("resample", None, "open_prediction")}
+        assert self._callers("lift") == {
+            ("linop", "_WalkOperator", "pinv"), ("pooling", None, "pool_up"), ("restore", None, "gray_to_color"),
+            ("restore", None, "cs_pinv"), ("cli", None, "_cmd_colorize"), ("cli", None, "_cmd_cs")}
+        for module, cls in (("pooling", "PoolingOp"), ("restore", "BlockSenseOp"), ("restore", "ColorMeanOp"),
+                            ("linop", "BlockOperator")):
+            (body,) = [node.body for node in self.trees[module].body if getattr(node, "name", None) == cls]
+            assert "pinv" not in {getattr(node, "name", None) for node in body}
+        assert not {"cs_stream_pinv", "_replicate", "_pinv_walk"} & set().union(*map(_names, self.trees.values()))
+        assert "repeat" not in set().union(*map(_names, self.trees.values()))
 
 
 class TestNoUnusedImports:
@@ -2369,6 +2387,21 @@ class TestColorizeStreamedMemory:
         peak = _traced_peak(argv)
         capsys.readouterr()
         assert peak <= 0.8 * self.IMAGE_BYTES
+
+    @pytest.mark.parametrize("output", ["o.pdt1", "o.png"])
+    def test_color_holds_the_gray_input_and_stripes(self, capsys, tmp_path, inputs, output):
+        # ``--mode color`` loads the gray image and writes the color image a
+        # stripe at a time: the input and a stripe, and into a PNG the 8-bit
+        # image and its encoding, with zlib's state and the encoder's band
+        # in the last MiB.  Writing the color image whole peaked at 5.0 gray
+        # images into a PDT1 and 7.8 into a PNG.
+        argv = ["colorize", "--mode", "color", "--input", str(inputs / "y.pdt1"), "--output", str(tmp_path / output)]
+        peak = _traced_peak(argv)
+        capsys.readouterr()
+        bound = self.IMAGE_BYTES // 3 + 2 * tensor._STRIPE_BYTES
+        if output == "o.png":
+            bound += 2 * (self.IMAGE_BYTES // 8) + (1 << 20)
+        assert peak <= bound
 
     def test_gray_into_a_png_holds_no_quantized_copy(self, capsys, tmp_path, inputs):
         # The PNG quantizes the gray image in place into its 8-bit image, so

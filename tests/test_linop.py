@@ -17,6 +17,7 @@ from rangenull import (
     RawReader,
     compare,
     cs_build,
+    lift,
     load_matrix,
     measure,
     mp_residuals,
@@ -29,6 +30,7 @@ from rangenull import (
     svd,
     write_raw,
 )
+from rangenull import tensor
 
 
 def reconstruct(f):
@@ -366,6 +368,21 @@ class TestMeasure:
             tracemalloc.stop()
         assert peak <= 1.2 * y.data.nbytes
 
+    @pytest.mark.parametrize("call", ["forward", "verify"])
+    def test_channel_mean_of_an_array_holds_one_measurement(self, call):
+        # Channel 0 is read in place, beside the sum and one spare stripe.
+        rng = np.random.default_rng(5)
+        op = ColorMeanOp(1024, 1024)
+        x = ImageTensor(rng.uniform(size=op.in_shape))
+        y = op.forward(x)
+        tracemalloc.start()
+        try:
+            op.forward(x) if call == "forward" else op.verify(y, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * y.data.nbytes
+
 
 class TestMeasureWritesEveryFileAtOnce:
     """``measure`` into several paths writes them through one set of writers:
@@ -391,6 +408,19 @@ class TestMeasureWritesEveryFileAtOnce:
             assert (tmp_path / n).read_bytes() == (tmp_path / f"ref_{n}").read_bytes()
 
     @pytest.mark.parametrize("name", list(MAKERS))
+    def test_each_writer_takes_the_forward_in_one_call(self, tmp_path, stream, monkeypatch, name):
+        calls = []
+        for writer in (tensor._RawWriter, tensor._PngWriter):
+
+            def counted(w, rows, out=None, write=writer.write):
+                calls.append(type(w).__name__)
+                return write(w, rows, out)
+
+            monkeypatch.setattr(writer, "write", counted)
+        measure(self.MAKERS[name](), stream.uniform((3, 4, 6)), tmp_path / "a.png", tmp_path / "b.pdt1")
+        assert calls == ["_PngWriter", "_RawWriter"]
+
+    @pytest.mark.parametrize("name", list(MAKERS))
     @pytest.mark.parametrize("old", [None, b"old"])
     def test_a_directory_among_the_paths_writes_nothing(self, tmp_path, stream, name, old):
         op = self.MAKERS[name]()
@@ -402,3 +432,73 @@ class TestMeasureWritesEveryFileAtOnce:
             measure(op, stream.uniform((3, 4, 6)), target, tmp_path / "d")
         assert (target.read_bytes() if target.exists() else None) == old
         assert not list(tmp_path.rglob("*.tmp"))
+
+
+class TestLift:
+    """``lift`` writes ``pinv`` of a measurement into every file, each as
+    ``save_tensor`` writes it, or returns it; a bad destination anywhere
+    leaves every path as it was."""
+
+    MAKERS = {
+        "identity": lambda stream: IdentityOperator((3, 4, 6)),
+        "pooling": lambda stream: PoolingOp(2, 3, 4, 6),
+        "color": lambda stream: ColorMeanOp(4, 6),
+        "cs": lambda stream: cs_build(2, 0.5, seed=1),
+        "dense": lambda stream: DenseOperator(stream.gaussian((12, 72)), in_shape=(3, 4, 6), out_shape=(1, 2, 6)),
+    }
+
+    def _case(self, stream, name):
+        op = self.MAKERS[name](stream)
+        return op, op.forward(ImageTensor(stream.uniform((3, 4, 6)) * 1.5 - 0.25))
+
+    @pytest.mark.parametrize("name", list(MAKERS))
+    def test_returns_pinv_in_a_fresh_array(self, stream, name):
+        op, y = self._case(stream, name)
+        got = lift(op, y)
+        assert got.flags.writeable and not np.shares_memory(got, y.data)
+        assert got.tobytes() == op.pinv(y).data.tobytes()
+
+    @pytest.mark.parametrize("name", list(MAKERS))
+    @pytest.mark.parametrize("names", [("a.pdt1",), ("a.png",), ("a.png", "b.pdt1"), ("a.pdt1", "b.png"),
+                                       ("a.png", "b.png")])
+    def test_each_file_holds_pinv(self, tmp_path, stream, name, names):
+        op, y = self._case(stream, name)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tensor, "_STRIPE_BYTES", 64)
+            assert lift(op, y, *(tmp_path / n for n in names)) is None
+        for n in names:
+            save_tensor(op.pinv(y), tmp_path / f"ref_{n}")
+            assert (tmp_path / n).read_bytes() == (tmp_path / f"ref_{n}").read_bytes()
+
+    @pytest.mark.parametrize("name", list(MAKERS))
+    def test_measurement_checks_come_before_the_destination(self, tmp_path, stream, name):
+        op, y = self._case(stream, name)
+        bad = ImageTensor(np.zeros((y.channels + 1, y.height, y.width)))
+        (tmp_path / "d").mkdir()
+        with pytest.raises(ValueError) as lifted:
+            lift(op, bad, tmp_path / "d")
+        with pytest.raises(ValueError) as inverted:
+            op.pinv(bad)
+        assert str(lifted.value) == str(inverted.value)
+
+    @pytest.mark.parametrize("name", list(MAKERS))
+    def test_a_directory_among_the_paths_writes_nothing(self, tmp_path, stream, name):
+        op, y = self._case(stream, name)
+        (tmp_path / "a.pdt1").write_bytes(b"old")
+        (tmp_path / "d").mkdir()
+        with pytest.raises(IsADirectoryError):
+            lift(op, y, tmp_path / "a.pdt1", tmp_path / "d")
+        assert (tmp_path / "a.pdt1").read_bytes() == b"old"
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("s, rows", [(2, 1), (3, 2), (3, 4), (4, 6), (8, 3)])
+    def test_pooling_source_makes_any_stripe_height(self, stream, s, rows):
+        y = ImageTensor(stream.uniform((2, 5, 3)))
+        src = PoolingOp.for_measurement(y, s)._lift_source(y)
+        whole = np.repeat(np.repeat(y.data, s, axis=1), s, axis=2)
+        lengths, pieces = [], []
+        for stripe in src.stripes(rows):
+            lengths.append(len(stripe))
+            pieces.append(stripe.tobytes())
+        assert lengths == [min(rows, 5 * s - r0) for r0 in range(0, 5 * s, rows)] * 2
+        assert b"".join(pieces) == whole.tobytes()

@@ -29,7 +29,11 @@ from rangenull import (
     write_raw,
 )
 from rangenull import tensor
-from rangenull.pooling import _replicate
+
+
+def _replicate(a, s):
+    """Each sample of ``a`` repeated into an s x s block, in ``a``'s dtype."""
+    return a.repeat(s, axis=1).repeat(s, axis=2)
 
 
 def lr_and_raw(max_s=4, lo=-100.0, hi=100.0, signed_zeros=False):

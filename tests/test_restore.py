@@ -28,9 +28,9 @@ from rangenull import (
     cs_build,
     cs_measure,
     cs_pinv,
-    cs_stream_pinv,
     generic_pd,
     gray_to_color,
+    lift,
     load_sense_op,
     measurement_count,
     load_tensor,
@@ -396,7 +396,7 @@ def _outcome(call, path):
 
 
 class TestCsStreamed:
-    """``measure``, ``cs_stream_pinv`` and ``reconstruct`` against
+    """``measure``, ``lift`` and ``reconstruct`` against
     the in-memory path they replace in the CLI: the same bytes, records and
     errors for any block, channel count, input and output format and
     stripe size."""
@@ -423,7 +423,7 @@ class TestCsStreamed:
                 save_tensor(cs_measure(op, load_tensor(x_path)), whole)
 
             def pinv_streamed():
-                cs_stream_pinv(op, y, streamed)
+                lift(op, y, streamed)
 
             def pinv_whole():
                 save_tensor(cs_pinv(op, y), whole)
