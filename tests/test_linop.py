@@ -230,6 +230,50 @@ class TestMpResiduals:
             mp_residuals(IdentityOperator((1, 1, 1)), trials=0)
 
 
+class TestIdentityKeepsBits:
+    """``IdentityOperator`` gives back its input's bytes on every path, the
+    signed zeros, subnormals and near-overflow samples of ``_samples``
+    included; its combine ``(x_raw - x_raw) + y`` is ``y``'s bytes but that
+    ``+0.0 + -0.0`` is ``+0.0``."""
+
+    SAMPLES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.7e308, -1.7e308, 0.25, -3.0, 1.0, -0.0]
+
+    def _samples(self):
+        a = np.array(self.SAMPLES * 2).reshape(2, 3, 4)
+        return a, a[:, ::-1, ::-1].copy()
+
+    def test_forward_and_pinv(self):
+        y, _ = self._samples()
+        op = IdentityOperator(y.shape)
+        assert op.forward(ImageTensor(y.copy())).data.tobytes() == y.tobytes()
+        assert op.pinv(ImageTensor(y.copy())).data.tobytes() == y.tobytes()
+
+    def test_combine_and_reconstruct(self, tmp_path):
+        from rangenull import reconstruct as reconstruct_into
+
+        y, x_raw = self._samples()
+        op = IdentityOperator(y.shape)
+        expected = y + 0.0  # (x_raw - x_raw) is +0.0 for every finite sample
+        assert np.signbit(expected).sum() == np.signbit(y).sum() - 4
+        assert op.combine(ImageTensor(y.copy()), ImageTensor(x_raw.copy())).data.tobytes() == expected.tobytes()
+        (report,) = reconstruct_into(op, ImageTensor(y.copy()), x_raw, tmp_path / "o.pdt1")
+        assert report.max_abs == 0.0
+        assert (tmp_path / "o.pdt1").read_bytes()[16:] == expected.astype("<f8").tobytes()
+
+    def test_measure_of_a_raw_reader(self, tmp_path):
+        y, _ = self._samples()
+        op = IdentityOperator(y.shape)
+        write_raw(ImageTensor(y.copy()), tmp_path / "x.pdt1")
+        with RawReader(tmp_path / "x.pdt1") as reader:
+            assert measure(op, reader).tobytes() == y.tobytes()
+            measure(op, reader, tmp_path / "y.pdt1")
+        assert (tmp_path / "y.pdt1").read_bytes() == (tmp_path / "x.pdt1").read_bytes()
+
+    def test_mp_residuals_stay_zero(self):
+        res = mp_residuals(IdentityOperator((3, 4, 5)), trials=4, seed=3)
+        assert res.r1 == res.r2 == res.r3 == res.r4 == 0.0
+
+
 class TestMatrixIO:
     def test_roundtrip(self, tmp_path, stream):
         m = stream.gaussian((3, 5))

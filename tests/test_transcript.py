@@ -69,6 +69,7 @@ def _inputs(d):
     (d / "truncated.pdt1").write_bytes(whole[:-8])
     (d / "badmagic.pdt1").write_bytes(b"PDX1" + whole[4:])
     (d / "badmagic.pdm1").write_bytes(b"PDX1" + (d / "op8.pdm1").read_bytes()[4:])
+    _other_inputs(d)
 
 
 # The faults every subcommand meets in its input file.
@@ -105,6 +106,151 @@ def _calls():
         argv = ["pd", "--predictor", "nearest", "--scale", str(s), "--lr", "{in}/" + lr, "--output", "{out}/" + outs[0]]
         argv += ["--png", "{out}/" + outs[1]] if len(outs) > 1 else []
         calls.append(("pd", f"s{s}-{lr}-{'+'.join(outs)}", argv))
+    calls += _other_calls()
+    return calls
+
+
+def _other_inputs(d):
+    """Write the inputs of the calls of ``_other_calls`` into ``d``, beside
+    those of ``_inputs``: seeded images from ``Stream(32)``, so that the
+    inputs above keep their bytes, and their faulty copies."""
+    rng = Stream(32)
+    for c in (1, 3):
+        _pdt1(d / f"x48c{c}.pdt1", rng.uniform((c, 48, 48)) * 1.4 - 0.2)
+    save_png(ImageTensor(rng.uniform((3, 48, 48))), d / "x48c3.png")
+    save_png(ImageTensor(rng.uniform((3, 40, 56))), d / "color.png")
+    _pdt1(d / "color2.pdt1", rng.uniform((3, 40, 56)) * 1.4 - 0.2)
+    lr = np.fromfile(d / "lr.pdt1", "<f8", offset=16).reshape(3, 16, 16)
+    for s in (1, 2, 4):
+        up = np.repeat(np.repeat(lr, s, axis=1), s, axis=2)
+        _pdt1(d / f"sr{s}.pdt1", up + 1e-3 * (rng.uniform(up.shape) - 0.5))
+        save_png(ImageTensor(rng.uniform(up.shape)), d / f"sr{s}.png")
+        _pdt1(d / f"raw{s}.pdt1", rng.uniform(up.shape) * 1.4 - 0.2)
+    save_png(ImageTensor(rng.uniform((3, 32, 32))), d / "raw2.png")
+    for name in ("x48c3", "color", "sr2", "raw2"):
+        path = d / f"{name}.pdt1"
+        a = np.fromfile(path, "<f8", offset=16).reshape(np.fromfile(path, "<u4", 3, offset=4))
+        a[-1, 0, -1] = np.nan
+        _pdt1(d / f"{name}nan.pdt1", a)
+
+
+def _other_calls():
+    """(subcommand key, label, argv) of the calls of every other subcommand
+    and action, as ``_calls`` gives them: ``pd`` with the resampling and
+    external predictors, ``verify``, ``cs`` building, measuring and
+    combining, ``colorize`` to gray and its combine, ``degrade``,
+    ``errmap``, and the refusals of ``bench`` and ``table1``, whose records
+    would otherwise hold timings.  Each key has a digest of its own, so
+    that the three above keep theirs."""
+    calls = []
+    for predictor in ("bilinear", "bicubic"):
+        cases = [(s, lr, outs) for s in (1, 2, 4) for lr in ("lr.pdt1", "lr.png") for outs in (("o.pdt1",),
+                                                                                               ("o.png", "o.pdt1"))]
+        cases += [(2, "lrnan.pdt1", ("o.pdt1",)), (3, "lr.pdt1", ("o.pdt1",)), (0, "lr.pdt1", ("o.pdt1",)),
+                  (2, "lr.pdt1", ("o.pdt1/",)), *((2, f, ("o.pdt1",)) for f in _COMMON_FAULTS)]
+        for s, lr, outs in cases:
+            argv = ["pd", "--predictor", predictor, "--scale", str(s), "--lr", "{in}/" + lr,
+                    "--output", "{out}/" + outs[0]]
+            argv += ["--png", "{out}/" + outs[1]] if len(outs) > 1 else []
+            calls.append(("pd-resampled", f"{predictor}-s{s}-{lr}-{'+'.join(outs)}", argv))
+    cases = [(s, lr, f"raw{s}.pdt1", outs) for s in (1, 2, 4) for lr in ("lr.pdt1", "lr.png")
+             for outs in (("o.pdt1",), ("o.png", "o.pdt1"))]
+    cases += [(2, "lr.pdt1", "raw2.png", ("o.pdt1",)), (2, "lr.pdt1", "raw2.png", ("o.pdt1", "o.png")),
+              (4, "lr.pdt1", "raw2.pdt1", ("o.pdt1",)), (2, "lr.pdt1", "raw4.pdt1", ("o.pdt1",)),
+              (2, "lr.pdt1", "raw2nan.pdt1", ("o.pdt1",)), (2, "lr.pdt1", "raw2nan.pdt1", ("o.png", "o.pdt1")),
+              (2, "lrnan.pdt1", "raw2.pdt1", ("o.pdt1",)), (2, "lr.pdt1", None, ("o.pdt1",)),
+              (2, "lr.pdt1", "raw2.pdt1", ("o.pdt1/",)), *((2, f, "raw2.pdt1", ("o.pdt1",)) for f in _COMMON_FAULTS),
+              *((2, "lr.pdt1", f, ("o.pdt1",)) for f in _COMMON_FAULTS)]
+    for s, lr, raw, outs in cases:
+        argv = ["pd", "--predictor", "external", "--scale", str(s), "--lr", "{in}/" + lr,
+                "--output", "{out}/" + outs[0]]
+        argv += ["--png", "{out}/" + outs[1]] if len(outs) > 1 else []
+        argv += ["--raw", "{in}/" + raw] if raw else []
+        calls.append(("pd-external", f"s{s}-{lr}-{raw}-{'+'.join(outs)}", argv))
+    argv = ["pd", "--predictor", "bicubic", "--scale", "2", "--lr", "{in}/lr.pdt1", "--raw", "{in}/raw2.pdt1",
+            "--output", "{out}/o.pdt1"]
+    calls.append(("pd-external", "raw-without-external", argv))
+    cases = [(lr, f"sr{s}.{ext}", s) for s in (1, 2, 4) for ext in ("pdt1", "png") for lr in ("lr.pdt1", "lr.png")]
+    cases += [("lr.pdt1", "sr2.pdt1", 4), ("lr.pdt1", "sr4.pdt1", 2), ("lr.pdt1", "sr2nan.pdt1", 2),
+              ("lrnan.pdt1", "sr2.pdt1", 2), ("lr.pdt1", "sr2.pdt1", 0), ("lr.pdt1", "sr2nan.pdt1", 0),
+              ("lr.pdt1", "sr2.pdt1", 3), *(("lr.pdt1", f, 2) for f in _COMMON_FAULTS),
+              *((f, "sr2.pdt1", 2) for f in _COMMON_FAULTS)]
+    for lr, sr, s in cases:
+        argv = ["verify", "--lr", "{in}/" + lr, "--sr", "{in}/" + sr, "--scale", str(s)]
+        calls.append(("verify", f"{lr}-{sr}-s{s}", argv))
+    for b in (8, 12):
+        cases = [(ratio, seed, "o.pdm1") for ratio in ("0.25", "0.5", "1") for seed in ("0", "3")]
+        cases += [("0", "0", "o.pdm1"), ("1.5", "0", "o.pdm1"), ("0.25", "0", "o.pdm1/")]
+        for ratio, seed, out in cases:
+            argv = ["cs", "--action", "build", "--block", str(b), "--ratio", ratio, "--seed", seed, "--output",
+                    "{out}/" + out]
+            calls.append(("cs-build", f"b{b}-r{ratio}-seed{seed}-{out}", argv))
+        op = ["--op", f"{{in}}/op{b}.pdm1"]
+        cases = [(src, out) for src in ("x48c1.pdt1", "x48c3.pdt1", "x48c3.png") for out in ("o.pdt1", "o.png")]
+        cases += [("gray.pdt1", "o.pdt1"), ("graynan.pdt1", "o.pdt1"), ("x48c3nan.pdt1", "o.pdt1"),
+                  ("x48c3.pdt1", "o.pdt1/"), *((f, "o.pdt1") for f in _COMMON_FAULTS)]
+        for src, out in cases:
+            argv = ["cs", "--action", "measure", *op, "--input", "{in}/" + src, "--output", "{out}/" + out]
+            calls.append(("cs-measure", f"b{b}-{src}-{out}", argv))
+        cases = [(f"m{b}c{c}.pdt1", f"x48c{c}.pdt1", out) for c in (1, 3) for out in ("o.pdt1", "o.png")]
+        cases += [(f"m{b}c3.pdt1", "x48c3.png", "o.pdt1"), (f"m{b}c1.pdt1", "x48c3.pdt1", "o.pdt1"),
+                  (f"m{b}c3.pdt1", "color.pdt1", "o.pdt1"), (f"m{b}c3.pdt1", "x48c3nan.pdt1", "o.pdt1"),
+                  (f"m{b}nan.pdt1", "x48c3.pdt1", "o.pdt1"), (f"m{b}notq.pdt1", "x48c3.pdt1", "o.pdt1"),
+                  (f"m{b}c3.pdt1", "x48c3.pdt1", "o.pdt1/"), *((f, "x48c3.pdt1", "o.pdt1") for f in _COMMON_FAULTS),
+                  *((f"m{b}c3.pdt1", f, "o.pdt1") for f in _COMMON_FAULTS)]
+        for lr, raw, out in cases:
+            argv = ["cs", "--action", "pd", *op, "--lr", "{in}/" + lr, "--raw", "{in}/" + raw, "--output",
+                    "{out}/" + out]
+            calls.append(("cs-pd", f"b{b}-{lr}-{raw}-{out}", argv))
+    calls.append(("cs-measure", "no-input", ["cs", "--action", "measure", "--op", "{in}/op8.pdm1", "--output",
+                                             "{out}/o.pdt1"]))
+    calls.append(("cs-measure", "badmagic.pdm1", ["cs", "--action", "measure", "--op", "{in}/badmagic.pdm1",
+                                                  "--input", "{in}/x48c3.pdt1", "--output", "{out}/o.pdt1"]))
+    calls.append(("cs-pd", "no-raw", ["cs", "--action", "pd", "--op", "{in}/op8.pdm1", "--lr", "{in}/m8c3.pdt1",
+                                      "--output", "{out}/o.pdt1"]))
+    cases = [(src, out) for src in ("color.pdt1", "color.png") for out in ("o.pdt1", "o.png")]
+    cases += [("gray.pdt1", "o.pdt1"), ("colornan.pdt1", "o.pdt1"), ("colornan.pdt1", "o.png"),
+              ("color.pdt1", "o.pdt1/"), *((f, "o.pdt1") for f in _COMMON_FAULTS)]
+    for src, out in cases:
+        argv = ["colorize", "--mode", "gray", "--input", "{in}/" + src, "--output", "{out}/" + out]
+        calls.append(("colorize-gray", f"{src}-{out}", argv))
+    argv = ["colorize", "--mode", "gray", "--input", "{in}/color.pdt1", "--raw", "{in}/color.pdt1", "--output",
+            "{out}/o.pdt1"]
+    calls.append(("colorize-gray", "raw-without-pd", argv))
+    cases = [(src, raw, out) for src in ("gray.pdt1", "gray.png") for raw in ("color.pdt1", "color.png")
+             for out in ("o.pdt1", "o.png")]
+    cases += [("gray.pdt1", "x48c3.pdt1", "o.pdt1"), ("gray.pdt1", "colornan.pdt1", "o.pdt1"),
+              ("gray.pdt1", "colornan.pdt1", "o.png"), ("graynan.pdt1", "color.pdt1", "o.pdt1"),
+              ("color.pdt1", "color.pdt1", "o.pdt1"), ("gray.pdt1", None, "o.pdt1"),
+              ("gray.pdt1", "color.pdt1", "o.pdt1/"), *((f, "color.pdt1", "o.pdt1") for f in _COMMON_FAULTS),
+              *(("gray.pdt1", f, "o.pdt1") for f in _COMMON_FAULTS)]
+    for src, raw, out in cases:
+        argv = ["colorize", "--mode", "pd", "--input", "{in}/" + src, "--output", "{out}/" + out]
+        argv += ["--raw", "{in}/" + raw] if raw else []
+        calls.append(("colorize-pd", f"{src}-{raw}-{out}", argv))
+    cases = [(src, f, aa, s, out) for f in ("box", "bilinear", "bicubic") for aa in ("--antialias", "--no-antialias")
+             for src, s, out in (("color.pdt1", 2, "o.pdt1"), ("color.pdt1", 4, "o.png"), ("color.png", 2, "o.png"))]
+    cases += [("color.pdt1", "box", "--antialias", 3, "o.pdt1"),
+              ("colornan.pdt1", "bicubic", "--antialias", 2, "o.pdt1"),
+              ("color.pdt1", "box", "--antialias", 0, "o.pdt1"), ("color.pdt1", "box", "--antialias", 2, "o.pdt1/"),
+              *((f, "box", "--antialias", 2, "o.pdt1") for f in _COMMON_FAULTS)]
+    for src, f, aa, s, out in cases:
+        argv = ["degrade", "--input", "{in}/" + src, "--filter", f, aa, "--scale", str(s), "--output", "{out}/" + out]
+        calls.append(("degrade", f"{src}-{f}{aa}-s{s}-{out}", argv))
+    cases = [(gt, sr, gain, out) for gt, sr in (("color.pdt1", "color2.pdt1"), ("color.png", "color.pdt1"))
+             for gain in ("5", "2.5") for out in ("o.pdt1", "o.png")]
+    cases += [("color.pdt1", "gray.pdt1", "5", "o.pdt1"), ("color.pdt1", "colornan.pdt1", "5", "o.pdt1"),
+              ("color.pdt1", "color2.pdt1", "0", "o.pdt1"), ("color.pdt1", "color2.pdt1", "inf", "o.pdt1"),
+              ("color.pdt1", "color2.pdt1", "5", "o.pdt1/"),
+              *((f, "color2.pdt1", "5", "o.pdt1") for f in _COMMON_FAULTS),
+              *(("color.pdt1", f, "5", "o.pdt1") for f in _COMMON_FAULTS)]
+    for gt, sr, gain, out in cases:
+        argv = ["errmap", "--gt", "{in}/" + gt, "--sr", "{in}/" + sr, "--gain", gain, "--output", "{out}/" + out]
+        calls.append(("errmap", f"{gt}-{sr}-g{gain}-{out}", argv))
+    for flags in (["--iterations", "0"], ["--size", "0"], ["--size", "10", "--scale", "3"], ["--scale", "0"]):
+        calls.append(("bench", "".join(flags), ["bench", *flags]))
+    for flags in (["--count", "0"], ["--size", "0"], ["--size", "10", "--scale", "3"], ["--scale", "0"]):
+        calls.append(("table1", "".join(flags), ["table1", *flags]))
     return calls
 
 
