@@ -14,7 +14,6 @@ metrics, lossless tensor I/O, and a CLI.
 
 from .linop import (
     DenseOperator,
-    IdentityOperator,
     LinearOperator,
     MoorePenroseResiduals,
     SvdFactors,
@@ -31,6 +30,7 @@ from .linop import (
 )
 from .metrics import PSNR_CAP, ConsistencyReport, compare, error_map
 from .pooling import (
+    IdentityOperator,
     PoolingOp,
     extract_highfreq,
     pd_combine,

@@ -57,7 +57,7 @@ def encode(samples: np.ndarray) -> list[bytes]:
     file, in order; they are not joined, so the compressed pixels are not
     copied.
 
-    ``tensor.save_png`` has already checked that there are 1 or 3 channels.
+    ``tensor._PngWriter`` has already checked that there are 1 or 3 channels.
     """
     height, width, channels = samples.shape
     color_type = 0 if channels == 1 else 2

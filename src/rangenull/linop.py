@@ -11,9 +11,10 @@ fused kernel must equal, and its check ``verify``.  Three protocols run
 an operator one stripe at a time: ``measure`` (the forward),
 ``reconstruct`` (the combine) and ``lift`` (``A+ y``), each into files
 through ``tensor._open_writers`` or, but ``reconstruct``, into a fresh
-array.  ``_WalkOperator`` (pooling, block sensing, channel mean) gives
-them walks of its own and runs its ``forward``, ``pinv`` and ``combine``
-on them; any other operator is gathered and taken whole.
+array.  ``_WalkOperator`` (pooling, the identity as pooling at scale 1,
+block sensing, channel mean) gives them walks of its own and runs its
+``forward``, ``pinv`` and ``combine`` on them; any other operator
+(``DenseOperator``, a user's subclass) is gathered and taken whole.
 ``BlockOperator`` is the walk base of the operators that measure each
 block x block tile of each channel on its own, through three kernels on
 one stripe of whole block rows (for block sensing, a whole channel).
@@ -317,26 +318,6 @@ class _Lifted:
             yield from (plane[r0 : r0 + rows] for r0 in range(0, len(plane), rows))
 
 
-class IdentityOperator(LinearOperator):
-    def __init__(self, shape: tuple[int, int, int]):
-        self.in_shape = tuple(shape)
-        self.out_shape = tuple(shape)
-
-    def forward(self, x: ImageTensor) -> ImageTensor:
-        self._check(x, self.in_shape, "input")
-        return x
-
-    def _forward_walk(self, src) -> np.ndarray:
-        """``measure``'s walk: the gathered source itself, checked finite."""
-        out = _gather(src)
-        _check_finite(out)
-        return out
-
-    def pinv(self, y: ImageTensor) -> ImageTensor:
-        self._check(y, self.out_shape, "measurement")
-        return y
-
-
 class DenseOperator(LinearOperator):
     """Arbitrary dense matrix acting on flattened tensors.
 
@@ -432,7 +413,7 @@ def reconstruct(op: LinearOperator, y: ImageTensor, x_raw, *paths) -> list[Consi
     return ``op.verify`` of what each file holds, taking the raw prediction
     one stripe at a time from the array or stripe source ``x_raw``.
 
-    A path's name picks its format, as ``tensor.save_tensor`` does; a PNG
+    A path's name picks its format (``tensor._open_writers``); a PNG
     quantizes each stripe in place, and every later file receives that.  A
     source that does not fit is read through first (``_read_first``), so
     its own faults come first; then every destination is checked, then the

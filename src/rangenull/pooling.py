@@ -1,5 +1,5 @@
-"""Block-mean downsampling, replication upsampling, and ``PoolingOp``,
-the operator built from them.
+"""Block-mean downsampling, replication upsampling, ``PoolingOp``, the
+operator built from them, and ``IdentityOperator``, pooling at scale 1.
 
 The two maps form an exact pseudo-inverse pair: downsampling a replicated
 image returns the original bit-for-bit (block means are computed relative
@@ -10,7 +10,10 @@ measurement per block: it inherits ``forward``, ``pinv``, ``combine``,
 (``_forward_band``), swap them for ``y`` in a raw prediction in one pass,
 bit-identical to the generic combine (``_combine_band``), and widen ``y``
 into its blocks (``_lift_band``), the ``A+ y`` of ``pool_up`` and of
-``resample.open_prediction``'s ``nearest`` prediction.
+``resample.open_prediction``'s ``nearest`` prediction.  At scale 1 the
+forward and ``A+ y`` are copies that keep signed zeros, and the combine
+is ``(x_raw - x_raw) + y``, the generic combine's bits, so the identity
+``A = I`` runs on these walks as ``IdentityOperator``.
 ``extract_highfreq`` and ``verify_consistency`` are the scale-argument
 spellings of ``null_project`` and ``PoolingOp.verify``.
 
@@ -178,3 +181,12 @@ class PoolingOp(BlockOperator):
         wide = _widen(means[:k], s, planes[0, :k])
         np.subtract(rows, wide[:, None], out=out)
         out += _widen(y[0], s, wide)[:, None]
+
+
+class IdentityOperator(PoolingOp):
+    """The identity on images of ``shape``: pooling at scale 1, whose forward
+    and ``A+ y`` are copies that keep signed zeros and whose combine is the
+    generic ``(x_raw - x_raw) + y``."""
+
+    def __init__(self, shape: tuple[int, int, int]):
+        super().__init__(1, *shape)

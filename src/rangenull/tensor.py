@@ -195,13 +195,12 @@ def _is_png_path(path: str | Path) -> bool:
 
 
 def save_tensor(t: ImageTensor, path: str | Path) -> ImageTensor:
-    """Write ``t`` as an 8-bit PNG if ``path`` ends in ``.png`` (any case),
-    else as PDT1, and return the image the file holds: the 8-bit image, or
-    ``t`` itself."""
-    if _is_png_path(path):
-        return save_png(t, path)
-    write_raw(t, path)
-    return t
+    """Write ``t`` through the writer ``_open_writers`` picks for ``path``, an
+    8-bit PNG if it ends in ``.png`` (any case), else a PDT1, and return
+    the image the file holds: the 8-bit image, or ``t`` itself."""
+    with _open_writers(t.shape, path) as (writer,):
+        held = writer.write(t.data)
+    return t if held is t.data else ImageTensor(held)
 
 
 class _RawWriter:
@@ -265,8 +264,8 @@ class _PngWriter:
 @contextlib.contextmanager
 def _open_writers(shape: tuple[int, int, int], *paths: str | Path):
     """Yield one writer per path, in order, for an image of ``shape``, of the
-    format the path's name picks (as in ``save_tensor``); feed each the
-    image's stripes in planar order.  Once the block ends, every writer
+    format the path's name picks: a PNG for a name that ends in ``.png``
+    (any case), else a PDT1; feed each the image's stripes in planar order.  Once the block ends, every writer
     finishes its file and ``_write_atomic`` renames them into place, one
     by one; an error before the renames leaves every old file as it was.
     """

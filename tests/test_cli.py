@@ -920,6 +920,17 @@ class TestStripeLayer:
         assert "repeat" not in set().union(*map(_names, self.trees.values()))
 
 
+    def test_one_identity_and_one_format_choice(self):
+        # The identity is pooling at scale 1 and adds nothing but its
+        # constructor; ``linop`` keeps no identity of its own; and
+        # ``_open_writers`` alone picks a file's format from its name.
+        (identity,) = [node for node in self.trees["pooling"].body if getattr(node, "name", None) == "IdentityOperator"]
+        assert [getattr(base, "id", None) for base in identity.bases] == ["PoolingOp"]
+        members = [node for node in identity.body if not isinstance(node, ast.Expr)]
+        assert [getattr(node, "name", None) for node in members] == ["__init__"]
+        assert "IdentityOperator" not in {getattr(node, "name", None) for node in ast.walk(self.trees["linop"])}
+        assert self._callers("_is_png_path") == {("tensor", None, "_open_writers")}
+
 class TestNoUnusedImports:
     """Every name a library module imports is used in it (``__init__`` only
     re-exports, so it is left out)."""
