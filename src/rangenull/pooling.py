@@ -184,9 +184,7 @@ class PoolingOp(BlockOperator):
 
 
 class IdentityOperator(PoolingOp):
-    """The identity on images of ``shape``: pooling at scale 1, whose forward
-    and ``A+ y`` are copies that keep signed zeros and whose combine is the
-    generic ``(x_raw - x_raw) + y``."""
+    """The identity ``A = I`` on images of ``shape``: pooling at scale 1."""
 
     def __init__(self, shape: tuple[int, int, int]):
         super().__init__(1, *shape)

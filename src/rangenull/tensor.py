@@ -265,9 +265,10 @@ class _PngWriter:
 def _open_writers(shape: tuple[int, int, int], *paths: str | Path):
     """Yield one writer per path, in order, for an image of ``shape``, of the
     format the path's name picks: a PNG for a name that ends in ``.png``
-    (any case), else a PDT1; feed each the image's stripes in planar order.  Once the block ends, every writer
-    finishes its file and ``_write_atomic`` renames them into place, one
-    by one; an error before the renames leaves every old file as it was.
+    (any case), else a PDT1; feed each the image's stripes in planar
+    order.  Once the block ends, every writer finishes its file and
+    ``_write_atomic`` renames them into place, one by one; an error before
+    the renames leaves every old file as it was.
     """
     with _write_atomic(*paths) as files:
         writers = [(_PngWriter if _is_png_path(p) else _RawWriter)(f, p, shape) for f, p in zip(files, paths)]
