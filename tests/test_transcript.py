@@ -1,6 +1,9 @@
 """Byte-identity transcript of the CLI calls that write a pseudo-inverse:
 ``cs --action pinv``, ``colorize --mode color`` and ``pd --predictor
-nearest``, with their outputs, their output orders and their refusals.
+nearest``, with their outputs, their output orders and their refusals,
+then every other subcommand (``_other_calls``) and the ``+inf``, ``-inf``
+and overflowing inputs of ``pd``, ``verify``, ``cs`` and ``colorize``
+(``_fault_calls``).
 
 Each call runs in process, in a fresh directory of its own.  Its record is
 the exit code, stdout, stderr with the temporary directory masked, and the
@@ -70,6 +73,7 @@ def _inputs(d):
     (d / "badmagic.pdt1").write_bytes(b"PDX1" + whole[4:])
     (d / "badmagic.pdm1").write_bytes(b"PDX1" + (d / "op8.pdm1").read_bytes()[4:])
     _other_inputs(d)
+    _fault_inputs(d)
 
 
 # The faults every subcommand meets in its input file.
@@ -107,6 +111,7 @@ def _calls():
         argv += ["--png", "{out}/" + outs[1]] if len(outs) > 1 else []
         calls.append(("pd", f"s{s}-{lr}-{'+'.join(outs)}", argv))
     calls += _other_calls()
+    calls += _fault_calls()
     return calls
 
 
@@ -251,6 +256,117 @@ def _other_calls():
         calls.append(("bench", "".join(flags), ["bench", *flags]))
     for flags in (["--count", "0"], ["--size", "0"], ["--size", "10", "--scale", "3"], ["--scale", "0"]):
         calls.append(("table1", "".join(flags), ["table1", *flags]))
+    return calls
+
+
+def _fault_inputs(d):
+    """Write the inputs of the calls of ``_fault_calls`` into ``d``: copies of
+    the inputs above with a ``+inf`` and a ``-inf`` sample (``inf``), and
+    with finite samples of magnitude ``BIG`` placed so that a block mean, a
+    block-sensing product, a channel mean or a combine overflows
+    (``big``)."""
+
+    def read(name):
+        path = d / name
+        return np.fromfile(path, "<f8", offset=16).reshape(np.fromfile(path, "<u4", 3, offset=4))
+
+    def faulty(name, *places):
+        """Write ``name`` with each (index, value) of ``places`` set."""
+        a = read(name + ".pdt1")
+        for index, value in places:
+            a[index] = value
+        return a
+
+    infs = ((np.s_[0, 2, 3], np.inf), (np.s_[-1, 5, -2], -np.inf))
+    for name in ("lr", "raw2", "raw4", "sr2", "x48c3", "color", "gray"):
+        _pdt1(d / f"{name}inf.pdt1", faulty(name, *infs))
+    # LR: a +BIG and a -BIG side by side, so that resampling between them
+    # and the combine of a block with them meet both signs.
+    _pdt1(d / "lrbig.pdt1", faulty("lr", (np.s_[0, 4, 4], BIG), (np.s_[0, 4, 5], -BIG), (np.s_[1, 9, 9], BIG)))
+    # Raw and SR at scale 2: a block whose anchored mean overflows (anchor
+    # -BIG, residuals 2 BIG), and one whose mean is -BIG / 4, finite, and
+    # whose combine BIG - mean overflows.
+    for name in ("raw2", "sr2"):
+        _pdt1(d / f"{name}mean.pdt1", faulty(name, (np.s_[0, 0:2, 0:2], BIG), (np.s_[0, 0, 0], -BIG)))
+        _pdt1(d / f"{name}sum.pdt1", faulty(name, (np.s_[1, 2:4, 2:4], -BIG), (np.s_[1, 2, 2], 0.0),
+                                            (np.s_[1, 2, 3], BIG)))
+    for b in (8, 12):
+        op = cs_build(b, 0.25, seed=5)
+        # A block signed as the first row, whose first measurement
+        # overflows, and a block of BIG alone.
+        x = read("x48c3.pdt1")
+        x[0, :b, :b] = BIG * np.sign(op.rows[0]).reshape(b, b)
+        _pdt1(d / f"x{b}prod.pdt1", x)
+        x = read("x48c3.pdt1")
+        x[1, :b, :b] = BIG
+        _pdt1(d / f"x{b}flat.pdt1", x)
+        m = read(f"m{b}c3.pdt1")
+        m[0, 0, 0], m[op.q + 1, 1, 2] = np.inf, -np.inf
+        _pdt1(d / f"m{b}inf.pdt1", m)
+        m[0, 0, 0], m[op.q + 1, 1, 2] = BIG, -BIG
+        _pdt1(d / f"m{b}big.pdt1", m)
+    # Color: a pixel whose channel mean overflows (anchor -BIG, residuals
+    # 2 BIG), and one whose mean is 0 and whose combine with a gray BIG
+    # overflows.
+    _pdt1(d / "colormean.pdt1", faulty("color", (np.s_[:, 0, 0], BIG), (np.s_[0, 0, 0], -BIG)))
+    _pdt1(d / "colorsum.pdt1", faulty("color", (np.s_[0, 1, 1], 0.0), (np.s_[1, 1, 1], BIG), (np.s_[2, 1, 1], -BIG)))
+    _pdt1(d / "graybig.pdt1", faulty("gray", (np.s_[0, 1, 1], BIG), (np.s_[0, 2, 2], -BIG)))
+
+
+def _fault_calls():
+    """(subcommand key, label, argv) of the calls that take ``+inf``,
+    ``-inf`` and overflowing inputs (``_fault_inputs``) through ``pd``,
+    ``verify``, ``cs`` and ``colorize``, each subcommand under a key of its
+    own, so that the keys above keep their digests."""
+    calls = []
+    orders = (("o.pdt1",), ("o.png",), ("o.pdt1", "o.png"), ("o.png", "o.pdt1"))
+    cases = [("nearest", lr, None, outs) for lr in ("lrinf.pdt1", "lrbig.pdt1") for outs in orders]
+    cases += [("bicubic", lr, None, ("o.pdt1",)) for lr in ("lrinf.pdt1", "lrbig.pdt1")]
+    cases += [("external", lr, "raw2.pdt1", outs) for lr in ("lrinf.pdt1", "lrbig.pdt1") for outs in orders]
+    cases += [("external", "lr.pdt1", raw, outs) for raw in ("raw2inf.pdt1", "raw2mean.pdt1", "raw2sum.pdt1")
+              for outs in orders]
+    for predictor, lr, raw, outs in cases:
+        argv = ["pd", "--predictor", predictor, "--scale", "2", "--lr", "{in}/" + lr, "--output", "{out}/" + outs[0]]
+        argv += ["--png", "{out}/" + outs[1]] if len(outs) > 1 else []
+        argv += ["--raw", "{in}/" + raw] if raw else []
+        calls.append(("pd-faults", f"{predictor}-{lr}-{raw}-{'+'.join(outs)}", argv))
+    argv = ["pd", "--predictor", "external", "--scale", "4", "--lr", "{in}/lr.pdt1", "--raw", "{in}/raw4inf.pdt1",
+            "--output", "{out}/o.png", "--png", "{out}/o.pdt1"]
+    calls.append(("pd-faults", "external-s4-raw4inf.pdt1-o.png+o.pdt1", argv))
+    cases = [("lr.pdt1", sr, 2) for sr in ("sr2inf.pdt1", "sr2mean.pdt1", "sr2sum.pdt1")]
+    cases += [(lr, "sr2.pdt1", 2) for lr in ("lrinf.pdt1", "lrbig.pdt1")]
+    for lr, sr, s in cases:
+        argv = ["verify", "--lr", "{in}/" + lr, "--sr", "{in}/" + sr, "--scale", str(s)]
+        calls.append(("verify-faults", f"{lr}-{sr}-s{s}", argv))
+    for b in (8, 12):
+        op = ["--op", f"{{in}}/op{b}.pdm1"]
+        for src in ("x48c3inf.pdt1", f"x{b}prod.pdt1", f"x{b}flat.pdt1"):
+            for out in ("o.pdt1", "o.png"):
+                argv = ["cs", "--action", "measure", *op, "--input", "{in}/" + src, "--output", "{out}/" + out]
+                calls.append(("cs-faults", f"measure-b{b}-{src}-{out}", argv))
+        for src in (f"m{b}inf.pdt1", f"m{b}big.pdt1"):
+            for out in ("o.pdt1", "o.png"):
+                argv = ["cs", "--action", "pinv", *op, "--input", "{in}/" + src, "--output", "{out}/" + out]
+                calls.append(("cs-faults", f"pinv-b{b}-{src}-{out}", argv))
+        cases = [(f"m{b}c3.pdt1", raw) for raw in ("x48c3inf.pdt1", f"x{b}prod.pdt1", f"x{b}flat.pdt1")]
+        cases += [(lr, "x48c3.pdt1") for lr in (f"m{b}inf.pdt1", f"m{b}big.pdt1")]
+        for lr, raw in cases:
+            for out in ("o.pdt1", "o.png"):
+                argv = ["cs", "--action", "pd", *op, "--lr", "{in}/" + lr, "--raw", "{in}/" + raw, "--output",
+                        "{out}/" + out]
+                calls.append(("cs-faults", f"pd-b{b}-{lr}-{raw}-{out}", argv))
+    for src in ("colorinf.pdt1", "colormean.pdt1", "colorsum.pdt1"):
+        for out in ("o.pdt1", "o.png"):
+            argv = ["colorize", "--mode", "gray", "--input", "{in}/" + src, "--output", "{out}/" + out]
+            calls.append(("colorize-faults", f"gray-{src}-{out}", argv))
+    cases = [(src, raw) for src in ("gray.pdt1", "graybig.pdt1") for raw in ("colorinf.pdt1", "colormean.pdt1",
+                                                                             "colorsum.pdt1")]
+    cases += [(src, "color.pdt1") for src in ("grayinf.pdt1", "graybig.pdt1")]
+    for src, raw in cases:
+        for out in ("o.pdt1", "o.png"):
+            argv = ["colorize", "--mode", "pd", "--input", "{in}/" + src, "--raw", "{in}/" + raw, "--output",
+                    "{out}/" + out]
+            calls.append(("colorize-faults", f"pd-{src}-{raw}-{out}", argv))
     return calls
 
 
