@@ -7,7 +7,7 @@ cannot, and the two parts of any input always add back to the input.
 
 The base class defines the consistent combine ``combine`` (keep
 ``A+ y``, take the null part of a raw prediction), the reference every
-fused kernel must equal, and its check ``verify``.  Three protocols run
+walk's combine must equal, and its check ``verify``.  Three protocols run
 an operator one stripe at a time: ``measure`` (the forward),
 ``reconstruct`` (the combine) and ``lift`` (``A+ y``), each into files
 through ``tensor._open_writers`` or, but ``reconstruct``, into a fresh
@@ -16,8 +16,10 @@ block sensing, channel mean) gives them walks of its own and runs its
 ``forward``, ``pinv`` and ``combine`` on them; any other operator
 (``DenseOperator``, a user's subclass) is gathered and taken whole.
 ``BlockOperator`` is the walk base of the operators that measure each
-block x block tile of each channel on its own, through three kernels on
-one stripe of whole block rows (for block sensing, a whole channel).
+block x block tile of each channel on its own, through two kernels on
+one stripe of whole block rows (for block sensing, a whole channel), the
+forward and ``A+``, from which it derives the combine and ``A+ y`` once
+for all of them.
 ``DenseOperator`` materializes an arbitrary matrix and derives its
 pseudo-inverse from its SVD, taken from LAPACK through
 ``numpy.linalg.svd``.
@@ -177,18 +179,18 @@ class BlockOperator(_WalkOperator):
     """An operator that maps each ``block`` x ``block`` tile of each image
     channel to ``q`` measurements, stacked as channel ``c * q + row``.
 
-    A subclass gives three kernels over one stripe of whole block rows
+    A subclass gives two kernels over one stripe of whole block rows
     ``rows``, shaped (k, block, width) as ``tensor._stripes`` yields it,
-    and the matching slice ``y``/``out`` of a measurement, shaped (q, k,
-    width // block): ``_forward_band`` writes the stripe's measurements
-    into ``out``, ``_combine_band`` writes the combine of the stripe
-    with ``y`` into a (k, block, width) buffer, which may be ``rows``
-    itself, and ``_lift_band`` writes ``A+ y`` into such a buffer.  The
-    first two may use the ``scratch`` that ``_scratch`` makes, once
-    per walk, in the input's dtype.  The walks below run them and keep the
-    input's dtype.  A stripe holds about twice ``tensor._STRIPE_BYTES``
-    (``tensor._pooling_rows``), or a whole channel where
-    ``whole_channels`` is set.
+    and the matching slice of a measurement, shaped (q, k, width //
+    block): ``_forward_band`` returns the stripe's measurements, and
+    ``_expand`` returns ``A+`` of a measurement as tiles that broadcast
+    against the stripe's.  Both may use the ``scratch`` that ``_scratch``
+    makes, once per walk, in the input's dtype.  From them this class
+    derives the one combine, ``(rows - A+ A rows) + A+ y``
+    (``_combine_band``), and ``A+ y`` (``_lift_band``).  The walks below
+    run them and keep the input's dtype.  A stripe holds about twice
+    ``tensor._STRIPE_BYTES`` (``tensor._pooling_rows``), or a whole
+    channel where ``whole_channels`` is set.
 
     The walks check finiteness through the measurements they take
     (``_forward_checked``), which are NaN or infinite wherever a sample of
@@ -203,16 +205,25 @@ class BlockOperator(_WalkOperator):
     whole_channels = False
 
     @abc.abstractmethod
-    def _forward_band(self, rows: np.ndarray, out: np.ndarray, scratch) -> None:
-        """Write the measurements of ``rows`` into ``out``."""
+    def _forward_band(self, rows: np.ndarray, scratch, out: np.ndarray | None = None) -> np.ndarray:
+        """Return the measurements of ``rows``, written into ``out`` if given."""
 
     @abc.abstractmethod
+    def _expand(self, m: np.ndarray, scratch) -> np.ndarray:
+        """Return ``A+ m`` of the measurements ``m`` of k block rows as (k,
+        block or 1, width // block, block) tiles of image rows."""
+
     def _combine_band(self, rows: np.ndarray, y: np.ndarray, out: np.ndarray, scratch) -> None:
-        """Write the combine of ``rows`` with the measurements ``y`` into ``out``."""
+        """Write ``(rows - A+ A rows) + A+ y`` into ``out``, which may be
+        ``rows``: the measurement is taken and expanded first.  Addition
+        commutes exactly, so these are the generic combine's bytes."""
+        tiles = out.reshape(len(out), self.block, -1, self.block)
+        np.subtract(rows.reshape(tiles.shape), self._expand(self._forward_band(rows, scratch), scratch), out=tiles)
+        tiles += self._expand(y, scratch)
 
-    @abc.abstractmethod
-    def _lift_band(self, y: np.ndarray, out: np.ndarray) -> None:
+    def _lift_band(self, y: np.ndarray, out: np.ndarray, scratch) -> None:
         """Write ``A+ y`` of the measurements ``y`` into ``out``."""
+        np.copyto(out.reshape(len(out), self.block, -1, self.block), self._expand(y, scratch))
 
     def _scratch(self, rows: int, width: int, dtype: np.dtype):
         """Scratch for the kernels on stripes of at most ``rows`` block rows
@@ -261,7 +272,7 @@ class BlockOperator(_WalkOperator):
         """``_forward_band``, then, if the measurement is not finite,
         ``ImageTensor``'s finiteness check of ``rows``, which passes when
         the measurement only overflowed.  Return whether it is finite."""
-        self._forward_band(rows, out, scratch)
+        self._forward_band(rows, scratch, out)
         if np.isfinite(out).all():
             return True
         _check_finite(rows)
@@ -304,7 +315,8 @@ class _Lifted:
     """``A+ y`` of the block operator ``op``, a stripe source of ``shape``:
     ``op._lift_band`` makes each whole channel, or with ``whole_channels``
     unset each stripe of whole block rows and whole stripes of ``rows``, in
-    one reused buffer, which is yielded ``rows`` rows at a time."""
+    one reused buffer, which is yielded ``rows`` rows at a time.  The
+    kernels' scratch is made once per walk."""
 
     def __init__(self, op: BlockOperator, y: np.ndarray, shape: tuple[int, int, int]):
         self._op, self._y, self.shape, self.dtype = op, y, shape, y.dtype
@@ -312,8 +324,9 @@ class _Lifted:
     def stripes(self, rows: int):
         op, (_, height, width) = self._op, self.shape
         step = (height if op.whole_channels else math.lcm(rows, op.block)) // op.block
+        scratch = op._scratch(min(step, height // op.block), width, self.dtype)
         for out, ch, band in _stripes(_Blank(self.shape, self.dtype), op.block, step):
-            op._lift_band(op._band(self._y, ch, band), out)
+            op._lift_band(op._band(self._y, ch, band), out, scratch)
             plane = out.reshape(-1, width)
             yield from (plane[r0 : r0 + rows] for r0 in range(0, len(plane), rows))
 

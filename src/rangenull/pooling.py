@@ -6,13 +6,13 @@ image returns the original bit-for-bit (block means are computed relative
 to the block's first sample, so a constant block averages to exactly that
 constant).  ``PoolingOp`` is a ``linop.BlockOperator`` with one
 measurement per block: it inherits ``forward``, ``pinv``, ``combine``,
-``verify`` and the stripe walks.  Its band kernels take the block means
-(``_forward_band``), swap them for ``y`` in a raw prediction in one pass,
-bit-identical to the generic combine (``_combine_band``), and widen ``y``
-into its blocks (``_lift_band``), the ``A+ y`` of ``pool_up`` and of
-``resample.open_prediction``'s ``nearest`` prediction.  At scale 1 the
-forward and ``A+ y`` are copies that keep signed zeros, and the combine
-is ``(x_raw - x_raw) + y``, the generic combine's bits, so the identity
+``verify`` and the stripe walks, and with them ``BlockOperator``'s one
+combine and ``A+ y``, the ``A+ y`` of ``pool_up`` and of
+``resample.open_prediction``'s ``nearest`` prediction.  Its two band
+kernels take the block means (``_forward_band``) and widen them into
+one row of their blocks (``_expand``), which broadcasts down the block.
+At scale 1 both are copies that keep signed zeros, and the combine is
+``(x_raw - x_raw) + y``, the generic combine's bits, so the identity
 ``A = I`` runs on these walks as ``IdentityOperator``.
 ``extract_highfreq`` and ``verify_consistency`` are the scale-argument
 spellings of ``null_project`` and ``PoolingOp.verify``.
@@ -20,12 +20,12 @@ spellings of ``null_project`` and ``PoolingOp.verify``.
 The kernels work on one stripe of whole block rows, about 1 MiB
 (``tensor._pooling_rows``), so every numpy step runs over full image
 rows.  Each walk makes their scratch once, in the input's dtype: three
-planes of a stripe's block rows' width for the block means, into which
-the anchors, the means and ``y`` are widened by strided copies, and the
-stripe's means.  A block's mean is built from elementwise operations
-only, in a fixed order, so it does not depend on how the image is
-striped: ``pool_down`` and ``pd_combine`` agree bit for bit.  Both keep
-the input dtype.
+planes (one at scale 1) of a stripe's block rows' width for the block
+means, into whose first the anchors, the means and ``y`` are widened by
+strided copies, and the stripe's means.  A block's mean is built from
+elementwise operations only, in a fixed order, so it does not depend on
+how the image is striped: ``pool_down`` and ``pd_combine`` agree bit for
+bit.  Both keep the input dtype.
 
 ``linop``'s walks run these kernels over an array or any stripe source,
 such as a ``RawReader`` or a predictor, and hold the low-resolution
@@ -136,51 +136,36 @@ class PoolingOp(BlockOperator):
         self.in_shape = (channels, height, width)
         self.out_shape = (channels, height // scale, width // scale)
 
-    @classmethod
-    def for_measurement(cls, y: ImageTensor, scale: int) -> "PoolingOp":
+    @staticmethod
+    def for_measurement(y: ImageTensor, scale: int) -> "PoolingOp":
         """The operator that maps ``scale``-times larger images onto ``y``'s shape."""
-        return cls(scale, y.channels, scale * y.height, scale * y.width)
-
+        return PoolingOp(scale, y.channels, scale * y.height, scale * y.width)
 
     def _scratch(self, rows: int, width: int, dtype: np.dtype):
-        """``_band_mean``'s (3, rows, width) scratch and the combine's
-        (rows, width // s) block means; none at scale 1, which copies."""
-        if self.scale == 1:
-            return None
-        return np.empty((3, rows, width), dtype), np.empty((rows, width // self.scale), dtype)
+        """``_band_mean``'s (3, rows, width) planes, the first of which
+        ``_expand`` widens into (only that one at scale 1, which copies),
+        and the (rows, width // s) block means."""
+        planes = 3 if self.scale > 1 else 1
+        return np.empty((planes, rows, width), dtype), np.empty((rows, width // self.scale), dtype)
 
-    def _forward_band(self, rows: np.ndarray, out: np.ndarray, scratch) -> None:
-        # Scale 1 copies: the anchored mean of -0.0 would be +0.0.
-        if self.scale == 1:
-            out[...] = rows[:, 0]
-        else:
-            _band_mean(rows, self.scale, scratch[0], out[0])
-
-    def _lift_band(self, y: np.ndarray, out: np.ndarray) -> None:
-        """Widen each row of ``y`` into its block's first row, and copy that."""
-        _widen(y[0], self.scale, out[:, 0])
-        out[:, 1:] = out[:, :1]
-
-    def _combine_band(self, rows: np.ndarray, y: np.ndarray, out: np.ndarray, scratch) -> None:
-        """Write ``(rows - replicate(block means)) + replicate(y)`` into
-        ``out``, which may be ``rows``: the means are taken first.
-
-        Each mean row and ``y`` row is widened once to the image width, into
-        the scratch.  Scale 1 keeps the generic combine's ``(rows - rows) +
-        y``, whose signed zeros the anchored mean would flip.  Addition
-        commutes exactly, so this is bit-identical to the generic combine.
-        """
-        s = self.scale
-        if s == 1:
-            np.subtract(rows, rows, out=out)
-            out += y[0][:, None]
-            return
+    def _forward_band(self, rows: np.ndarray, scratch, out: np.ndarray | None = None) -> np.ndarray:
+        """The (1, k, width // s) block means of ``rows``, in the scratch
+        unless ``out`` is given.  Scale 1 copies: the anchored mean of -0.0
+        would be +0.0."""
         planes, means = scratch
-        k = len(rows)
-        _band_mean(rows, s, planes, means[:k])
-        wide = _widen(means[:k], s, planes[0, :k])
-        np.subtract(rows, wide[:, None], out=out)
-        out += _widen(y[0], s, wide)[:, None]
+        if out is None:
+            out = means[None, : len(rows)]
+        if self.scale == 1:
+            out[0] = rows[:, 0]
+        else:
+            _band_mean(rows, self.scale, planes, out[0])
+        return out
+
+    def _expand(self, m: np.ndarray, scratch) -> np.ndarray:
+        """Each row of ``m`` widened into the first scratch plane, as (k, 1,
+        width // s, s) tiles: one row of each block."""
+        k = m.shape[1]
+        return _widen(m[0], self.scale, scratch[0][0, :k]).reshape(k, 1, -1, self.scale)
 
 
 class IdentityOperator(PoolingOp):

@@ -6,17 +6,18 @@ Both are walk operators (``linop._WalkOperator``): ``forward`` (which
 (``gray_to_color``, ``cs_pinv``) is ``linop.lift``, ``combine`` runs the
 walk they give ``linop.reconstruct``, with the generic combine's bytes,
 errors and check order, and ``verify`` is ``LinearOperator``'s.
-``BlockSenseOp`` is a ``linop.BlockOperator`` whose band kernels
-measure and back-project a whole channel with one BLAS product and one
-reordering copy each; reruns at one BLAS thread count give the same
-bytes (see ``cs_measure``).  The channel mean walks stripes of rows:
-``_channel_mean`` sums the mean holding the sum and channel 0 (read in
-place from an array), ``A+ y`` hands ``y``'s rows to every channel, and
-``ColorMeanOp._stream_walk`` subtracts the mean from each channel and
-adds that.  Each walk checks finiteness through what it computes (see
-``linop.BlockOperator``): the channel mean through the mean, the second
-walk each combined stripe, block sensing's ``A+ y`` each channel.
-``generic_pd`` is the function spelling of ``op.combine``.
+``BlockSenseOp`` is a ``linop.BlockOperator`` whose two band kernels
+measure (``_forward_band``) and back-project (``_expand``) a whole
+channel with one BLAS product and one reordering copy each, and which
+derives its combine and ``A+ y`` from them; reruns at one BLAS thread
+count give the same bytes (see ``cs_measure``).  The channel mean walks
+stripes of rows: ``_channel_mean`` sums the mean holding the sum and
+channel 0 (read in place from an array), ``A+ y`` hands ``y``'s rows to
+every channel, and ``ColorMeanOp._stream_walk`` subtracts the mean from
+each channel and adds that.  Each walk checks finiteness through what it
+computes (see ``linop.BlockOperator``): the channel mean through the
+mean, the second walk each combined stripe, block sensing's ``A+ y``
+each channel.  ``generic_pd`` is the function spelling of ``op.combine``.
 """
 
 from __future__ import annotations
@@ -255,34 +256,31 @@ class BlockSenseOp(BlockOperator):
         k, b, w = rows.shape
         return np.matmul(rows.reshape(k, b, w // b, b).transpose(0, 2, 1, 3).reshape(-1, b * b), self.rows.T)
 
-    def _forward_band(self, rows: np.ndarray, out: np.ndarray, scratch=None) -> None:
-        """Measure the blocks of ``rows`` into ``out`` with one strided copy."""
-        np.copyto(out, self._per_block(rows).reshape(len(rows), -1, self.q).transpose(2, 0, 1))
+    def _forward_band(self, rows: np.ndarray, scratch, out: np.ndarray | None = None) -> np.ndarray:
+        """The (q, k, nw) measurements of the blocks of ``rows``, by one
+        strided copy into ``out``, or else into a fresh C-contiguous array,
+        the layout of a measurement's slice ``y``, so that ``_expand`` runs
+        the same product on both; the product is freed on return."""
+        per_block = self._per_block(rows)
+        if out is None:
+            return np.ascontiguousarray(per_block.T).reshape(self.q, len(rows), -1)
+        np.copyto(out, per_block.reshape(len(rows), -1, self.q).transpose(2, 0, 1))
+        return out
 
-    def _pinv_tiles(self, m: np.ndarray) -> np.ndarray:
-        """``A+ m`` for the measurements ``m`` of k block rows, shaped (q, k,
-        nw): one BLAS product of ``m``, viewed one block per row, by the
-        rows, returned as a (k, block, nw, block) view of image rows."""
+    def _expand(self, m: np.ndarray, scratch) -> np.ndarray:
+        """``A+ m`` for the C-contiguous measurements ``m`` of k block rows,
+        shaped (q, k, nw): one BLAS product of ``m``, viewed one block per
+        row, by the rows, returned as a (k, block, nw, block) view of image
+        rows."""
         q, k, nw = m.shape
         b = self.block
         return np.matmul(m.reshape(q, k * nw).T, self.rows).reshape(k, nw, b, b).transpose(0, 2, 1, 3)
 
-    def _lift_band(self, y: np.ndarray, out: np.ndarray) -> None:
-        """``A+ y`` of a whole channel with one product (``_pinv_tiles``),
-        checked finite: unlike a mean, it can overflow."""
-        np.copyto(out.reshape(len(out), self.block, -1, self.block), self._pinv_tiles(y))
+    def _lift_band(self, y: np.ndarray, out: np.ndarray, scratch) -> None:
+        """``A+ y`` of a whole channel with one product (``_expand``), checked
+        finite: unlike a mean, it can overflow."""
+        super()._lift_band(y, out, scratch)
         _check_finite(out)
-
-    def _combine_band(self, rows: np.ndarray, y: np.ndarray, out: np.ndarray, scratch=None) -> None:
-        """``(rows - A+ A rows) + A+ y`` into ``out``, through the products of
-        ``_per_block`` and ``_pinv_tiles``; addition commutes exactly,
-        so these are the generic combine's bytes.  The measurement takes
-        the layout of ``y``, so that both back-projections are the same
-        product.  ``out`` may be ``rows``: the measurement is taken first."""
-        measured = np.ascontiguousarray(self._per_block(rows).T).reshape(y.shape)
-        tiles = out.reshape(len(out), self.block, -1, self.block)
-        np.subtract(rows.reshape(tiles.shape), self._pinv_tiles(measured), out=tiles)
-        tiles += self._pinv_tiles(y)
 
 
 def cs_build(block: int, ratio: float, seed: int = 0) -> BlockSenseOp:

@@ -931,6 +931,21 @@ class TestStripeLayer:
         assert "IdentityOperator" not in {getattr(node, "name", None) for node in ast.walk(self.trees["linop"])}
         assert self._callers("_is_png_path") == {("tensor", None, "_open_writers")}
 
+    def test_one_combine_formula(self):
+        # A block operator gives its forward band and ``A+`` (``_expand``)
+        # only; ``BlockOperator`` derives the band combine and ``A+ y`` from
+        # them, once for every block operator.
+        def members(module, cls):
+            (body,) = [node.body for node in self.trees[module].body if getattr(node, "name", None) == cls]
+            return {getattr(node, "name", None) for node in body}
+
+        assert "_combine_band" not in members("pooling", "PoolingOp")
+        assert "_combine_band" not in members("restore", "BlockSenseOp")
+        assert "_lift_band" not in members("pooling", "PoolingOp")
+        assert self._callers("_expand") == {("linop", "BlockOperator", "_combine_band"),
+                                            ("linop", "BlockOperator", "_lift_band")}
+        assert "_pinv_tiles" not in set().union(*map(_names, self.trees.values()))
+
 class TestNoUnusedImports:
     """Every name a library module imports is used in it (``__init__`` only
     re-exports, so it is left out)."""

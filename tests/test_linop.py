@@ -273,6 +273,15 @@ class TestIdentityKeepsBits:
         res = mp_residuals(IdentityOperator((3, 4, 5)), trials=4, seed=3)
         assert res.r1 == res.r2 == res.r3 == res.r4 == 0.0
 
+    def test_for_measurement_at_scale_1(self):
+        # The identity's inherited ``for_measurement`` builds pooling at
+        # scale 1, whose combine has the identity's bytes.
+        y, x_raw = self._samples()
+        op = IdentityOperator.for_measurement(ImageTensor(y.copy()), 1)
+        assert op.in_shape == op.out_shape == y.shape
+        expected = IdentityOperator(y.shape).combine(ImageTensor(y.copy()), ImageTensor(x_raw.copy())).data
+        assert op.combine(ImageTensor(y.copy()), ImageTensor(x_raw.copy())).data.tobytes() == expected.tobytes()
+
 
 class TestMatrixIO:
     def test_roundtrip(self, tmp_path, stream):
