@@ -19,7 +19,7 @@ block sensing, channel mean) gives them walks of its own and runs its
 block x block tile of each channel on its own, through two kernels on
 one stripe of whole block rows (for block sensing, a whole channel), the
 forward and ``A+``, from which it derives the combine and ``A+ y`` once
-for all of them.
+for all of them; ``reconstruct`` measures each file after its write.
 ``DenseOperator`` materializes an arbitrary matrix and derives its
 pseudo-inverse from its SVD, taken from LAPACK through
 ``numpy.linalg.svd``.
@@ -190,7 +190,8 @@ class BlockOperator(_WalkOperator):
     (``_combine_band``), and ``A+ y`` (``_lift_band``).  The walks below
     run them and keep the input's dtype.  A stripe holds about twice
     ``tensor._STRIPE_BYTES`` (``tensor._pooling_rows``), or a whole
-    channel where ``whole_channels`` is set.
+    channel where ``whole_channels`` is set.  ``reconstruct``'s walk
+    measures each file's stripe after its write, whatever its format.
 
     The walks check finiteness through the measurements they take
     (``_forward_checked``), which are NaN or infinite wherever a sample of
@@ -283,9 +284,8 @@ class BlockOperator(_WalkOperator):
         in place, in the buffer of a source that makes its own stripes or
         one reused buffer beside an array, or into ``out``
         (``tensor._writable_stripes``), hand it to each writer in turn,
-        which may quantize it in place, and return the measurement of what
-        each file holds, checked as in ``_forward_walk``; a PDT1, which
-        holds the stripe itself, is measured before its write.  Only a first
+        which may quantize it in place, and after each write measure what
+        that file holds, checked as in ``_forward_walk``.  Only a first
         PNG, which would quantize it, has the stripe checked sample by
         sample first.  ``first`` is unused.  With no writers nothing is
         checked: ``out`` is made an ``ImageTensor``.
@@ -298,13 +298,8 @@ class BlockOperator(_WalkOperator):
             if writers and not isinstance(writers[0], _RawWriter):
                 _check_finite(held)
             for writer, forward in zip(writers, forwards):
-                measured = self._band(forward, ch, band)
-                if isinstance(writer, _RawWriter):
-                    finite &= self._forward_checked(held, measured, scratch)
-                    writer.write(held)
-                else:
-                    held = writer.write(held, held)
-                    finite &= self._forward_checked(held, measured, scratch)
+                held = writer.write(held, held)
+                finite &= self._forward_checked(held, self._band(forward, ch, band), scratch)
         if not finite:
             for forward in forwards:
                 _check_finite(forward)
@@ -315,8 +310,9 @@ class _Lifted:
     """``A+ y`` of the block operator ``op``, a stripe source of ``shape``:
     ``op._lift_band`` makes each whole channel, or with ``whole_channels``
     unset each stripe of whole block rows and whole stripes of ``rows``, in
-    one reused buffer, which is yielded ``rows`` rows at a time.  The
-    kernels' scratch is made once per walk."""
+    one reused buffer, which is yielded ``rows`` rows at a time.  So block
+    sensing takes one product per channel whatever ``rows`` its caller
+    asks for.  The kernels' scratch is made once per walk."""
 
     def __init__(self, op: BlockOperator, y: np.ndarray, shape: tuple[int, int, int]):
         self._op, self._y, self.shape, self.dtype = op, y, shape, y.dtype
@@ -480,7 +476,8 @@ def measure(op: LinearOperator, x, *paths) -> np.ndarray | None:
 
 def lift(op: LinearOperator, y: ImageTensor, *paths) -> np.ndarray | None:
     """Write ``op.pinv(y)``, taken one stripe at a time from the array or
-    stripe source ``op._lift_source`` makes, to each of ``paths`` as
+    stripe source ``op._lift_source`` makes, in ``tensor._stripes``'s
+    default stripes whatever the operator, to each of ``paths`` as
     ``measure`` writes, the last file's PNG quantizing into the stripe's
     spare buffer (``tensor._writable_stripes``), or, with no paths, return
     it as a fresh array.  The measurement's checks come first, then every
@@ -489,9 +486,8 @@ def lift(op: LinearOperator, y: ImageTensor, *paths) -> np.ndarray | None:
     src = op._lift_source(y)
     if not paths:
         return _gather(src)
-    whole = isinstance(op, BlockOperator) and op.whole_channels  # then each channel goes in one write
     with _open_writers(src.shape, *paths) as writers:
-        for rows, spare, _, _ in _writable_stripes(src, 1, src.shape[1] if whole else None):
+        for rows, spare, _, _ in _writable_stripes(src, 1):
             for writer in writers:
                 writer.write(rows, spare if writer is writers[-1] else None)
 

@@ -19,13 +19,13 @@ spellings of ``null_project`` and ``PoolingOp.verify``.
 
 The kernels work on one stripe of whole block rows, about 1 MiB
 (``tensor._pooling_rows``), so every numpy step runs over full image
-rows.  Each walk makes their scratch once, in the input's dtype: three
-planes (one at scale 1) of a stripe's block rows' width for the block
-means, into whose first the anchors, the means and ``y`` are widened by
-strided copies, and the stripe's means.  A block's mean is built from
-elementwise operations only, in a fixed order, so it does not depend on
-how the image is striped: ``pool_down`` and ``pd_combine`` agree bit for
-bit.  Both keep the input dtype.
+rows.  Each walk makes their scratch once, in the input's dtype: one
+array of three planes (one at scale 1) of a stripe's block rows' width,
+into whose first the anchors, the means and ``y`` are widened by strided
+copies, and whose last keeps the means where no ``out`` is given.  A
+block's mean is built from elementwise operations only, in a fixed
+order, so it does not depend on how the image is striped: ``pool_down``
+and ``pd_combine`` agree bit for bit.  Both keep the input dtype.
 
 ``linop``'s walks run these kernels over an array or any stripe source,
 such as a ``RawReader`` or a predictor, and hold the low-resolution
@@ -63,7 +63,8 @@ def _widen(a: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:
 def _band_mean(rows: np.ndarray, s: int, scratch: np.ndarray, out: np.ndarray) -> None:
     """Write the means of the s x s blocks of ``rows``, k block rows shaped
     (k, s, width), into ``out``, shaped (k, width // s), using the first k
-    rows of the (3, rows, width) ``scratch``.
+    rows of the (3, rows, width) ``scratch``; ``out`` may be in its last
+    plane, which is free once the row loop ends.
 
     Anchoring on each block's first sample makes constant blocks average
     exactly, which is what keeps down(up(y)) bit-identical to y.  The
@@ -143,29 +144,27 @@ class PoolingOp(BlockOperator):
 
     def _scratch(self, rows: int, width: int, dtype: np.dtype):
         """``_band_mean``'s (3, rows, width) planes, the first of which
-        ``_expand`` widens into (only that one at scale 1, which copies),
-        and the (rows, width // s) block means."""
-        planes = 3 if self.scale > 1 else 1
-        return np.empty((planes, rows, width), dtype), np.empty((rows, width // self.scale), dtype)
+        ``_expand`` widens into: only that one at scale 1, which copies."""
+        return np.empty((3 if self.scale > 1 else 1, rows, width), dtype)
 
     def _forward_band(self, rows: np.ndarray, scratch, out: np.ndarray | None = None) -> np.ndarray:
-        """The (1, k, width // s) block means of ``rows``, in the scratch
-        unless ``out`` is given.  Scale 1 copies: the anchored mean of -0.0
-        would be +0.0."""
-        planes, means = scratch
+        """The (1, k, width // s) block means of ``rows``, in ``out`` if
+        given, else in the last scratch plane, at scale 1 the one that
+        ``_expand`` copies onto itself.  Scale 1 copies: the anchored mean
+        of -0.0 would be +0.0."""
         if out is None:
-            out = means[None, : len(rows)]
+            out = scratch[-1:, : len(rows), : rows.shape[2] // self.scale]
         if self.scale == 1:
             out[0] = rows[:, 0]
         else:
-            _band_mean(rows, self.scale, planes, out[0])
+            _band_mean(rows, self.scale, scratch, out[0])
         return out
 
     def _expand(self, m: np.ndarray, scratch) -> np.ndarray:
         """Each row of ``m`` widened into the first scratch plane, as (k, 1,
         width // s, s) tiles: one row of each block."""
         k = m.shape[1]
-        return _widen(m[0], self.scale, scratch[0][0, :k]).reshape(k, 1, -1, self.scale)
+        return _widen(m[0], self.scale, scratch[0, :k]).reshape(k, 1, -1, self.scale)
 
 
 class IdentityOperator(PoolingOp):

@@ -222,10 +222,11 @@ class _Enlarged:
     """``y`` enlarged ``s`` times by the bilinear or bicubic kernel, made one
     stripe of whole block rows at a time.
 
-    Each channel's horizontal pass runs once on its low-resolution rows;
-    the vertical pass then makes each stripe from those rows and a halo of
-    at most two more.  ``resample`` and ``predict_raw`` gather these
-    stripes, so every interpolating enlargement runs this one kernel.
+    Each channel's horizontal pass runs once on its low-resolution rows,
+    into one ``_intermediate`` plane between halo rows that copy its edge
+    rows; the vertical pass windows that plane in place, at its odd-line
+    stride.  ``resample`` and ``predict_raw`` gather these stripes, so
+    every interpolating enlargement runs this one kernel.
     """
 
     dtype = np.dtype(np.float64)
@@ -241,10 +242,13 @@ class _Enlarged:
         step = rows // s
         buf = np.empty((min(step, height), s, width * s))
         first, weights = _phase_weights(ResampleSpec(self._method, False, s, "up"))
-        mid = _intermediate(height, width * s)
+        before, taps = max(0, -first), len(weights)
+        mid = _intermediate(before + height + max(0, first + taps - 1), width * s)
+        windows = sliding_window_view(mid, taps, axis=0)[before + first : before + first + height]
         for plane in self._y.data:
-            _apply_phases(_windows(plane, 1, first, len(weights), 1), weights, 1, mid)
-            windows = _windows(mid, 0, first, len(weights), 1)
+            _apply_phases(_windows(plane, 1, first, taps, 1), weights, 1, mid[before : before + height])
+            mid[:before] = mid[before]  # the halo's edge rows, the clamp, as in ``_windows``
+            mid[before + height :] = mid[before + height - 1]
             for q0 in range(0, height, step):
                 out = buf[: min(step, height - q0)]
                 _apply_phases(windows[q0 : q0 + len(out)], weights, 0, out.reshape(-1, width * s))

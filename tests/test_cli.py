@@ -946,6 +946,24 @@ class TestStripeLayer:
                                             ("linop", "BlockOperator", "_lift_band")}
         assert "_pinv_tiles" not in set().union(*map(_names, self.trees.values()))
 
+    def test_block_walks_without_special_cases(self):
+        # ``reconstruct``'s block walk measures every file after its write and
+        # names the PDT1 writer only to check the stripe before a first PNG;
+        # ``lift`` walks every operator's source alike; and pooling's scratch
+        # is one array.
+        def method(module, cls, name):
+            (body,) = [node.body for node in self.trees[module].body if getattr(node, "name", None) == cls]
+            (function,) = [node for node in body if getattr(node, "name", None) == name]
+            return function
+
+        stream_walk = method("linop", "BlockOperator", "_stream_walk")
+        assert sum(getattr(node, "id", None) == "_RawWriter" for node in ast.walk(stream_walk)) == 1
+        (lift,) = [node for node in self.trees["linop"].body if getattr(node, "name", None) == "lift"]
+        assert not {"BlockOperator", "whole_channels"} & _names(lift)
+        scratch = method("pooling", "PoolingOp", "_scratch")
+        (returned,) = [node.value for node in ast.walk(scratch) if isinstance(node, ast.Return)]
+        assert _calls(scratch, "empty") == 1 and not isinstance(returned, ast.Tuple)
+
 class TestNoUnusedImports:
     """Every name a library module imports is used in it (``__init__`` only
     re-exports, so it is left out)."""

@@ -421,6 +421,23 @@ class TestMeasure:
             tracemalloc.stop()
         assert peak <= 1.2 * y.data.nbytes
 
+    @pytest.mark.parametrize("scale, bound", [(1, 1.07), (2, 1.285)])
+    def test_pooling_verify_makes_no_block_means_beside_the_measurement(self, scale, bound):
+        # The forward walk takes each stripe's block means into the measurement
+        # itself, so its scratch is ``_band_mean``'s planes alone (one at scale
+        # 1): no separate array of means is made.
+        rng = np.random.default_rng(5)
+        op = PoolingOp(scale, 3, 1024, 1024)
+        x_hat = ImageTensor(rng.uniform(size=op.in_shape))
+        y = ImageTensor(rng.uniform(size=op.out_shape))
+        tracemalloc.start()
+        try:
+            op.verify(y, x_hat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * y.data.nbytes
+
     @pytest.mark.parametrize("call", ["forward", "verify"])
     def test_channel_mean_of_an_array_holds_one_measurement(self, call):
         # Channel 0 is read in place, beside the sum and one spare stripe.
