@@ -958,8 +958,8 @@ class TestStripeLayer:
 
         stream_walk = method("linop", "BlockOperator", "_stream_walk")
         assert sum(getattr(node, "id", None) == "_RawWriter" for node in ast.walk(stream_walk)) == 1
-        (lift,) = [node for node in self.trees["linop"].body if getattr(node, "name", None) == "lift"]
-        assert not {"BlockOperator", "whole_channels"} & _names(lift)
+        (lift_def,) = [node for node in self.trees["linop"].body if getattr(node, "name", None) == "lift"]
+        assert not {"BlockOperator", "whole_channels"} & _names(lift_def)
         scratch = method("pooling", "PoolingOp", "_scratch")
         (returned,) = [node.value for node in ast.walk(scratch) if isinstance(node, ast.Return)]
         assert _calls(scratch, "empty") == 1 and not isinstance(returned, ast.Tuple)

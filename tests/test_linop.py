@@ -425,7 +425,7 @@ class TestMeasure:
     def test_pooling_verify_makes_no_block_means_beside_the_measurement(self, scale, bound):
         # The forward walk takes each stripe's block means into the measurement
         # itself, so its scratch is ``_band_mean``'s planes alone (one at scale
-        # 1): no separate array of means is made.
+        # 1, the ``IdentityOperator``): no separate array of means is made.
         rng = np.random.default_rng(5)
         op = PoolingOp(scale, 3, 1024, 1024)
         x_hat = ImageTensor(rng.uniform(size=op.in_shape))
