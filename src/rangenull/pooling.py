@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linop import BlockOperator, LinearOperator, lift, null_project
+from .linop import BlockOperator, lift, null_project
 from .metrics import ConsistencyReport
 from .tensor import ImageTensor, _read_through
 
@@ -107,8 +107,7 @@ def pd_combine(y: ImageTensor, x_raw: ImageTensor, s: int) -> ImageTensor:
     The output's block means equal ``y`` by construction, so pooling it
     back down reproduces ``y`` to float rounding regardless of ``x_raw``.
     """
-    LinearOperator._check_raw(x_raw, (y.channels, s * y.height, s * y.width))
-    return ImageTensor(PoolingOp.for_measurement(y, s)._combine_walk(y.data, x_raw.data))
+    return PoolingOp.for_measurement(y, s).combine(y, x_raw)
 
 
 def verify_consistency(y: ImageTensor, x_hat, s: int, quantized: bool = False) -> ConsistencyReport:

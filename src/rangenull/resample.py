@@ -1,16 +1,16 @@
 """Separable image resampling with box, bilinear, and bicubic kernels.
 
 Covers the downsamplers a reconstruction is typically tested against.
-Box is block pooling, ``pool_down`` shrinking and ``pool_up`` enlarging
-whatever the antialias flag says, so it is the paper's degradation bit
-for bit.  Antialiased bilinear and bicubic downsampling stretches the
-kernel by the scale factor so it low-passes before decimation; without
-antialiasing the kernel keeps its unit support and simply interpolates
-at the decimated positions.  Output pixel ``i`` samples the source at
-``(i + 0.5) * s - 0.5`` going down and ``(i + 0.5) / s - 0.5`` going up,
-which keeps constant images fixed and the two directions mutually
-consistent.  Borders clamp to the edge pixel and every output pixel's
-weights are normalized to sum to 1.
+Box is block pooling, shrinking by ``pool_down`` and enlarging by
+replication whatever the antialias flag says, so it is the paper's
+degradation bit for bit.  Antialiased bilinear and bicubic downsampling
+stretches the kernel by the scale factor so it low-passes before
+decimation; without antialiasing the kernel keeps its unit support and
+simply interpolates at the decimated positions.  Output pixel ``i``
+samples the source at ``(i + 0.5) * s - 0.5`` going down and ``(i + 0.5)
+/ s - 0.5`` going up, which keeps constant images fixed and the two
+directions mutually consistent.  Borders clamp to the edge pixel and
+every output pixel's weights are normalized to sum to 1.
 
 With an integer scale the weights repeat with period ``s``: enlarging
 has ``s`` phases of at most five nonzero taps each, shrinking one phase
@@ -21,13 +21,13 @@ sliding-window view of the edge-padded plane (``_windows``) with the
 small (taps, phases) weight matrix, so the cost is proportional to
 pixels times taps and no (output, input) matrix is ever built.  The
 vertical pass, the cheaper one per output pixel, runs on the
-full-resolution side: first when shrinking, last when enlarging.  So an
-enlargement is made one stripe of rows at a time (``_Enlarged``), from
-the horizontal pass of the low-resolution plane and a halo of at most
-two of its rows, as a stripe source for ``tensor._stripes``, which
-``resample`` gathers and ``open_prediction``, the one predictor dispatch,
-yields to ``linop.reconstruct`` and to ``predict_raw``, which gathers it,
-beside ``nearest``, pooling's ``A+ y`` source (``linop.lift``).
+full-resolution side: first when shrinking, last when enlarging.
+Every enlargement takes one path.  ``open_prediction``, the one
+predictor dispatch, yields it as a stripe source for ``tensor._stripes``:
+``nearest`` as pooling's ``A+ y`` source (``linop.lift``), bilinear and
+bicubic as ``_Enlarged``, which makes each stripe from the horizontal
+pass of the low-resolution plane.  ``predict_raw`` gathers that source,
+and ``resample`` enlarges through ``predict_raw``.
 The horizontal pass writes its plane down columns, so that plane's rows
 are padded to an odd number of 64-byte cache lines (``_intermediate``):
 at a power-of-two width every row would fall in the same cache sets.
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .pooling import PoolingOp, pool_down, pool_up
+from .pooling import PoolingOp, pool_down
 from .tensor import ImageTensor, _gather, open_stripes
 
 FILTERS = ("box", "bilinear", "bicubic")
@@ -161,12 +161,12 @@ def _intermediate(height: int, width: int) -> np.ndarray:
 
 
 def resample(x: ImageTensor, spec: ResampleSpec) -> ImageTensor:
-    """Apply separable resampling, one channel and one axis at a time."""
+    """Apply separable resampling; an enlargement is ``predict_raw``'s."""
     s = spec.scale
-    if spec.filter == "box":
-        return pool_down(x, s) if spec.direction == "down" else pool_up(x, s)
     if spec.direction == "up":
-        return ImageTensor(_gather(_Enlarged(x, spec.filter, s), s))
+        return predict_raw(x, "nearest" if spec.filter == "box" else spec.filter, s)
+    if spec.filter == "box":
+        return pool_down(x, s)
     if x.height % s or x.width % s:
         raise ValueError(f"image size {x.height}x{x.width} is not divisible by scale {s}")
     out_h, out_w = x.height // s, x.width // s
@@ -189,7 +189,7 @@ def predict_raw(y: ImageTensor, method: str, s: int, external_path=None) -> Imag
     prediction produced elsewhere and validates its geometry.
     """
     with open_prediction(y, method, s, external_path) as x_raw:
-        return ImageTensor(_gather(x_raw, s))
+        return ImageTensor(_gather(x_raw))
 
 
 @contextlib.contextmanager
@@ -219,14 +219,14 @@ def open_prediction(y: ImageTensor, method: str, s: int, external_path=None):
 
 
 class _Enlarged:
-    """``y`` enlarged ``s`` times by the bilinear or bicubic kernel, made one
-    stripe of whole block rows at a time.
+    """``y`` enlarged ``s`` times by the bilinear or bicubic kernel, a stripe
+    source made one stripe of rows at a time.
 
     Each channel's horizontal pass runs once on its low-resolution rows,
     into one ``_intermediate`` plane between halo rows that copy its edge
-    rows; the vertical pass windows that plane in place, at its odd-line
-    stride.  ``resample`` and ``predict_raw`` gather these stripes, so
-    every interpolating enlargement runs this one kernel.
+    rows; for each stripe, the vertical pass windows that plane in place,
+    at its odd-line stride, over the low-resolution rows the stripe
+    overlaps, and the stripe is sliced from their enlargement.
     """
 
     dtype = np.dtype(np.float64)
@@ -236,11 +236,9 @@ class _Enlarged:
         self.shape = (y.channels, s * y.height, s * y.width)
 
     def stripes(self, rows: int):
-        """Yield each channel's rows, ``rows`` (a multiple of the scale) at a
-        time, from one reused buffer."""
         s, (_, height, width) = self._s, self._y.shape
-        step = rows // s
-        buf = np.empty((min(step, height), s, width * s))
+        # A stripe overlaps ceil(rows / s) low-resolution rows, one more if it may start inside one.
+        buf = np.empty((min(height, -(-rows // s) + bool(rows % s)), s, width * s))
         first, weights = _phase_weights(ResampleSpec(self._method, False, s, "up"))
         before, taps = max(0, -first), len(weights)
         mid = _intermediate(before + height + max(0, first + taps - 1), width * s)
@@ -249,7 +247,8 @@ class _Enlarged:
             _apply_phases(_windows(plane, 1, first, taps, 1), weights, 1, mid[before : before + height])
             mid[:before] = mid[before]  # the halo's edge rows, the clamp, as in ``_windows``
             mid[before + height :] = mid[before + height - 1]
-            for q0 in range(0, height, step):
-                out = buf[: min(step, height - q0)]
-                _apply_phases(windows[q0 : q0 + len(out)], weights, 0, out.reshape(-1, width * s))
-                yield out.reshape(-1, width * s)
+            for r0 in range(0, s * height, rows):
+                q0, q1 = r0 // s, min(height, -(-(r0 + rows) // s))
+                out = buf[: q1 - q0].reshape(-1, width * s)
+                _apply_phases(windows[q0:q1], weights, 0, out)
+                yield out[r0 - s * q0 :][:rows]

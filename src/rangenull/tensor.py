@@ -20,18 +20,18 @@ Stripes of whole rows are the unit of the streamed passes.  One walk,
 ``_stripes``, yields the stripes of an array, as views, or of a stripe
 source that makes them in one reused buffer, the caller's to overwrite
 until the next: a ``RawReader`` reading a PDT1 payload (``open_stripes``
-opens a PDT1 that way and decodes a PNG whole), a predictor, or a
-``_Blank`` buffer; ``_writable_stripes`` pairs each with a buffer to
-rewrite it in.  No source checks its samples finite: a walk checks what
-it computes from them (see ``linop``), and ``_read_through`` the samples
-of a source its caller refuses.  ``_open_writers`` gives each output
-file the writer of its format: a PDT1 writes whole rows as they come, a
-PNG quantizes them into the 8-bit image it encodes at the end.
-``linop.measure``, ``linop.reconstruct`` and ``linop.lift``, the
-streamed protocols of every operator, are the only callers of
-``_open_writers`` outside this module.  Every file is written through
-``_write_atomic``, which renames a call's files into place, one by one,
-once all are complete.
+opens a PDT1 that way and decodes a PNG whole), a prediction
+(``resample.open_prediction``), an operator's ``A+ y`` or a ``_Blank``
+buffer; ``_writable_stripes`` pairs each with a buffer to rewrite it in.
+No source checks its samples finite: a walk checks what it computes from
+them (see ``linop``), and ``_read_through`` the samples of a source its
+caller refuses.  ``_open_writers`` gives each output file the writer of
+its format: a PDT1 writes whole rows as they come, a PNG quantizes them
+into the 8-bit image it encodes at the end.  ``linop.measure``,
+``linop.reconstruct`` and ``linop.lift``, the streamed protocols of
+every operator, are the only callers of ``_open_writers`` outside this
+module.  Every file is written through ``_write_atomic``, which renames
+a call's files into place, one by one, once all are complete.
 """
 
 from __future__ import annotations
@@ -426,9 +426,11 @@ def _stripes(src, s: int, step: int | None = None):
     memory order: ``step`` block rows of one channel (fewer at its end),
     ``_band_rows`` by default, shaped (k, s, width).  An array's stripes
     are views.  Any other source has a ``shape``, a ``dtype`` and a
-    ``stripes(rows)`` method that yields each channel's rows, ``rows`` at
-    a time, as ``RawReader`` does; its stripes may share one buffer, valid
-    until the next, which the caller may overwrite meanwhile."""
+    ``stripes(rows)`` method that, for any ``rows`` of at least 1, yields
+    each channel's rows as (k, width) arrays of exactly ``rows`` rows, but
+    the last of a channel, which may be shorter.  Its stripes may share
+    one buffer, valid until the next, which the caller may overwrite
+    meanwhile."""
     channels, height, width = src.shape
     step = step or _band_rows(width, src.dtype.itemsize, s)
     if isinstance(src, np.ndarray):
@@ -476,10 +478,10 @@ def _writable_stripes(src, s: int, step: int | None = None, out: np.ndarray | No
             yield rows, spare, ch, band
 
 
-def _gather(src, s: int = 1) -> np.ndarray:
-    """The samples of the stripe source ``src``, in stripes of ``s``-row blocks, in one fresh array."""
+def _gather(src) -> np.ndarray:
+    """The samples of the array or stripe source ``src`` in one fresh array."""
     out = np.empty(src.shape, src.dtype)
-    for rows, spare, _, _ in _writable_stripes(src, s, out=out):
+    for rows, spare, _, _ in _writable_stripes(src, 1, out=out):
         np.copyto(spare, rows)
     return out
 

@@ -893,10 +893,10 @@ class TestStripeLayer:
     def test_one_prediction_dispatch(self):
         # ``predict_raw`` gathers what ``open_prediction`` yields, which alone
         # picks the predictor: it alone opens an external file or enlarges,
-        # beside ``resample``'s own enlargement.
+        # and ``resample`` enlarges through ``predict_raw``.
         (predict_raw,) = [node for node in self.trees["resample"].body if getattr(node, "name", None) == "predict_raw"]
         assert _calls(predict_raw, "open_prediction") == 1 and _calls(predict_raw, "load_tensor") == 0
-        assert self._callers("_Enlarged") == {("resample", None, "open_prediction"), ("resample", None, "resample")}
+        assert self._callers("_Enlarged") == {("resample", None, "open_prediction")}
         opening = {caller for caller in self._callers("open_stripes") if caller[0] == "resample"}
         assert opening == {("resample", None, "open_prediction")}
         assert "load_tensor" not in _names(self.trees["resample"])

@@ -172,6 +172,9 @@ class TestPdCombine:
             pd_combine(y, ImageTensor(np.zeros((1, 4, 5))), 2)
         with pytest.raises(ValueError):
             pd_combine(y, ImageTensor(np.zeros((3, 4, 4))), 2)
+        for s in (0, -1):
+            with pytest.raises(ValueError, match=f"^scale must be a positive integer, got {s}$"):
+                pd_combine(y, ImageTensor(np.zeros((1, 4, 4))), s)
 
     @given(lr_and_raw())
     def test_consistency_theorem(self, case):

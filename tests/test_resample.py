@@ -12,8 +12,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rangenull import (
+    IdentityOperator,
     ImageTensor,
+    PoolingOp,
     ResampleSpec,
+    measure,
+    open_prediction,
     pd_combine,
     pool_down,
     pool_up,
@@ -202,8 +206,20 @@ class TestEnlargedStripes:
         whole = predict_raw(y, method, s).data.tobytes()
         spec = ResampleSpec(filter=method, antialias=False, scale=s, direction="up")
         assert resample(y, spec).data.tobytes() == whole
-        for rows in (s, 96 * s):
+        for rows in (1, s - 1, s, s + 1, 3 * s + 1, 96 * s):
+            # ``tobytes`` copies each stripe before the next overwrites the buffer.
             assert b"".join(stripe.tobytes() for stripe in _Enlarged(y, method, s).stripes(rows)) == whole
+
+    @pytest.mark.parametrize("method", ["bilinear", "bicubic"])
+    @pytest.mark.parametrize("scale", [1, 5], ids=["identity", "pooling_5"])
+    def test_any_operator_measures_the_source(self, method, scale):
+        # The walks ask for stripes of whole blocks of their own scale, 187
+        # and 185 rows here, which the enlargement's scale 2 does not divide.
+        y = ImageTensor(np.random.default_rng(7).uniform(size=(1, 300, 350)))
+        op = IdentityOperator((1, 600, 700)) if scale == 1 else PoolingOp(scale, 1, 600, 700)
+        with open_prediction(y, method, 2) as source:
+            got = measure(op, source)
+        assert got.tobytes() == op.forward(predict_raw(y, method, 2)).data.tobytes()
 
     # sha256 of the reductions of 2 x 4s x width uniform samples, seeded by the width.
     @pytest.mark.parametrize("width, s, method, digest", [

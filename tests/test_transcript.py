@@ -1,9 +1,10 @@
 """Byte-identity transcript of the CLI calls that write a pseudo-inverse:
 ``cs --action pinv``, ``colorize --mode color`` and ``pd --predictor
 nearest``, with their outputs, their output orders and their refusals,
-then every other subcommand (``_other_calls``) and the ``+inf``, ``-inf``
+then every other subcommand (``_other_calls``), the ``+inf``, ``-inf``
 and overflowing inputs of ``pd``, ``verify``, ``cs`` and ``colorize``
-(``_fault_calls``).
+(``_fault_calls``), and their PDT1 inputs that shrink or grow while they
+are read (``_resize_calls``).
 
 Each call runs in process, in a fresh directory of its own.  Its record is
 the exit code, stdout, stderr with the temporary directory masked, and the
@@ -18,6 +19,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -112,6 +114,7 @@ def _calls():
         calls.append(("pd", f"s{s}-{lr}-{'+'.join(outs)}", argv))
     calls += _other_calls()
     calls += _fault_calls()
+    calls += _resize_calls()
     return calls
 
 
@@ -370,6 +373,69 @@ def _fault_calls():
     return calls
 
 
+def _resize_calls():
+    """(subcommand key, label, argv) of the calls of ``pd --raw``, ``verify
+    --sr``, ``cs --action measure|pd`` and ``colorize --mode gray|pd`` whose
+    PDT1 input named ``*.shrinks`` or ``*.grows`` loses or gains 8 bytes
+    while it is read (``_resized``), each subcommand under a key of its
+    own, so that the keys above keep their digests."""
+    calls = []
+    for change in ("shrinks", "grows"):
+        for lr, raw in ((f"lr.pdt1.{change}", "raw2.pdt1"), ("lr.pdt1", f"raw2.pdt1.{change}")):
+            for out in ("o.pdt1", "o.png"):
+                argv = ["pd", "--predictor", "external", "--scale", "2", "--lr", "{in}/" + lr, "--raw", "{in}/" + raw,
+                        "--output", "{out}/" + out]
+                calls.append(("pd-resized", f"{lr}-{raw}-{out}", argv))
+        for lr, sr in ((f"lr.pdt1.{change}", "sr2.pdt1"), ("lr.pdt1", f"sr2.pdt1.{change}")):
+            argv = ["verify", "--lr", "{in}/" + lr, "--sr", "{in}/" + sr, "--scale", "2"]
+            calls.append(("verify-resized", f"{lr}-{sr}", argv))
+        op = ["--op", "{in}/op8.pdm1"]
+        for out in ("o.pdt1", "o.png"):
+            argv = ["cs", "--action", "measure", *op, "--input", f"{{in}}/x48c3.pdt1.{change}", "--output",
+                    "{out}/" + out]
+            calls.append(("cs-resized", f"measure-x48c3.pdt1.{change}-{out}", argv))
+            for lr, raw in ((f"m8c3.pdt1.{change}", "x48c3.pdt1"), ("m8c3.pdt1", f"x48c3.pdt1.{change}")):
+                argv = ["cs", "--action", "pd", *op, "--lr", "{in}/" + lr, "--raw", "{in}/" + raw, "--output",
+                        "{out}/" + out]
+                calls.append(("cs-resized", f"pd-{lr}-{raw}-{out}", argv))
+            argv = ["colorize", "--mode", "gray", "--input", f"{{in}}/color.pdt1.{change}", "--output", "{out}/" + out]
+            calls.append(("colorize-resized", f"gray-color.pdt1.{change}-{out}", argv))
+            for src, raw in ((f"gray.pdt1.{change}", "color.pdt1"), ("gray.pdt1", f"color.pdt1.{change}")):
+                argv = ["colorize", "--mode", "pd", "--input", "{in}/" + src, "--raw", "{in}/" + raw, "--output",
+                        "{out}/" + out]
+                calls.append(("colorize-resized", f"pd-{src}-{raw}-{out}", argv))
+    return calls
+
+
+@contextlib.contextmanager
+def _resized(argv):
+    """Run the block with the input of ``argv`` named ``<name>.shrinks`` or
+    ``<name>.grows``, if any, a copy of ``<name>`` that loses or gains 8
+    bytes at the first ``os.preadv`` on it; remove the copy afterwards."""
+    changes = {".shrinks": -8, ".grows": 8}
+    paths = [Path(a) for a in argv if Path(a).suffix in changes]
+    if not paths:
+        yield
+        return
+    (path,) = paths
+    data = path.with_suffix("").read_bytes()
+    path.write_bytes(data)
+    real_preadv, inode = os.preadv, path.stat().st_ino
+
+    def preadv(fd, buffers, offset):
+        if os.fstat(fd).st_ino == inode:
+            os.preadv = real_preadv
+            os.truncate(path, len(data) + changes[path.suffix])
+        return real_preadv(fd, buffers, offset)
+
+    os.preadv = preadv
+    try:
+        yield
+    finally:
+        os.preadv = real_preadv
+        path.unlink()
+
+
 def _record(tmp, argv, cwd):
     """The record of one call of ``main(argv)`` whose outputs go to ``cwd``."""
     out, err = io.StringIO(), io.StringIO()
@@ -397,7 +463,8 @@ def transcript():
                 if a.endswith("/"):
                     Path(a).mkdir()
             argv = [a.rstrip("/") for a in argv]
-            runs.setdefault(command, []).append((label, argv, _record(tmp, argv, cwd)))
+            with _resized(argv):
+                runs.setdefault(command, []).append((label, argv, _record(tmp, argv, cwd)))
     return runs
 
 
