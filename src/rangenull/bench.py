@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .linop import measure
+from .linop import _combined, measure
 from .metrics import compare
 from .pooling import PoolingOp
 from .rng import Stream, derive
@@ -81,12 +81,12 @@ def _table1_case(op: PoolingOp, seed: int, index: int) -> dict:
     raw = stream.uniform(op.in_shape)
     lr = measure(op, gt)
     start = time.perf_counter()
-    combined = op._combine_walk(lr, raw)
+    combined = _combined(op, lr, raw)
     elapsed_ms = (time.perf_counter() - start) * 1e3
     report = op.verify(ImageTensor(lr), combined)
     # Single-precision rerun of the same combine, compared in double.
     lr32 = lr.astype(np.float32)
-    combined32 = op._combine_walk(lr32, raw.astype(np.float32))
+    combined32 = _combined(op, lr32, raw.astype(np.float32))
     down32 = measure(op, combined32).astype(np.float64)
     report32 = compare(ImageTensor(lr32.astype(np.float64)), ImageTensor(down32))
     return {

@@ -5,24 +5,19 @@ Moore-Penrose identity ``A A+ A = A``.  ``A+ A`` then projects onto the
 subspace the observation can see, ``I - A+ A`` onto the subspace it
 cannot, and the two parts of any input always add back to the input.
 
-The base class defines the consistent combine ``combine`` (keep
-``A+ y``, take the null part of a raw prediction), the reference every
-walk's combine must equal, and its check ``verify``.  Three protocols run
-an operator one stripe at a time: ``measure`` (the forward),
-``reconstruct`` (the combine) and ``lift`` (``A+ y``), each into files
-through ``tensor._open_writers`` or, but ``reconstruct``, into a fresh
-array.  ``_WalkOperator`` (pooling, the identity as pooling at scale 1,
-block sensing, channel mean) gives them walks of its own and runs its
-``forward``, ``pinv`` and ``combine`` on them; any other operator
-(``DenseOperator``, a user's subclass) is gathered and taken whole.
-``BlockOperator`` is the walk base of the operators that measure each
-block x block tile of each channel on its own, through two kernels on
-one stripe of whole block rows (for block sensing, a whole channel), the
-forward and ``A+``, from which it derives the combine and ``A+ y`` once
-for all of them; ``reconstruct`` measures each file after its write.
-``DenseOperator`` materializes an arbitrary matrix and derives its
-pseudo-inverse from its SVD, taken from LAPACK through
-``numpy.linalg.svd``.
+Every operator gives two kernels, a measurer fed an image's stripes in
+planar order and the source of ``A+`` of a measurement, and three
+protocols run them one stripe at a time, into files through
+``tensor._open_writers`` or into a fresh array: ``measure`` (the
+forward), ``lift`` (``A+ y``) and ``reconstruct``, the consistent combine
+(keep ``A+ y``, take the null part of a raw prediction), whose one walk
+also makes ``combine``.  ``BlockOperator`` (pooling, the identity,
+block sensing) derives both kernels from two band kernels on one stripe
+of whole block rows and measures each stripe of the combine in place;
+the combine of any other operator (channel mean, ``DenseOperator``)
+measures the whole raw prediction first.  ``DenseOperator`` materializes
+an arbitrary matrix and derives its pseudo-inverse from its SVD, taken
+from LAPACK through ``numpy.linalg.svd``.
 """
 
 from __future__ import annotations
@@ -58,34 +53,41 @@ class LinearOperator(abc.ABC):
     """Forward map plus exact pseudo-inverse over ImageTensor values.
 
     ``in_shape``/``out_shape`` are (channels, height, width) tuples, or
-    None for operators that accept any compatible geometry.
+    None for operators that accept any compatible geometry.  ``forward``
+    is ``measure`` and ``pinv`` is ``lift``, on the kernels ``_measurer``
+    and ``_lift_source``, which gather the stripes and call ``forward``,
+    and take ``pinv``'s array: a subclass overrides ``forward`` and
+    ``pinv`` (``DenseOperator``) or the kernels, or is not instantiated.
     """
 
     in_shape: tuple[int, int, int] | None = None
     out_shape: tuple[int, int, int] | None = None
+    _lift_may_overflow = False  # if set, a misfit prediction is refused after ``A+ y`` is read through
 
-    @abc.abstractmethod
+    def __new__(cls, *args, **kwargs):
+        missing = [pair for pair in (("forward", "_measurer"), ("pinv", "_lift_source"))
+                   if all(getattr(cls, name) is getattr(LinearOperator, name) for name in pair)]
+        if missing:
+            raise TypeError("{} overrides neither {} nor {}".format(cls.__name__, *missing[0]))
+        return super().__new__(cls)
+
     def forward(self, x: ImageTensor) -> ImageTensor:
         """Apply the degradation."""
+        return ImageTensor(measure(self, x))
 
-    @abc.abstractmethod
     def pinv(self, y: ImageTensor) -> ImageTensor:
         """Apply the pseudo-inverse."""
+        return ImageTensor(lift(self, y))
 
     def combine(self, y: ImageTensor, x_raw: ImageTensor) -> ImageTensor:
-        """Consistent combine: ``pinv(y) + (x_raw - pinv(forward(x_raw)))``.
-
-        Pushing the result back through ``forward`` reproduces ``y`` up to
-        float rounding whenever ``forward(pinv(.))`` is the identity.
-        ``pinv(y)`` is added in place into the difference; addition commutes
-        exactly, so that is the same bits as the sum.  An override must give
-        the same bytes, errors and check order as this method.
+        """Consistent combine: ``pinv(y) + (x_raw - pinv(forward(x_raw)))``,
+        ``pinv(y)`` added in place into the difference (addition commutes
+        exactly, so that is the sum's bits).  Pushing the result back through
+        ``forward`` reproduces ``y`` up to float rounding whenever
+        ``forward(pinv(.))`` is the identity.  ``y`` is checked first, then
+        an overflowing ``pinv(y)`` where ``x_raw`` does not fit.
         """
-        restored = self.pinv(y)
-        self._check_raw(x_raw, restored.shape)
-        out = x_raw.data - range_project(self, x_raw).data
-        out += restored.data
-        return ImageTensor(out)
+        return ImageTensor(_combined(self, y.data, x_raw.data))
 
     def verify(self, y: ImageTensor, x_hat, quantized: bool = False) -> ConsistencyReport:
         """Compare ``y`` against the forward of ``x_hat``, an ``ImageTensor``,
@@ -104,101 +106,70 @@ class LinearOperator(abc.ABC):
         of the ``shape`` of ``x``, an array or a stripe source."""
         self._check(x, self.in_shape, "input")
 
-    def _forward_walk(self, src) -> np.ndarray:
-        """``measure``'s walk for an operator without one of its own: gather
-        the array or stripe source ``src`` into one array and return its
-        ``forward`` as a fresh array, checked finite."""
-        return self.forward(ImageTensor(_gather(src))).data.copy()
+    def _walk(self, src, stripes=_stripes):
+        """``stripes`` of ``src`` (``tensor._stripes`` or ``_writable_stripes``)
+        as the kernels take them, here (k, width) rows, and their scratch."""
+        return ((*(a[:, 0] for a in arrays), ch, band) for *arrays, ch, band in stripes(src, 1)), None
 
-    def _lift_source(self, y: ImageTensor):
-        """``lift``'s stripe source of ``A+ y``, made after the measurement's
-        checks: for an operator without a walk of its own, ``pinv``'s array."""
-        return self.pinv(y).data
+    def _measurer(self, src, scratch) -> "_Gathered":
+        """A measurer of the array or stripe source ``src``, which it may read
+        in place: ``add(rows, ch, band, spare)`` takes each stripe ``_walk``
+        makes, with a buffer of its shape that the call may overwrite (or
+        None), and ``result()`` returns the measurement and whether it is
+        known to be finite."""
+        return _Gathered(self, src)
 
-    def _read_first(self, y, x_raw):
-        """Read the stripe source ``x_raw`` through unless it fits, so that its
-        own faults come first, as when it is loaded whole; return what
-        ``_stream_walk`` takes as ``first``, here nothing."""
-        if x_raw.shape != self.in_shape:
-            _read_through(x_raw)
+    def _lift_source(self, m: np.ndarray):
+        """The source of ``A+ m`` for the measurement ``m``, made after its
+        checks: ``pinv``'s array."""
+        return self.pinv(ImageTensor(m)).data
 
-    def _stream_walk(self, y: np.ndarray, x_raw, writers: list, first) -> list[np.ndarray]:
-        """``reconstruct``'s walk for an operator without one of its own:
-        gather the source ``x_raw`` into one array, ``combine`` it whole,
-        hand it to each writer in turn and return, as fresh arrays, the
-        ``forward`` of what each file holds."""
-        x_hat = self.combine(ImageTensor(y), ImageTensor(_gather(x_raw))).data
-        held = [x_hat := writer.write(x_hat) for writer in writers]
-        return [self.forward(ImageTensor(file)).data.copy() for file in held]
-
-    def _combine_checks(self, y: ImageTensor, x_raw) -> None:
-        """The combine's checks, in its order, of ``y`` and anything with the
-        ``shape`` of a raw prediction."""
-        self._check(y, self.out_shape, "measurement")
-        self._check_raw(x_raw, self.in_shape)
+    def _raw_shape(self, y: ImageTensor) -> tuple[int, int, int] | None:
+        """The shape of a raw prediction that fits ``y``; ``reconstruct``
+        reads any other through first, so that its own faults come first."""
+        return self.in_shape
 
     def _check(self, t: ImageTensor, shape: tuple[int, int, int] | None, role: str) -> None:
         if shape is not None and t.shape != shape:
             raise ValueError(f"{role} shape {t.shape} does not match operator shape {shape}")
 
-    @staticmethod
-    def _check_raw(x_raw: ImageTensor, shape: tuple[int, int, int]) -> None:
-        if x_raw.shape != shape:
-            raise ValueError(f"raw prediction shape {x_raw.shape} does not match operator input {shape}")
+
+class _Gathered:
+    """``LinearOperator``'s measurer: the stripes gathered into one array of
+    the source's shape and dtype, whose ``forward``, checked finite as the
+    samples are, is the measurement."""
+
+    def __init__(self, op: LinearOperator, src):
+        self._op, self._x = op, np.empty(src.shape, src.dtype)
+
+    def add(self, rows: np.ndarray, ch: int, band: slice, spare) -> None:
+        self._x[ch, band] = rows
+
+    def result(self) -> tuple[np.ndarray, bool]:
+        return self._op.forward(ImageTensor(self._x)).data.copy(), True
 
 
-class _WalkOperator(LinearOperator):
-    """An operator with walks of its own: ``_forward_walk``, ``_lift_source``
-    and a ``_stream_walk`` that, beside its writers, takes ``out``, an array
-    like the source that receives the combine (``tensor._writable_stripes``).
-    Its ``forward`` is ``measure``, its ``pinv`` is ``lift`` and its
-    ``combine`` that walk with no writers, with the generic combine's bytes,
-    errors and check order."""
-
-    def forward(self, x: ImageTensor) -> ImageTensor:
-        return ImageTensor(measure(self, x))
-
-    def pinv(self, y: ImageTensor) -> ImageTensor:
-        return ImageTensor(lift(self, y))
-
-    def combine(self, y: ImageTensor, x_raw: ImageTensor) -> ImageTensor:
-        self._combine_checks(y, x_raw)
-        return ImageTensor(self._combine_walk(y.data, x_raw.data))
-
-    def _combine_walk(self, y: np.ndarray, x_raw: np.ndarray) -> np.ndarray:
-        """The combine of the arrays ``y`` and ``x_raw``: ``_read_first``, then
-        ``_stream_walk`` with no writers into a fresh array made after it,
-        so that what the first walk held is gone by then."""
-        first = self._read_first(y, x_raw)
-        out = np.empty_like(x_raw)
-        self._stream_walk(y, x_raw, [], first, out)
-        return out
-
-
-class BlockOperator(_WalkOperator):
+class BlockOperator(LinearOperator):
     """An operator that maps each ``block`` x ``block`` tile of each image
     channel to ``q`` measurements, stacked as channel ``c * q + row``.
 
-    A subclass gives two kernels over one stripe of whole block rows
+    A subclass gives two band kernels over one stripe of whole block rows
     ``rows``, shaped (k, block, width) as ``tensor._stripes`` yields it,
-    and the matching slice of a measurement, shaped (q, k, width //
-    block): ``_forward_band`` returns the stripe's measurements, and
-    ``_expand`` returns ``A+`` of a measurement as tiles that broadcast
-    against the stripe's.  Both may use the ``scratch`` that ``_scratch``
-    makes, once per walk, in the input's dtype.  From them this class
-    derives the one combine, ``(rows - A+ A rows) + A+ y``
-    (``_combine_band``), and ``A+ y`` (``_lift_band``).  The walks below
-    run them and keep the input's dtype.  A stripe holds about twice
-    ``tensor._STRIPE_BYTES`` (``tensor._pooling_rows``), or a whole
-    channel where ``whole_channels`` is set.  ``reconstruct``'s walk
-    measures each file's stripe after its write, whatever its format.
+    and the matching (q, k, width // block) slice of a measurement:
+    ``_forward_band`` returns the stripe's measurements, and ``_expand``
+    ``A+`` of a measurement as tiles that broadcast against the stripe's.
+    Both may use the ``scratch`` that ``_scratch`` makes once per walk.
+    From them this class derives, in the input's dtype, the measurer
+    (``_Banded``), the combine ``(rows - A+ A rows) + A+ y`` of each stripe
+    in place (``_combine_band``) and ``A+ y`` (``_lift_band``,
+    ``_Lifted``).  A stripe holds about twice ``tensor._STRIPE_BYTES``
+    (``tensor._pooling_rows``), or a whole channel with ``whole_channels``.
 
-    The walks check finiteness through the measurements they take
-    (``_forward_checked``), which are NaN or infinite wherever a sample of
-    their block is: by elementwise arithmetic for pooling, and for block
-    sensing because IEEE gives ``0 * NaN = 0 * inf = NaN`` in its BLAS
-    product.  So a stripe is checked sample by sample only where its
-    measurement is not finite, and a measurement whole only if it overflowed.
+    The measurements are NaN or infinite wherever a sample of their block
+    is, by elementwise arithmetic for pooling, and for block sensing because
+    IEEE gives ``0 * NaN = 0 * inf = NaN`` in its BLAS product.  So the
+    measurer checks a stripe sample by sample only where its measurement
+    is not finite, and a measurement whole only if it overflowed.
     """
 
     block: int
@@ -226,9 +197,10 @@ class BlockOperator(_WalkOperator):
         """Write ``A+ y`` of the measurements ``y`` into ``out``."""
         np.copyto(out.reshape(len(out), self.block, -1, self.block), self._expand(y, scratch))
 
-    def _scratch(self, rows: int, width: int, dtype: np.dtype):
+    def _scratch(self, rows: int, width: int, dtype: np.dtype, forward: bool = True):
         """Scratch for the kernels on stripes of at most ``rows`` block rows
-        of ``width`` samples of ``dtype``; none unless a subclass needs it."""
+        of ``width`` samples of ``dtype``, for ``_expand`` alone unless
+        ``forward``; none unless a subclass needs it."""
         return None
 
     def _band(self, a: np.ndarray, ch: int, band: slice) -> np.ndarray:
@@ -236,17 +208,17 @@ class BlockOperator(_WalkOperator):
         return a[ch * self.q : (ch + 1) * self.q, band]
 
     def _walk(self, src, stripes=_stripes):
-        """``stripes`` of ``src`` (``tensor._stripes`` or
-        ``tensor._writable_stripes``) in the stripes the kernels take, and
-        the kernels' scratch for them."""
         _, h, w = src.shape
         b = self.block
         step = h // b if self.whole_channels else _pooling_rows(w, src.dtype.itemsize, b)
         return stripes(src, b, step), self._scratch(min(step, h // b), w, src.dtype)
 
-    def _lift_source(self, y: ImageTensor) -> "_Lifted":
-        self._check(y, self.out_shape, "measurement")
-        return _Lifted(self, y.data, self._image_shape(y.shape))
+    def _measurer(self, src, scratch) -> "_Banded":
+        return _Banded(self, src, scratch)
+
+    def _lift_source(self, m: np.ndarray) -> "_Lifted":
+        self._check(m, self.out_shape, "measurement")
+        return _Lifted(self, m, self._image_shape(m.shape))
 
     def _image_shape(self, measured: tuple[int, int, int]) -> tuple[int, int, int]:
         """The shape of the images whose measurements have the shape ``measured``."""
@@ -255,76 +227,59 @@ class BlockOperator(_WalkOperator):
             raise ValueError(f"measurement channels {cq} are not a multiple of q={self.q}")
         return cq // self.q, nh * self.block, nw * self.block
 
-    def _forward_walk(self, src) -> np.ndarray:
-        """The measurement of an array or a stripe source, checked finite
-        through each stripe's measurement (``_forward_checked``)."""
+
+class _Banded:
+    """``BlockOperator``'s measurer: each stripe's measurements taken into
+    their band by ``_forward_band``, the stripe checked sample by sample
+    where they are not finite."""
+
+    def __init__(self, op: BlockOperator, src, scratch):
         c, h, w = src.shape
-        b = self.block
-        out = np.empty((c * self.q, h // b, w // b), src.dtype)
-        stripes, scratch = self._walk(src)
-        finite = True  # whether every band was finite
-        for rows, ch, band in stripes:
-            finite &= self._forward_checked(rows, self._band(out, ch, band), scratch)
-        if not finite:
-            _check_finite(out)
-        return out
+        self._op, self._scratch, self._finite = op, scratch, True
+        self._m = np.empty((c * op.q, h // op.block, w // op.block), src.dtype)
 
-    def _forward_checked(self, rows: np.ndarray, out: np.ndarray, scratch) -> bool:
-        """``_forward_band``, then, if the measurement is not finite,
-        ``ImageTensor``'s finiteness check of ``rows``, which passes when
-        the measurement only overflowed.  Return whether it is finite."""
-        self._forward_band(rows, scratch, out)
-        if np.isfinite(out).all():
-            return True
-        _check_finite(rows)
-        return False
+    def add(self, rows: np.ndarray, ch: int, band: slice, spare) -> None:
+        out = self._op._forward_band(rows, self._scratch, self._op._band(self._m, ch, band))
+        if not np.isfinite(out).all():
+            _check_finite(rows)
+            self._finite = False
 
-    def _stream_walk(self, y: np.ndarray, x_raw, writers: list, first, out=None) -> list[np.ndarray]:
-        """``reconstruct``'s walk: combine each stripe of the source ``x_raw``
-        in place, in the buffer of a source that makes its own stripes or
-        one reused buffer beside an array, or into ``out``
-        (``tensor._writable_stripes``), hand it to each writer in turn,
-        which may quantize it in place, and after each write measure what
-        that file holds, checked as in ``_forward_walk``.  Only a first
-        PNG, which would quantize it, has the stripe checked sample by
-        sample first.  ``first`` is unused.  With no writers nothing is
-        checked: ``out`` is made an ``ImageTensor``.
-        """
-        forwards = [np.empty_like(y) for _ in writers]
-        finite = True  # whether every band of every measurement was finite
-        stripes, scratch = self._walk(x_raw, partial(_writable_stripes, out=out))
-        for rows, held, ch, band in stripes:
-            self._combine_band(rows, self._band(y, ch, band), held, scratch)
-            if writers and not isinstance(writers[0], _RawWriter):
-                _check_finite(held)
-            for writer, forward in zip(writers, forwards):
-                held = writer.write(held, held)
-                finite &= self._forward_checked(held, self._band(forward, ch, band), scratch)
-        if not finite:
-            for forward in forwards:
-                _check_finite(forward)
-        return forwards
+    def result(self) -> tuple[np.ndarray, bool]:
+        return self._m, self._finite
 
 
 class _Lifted:
-    """``A+ y`` of the block operator ``op``, a stripe source of ``shape``:
-    ``op._lift_band`` makes each whole channel, or with ``whole_channels``
-    unset each stripe of whole block rows and whole stripes of ``rows``, in
-    one reused buffer, which is yielded ``rows`` rows at a time.  So block
-    sensing takes one product per channel whatever ``rows`` its caller
-    asks for.  The kernels' scratch is made once per walk."""
+    """``A+ y`` of the block operator ``op``, a stripe source of ``shape``,
+    made by ``op._lift_band`` in stripes of whole block rows (whole
+    channels with ``whole_channels``): in one reused buffer, yielded
+    ``rows`` rows at a time, or, for ``gathered``, in one fresh array.  So
+    block sensing takes one product per channel whatever ``rows`` is."""
 
     def __init__(self, op: BlockOperator, y: np.ndarray, shape: tuple[int, int, int]):
         self._op, self._y, self.shape, self.dtype = op, y, shape, y.dtype
 
     def stripes(self, rows: int):
-        op, (_, height, width) = self._op, self.shape
-        step = (height if op.whole_channels else math.lcm(rows, op.block)) // op.block
-        scratch = op._scratch(min(step, height // op.block), width, self.dtype)
-        for out, ch, band in _stripes(_Blank(self.shape, self.dtype), op.block, step):
-            op._lift_band(op._band(self._y, ch, band), out, scratch)
+        op, width = self._op, self.shape[2]
+        for out in self._made(_Blank(self.shape, self.dtype), math.lcm(rows, op.block) // op.block):
             plane = out.reshape(-1, width)
             yield from (plane[r0 : r0 + rows] for r0 in range(0, len(plane), rows))
+
+    def gathered(self) -> np.ndarray:
+        out = np.empty(self.shape, self.dtype)
+        for _ in self._made(out, _pooling_rows(self.shape[2], self.dtype.itemsize, self._op.block)):
+            pass
+        return out
+
+    def _made(self, target, step: int):
+        """Make ``A+ y`` in each stripe of ``step`` block rows (a whole channel
+        with ``whole_channels``) of ``target``, with the scratch of
+        ``_expand`` alone, and yield it."""
+        op, (_, height, width) = self._op, self.shape
+        step = height // op.block if op.whole_channels else step
+        scratch = op._scratch(min(step, height // op.block), width, self.dtype, forward=False)
+        for out, ch, band in _stripes(target, op.block, step):
+            op._lift_band(op._band(self._y, ch, band), out, scratch)
+            yield out
 
 
 class DenseOperator(LinearOperator):
@@ -424,37 +379,134 @@ def reconstruct(op: LinearOperator, y: ImageTensor, x_raw, *paths) -> list[Consi
 
     A path's name picks its format (``tensor._open_writers``); a PNG
     quantizes each stripe in place, and every later file receives that.  A
-    source that does not fit is read through first (``_read_first``), so
-    its own faults come first; then every destination is checked, then the
-    combine makes its checks in its own order.  ``op._stream_walk``
-    combines, writes and measures; the files are renamed into place, one
-    by one, after the last stripe, so an error before the renames leaves
-    every old file as it was (see ``tensor._write_atomic``).
+    source that fits ``y`` (``op._raw_shape``) is measured first where the
+    combine needs all of ``A x_raw`` (``_raw_measured``); any other is read
+    through first, so that its own faults come first, and measured only
+    once it has passed the checks: every destination's, then the
+    combine's (``_combine_checks``).  ``_reconstruct`` then combines,
+    writes and measures; the files are renamed into place one by one after
+    the last stripe, so an error before leaves every old file as it was.
     """
     if not paths:
         raise ValueError("reconstruct needs at least one output path")
-    first = op._read_first(y, x_raw)
+    fits = x_raw.shape == op._raw_shape(y)
+    if not fits:
+        _read_through(x_raw)
+    raw = _raw_measured(op, x_raw) if fits else None
     for path in paths:
         check_destination(path)
-    op._combine_checks(y, x_raw)
+    lifted = _combine_checks(op, y.data, x_raw)
+    if not fits:
+        raw = _raw_measured(op, x_raw)
     # A non-finite sample is carried into the combine to be checked there,
     # where inf - inf would warn besides.
     with _open_writers(x_raw.shape, *paths) as writers, np.errstate(invalid="ignore"):
-        forwards = op._stream_walk(y.data, x_raw, writers, first)
+        forwards = _reconstruct(op, y.data, lifted, x_raw, raw, writers)
     return [_compare_fresh(y, forward) for forward in forwards]
+
+
+def _combined(op: LinearOperator, y: np.ndarray, x_raw: np.ndarray) -> np.ndarray:
+    """The combine of the arrays ``y`` and ``x_raw``, in ``x_raw``'s dtype:
+    ``_reconstruct`` with no writers into a fresh array, made once the
+    first walk has let go of what it held."""
+    lifted = _combine_checks(op, y, x_raw)
+    raw = _raw_measured(op, x_raw)
+    out = np.empty_like(x_raw)
+    _reconstruct(op, y, lifted, x_raw, raw, [], out)
+    return out
+
+
+def _combine_checks(op: LinearOperator, y: np.ndarray, x_raw):
+    """The combine's checks, in its order, of the measurement ``y`` and
+    anything with the ``shape`` of a raw prediction ``x_raw``: ``y``'s, by
+    ``op._lift_source``, whose ``A+ y`` it returns, then, where ``x_raw``
+    does not fit, ``A+ y``'s read-through if it can overflow, and the fit."""
+    lifted = op._lift_source(y)
+    if x_raw.shape != lifted.shape:
+        if op._lift_may_overflow:
+            _read_through(lifted)
+        raise ValueError(f"raw prediction shape {x_raw.shape} does not match operator input {lifted.shape}")
+    return lifted
+
+
+def _raw_measured(op: LinearOperator, x_raw):
+    """The first walk, for an operator whose combine needs all of ``A
+    x_raw``: ``x_raw``'s measurement, read through again, checked, if it is
+    not finite, so that a bad sample is refused here and an overflow that
+    the measurer leaves (the channel mean's) is left to the combine.  None
+    for a block operator, which measures each stripe in place."""
+    if isinstance(op, BlockOperator):
+        return None
+    with np.errstate(invalid="ignore"):
+        raw, finite = _measured(op, x_raw).result()
+    if not (finite or np.isfinite(raw).all()):
+        _read_through(x_raw)
+    return raw
+
+
+def _reconstruct(op: LinearOperator, y: np.ndarray, lifted, x_raw, raw, writers: list, out=None) -> list[np.ndarray]:
+    """The one walk of the combine: make each stripe of the source ``x_raw``
+    ``(rows - A+ (A x_raw)) + A+ y`` in a buffer from
+    ``tensor._writable_stripes``, hand it to each writer in turn, which may
+    quantize it in place, and after each write to that file's measurer,
+    the last of which may overwrite it, the others one shared spare stripe;
+    return, checked, what each measures.  A block operator measures each
+    stripe in place (``_combine_band``); any other takes ``A+`` of the first
+    walk's measurement ``raw`` and ``A+ y``, ``lifted``, as arrays.  A
+    stripe is checked before its first write, unless that is a PDT1's and a
+    block operator's measurer checks it after; with no writers, not at all
+    (``out`` is made an ``ImageTensor``).
+    """
+    banded = isinstance(op, BlockOperator)
+    stripes, scratch = op._walk(x_raw, partial(_writable_stripes, out=out))
+    measurers = [op._measurer(_Blank(x_raw.shape, x_raw.dtype), scratch) for _ in writers]
+    raw_lifted = None if banded else op._lift_source(raw)
+    spare = None
+    for rows, held, ch, band in stripes:
+        if banded:
+            op._combine_band(rows, op._band(y, ch, band), held, scratch)
+        else:
+            np.subtract(rows, raw_lifted[ch, band], out=held)
+            held += lifted[ch, band]
+        if writers and not (banded and isinstance(writers[0], _RawWriter)):
+            _check_finite(held)
+        if spare is None and len(writers) > 1 and not banded:
+            spare = np.empty_like(held)  # a channel's first stripe is its largest
+        others = None if spare is None else spare[: len(held)]
+        for writer, measurer in zip(writers, measurers):
+            held = writer.write(held, held)
+            measurer.add(held, ch, band, held if measurer is measurers[-1] else others)
+    return [_checked(measurer) for measurer in measurers]
+
+
+def _measured(op: LinearOperator, src):
+    """A measurer of ``op`` fed every stripe of the array or stripe source
+    ``src``, a stripe source's own stripe as its spare buffer."""
+    stripes, scratch = op._walk(src)
+    measurer = op._measurer(src, scratch)
+    for rows, ch, band in stripes:
+        measurer.add(rows, ch, band, None if isinstance(src, np.ndarray) else rows)
+    return measurer
+
+
+def _checked(measurer) -> np.ndarray:
+    """The measurement ``measurer`` has taken, checked finite unless it
+    knows it is."""
+    m, finite = measurer.result()
+    if not finite:
+        _check_finite(m)
+    return m
 
 
 def measure(op: LinearOperator, x, *paths) -> np.ndarray | None:
     """Write ``op.forward`` of the ``ImageTensor``, array or stripe source
-    ``x``, taken on ``op._forward_walk``, which checks it finite, to each
-    of ``paths`` through ``tensor._open_writers``, in one call to each
-    writer, or, with no paths, return it as a fresh array.  Each file gets
-    the forward itself, a PNG its quantization, which the last file makes
-    in place.  A source that ``op._check_input`` refuses is read through
-    first, so its own faults come first, then refused; faults met in the
-    walk come next, then every destination is checked before the first byte
-    is written.  The files are renamed into place one by one after the last
-    is complete (``tensor._write_atomic``).
+    ``x``, taken by ``op``'s measurer and checked finite, to each of
+    ``paths`` through ``tensor._open_writers``, in one call to each writer,
+    or, with no paths, return it as a fresh array.  Each file gets the
+    forward, a PNG its quantization, which the last file makes in place.
+    A source that ``op._check_input`` refuses is read through, so its own
+    faults come first, then refused; the walk's faults come next, then
+    every destination's, before the first byte is written.
     """
     if isinstance(x, ImageTensor):
         x = x.data
@@ -466,7 +518,7 @@ def measure(op: LinearOperator, x, *paths) -> np.ndarray | None:
     # A non-finite sample is carried into the walk to be checked there,
     # where inf - inf would warn besides.
     with np.errstate(invalid="ignore"):
-        forward = op._forward_walk(x)
+        forward = _checked(_measured(op, x))
     if not paths:
         return forward
     with _open_writers(forward.shape, *paths) as writers:
@@ -475,15 +527,13 @@ def measure(op: LinearOperator, x, *paths) -> np.ndarray | None:
 
 
 def lift(op: LinearOperator, y: ImageTensor, *paths) -> np.ndarray | None:
-    """Write ``op.pinv(y)``, taken one stripe at a time from the array or
-    stripe source ``op._lift_source`` makes, in ``tensor._stripes``'s
-    default stripes whatever the operator, to each of ``paths`` as
-    ``measure`` writes, the last file's PNG quantizing into the stripe's
-    spare buffer (``tensor._writable_stripes``), or, with no paths, return
-    it as a fresh array.  The measurement's checks come first, then every
-    destination, then the walk's own (block sensing checks each channel
-    finite)."""
-    src = op._lift_source(y)
+    """Write ``op.pinv(y)``, taken one stripe at a time from the source
+    ``op._lift_source`` makes, in ``tensor._stripes``'s default stripes, to
+    each of ``paths`` as ``measure`` writes, the last file's PNG quantizing
+    into the stripe's spare buffer, or, with no paths, return it as a fresh
+    array (``tensor._gather``).  The measurement's checks come first, then
+    every destination's, then the walk's (block sensing checks each channel)."""
+    src = op._lift_source(y.data)
     if not paths:
         return _gather(src)
     with _open_writers(src.shape, *paths) as writers:

@@ -5,33 +5,34 @@ The two maps form an exact pseudo-inverse pair: downsampling a replicated
 image returns the original bit-for-bit (block means are computed relative
 to the block's first sample, so a constant block averages to exactly that
 constant).  ``PoolingOp`` is a ``linop.BlockOperator`` with one
-measurement per block: it inherits ``forward``, ``pinv``, ``combine``,
-``verify`` and the stripe walks, and with them ``BlockOperator``'s one
-combine and ``A+ y``, the ``A+ y`` of ``pool_up`` and of
-``resample.open_prediction``'s ``nearest`` prediction.  Its two band
-kernels take the block means (``_forward_band``) and widen them into
-one row of their blocks (``_expand``), which broadcasts down the block.
-At scale 1 both are copies that keep signed zeros, and the combine is
-``(x_raw - x_raw) + y``, the generic combine's bits, so the identity
-``A = I`` runs on these walks as ``IdentityOperator``.
+measurement per block: it gives two band kernels, which take the block
+means (``_forward_band``) and widen them into one row of their blocks
+(``_expand``), which broadcasts down the block, and inherits the rest:
+the measurer, the ``A+`` source (the ``A+ y`` of ``pool_up`` and of
+``resample.open_prediction``'s ``nearest`` prediction), the combine of
+``linop.reconstruct``'s one walk, ``forward``, ``pinv`` and ``verify``.
+At scale 1 both kernels are copies that keep signed zeros, and the
+combine is ``(x_raw - x_raw) + y``, the generic combine's bits, so the
+identity ``A = I`` runs on these walks as ``IdentityOperator``.
 ``extract_highfreq`` and ``verify_consistency`` are the scale-argument
 spellings of ``null_project`` and ``PoolingOp.verify``.
 
 The kernels work on one stripe of whole block rows, about 1 MiB
 (``tensor._pooling_rows``), so every numpy step runs over full image
 rows.  Each walk makes their scratch once, in the input's dtype: one
-array of three planes (one at scale 1) of a stripe's block rows' width,
-into whose first the anchors, the means and ``y`` are widened by strided
-copies, and whose last keeps the means where no ``out`` is given.  A
-block's mean is built from elementwise operations only, in a fixed
-order, so it does not depend on how the image is striped: ``pool_down``
-and ``pd_combine`` agree bit for bit.  Both keep the input dtype.
+array of three planes (one at scale 1, or for ``_expand`` alone) of a
+stripe's block rows' width, into whose first the anchors, the means and
+``y`` are widened by strided copies, and whose last keeps the means
+where no ``out`` is given.  A block's mean is built from elementwise
+operations only, in a fixed order, so it does not depend on how the
+image is striped: ``pool_down`` and ``pd_combine`` agree bit for bit.
+Both keep the input dtype.
 
 ``linop``'s walks run these kernels over an array or any stripe source,
 such as a ``RawReader`` or a predictor, and hold the low-resolution
 arrays, one stripe and the scratch, never the high-resolution image.
-The walks check finiteness through the block means, as every
-``BlockOperator`` does: a block's anchored mean is NaN or infinite
+The measurer checks finiteness through the block means, as every
+``BlockOperator``'s does: a block's anchored mean is NaN or infinite
 wherever a sample of the block is (``inf - inf`` is NaN, and NaN
 propagates; scale 1 copies), and so is the combine of the block.
 """
@@ -141,10 +142,11 @@ class PoolingOp(BlockOperator):
         """The operator that maps ``scale``-times larger images onto ``y``'s shape."""
         return PoolingOp(scale, y.channels, scale * y.height, scale * y.width)
 
-    def _scratch(self, rows: int, width: int, dtype: np.dtype):
+    def _scratch(self, rows: int, width: int, dtype: np.dtype, forward: bool = True):
         """``_band_mean``'s (3, rows, width) planes, the first of which
-        ``_expand`` widens into: only that one at scale 1, which copies."""
-        return np.empty((3 if self.scale > 1 else 1, rows, width), dtype)
+        ``_expand`` widens into: only that one for ``_expand`` alone, or at
+        scale 1, which copies."""
+        return np.empty((3 if forward and self.scale > 1 else 1, rows, width), dtype)
 
     def _forward_band(self, rows: np.ndarray, scratch, out: np.ndarray | None = None) -> np.ndarray:
         """The (1, k, width // s) block means of ``rows``, in ``out`` if

@@ -207,7 +207,7 @@ def open_prediction(y: ImageTensor, method: str, s: int, external_path=None):
     if s < 1:
         raise ValueError(f"scale must be a positive integer, got {s}")
     if method != "external":
-        yield PoolingOp.for_measurement(y, s)._lift_source(y) if method == "nearest" else _Enlarged(y, method, s)
+        yield PoolingOp.for_measurement(y, s)._lift_source(y.data) if method == "nearest" else _Enlarged(y, method, s)
         return
     if external_path is None:
         raise ValueError("external predictor needs a file path")

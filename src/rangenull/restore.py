@@ -1,23 +1,21 @@
 """Extension operators: per-pixel channel mean (gray observation of a
 color image) and block compressed sensing with orthonormal sampling rows.
 
-Both are walk operators (``linop._WalkOperator``): ``forward`` (which
-``color_to_gray`` and ``cs_measure`` call) is ``linop.measure``, ``pinv``
-(``gray_to_color``, ``cs_pinv``) is ``linop.lift``, ``combine`` runs the
-walk they give ``linop.reconstruct``, with the generic combine's bytes,
-errors and check order, and ``verify`` is ``LinearOperator``'s.
-``BlockSenseOp`` is a ``linop.BlockOperator`` whose two band kernels
-measure (``_forward_band``) and back-project (``_expand``) a whole
-channel with one BLAS product and one reordering copy each, and which
-derives its combine and ``A+ y`` from them; reruns at one BLAS thread
-count give the same bytes (see ``cs_measure``).  The channel mean walks
-stripes of rows: ``_channel_mean`` sums the mean holding the sum and
-channel 0 (read in place from an array), ``A+ y`` hands ``y``'s rows to
-every channel, and ``ColorMeanOp._stream_walk`` subtracts the mean from
-each channel and adds that.  Each walk checks finiteness through what it
-computes (see ``linop.BlockOperator``): the channel mean through the
-mean, the second walk each combined stripe, block sensing's ``A+ y``
-each channel.  ``generic_pd`` is the function spelling of ``op.combine``.
+Each gives ``linop``'s two kernels and inherits the rest: ``forward``
+(which ``color_to_gray`` and ``cs_measure`` call) is ``linop.measure``,
+``pinv`` (``gray_to_color``, ``cs_pinv``) is ``linop.lift``, and
+``combine`` is the one walk of ``linop.reconstruct``.  ``BlockSenseOp``
+is a ``linop.BlockOperator`` whose two band kernels measure
+(``_forward_band``) and back-project (``_expand``) a whole channel with
+one BLAS product and one reordering copy each, and whose ``A+ y`` is
+checked finite each channel; reruns at one BLAS thread count give the
+same bytes (see ``cs_measure``).  The channel mean's measurer,
+``_ChannelMean``, holds the sum and channel 0 (read in place from an
+array), never the image, and its ``A+`` hands a measurement's rows to
+every channel.  So its combine walks the prediction twice: first for its
+mean, which is NaN or infinite wherever a sample is, then to subtract
+that mean from each channel and add ``y``.  ``generic_pd`` is the
+function spelling of ``op.combine``.
 """
 
 from __future__ import annotations
@@ -28,30 +26,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .linop import BlockOperator, LinearOperator, _WalkOperator, lift, svd
+from .linop import BlockOperator, LinearOperator, lift, svd
 from .rng import Stream
-from .tensor import (
-    ImageTensor,
-    _check_finite,
-    _read_payload,
-    _read_through,
-    _writable_stripes,
-    _write_atomic,
-)
+from .tensor import ImageTensor, _check_finite, _read_payload, _write_atomic
 
 SENSE_MAGIC = b"PDM1"
 _SENSE_HEADER = struct.Struct("<4sIIQ")
 
 
 class _ChannelMean:
-    """The channel mean of an image of ``shape`` whose stripes of whole rows
-    are given to ``add`` in planar order.
+    """``ColorMeanOp``'s measurer: the channel mean of an image of ``shape``
+    whose stripes of whole rows it is given in planar order.
 
     Anchored on channel 0, so that equal channels average to themselves
     exactly: the residuals are summed from zero one channel at a time, the
     order and result of ``first + (a - first).sum(axis=0) / channels``,
     holding channel 0 and the sum, never the image: ``first``, the plane of
-    an image held whole, read in place, if given, else a copy ``add`` makes.
+    an image held whole, read in place, if given, else a copy ``add``
+    makes.  A residual is taken into the stripe's spare buffer, or, if it
+    has none, into one the measurer makes.
     """
 
     def __init__(self, shape: tuple[int, int, int], first: np.ndarray | None = None):
@@ -60,33 +53,30 @@ class _ChannelMean:
         self._copied = first is None
         self._first = np.empty((height, width)) if first is None else first
         self._total = np.zeros((1, height, width))
+        self._spare = None
 
-    def add(self, rows: np.ndarray, ch: int, band: slice, spare: np.ndarray) -> None:
-        """Take the (k, width) rows ``band`` of channel ``ch``; ``spare`` is a
-        buffer of their shape that the call may overwrite, ``rows`` itself
-        included."""
+    def add(self, rows: np.ndarray, ch: int, band: slice, spare: np.ndarray | None) -> None:
+        """Take the (k, width) rows ``band`` of channel ``ch``; ``spare``, if
+        given, is a buffer of their shape that the call may overwrite,
+        ``rows`` itself included."""
         if ch:
+            if spare is None:
+                if self._spare is None:
+                    self._spare = np.empty_like(rows)  # a channel's first stripe is its largest
+                spare = self._spare[: len(rows)]
             self._total[0, band] += np.subtract(rows, self._first[band], out=spare)
         elif self._copied:
             self._first[band] = rows
 
-    def mean(self) -> np.ndarray:
-        """The (1, height, width) mean, in the array that held the sum; the
-        accumulator lets go of both planes."""
+    def result(self) -> tuple[np.ndarray, bool]:
+        """The (1, height, width) mean, in the array that held the sum, and
+        False: it is NaN or infinite wherever a sample is, unchecked.  The
+        measurer lets go of both planes."""
         total, first = self._total, self._first
-        del self._total, self._first
+        del self._total, self._first, self._spare
         total /= self._channels
         total += first
-        return total
-
-
-def _channel_mean(src) -> np.ndarray:
-    """The (1, height, width) per-pixel mean of the channels of ``src``, an
-    array or a stripe source (see ``tensor._stripes``), walked once."""
-    mean = _ChannelMean(src.shape, src[0] if isinstance(src, np.ndarray) else None)
-    for rows, spare, ch, band in _writable_stripes(src, 1):
-        mean.add(rows[:, 0], ch, band, spare[:, 0])
-    return mean.mean()
+        return total, False
 
 
 def color_to_gray(x: ImageTensor) -> ImageTensor:
@@ -109,7 +99,7 @@ def gray_to_color(g: ImageTensor, adjoint: bool = False) -> ImageTensor:
     return ImageTensor(data)
 
 
-class ColorMeanOp(_WalkOperator):
+class ColorMeanOp(LinearOperator):
     """Channel-mean observation of a fixed-size color image."""
 
     def __init__(self, height: int, width: int):
@@ -123,62 +113,19 @@ class ColorMeanOp(_WalkOperator):
             raise ValueError(f"expected a 1-channel image, got {y.channels}")
         return cls(y.height, y.width)
 
-    def _lift_source(self, y: ImageTensor) -> np.ndarray:
-        """``y`` handed to every channel: seen, not copied, as three."""
-        self._check(y, self.out_shape, "measurement")
-        return np.broadcast_to(y.data, self.in_shape)
+    def _measurer(self, src, scratch) -> _ChannelMean:
+        return _ChannelMean(src.shape, src[0] if isinstance(src, np.ndarray) else None)
+
+    def _lift_source(self, m: np.ndarray) -> np.ndarray:
+        """``m`` handed to every channel: seen, not copied, as three."""
+        self._check(m, self.out_shape, "measurement")
+        return np.broadcast_to(m, self.in_shape)
 
     def _check_input(self, x) -> None:
         """Refuse an input of other than three channels, then one of another size."""
         if x.shape[0] != 3:
             raise ValueError(f"expected a 3-channel image, got {x.shape[0]}")
         super()._check_input(x)
-
-    def _forward_walk(self, src) -> np.ndarray:
-        """``measure``'s walk: ``_channel_mean``, checked finite, as the samples are."""
-        mean = _channel_mean(src)
-        _check_finite(mean)
-        return mean
-
-    def _read_first(self, y, x_raw) -> np.ndarray | None:
-        """The first of ``reconstruct``'s two walks: read ``x_raw`` through
-        and, if it fits, return its (height, width) channel mean.  The mean
-        is NaN or infinite wherever a sample is; where it is not finite, the
-        source is read through again, checked, so that a bad sample is
-        refused here and an overflow is left to the second walk."""
-        mean = _channel_mean(x_raw)[0] if x_raw.shape == self.in_shape else None
-        if mean is None or not np.isfinite(mean).all():
-            _read_through(x_raw)
-        return mean
-
-    def _stream_walk(self, y: np.ndarray, x_raw, writers: list, mean: np.ndarray, out=None) -> list[np.ndarray]:
-        """The second walk: combine each stripe as ``(x - mean) + y`` in place,
-        or into ``out`` (``tensor._writable_stripes``), check it finite, hand
-        it to each writer in turn, which may quantize it in place, and
-        return the checked channel mean of what each file holds.  With no
-        writers nothing is checked: ``out`` is made an ``ImageTensor``.
-
-        The last file's mean takes the stripe itself as its spare buffer;
-        only with several files is a spare stripe made for the others.  The
-        walk holds ``y``, ``mean``, each file's two record planes, a PNG's
-        8-bit image and one stripe, or two beside an array.
-        """
-        forwards = [_ChannelMean(self.in_shape) for _ in writers]
-        spare = None
-        for rows, held, ch, band in _writable_stripes(x_raw, 1, out=out):
-            combined = np.subtract(rows[:, 0], mean[band], out=held[:, 0])
-            combined += y[0, band]
-            if writers:
-                _check_finite(combined)
-            if spare is None and len(writers) > 1:
-                spare = np.empty_like(combined)  # a channel's first stripe is its largest
-            for writer, forward in zip(writers, forwards):
-                written = writer.write(combined, combined)
-                forward.add(written, ch, band, written if forward is forwards[-1] else spare[: len(written)])
-        forwards = [forward.mean() for forward in forwards]
-        for forward in forwards:
-            _check_finite(forward)
-        return forwards
 
 
 def measurement_count(block: int, ratio: float) -> int:
@@ -208,6 +155,7 @@ class BlockSenseOp(BlockOperator):
     """
 
     whole_channels = True
+    _lift_may_overflow = True
 
     def __init__(self, block: int, q: int, seed: int, ratio: float, rows: np.ndarray):
         rows = np.array(rows, dtype=np.float64)
@@ -235,19 +183,10 @@ class BlockSenseOp(BlockOperator):
         super()._check_input(x)
         _require_blocks(*x.shape[1:], self.block)
 
-    def _read_first(self, y, x_raw) -> None:
-        """Read ``x_raw`` through unless it fits ``y``, which needs
-        ``y``'s channels to be a multiple of ``q``."""
-        if y.shape[0] % self.q or x_raw.shape != self._image_shape(y.shape):
-            _read_through(x_raw)
-
-    def _combine_checks(self, y: ImageTensor, x_raw) -> None:
-        """The generic combine's checks, in its order, of ``y`` and anything
-        with the ``shape`` of a raw prediction."""
-        shape = self._lift_source(y).shape  # the checks of ``pinv``
-        if x_raw.shape != shape:
-            cs_pinv(self, y)  # the generic combine reports an overflowing A+ y first
-            self._check_raw(x_raw, shape)
+    def _raw_shape(self, y: ImageTensor) -> tuple[int, int, int] | None:
+        """The shape of the images measured into ``y``, if its channels are a
+        multiple of ``q``."""
+        return None if y.shape[0] % self.q else self._image_shape(y.shape)
 
     def _per_block(self, rows: np.ndarray) -> np.ndarray:
         """The (blocks, q) measurements of ``rows``: one reordering copy lays

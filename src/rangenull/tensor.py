@@ -22,10 +22,12 @@ source that makes them in one reused buffer, the caller's to overwrite
 until the next: a ``RawReader`` reading a PDT1 payload (``open_stripes``
 opens a PDT1 that way and decodes a PNG whole), a prediction
 (``resample.open_prediction``), an operator's ``A+ y`` or a ``_Blank``
-buffer; ``_writable_stripes`` pairs each with a buffer to rewrite it in.
-No source checks its samples finite: a walk checks what it computes from
-them (see ``linop``), and ``_read_through`` the samples of a source its
-caller refuses.  ``_open_writers`` gives each output file the writer of
+buffer; ``_writable_stripes`` pairs each with a buffer to rewrite it in,
+and ``_gather`` copies them into one array, unless the source makes that
+itself (a block operator's ``A+ y``).  No source checks its samples
+finite: an operator's measurer checks what it computes from them (see
+``linop``), and ``_read_through`` the samples of a source its caller
+refuses.  ``_open_writers`` gives each output file the writer of
 its format: a PDT1 writes whole rows as they come, a PNG quantizes them
 into the 8-bit image it encodes at the end.  ``linop.measure``,
 ``linop.reconstruct`` and ``linop.lift``, the streamed protocols of
@@ -359,8 +361,9 @@ class RawReader:
 
         Every stripe is read with ``os.preadv`` into one reused buffer, so
         it is valid until the next one is read, and not checked finite.  A
-        file that shrinks or grows while it is read raises ``ValueError`` as in ``read_raw``; growth is seen once
-        the last stripe has been read.  Every walk then raises
+        file that shrinks or grows while it is read raises ``ValueError``
+        as in ``read_raw``; growth is seen once the last stripe has been
+        read.  Every walk then raises
         ``ValueError``, naming the path, if the file's size or modification
         time is not what it was when the reader opened it, and a walk after
         the first checks that at its start too, so that no walk mixes two
@@ -479,7 +482,10 @@ def _writable_stripes(src, s: int, step: int | None = None, out: np.ndarray | No
 
 
 def _gather(src) -> np.ndarray:
-    """The samples of the array or stripe source ``src`` in one fresh array."""
+    """The samples of the array or stripe source ``src`` in one fresh array,
+    which a source with a ``gathered`` method makes itself."""
+    if hasattr(src, "gathered"):
+        return src.gathered()
     out = np.empty(src.shape, src.dtype)
     for rows, spare, _, _ in _writable_stripes(src, 1, out=out):
         np.copyto(spare, rows)

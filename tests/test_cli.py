@@ -823,12 +823,16 @@ class TestStripeLayer:
         return found
 
     def test_one_combine_walk_per_operator(self):
-        # The in-memory combines of pooling and block sensing run the walk
-        # ``reconstruct`` runs, and neither operator overrides ``combine``.
-        assert self._callers("_combine_band") == {("linop", "BlockOperator", "_stream_walk")}
-        for module, cls in (("pooling", "PoolingOp"), ("restore", "BlockSenseOp")):
-            (body,) = [node.body for node in self.trees[module].body if getattr(node, "name", None) == cls]
-            assert "combine" not in {getattr(node, "name", None) for node in body}
+        # Every combine runs the one walk, ``_reconstruct``: the band combine
+        # is called only there, ``reconstruct`` and ``_combined`` (behind
+        # ``combine`` and ``table1``'s float32 rerun) alone run it, and no
+        # operator class overrides ``combine``.
+        assert self._callers("_combine_band") == {("linop", None, "_reconstruct")}
+        assert self._callers("_reconstruct") == {("linop", None, "reconstruct"), ("linop", None, "_combined")}
+        assert self._callers("_combined") == {("linop", "LinearOperator", "combine"), ("bench", None, "_table1_case")}
+        for module, cls in self._operator_classes():
+            if cls != "LinearOperator":
+                assert "combine" not in self._members(module, cls), cls
         # ``resample`` has no enlargement of its own: its phases run only in
         # its reduction loop and in ``_Enlarged``'s stripes.
         expected = {("resample", None, "resample"), ("resample", "_Enlarged", "stripes")}
@@ -837,40 +841,66 @@ class TestStripeLayer:
         (loop,) = [node for node in resample.body if isinstance(node, ast.For)]
         assert _calls(resample, "_apply_phases") == _calls(loop, "_apply_phases") == 2
 
+    def _operator_classes(self):
+        """(module, class) of ``LinearOperator`` and every class derived from it."""
+        bases = {(module, node.name): {getattr(base, "id", None) for base in node.bases}
+                 for module, tree in self.trees.items() for node in tree.body if isinstance(node, ast.ClassDef)}
+        found = {("linop", "LinearOperator")}
+        while True:
+            more = {key for key, names in bases.items() if names & {cls for _, cls in found}} - found
+            if not more:
+                return found
+            found |= more
+
+    def _members(self, module, cls):
+        (body,) = [node.body for node in self.trees[module].body if getattr(node, "name", None) == cls]
+        return {getattr(node, "name", None) for node in body}
+
     def test_one_forward_walk_per_operator(self):
-        # Every forward of an array or a stripe source runs ``linop.measure``;
-        # the channel mean and the read-through are reached besides only
-        # from the operators' hooks for ``measure`` and ``reconstruct``, and
-        # from ``verify_consistency``, which reads its source through before
-        # it refuses a scale below 1.
-        assert self._callers("_forward_walk") == {("linop", None, "measure")}
-        assert self._callers("_channel_mean") == {("restore", "ColorMeanOp", "_forward_walk"),
-                                                  ("restore", "ColorMeanOp", "_read_first")}
+        # Every forward of an array or a stripe source feeds the operator's
+        # measurer through ``_measured``, from ``measure`` and from the first
+        # walk of ``reconstruct`` and ``combine``; the read-through is
+        # reached besides only from ``reconstruct``, the combine's checks and
+        # ``verify_consistency``, which reads its source through before it
+        # refuses a scale below 1.  No walk of another shape is left.
+        assert self._callers("_measured") == {("linop", None, "measure"), ("linop", None, "_raw_measured")}
+        assert self._callers("_raw_measured") == {("linop", None, "reconstruct"), ("linop", None, "_combined")}
+        assert self._callers("_measurer") == {("linop", None, "_measured"), ("linop", None, "_reconstruct")}
         assert self._callers("_read_through") == {
             ("linop", None, "measure"),
-            ("linop", "LinearOperator", "_read_first"),
-            ("restore", "BlockSenseOp", "_read_first"),
-            ("restore", "ColorMeanOp", "_read_first"),
+            ("linop", None, "reconstruct"),
+            ("linop", None, "_raw_measured"),
+            ("linop", None, "_combine_checks"),
             ("pooling", None, "verify_consistency"),
         }
         assert {caller for caller in self._callers("_check_input") if caller[2] != "_check_input"} <= {
             ("linop", None, "measure")}
-        assert {caller for caller in self._callers("_read_first") if caller[2] != "_read_first"} == {
-            ("linop", None, "reconstruct"), ("linop", "_WalkOperator", "_combine_walk")}
-        # The walk operators share one ``forward``, which is ``measure``
-        # itself, one ``combine`` on their walk, and ``LinearOperator``'s
-        # ``verify``: none defines its own.
-        for module, cls in (("pooling", "PoolingOp"), ("restore", "BlockSenseOp"),
-                            ("restore", "ColorMeanOp"), ("linop", "BlockOperator")):
-            (body,) = [node.body for node in self.trees[module].body if getattr(node, "name", None) == cls]
-            assert not {"forward", "combine", "verify"} & {getattr(node, "name", None) for node in body}
-        (body,) = [node.body for node in self.trees["linop"].body if getattr(node, "name", None) == "_WalkOperator"]
+        removed = {"_read_first", "_WalkOperator", "_combine_walk", "_channel_mean", "_forward_checked",
+                   "_forward_walk", "_stream_walk"}
+        assert not removed & set().union(*map(_names, self.trees.values()))
+        # The operators share one ``forward``, which is ``measure`` itself,
+        # one ``combine`` on the one walk, and one ``verify``: only
+        # ``DenseOperator`` gives its own forward, a matrix product.
+        for module, cls in self._operator_classes() - {("linop", "LinearOperator"), ("linop", "DenseOperator")}:
+            assert not {"forward", "combine", "verify"} & self._members(module, cls), cls
+        (body,) = [node.body for node in self.trees["linop"].body if getattr(node, "name", None) == "LinearOperator"]
         (forward,) = [node for node in body if getattr(node, "name", None) == "forward"]
         assert _calls(forward, "measure") == 1
         for name in ("_check", "pool_down", "cs_measure", "color_to_gray"):
             assert _calls(forward, name) == 0
         # ``measure`` writes through the writers ``reconstruct`` uses.
         assert "save_tensor" not in _names(self.trees["linop"])
+
+    def test_no_operator_class_defines_a_walk(self):
+        # An operator gives kernels: none of its methods loops, and only
+        # ``_walk`` names the stripe walks of ``tensor``.
+        walks = {"_stripes", "_writable_stripes", "_gather", "_read_through"}
+        for module, cls in self._operator_classes():
+            (body,) = [node.body for node in self.trees[module].body if getattr(node, "name", None) == cls]
+            for method in (node for node in body if isinstance(node, ast.FunctionDef)):
+                assert not [node for node in ast.walk(method) if isinstance(node, (ast.For, ast.While))], (cls, method.name)
+                if method.name != "_walk":
+                    assert not walks & _names(method), (cls, method.name)
 
     def test_one_finiteness_rule(self):
         # A stripe source never checks its samples: no function takes a
@@ -902,23 +932,23 @@ class TestStripeLayer:
         assert "load_tensor" not in _names(self.trees["resample"])
 
     def test_one_pseudo_inverse(self):
-        # ``lift`` alone walks a pseudo-inverse source: the walk operators'
-        # ``pinv``, ``pool_up``, ``gray_to_color``, ``cs_pinv`` and the CLI
-        # call it, none of them defines ``pinv`` or replicates by itself,
-        # and ``nearest`` is pooling's source.
+        # ``lift`` alone walks a pseudo-inverse source: ``pinv``, ``pool_up``,
+        # ``gray_to_color``, ``cs_pinv`` and the CLI call it, no operator
+        # class but ``DenseOperator`` defines ``pinv`` and none replicates by
+        # itself, and ``nearest`` is pooling's source.  The one walk takes
+        # the sources of ``A+ y`` and ``A+ (A x_raw)`` from the same kernel.
         assert self._callers("_lift_source") == {
-            ("linop", None, "lift"), ("restore", "BlockSenseOp", "_combine_checks"),
+            ("linop", None, "lift"), ("linop", None, "_combine_checks"), ("linop", None, "_reconstruct"),
             ("resample", None, "open_prediction")}
         assert self._callers("lift") == {
-            ("linop", "_WalkOperator", "pinv"), ("pooling", None, "pool_up"), ("restore", None, "gray_to_color"),
+            ("linop", "LinearOperator", "pinv"), ("pooling", None, "pool_up"), ("restore", None, "gray_to_color"),
             ("restore", None, "cs_pinv"), ("cli", None, "_cmd_colorize"), ("cli", None, "_cmd_cs")}
-        for module, cls in (("pooling", "PoolingOp"), ("restore", "BlockSenseOp"), ("restore", "ColorMeanOp"),
-                            ("linop", "BlockOperator")):
-            (body,) = [node.body for node in self.trees[module].body if getattr(node, "name", None) == cls]
-            assert "pinv" not in {getattr(node, "name", None) for node in body}
+        for module, cls in self._operator_classes() - {("linop", "LinearOperator"), ("linop", "DenseOperator")}:
+            assert "pinv" not in self._members(module, cls), cls
+        assert self._callers("_lift_band") == {("linop", "_Lifted", "_made"), ("restore", "BlockSenseOp", "_lift_band")}
+        assert self._callers("gathered") == {("tensor", None, "_gather")}
         assert not {"cs_stream_pinv", "_replicate", "_pinv_walk"} & set().union(*map(_names, self.trees.values()))
         assert "repeat" not in set().union(*map(_names, self.trees.values()))
-
 
     def test_one_identity_and_one_format_choice(self):
         # The identity is pooling at scale 1 and adds nothing but its
@@ -947,20 +977,28 @@ class TestStripeLayer:
         assert "_pinv_tiles" not in set().union(*map(_names, self.trees.values()))
 
     def test_block_walks_without_special_cases(self):
-        # ``reconstruct``'s block walk measures every file after its write and
-        # names the PDT1 writer only to check the stripe before a first PNG;
-        # ``lift`` walks every operator's source alike; and pooling's scratch
-        # is one array.
-        def method(module, cls, name):
-            (body,) = [node.body for node in self.trees[module].body if getattr(node, "name", None) == cls]
-            (function,) = [node for node in body if getattr(node, "name", None) == name]
-            return function
+        # The one walk measures every file after its write and names the PDT1
+        # writer only to check the stripe before a first write; the first
+        # walk and the one walk alone tell a block operator, which measures
+        # each stripe in place, from another, by its class; ``lift`` walks
+        # every operator's source alike; and pooling's scratch is one array.
+        def function(module, name, cls=None):
+            body = self.trees[module].body
+            if cls is not None:
+                (body,) = [node.body for node in body if getattr(node, "name", None) == cls]
+            (found,) = [node for node in body if getattr(node, "name", None) == name]
+            return found
 
-        stream_walk = method("linop", "BlockOperator", "_stream_walk")
-        assert sum(getattr(node, "id", None) == "_RawWriter" for node in ast.walk(stream_walk)) == 1
-        (lift_def,) = [node for node in self.trees["linop"].body if getattr(node, "name", None) == "lift"]
-        assert not {"BlockOperator", "whole_channels"} & _names(lift_def)
-        scratch = method("pooling", "PoolingOp", "_scratch")
+        walk = function("linop", "_reconstruct")
+        assert sum(getattr(node, "id", None) == "_RawWriter" for node in ast.walk(walk)) == 1
+        functions = [node for node in self.trees["linop"].body if isinstance(node, ast.FunctionDef)]
+        assert [node.name for node in functions if "BlockOperator" in _names(node)] == ["_raw_measured",
+                                                                                         "_reconstruct"]
+        assert not [node for node in ast.walk(walk) if isinstance(node, ast.Compare)
+                    and "raw" in _names(node) and isinstance(node.ops[0], (ast.Is, ast.IsNot))]
+        lift_def = function("linop", "lift")
+        assert not {"BlockOperator", "whole_channels", "_Lifted"} & _names(lift_def)
+        scratch = function("pooling", "_scratch", "PoolingOp")
         (returned,) = [node.value for node in ast.walk(scratch) if isinstance(node, ast.Return)]
         assert _calls(scratch, "empty") == 1 and not isinstance(returned, ast.Tuple)
 

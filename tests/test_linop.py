@@ -30,7 +30,8 @@ from rangenull import (
     svd,
     write_raw,
 )
-from rangenull import tensor
+from rangenull import linop, tensor
+from rangenull.rng import Stream
 
 
 def reconstruct(f):
@@ -367,8 +368,8 @@ class TestCombineVerify:
 
 
 class TestMeasure:
-    """``measure`` with an operator that has no walk of its own gathers the
-    source and runs ``forward``: the same bits, and with a path the bytes
+    """``measure`` with the base class's measurer (``DenseOperator``) or a
+    block operator's: the bits of ``forward``, and with a path the bytes
     ``save_tensor`` writes."""
 
     MAKERS = {
@@ -464,6 +465,7 @@ class TestMeasureWritesEveryFileAtOnce:
         "pooling": lambda: PoolingOp(2, 3, 4, 6),
         "color": lambda: ColorMeanOp(4, 6),
         "cs": lambda: cs_build(2, 0.25, seed=1),
+        "dense": lambda: DenseOperator(Stream(1).gaussian((12, 72)), in_shape=(3, 4, 6), out_shape=(1, 2, 6)),
     }
 
     @pytest.mark.parametrize("name", list(MAKERS))
@@ -564,7 +566,7 @@ class TestLift:
     @pytest.mark.parametrize("s, rows", [(2, 1), (3, 2), (3, 4), (4, 6), (8, 3)])
     def test_pooling_source_makes_any_stripe_height(self, stream, s, rows):
         y = ImageTensor(stream.uniform((2, 5, 3)))
-        src = PoolingOp.for_measurement(y, s)._lift_source(y)
+        src = PoolingOp.for_measurement(y, s)._lift_source(y.data)
         whole = np.repeat(np.repeat(y.data, s, axis=1), s, axis=2)
         lengths, pieces = [], []
         for stripe in src.stripes(rows):
@@ -572,3 +574,51 @@ class TestLift:
             pieces.append(stripe.tobytes())
         assert lengths == [min(rows, 5 * s - r0) for r0 in range(0, 5 * s, rows)] * 2
         assert b"".join(pieces) == whole.tobytes()
+
+
+class TestKernelsOrOverrides:
+    """``LinearOperator`` runs ``forward`` on its measurer and the measurer on
+    ``forward`` (``pinv`` and the ``A+`` source likewise), so a class that
+    overrides neither of a pair is refused by name when it is instantiated,
+    not left to recurse."""
+
+    def test_a_subclass_without_pinv_is_refused_by_name(self):
+        class Half(LinearOperator):
+            in_shape, out_shape = (1, 1, 2), (1, 1, 1)
+
+            def forward(self, x):
+                return ImageTensor(x.data[:, :, :1].copy())
+
+        class Whole(Half):
+            def pinv(self, y):
+                return ImageTensor(np.repeat(y.data, 2, axis=2))
+
+        with pytest.raises(TypeError, match="^Half overrides neither pinv nor _lift_source$"):
+            Half()
+        with pytest.raises(TypeError, match="^LinearOperator overrides neither forward nor _measurer$"):
+            LinearOperator()
+        assert Whole().pinv(ImageTensor(np.ones((1, 1, 1)))).data.tolist() == [[[1.0, 1.0]]]
+        assert measure(Whole(), np.ones((1, 1, 2))).tolist() == [[[1.0]]]
+
+
+class TestMisfitPredictionRefusal:
+    """A raw prediction that does not fit is refused after ``A+ y`` is read
+    through only where ``A+`` of a finite measurement can overflow: block
+    sensing's, not pooling's, the channel mean's or a dense matrix's."""
+
+    @pytest.mark.parametrize("operator", ["pooling", "color", "dense", "cs"])
+    def test_reads_a_plus_y_through_only_where_it_can_overflow(self, monkeypatch, operator):
+        if operator == "pooling":
+            op = PoolingOp(2, 3, 4, 4)
+        elif operator == "color":
+            op = ColorMeanOp(4, 4)
+        elif operator == "dense":
+            op = DenseOperator(np.eye(6, 12), in_shape=(3, 2, 2), out_shape=(1, 2, 3))
+        else:
+            op = cs_build(2, 0.5, seed=1)
+        y = ImageTensor(np.ones((op.q * 3, 2, 2)) if operator == "cs" else np.ones(op.out_shape))
+        read = []
+        monkeypatch.setattr(linop, "_read_through", read.append)
+        with pytest.raises(ValueError, match="^raw prediction shape"):
+            op.combine(y, ImageTensor(np.zeros((3, 4, 6))))
+        assert len(read) == (operator == "cs")

@@ -44,8 +44,8 @@ from rangenull import (
     write_raw,
 )
 from rangenull import tensor
-from rangenull.linop import LinearOperator
-from rangenull.restore import _channel_mean
+from rangenull.linop import LinearOperator, range_project
+from rangenull.restore import _ChannelMean
 from rangenull.rng import Stream
 
 
@@ -95,9 +95,15 @@ class TestColor:
     )
     @example(Stream(11).gaussian((5, 8, 8)) * 1e3)  # dense values, where summation order shows
     def test_channel_mean_matches_summed_residual_oracle(self, a):
+        # The measurer reading channel 0 in place, as from an array, and
+        # copying it, as from a stripe source or a written file.
         first = a[:1]
         oracle = first + (a - first).sum(axis=0, keepdims=True) / a.shape[0]
-        assert _channel_mean(a).tobytes() == oracle.tobytes()
+        for in_place in (True, False):
+            mean = _ChannelMean(a.shape, a[0] if in_place else None)
+            for rows, ch, band in tensor._stripes(a, 1):
+                mean.add(rows[:, 0], ch, band, None)
+            assert mean.result()[0].tobytes() == oracle.tobytes()
 
     def test_operator_wrapper(self, stream):
         op = ColorMeanOp(3, 3)
@@ -497,25 +503,31 @@ class TestColorStreamed:
 
 
 class TestReconstructSeveralOutputs:
-    """``reconstruct`` into two files, for every operator, gives the files
-    and records of ``op.combine`` followed, file by file, by ``save_tensor``
-    and ``op.verify``, each file receiving what the one before it holds."""
+    """``reconstruct`` into two files, for every operator, at any stripe size,
+    gives the files and records of ``op.combine`` followed, file by file, by
+    ``save_tensor`` and ``op.verify``, each file receiving what the one
+    before it holds, whose record is also ``op.verify`` of the file loaded
+    back."""
 
     @pytest.mark.parametrize("stripe_bytes", [1, 64, tensor._STRIPE_BYTES])
     @pytest.mark.parametrize("names", [("a.pdt1", "b.png"), ("a.png", "b.pdt1"), ("a.pdt1", "b.pdt1"),
                                        ("a.png", "b.png")], ids="+".join)
     @pytest.mark.parametrize("source", ["array", "pdt1"])
-    @pytest.mark.parametrize("operator", ["pooling", "cs", "color"])
+    @pytest.mark.parametrize("operator", ["pooling", "identity", "cs", "color", "dense"])
     def test_match_the_in_memory_path(self, tmp_path, stream, operator, source, names, stripe_bytes):
         # Ten rows of two samples: the channel mean's 64-byte stripes hold
         # four rows, so each channel ends on a shorter one.
         x = ImageTensor(stream.uniform((3, 10, 2)) * 1.5 - 0.25)
         if operator == "pooling":
             op = PoolingOp(2, 3, 10, 2)
+        elif operator == "identity":
+            op = IdentityOperator((3, 10, 2))
         elif operator == "cs":
             op = cs_build(2, 0.5, seed=4)
-        else:
+        elif operator == "color":
             op = ColorMeanOp(10, 2)
+        else:
+            op = DenseOperator(stream.gaussian((12, 60)), in_shape=(3, 10, 2), out_shape=(1, 6, 2))
         y = op.forward(ImageTensor(stream.uniform(x.shape)))
         write_raw(x, tmp_path / "raw.pdt1")
         with mock.patch.object(tensor, "_STRIPE_BYTES", stripe_bytes), open_stripes(tmp_path / "raw.pdt1") as src:
@@ -525,32 +537,52 @@ class TestReconstructSeveralOutputs:
             x_hat = save_tensor(x_hat, tmp_path / f"ref-{name}")
             assert (tmp_path / name).read_bytes() == (tmp_path / f"ref-{name}").read_bytes()
             assert record.to_dict() == op.verify(y, x_hat).to_dict()
-
-
-class TestReconstructAnyOperator:
-    """``reconstruct`` with an operator that has no walk of its own gathers
-    the prediction and combines it whole, with the files and records of
-    ``op.combine`` followed, file by file, by ``save_tensor`` and
-    ``op.verify`` of what each file holds."""
-
-    @pytest.mark.parametrize("names", [("o.pdt1", "o.png"), ("o.png", "o.pdt1")], ids="+".join)
-    @pytest.mark.parametrize("source", ["array", "pdt1"])
-    @pytest.mark.parametrize("operator", ["dense", "identity"])
-    def test_match_the_in_memory_path(self, tmp_path, stream, operator, source, names):
-        x = ImageTensor(stream.uniform((3, 10, 2)) * 1.5 - 0.25)
-        if operator == "dense":
-            op = DenseOperator(stream.gaussian((12, 60)), in_shape=(3, 10, 2), out_shape=(1, 6, 2))
-        else:
-            op = IdentityOperator((3, 10, 2))
-        y = op.forward(ImageTensor(stream.uniform(x.shape)))
-        write_raw(x, tmp_path / "raw.pdt1")
-        with mock.patch.object(tensor, "_STRIPE_BYTES", 64), open_stripes(tmp_path / "raw.pdt1") as src:
-            records = reconstruct(op, y, x.data if source == "array" else src, *(tmp_path / n for n in names))
-        x_hat = op.combine(y, x)
-        for name, record in zip(names, records, strict=True):
-            x_hat = save_tensor(x_hat, tmp_path / f"ref-{name}")
-            assert (tmp_path / name).read_bytes() == (tmp_path / f"ref-{name}").read_bytes()
             assert record.to_dict() == op.verify(y, load_tensor(tmp_path / name)).to_dict()
+
+
+class TestReconstructUnboundOperator:
+    """``reconstruct`` with an operator that gives only ``forward`` and
+    ``pinv`` and leaves ``in_shape`` None, so that no prediction fits its
+    ``_raw_shape``: the file and record of ``op.combine``."""
+
+    class Half(LinearOperator):
+        def forward(self, x):
+            return ImageTensor(x.data * 0.5)
+
+        def pinv(self, y):
+            return ImageTensor(y.data * 2.0)
+
+    @pytest.mark.parametrize("source", ["array", "pdt1"])
+    def test_matches_the_in_memory_path(self, tmp_path, stream, source):
+        op = self.Half()
+        x, y = ImageTensor(stream.uniform((2, 5, 3))), ImageTensor(stream.uniform((2, 5, 3)))
+        write_raw(x, tmp_path / "raw.pdt1")
+        with open_stripes(tmp_path / "raw.pdt1") as src:
+            (record,) = reconstruct(op, y, x.data if source == "array" else src, tmp_path / "out.pdt1")
+        x_hat = save_tensor(op.combine(y, x), tmp_path / "ref.pdt1")
+        assert (tmp_path / "out.pdt1").read_bytes() == (tmp_path / "ref.pdt1").read_bytes()
+        assert record.to_dict() == op.verify(y, x_hat).to_dict()
+
+
+class TestReconstructChannelMeanFiles:
+    def test_each_further_file_holds_only_its_record_planes(self, tmp_path, stream):
+        # The channel mean of each file holds two planes, its sum and
+        # channel 0; the files but the last share one spare stripe, here a
+        # whole plane, so a third file costs two planes, not three.
+        h, w = 128, 512
+        op, x = ColorMeanOp(h, w), ImageTensor(stream.uniform((3, h, w)))
+        y = op.forward(ImageTensor(stream.uniform((3, h, w))))
+        write_raw(x, tmp_path / "raw.pdt1")
+        peaks = []
+        for n in (2, 3):
+            with open_stripes(tmp_path / "raw.pdt1") as src:
+                tracemalloc.start()
+                try:
+                    reconstruct(op, y, src, *(tmp_path / f"out{i}.pdt1" for i in range(n)))
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 2.5 * h * w * 8
 
 
 class _Unread:
@@ -579,6 +611,25 @@ class TestReconstructNeedsAPath:
         y = op.forward(ImageTensor(stream.uniform((3, 4, 2))))
         with pytest.raises(ValueError, match="at least one output path"):
             reconstruct(op, y, _Unread((3, 4, 2)))
+
+
+class TestReconstructFirstWalk:
+    """The channel mean and a dense matrix combine with all of ``A x_raw``,
+    so ``reconstruct`` measures a fitting prediction first: a bad sample in
+    it is named before a bad destination, as when it is loaded whole."""
+
+    @pytest.mark.parametrize("operator", ["color", "dense"])
+    def test_a_bad_sample_comes_before_the_destination(self, tmp_path, stream, operator):
+        if operator == "color":
+            op = ColorMeanOp(4, 2)
+        else:
+            op = DenseOperator(stream.gaussian((6, 24)), in_shape=(3, 4, 2), out_shape=(1, 3, 2))
+        y = op.forward(ImageTensor(stream.uniform((3, 4, 2))))
+        x_raw = stream.uniform((3, 4, 2))
+        x_raw[2, 3, 1] = np.nan
+        (tmp_path / "d").mkdir()
+        with pytest.raises(ValueError, match="must be finite"), np.errstate(invalid="ignore"):
+            reconstruct(op, y, x_raw, tmp_path / "d")
 
 
 def _raised(call):
@@ -637,10 +688,23 @@ def _combine_error_cases():
 _COMBINE_ERRORS = _combine_error_cases()
 
 
+def _generic_combine(op, y, x_raw):
+    """The combine by its formula on whole images, in its order:
+    ``pinv(y)``, the raw prediction's shape, then ``x_raw - pinv(forward(
+    x_raw))``, into which ``pinv(y)`` is added."""
+    restored = op.pinv(y)
+    if x_raw.shape != restored.shape:
+        raise ValueError(f"raw prediction shape {x_raw.shape} does not match operator input {restored.shape}")
+    out = x_raw.data - range_project(op, x_raw).data
+    out += restored.data
+    return ImageTensor(out)
+
+
 class TestFusedCombines:
-    """``ColorMeanOp.combine`` and ``BlockSenseOp.combine`` against the
-    generic ``LinearOperator.combine``: the same bytes, the same errors
-    (``PoolingOp.combine`` too, whose bytes ``test_linop`` compares)."""
+    """``ColorMeanOp.combine`` and ``BlockSenseOp.combine``, the one walk,
+    against the combine by its formula on whole images: the same bytes, the
+    same errors (``PoolingOp.combine`` too, whose bytes ``test_linop``
+    compares)."""
 
     @given(
         st.integers(1, 9),
@@ -652,7 +716,7 @@ class TestFusedCombines:
     def test_color_matches_generic_bytes(self, h, w, scale, seed, signed_zeros):
         op, y, x_raw = _color_case(h, w, scale, seed, signed_zeros)
         fused = op.combine(y, x_raw).data.tobytes()
-        assert fused == LinearOperator.combine(op, y, x_raw).data.tobytes()
+        assert fused == _generic_combine(op, y, x_raw).data.tobytes()
 
     @given(_sense_cases(), st.booleans())
     def test_sense_matches_generic_bytes(self, case, bound):
@@ -664,13 +728,13 @@ class TestFusedCombines:
         y = cs_measure(op, ImageTensor(stream.uniform((c, nh * b, nw * b))))
         x_raw = ImageTensor(stream.gaussian((c, nh * b, nw * b)))
         fused = op.combine(y, x_raw).data.tobytes()
-        assert fused == LinearOperator.combine(op, y, x_raw).data.tobytes()
+        assert fused == _generic_combine(op, y, x_raw).data.tobytes()
 
     @pytest.mark.parametrize("name", sorted(_COMBINE_ERRORS))
     def test_errors_match_generic(self, name):
         op, y, x_raw = _COMBINE_ERRORS[name]
         raised = _raised(lambda: op.combine(y, x_raw))
-        assert raised == _raised(lambda: LinearOperator.combine(op, y, x_raw))
+        assert raised == _raised(lambda: _generic_combine(op, y, x_raw))
         assert raised[0] is ValueError
         if "overflow" in name:
             assert "finite" in raised[1]
