@@ -20,10 +20,13 @@ inflate to gigabytes is rejected after allocating only what it declares.
 The five scanline filters are undone along anti-diagonals of the image:
 every pixel on one diagonal depends only on pixels of the two before it,
 so the decode is height + width - 1 numpy steps, with cost and memory
-linear in the pixel count.  Each step runs the predictor of the image's
-most common filter type over the whole diagonal and patches only the
-lanes of the rows of other types, so rows whose filter differs from most
-cost time in proportion to their own pixels.
+linear in the pixel count.  Each step decodes one diagonal in place:
+it runs the predictor of the image's most common filter type over the
+whole diagonal, overwrites the lanes of each other type's rows with
+that type's predictor, run over the same diagonal, and adds.  So each
+filter type present on a diagonal costs one predictor pass over it.
+The first row, whose neighbours above are the zero border, counts as
+the common type when it predicts the same (None as Up, Sub as Paeth).
 """
 
 from __future__ import annotations
@@ -42,6 +45,10 @@ _ZLIB_LEVEL = 6
 # Filtered bytes per ``compressobj.compress`` call; deflate's output does
 # not depend on how its input is split.
 _BAND_BYTES = 1 << 17
+
+# The filter type that predicts the same as each type on the first row,
+# whose up and upleft neighbours are zero: None and Up, Sub and Paeth.
+_FIRST_ROW_TWIN = (2, 4, 0, 3, 1)
 
 
 def _chunk(tag: bytes, *payload: bytes) -> list[bytes]:
@@ -165,76 +172,63 @@ def _unfilter(raw: np.ndarray, height: int, width: int, bpp: int) -> np.ndarray:
 
     Byte lane k of pixel (r, j) depends only on lane k of pixels (r, j-1),
     (r-1, j) and (r-1, j-1), so every pixel on one anti-diagonal r + j = d
-    is decoded in one numpy step over all its lanes.  The step evaluates
-    the predictor of the image's most common filter type over the whole
-    diagonal, then patches the lanes of each other type's rows that cross
-    it: one slice of lanes where those rows are adjacent, gathered lanes
-    otherwise.  Each type's rows crossing a diagonal are a slice of its
-    sorted rows, found for every diagonal before the loop.  So an image
-    whose rows mostly share one filter, as encoders write them, costs one
-    predictor per diagonal, and the rows of the other types cost time in
-    proportion to their own pixels.  The buffers are stored skewed,
-    ``[d, s]`` with s the index along the shorter image side, so a
-    diagonal and its three neighbours are contiguous slices; they hold
-    (height + width) * min(height, width) * bpp int32 samples, so the
-    predictors and sums run without casts.
+    is decoded in one numpy step over all its lanes.  The filtered bytes
+    are stored skewed, ``[d, s]`` with s the index along the shorter image
+    side, so a diagonal and its two predecessors are contiguous slices,
+    and each diagonal is decoded in place: the prediction of the image's
+    most common filter type over the whole diagonal, overwritten on the
+    lanes of each other type's rows that cross it, is added modulo 256.
+    The first row takes the common type where the two predict the same
+    there.  The buffer holds (height + width + 1) *
+    (min(height, width) + 1) * bpp int32 samples, so the predictors and
+    sums run without casts.
     """
     rows = raw.reshape(height, 1 + width * bpp)
-    ftype = rows[:, 0]
+    ftype = rows[:, 0].copy()
     if ftype.max() > 4:
         raise ValueError(f"unknown PNG filter type {ftype[np.argmax(ftype > 4)]}")
-    filtered = rows[:, 1:].reshape(height, width, bpp)
+    common = int(np.bincount(ftype).argmax())
+    if _FIRST_ROW_TWIN[ftype[0]] == common:
+        ftype[0] = common
     # In (s, l) coordinates s runs along the short side and l along the long one.
     wide = height <= width
     short, long = min(height, width), max(height, width)
     diagonals = height + width - 1
-    filt = np.empty((diagonals, short, bpp), np.int32)
-    _skew(filt)[...] = filtered if wide else filtered.transpose(1, 0, 2)
-    # The rows crossing diagonal d are one contiguous range, [first, stop),
-    # so each other type's rows crossing it are one slice of its sorted rows.
+    # Two leading diagonals, one leading lane and every lane off the image
+    # stay zero: they are the image border.
+    buf = np.zeros((diagonals + 2, short + 1, bpp), np.int32)
+    filtered = rows[:, 1:].reshape(height, width, bpp)
+    _skew(buf[2:, 1:])[...] = filtered if wide else filtered.transpose(1, 0, 2)
+    # Lanes [lo, hi) of diagonal d lie on the image.  Lane s holds row s of a
+    # wide image and row d - s of a tall one, so the rows of its lanes are
+    # the slice [at, at + hi - lo) of the row types in lane order.
     d = np.arange(diagonals)
     lo, hi = np.maximum(d - long + 1, 0), np.minimum(d + 1, short)
-    first, stop = (lo, hi) if wide else (d - hi + 1, d - lo + 1)
-    counts = np.bincount(ftype, minlength=5)
-    common = int(counts.argmax())
+    at = lo if wide else lo + height - 1 - d
+    in_lane_order = ftype if wide else ftype[::-1]
     others = []
-    for kind in np.flatnonzero(counts).tolist():
-        if kind != common:
-            rows_of = np.flatnonzero(ftype == kind)
-            bounds = list(zip(rows_of.searchsorted(first).tolist(), rows_of.searchsorted(stop).tolist()))
-            others.append((kind, rows_of, rows_of.tolist(), bounds))
-    # Two leading diagonals and one leading lane of zeros are the image border.
-    out = np.zeros((diagonals + 2, short + 1, bpp), np.int32)
-    scratch = np.empty((short, bpp), np.int32)
-    for d, (lo, hi) in enumerate(zip(lo.tolist(), hi.tolist())):
-        # The whole diagonal through the common type, then each other type's
-        # rows: a slice of lanes [a, b) if the rows are adjacent, else
-        # gathered lanes.
-        runs, scattered = [(common, lo, hi)], []
-        for kind, rows_of, row_list, bounds in others:
-            begin, end = bounds[d]
-            if begin == end:
-                continue
-            top, bottom = row_list[begin], row_list[end - 1]
-            if bottom - top == end - begin - 1:
-                runs.append((kind, top, bottom + 1) if wide else (kind, d - bottom, d - top + 1))
-            else:
-                scattered.append((kind, rows_of[begin:end] if wide else d - rows_of[begin:end]))
-        cur, prev, upleft, here = out[d + 2], out[d + 1], out[d], filt[d]
-        for kind, a, b in runs:
-            same, before = prev[a + 1 : b + 1], prev[a:b]
-            left, up = (same, before) if wide else (before, same)
-            dest = cur[a + 1 : b + 1]
-            np.add(here[a:b], _predict(kind, left, up, upleft[a:b], scratch[: b - a]), out=dest)
-            np.bitwise_and(dest, 0xFF, out=dest)
-        for kind, lanes in scattered:
-            same, before = prev.take(lanes + 1, axis=0), prev.take(lanes, axis=0)
-            left, up = (same, before) if wide else (before, same)
-            value = here.take(lanes, axis=0)
-            value += _predict(kind, left, up, upleft.take(lanes, axis=0))
-            cur[lanes + 1] = value & 0xFF
+    for kind in range(5):
+        mask = in_lane_order == kind
+        if kind != common and mask.any():
+            count = np.concatenate(([0], np.cumsum(mask)))
+            others.append((kind, mask, (count[at + hi - lo] > count[at]).tolist()))
+    scratch = np.empty((2, short, bpp), np.int32)
+    for d, (lo, hi, at) in enumerate(zip(lo.tolist(), hi.tolist(), at.tolist())):
+        same, before, upleft = buf[d + 1, lo + 1 : hi + 1], buf[d + 1, lo:hi], buf[d, lo:hi]
+        left, up = (same, before) if wide else (before, same)
+        row, spare = scratch[:, : hi - lo]
+        pred = _predict(common, left, up, upleft, row)
+        for kind, mask, crosses in others:
+            if crosses[d]:
+                if pred is not row:  # Sub and Up predict views of the buffer, None 0
+                    np.copyto(row, pred)
+                    pred = row
+                np.copyto(pred, _predict(kind, left, up, upleft, spare), where=mask[at : at + hi - lo, None])
+        cur = buf[d + 2, lo + 1 : hi + 1]
+        cur += pred
+        cur &= 0xFF
     samples = np.empty((height, width, bpp), np.uint8)
-    (samples if wide else samples.transpose(1, 0, 2))[...] = _skew(out[2:, 1:])
+    (samples if wide else samples.transpose(1, 0, 2))[...] = _skew(buf[2:, 1:])
     return samples
 
 

@@ -95,6 +95,19 @@ def _scanlines(filters, width, bpp, fill):
     return rows.tobytes(), len(filters), width, bpp
 
 
+def _count_predictions(monkeypatch):
+    """Record the number of lanes of every ``_predict`` call, by filter type."""
+    calls = {kind: [] for kind in range(5)}
+    predict = codec._predict
+
+    def counting(ftype, left, *args, **kwargs):
+        calls[ftype].append(len(left))
+        return predict(ftype, left, *args, **kwargs)
+
+    monkeypatch.setattr(codec, "_predict", counting)
+    return calls
+
+
 class TestUnfilter:
     @given(filtered_scanlines())
     @example(_scanlines([4], 1, 3, 200))  # 1x1
@@ -149,30 +162,65 @@ class TestUnfilter:
 
     @pytest.mark.parametrize("height, width", [(40, 60), (60, 40)], ids=["wide", "tall"])
     def test_other_types_run_only_on_their_own_lanes(self, monkeypatch, height, width):
-        # A Paeth image with a few rows of other types, adjacent (17, 18) or
-        # not (0, 30): Paeth runs once over each whole diagonal, and each
-        # other type once on each diagonal its rows cross, over those rows'
-        # lanes alone.
-        odd = {0: 1, 17: 2, 18: 2, 25: 3, 30: 1, height - 1: 0}
-        filters = np.full(height, 4, np.uint8)
-        filters[list(odd)] = list(odd.values())
-        rows = np.random.default_rng(3).integers(0, 256, (height, 1 + width * 3), dtype=np.uint8)
-        rows[:, 0] = filters
-        calls = {kind: [] for kind in range(5)}
-        predict = codec._predict
+        # A Paeth and an Up image with a few rows of other types, adjacent
+        # (17, 18) or not: the common type runs once over each whole
+        # diagonal, and each other type once over each diagonal its rows
+        # cross, whose lanes it then takes.  The first row, a Sub row of
+        # the Paeth image and a None row of the Up one, predicts as the
+        # common type there, so it takes that type and adds no call.
+        diagonals = height + width - 1
+        length = [min(d + 1, height, width, diagonals - d) for d in range(diagonals)]
+        for common, odd in [
+            (4, {0: 1, 17: 2, 18: 2, 25: 3, 30: 1, height - 1: 0}),
+            (2, {0: 0, 17: 4, 18: 4, 25: 3, 30: 1, height - 1: 0}),
+        ]:
+            filters = np.full(height, common, np.uint8)
+            filters[list(odd)] = list(odd.values())
+            rows = np.random.default_rng(3).integers(0, 256, (height, 1 + width * 3), dtype=np.uint8)
+            rows[:, 0] = filters
+            calls = _count_predictions(monkeypatch)
+            _unfilter(rows.ravel(), height, width, 3)
+            assert calls[common] == length and sum(length) == height * width
+            for kind in set(range(5)) - {common}:
+                crossed = {row + j for row, k in odd.items() if k == kind and row > 0 for j in range(width)}
+                assert calls[kind] == [length[d] for d in sorted(crossed)]
 
-        def counting(ftype, left, *args, **kwargs):
-            calls[ftype].append(len(left))
-            return predict(ftype, left, *args, **kwargs)
+    @pytest.mark.parametrize("height, width", [(6, 9), (9, 6)], ids=["wide", "tall"])
+    @pytest.mark.parametrize("bpp", [1, 6])
+    @pytest.mark.parametrize("common", range(5))
+    @pytest.mark.parametrize("first", range(5))
+    def test_first_row_takes_the_common_type_where_it_predicts_the_same(
+        self, monkeypatch, first, common, bpp, height, width
+    ):
+        # Above the first row is the zero border, so there None predicts as
+        # Up and Sub as Paeth, and only those pairs fold; Average folds
+        # into nothing.
+        filters = np.full(height, common, np.uint8)
+        filters[0] = first
+        calls = _count_predictions(monkeypatch)
+        self._check(filters, width, bpp, seed=5 * first + common)
+        if first == common:
+            assert len(calls[first]) == height + width - 1
+        else:
+            folds = {first, common} in ({0, 2}, {1, 4})
+            assert len(calls[first]) == (0 if folds else width)
 
-        monkeypatch.setattr(codec, "_predict", counting)
-        _unfilter(rows.ravel(), height, width, 3)
-        assert len(calls[4]) == height + width - 1 and sum(calls[4]) == height * width
-        for kind in range(4):
-            kind_rows = [row for row, k in odd.items() if k == kind]
-            crossed = {row + j for row in kind_rows for j in range(width)}
-            assert len(calls[kind]) == len(crossed)
-            assert sum(calls[kind]) == len(kind_rows) * width
+    def test_decode_holds_one_skewed_buffer(self):
+        # A 3 x 512^2 Paeth PNG: beside the inflated rows and the decoded
+        # samples, decoding holds one int32 buffer of the skewed image
+        # (with its zero border), not a second one to decode into.
+        height = width = 512
+        rows = np.random.default_rng(11).integers(0, 256, (height, 1 + width * 3), dtype=np.uint8)
+        rows[:, 0] = 4
+        png = _png(width, height, [zlib.compress(rows.tobytes())], color_type=2)
+        skewed = (height + width + 1) * (min(height, width) + 1) * 3 * 4
+        tracemalloc.start()
+        try:
+            samples, _ = decode(png)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= skewed + samples.nbytes + rows.nbytes + (1 << 18)
 
     def test_unknown_filter_type_in_any_row(self):
         raw, height, width, bpp = _scanlines([4, 0, 1, 5], 3, 3, 0)
