@@ -170,6 +170,7 @@ class TestUnfilter:
         # common type there, so it takes that type and adds no call.
         diagonals = height + width - 1
         length = [min(d + 1, height, width, diagonals - d) for d in range(diagonals)]
+        calls = _count_predictions(monkeypatch)
         for common, odd in [
             (4, {0: 1, 17: 2, 18: 2, 25: 3, 30: 1, height - 1: 0}),
             (2, {0: 0, 17: 4, 18: 4, 25: 3, 30: 1, height - 1: 0}),
@@ -178,7 +179,8 @@ class TestUnfilter:
             filters[list(odd)] = list(odd.values())
             rows = np.random.default_rng(3).integers(0, 256, (height, 1 + width * 3), dtype=np.uint8)
             rows[:, 0] = filters
-            calls = _count_predictions(monkeypatch)
+            for kind_calls in calls.values():
+                kind_calls.clear()
             _unfilter(rows.ravel(), height, width, 3)
             assert calls[common] == length and sum(length) == height * width
             for kind in set(range(5)) - {common}:
