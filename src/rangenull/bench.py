@@ -17,7 +17,7 @@ from .linop import _combined, measure
 from .metrics import compare
 from .pooling import PoolingOp
 from .rng import Stream, derive
-from .tensor import ImageTensor
+from .tensor import ImageTensor, _adopt
 
 BENCH_OPS = ("pd", "pool_down", "pool_up")
 
@@ -83,7 +83,7 @@ def _table1_case(op: PoolingOp, seed: int, index: int) -> dict:
     start = time.perf_counter()
     combined = _combined(op, lr, raw)
     elapsed_ms = (time.perf_counter() - start) * 1e3
-    report = op.verify(ImageTensor(lr), combined)
+    report = op.verify(_adopt(lr), combined)
     # Single-precision rerun of the same combine, compared in double.
     lr32 = lr.astype(np.float32)
     combined32 = _combined(op, lr32, raw.astype(np.float32))

@@ -33,6 +33,7 @@ from .metrics import ConsistencyReport, _compare_fresh
 from .rng import Stream
 from .tensor import (
     ImageTensor,
+    _adopt,
     _Blank,
     _check_finite,
     _gather,
@@ -73,7 +74,7 @@ class LinearOperator(abc.ABC):
 
     def forward(self, x: ImageTensor) -> ImageTensor:
         """Apply the degradation."""
-        return ImageTensor(measure(self, x))
+        return _adopt(measure(self, x))
 
     def pinv(self, y: ImageTensor) -> ImageTensor:
         """Apply the pseudo-inverse."""
@@ -87,7 +88,7 @@ class LinearOperator(abc.ABC):
         ``forward(pinv(.))`` is the identity.  ``y`` is checked first, then
         an overflowing ``pinv(y)`` where ``x_raw`` does not fit.
         """
-        return ImageTensor(_combined(self, y.data, x_raw.data))
+        return _adopt(_combined(self, y.data, x_raw.data))
 
     def verify(self, y: ImageTensor, x_hat, quantized: bool = False) -> ConsistencyReport:
         """Compare ``y`` against the forward of ``x_hat``, an ``ImageTensor``,
@@ -406,9 +407,9 @@ def reconstruct(op: LinearOperator, y: ImageTensor, x_raw, *paths) -> list[Consi
 
 
 def _combined(op: LinearOperator, y: np.ndarray, x_raw: np.ndarray) -> np.ndarray:
-    """The combine of the arrays ``y`` and ``x_raw``, in ``x_raw``'s dtype:
-    ``_reconstruct`` with no writers into a fresh array, made once the
-    first walk has let go of what it held."""
+    """The combine of the arrays ``y`` and ``x_raw``, in ``x_raw``'s dtype,
+    checked: ``_reconstruct`` with no writers into a fresh array, made once
+    the first walk has let go of what it held."""
     lifted = _combine_checks(op, y, x_raw)
     raw = _raw_measured(op, x_raw)
     out = np.empty_like(x_raw)
@@ -452,10 +453,9 @@ def _reconstruct(op: LinearOperator, y: np.ndarray, lifted, x_raw, raw, writers:
     the last of which may overwrite it, the others one shared spare stripe;
     return, checked, what each measures.  A block operator measures each
     stripe in place (``_combine_band``); any other takes ``A+`` of the first
-    walk's measurement ``raw`` and ``A+ y``, ``lifted``, as arrays.  A
-    stripe is checked before its first write, unless that is a PDT1's and a
-    block operator's measurer checks it after; with no writers, not at all
-    (``out`` is made an ``ImageTensor``).
+    walk's measurement ``raw`` and ``A+ y``, ``lifted``, as arrays.  Each
+    stripe is checked once it is combined, so before its first write,
+    unless that is a PDT1's and a block operator's measurer checks it after.
     """
     banded = isinstance(op, BlockOperator)
     stripes, scratch = op._walk(x_raw, partial(_writable_stripes, out=out))
@@ -468,7 +468,7 @@ def _reconstruct(op: LinearOperator, y: np.ndarray, lifted, x_raw, raw, writers:
         else:
             np.subtract(rows, raw_lifted[ch, band], out=held)
             held += lifted[ch, band]
-        if writers and not (banded and isinstance(writers[0], _RawWriter)):
+        if not (writers and banded and isinstance(writers[0], _RawWriter)):
             _check_finite(held)
         if spare is None and len(writers) > 1 and not banded:
             spare = np.empty_like(held)  # a channel's first stripe is its largest

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .pooling import PoolingOp, pool_down
+from .pooling import PoolingOp, _require_divisible, pool_down
 from .tensor import ImageTensor, _gather, open_stripes
 
 FILTERS = ("box", "bilinear", "bicubic")
@@ -167,8 +167,7 @@ def resample(x: ImageTensor, spec: ResampleSpec) -> ImageTensor:
         return predict_raw(x, "nearest" if spec.filter == "box" else spec.filter, s)
     if spec.filter == "box":
         return pool_down(x, s)
-    if x.height % s or x.width % s:
-        raise ValueError(f"image size {x.height}x{x.width} is not divisible by scale {s}")
+    _require_divisible(x.height, x.width, s)
     out_h, out_w = x.height // s, x.width // s
     first, weights = _phase_weights(spec)
     mid, last = np.empty((out_h, x.width)), _intermediate(out_h, out_w)

@@ -11,10 +11,10 @@ PDT1 layout: bytes 0-3 magic ASCII "PDT1"; bytes 4-7, 8-11, 12-15
 little-endian u32 channels, height, width; then channels*height*width
 little-endian f64 samples, planar row-major.
 
-Memory: ``ImageTensor`` checks that samples are finite on every
-construction, in slices through one small reused mask, so the check
-allocates no full-size temporary.  A PDT1 or PDM1 payload is read straight
-into its final array with ``os.preadv``, on the calling thread.
+Finiteness: a walk checks each stripe it computes (see ``linop``) and
+``_adopt`` wraps its result; ``ImageTensor`` checks data from outside in
+slices through one small reused mask.  A PDT1 or PDM1 payload is read
+straight into its final array with ``os.preadv``, on the calling thread.
 
 Stripes of whole rows are the unit of the streamed passes.  One walk,
 ``_stripes``, yields the stripes of an array, as views, or of a stripe
@@ -68,8 +68,9 @@ class ImageTensor:
 
     The constructor adopts a float64 C-contiguous array that owns its
     buffer, marking it read-only for everyone holding a reference; views
-    and other dtypes are copied first.  Pass ``arr.copy()`` if you need
-    to keep writing to the source array.
+    and other dtypes are copied first (pass ``arr.copy()`` to keep writing
+    to the source).  It checks data from outside finite; a walk wraps the
+    result it has checked with ``_adopt``.
     """
 
     data: np.ndarray
@@ -109,12 +110,20 @@ class ImageTensor:
         return self.shape == other.shape and bool(np.array_equal(self.data, other.data))
 
 
+def _adopt(arr: np.ndarray) -> ImageTensor:
+    """``ImageTensor(arr)`` unchecked, for a fresh, owned, C-contiguous
+    float64 (c, h, w) ``arr`` that a walk has made and checked finite."""
+    assert arr.base is None and arr.dtype == np.float64 and arr.flags.c_contiguous and arr.ndim == 3
+    arr.setflags(write=False)
+    t = object.__new__(ImageTensor)
+    object.__setattr__(t, "data", arr)
+    return t
+
+
 def _check_finite(arr: np.ndarray) -> None:
     """Raise ``ImageTensor``'s ``ValueError`` unless every sample of the
     C-contiguous ``arr`` is finite."""
-    # ``np.isfinite(arr).all()`` without its full-size mask: the results of
-    # linear maps on finite inputs can still overflow, so every
-    # construction is checked.
+    # ``np.isfinite(arr).all()`` without its full-size mask: linear maps of finite inputs can overflow.
     flat = arr.reshape(-1)
     mask = np.empty(min(flat.size, _FINITE_SLICE), dtype=bool)
     for start in range(0, flat.size, _FINITE_SLICE):
@@ -321,7 +330,7 @@ def read_raw(path: str | Path) -> ImageTensor:
 
 def is_raw(path: str | Path) -> bool:
     """Whether ``path`` starts with the PDT1 magic, the test by which
-    ``load_tensor`` hands a file to ``read_raw``."""
+    ``open_stripes`` opens a ``RawReader`` (``load_tensor`` reads the magic itself)."""
     with open(path, "rb") as f:
         return f.read(len(RAW_MAGIC)) == RAW_MAGIC
 

@@ -30,7 +30,7 @@ from rangenull import (
     svd,
     write_raw,
 )
-from rangenull import linop, tensor
+from rangenull import linop, restore, tensor
 from rangenull.rng import Stream
 
 
@@ -622,3 +622,70 @@ class TestMisfitPredictionRefusal:
         with pytest.raises(ValueError, match="^raw prediction shape"):
             op.combine(y, ImageTensor(np.zeros((3, 4, 6))))
         assert len(read) == (operator == "cs")
+
+
+def _finite_checks(monkeypatch):
+    """The arrays passed to ``_check_finite`` from now on, in order."""
+    checked = []
+
+    def record(arr, real=tensor._check_finite):
+        checked.append(arr)
+        real(arr)
+
+    for module in (tensor, linop, restore):
+        monkeypatch.setattr(module, "_check_finite", record)
+    return checked
+
+
+class TestOneCheckPerComputedArray:
+    """The combine's walk checks each stripe it combines, while it is in
+    cache, and ``combine`` and ``forward`` wrap what their walks return
+    without reading it again."""
+
+    @staticmethod
+    def _case(name, stream, monkeypatch):
+        """The operator, its input shape and the samples of its largest stripe."""
+        if name.startswith("pooling"):
+            s = int(name[-1])
+            shape = (3, 640, 512)  # stripes of 256, 256 and 128 rows per channel
+            return PoolingOp(s, *shape), shape, tensor._pooling_rows(512, 8, s) * s * 512
+        if name == "cs":
+            return cs_build(8, 0.25, seed=1), (3, 128, 96), 128 * 96  # a whole channel
+        if name == "color":
+            return ColorMeanOp(640, 512), (3, 640, 512), tensor._band_rows(512, 8, 1) * 512
+        monkeypatch.setattr(tensor, "_STRIPE_BYTES", 64)  # two rows of 4 samples per stripe
+        shape = (3, 8, 4)
+        return DenseOperator(stream.gaussian((6, 96)), in_shape=shape, out_shape=(1, 2, 3)), shape, 2 * 4
+
+    @pytest.mark.parametrize("name", ["pooling-2", "pooling-8", "cs", "color", "dense"])
+    def test_combine_checks_every_output_sample_once_in_its_stripe(self, monkeypatch, stream, name):
+        op, shape, stripe = self._case(name, stream, monkeypatch)
+        y = op.forward(ImageTensor(stream.uniform(shape)))
+        x_raw = ImageTensor(stream.gaussian(shape))
+        checked = _finite_checks(monkeypatch)
+        out = op.combine(y, x_raw).data
+        counts = np.zeros(out.size, np.int64)
+        mine = [arr for arr in checked if np.shares_memory(arr, out)]
+        for arr in mine:
+            start = (arr.__array_interface__["data"][0] - out.__array_interface__["data"][0]) // out.itemsize
+            counts[start : start + arr.size] += 1
+        assert (counts == 1).all()
+        assert max(arr.size for arr in mine) <= stripe < out.size
+        assert len(mine) == -(-shape[1] * shape[2] // stripe) * shape[0]
+        if name != "dense":
+            # A dense matrix's own ``forward`` and ``pinv`` return
+            # ``ImageTensor``s, which check the arrays they wrap.
+            assert len(mine) == len(checked)
+
+    @pytest.mark.parametrize("name", ["pooling-2", "pooling-8", "cs", "color"])
+    def test_forward_checks_its_measurement_at_most_once(self, monkeypatch, stream, name):
+        # Pooling and block sensing check through their measurements, stripe
+        # by stripe; the channel mean checks its whole mean once its walk
+        # has ended, as the record of ``colorize --mode pd`` is checked.
+        op, shape, _ = self._case(name, stream, monkeypatch)
+        x = ImageTensor(stream.uniform(shape))
+        checked = _finite_checks(monkeypatch)
+        m = op.forward(x).data
+        whole = [arr for arr in checked if arr.size >= m.size]
+        assert len(whole) == (name == "color")
+        assert all(arr is m for arr in whole)

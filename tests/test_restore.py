@@ -660,6 +660,13 @@ def _combine_error_cases():
     full = BlockSenseOp(2, 4, seed=3, ratio=1.0, rows=rows)
     pool = PoolingOp(2, 3, 16, 16)
     pooled = ImageTensor(np.zeros((3, 8, 8)))
+    # Two stripes per channel, the overflow in one block of the last
+    # channel's bottom rows (the walk's last stripe), or in one pixel of the
+    # bottom rows, whose mean overflows: each anchor is -1e308.
+    tall = np.zeros((3, 128, 2048))
+    tall[2, 126, 0], tall[2, 127, 1] = -1e308, 1e308
+    wide = np.zeros((3, 64, 2048))
+    wide[:2, 63, 5] = -1e308, 1e308
     return {
         "pool-raw-size": (pool, pooled, ImageTensor(np.zeros((3, 16, 18)))),
         "pool-raw-channels": (pool, pooled, ImageTensor(np.zeros((1, 16, 16)))),
@@ -682,6 +689,8 @@ def _combine_error_cases():
         "cs-overflow-measure": (
             full, ImageTensor(np.zeros((4, 1, 1))), ImageTensor(big * np.sign(rows[0]).reshape(1, 2, 2))
         ),
+        "pool-overflow-last-stripe": (PoolingOp(2, *tall.shape), ImageTensor(np.zeros((3, 64, 1024))), ImageTensor(tall)),
+        "color-overflow-last-stripe": (ColorMeanOp(64, 2048), ImageTensor(np.zeros((1, 64, 2048))), ImageTensor(wide)),
     }
 
 
@@ -738,6 +747,15 @@ class TestFusedCombines:
         assert raised[0] is ValueError
         if "overflow" in name:
             assert "finite" in raised[1]
+
+    @pytest.mark.parametrize("name", ["pool-overflow-last-stripe", "color-overflow-last-stripe"])
+    def test_overflow_in_the_last_stripe_only(self, name):
+        op, y, x_raw = _COMBINE_ERRORS[name]
+        c, h, w = x_raw.shape
+        rows = tensor._pooling_rows(w, 8, 2) * 2 if name.startswith("pool") else tensor._band_rows(w, 8, 1)
+        assert rows == h // 2  # the overflow is in the second of two stripes
+        message = "tensor samples must be finite (no NaN or infinity)"
+        assert _raised(lambda: op.combine(y, x_raw)) == (ValueError, message)
 
     def test_color_peak_memory(self):
         op, y, x_raw = _color_case(504, 504, 1.0, 5, False)

@@ -47,6 +47,18 @@ class TestImageTensor:
         with pytest.raises(ValueError):
             ImageTensor(np.array([[[np.inf]]]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_checks_data_from_outside(self, tmp_path, value):
+        # A walk's own result is wrapped unchecked; a caller's array and a
+        # loaded file are checked.
+        a = np.zeros((1, 3, 2))
+        a[0, 2, 1] = value
+        path = tmp_path / "t.pdt1"
+        path.write_bytes(struct.pack("<4sIII", b"PDT1", *a.shape) + a.tobytes())
+        for load in (lambda: ImageTensor(a), lambda: read_raw(path), lambda: load_tensor(path)):
+            with pytest.raises(ValueError, match=r"^tensor samples must be finite \(no NaN or infinity\)$"):
+                load()
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             ImageTensor(np.zeros((2, 2)))
