@@ -11,10 +11,11 @@ PDT1 layout: bytes 0-3 magic ASCII "PDT1"; bytes 4-7, 8-11, 12-15
 little-endian u32 channels, height, width; then channels*height*width
 little-endian f64 samples, planar row-major.
 
-Finiteness: a walk checks each stripe it computes (see ``linop``) and
-``_adopt`` wraps its result; ``ImageTensor`` checks data from outside in
-slices through one small reused mask.  A PDT1 or PDM1 payload is read
-straight into its final array with ``os.preadv``, on the calling thread.
+Finiteness and memory: a walk checks each stripe it computes (see
+``linop``) and ``_adopt`` wraps its result; ``ImageTensor`` checks data
+from outside in slices through one small reused mask.  A PDT1 or PDM1
+payload is read straight into its final array with ``os.preadv``, on the
+calling thread.
 
 Stripes of whole rows are the unit of the streamed passes.  One walk,
 ``_stripes``, yields the stripes of an array, as views, or of a stripe

@@ -660,9 +660,9 @@ def _combine_error_cases():
     full = BlockSenseOp(2, 4, seed=3, ratio=1.0, rows=rows)
     pool = PoolingOp(2, 3, 16, 16)
     pooled = ImageTensor(np.zeros((3, 8, 8)))
-    # Two stripes per channel, the overflow in one block of the last
-    # channel's bottom rows (the walk's last stripe), or in one pixel of the
-    # bottom rows, whose mean overflows: each anchor is -1e308.
+    # Two stripes per channel and an overflow in the bottom rows only: in
+    # one block of the last channel (the walk's last stripe) for pooling, in
+    # one pixel's mean for the channel mean.  Each anchor is -1e308.
     tall = np.zeros((3, 128, 2048))
     tall[2, 126, 0], tall[2, 127, 1] = -1e308, 1e308
     wide = np.zeros((3, 64, 2048))
@@ -689,8 +689,12 @@ def _combine_error_cases():
         "cs-overflow-measure": (
             full, ImageTensor(np.zeros((4, 1, 1))), ImageTensor(big * np.sign(rows[0]).reshape(1, 2, 2))
         ),
-        "pool-overflow-last-stripe": (PoolingOp(2, *tall.shape), ImageTensor(np.zeros((3, 64, 1024))), ImageTensor(tall)),
-        "color-overflow-last-stripe": (ColorMeanOp(64, 2048), ImageTensor(np.zeros((1, 64, 2048))), ImageTensor(wide)),
+        "pool-overflow-last-stripe": (
+            PoolingOp(2, *tall.shape), ImageTensor(np.zeros((3, 64, 1024))), ImageTensor(tall)
+        ),
+        "color-overflow-last-stripe": (
+            ColorMeanOp(64, 2048), ImageTensor(np.zeros((1, 64, 2048))), ImageTensor(wide)
+        ),
     }
 
 
@@ -751,7 +755,7 @@ class TestFusedCombines:
     @pytest.mark.parametrize("name", ["pool-overflow-last-stripe", "color-overflow-last-stripe"])
     def test_overflow_in_the_last_stripe_only(self, name):
         op, y, x_raw = _COMBINE_ERRORS[name]
-        c, h, w = x_raw.shape
+        _, h, w = x_raw.shape
         rows = tensor._pooling_rows(w, 8, 2) * 2 if name.startswith("pool") else tensor._band_rows(w, 8, 1)
         assert rows == h // 2  # the overflow is in the second of two stripes
         message = "tensor samples must be finite (no NaN or infinity)"
