@@ -18,6 +18,9 @@ the combine of any other operator (channel mean, ``DenseOperator``)
 measures the whole raw prediction first.  ``DenseOperator`` materializes
 an arbitrary matrix and derives its pseudo-inverse from its SVD, taken
 from LAPACK through ``numpy.linalg.svd``.
+
+Each array is checked finite once, by the walk that makes it: see
+``_Banded``, ``restore._ChannelMean``, ``_reconstruct`` and ``_Lifted``.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ class LinearOperator(abc.ABC):
 
     in_shape: tuple[int, int, int] | None = None
     out_shape: tuple[int, int, int] | None = None
-    _lift_may_overflow = False  # if set, a misfit prediction is refused after ``A+ y`` is read through
+    _lift_may_overflow = False  # if set, ``A+`` of a finite measurement can overflow: ``_Lifted`` checks it
 
     def __new__(cls, *args, **kwargs):
         missing = [pair for pair in (("forward", "_measurer"), ("pinv", "_lift_source"))
@@ -77,7 +80,7 @@ class LinearOperator(abc.ABC):
         return _adopt(measure(self, x))
 
     def pinv(self, y: ImageTensor) -> ImageTensor:
-        """Apply the pseudo-inverse."""
+        """Apply the pseudo-inverse, checked whole: no walk checks what a subclass's ``_lift_source`` makes."""
         return ImageTensor(lift(self, y))
 
     def combine(self, y: ImageTensor, x_raw: ImageTensor) -> ImageTensor:
@@ -122,7 +125,7 @@ class LinearOperator(abc.ABC):
 
     def _lift_source(self, m: np.ndarray):
         """The source of ``A+ m`` for the measurement ``m``, made after its
-        checks: ``pinv``'s array."""
+        checks: ``pinv``'s array, checked there (no walk checks it)."""
         return self.pinv(ImageTensor(m)).data
 
     def _raw_shape(self, y: ImageTensor) -> tuple[int, int, int] | None:
@@ -251,7 +254,7 @@ class _Banded:
 
 class _Lifted:
     """``A+ y`` of the block operator ``op``, a stripe source of ``shape``,
-    made by ``op._lift_band`` in stripes of whole block rows (whole
+    made and checked by ``_made`` in stripes of whole block rows (whole
     channels with ``whole_channels``): in one reused buffer, yielded
     ``rows`` rows at a time, or, for ``gathered``, in one fresh array.  So
     block sensing takes one product per channel whatever ``rows`` is."""
@@ -272,14 +275,16 @@ class _Lifted:
         return out
 
     def _made(self, target, step: int):
-        """Make ``A+ y`` in each stripe of ``step`` block rows (a whole channel
-        with ``whole_channels``) of ``target``, with the scratch of
-        ``_expand`` alone, and yield it."""
+        """Make ``A+ y`` by ``op._lift_band`` in each stripe of ``step`` block
+        rows (a whole channel with ``whole_channels``) of ``target``, with
+        the scratch of ``_expand`` alone, checked if ``A+`` can overflow."""
         op, (_, height, width) = self._op, self.shape
         step = height // op.block if op.whole_channels else step
         scratch = op._scratch(min(step, height // op.block), width, self.dtype, forward=False)
         for out, ch, band in _stripes(target, op.block, step):
             op._lift_band(op._band(self._y, ch, band), out, scratch)
+            if op._lift_may_overflow:
+                _check_finite(out)
             yield out
 
 
@@ -432,15 +437,15 @@ def _combine_checks(op: LinearOperator, y: np.ndarray, x_raw):
 
 def _raw_measured(op: LinearOperator, x_raw):
     """The first walk, for an operator whose combine needs all of ``A
-    x_raw``: ``x_raw``'s measurement, read through again, checked, if it is
-    not finite, so that a bad sample is refused here and an overflow that
+    x_raw``: ``x_raw``'s measurement, read through again, checked, unless
+    known finite, so that a bad sample is refused here and an overflow that
     the measurer leaves (the channel mean's) is left to the combine.  None
     for a block operator, which measures each stripe in place."""
     if isinstance(op, BlockOperator):
         return None
     with np.errstate(invalid="ignore"):
         raw, finite = _measured(op, x_raw).result()
-    if not (finite or np.isfinite(raw).all()):
+    if not finite:
         _read_through(x_raw)
     return raw
 

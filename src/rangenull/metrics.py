@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import asdict, dataclass
@@ -33,9 +32,6 @@ class ConsistencyReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def compare(a: ImageTensor, b: ImageTensor) -> ConsistencyReport:

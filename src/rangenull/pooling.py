@@ -43,7 +43,7 @@ import numpy as np
 
 from .linop import BlockOperator, lift, null_project
 from .metrics import ConsistencyReport
-from .tensor import ImageTensor, _read_through
+from .tensor import ImageTensor, _adopt, _read_through
 
 
 def _require_divisible(h: int, w: int, s: int) -> None:
@@ -94,7 +94,7 @@ def pool_down(x: ImageTensor, s: int) -> ImageTensor:
 
 def pool_up(y: ImageTensor, s: int) -> ImageTensor:
     """Replicate each pixel into an s x s block; pool_down undoes it exactly."""
-    return ImageTensor(lift(PoolingOp.for_measurement(y, s), y))
+    return _adopt(lift(PoolingOp.for_measurement(y, s), y))
 
 
 def extract_highfreq(x_raw: ImageTensor, s: int) -> ImageTensor:

@@ -7,15 +7,15 @@ Each gives ``linop``'s two kernels and inherits the rest: ``forward``
 ``combine`` is the one walk of ``linop.reconstruct``.  ``BlockSenseOp``
 is a ``linop.BlockOperator`` whose two band kernels measure
 (``_forward_band``) and back-project (``_expand``) a whole channel with
-one BLAS product and one reordering copy each, and whose ``A+ y`` is
-checked finite each channel; reruns at one BLAS thread count give the
-same bytes (see ``cs_measure``).  The channel mean's measurer,
-``_ChannelMean``, holds the sum and channel 0 (read in place from an
-array), never the image, and its ``A+`` hands a measurement's rows to
-every channel.  So its combine walks the prediction twice: first for its
-mean, which is NaN or infinite wherever a sample is, then to subtract
-that mean from each channel and add ``y``.  ``generic_pd`` is the
-function spelling of ``op.combine``.
+one BLAS product and one reordering copy each; its ``A+`` can overflow,
+so ``linop``'s lift walk checks each channel it makes.  Reruns at one
+BLAS thread count give the same bytes (see ``cs_measure``).  The channel
+mean's measurer, ``_ChannelMean``, holds the sum and channel 0, never
+the image, and finishes and tests each band's mean as its last channel
+arrives; its ``A+`` hands a measurement's rows to every channel.  So its
+combine walks the prediction twice: first for its mean, which is NaN or
+infinite wherever a sample is, then to subtract that mean from each
+channel and add ``y``.  ``generic_pd`` spells ``op.combine``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .linop import BlockOperator, LinearOperator, lift, svd
 from .rng import Stream
-from .tensor import ImageTensor, _check_finite, _read_payload, _write_atomic
+from .tensor import ImageTensor, _adopt, _read_payload, _write_atomic
 
 SENSE_MAGIC = b"PDM1"
 _SENSE_HEADER = struct.Struct("<4sIIQ")
@@ -44,12 +44,13 @@ class _ChannelMean:
     holding channel 0 and the sum, never the image: ``first``, the plane of
     an image held whole, read in place, if given, else a copy ``add``
     makes.  A residual is taken into the stripe's spare buffer, or, if it
-    has none, into one the measurer makes.
+    has none, into one the measurer makes.  A band's sum becomes its mean,
+    in place, once its last channel arrives, and is tested finite there.
     """
 
     def __init__(self, shape: tuple[int, int, int], first: np.ndarray | None = None):
         channels, height, width = shape
-        self._channels = channels
+        self._channels, self._finite = channels, True
         self._copied = first is None
         self._first = np.empty((height, width)) if first is None else first
         self._total = np.zeros((1, height, width))
@@ -67,16 +68,16 @@ class _ChannelMean:
             self._total[0, band] += np.subtract(rows, self._first[band], out=spare)
         elif self._copied:
             self._first[band] = rows
+        if ch == self._channels - 1:
+            mean = self._total[0, band]
+            np.add(np.divide(mean, self._channels, out=mean), self._first[band], out=mean)
+            self._finite = self._finite and bool(np.isfinite(mean).all())
 
     def result(self) -> tuple[np.ndarray, bool]:
         """The (1, height, width) mean, in the array that held the sum, and
-        False: it is NaN or infinite wherever a sample is, unchecked.  The
-        measurer lets go of both planes."""
-        total, first = self._total, self._first
-        del self._total, self._first, self._spare
-        total /= self._channels
-        total += first
-        return total, False
+        whether every band of it is finite; the measurer lets go of channel 0."""
+        del self._first, self._spare
+        return self._total, self._finite
 
 
 def color_to_gray(x: ImageTensor) -> ImageTensor:
@@ -96,7 +97,7 @@ def gray_to_color(g: ImageTensor, adjoint: bool = False) -> ImageTensor:
     data = lift(ColorMeanOp.for_measurement(g), g)
     if adjoint:
         data /= 3.0
-    return ImageTensor(data)
+    return _adopt(data)
 
 
 class ColorMeanOp(LinearOperator):
@@ -155,7 +156,7 @@ class BlockSenseOp(BlockOperator):
     """
 
     whole_channels = True
-    _lift_may_overflow = True
+    _lift_may_overflow = True  # unlike a mean, a product of finite samples can overflow
 
     def __init__(self, block: int, q: int, seed: int, ratio: float, rows: np.ndarray):
         rows = np.array(rows, dtype=np.float64)
@@ -215,12 +216,6 @@ class BlockSenseOp(BlockOperator):
         b = self.block
         return np.matmul(m.reshape(q, k * nw).T, self.rows).reshape(k, nw, b, b).transpose(0, 2, 1, 3)
 
-    def _lift_band(self, y: np.ndarray, out: np.ndarray, scratch) -> None:
-        """``A+ y`` of a whole channel with one product (``_expand``), checked
-        finite: unlike a mean, it can overflow."""
-        super()._lift_band(y, out, scratch)
-        _check_finite(out)
-
 
 def cs_build(block: int, ratio: float, seed: int = 0) -> BlockSenseOp:
     """Construct a block sensing operator from a seeded Gaussian matrix.
@@ -260,11 +255,11 @@ def cs_measure(op: BlockSenseOp, x: ImageTensor) -> ImageTensor:
 def cs_pinv(op: BlockSenseOp, m: ImageTensor) -> ImageTensor:
     """Back-project measurements through the transposed rows into a fresh
     ``(c, h, w)`` array: ``linop.lift``, one BLAS product per channel
-    (``BlockSenseOp._lift_band``) whose rows are blocks, as in
-    ``cs_measure``; that gave the same bytes at 1 and 2 OpenBLAS threads
-    at every block size tried, 1 to 32.
+    (``BlockSenseOp._expand``), checked as it is made, whose rows are
+    blocks, as in ``cs_measure``; that gave the same bytes at 1 and 2
+    OpenBLAS threads at every block size tried, 1 to 32.
     """
-    return ImageTensor(lift(op, m))
+    return _adopt(lift(op, m))
 
 
 def _require_blocks(h: int, w: int, b: int) -> None:

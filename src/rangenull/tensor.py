@@ -11,11 +11,11 @@ PDT1 layout: bytes 0-3 magic ASCII "PDT1"; bytes 4-7, 8-11, 12-15
 little-endian u32 channels, height, width; then channels*height*width
 little-endian f64 samples, planar row-major.
 
-Finiteness and memory: a walk checks each stripe it computes (see
-``linop``) and ``_adopt`` wraps its result; ``ImageTensor`` checks data
-from outside in slices through one small reused mask.  A PDT1 or PDM1
-payload is read straight into its final array with ``os.preadv``, on the
-calling thread.
+Finiteness and memory: ``ImageTensor`` checks data from outside in
+slices through one small reused mask, and ``_adopt`` wraps an array a
+walk has checked (see ``linop``) or finite by making, such as an 8-bit
+image.  A PDT1 or PDM1 payload is read straight into its final array
+with ``os.preadv``, on the calling thread.
 
 Stripes of whole rows are the unit of the streamed passes.  One walk,
 ``_stripes``, yields the stripes of an array, as views, or of a stripe
@@ -57,6 +57,7 @@ _RAW_HEADER = struct.Struct("<4sIII")
 _FINITE_SLICE = 1 << 17
 # Bytes of samples per stripe of a streamed pass (see ``_band_rows``).
 _STRIPE_BYTES = 1 << 19
+_NAME_MAX = 255  # bytes in the longest file name of Linux and macOS file systems
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,8 +71,8 @@ class ImageTensor:
     The constructor adopts a float64 C-contiguous array that owns its
     buffer, marking it read-only for everyone holding a reference; views
     and other dtypes are copied first (pass ``arr.copy()`` to keep writing
-    to the source).  It checks data from outside finite; a walk wraps the
-    result it has checked with ``_adopt``.
+    to the source).  It checks data from outside finite; ``_adopt`` wraps
+    an array that is checked or finite by making.
     """
 
     data: np.ndarray
@@ -113,7 +114,7 @@ class ImageTensor:
 
 def _adopt(arr: np.ndarray) -> ImageTensor:
     """``ImageTensor(arr)`` unchecked, for a fresh, owned, C-contiguous
-    float64 (c, h, w) ``arr`` that a walk has made and checked finite."""
+    float64 (c, h, w) ``arr`` that a walk has checked or is finite by making."""
     assert arr.base is None and arr.dtype == np.float64 and arr.flags.c_contiguous and arr.ndim == 3
     arr.setflags(write=False)
     t = object.__new__(ImageTensor)
@@ -143,7 +144,7 @@ def quantize(t: ImageTensor) -> ImageTensor:
     """
     levels = _levels(t.data)
     levels /= 255.0
-    return ImageTensor(levels)
+    return _adopt(levels)
 
 
 def _levels(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -158,14 +159,16 @@ def _levels(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def check_destination(path: str | Path) -> None:
     """Raise, naming ``path``, if no file can be written there:
     ``IsADirectoryError`` if it names a directory (an existing one, or one
-    that ends in a separator, ``.`` or ``..``), ``FileNotFoundError`` if the
-    directory it would go in does not exist.
+    ending in a separator, ``.`` or ``..``), ``FileNotFoundError`` if its
+    directory does not exist, ``OSError`` if its name is over ``_NAME_MAX`` bytes.
     """
     given = os.fspath(path)
     if os.path.basename(given) in ("", ".", "..") or os.path.isdir(given):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), given)
     if not os.path.isdir(os.path.dirname(given) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), given)
+    if len(os.fsencode(os.path.basename(given))) > _NAME_MAX:
+        raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), given)
 
 
 @contextlib.contextmanager
@@ -176,12 +179,13 @@ def _write_atomic(*paths: str | Path):
 
     Every path is checked with ``check_destination`` before anything is
     created.  Each file is a uniquely named temporary one in its path's
-    directory, opened with ``"xb"`` so the umask sets its mode, which
-    ``os.replace`` moves onto the path, one path after another.  On any
-    error, the caller's own included, every temporary file not yet moved
-    is removed.  So an error before the moves leaves every old file in
-    place, but a move that fails leaves the paths before it already
-    holding their new files, and it and the paths after it their old ones.
+    directory, ``.{name, cut to fit _NAME_MAX}.{16 hex digits}.tmp``,
+    opened with ``"xb"`` so the umask sets its mode, which ``os.replace``
+    moves onto the path, one path after another.  On any error, the
+    caller's own included, every temporary file not yet moved is removed.
+    So an error before the moves leaves every old file in place, but a
+    move that fails leaves the paths before it already holding their new
+    files, and it and the paths after it their old ones.
     """
     for path in paths:
         check_destination(path)
@@ -190,7 +194,8 @@ def _write_atomic(*paths: str | Path):
         with contextlib.ExitStack() as stack:
             files = []
             for path in map(Path, paths):
-                tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+                cut = os.fsdecode(os.fsencode(path.name)[: _NAME_MAX - 22])
+                tmp = path.with_name(f".{cut}.{os.urandom(8).hex()}.tmp")
                 files.append(stack.enter_context(open(tmp, "xb")))
                 moves.append((tmp, path))
             yield files
@@ -212,7 +217,7 @@ def save_tensor(t: ImageTensor, path: str | Path) -> ImageTensor:
     the image the file holds: the 8-bit image, or ``t`` itself."""
     with _open_writers(t.shape, path) as (writer,):
         held = writer.write(t.data)
-    return t if held is t.data else ImageTensor(held)
+    return t if held is t.data else _adopt(held)
 
 
 class _RawWriter:
@@ -295,12 +300,11 @@ def save_png(t: ImageTensor, path: str | Path) -> ImageTensor:
     Returns the image the file holds, equal to ``quantize(t)`` and to what
     ``load_png`` reads back, so callers need not quantize a second time.
     """
-    held = np.empty(t.shape)
     with _write_atomic(path) as (f,):
         png = _PngWriter(f, path, t.shape)
-        png.write(t.data, held)
+        held = png.write(t.data)
         png.finish()
-    return ImageTensor(held)
+    return _adopt(held)
 
 
 def load_png(path: str | Path) -> ImageTensor:

@@ -344,6 +344,29 @@ class TestOutputRule:
         assert stdout == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["src"]
 
+    @pytest.mark.parametrize("output, png", [("a" * 245 + ".pdt1", "b" * 246 + ".png"),
+                                             ("\u00e9" * 122 + "a.pdt1", "\u00e9" * 123 + ".png")],
+                             ids=["ascii", "two-byte"])
+    def test_pd_writes_names_of_250_bytes(self, capsys, tmp_path, sources, output, png):
+        # Each temporary file's name is cut to fit 255 bytes, mid-character too.
+        assert {len(os.fsencode(name)) for name in (output, png)} == {250}
+        argv, (op, y) = _WRITERS["pd"](sources)
+        paths = [tmp_path / output, tmp_path / png]
+        code, stdout, stderr = run_cli(capsys, *argv, "--output", str(paths[0]), "--png", str(paths[1]))
+        assert (code, stderr) == (0, "")
+        assert json_lines(stdout) == [op.verify(y, load_tensor(p)).to_dict() for p in paths]
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("long", ["--output", "--png"])
+    def test_pd_refuses_a_name_over_255_bytes_before_any_write(self, capsys, tmp_path, sources, long):
+        argv, _ = _WRITERS["pd"](sources)
+        paths = {"--output": str(tmp_path / "o.pdt1"), "--png": str(tmp_path / "o.png")}
+        paths[long] = str(tmp_path / ("a" * 252 + ".png"))
+        code, stdout, stderr = run_cli(capsys, *argv, *(arg for pair in paths.items() for arg in pair))
+        message = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: {paths[long]!r}"
+        assert (code, stdout, stderr) == (3, "", f"error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["src"]
+
 
 @pytest.mark.usefixtures("refuse_threads")
 class TestOneThread:
@@ -945,7 +968,7 @@ class TestStripeLayer:
             ("restore", None, "cs_pinv"), ("cli", None, "_cmd_colorize"), ("cli", None, "_cmd_cs")}
         for module, cls in self._operator_classes() - {("linop", "LinearOperator"), ("linop", "DenseOperator")}:
             assert "pinv" not in self._members(module, cls), cls
-        assert self._callers("_lift_band") == {("linop", "_Lifted", "_made"), ("restore", "BlockSenseOp", "_lift_band")}
+        assert self._callers("_lift_band") == {("linop", "_Lifted", "_made")}
         assert self._callers("gathered") == {("tensor", None, "_gather")}
         assert not {"cs_stream_pinv", "_replicate", "_pinv_walk"} & set().union(*map(_names, self.trees.values()))
         assert "repeat" not in set().union(*map(_names, self.trees.values()))
@@ -972,6 +995,7 @@ class TestStripeLayer:
         assert "_combine_band" not in members("pooling", "PoolingOp")
         assert "_combine_band" not in members("restore", "BlockSenseOp")
         assert "_lift_band" not in members("pooling", "PoolingOp")
+        assert "_lift_band" not in members("restore", "BlockSenseOp")
         assert self._callers("_expand") == {("linop", "BlockOperator", "_combine_band"),
                                             ("linop", "BlockOperator", "_lift_band")}
         assert "_pinv_tiles" not in set().union(*map(_names, self.trees.values()))
@@ -1459,7 +1483,8 @@ class TestFiniteChecks:
     @pytest.mark.parametrize("output", ["o.pdt1", "o.png"])
     def test_colorize_pd_checks_each_color_sample_once(self, capsys, tmp_path, stream, monkeypatch, output):
         # The combined stripes, (k, 64) each, and never the prediction's; the
-        # gray input and the record's mean are (1, 64, 64).
+        # gray input's load is (1, 64, 64), and the record's mean is checked
+        # band by band by its measurer, not whole.
         gray, raw = tmp_path / "g.pdt1", tmp_path / "raw.pdt1"
         _pdt1(gray, stream.uniform((1, 64, 64)))
         _pdt1(raw, stream.uniform((3, 64, 64)))
@@ -1468,7 +1493,7 @@ class TestFiniteChecks:
                              "--output", str(tmp_path / output))
         assert code == 0
         assert sum(k * w for k, w in (shape for shape in checked if len(shape) == 2)) == 3 * 64 * 64
-        assert [shape for shape in checked if len(shape) != 2] == [(1, 64, 64)] * 2
+        assert [shape for shape in checked if len(shape) != 2] == [(1, 64, 64)]
 
 
 class TestSensingChecksThroughItsProduct:

@@ -17,15 +17,19 @@ from rangenull import (
     RawReader,
     compare,
     cs_build,
+    cs_pinv,
+    gray_to_color,
     lift,
     load_matrix,
     measure,
     mp_residuals,
     null_project,
     pinv_from_svd,
+    pool_up,
     quantize,
     range_project,
     save_matrix,
+    save_png,
     save_tensor,
     svd,
     write_raw,
@@ -633,7 +637,7 @@ def _finite_checks(monkeypatch):
         real(arr)
 
     for module in (tensor, linop, restore):
-        monkeypatch.setattr(module, "_check_finite", record)
+        monkeypatch.setattr(module, "_check_finite", record, raising=False)
     return checked
 
 
@@ -680,12 +684,54 @@ class TestOneCheckPerComputedArray:
     @pytest.mark.parametrize("name", ["pooling-2", "pooling-8", "cs", "color"])
     def test_forward_checks_its_measurement_at_most_once(self, monkeypatch, stream, name):
         # Pooling and block sensing check through their measurements, stripe
-        # by stripe; the channel mean checks its whole mean once its walk
-        # has ended, as the record of ``colorize --mode pd`` is checked.
+        # by stripe, and the channel mean each band of its mean as it is
+        # finished: no operator checks its whole measurement.
         op, shape, _ = self._case(name, stream, monkeypatch)
         x = ImageTensor(stream.uniform(shape))
         checked = _finite_checks(monkeypatch)
         m = op.forward(x).data
-        whole = [arr for arr in checked if arr.size >= m.size]
-        assert len(whole) == (name == "color")
-        assert all(arr is m for arr in whole)
+        assert [arr for arr in checked if arr.size >= m.size] == []
+
+
+class TestCheckedWhereMade:
+    """Every array is checked finite once, by the walk that makes it, or not
+    at all where it is finite by making: ``cs_pinv`` checks each channel
+    of ``A+ y`` as it is made, the channel mean each band of its mean as it
+    is finished, and the helpers that replicate, scale by 1/3 or clamp a
+    finite image check nothing."""
+
+    def test_cs_pinv_checks_each_channel_once(self, monkeypatch, stream):
+        op = cs_build(8, 0.25, seed=1)
+        m = op.forward(ImageTensor(stream.uniform((3, 64, 48))))
+        checked = _finite_checks(monkeypatch)
+        out = cs_pinv(op, m).data
+        assert [arr.shape for arr in checked] == [(8, 8, 48)] * 3
+        assert all(np.shares_memory(arr, plane) for arr, plane in zip(checked, out))
+
+    @pytest.mark.parametrize("call", ["pool_up", "gray_to_color", "gray_to_color-adjoint", "quantize", "save_png",
+                                      "save_tensor"])
+    def test_helpers_check_nothing(self, monkeypatch, stream, tmp_path, call):
+        g = ImageTensor(stream.uniform((1, 8, 12)))
+        x = ImageTensor(stream.uniform((3, 8, 12)) * 1.4 - 0.2)
+        calls = {
+            "pool_up": lambda: pool_up(g, 2),
+            "gray_to_color": lambda: gray_to_color(g),
+            "gray_to_color-adjoint": lambda: gray_to_color(g, adjoint=True),
+            "quantize": lambda: quantize(x),
+            "save_png": lambda: save_png(x, tmp_path / "o.png"),
+            "save_tensor": lambda: save_tensor(x, tmp_path / "o.png"),
+        }
+        checked = _finite_checks(monkeypatch)
+        t = calls[call]()
+        assert checked == []
+        assert not t.data.flags.writeable
+
+    def test_channel_mean_forward_and_verify_check_nothing(self, monkeypatch, stream):
+        monkeypatch.setattr(tensor, "_STRIPE_BYTES", 8 * 56 * 8)  # five bands of 8 rows
+        op = ColorMeanOp(40, 56)
+        x = ImageTensor(stream.uniform((3, 40, 56)))
+        y = op.forward(x)
+        checked = _finite_checks(monkeypatch)
+        assert op.forward(x) == y
+        assert op.verify(y, x).max_abs == 0.0
+        assert checked == []
