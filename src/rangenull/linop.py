@@ -58,10 +58,10 @@ class LinearOperator(abc.ABC):
 
     ``in_shape``/``out_shape`` are (channels, height, width) tuples, or
     None for operators that accept any compatible geometry.  ``forward``
-    is ``measure`` and ``pinv`` is ``lift``, on the kernels ``_measurer``
-    and ``_lift_source``, which gather the stripes and call ``forward``,
-    and take ``pinv``'s array: a subclass overrides ``forward`` and
-    ``pinv`` (``DenseOperator``) or the kernels, or is not instantiated.
+    is ``measure`` and ``pinv`` is ``lift``, both wrapped unchecked, on the
+    kernels ``_measurer`` and ``_lift_source``, which gather the stripes and
+    call ``forward``, and take ``pinv``'s array: a subclass overrides
+    ``forward`` and ``pinv`` (``DenseOperator``) or the kernels, or is not instantiated.
     """
 
     in_shape: tuple[int, int, int] | None = None
@@ -80,8 +80,8 @@ class LinearOperator(abc.ABC):
         return _adopt(measure(self, x))
 
     def pinv(self, y: ImageTensor) -> ImageTensor:
-        """Apply the pseudo-inverse, checked whole: no walk checks what a subclass's ``_lift_source`` makes."""
-        return ImageTensor(lift(self, y))
+        """Apply the pseudo-inverse: ``lift``'s array, finite by ``_lift_source``'s contract."""
+        return _adopt(lift(self, y))
 
     def combine(self, y: ImageTensor, x_raw: ImageTensor) -> ImageTensor:
         """Consistent combine: ``pinv(y) + (x_raw - pinv(forward(x_raw)))``,
@@ -125,7 +125,9 @@ class LinearOperator(abc.ABC):
 
     def _lift_source(self, m: np.ndarray):
         """The source of ``A+ m`` for the measurement ``m``, made after its
-        checks: ``pinv``'s array, checked there (no walk checks it)."""
+        checks, here ``pinv``'s array: finite samples in ``m``'s dtype for a
+        finite ``m``, unless a ``BlockOperator`` sets ``_lift_may_overflow``,
+        and then ``_Lifted._made`` checks each stripe it makes."""
         return self.pinv(ImageTensor(m)).data
 
     def _raw_shape(self, y: ImageTensor) -> tuple[int, int, int] | None:
@@ -165,9 +167,9 @@ class BlockOperator(LinearOperator):
     Both may use the ``scratch`` that ``_scratch`` makes once per walk.
     From them this class derives, in the input's dtype, the measurer
     (``_Banded``), the combine ``(rows - A+ A rows) + A+ y`` of each stripe
-    in place (``_combine_band``) and ``A+ y`` (``_lift_band``,
-    ``_Lifted``).  A stripe holds about twice ``tensor._STRIPE_BYTES``
-    (``tensor._pooling_rows``), or a whole channel with ``whole_channels``.
+    in place (``_combine_band``) and ``A+ y`` (``_Lifted``).  A stripe holds
+    about twice ``tensor._STRIPE_BYTES`` (``tensor._pooling_rows``), or a
+    whole channel with ``whole_channels``.
 
     The measurements are NaN or infinite wherever a sample of their block
     is, by elementwise arithmetic for pooling, and for block sensing because
@@ -196,10 +198,6 @@ class BlockOperator(LinearOperator):
         tiles = out.reshape(len(out), self.block, -1, self.block)
         np.subtract(rows.reshape(tiles.shape), self._expand(self._forward_band(rows, scratch), scratch), out=tiles)
         tiles += self._expand(y, scratch)
-
-    def _lift_band(self, y: np.ndarray, out: np.ndarray, scratch) -> None:
-        """Write ``A+ y`` of the measurements ``y`` into ``out``."""
-        np.copyto(out.reshape(len(out), self.block, -1, self.block), self._expand(y, scratch))
 
     def _scratch(self, rows: int, width: int, dtype: np.dtype, forward: bool = True):
         """Scratch for the kernels on stripes of at most ``rows`` block rows
@@ -275,14 +273,14 @@ class _Lifted:
         return out
 
     def _made(self, target, step: int):
-        """Make ``A+ y`` by ``op._lift_band`` in each stripe of ``step`` block
-        rows (a whole channel with ``whole_channels``) of ``target``, with
-        the scratch of ``_expand`` alone, checked if ``A+`` can overflow."""
+        """Copy ``op._expand`` of ``y`` down each block of each stripe of
+        ``step`` block rows (a whole channel with ``whole_channels``) of
+        ``target``, with ``_expand``'s scratch alone, checked if ``A+`` can overflow."""
         op, (_, height, width) = self._op, self.shape
         step = height // op.block if op.whole_channels else step
         scratch = op._scratch(min(step, height // op.block), width, self.dtype, forward=False)
         for out, ch, band in _stripes(target, op.block, step):
-            op._lift_band(op._band(self._y, ch, band), out, scratch)
+            np.copyto(out.reshape(len(out), op.block, -1, op.block), op._expand(op._band(self._y, ch, band), scratch))
             if op._lift_may_overflow:
                 _check_finite(out)
             yield out
@@ -426,11 +424,12 @@ def _combine_checks(op: LinearOperator, y: np.ndarray, x_raw):
     """The combine's checks, in its order, of the measurement ``y`` and
     anything with the ``shape`` of a raw prediction ``x_raw``: ``y``'s, by
     ``op._lift_source``, whose ``A+ y`` it returns, then, where ``x_raw``
-    does not fit, ``A+ y``'s read-through if it can overflow, and the fit."""
+    does not fit, ``A+ y``'s as it is made, if it can overflow, and the fit."""
     lifted = op._lift_source(y)
     if x_raw.shape != lifted.shape:
         if op._lift_may_overflow:
-            _read_through(lifted)
+            for _ in _stripes(lifted, 1):
+                pass
         raise ValueError(f"raw prediction shape {x_raw.shape} does not match operator input {lifted.shape}")
     return lifted
 

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .tensor import ImageTensor
+from .tensor import ImageTensor, _adopt
 
 PSNR_CAP = 300.0
 
@@ -101,4 +101,4 @@ def error_map(gt: ImageTensor, sr: ImageTensor, gain: float = 5.0) -> ImageTenso
     red = np.clip(3.0 * magnitude, 0.0, 1.0)
     green = np.clip(3.0 * magnitude - 1.0, 0.0, 1.0)
     blue = np.clip(3.0 * magnitude - 2.0, 0.0, 1.0)
-    return ImageTensor(np.stack([red, green, blue]))
+    return _adopt(np.stack([red, green, blue]))  # clipped: finite even where a difference overflows

@@ -8,9 +8,9 @@ constant).  ``PoolingOp`` is a ``linop.BlockOperator`` with one
 measurement per block: it gives two band kernels, which take the block
 means (``_forward_band``) and widen them into one row of their blocks
 (``_expand``), which broadcasts down the block, and inherits the rest:
-the measurer, the ``A+`` source (the ``A+ y`` of ``pool_up`` and of
-``resample.open_prediction``'s ``nearest`` prediction), the combine of
-``linop.reconstruct``'s one walk, ``forward``, ``pinv`` and ``verify``.
+the measurer, the ``A+`` source (``resample``'s ``nearest`` prediction
+too), the combine of ``linop.reconstruct``'s one walk, ``forward``,
+``pinv`` (which ``pool_up`` calls), ``combine`` and ``verify``.
 At scale 1 both kernels are copies that keep signed zeros, and the
 combine is ``(x_raw - x_raw) + y``, the generic combine's bits, so the
 identity ``A = I`` runs on these walks as ``IdentityOperator``.
@@ -41,9 +41,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linop import BlockOperator, lift, null_project
+from .linop import BlockOperator, null_project
 from .metrics import ConsistencyReport
-from .tensor import ImageTensor, _adopt, _read_through
+from .tensor import ImageTensor, _read_through
 
 
 def _require_divisible(h: int, w: int, s: int) -> None:
@@ -94,7 +94,7 @@ def pool_down(x: ImageTensor, s: int) -> ImageTensor:
 
 def pool_up(y: ImageTensor, s: int) -> ImageTensor:
     """Replicate each pixel into an s x s block; pool_down undoes it exactly."""
-    return _adopt(lift(PoolingOp.for_measurement(y, s), y))
+    return PoolingOp.for_measurement(y, s).pinv(y)
 
 
 def extract_highfreq(x_raw: ImageTensor, s: int) -> ImageTensor:

@@ -3,8 +3,8 @@ color image) and block compressed sensing with orthonormal sampling rows.
 
 Each gives ``linop``'s two kernels and inherits the rest: ``forward``
 (which ``color_to_gray`` and ``cs_measure`` call) is ``linop.measure``,
-``pinv`` (``gray_to_color``, ``cs_pinv``) is ``linop.lift``, and
-``combine`` is the one walk of ``linop.reconstruct``.  ``BlockSenseOp``
+``pinv`` (which ``gray_to_color`` and ``cs_pinv`` call) is ``linop.lift``,
+and ``combine`` is the one walk of ``linop.reconstruct``.  ``BlockSenseOp``
 is a ``linop.BlockOperator`` whose two band kernels measure
 (``_forward_band``) and back-project (``_expand``) a whole channel with
 one BLAS product and one reordering copy each; its ``A+`` can overflow,
@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linop import BlockOperator, LinearOperator, lift, svd
+from .linop import BlockOperator, LinearOperator, svd
 from .rng import Stream
 from .tensor import ImageTensor, _adopt, _read_payload, _write_atomic
 
@@ -94,10 +94,7 @@ def gray_to_color(g: ImageTensor, adjoint: bool = False) -> ImageTensor:
     forward map); that variant is provided only for comparison and is not
     a pseudo-inverse, so it does not preserve the round trip.
     """
-    data = lift(ColorMeanOp.for_measurement(g), g)
-    if adjoint:
-        data /= 3.0
-    return _adopt(data)
+    return ColorMeanOp.for_measurement(g).pinv(_adopt(g.data / 3.0) if adjoint else g)
 
 
 class ColorMeanOp(LinearOperator):
@@ -254,12 +251,12 @@ def cs_measure(op: BlockSenseOp, x: ImageTensor) -> ImageTensor:
 
 def cs_pinv(op: BlockSenseOp, m: ImageTensor) -> ImageTensor:
     """Back-project measurements through the transposed rows into a fresh
-    ``(c, h, w)`` array: ``linop.lift``, one BLAS product per channel
+    ``(c, h, w)`` array: ``op.pinv``, one BLAS product per channel
     (``BlockSenseOp._expand``), checked as it is made, whose rows are
     blocks, as in ``cs_measure``; that gave the same bytes at 1 and 2
     OpenBLAS threads at every block size tried, 1 to 32.
     """
-    return _adopt(lift(op, m))
+    return op.pinv(m)
 
 
 def _require_blocks(h: int, w: int, b: int) -> None:

@@ -314,10 +314,10 @@ def load_png(path: str | Path) -> ImageTensor:
 
 
 def _planar(samples: np.ndarray, peak: float) -> ImageTensor:
-    # Interleaved (height, width, channels) integer samples to planar [0, 1].
+    # Interleaved (height, width, channels) integer samples to planar [0, 1], finite by making.
     height, width, channels = samples.shape
     planar = np.empty((channels, height, width))
-    return ImageTensor(np.divide(samples.transpose(2, 0, 1), peak, out=planar))
+    return _adopt(np.divide(samples.transpose(2, 0, 1), peak, out=planar))
 
 
 def write_raw(t: ImageTensor, path: str | Path) -> None:

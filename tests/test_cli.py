@@ -883,9 +883,10 @@ class TestStripeLayer:
         # Every forward of an array or a stripe source feeds the operator's
         # measurer through ``_measured``, from ``measure`` and from the first
         # walk of ``reconstruct`` and ``combine``; the read-through is
-        # reached besides only from ``reconstruct``, the combine's checks and
-        # ``verify_consistency``, which reads its source through before it
-        # refuses a scale below 1.  No walk of another shape is left.
+        # reached besides only from ``reconstruct`` and ``verify_consistency``,
+        # which reads its source through before it refuses a scale below 1
+        # (the combine's checks drain ``A+ y``, which checks itself).  No
+        # walk of another shape is left.
         assert self._callers("_measured") == {("linop", None, "measure"), ("linop", None, "_raw_measured")}
         assert self._callers("_raw_measured") == {("linop", None, "reconstruct"), ("linop", None, "_combined")}
         assert self._callers("_measurer") == {("linop", None, "_measured"), ("linop", None, "_reconstruct")}
@@ -893,7 +894,6 @@ class TestStripeLayer:
             ("linop", None, "measure"),
             ("linop", None, "reconstruct"),
             ("linop", None, "_raw_measured"),
-            ("linop", None, "_combine_checks"),
             ("pooling", None, "verify_consistency"),
         }
         assert {caller for caller in self._callers("_check_input") if caller[2] != "_check_input"} <= {
@@ -955,20 +955,21 @@ class TestStripeLayer:
         assert "load_tensor" not in _names(self.trees["resample"])
 
     def test_one_pseudo_inverse(self):
-        # ``lift`` alone walks a pseudo-inverse source: ``pinv``, ``pool_up``,
-        # ``gray_to_color``, ``cs_pinv`` and the CLI call it, no operator
-        # class but ``DenseOperator`` defines ``pinv`` and none replicates by
-        # itself, and ``nearest`` is pooling's source.  The one walk takes
-        # the sources of ``A+ y`` and ``A+ (A x_raw)`` from the same kernel.
+        # ``lift`` alone walks a pseudo-inverse source: ``pinv`` and the CLI
+        # call it, ``pool_up``, ``gray_to_color`` and ``cs_pinv`` call
+        # ``pinv``, no operator class but ``DenseOperator`` defines ``pinv``
+        # and none replicates by itself, and ``nearest`` is pooling's source.
+        # The one walk takes the sources of ``A+ y`` and ``A+ (A x_raw)``
+        # from the same kernel, and ``_Lifted._made`` makes ``A+ y`` itself.
         assert self._callers("_lift_source") == {
             ("linop", None, "lift"), ("linop", None, "_combine_checks"), ("linop", None, "_reconstruct"),
             ("resample", None, "open_prediction")}
         assert self._callers("lift") == {
-            ("linop", "LinearOperator", "pinv"), ("pooling", None, "pool_up"), ("restore", None, "gray_to_color"),
-            ("restore", None, "cs_pinv"), ("cli", None, "_cmd_colorize"), ("cli", None, "_cmd_cs")}
+            ("linop", "LinearOperator", "pinv"), ("cli", None, "_cmd_colorize"), ("cli", None, "_cmd_cs")}
+        assert not {"lift"} & (_names(self.trees["pooling"]) | _names(self.trees["restore"]))
         for module, cls in self._operator_classes() - {("linop", "LinearOperator"), ("linop", "DenseOperator")}:
             assert "pinv" not in self._members(module, cls), cls
-        assert self._callers("_lift_band") == {("linop", "_Lifted", "_made")}
+        assert "_lift_band" not in set().union(*map(_names, self.trees.values()))
         assert self._callers("gathered") == {("tensor", None, "_gather")}
         assert not {"cs_stream_pinv", "_replicate", "_pinv_walk"} & set().union(*map(_names, self.trees.values()))
         assert "repeat" not in set().union(*map(_names, self.trees.values()))
@@ -986,18 +987,15 @@ class TestStripeLayer:
 
     def test_one_combine_formula(self):
         # A block operator gives its forward band and ``A+`` (``_expand``)
-        # only; ``BlockOperator`` derives the band combine and ``A+ y`` from
-        # them, once for every block operator.
+        # only; ``BlockOperator`` derives the band combine and ``_Lifted``
+        # ``A+ y`` from them, once for every block operator.
         def members(module, cls):
             (body,) = [node.body for node in self.trees[module].body if getattr(node, "name", None) == cls]
             return {getattr(node, "name", None) for node in body}
 
         assert "_combine_band" not in members("pooling", "PoolingOp")
         assert "_combine_band" not in members("restore", "BlockSenseOp")
-        assert "_lift_band" not in members("pooling", "PoolingOp")
-        assert "_lift_band" not in members("restore", "BlockSenseOp")
-        assert self._callers("_expand") == {("linop", "BlockOperator", "_combine_band"),
-                                            ("linop", "BlockOperator", "_lift_band")}
+        assert self._callers("_expand") == {("linop", "BlockOperator", "_combine_band"), ("linop", "_Lifted", "_made")}
         assert "_pinv_tiles" not in set().union(*map(_names, self.trees.values()))
 
     def test_block_walks_without_special_cases(self):

@@ -18,9 +18,12 @@ from rangenull import (
     compare,
     cs_build,
     cs_pinv,
+    error_map,
     gray_to_color,
     lift,
     load_matrix,
+    load_png,
+    load_tensor,
     measure,
     mp_residuals,
     null_project,
@@ -606,12 +609,13 @@ class TestKernelsOrOverrides:
 
 
 class TestMisfitPredictionRefusal:
-    """A raw prediction that does not fit is refused after ``A+ y`` is read
-    through only where ``A+`` of a finite measurement can overflow: block
-    sensing's, not pooling's, the channel mean's or a dense matrix's."""
+    """A raw prediction that does not fit is refused after ``A+ y`` is made,
+    and so checked once, only where ``A+`` of a finite measurement can
+    overflow: block sensing's, not pooling's, the channel mean's or a dense
+    matrix's."""
 
     @pytest.mark.parametrize("operator", ["pooling", "color", "dense", "cs"])
-    def test_reads_a_plus_y_through_only_where_it_can_overflow(self, monkeypatch, operator):
+    def test_checks_a_plus_y_once_only_where_it_can_overflow(self, monkeypatch, operator):
         if operator == "pooling":
             op = PoolingOp(2, 3, 4, 4)
         elif operator == "color":
@@ -621,11 +625,16 @@ class TestMisfitPredictionRefusal:
         else:
             op = cs_build(2, 0.5, seed=1)
         y = ImageTensor(np.ones((op.q * 3, 2, 2)) if operator == "cs" else np.ones(op.out_shape))
-        read = []
-        monkeypatch.setattr(linop, "_read_through", read.append)
-        with pytest.raises(ValueError, match="^raw prediction shape"):
-            op.combine(y, ImageTensor(np.zeros((3, 4, 6))))
-        assert len(read) == (operator == "cs")
+        x_raw = ImageTensor(np.zeros((3, 4, 6)))
+        # Block sensing checks each whole channel of A+ y, 3 x 4 x 4, as it is
+        # made.  A dense matrix's own ``pinv`` is its ``A+`` source: the
+        # base ``_lift_source`` wraps the measurement in an ``ImageTensor``,
+        # and ``DenseOperator.pinv`` the array it returns.
+        expected = {"cs": [(2, 2, 4)] * 3, "dense": [op.out_shape, op.in_shape]}.get(operator, [])
+        checked = _finite_checks(monkeypatch)
+        with pytest.raises(ValueError, match=r"^raw prediction shape \(3, 4, 6\) does not match operator input"):
+            op.combine(y, x_raw)
+        assert [arr.shape for arr in checked] == expected
 
 
 def _finite_checks(monkeypatch):
@@ -697,8 +706,8 @@ class TestCheckedWhereMade:
     """Every array is checked finite once, by the walk that makes it, or not
     at all where it is finite by making: ``cs_pinv`` checks each channel
     of ``A+ y`` as it is made, the channel mean each band of its mean as it
-    is finished, and the helpers that replicate, scale by 1/3 or clamp a
-    finite image check nothing."""
+    is finished, and the helpers that replicate, scale by 1/3, clamp or
+    decode a finite image check nothing."""
 
     def test_cs_pinv_checks_each_channel_once(self, monkeypatch, stream):
         op = cs_build(8, 0.25, seed=1)
@@ -708,11 +717,34 @@ class TestCheckedWhereMade:
         assert [arr.shape for arr in checked] == [(8, 8, 48)] * 3
         assert all(np.shares_memory(arr, plane) for arr, plane in zip(checked, out))
 
+    def test_block_sense_pinv_checks_each_channel_once(self, monkeypatch, stream):
+        op = cs_build(4, 0.5, seed=2)
+        m = op.forward(ImageTensor(stream.uniform((2, 32, 40))))
+        checked = _finite_checks(monkeypatch)
+        out = op.pinv(m).data
+        assert [arr.shape for arr in checked] == [(8, 4, 40)] * 2
+        assert all(np.shares_memory(arr, plane) for arr, plane in zip(checked, out))
+
+    @pytest.mark.parametrize("name", ["pooling", "identity", "color"])
+    def test_pinv_of_a_finite_source_checks_nothing(self, monkeypatch, stream, name):
+        # Pooling's and the identity's ``A+`` copy the measurement and the
+        # channel mean's replicates it: finite by making.
+        op = {"pooling": PoolingOp(4, 3, 32, 48), "identity": IdentityOperator((3, 8, 12)),
+              "color": ColorMeanOp(8, 12)}[name]
+        y = ImageTensor(stream.uniform(op.out_shape))
+        checked = _finite_checks(monkeypatch)
+        t = op.pinv(y)
+        assert checked == []
+        assert t.shape == op.in_shape and not t.data.flags.writeable
+
     @pytest.mark.parametrize("call", ["pool_up", "gray_to_color", "gray_to_color-adjoint", "quantize", "save_png",
-                                      "save_tensor"])
+                                      "save_tensor", "load_png", "load_tensor-png", "error_map"])
     def test_helpers_check_nothing(self, monkeypatch, stream, tmp_path, call):
         g = ImageTensor(stream.uniform((1, 8, 12)))
         x = ImageTensor(stream.uniform((3, 8, 12)) * 1.4 - 0.2)
+        save_png(x, tmp_path / "i.png")
+        top = ImageTensor(np.full((3, 8, 12), 1.7e308))
+        bottom = ImageTensor(-top.data)
         calls = {
             "pool_up": lambda: pool_up(g, 2),
             "gray_to_color": lambda: gray_to_color(g),
@@ -720,6 +752,9 @@ class TestCheckedWhereMade:
             "quantize": lambda: quantize(x),
             "save_png": lambda: save_png(x, tmp_path / "o.png"),
             "save_tensor": lambda: save_tensor(x, tmp_path / "o.png"),
+            "load_png": lambda: load_png(tmp_path / "i.png"),
+            "load_tensor-png": lambda: load_tensor(tmp_path / "i.png"),
+            "error_map": lambda: error_map(top, bottom),  # the difference overflows, the ramp clips it to 1
         }
         checked = _finite_checks(monkeypatch)
         t = calls[call]()

@@ -73,6 +73,27 @@ class TestColor:
         with pytest.raises(ValueError):
             gray_to_color(ImageTensor(np.zeros((3, 2, 2))))
 
+    @given(
+        st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+            lambda shape: arrays(
+                np.float64,
+                (1, *shape),
+                elements=st.one_of(
+                    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e308, -1.7976931348623157e308]),
+                    st.floats(allow_nan=False, allow_infinity=False, width=64),
+                ),
+            )
+        )
+    )
+    def test_replication_matches_the_broadcast_oracle(self, g):
+        # ``adjoint=True`` divides the gray plane by 3 before replicating it:
+        # the bytes of the replicated image divided by 3, signed zeros and
+        # subnormals included.
+        _, h, w = g.shape
+        t = ImageTensor(g.copy())
+        assert gray_to_color(t).data.tobytes() == np.broadcast_to(g, (3, h, w)).tobytes()
+        assert gray_to_color(t, adjoint=True).data.tobytes() == (np.broadcast_to(g, (3, h, w)) / 3.0).tobytes()
+
     def test_adjoint_variant_is_not_a_pseudo_inverse(self):
         # Forward-adjoint-forward shrinks by 1/3 instead of reproducing the map.
         ones = ImageTensor(np.ones((3, 2, 2)))
