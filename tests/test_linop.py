@@ -738,7 +738,9 @@ class TestCheckedWhereMade:
         assert t.shape == op.in_shape and not t.data.flags.writeable
 
     @pytest.mark.parametrize("call", ["pool_up", "gray_to_color", "gray_to_color-adjoint", "quantize", "save_png",
-                                      "save_tensor", "load_png", "load_tensor-png", "error_map"])
+                                      "save_tensor", "load_png", "load_tensor-png",
+                                      pytest.param("error_map", marks=pytest.mark.filterwarnings(
+                                          "ignore:overflow encountered in subtract:RuntimeWarning"))])
     def test_helpers_check_nothing(self, monkeypatch, stream, tmp_path, call):
         g = ImageTensor(stream.uniform((1, 8, 12)))
         x = ImageTensor(stream.uniform((3, 8, 12)) * 1.4 - 0.2)
