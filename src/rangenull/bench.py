@@ -2,8 +2,9 @@
 
 ``run_bench`` times one pooling operation on seeded random tensors;
 ``run_table1`` runs the paper's random-image consistency protocol in
-double and single precision.  Both take every input, the seed included,
-as an argument.
+double and single precision, its combine ``reconstruct`` with no paths,
+which takes arrays in either.  Both take every input, the seed included,
+as an argument, and reach the library through public names only.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .linop import _combined, measure
+from .linop import measure, reconstruct
 from .metrics import compare
 from .pooling import PoolingOp
 from .rng import Stream, derive
-from .tensor import ImageTensor, _adopt
+from .tensor import ImageTensor
 
 BENCH_OPS = ("pd", "pool_down", "pool_up")
 
@@ -81,12 +82,12 @@ def _table1_case(op: PoolingOp, seed: int, index: int) -> dict:
     raw = stream.uniform(op.in_shape)
     lr = measure(op, gt)
     start = time.perf_counter()
-    combined = _combined(op, lr, raw)
+    combined = reconstruct(op, lr, raw)
     elapsed_ms = (time.perf_counter() - start) * 1e3
-    report = op.verify(_adopt(lr), combined)
+    report = op.verify(ImageTensor(lr), combined)
     # Single-precision rerun of the same combine, compared in double.
     lr32 = lr.astype(np.float32)
-    combined32 = _combined(op, lr32, raw.astype(np.float32))
+    combined32 = reconstruct(op, lr32, raw.astype(np.float32))
     down32 = measure(op, combined32).astype(np.float64)
     report32 = compare(ImageTensor(lr32.astype(np.float64)), ImageTensor(down32))
     return {

@@ -10,14 +10,16 @@ planar order and the source of ``A+`` of a measurement, and three
 protocols run them one stripe at a time, into files through
 ``tensor._open_writers`` or into a fresh array: ``measure`` (the
 forward), ``lift`` (``A+ y``) and ``reconstruct``, the consistent combine
-(keep ``A+ y``, take the null part of a raw prediction), whose one walk
-also makes ``combine``.  ``BlockOperator`` (pooling, the identity,
-block sensing) derives both kernels from two band kernels on one stripe
-of whole block rows and measures each stripe of the combine in place;
-the combine of any other operator (channel mean, ``DenseOperator``)
-measures the whole raw prediction first.  ``DenseOperator`` materializes
-an arbitrary matrix and derives its pseudo-inverse from its SVD, taken
-from LAPACK through ``numpy.linalg.svd``.
+(keep ``A+ y``, take the null part of a raw prediction).  ``forward``,
+``pinv`` and ``combine`` wrap their arrays.  An ``ImageTensor`` is finite
+by construction, so no protocol reads one through.  ``BlockOperator``
+(pooling, the identity, block sensing) derives both kernels from two
+band kernels on one stripe of whole block rows and measures each stripe
+of the combine in place; the combine of any other operator (channel
+mean, ``DenseOperator``) measures the whole raw prediction first.
+``DenseOperator`` materializes an arbitrary matrix and derives its
+pseudo-inverse from its SVD, taken from LAPACK through
+``numpy.linalg.svd``.
 
 Each array is checked finite once, by the walk that makes it: see
 ``_Banded``, ``restore._ChannelMean``, ``_reconstruct`` and ``_Lifted``.
@@ -58,10 +60,11 @@ class LinearOperator(abc.ABC):
 
     ``in_shape``/``out_shape`` are (channels, height, width) tuples, or
     None for operators that accept any compatible geometry.  ``forward``
-    is ``measure`` and ``pinv`` is ``lift``, both wrapped unchecked, on the
-    kernels ``_measurer`` and ``_lift_source``, which gather the stripes and
-    call ``forward``, and take ``pinv``'s array: a subclass overrides
-    ``forward`` and ``pinv`` (``DenseOperator``) or the kernels, or is not instantiated.
+    is ``measure``, ``pinv`` is ``lift`` and ``combine`` is ``reconstruct``,
+    each wrapped unchecked, on the kernels ``_measurer`` and
+    ``_lift_source``, which gather the stripes and call ``forward``, and
+    take ``pinv``'s array: a subclass overrides ``forward`` and ``pinv``
+    (``DenseOperator``) or the kernels, or is not instantiated.
     """
 
     in_shape: tuple[int, int, int] | None = None
@@ -86,12 +89,13 @@ class LinearOperator(abc.ABC):
     def combine(self, y: ImageTensor, x_raw: ImageTensor) -> ImageTensor:
         """Consistent combine: ``pinv(y) + (x_raw - pinv(forward(x_raw)))``,
         ``pinv(y)`` added in place into the difference (addition commutes
-        exactly, so that is the sum's bits).  Pushing the result back through
-        ``forward`` reproduces ``y`` up to float rounding whenever
-        ``forward(pinv(.))`` is the identity.  ``y`` is checked first, then
-        an overflowing ``pinv(y)`` where ``x_raw`` does not fit.
+        exactly, so that is the sum's bits), which is ``reconstruct``'s
+        array with no paths.  Pushing the result back through ``forward``
+        reproduces ``y`` up to float rounding whenever ``forward(pinv(.))``
+        is the identity.  ``y`` is checked first, then an overflowing
+        ``pinv(y)`` where ``x_raw`` does not fit, then ``forward(x_raw)``.
         """
-        return _adopt(_combined(self, y.data, x_raw.data))
+        return _adopt(reconstruct(self, y, x_raw))
 
     def verify(self, y: ImageTensor, x_hat, quantized: bool = False) -> ConsistencyReport:
         """Compare ``y`` against the forward of ``x_hat``, an ``ImageTensor``,
@@ -103,7 +107,7 @@ class LinearOperator(abc.ABC):
         image-format conversion; the library reports that loss but never
         alters the reconstruction to hide it.
         """
-        return _compare_fresh(y, measure(self, quantize(x_hat) if quantized else x_hat))
+        return _compare_fresh(y.data, measure(self, quantize(x_hat) if quantized else x_hat))
 
     def _check_input(self, x) -> None:
         """Raise the operator's own ``ValueError`` unless it measures an input
@@ -130,7 +134,7 @@ class LinearOperator(abc.ABC):
         and then ``_Lifted._made`` checks each stripe it makes."""
         return self.pinv(ImageTensor(m)).data
 
-    def _raw_shape(self, y: ImageTensor) -> tuple[int, int, int] | None:
+    def _raw_shape(self, y: np.ndarray) -> tuple[int, int, int] | None:
         """The shape of a raw prediction that fits ``y``; ``reconstruct``
         reads any other through first, so that its own faults come first."""
         return self.in_shape
@@ -376,83 +380,72 @@ def null_project(op: LinearOperator, x: ImageTensor) -> ImageTensor:
     return ImageTensor(x.data - range_project(op, x).data)
 
 
-def reconstruct(op: LinearOperator, y: ImageTensor, x_raw, *paths) -> list[ConsistencyReport]:
+def reconstruct(op: LinearOperator, y, x_raw, *paths) -> list[ConsistencyReport] | np.ndarray:
     """Write ``op.combine(y, x_raw)`` to each of ``paths``, in order, and
-    return ``op.verify`` of what each file holds, taking the raw prediction
-    one stripe at a time from the array or stripe source ``x_raw``.
+    return ``op.verify`` of what each file holds, or, with no paths, return
+    the combine as a fresh array in ``x_raw``'s dtype; ``combine`` is that
+    array.  ``y`` is an ``ImageTensor`` or a finite array, and the raw
+    prediction, taken one stripe at a time, an ``ImageTensor``, an array or
+    a stripe source.
 
     A path's name picks its format (``tensor._open_writers``); a PNG
     quantizes each stripe in place, and every later file receives that.  A
     source that fits ``y`` (``op._raw_shape``) is measured first where the
     combine needs all of ``A x_raw`` (``_raw_measured``); any other is read
     through first, so that its own faults come first, and measured only
-    once it has passed the checks: every destination's, then the
-    combine's (``_combine_checks``).  ``_reconstruct`` then combines,
+    once it has passed the checks: every destination's, then ``y``'s (by
+    ``op._lift_source``, which makes ``A+ y``), then, where ``x_raw`` does
+    not fit, ``A+ y``'s as it is made, if it can overflow, and the fit.  An
+    ``ImageTensor`` is finite by construction, so it is never read through
+    and always measured after the checks.  ``_reconstruct`` then combines,
     writes and measures; the files are renamed into place one by one after
     the last stripe, so an error before leaves every old file as it was.
     """
-    if not paths:
-        raise ValueError("reconstruct needs at least one output path")
-    fits = x_raw.shape == op._raw_shape(y)
-    if not fits:
+    known = isinstance(x_raw, ImageTensor)
+    x_raw = x_raw.data if known else x_raw
+    y = y.data if isinstance(y, ImageTensor) else y
+    first = not known and x_raw.shape == op._raw_shape(y)
+    if not (first or known):
         _read_through(x_raw)
-    raw = _raw_measured(op, x_raw) if fits else None
+    raw = _raw_measured(op, x_raw, known) if first else None
     for path in paths:
         check_destination(path)
-    lifted = _combine_checks(op, y.data, x_raw)
-    if not fits:
-        raw = _raw_measured(op, x_raw)
-    # A non-finite sample is carried into the combine to be checked there,
-    # where inf - inf would warn besides.
-    with _open_writers(x_raw.shape, *paths) as writers, np.errstate(invalid="ignore"):
-        forwards = _reconstruct(op, y.data, lifted, x_raw, raw, writers)
-    return [_compare_fresh(y, forward) for forward in forwards]
-
-
-def _combined(op: LinearOperator, y: np.ndarray, x_raw: np.ndarray) -> np.ndarray:
-    """The combine of the arrays ``y`` and ``x_raw``, in ``x_raw``'s dtype,
-    checked: ``_reconstruct`` with no writers into a fresh array, made once
-    the first walk has let go of what it held."""
-    lifted = _combine_checks(op, y, x_raw)
-    raw = _raw_measured(op, x_raw)
-    out = np.empty_like(x_raw)
-    _reconstruct(op, y, lifted, x_raw, raw, [], out)
-    return out
-
-
-def _combine_checks(op: LinearOperator, y: np.ndarray, x_raw):
-    """The combine's checks, in its order, of the measurement ``y`` and
-    anything with the ``shape`` of a raw prediction ``x_raw``: ``y``'s, by
-    ``op._lift_source``, whose ``A+ y`` it returns, then, where ``x_raw``
-    does not fit, ``A+ y``'s as it is made, if it can overflow, and the fit."""
     lifted = op._lift_source(y)
     if x_raw.shape != lifted.shape:
         if op._lift_may_overflow:
             for _ in _stripes(lifted, 1):
                 pass
         raise ValueError(f"raw prediction shape {x_raw.shape} does not match operator input {lifted.shape}")
-    return lifted
+    if not first:
+        raw = _raw_measured(op, x_raw, known)
+    out = None if paths else np.empty(x_raw.shape, x_raw.dtype)
+    # A non-finite sample is carried into the combine to be checked there,
+    # where inf - inf would warn besides.
+    with _open_writers(x_raw.shape, *paths) as writers, np.errstate(invalid="ignore"):
+        forwards = _reconstruct(op, y, lifted, x_raw, raw, writers, out)
+    return [_compare_fresh(y, forward) for forward in forwards] if paths else out
 
 
-def _raw_measured(op: LinearOperator, x_raw):
+def _raw_measured(op: LinearOperator, x_raw, known: bool):
     """The first walk, for an operator whose combine needs all of ``A
-    x_raw``: ``x_raw``'s measurement, read through again, checked, unless
-    known finite, so that a bad sample is refused here and an overflow that
-    the measurer leaves (the channel mean's) is left to the combine.  None
-    for a block operator, which measures each stripe in place."""
+    x_raw``: ``x_raw``'s measurement, with ``x_raw`` read through again
+    unless the measurement or ``x_raw`` (an ``ImageTensor``'s samples) is
+    ``known`` finite, so that a bad sample is refused here and an overflow
+    that the measurer leaves (the channel mean's) is left to the combine.
+    None for a block operator, which measures each stripe in place."""
     if isinstance(op, BlockOperator):
         return None
     with np.errstate(invalid="ignore"):
         raw, finite = _measured(op, x_raw).result()
-    if not finite:
+    if not (finite or known):
         _read_through(x_raw)
     return raw
 
 
-def _reconstruct(op: LinearOperator, y: np.ndarray, lifted, x_raw, raw, writers: list, out=None) -> list[np.ndarray]:
+def _reconstruct(op: LinearOperator, y: np.ndarray, lifted, x_raw, raw, writers: list, out) -> list[np.ndarray]:
     """The one walk of the combine: make each stripe of the source ``x_raw``
     ``(rows - A+ (A x_raw)) + A+ y`` in a buffer from
-    ``tensor._writable_stripes``, hand it to each writer in turn, which may
+    ``tensor._writable_stripes``, the stripe of ``out`` if given, hand it to each writer in turn, which may
     quantize it in place, and after each write to that file's measurer,
     the last of which may overwrite it, the others one shared spare stripe;
     return, checked, what each measures.  A block operator measures each
@@ -509,15 +502,17 @@ def measure(op: LinearOperator, x, *paths) -> np.ndarray | None:
     or, with no paths, return it as a fresh array.  Each file gets the
     forward, a PNG its quantization, which the last file makes in place.
     A source that ``op._check_input`` refuses is read through, so its own
-    faults come first, then refused; the walk's faults come next, then
+    faults come first, then refused, but an ``ImageTensor``, finite by
+    construction, is refused at once; the walk's faults come next, then
     every destination's, before the first byte is written.
     """
-    if isinstance(x, ImageTensor):
-        x = x.data
+    known = isinstance(x, ImageTensor)
+    x = x.data if known else x
     try:
         op._check_input(x)
     except ValueError:
-        _read_through(x)
+        if not known:
+            _read_through(x)
         raise
     # A non-finite sample is carried into the walk to be checked there,
     # where inf - inf would warn besides.

@@ -49,14 +49,15 @@ def compare(a: ImageTensor, b: ImageTensor) -> ConsistencyReport:
     return _report(np.subtract(a.data, b.data))
 
 
-def _compare_fresh(a: ImageTensor, b: np.ndarray) -> ConsistencyReport:
-    """``compare(a, ImageTensor(b))`` for a fresh finite float64 array ``b``
-    that the caller gives up, such as the measurement a stripe walk
+def _compare_fresh(a: np.ndarray, b: np.ndarray) -> ConsistencyReport:
+    """``compare(ImageTensor(a), ImageTensor(b))`` for a finite array ``a``,
+    such as an ``ImageTensor``'s data, and a fresh finite float64 array
+    ``b`` that the caller gives up, such as the measurement a stripe walk
     returns: the difference is computed into ``b`` itself, so no other
     array of its size is allocated."""
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return _report(np.subtract(a.data, b, out=b))
+    return _report(np.subtract(a, b, out=b))
 
 
 def _report(diff: np.ndarray) -> ConsistencyReport:

@@ -757,15 +757,18 @@ class TestProcessLevel:
 
 
 class TestCliBoundary:
-    """``cli.py`` parses and dispatches: it reaches the library through public
-    names only, and its outputs depend on nothing but argv and input files."""
+    """``cli.py`` parses and dispatches: it, and ``bench`` behind it, reach
+    the library through public names only, and its outputs depend on
+    nothing but argv and input files."""
 
     tree = ast.parse((Path(SRC) / "rangenull" / "cli.py").read_text())
 
-    def test_imports_no_private_library_name(self):
+    @pytest.mark.parametrize("module", ["cli", "bench"])
+    def test_imports_no_private_library_name(self, module):
+        tree = ast.parse((Path(SRC) / "rangenull" / f"{module}.py").read_text())
         private = [
             alias.name
-            for node in ast.walk(self.tree)
+            for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom)
             and (node.level > 0 or (node.module or "").split(".")[0] == "rangenull")
             for alias in node.names
@@ -847,12 +850,12 @@ class TestStripeLayer:
 
     def test_one_combine_walk_per_operator(self):
         # Every combine runs the one walk, ``_reconstruct``: the band combine
-        # is called only there, ``reconstruct`` and ``_combined`` (behind
-        # ``combine`` and ``table1``'s float32 rerun) alone run it, and no
-        # operator class overrides ``combine``.
+        # is called only there, ``reconstruct`` (behind ``combine`` and
+        # ``table1``) alone runs it and alone makes the combine's checks, and
+        # no operator class overrides ``combine``.
         assert self._callers("_combine_band") == {("linop", None, "_reconstruct")}
-        assert self._callers("_reconstruct") == {("linop", None, "reconstruct"), ("linop", None, "_combined")}
-        assert self._callers("_combined") == {("linop", "LinearOperator", "combine"), ("bench", None, "_table1_case")}
+        assert self._callers("_reconstruct") == {("linop", None, "reconstruct")}
+        assert not {"_combined", "_combine_checks"} & set().union(*map(_names, self.trees.values()))
         for module, cls in self._operator_classes():
             if cls != "LinearOperator":
                 assert "combine" not in self._members(module, cls), cls
@@ -882,13 +885,13 @@ class TestStripeLayer:
     def test_one_forward_walk_per_operator(self):
         # Every forward of an array or a stripe source feeds the operator's
         # measurer through ``_measured``, from ``measure`` and from the first
-        # walk of ``reconstruct`` and ``combine``; the read-through is
+        # walk of ``reconstruct``, which ``combine`` calls; the read-through is
         # reached besides only from ``reconstruct`` and ``verify_consistency``,
         # which reads its source through before it refuses a scale below 1
         # (the combine's checks drain ``A+ y``, which checks itself).  No
         # walk of another shape is left.
         assert self._callers("_measured") == {("linop", None, "measure"), ("linop", None, "_raw_measured")}
-        assert self._callers("_raw_measured") == {("linop", None, "reconstruct"), ("linop", None, "_combined")}
+        assert self._callers("_raw_measured") == {("linop", None, "reconstruct")}
         assert self._callers("_measurer") == {("linop", None, "_measured"), ("linop", None, "_reconstruct")}
         assert self._callers("_read_through") == {
             ("linop", None, "measure"),
@@ -962,7 +965,7 @@ class TestStripeLayer:
         # The one walk takes the sources of ``A+ y`` and ``A+ (A x_raw)``
         # from the same kernel, and ``_Lifted._made`` makes ``A+ y`` itself.
         assert self._callers("_lift_source") == {
-            ("linop", None, "lift"), ("linop", None, "_combine_checks"), ("linop", None, "_reconstruct"),
+            ("linop", None, "lift"), ("linop", None, "reconstruct"), ("linop", None, "_reconstruct"),
             ("resample", None, "open_prediction")}
         assert self._callers("lift") == {
             ("linop", "LinearOperator", "pinv"), ("cli", None, "_cmd_colorize"), ("cli", None, "_cmd_cs")}

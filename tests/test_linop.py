@@ -637,6 +637,30 @@ class TestMisfitPredictionRefusal:
         assert [arr.shape for arr in checked] == expected
 
 
+class TestImageTensorIsNotReadThrough:
+    """An ``ImageTensor`` is finite by construction: a refused one is refused
+    without a pass over its samples, and one whose measurement overflows is
+    measured only after the combine's checks."""
+
+    @pytest.mark.parametrize("operator", ["pooling", "color"])
+    def test_a_refused_forward_checks_nothing(self, monkeypatch, operator):
+        if operator == "pooling":
+            op, x, message = PoolingOp(2, 3, 4, 4), ImageTensor(np.zeros((3, 6, 6))), r"^input shape \(3, 6, 6\)"
+        else:
+            op, x, message = ColorMeanOp(4, 4), ImageTensor(np.zeros((2, 4, 4))), "^expected a 3-channel image, got 2$"
+        checked = _finite_checks(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            op.forward(x)
+        assert checked == []
+
+    def test_a_misfit_measurement_comes_before_an_overflowing_forward(self):
+        op = DenseOperator(np.full((6, 12), 1e300))
+        y, x_raw = ImageTensor(np.ones((1, 3, 2))), ImageTensor(np.full((1, 1, 12), 1e10))  # A x_raw is inf
+        with pytest.raises(ValueError) as info, np.errstate(over="ignore"):
+            op.combine(y, x_raw)
+        assert str(info.value) == "measurement shape (1, 3, 2) does not match operator shape (1, 1, 6)"
+
+
 def _finite_checks(monkeypatch):
     """The arrays passed to ``_check_finite`` from now on, in order."""
     checked = []

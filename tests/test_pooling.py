@@ -30,7 +30,6 @@ from rangenull import (
     write_raw,
 )
 from rangenull import tensor
-from rangenull.linop import _combined
 
 
 def _replicate(a, s):
@@ -324,7 +323,7 @@ class TestStripedKernels:
             y32, x32 = y.data.astype(np.float32), x_raw.data.astype(np.float32)
             op = PoolingOp(s, *x32.shape)
             via_parts32 = _replicate(y32, s) + (x32 - _replicate(measure(op, x32), s))
-            combined32 = _combined(op, y32, x32)
+            combined32 = reconstruct(op, y32, x32)
             assert combined32.dtype == np.float32
             assert combined32.tobytes() == via_parts32.tobytes()
 
@@ -342,9 +341,9 @@ class TestOneOperatorTwoDtypes:
         y32, x32 = y.data.astype(np.float32), x_raw.data.astype(np.float32)
         with mock.patch.object(tensor, "_STRIPE_BYTES", 600):
             assert [tensor._pooling_rows(8, a.itemsize, s) for a in (x32, x_raw.data)] == [18, 9]
-            combined32 = _combined(op, y32, x32)
+            combined32 = reconstruct(op, y32, x32)
             via_parts32 = _replicate(y32, s) + (x32 - _replicate(measure(op, x32), s))
-            combined = _combined(op, y.data, x_raw.data)
+            combined = reconstruct(op, y.data, x_raw.data)
             via_parts = pool_up(y, s).data + extract_highfreq(x_raw, s).data
         assert combined32.dtype == np.float32 and combined32.tobytes() == via_parts32.tobytes()
         assert combined.dtype == np.float64 and combined.tobytes() == via_parts.tobytes()

@@ -606,32 +606,43 @@ class TestReconstructChannelMeanFiles:
         assert peaks[1] - peaks[0] <= 2.5 * h * w * 8
 
 
-class _Unread:
-    """A stripe source of ``shape`` that fails if it is read."""
+class TestReconstructWithoutPaths:
+    """``reconstruct`` with no paths writes nothing and returns the combine
+    as a fresh array, the array that ``combine`` wraps."""
 
-    dtype = np.dtype("<f8")
-
-    def __init__(self, shape):
-        self.shape = shape
-
-    def stripes(self, rows):
-        raise AssertionError("the source was read")
-
-
-class TestReconstructNeedsAPath:
-    @pytest.mark.parametrize("operator", ["pooling", "cs", "color", "dense"])
-    def test_no_paths_is_refused_before_anything_is_read(self, stream, operator):
+    @staticmethod
+    def _op(operator, stream):
         if operator == "pooling":
-            op = PoolingOp(2, 3, 4, 2)
-        elif operator == "cs":
-            op = cs_build(2, 0.5, seed=4)
-        elif operator == "color":
-            op = ColorMeanOp(4, 2)
-        else:
-            op = DenseOperator(stream.gaussian((6, 24)), in_shape=(3, 4, 2), out_shape=(1, 3, 2))
-        y = op.forward(ImageTensor(stream.uniform((3, 4, 2))))
-        with pytest.raises(ValueError, match="at least one output path"):
-            reconstruct(op, y, _Unread((3, 4, 2)))
+            return PoolingOp(2, 3, 10, 2)
+        if operator == "cs":
+            return cs_build(2, 0.5, seed=4)
+        if operator == "color":
+            return ColorMeanOp(10, 2)
+        return DenseOperator(stream.gaussian((12, 60)), in_shape=(3, 10, 2), out_shape=(1, 6, 2))
+
+    @pytest.mark.parametrize("source", ["array", "pdt1"])
+    @pytest.mark.parametrize("operator", ["pooling", "cs", "color", "dense"])
+    def test_returns_the_bytes_of_combine_and_writes_no_file(self, tmp_path, monkeypatch, stream, operator, source):
+        op = self._op(operator, stream)
+        x = ImageTensor(stream.uniform((3, 10, 2)) * 1.5 - 0.25)
+        y = op.forward(ImageTensor(stream.uniform(x.shape)))
+        write_raw(x, tmp_path / "raw.pdt1")
+        monkeypatch.chdir(tmp_path)
+        with mock.patch.object(tensor, "_STRIPE_BYTES", 64), open_stripes(tmp_path / "raw.pdt1") as src:
+            got = reconstruct(op, y, x.data if source == "array" else src)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["raw.pdt1"]
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.flags.writeable
+        assert got.tobytes() == op.combine(y, x).data.tobytes()
+
+    @pytest.mark.parametrize("operator", ["pooling", "cs", "color", "dense"])
+    def test_an_image_tensor_prediction_writes_the_file_of_the_array(self, tmp_path, stream, operator):
+        op = self._op(operator, stream)
+        x = ImageTensor(stream.uniform((3, 10, 2)) * 1.5 - 0.25)
+        y = op.forward(ImageTensor(stream.uniform(x.shape)))
+        (record,) = reconstruct(op, y, x, tmp_path / "tensor.pdt1")
+        (expected,) = reconstruct(op, y, x.data, tmp_path / "array.pdt1")
+        assert (tmp_path / "tensor.pdt1").read_bytes() == (tmp_path / "array.pdt1").read_bytes()
+        assert record == expected
 
 
 class TestReconstructFirstWalk:
