@@ -11,8 +11,9 @@ protocols run them one stripe at a time, into files through
 ``tensor._open_writers`` or into a fresh array: ``measure`` (the
 forward), ``lift`` (``A+ y``) and ``reconstruct``, the consistent combine
 (keep ``A+ y``, take the null part of a raw prediction).  ``forward``,
-``pinv`` and ``combine`` wrap their arrays.  An ``ImageTensor`` is finite
-by construction, so no protocol reads one through.  ``BlockOperator``
+``pinv`` and ``combine`` wrap their arrays.  No protocol reads a sample
+of an input it refuses: each checks shapes and destinations first, then
+meets the samples' faults in its walk.  ``BlockOperator``
 (pooling, the identity, block sensing) derives both kernels from two
 band kernels on one stripe of whole block rows and measures each stripe
 of the combine in place; the combine of any other operator (channel
@@ -45,7 +46,6 @@ from .tensor import (
     _open_writers,
     _pooling_rows,
     _RawWriter,
-    _read_through,
     _stripes,
     _writable_stripes,
     check_destination,
@@ -92,8 +92,8 @@ class LinearOperator(abc.ABC):
         exactly, so that is the sum's bits), which is ``reconstruct``'s
         array with no paths.  Pushing the result back through ``forward``
         reproduces ``y`` up to float rounding whenever ``forward(pinv(.))``
-        is the identity.  ``y`` is checked first, then an overflowing
-        ``pinv(y)`` where ``x_raw`` does not fit, then ``forward(x_raw)``.
+        is the identity.  ``y`` is checked first, then ``x_raw``'s shape,
+        then its samples.
         """
         return _adopt(reconstruct(self, y, x_raw))
 
@@ -133,11 +133,6 @@ class LinearOperator(abc.ABC):
         finite ``m``, unless a ``BlockOperator`` sets ``_lift_may_overflow``,
         and then ``_Lifted._made`` checks each stripe it makes."""
         return self.pinv(ImageTensor(m)).data
-
-    def _raw_shape(self, y: np.ndarray) -> tuple[int, int, int] | None:
-        """The shape of a raw prediction that fits ``y``; ``reconstruct``
-        reads any other through first, so that its own faults come first."""
-        return self.in_shape
 
     def _check(self, t: ImageTensor, shape: tuple[int, int, int] | None, role: str) -> None:
         if shape is not None and t.shape != shape:
@@ -389,35 +384,23 @@ def reconstruct(op: LinearOperator, y, x_raw, *paths) -> list[ConsistencyReport]
     a stripe source.
 
     A path's name picks its format (``tensor._open_writers``); a PNG
-    quantizes each stripe in place, and every later file receives that.  A
-    source that fits ``y`` (``op._raw_shape``) is measured first where the
-    combine needs all of ``A x_raw`` (``_raw_measured``); any other is read
-    through first, so that its own faults come first, and measured only
-    once it has passed the checks: every destination's, then ``y``'s (by
-    ``op._lift_source``, which makes ``A+ y``), then, where ``x_raw`` does
-    not fit, ``A+ y``'s as it is made, if it can overflow, and the fit.  An
-    ``ImageTensor`` is finite by construction, so it is never read through
-    and always measured after the checks.  ``_reconstruct`` then combines,
-    writes and measures; the files are renamed into place one by one after
-    the last stripe, so an error before leaves every old file as it was.
+    quantizes each stripe in place, and every later file receives that.
+    The checks come in one order for every operator and source: every
+    destination's, then ``y``'s (by ``op._lift_source``, which makes the
+    source of ``A+ y``), then the prediction's shape, then its samples as
+    the walks meet them: ``_raw_measured``, where the combine needs all of
+    ``A x_raw``, then ``_reconstruct``, which combines, writes and
+    measures.  The files are renamed into place one by one after the last
+    stripe, so an error before leaves every old file as it was.
     """
-    known = isinstance(x_raw, ImageTensor)
-    x_raw = x_raw.data if known else x_raw
+    x_raw = x_raw.data if isinstance(x_raw, ImageTensor) else x_raw
     y = y.data if isinstance(y, ImageTensor) else y
-    first = not known and x_raw.shape == op._raw_shape(y)
-    if not (first or known):
-        _read_through(x_raw)
-    raw = _raw_measured(op, x_raw, known) if first else None
     for path in paths:
         check_destination(path)
     lifted = op._lift_source(y)
     if x_raw.shape != lifted.shape:
-        if op._lift_may_overflow:
-            for _ in _stripes(lifted, 1):
-                pass
         raise ValueError(f"raw prediction shape {x_raw.shape} does not match operator input {lifted.shape}")
-    if not first:
-        raw = _raw_measured(op, x_raw, known)
+    raw = _raw_measured(op, x_raw)
     out = None if paths else np.empty(x_raw.shape, x_raw.dtype)
     # A non-finite sample is carried into the combine to be checked there,
     # where inf - inf would warn besides.
@@ -426,20 +409,15 @@ def reconstruct(op: LinearOperator, y, x_raw, *paths) -> list[ConsistencyReport]
     return [_compare_fresh(y, forward) for forward in forwards] if paths else out
 
 
-def _raw_measured(op: LinearOperator, x_raw, known: bool):
+def _raw_measured(op: LinearOperator, x_raw):
     """The first walk, for an operator whose combine needs all of ``A
-    x_raw``: ``x_raw``'s measurement, with ``x_raw`` read through again
-    unless the measurement or ``x_raw`` (an ``ImageTensor``'s samples) is
-    ``known`` finite, so that a bad sample is refused here and an overflow
-    that the measurer leaves (the channel mean's) is left to the combine.
+    x_raw``: ``x_raw``'s measurement, not checked finite here, for a
+    non-finite one makes its stripes' combine so, which ``_reconstruct`` refuses.
     None for a block operator, which measures each stripe in place."""
     if isinstance(op, BlockOperator):
         return None
     with np.errstate(invalid="ignore"):
-        raw, finite = _measured(op, x_raw).result()
-    if not (finite or known):
-        _read_through(x_raw)
-    return raw
+        return _measured(op, x_raw).result()[0]
 
 
 def _reconstruct(op: LinearOperator, y: np.ndarray, lifted, x_raw, raw, writers: list, out) -> list[np.ndarray]:
@@ -501,19 +479,14 @@ def measure(op: LinearOperator, x, *paths) -> np.ndarray | None:
     ``paths`` through ``tensor._open_writers``, in one call to each writer,
     or, with no paths, return it as a fresh array.  Each file gets the
     forward, a PNG its quantization, which the last file makes in place.
-    A source that ``op._check_input`` refuses is read through, so its own
-    faults come first, then refused, but an ``ImageTensor``, finite by
-    construction, is refused at once; the walk's faults come next, then
-    every destination's, before the first byte is written.
+    A source that ``op._check_input`` refuses is refused before any of its
+    samples is read; every destination is checked next, then the walk
+    meets the samples' faults, all before the first byte is written.
     """
-    known = isinstance(x, ImageTensor)
-    x = x.data if known else x
-    try:
-        op._check_input(x)
-    except ValueError:
-        if not known:
-            _read_through(x)
-        raise
+    x = x.data if isinstance(x, ImageTensor) else x
+    op._check_input(x)
+    for path in paths:
+        check_destination(path)
     # A non-finite sample is carried into the walk to be checked there,
     # where inf - inf would warn besides.
     with np.errstate(invalid="ignore"):

@@ -43,7 +43,7 @@ import numpy as np
 
 from .linop import BlockOperator, null_project
 from .metrics import ConsistencyReport
-from .tensor import ImageTensor, _read_through
+from .tensor import ImageTensor
 
 
 def _require_divisible(h: int, w: int, s: int) -> None:
@@ -114,15 +114,9 @@ def pd_combine(y: ImageTensor, x_raw: ImageTensor, s: int) -> ImageTensor:
 def verify_consistency(y: ImageTensor, x_hat, s: int, quantized: bool = False) -> ConsistencyReport:
     """Compare ``y`` against the pooled-down reconstruction ``x_hat``, an
     ``ImageTensor``, an array or a stripe source (see
-    ``LinearOperator.verify``).  A scale below 1 is refused, as ``measure``
-    refuses a shape, only once a stripe source has been read through."""
-    try:
-        op = PoolingOp.for_measurement(y, s)
-    except ValueError:
-        if not isinstance(x_hat, ImageTensor):
-            _read_through(x_hat)
-        raise
-    return op.verify(y, x_hat, quantized)
+    ``LinearOperator.verify``).  A scale below 1 is refused first, then a
+    shape, before any sample of ``x_hat`` is read."""
+    return PoolingOp.for_measurement(y, s).verify(y, x_hat, quantized)
 
 
 class PoolingOp(BlockOperator):

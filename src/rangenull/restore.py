@@ -181,11 +181,6 @@ class BlockSenseOp(BlockOperator):
         super()._check_input(x)
         _require_blocks(*x.shape[1:], self.block)
 
-    def _raw_shape(self, y: np.ndarray) -> tuple[int, int, int] | None:
-        """The shape of the images measured into ``y``, if its channels are a
-        multiple of ``q``."""
-        return None if y.shape[0] % self.q else self._image_shape(y.shape)
-
     def _per_block(self, rows: np.ndarray) -> np.ndarray:
         """The (blocks, q) measurements of ``rows``: one reordering copy lays
         the blocks out one per row, and one BLAS product applies the

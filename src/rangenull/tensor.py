@@ -27,10 +27,10 @@ buffer; ``_writable_stripes`` pairs each with a buffer to rewrite it in,
 and ``_gather`` copies them into one array, unless the source makes that
 itself (a block operator's ``A+ y``).  No source checks its samples
 finite: an operator's measurer checks what it computes from them (see
-``linop``), and ``_read_through`` the samples of a source its caller
-refuses.  ``_open_writers`` gives each output file the writer of
-its format: a PDT1 writes whole rows as they come, a PNG quantizes them
-into the 8-bit image it encodes at the end.  ``linop.measure``,
+``linop``), and a source its caller refuses is refused unread.
+``_open_writers`` gives each output file the writer of its format: a
+PDT1 writes whole rows as they come, a PNG quantizes them into the
+8-bit image it encodes at the end.  ``linop.measure``,
 ``linop.reconstruct`` and ``linop.lift``, the streamed protocols of
 every operator, are the only callers of ``_open_writers`` outside this
 module.  Every file is written through ``_write_atomic``, which renames
@@ -329,7 +329,7 @@ def write_raw(t: ImageTensor, path: str | Path) -> None:
 def read_raw(path: str | Path) -> ImageTensor:
     """Read a PDT1 file; the payload must hold exactly the header's samples."""
     with open(path, "rb") as f:
-        shape = _raw_shape(f, path)
+        shape = _read_header(f, path)
         return ImageTensor(_read_payload(f, path, shape, "header dimensions"))
 
 
@@ -355,7 +355,7 @@ class RawReader:
         self.path = path
         self._file = open(path, "rb")
         try:
-            self.shape = _raw_shape(self._file, path)
+            self.shape = _read_header(self._file, path)
             self._start = _payload_start(self._file, path, self.shape, "header dimensions")
             self._stamp = _stamp(self._file.fileno())
         except BaseException:
@@ -506,14 +506,7 @@ def _gather(src) -> np.ndarray:
     return out
 
 
-def _read_through(src) -> None:
-    """Read the stripe source ``src`` to its end, checking each stripe
-    finite, so that its own faults are met before a caller refuses it."""
-    for rows, _, _ in _stripes(src, 1):
-        _check_finite(rows)
-
-
-def _raw_shape(f, path) -> tuple[int, int, int]:
+def _read_header(f, path) -> tuple[int, int, int]:
     """Read and check the PDT1 header at the start of ``f``; return its shape."""
     head = f.read(_RAW_HEADER.size)
     if len(head) < _RAW_HEADER.size or head[:4] != RAW_MAGIC:

@@ -19,6 +19,7 @@ import pytest
 from rangenull import (
     BlockSenseOp,
     ColorMeanOp,
+    DenseOperator,
     ImageTensor,
     PoolingOp,
     RawReader,
@@ -35,6 +36,7 @@ from rangenull import (
     reconstruct,
     save_png,
     save_sense_op,
+    verify_consistency,
     write_raw,
 )
 from rangenull import linop, pooling, restore, tensor
@@ -885,25 +887,24 @@ class TestStripeLayer:
     def test_one_forward_walk_per_operator(self):
         # Every forward of an array or a stripe source feeds the operator's
         # measurer through ``_measured``, from ``measure`` and from the first
-        # walk of ``reconstruct``, which ``combine`` calls; the read-through is
-        # reached besides only from ``reconstruct`` and ``verify_consistency``,
-        # which reads its source through before it refuses a scale below 1
-        # (the combine's checks drain ``A+ y``, which checks itself).  No
-        # walk of another shape is left.
+        # walk of ``reconstruct``, which ``combine`` calls.  No walk of
+        # another shape is left, and no source is read through before it is
+        # refused: no protocol asks whether its input is an ``ImageTensor``
+        # to pick its order, and ``verify_consistency`` is one call.
         assert self._callers("_measured") == {("linop", None, "measure"), ("linop", None, "_raw_measured")}
         assert self._callers("_raw_measured") == {("linop", None, "reconstruct")}
         assert self._callers("_measurer") == {("linop", None, "_measured"), ("linop", None, "_reconstruct")}
-        assert self._callers("_read_through") == {
-            ("linop", None, "measure"),
-            ("linop", None, "reconstruct"),
-            ("linop", None, "_raw_measured"),
-            ("pooling", None, "verify_consistency"),
-        }
         assert {caller for caller in self._callers("_check_input") if caller[2] != "_check_input"} <= {
             ("linop", None, "measure")}
         removed = {"_read_first", "_WalkOperator", "_combine_walk", "_channel_mean", "_forward_checked",
-                   "_forward_walk", "_stream_walk"}
+                   "_forward_walk", "_stream_walk", "_read_through", "_raw_shape"}
         assert not removed & set().union(*map(_names, self.trees.values()))
+        for name in ("measure", "reconstruct", "_raw_measured"):
+            (function,) = [node for node in self.trees["linop"].body if getattr(node, "name", None) == name]
+            assert "known" not in _names(function), name
+        (verify,) = [node for node in self.trees["pooling"].body if getattr(node, "name", None) == "verify_consistency"]
+        assert [type(node) for node in verify.body[1:]] == [ast.Return]
+        assert _calls(verify, "for_measurement") == _calls(verify, "verify") == 1
         # The operators share one ``forward``, which is ``measure`` itself,
         # one ``combine`` on the one walk, and one ``verify``: only
         # ``DenseOperator`` gives its own forward, a matrix product.
@@ -920,7 +921,7 @@ class TestStripeLayer:
     def test_no_operator_class_defines_a_walk(self):
         # An operator gives kernels: none of its methods loops, and only
         # ``_walk`` names the stripe walks of ``tensor``.
-        walks = {"_stripes", "_writable_stripes", "_gather", "_read_through"}
+        walks = {"_stripes", "_writable_stripes", "_gather"}
         for module, cls in self._operator_classes():
             (body,) = [node.body for node in self.trees[module].body if getattr(node, "name", None) == cls]
             for method in (node for node in body if isinstance(node, ast.FunctionDef)):
@@ -931,7 +932,8 @@ class TestStripeLayer:
     def test_one_finiteness_rule(self):
         # A stripe source never checks its samples: no function takes a
         # ``checked`` flag and no class says whether its walks check by
-        # band.  ``_read_through`` alone checks a source's own samples.
+        # band.  Only ``ImageTensor`` checks samples from outside; the walks
+        # check what they compute.
         for module, tree in self.trees.items():
             for node in ast.walk(tree):
                 if isinstance(node, ast.FunctionDef):
@@ -943,8 +945,13 @@ class TestStripeLayer:
                     assigned |= {item.target.id for item in node.body
                                  if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
                     assert "by_band" not in assigned, (module, node.name)
-        (read_through,) = [node for node in self.trees["tensor"].body if getattr(node, "name", None) == "_read_through"]
-        assert _calls(read_through, "_check_finite") == 1
+        assert self._callers("_check_finite") == {
+            ("tensor", "ImageTensor", "__post_init__"),
+            ("linop", "_Banded", "add"),
+            ("linop", "_Lifted", "_made"),
+            ("linop", None, "_reconstruct"),
+            ("linop", None, "_checked"),
+        }
 
     def test_one_prediction_dispatch(self):
         # ``predict_raw`` gathers what ``open_prediction`` yields, which alone
@@ -1187,17 +1194,16 @@ class TestStreamedErrors:
         assert stderr.startswith("error: ") and "Is a directory" in stderr
         assert not list(tmp_path.rglob("*.tmp")) and not any(out.iterdir())
 
-    def test_verify_reads_a_mismatched_sr_before_naming_its_shape(self, capsys, tmp_path, stream):
-        # A --sr of the wrong shape is not streamed: a NaN in it is still
-        # reported first, as the in-memory path reads the whole file first.
+    def test_verify_names_a_mismatched_sr_before_reading(self, capsys, tmp_path, stream):
+        # A --sr of the wrong shape is refused from its header, as pd's
+        # --raw is: a NaN in it is not reached.
         lr, sr = tmp_path / "lr.pdt1", tmp_path / "sr.pdt1"
         _pdt1(lr, stream.uniform((3, 4, 5)))
         x = stream.uniform((3, 8, 12))
         x[-1, -1, -1] = np.nan
         _pdt1(sr, x)
         code, stdout, stderr = run_cli(capsys, "verify", "--lr", str(lr), "--sr", str(sr), "--scale", "2")
-        assert (code, stdout) == (3, "")
-        assert stderr == "error: tensor samples must be finite (no NaN or infinity)\n"
+        assert (code, stdout, stderr) == (3, "", f"error: {_SHAPE_MESSAGES['verify']}\n")
 
     @pytest.mark.parametrize("fault", ["nan_in_last_stripe", "shrinks", "grows"])
     def test_pd_names_a_wrong_shape_before_reading(self, capsys, tmp_path, stream, monkeypatch, fault):
@@ -1221,12 +1227,10 @@ class TestStreamedErrors:
 
     @pytest.mark.parametrize("change", [-8, 8], ids=["shrinks", "grows"])
     @pytest.mark.parametrize("shape, scale", [((3, 8, 12), "2"), ((3, 8, 10), "0")], ids=["shape", "scale"])
-    def test_verify_reads_an_unfit_sr_one_stripe_at_a_time(
-        self, capsys, tmp_path, stream, monkeypatch, shape, scale, change
-    ):
-        # An --sr that does not fit is read through in stripes before its
-        # shape or the scale is refused: a NaN in its first stripe is met
-        # before the file's change of size, as on the streamed path.
+    def test_verify_refuses_an_unfit_sr_unread(self, capsys, tmp_path, stream, monkeypatch, shape, scale, change):
+        # An --sr that does not fit is refused by its shape or the scale
+        # before its first stripe is read: neither the NaN in that stripe
+        # nor the change of size that a first read would make is met.
         lr, sr = tmp_path / "lr.pdt1", tmp_path / "sr.pdt1"
         _pdt1(lr, stream.uniform((3, 4, 5)))
         x = stream.uniform(shape)
@@ -1234,14 +1238,16 @@ class TestStreamedErrors:
         _pdt1(sr, x)
         _resize_on_first_read(monkeypatch, sr, change)
         code, stdout, stderr = run_cli(capsys, "verify", "--lr", str(lr), "--sr", str(sr), "--scale", scale)
-        assert (code, stdout) == (3, "")
-        assert stderr == "error: tensor samples must be finite (no NaN or infinity)\n"
+        message = _SHAPE_MESSAGES["verify"] if scale == "2" else "scale must be a positive integer, got 0"
+        assert (code, stdout, stderr) == (3, "", f"error: {message}\n")
+        assert sr.stat().st_size == 16 + 8 * x.size
 
 
 class TestReconstructFaultOrder:
     """``reconstruct`` with a prediction that does not fit, for every
-    operator: the prediction's own faults come first, then the
-    destination's, then the shape's, and no file is left behind."""
+    operator: the destination's fault comes first, then the shape's; the
+    prediction's own faults are never met, for it is never read, and no
+    file is left behind."""
 
     @pytest.fixture(autouse=True)
     def one_row_per_stripe(self, monkeypatch):
@@ -1271,23 +1277,20 @@ class TestReconstructFaultOrder:
             _resize_on_first_read(monkeypatch, raw, -8)
         with RawReader(raw) as reader, pytest.raises(Exception) as info:
             reconstruct(op, y, reader if source == "pdt1" else misfit, out)
-        if fault == "nan_in_last_stripe":
-            expected = (ValueError, "tensor samples must be finite (no NaN or infinity)")
-        elif fault == "shrinks":
-            expected = (ValueError, f"{raw}: payload shrank while it was read")
-        elif destination == "directory":
+        if destination == "directory":
             expected = (IsADirectoryError, str(IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))))
         else:
             expected = (ValueError, "raw prediction shape (3, 8, 12) does not match operator input (3, 8, 10)")
         assert (type(info.value), str(info.value)) == expected
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["out", "raw.pdt1"][destination == "file":]
+        assert raw.stat().st_size == 16 + 8 * misfit.size
 
 
 class TestMeasureFaultOrder:
-    """``measure`` for every operator: a source that does not fit is read
-    through, so its own faults come first, then refused with the operator's
-    message; a source that fits meets its faults in the walk, and only then
-    is the destination checked.  No file is left behind."""
+    """``measure`` for every operator: a source that does not fit is refused
+    with the operator's message and never read, so its own faults are not
+    met; for a source that fits the destination is checked first, then the
+    walk meets the source's faults.  No file is left behind."""
 
     # The misfit source of each operator, and its refusal.
     MISFITS = {
@@ -1325,16 +1328,117 @@ class TestMeasureFaultOrder:
                 return
             with pytest.raises(Exception) as info:
                 measure(op, src, out)
-        if fault == "nan_in_last_stripe":
-            expected = (ValueError, "tensor samples must be finite (no NaN or infinity)")
-        elif fault == "shrinks":
-            expected = (ValueError, f"{raw}: payload shrank while it was read")
-        elif not fits:
+        if not fits:
             expected = (ValueError, refusal)
-        else:
+        elif destination == "directory":
             expected = (IsADirectoryError, str(IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))))
+        elif fault == "nan_in_last_stripe":
+            expected = (ValueError, "tensor samples must be finite (no NaN or infinity)")
+        else:
+            expected = (ValueError, f"{raw}: payload shrank while it was read")
         assert (type(info.value), str(info.value)) == expected
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["out", "raw.pdt1"][destination == "file":]
+        if not fits or destination == "directory":
+            assert raw.stat().st_size == 16 + 8 * x.size
+
+
+def _payload_reads(monkeypatch):
+    """The paths ``tensor._pread_exact`` reads from now on, in order."""
+    paths = []
+
+    def record(fd, arr, offset, path, real=tensor._pread_exact):
+        paths.append(os.fspath(path))
+        real(fd, arr, offset, path)
+
+    monkeypatch.setattr(tensor, "_pread_exact", record)
+    return paths
+
+
+class TestRefusedInputIsNotRead:
+    """A source that a protocol refuses by its shape, block, channels or
+    scale is refused from its PDT1 header: no sample of it is read, so a
+    NaN in it is not met, and no file is left behind."""
+
+    @staticmethod
+    def _case(operator, stream):
+        """The operator on (3, 8, 10) images, its measurement of one, the
+        shape of a source it refuses, and the refusals of ``measure`` and
+        ``reconstruct``."""
+        combine = "raw prediction shape {} does not match operator input (3, 8, 10)"
+        if operator == "pooling":
+            op, shape = PoolingOp(2, 3, 8, 10), (3, 8, 12)
+            refusal = "input shape (3, 8, 12) does not match operator shape (3, 8, 10)"
+        elif operator == "cs":
+            op, shape, refusal = cs_build(2, 0.5, seed=1), (3, 8, 11), "image size 8x11 is not divisible by block 2"
+        elif operator == "color":
+            op, shape, refusal = ColorMeanOp(8, 10), (2, 8, 10), "expected a 3-channel image, got 2"
+        else:
+            matrix = stream.gaussian((80, 240))
+            op, shape = DenseOperator(matrix, in_shape=(3, 8, 10), out_shape=(1, 8, 10)), (3, 8, 12)
+            refusal = "input shape (3, 8, 12) does not match operator shape (3, 8, 10)"
+        y = op.forward(ImageTensor(stream.uniform((3, 8, 10))))
+        return op, y, shape, refusal, combine.format(shape)
+
+    @pytest.mark.parametrize("protocol", ["measure", "reconstruct"])
+    @pytest.mark.parametrize("operator", ["pooling", "cs", "color", "dense"])
+    def test_protocols(self, tmp_path, stream, monkeypatch, operator, protocol):
+        op, y, shape, refusal, combine = self._case(operator, stream)
+        raw, out = tmp_path / "raw.pdt1", tmp_path / "o.pdt1"
+        x = stream.uniform(shape)
+        x[0, 0, 0] = np.nan
+        _pdt1(raw, x)
+        reads = _payload_reads(monkeypatch)
+        with RawReader(raw) as reader, pytest.raises(ValueError) as info:
+            if protocol == "measure":
+                measure(op, reader, out)
+            else:
+                reconstruct(op, y, reader, out)
+        assert str(info.value) == (refusal if protocol == "measure" else combine)
+        assert reads == [] and [p.name for p in tmp_path.iterdir()] == ["raw.pdt1"]
+
+    @pytest.mark.parametrize("shape, scale, message", [
+        ((3, 8, 12), 2, "input shape (3, 8, 12) does not match operator shape (3, 8, 10)"),
+        ((3, 8, 10), 0, "scale must be a positive integer, got 0"),
+    ], ids=["shape", "scale"])
+    def test_verify_consistency(self, tmp_path, stream, monkeypatch, shape, scale, message):
+        raw = tmp_path / "sr.pdt1"
+        x = stream.uniform(shape)
+        x[0, 0, 0] = np.nan
+        _pdt1(raw, x)
+        reads = _payload_reads(monkeypatch)
+        with RawReader(raw) as reader, pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_consistency(ImageTensor(stream.uniform((3, 4, 5))), reader, scale)
+        assert reads == []
+
+    @pytest.mark.parametrize("command", ["verify", "cs-measure", "cs-pd", "colorize-gray", "colorize-pd"])
+    def test_cli(self, capsys, tmp_path, stream, monkeypatch, command):
+        misfit, lr, out = tmp_path / "misfit.pdt1", tmp_path / "lr.pdt1", tmp_path / "o.pdt1"
+        op = tmp_path / "op.pdm1"
+        shapes = {"verify": (3, 8, 12), "cs-measure": (3, 8, 9), "cs-pd": (3, 8, 9), "colorize-gray": (2, 8, 10),
+                  "colorize-pd": (3, 8, 12)}
+        x = stream.uniform(shapes[command])
+        x[0, 0, 0] = np.nan
+        _pdt1(misfit, x)
+        if command.startswith("cs"):
+            save_sense_op(cs_build(2, 0.5, seed=1), op)
+            _pdt1(lr, stream.uniform((6, 4, 5)))
+        else:
+            _pdt1(lr, stream.uniform((3, 4, 5) if command == "verify" else (1, 8, 10)))
+        argv, message = {
+            "verify": (["verify", "--lr", lr, "--sr", misfit, "--scale", "2"], _SHAPE_MESSAGES["verify"]),
+            "cs-measure": (["cs", "--action", "measure", "--op", op, "--input", misfit, "--output", out],
+                           "image size 8x9 is not divisible by block 2"),
+            "cs-pd": (["cs", "--action", "pd", "--op", op, "--lr", lr, "--raw", misfit, "--output", out],
+                      "raw prediction shape (3, 8, 9) does not match operator input (3, 8, 10)"),
+            "colorize-gray": (["colorize", "--mode", "gray", "--input", misfit, "--output", out],
+                              "expected a 3-channel image, got 2"),
+            "colorize-pd": (["colorize", "--mode", "pd", "--input", lr, "--raw", misfit, "--output", out],
+                            "raw prediction shape (3, 8, 12) does not match operator input (3, 8, 10)"),
+        }[command]
+        reads = _payload_reads(monkeypatch)
+        assert run_cli(capsys, *map(str, argv)) == (3, "", f"error: {message}\n")
+        assert str(misfit) not in reads
+        assert not out.exists() and not list(tmp_path.rglob("*.tmp"))
 
 
 # Faults of a PDT1 prediction (``pd --raw``) or reconstruction (``verify
@@ -1970,8 +2074,7 @@ def _cs_fault(fault, action, tmp_path, monkeypatch, stream):
         message = {"measure": "image size 8x9 is not divisible by block 2",
                    "pd": "raw prediction shape (3, 8, 9) does not match operator input (3, 8, 10)"}.get(action)
         if fault == "shape_mismatch_and_nan":
-            x[-1, -1, -1] = np.nan  # met first: the file is read through before its shape is refused
-            message = "tensor samples must be finite (no NaN or infinity)"
+            x[-1, -1, -1] = np.nan  # not met: the file's shape is refused before it is read
     if fault == "channels_not_multiple_of_q":
         y = stream.uniform((10, 4, 5))
         message = "measurement channels 10 are not a multiple of q=4"
@@ -2435,15 +2538,16 @@ class TestColorizeStreamedFaults:
         assert not list(tmp_path.rglob("*.tmp"))
 
     @pytest.mark.parametrize("fault", ["nan_in_last_stripe", "shrinks_in_the_first_walk", "wrong_shape"])
-    def test_raw_faults_come_before_the_destination(self, capsys, tmp_path, stream, monkeypatch, fault):
+    def test_the_destination_comes_before_raw_faults(self, capsys, tmp_path, stream, monkeypatch, fault):
+        # As for pooling and block sensing, the destination is checked before
+        # the first walk reads --raw: the prediction's faults are not met.
         argv = _color_fault(fault, tmp_path, monkeypatch, stream)
         out = tmp_path / "out"
         out.mkdir()
-        message = _COLOR_FAULTS[fault].format(raw=str(tmp_path / "raw.pdt1"))
-        if fault == "wrong_shape":
-            message = f"[Errno 21] Is a directory: {str(out)!r}"  # read through, then refused after the destination
+        message = f"[Errno 21] Is a directory: {str(out)!r}"
         assert run_cli(capsys, *argv, "--output", str(out)) == (3, "", f"error: {message}\n")
-        assert not list(tmp_path.rglob("*.tmp"))
+        assert not list(tmp_path.rglob("*.tmp")) and not any(out.iterdir())
+        assert (tmp_path / "raw.pdt1").stat().st_size == 16 + 8 * 3 * 8 * (12 if fault == "wrong_shape" else 10)
 
     def test_no_free_space_comes_before_an_overflowing_combine(self, capsys, tmp_path, stream, monkeypatch):
         # Loaded whole, the prediction was combined before its file was

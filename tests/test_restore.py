@@ -1,5 +1,6 @@
 """Channel-mean and block compressed-sensing operators plus the generic combine."""
 
+import errno
 import functools
 import hashlib
 import json
@@ -563,8 +564,8 @@ class TestReconstructSeveralOutputs:
 
 class TestReconstructUnboundOperator:
     """``reconstruct`` with an operator that gives only ``forward`` and
-    ``pinv`` and leaves ``in_shape`` None, so that no prediction fits its
-    ``_raw_shape``: the file and record of ``op.combine``."""
+    ``pinv`` and leaves ``in_shape`` None: the file and record of
+    ``op.combine``."""
 
     class Half(LinearOperator):
         def forward(self, x):
@@ -645,23 +646,39 @@ class TestReconstructWithoutPaths:
         assert record == expected
 
 
-class TestReconstructFirstWalk:
-    """The channel mean and a dense matrix combine with all of ``A x_raw``,
-    so ``reconstruct`` measures a fitting prediction first: a bad sample in
-    it is named before a bad destination, as when it is loaded whole."""
+class TestOneCombineOrder:
+    """Every operator's combine checks the destination before it reads the
+    prediction, then meets a bad sample in its walk: pooling and block
+    sensing, which measure each stripe in place, as the channel mean and a
+    dense matrix, which measure all of ``A x_raw`` first."""
 
-    @pytest.mark.parametrize("operator", ["color", "dense"])
-    def test_a_bad_sample_comes_before_the_destination(self, tmp_path, stream, operator):
-        if operator == "color":
+    @pytest.mark.parametrize("destination", ["directory", "file"])
+    @pytest.mark.parametrize("source", ["array", "pdt1"])
+    @pytest.mark.parametrize("operator", ["pooling", "cs", "color", "dense"])
+    def test_a_bad_sample_in_the_last_stripe(self, tmp_path, stream, monkeypatch, operator, source, destination):
+        monkeypatch.setattr(tensor, "_STRIPE_BYTES", 1)  # one block row per stripe, one channel for block sensing
+        shape = (3, 4, 2)
+        if operator == "pooling":
+            op = PoolingOp(2, *shape)
+        elif operator == "cs":
+            op = cs_build(2, 0.5, seed=1)
+        elif operator == "color":
             op = ColorMeanOp(4, 2)
         else:
-            op = DenseOperator(stream.gaussian((6, 24)), in_shape=(3, 4, 2), out_shape=(1, 3, 2))
-        y = op.forward(ImageTensor(stream.uniform((3, 4, 2))))
-        x_raw = stream.uniform((3, 4, 2))
-        x_raw[2, 3, 1] = np.nan
-        (tmp_path / "d").mkdir()
-        with pytest.raises(ValueError, match="must be finite"), np.errstate(invalid="ignore"):
-            reconstruct(op, y, x_raw, tmp_path / "d")
+            op = DenseOperator(stream.gaussian((6, 24)), in_shape=shape, out_shape=(1, 3, 2))
+        y = op.forward(ImageTensor(stream.uniform(shape)))
+        x_raw = stream.uniform(shape)
+        x_raw[-1, -1, -1] = np.nan
+        (tmp_path / "raw.pdt1").write_bytes(b"PDT1" + np.array(shape, "<u4").tobytes() + x_raw.astype("<f8").tobytes())
+        out = tmp_path / "out"
+        if destination == "directory":
+            out.mkdir()
+            expected = (IsADirectoryError, str(IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))))
+        else:
+            expected = (ValueError, "tensor samples must be finite (no NaN or infinity)")
+        with open_stripes(tmp_path / "raw.pdt1") as src:
+            assert _raised(lambda: reconstruct(op, y, x_raw if source == "array" else src, out)) == expected
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["out", "raw.pdt1"][destination == "file":]
 
 
 def _raised(call):
@@ -779,6 +796,11 @@ class TestFusedCombines:
     def test_errors_match_generic(self, name):
         op, y, x_raw = _COMBINE_ERRORS[name]
         raised = _raised(lambda: op.combine(y, x_raw))
+        if name == "cs-overflow-pinv-y-before-raw-size":
+            # The formula makes A+ y before it sees the raw shape; the walk
+            # refuses the shape without making A+ y.
+            assert raised == (ValueError, "raw prediction shape (1, 4, 4) does not match operator input (1, 2, 2)")
+            return
         assert raised == _raised(lambda: _generic_combine(op, y, x_raw))
         assert raised[0] is ValueError
         if "overflow" in name:

@@ -425,8 +425,8 @@ class TestRawStripes:
 
     def test_non_finite_stripe(self, tmp_path):
         # The reader yields what the file holds; its consumers check it:
-        # pooling through its block means, and ``measure`` of a source the
-        # channel mean refuses through ``_read_through``.
+        # pooling through its block means.  The channel mean refuses a
+        # 1-channel source by its channels, before reading it.
         path = tmp_path / "t.pdt1"
         a = np.zeros((1, 4, 2))
         a[0, 3, 1] = np.inf
@@ -435,7 +435,7 @@ class TestRawStripes:
             assert np.array_equal(np.concatenate([rows.copy() for rows in reader.stripes(2)]), a[0])
             with pytest.raises(ValueError, match="must be finite"):
                 verify_consistency(ImageTensor(np.zeros((1, 2, 1))), reader, 2)
-            with pytest.raises(ValueError, match="must be finite"):
+            with pytest.raises(ValueError, match="^expected a 3-channel image, got 1$"):
                 measure(ColorMeanOp(4, 2), reader)
 
     def test_is_raw_follows_the_magic(self, tmp_path, stream):
