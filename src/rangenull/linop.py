@@ -12,8 +12,9 @@ protocols run them one stripe at a time, into files through
 forward), ``lift`` (``A+ y``) and ``reconstruct``, the consistent combine
 (keep ``A+ y``, take the null part of a raw prediction).  ``forward``,
 ``pinv`` and ``combine`` wrap their arrays.  No protocol reads a sample
-of an input it refuses: each checks shapes and destinations first, then
-meets the samples' faults in its walk.  ``BlockOperator``
+of an input it refuses: each checks shapes and opens its files, which
+checks every destination, before its first walk, then meets the
+samples' faults in its walks.  ``BlockOperator``
 (pooling, the identity, block sensing) derives both kernels from two
 band kernels on one stripe of whole block rows and measures each stripe
 of the combine in place; the combine of any other operator (channel
@@ -22,8 +23,9 @@ mean, ``DenseOperator``) measures the whole raw prediction first.
 pseudo-inverse from its SVD, taken from LAPACK through
 ``numpy.linalg.svd``.
 
-Each array is checked finite once, by the walk that makes it: see
-``_Banded``, ``restore._ChannelMean``, ``_reconstruct`` and ``_Lifted``.
+Each array is checked finite once, by the walk that makes it, which
+refuses the stripe or band it meets not finite there: see ``_Banded``,
+``restore._ChannelMean``, ``_reconstruct`` and ``_Lifted``.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .tensor import (
     _RawWriter,
     _stripes,
     _writable_stripes,
-    check_destination,
     quantize,
     read_raw,
     write_raw,
@@ -123,9 +124,17 @@ class LinearOperator(abc.ABC):
         """A measurer of the array or stripe source ``src``, which it may read
         in place: ``add(rows, ch, band, spare)`` takes each stripe ``_walk``
         makes, with a buffer of its shape that the call may overwrite (or
-        None), and ``result()`` returns the measurement and whether it is
-        known to be finite."""
+        None), refusing through ``tensor._check_finite`` the stripe or band
+        whose measurement is not finite, and ``result()`` returns the
+        measurement."""
         return _Gathered(self, src)
+
+    def _measured_shape(self, shape: tuple[int, int, int]) -> tuple[int, int, int]:
+        """The shape of the measurement of an input of ``shape``, for its
+        files: ``out_shape``, which an operator that leaves it None lacks."""
+        if self.out_shape is None:
+            raise ValueError(f"{type(self).__name__} leaves out_shape None, so its measurement has no files")
+        return self.out_shape
 
     def _lift_source(self, m: np.ndarray):
         """The source of ``A+ m`` for the measurement ``m``, made after its
@@ -150,8 +159,8 @@ class _Gathered:
     def add(self, rows: np.ndarray, ch: int, band: slice, spare) -> None:
         self._x[ch, band] = rows
 
-    def result(self) -> tuple[np.ndarray, bool]:
-        return self._op.forward(ImageTensor(self._x)).data.copy(), True
+    def result(self) -> np.ndarray:
+        return self._op.forward(ImageTensor(self._x)).data.copy()
 
 
 class BlockOperator(LinearOperator):
@@ -172,9 +181,9 @@ class BlockOperator(LinearOperator):
 
     The measurements are NaN or infinite wherever a sample of their block
     is, by elementwise arithmetic for pooling, and for block sensing because
-    IEEE gives ``0 * NaN = 0 * inf = NaN`` in its BLAS product.  So the
-    measurer checks a stripe sample by sample only where its measurement
-    is not finite, and a measurement whole only if it overflowed.
+    IEEE gives ``0 * NaN = 0 * inf = NaN`` in its BLAS product, as they are
+    where they overflow.  So the measurer refuses a stripe, where it takes
+    it, by its measurements alone.
     """
 
     block: int
@@ -217,6 +226,10 @@ class BlockOperator(LinearOperator):
     def _measurer(self, src, scratch) -> "_Banded":
         return _Banded(self, src, scratch)
 
+    def _measured_shape(self, shape: tuple[int, int, int]) -> tuple[int, int, int]:
+        c, h, w = shape
+        return c * self.q, h // self.block, w // self.block
+
     def _lift_source(self, m: np.ndarray) -> "_Lifted":
         self._check(m, self.out_shape, "measurement")
         return _Lifted(self, m, self._image_shape(m.shape))
@@ -231,22 +244,19 @@ class BlockOperator(LinearOperator):
 
 class _Banded:
     """``BlockOperator``'s measurer: each stripe's measurements taken into
-    their band by ``_forward_band``, the stripe checked sample by sample
-    where they are not finite."""
+    their band by ``_forward_band``, and refused there if not finite."""
 
     def __init__(self, op: BlockOperator, src, scratch):
-        c, h, w = src.shape
-        self._op, self._scratch, self._finite = op, scratch, True
-        self._m = np.empty((c * op.q, h // op.block, w // op.block), src.dtype)
+        self._op, self._scratch = op, scratch
+        self._m = np.empty(op._measured_shape(src.shape), src.dtype)
 
     def add(self, rows: np.ndarray, ch: int, band: slice, spare) -> None:
         out = self._op._forward_band(rows, self._scratch, self._op._band(self._m, ch, band))
         if not np.isfinite(out).all():
-            _check_finite(rows)
-            self._finite = False
+            _check_finite(out)  # raises
 
-    def result(self) -> tuple[np.ndarray, bool]:
-        return self._m, self._finite
+    def result(self) -> np.ndarray:
+        return self._m
 
 
 class _Lifted:
@@ -386,38 +396,26 @@ def reconstruct(op: LinearOperator, y, x_raw, *paths) -> list[ConsistencyReport]
     A path's name picks its format (``tensor._open_writers``); a PNG
     quantizes each stripe in place, and every later file receives that.
     The checks come in one order for every operator and source: every
-    destination's, then ``y``'s (by ``op._lift_source``, which makes the
-    source of ``A+ y``), then the prediction's shape, then its samples as
-    the walks meet them: ``_raw_measured``, where the combine needs all of
-    ``A x_raw``, then ``_reconstruct``, which combines, writes and
-    measures.  The files are renamed into place one by one after the last
-    stripe, so an error before leaves every old file as it was.
+    destination's, as the files are opened for the prediction's shape,
+    then ``y``'s (by ``op._lift_source``, which makes the source of ``A+
+    y``), then the prediction's shape, then its samples as the walks meet
+    them: first, where the combine needs all of ``A x_raw``, its measurer
+    refuses each non-finite band, then ``_reconstruct`` combines, writes
+    and measures.  The files are renamed into place one by one after the
+    last stripe, so an error before leaves every old file as it was.
     """
     x_raw = x_raw.data if isinstance(x_raw, ImageTensor) else x_raw
     y = y.data if isinstance(y, ImageTensor) else y
-    for path in paths:
-        check_destination(path)
-    lifted = op._lift_source(y)
-    if x_raw.shape != lifted.shape:
-        raise ValueError(f"raw prediction shape {x_raw.shape} does not match operator input {lifted.shape}")
-    raw = _raw_measured(op, x_raw)
-    out = None if paths else np.empty(x_raw.shape, x_raw.dtype)
-    # A non-finite sample is carried into the combine to be checked there,
-    # where inf - inf would warn besides.
+    # A non-finite sample is carried into the walks to be refused where it
+    # is met, where inf - inf would warn besides.
     with _open_writers(x_raw.shape, *paths) as writers, np.errstate(invalid="ignore"):
+        lifted = op._lift_source(y)
+        if x_raw.shape != lifted.shape:
+            raise ValueError(f"raw prediction shape {x_raw.shape} does not match operator input {lifted.shape}")
+        raw = None if isinstance(op, BlockOperator) else _measured(op, x_raw).result()
+        out = None if paths else np.empty(x_raw.shape, x_raw.dtype)
         forwards = _reconstruct(op, y, lifted, x_raw, raw, writers, out)
     return [_compare_fresh(y, forward) for forward in forwards] if paths else out
-
-
-def _raw_measured(op: LinearOperator, x_raw):
-    """The first walk, for an operator whose combine needs all of ``A
-    x_raw``: ``x_raw``'s measurement, not checked finite here, for a
-    non-finite one makes its stripes' combine so, which ``_reconstruct`` refuses.
-    None for a block operator, which measures each stripe in place."""
-    if isinstance(op, BlockOperator):
-        return None
-    with np.errstate(invalid="ignore"):
-        return _measured(op, x_raw).result()[0]
 
 
 def _reconstruct(op: LinearOperator, y: np.ndarray, lifted, x_raw, raw, writers: list, out) -> list[np.ndarray]:
@@ -426,7 +424,7 @@ def _reconstruct(op: LinearOperator, y: np.ndarray, lifted, x_raw, raw, writers:
     ``tensor._writable_stripes``, the stripe of ``out`` if given, hand it to each writer in turn, which may
     quantize it in place, and after each write to that file's measurer,
     the last of which may overwrite it, the others one shared spare stripe;
-    return, checked, what each measures.  A block operator measures each
+    return what each measures.  A block operator measures each
     stripe in place (``_combine_band``); any other takes ``A+`` of the first
     walk's measurement ``raw`` and ``A+ y``, ``lifted``, as arrays.  Each
     stripe is checked once it is combined, so before its first write,
@@ -451,7 +449,7 @@ def _reconstruct(op: LinearOperator, y: np.ndarray, lifted, x_raw, raw, writers:
         for writer, measurer in zip(writers, measurers):
             held = writer.write(held, held)
             measurer.add(held, ch, band, held if measurer is measurers[-1] else others)
-    return [_checked(measurer) for measurer in measurers]
+    return [measurer.result() for measurer in measurers]
 
 
 def _measured(op: LinearOperator, src):
@@ -464,38 +462,28 @@ def _measured(op: LinearOperator, src):
     return measurer
 
 
-def _checked(measurer) -> np.ndarray:
-    """The measurement ``measurer`` has taken, checked finite unless it
-    knows it is."""
-    m, finite = measurer.result()
-    if not finite:
-        _check_finite(m)
-    return m
-
-
 def measure(op: LinearOperator, x, *paths) -> np.ndarray | None:
     """Write ``op.forward`` of the ``ImageTensor``, array or stripe source
-    ``x``, taken by ``op``'s measurer and checked finite, to each of
-    ``paths`` through ``tensor._open_writers``, in one call to each writer,
-    or, with no paths, return it as a fresh array.  Each file gets the
-    forward, a PNG its quantization, which the last file makes in place.
-    A source that ``op._check_input`` refuses is refused before any of its
-    samples is read; every destination is checked next, then the walk
-    meets the samples' faults, all before the first byte is written.
+    ``x``, taken by ``op``'s measurer, to each of ``paths`` through
+    ``tensor._open_writers``, in one call to each writer, or, with no
+    paths, return it as a fresh array.  Each file gets the forward, a PNG
+    its quantization, which the last file makes in place.  A source that
+    ``op._check_input`` refuses is refused before any of its samples is
+    read; the files are opened next, for the shape ``op._measured_shape``
+    gives, with every destination's checks, then the walk meets the
+    samples' faults, each stripe's where it is measured, all before a
+    file is renamed into place.
     """
     x = x.data if isinstance(x, ImageTensor) else x
     op._check_input(x)
-    for path in paths:
-        check_destination(path)
-    # A non-finite sample is carried into the walk to be checked there,
-    # where inf - inf would warn besides.
-    with np.errstate(invalid="ignore"):
-        forward = _checked(_measured(op, x))
-    if not paths:
-        return forward
-    with _open_writers(forward.shape, *paths) as writers:
+    # A non-finite sample is carried into the walk to be refused there, where
+    # inf - inf would warn besides.  With no paths, ``out_shape`` may be None.
+    shape = op._measured_shape(x.shape) if paths else None
+    with _open_writers(shape, *paths) as writers, np.errstate(invalid="ignore"):
+        forward = _measured(op, x).result()
         for writer in writers:
             writer.write(forward, forward if writer is writers[-1] else None)
+    return None if paths else forward
 
 
 def lift(op: LinearOperator, y: ImageTensor, *paths) -> np.ndarray | None:

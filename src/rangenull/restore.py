@@ -11,11 +11,11 @@ one BLAS product and one reordering copy each; its ``A+`` can overflow,
 so ``linop``'s lift walk checks each channel it makes.  Reruns at one
 BLAS thread count give the same bytes (see ``cs_measure``).  The channel
 mean's measurer, ``_ChannelMean``, holds the sum and channel 0, never
-the image, and finishes and tests each band's mean as its last channel
-arrives; its ``A+`` hands a measurement's rows to every channel.  So its
-combine walks the prediction twice: first for its mean, which is NaN or
-infinite wherever a sample is, then to subtract that mean from each
-channel and add ``y``.  ``generic_pd`` spells ``op.combine``.
+the image, and finishes each band's mean as its last channel arrives,
+refusing it there if it is not finite; its ``A+`` hands a measurement's
+rows to every channel.  So its combine walks the prediction twice: first
+for its mean, which is NaN or infinite wherever a sample is, then to
+subtract that mean from each channel and add ``y``.  ``generic_pd`` spells ``op.combine``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .linop import BlockOperator, LinearOperator, svd
 from .rng import Stream
-from .tensor import ImageTensor, _adopt, _read_payload, _write_atomic
+from .tensor import ImageTensor, _adopt, _check_finite, _read_payload, _write_atomic
 
 SENSE_MAGIC = b"PDM1"
 _SENSE_HEADER = struct.Struct("<4sIIQ")
@@ -45,12 +45,13 @@ class _ChannelMean:
     an image held whole, read in place, if given, else a copy ``add``
     makes.  A residual is taken into the stripe's spare buffer, or, if it
     has none, into one the measurer makes.  A band's sum becomes its mean,
-    in place, once its last channel arrives, and is tested finite there.
+    in place, once its last channel arrives, and is refused there if it
+    is not finite.
     """
 
     def __init__(self, shape: tuple[int, int, int], first: np.ndarray | None = None):
         channels, height, width = shape
-        self._channels, self._finite = channels, True
+        self._channels = channels
         self._copied = first is None
         self._first = np.empty((height, width)) if first is None else first
         self._total = np.zeros((1, height, width))
@@ -71,13 +72,14 @@ class _ChannelMean:
         if ch == self._channels - 1:
             mean = self._total[0, band]
             np.add(np.divide(mean, self._channels, out=mean), self._first[band], out=mean)
-            self._finite = self._finite and bool(np.isfinite(mean).all())
+            if not np.isfinite(mean).all():
+                _check_finite(mean)  # raises
 
-    def result(self) -> tuple[np.ndarray, bool]:
-        """The (1, height, width) mean, in the array that held the sum, and
-        whether every band of it is finite; the measurer lets go of channel 0."""
+    def result(self) -> np.ndarray:
+        """The (1, height, width) mean, in the array that held the sum; the
+        measurer lets go of channel 0."""
         del self._first, self._spare
-        return self._total, self._finite
+        return self._total
 
 
 def color_to_gray(x: ImageTensor) -> ImageTensor:
@@ -271,7 +273,8 @@ def save_sense_op(op: BlockSenseOp, path: str | Path) -> None:
 
 def load_sense_op(path: str | Path) -> BlockSenseOp:
     """Read a PDM1 file; the header must declare ``block >= 1`` and
-    ``1 <= q <= block^2``, and the payload must hold exactly those rows."""
+    ``1 <= q <= block^2``, and the payload must hold exactly those rows,
+    all finite."""
     with open(path, "rb") as f:
         head = f.read(_SENSE_HEADER.size)
         if len(head) < _SENSE_HEADER.size or head[:4] != SENSE_MAGIC:
@@ -281,6 +284,8 @@ def load_sense_op(path: str | Path) -> BlockSenseOp:
         if block < 1 or not 1 <= q <= n:
             raise ValueError(f"{path}: invalid PDM1 header: block={block}, q={q}")
         rows = _read_payload(f, path, (q, n), f"q={q} rows of block {block}")
+    if not np.isfinite(rows).all():
+        raise ValueError(f"{path}: PDM1 row weights must be finite (no NaN or infinity)")
     return BlockSenseOp(block=block, q=q, seed=seed, ratio=q / n, rows=rows)
 
 

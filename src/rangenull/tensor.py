@@ -28,13 +28,15 @@ and ``_gather`` copies them into one array, unless the source makes that
 itself (a block operator's ``A+ y``).  No source checks its samples
 finite: an operator's measurer checks what it computes from them (see
 ``linop``), and a source its caller refuses is refused unread.
-``_open_writers`` gives each output file the writer of its format: a
-PDT1 writes whole rows as they come, a PNG quantizes them into the
-8-bit image it encodes at the end.  ``linop.measure``,
-``linop.reconstruct`` and ``linop.lift``, the streamed protocols of
-every operator, are the only callers of ``_open_writers`` outside this
-module.  Every file is written through ``_write_atomic``, which renames
-a call's files into place, one by one, once all are complete.
+``_open_writers`` gives each output file the writer of its format,
+which refuses the image's shape as it opens: a PDT1 writes whole rows
+as they come, a PNG quantizes them into the 8-bit image it makes at its
+first write and encodes at the end.  ``linop.measure``, ``linop.lift``
+and ``linop.reconstruct``, the streamed protocols of every operator,
+alone call it outside this module, before they read their input.  Every
+file is written through ``_write_atomic``, which checks every
+destination first and renames a call's files into place, one by one,
+once all are complete.
 """
 
 from __future__ import annotations
@@ -251,19 +253,21 @@ class _RawWriter:
 class _PngWriter:
     """Writes the 8-bit PNG of an image of ``shape``: each ``write`` quantizes
     the next whole rows, in planar order, into the (height, width,
-    channels) image that PNG rows interleave, and ``finish`` encodes it."""
+    channels) image that PNG rows interleave, made at the first write, and
+    ``finish`` encodes it."""
 
     def __init__(self, f, path: str | Path, shape: tuple[int, int, int]):
         if shape[0] not in (1, 3):
             raise ValueError(f"PNG output needs 1 or 3 channels, got {shape[0]}")
-        self._file = f
-        self._samples = np.empty(shape[1:] + shape[:1], np.uint8)
+        self._file, self._shape, self._samples = f, shape[1:] + shape[:1], None
         self._row = 0  # rows written, counted across the channels
 
     def write(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Quantize ``rows``, of one channel or more, as ``quantize`` does, into
         ``out`` if given, and return them as the file holds them."""
-        height, width, _ = self._samples.shape
+        if self._samples is None:
+            self._samples = np.empty(self._shape, np.uint8)
+        height, width, _ = self._shape
         levels = _levels(rows, out)
         flat = levels.reshape(-1, width)
         while len(flat):

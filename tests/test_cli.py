@@ -837,6 +837,21 @@ class TestStripeLayer:
         assert not defined & {"stream_pd", "cs_stream_pd", "color_stream_pd"}
         assert users <= {"linop", "tensor"} and "linop" in users
 
+    def test_files_open_before_the_first_walk(self):
+        # Every protocol opens its files, and so checks every destination,
+        # before it walks its input: every walk it starts runs inside its
+        # one ``with _open_writers(...)``, and ``linop`` leaves the
+        # destination checks to ``tensor._write_atomic``.
+        walks = {"_measured", "_reconstruct", "_writable_stripes"}
+        for name in ("measure", "lift", "reconstruct"):
+            (function,) = [node for node in self.trees["linop"].body if getattr(node, "name", None) == name]
+            (opened,) = [node for node in ast.walk(function) if isinstance(node, ast.With)
+                         and any(_calls(item.context_expr, "_open_writers") for item in node.items)]
+            for walk in walks:
+                assert _calls(opened, walk) == _calls(function, walk), (name, walk)
+            assert walks & _names(opened), name
+        assert "check_destination" not in _names(self.trees["linop"])
+
     def _callers(self, name):
         """(module, class or None, function) of each top-level function or
         method that calls ``name``, by name or as an attribute."""
@@ -891,15 +906,14 @@ class TestStripeLayer:
         # another shape is left, and no source is read through before it is
         # refused: no protocol asks whether its input is an ``ImageTensor``
         # to pick its order, and ``verify_consistency`` is one call.
-        assert self._callers("_measured") == {("linop", None, "measure"), ("linop", None, "_raw_measured")}
-        assert self._callers("_raw_measured") == {("linop", None, "reconstruct")}
+        assert self._callers("_measured") == {("linop", None, "measure"), ("linop", None, "reconstruct")}
         assert self._callers("_measurer") == {("linop", None, "_measured"), ("linop", None, "_reconstruct")}
         assert {caller for caller in self._callers("_check_input") if caller[2] != "_check_input"} <= {
             ("linop", None, "measure")}
         removed = {"_read_first", "_WalkOperator", "_combine_walk", "_channel_mean", "_forward_checked",
-                   "_forward_walk", "_stream_walk", "_read_through", "_raw_shape"}
+                   "_forward_walk", "_stream_walk", "_read_through", "_raw_shape", "_checked", "_raw_measured"}
         assert not removed & set().union(*map(_names, self.trees.values()))
-        for name in ("measure", "reconstruct", "_raw_measured"):
+        for name in ("measure", "reconstruct"):
             (function,) = [node for node in self.trees["linop"].body if getattr(node, "name", None) == name]
             assert "known" not in _names(function), name
         (verify,) = [node for node in self.trees["pooling"].body if getattr(node, "name", None) == "verify_consistency"]
@@ -950,7 +964,7 @@ class TestStripeLayer:
             ("linop", "_Banded", "add"),
             ("linop", "_Lifted", "_made"),
             ("linop", None, "_reconstruct"),
-            ("linop", None, "_checked"),
+            ("restore", "_ChannelMean", "add"),
         }
 
     def test_one_prediction_dispatch(self):
@@ -1010,9 +1024,9 @@ class TestStripeLayer:
 
     def test_block_walks_without_special_cases(self):
         # The one walk measures every file after its write and names the PDT1
-        # writer only to check the stripe before a first write; the first
-        # walk and the one walk alone tell a block operator, which measures
-        # each stripe in place, from another, by its class; ``lift`` walks
+        # writer only to check the stripe before a first write; ``reconstruct``
+        # and its walk alone tell a block operator, which measures each
+        # stripe in place, from another, by its class; ``lift`` walks
         # every operator's source alike; and pooling's scratch is one array.
         def function(module, name, cls=None):
             body = self.trees[module].body
@@ -1024,7 +1038,7 @@ class TestStripeLayer:
         walk = function("linop", "_reconstruct")
         assert sum(getattr(node, "id", None) == "_RawWriter" for node in ast.walk(walk)) == 1
         functions = [node for node in self.trees["linop"].body if isinstance(node, ast.FunctionDef)]
-        assert [node.name for node in functions if "BlockOperator" in _names(node)] == ["_raw_measured",
+        assert [node.name for node in functions if "BlockOperator" in _names(node)] == ["reconstruct",
                                                                                          "_reconstruct"]
         assert not [node for node in ast.walk(walk) if isinstance(node, ast.Compare)
                     and "raw" in _names(node) and isinstance(node.ops[0], (ast.Is, ast.IsNot))]
@@ -1440,6 +1454,42 @@ class TestRefusedInputIsNotRead:
         assert str(misfit) not in reads
         assert not out.exists() and not list(tmp_path.rglob("*.tmp"))
 
+    def test_cs_measure_into_a_png_of_twelve_channels(self, capsys, tmp_path, stream, monkeypatch):
+        # The measurement's shape is known from the input's header, so its
+        # PNG is refused before the input is read; a NaN in it is not met.
+        op, x, out = tmp_path / "op.pdm1", tmp_path / "x.pdt1", tmp_path / "o.png"
+        save_sense_op(cs_build(2, 1.0, seed=3), op)
+        samples = stream.uniform((3, 8, 10))
+        samples[-1, -1, -1] = np.nan
+        _pdt1(x, samples)
+        reads = _payload_reads(monkeypatch)
+        argv = ["cs", "--action", "measure", "--op", str(op), "--input", str(x), "--output", str(out)]
+        assert run_cli(capsys, *argv) == (3, "", "error: PNG output needs 1 or 3 channels, got 12\n")
+        assert str(x) not in reads
+        assert not out.exists() and not list(tmp_path.rglob("*.tmp"))
+
+    def test_measure_refuses_an_unbound_forward_into_files(self, tmp_path, stream, monkeypatch):
+        # An operator that gives its own ``forward`` and no ``out_shape`` has
+        # no shape to open files for: refused by name before the input is
+        # read.  Into an array it measures as before.
+        class HalfWidth(linop.LinearOperator):
+            def forward(self, x):
+                return ImageTensor(x.data[:, :, ::2])
+
+            def pinv(self, y):
+                return ImageTensor(y.data.repeat(2, axis=2))
+
+        raw, out = tmp_path / "raw.pdt1", tmp_path / "o.pdt1"
+        x = stream.uniform((3, 8, 10))
+        _pdt1(raw, x)
+        reads = _payload_reads(monkeypatch)
+        with RawReader(raw) as reader, pytest.raises(ValueError) as info:
+            measure(HalfWidth(), reader, out)
+        assert str(info.value) == "HalfWidth leaves out_shape None, so its measurement has no files"
+        assert reads == [] and [p.name for p in tmp_path.iterdir()] == ["raw.pdt1"]
+        with RawReader(raw) as reader:
+            assert measure(HalfWidth(), reader).tobytes() == x[:, :, ::2].tobytes()
+
 
 # Faults of a PDT1 prediction (``pd --raw``) or reconstruction (``verify
 # --sr``) of shape (3, 4s, 5s) for a (3, 4, 5) measurement at scale s, read
@@ -1460,20 +1510,19 @@ _PARITY_FAULTS = [
 ]
 
 
-def _make_parity_fault(fault, path, s, command, monkeypatch, stream):
-    """Write the faulty file of ``fault`` at ``path`` for ``command``; return
-    the measurement, and the message the fault gives, or None where the call
-    succeeds."""
+def _make_parity_fault(fault, path, s, monkeypatch, stream):
+    """Write the faulty file of ``fault`` at ``path``; return the
+    measurement, and the message the fault gives ``pd`` and ``verify``, or
+    None where the call succeeds."""
     x = stream.uniform((3, 4 * s, 5 * s))
     finite = "tensor samples must be finite (no NaN or infinity)"
-    # (when it is met, message): at its stripe (0), at the last read (1),
-    # once the walk has ended (2).
+    # (when it is met, message): at its stripe (0), at the last read (1).
     messages, resize = [], None
     for part in fault.split(", "):
         if part == "overflow":
             x[1, 2 * s, :2] = [1.7e308, -1.7e308]
-            # pd meets it in the combined stripe, verify in its measurement.
-            messages += [(0 if command == "pd" else 2, finite)] if s > 1 else []
+            # pd meets it in the combined stripe, verify in the stripe's measurement.
+            messages += [(0, finite)] if s > 1 else []
         elif part in ("shrinks", "grows"):
             resize = -8 if part == "shrinks" else 8
             messages.append((1, f"{path}: payload {'shrank' if part == 'shrinks' else 'grew'} while it was read"))
@@ -1493,7 +1542,7 @@ class TestStreamedFaultParity:
     scale and into every order of outputs, exits 3 with the message it gave
     when the reader checked every stripe, prints nothing and leaves no
     output and no temporary file; a block whose mean overflows is refused
-    as before, and so are files that change size."""
+    at its stripe by both commands, and so are files that change size."""
 
     @pytest.fixture(autouse=True)
     def one_block_row_per_stripe(self, monkeypatch):
@@ -1504,7 +1553,7 @@ class TestStreamedFaultParity:
     @pytest.mark.parametrize("s", [1, 2, 3, 4, 8])
     def test_pd(self, capsys, tmp_path, stream, monkeypatch, s, fault, outputs):
         lr, raw = tmp_path / "lr.pdt1", tmp_path / "raw.pdt1"
-        y, message = _make_parity_fault(fault, raw, s, "pd", monkeypatch, stream)
+        y, message = _make_parity_fault(fault, raw, s, monkeypatch, stream)
         _pdt1(lr, y)
         argv = ["pd", "--lr", str(lr), "--scale", str(s), "--predictor", "external", "--raw", str(raw),
                 "--output", str(tmp_path / outputs[0])]
@@ -1520,7 +1569,7 @@ class TestStreamedFaultParity:
     @pytest.mark.parametrize("s", [1, 2, 3, 4, 8])
     def test_verify(self, capsys, tmp_path, stream, monkeypatch, s, fault):
         lr, sr = tmp_path / "lr.pdt1", tmp_path / "sr.pdt1"
-        y, message = _make_parity_fault(fault, sr, s, "verify", monkeypatch, stream)
+        y, message = _make_parity_fault(fault, sr, s, monkeypatch, stream)
         _pdt1(lr, y)
         code, stdout, stderr = run_cli(capsys, "verify", "--lr", str(lr), "--sr", str(sr), "--scale", str(s))
         if message is None:
@@ -1528,6 +1577,17 @@ class TestStreamedFaultParity:
             return
         assert (code, stdout, stderr) == (3, "", f"error: {message}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["lr.pdt1", "sr.pdt1"]
+
+    def test_verify_stops_reading_at_an_overflowing_block(self, capsys, tmp_path, stream, monkeypatch):
+        # At scale 2 the overflowing block is in block row 2 of channel 1:
+        # the 7th of 12 stripes, and the last one read.
+        lr, sr = tmp_path / "lr.pdt1", tmp_path / "sr.pdt1"
+        y, message = _make_parity_fault("overflow", sr, 2, monkeypatch, stream)
+        _pdt1(lr, y)
+        reads = _payload_reads(monkeypatch)
+        code, stdout, stderr = run_cli(capsys, "verify", "--lr", str(lr), "--sr", str(sr), "--scale", "2")
+        assert (code, stdout, stderr) == (3, "", f"error: {message}\n")
+        assert reads.count(str(sr)) == 7
 
 
 class TestFiniteChecks:
@@ -2098,6 +2158,8 @@ def _cs_fault(fault, action, tmp_path, monkeypatch, stream):
     return ["cs", "--action", action, "--op", str(op), *map(str, inputs[action])], message
 
 
+# The faults ``cs`` meets only by reading the image or the measurement.
+_CS_READ_FAULTS = {"shrinks", "grows", "nan_in_last_stripe", "overflow"}
 _CS_FAULTS = {
     "measure": ["sample_short", "shrinks", "grows", "nan_in_last_stripe", "shape_mismatch",
                 "shape_mismatch_and_nan", "overflow", "directory_output", "png_channels"],
@@ -2135,10 +2197,33 @@ class TestCsStreamedFaults:
             out.mkdir()
         else:
             out.write_bytes(b"old")
+        unread = action == "measure" and output == "o.png" and fault in _CS_READ_FAULTS
+        if unread:
+            # The 12-channel measurement's PNG is refused before the image is read.
+            message = "PNG output needs 1 or 3 channels, got 12"
+        reads = _payload_reads(monkeypatch)
         code, stdout, stderr = run_cli(capsys, *argv, "--output", str(out))
         assert (code, stdout, stderr) == (3, "", f"error: {message.format(out=str(out))}\n")
         assert out.is_dir() or out.read_bytes() == b"old"
         assert not list(tmp_path.rglob("*.tmp"))
+        assert not unread or str(tmp_path / "x.pdt1") not in reads
+
+    @pytest.mark.parametrize("action", ["measure", "pinv", "pd"])
+    def test_a_non_finite_weight_is_refused_before_the_image(self, capsys, tmp_path, stream, monkeypatch, action):
+        # The operator file is loaded first, and names itself: no image is read.
+        rows = cs_build(4, 0.5, seed=1).rows.copy()
+        rows[1, 5] = np.nan
+        op, x, m = tmp_path / "op.pdm1", tmp_path / "x.pdt1", tmp_path / "m.pdt1"
+        save_sense_op(BlockSenseOp(4, 8, seed=1, ratio=0.5, rows=rows), op)
+        _pdt1(x, stream.uniform((3, 8, 12)))
+        _pdt1(m, stream.uniform((24, 2, 3)))
+        inputs = {"measure": ["--input", x], "pinv": ["--input", m], "pd": ["--lr", m, "--raw", x]}[action]
+        reads = _payload_reads(monkeypatch)
+        argv = ["cs", "--action", action, "--op", op, *inputs, "--output", tmp_path / "o.pdt1"]
+        message = f"{op}: PDM1 row weights must be finite (no NaN or infinity)"
+        assert run_cli(capsys, *map(str, argv)) == (3, "", f"error: {message}\n")
+        assert reads == [str(op)]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.pdt1", "op.pdm1", "x.pdt1"]
 
 
     def test_pd_measures_its_record_before_the_rename(self, capsys, tmp_path):
@@ -2563,6 +2648,18 @@ class TestColorizeStreamedFaults:
             assert run_cli(capsys, *argv, "--output", str(out)) == (3, "", f"error: {message}\n")
             assert out.read_bytes() == b"old"
         assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_no_free_space_reads_no_sample_of_raw(self, capsys, tmp_path, stream, monkeypatch):
+        # The file is opened, and its free space refused, before the first
+        # walk takes the prediction's mean: its NaN is not met.
+        argv = _color_fault("nan_in_last_stripe", tmp_path, monkeypatch, stream)
+        monkeypatch.setattr(os, "statvfs", lambda path: os.statvfs_result((1, 1, 2048, 0, 0, 9, 9, 9, 0, 255)))
+        out = tmp_path / "o.pdt1"
+        reads = _payload_reads(monkeypatch)
+        message = f"[Errno 28] No space left on device: {str(out)!r}"
+        assert run_cli(capsys, *argv, "--output", str(out)) == (3, "", f"error: {message}\n")
+        assert str(tmp_path / "raw.pdt1") not in reads
+        assert not out.exists() and not list(tmp_path.rglob("*.tmp"))
 
 
 class TestColorizeStreamedMemory:
