@@ -14,18 +14,18 @@ forward), ``lift`` (``A+ y``) and ``reconstruct``, the consistent combine
 ``pinv`` and ``combine`` wrap their arrays.  No protocol reads a sample
 of an input it refuses: each checks shapes and opens its files, which
 checks every destination, before its first walk, then meets the
-samples' faults in its walks.  ``BlockOperator``
-(pooling, the identity, block sensing) derives both kernels from two
-band kernels on one stripe of whole block rows and measures each stripe
-of the combine in place; the combine of any other operator (channel
-mean, ``DenseOperator``) measures the whole raw prediction first.
+samples' faults in its walks.  ``BlockOperator`` (pooling, the
+identity, block sensing) derives both kernels from two band kernels on
+one stripe of whole block rows and measures each stripe of the combine
+in place; the combine of any other operator (channel mean,
+``DenseOperator``) first takes ``measure`` of the whole raw prediction.
 ``DenseOperator`` materializes an arbitrary matrix and derives its
 pseudo-inverse from its SVD, taken from LAPACK through
 ``numpy.linalg.svd``.
 
 Each array is checked finite once, by the walk that makes it, which
 refuses the stripe or band it meets not finite there: see ``_Banded``,
-``restore._ChannelMean``, ``_reconstruct`` and ``_Lifted``.
+``restore._ChannelMean``, ``reconstruct`` and ``_Lifted``.
 """
 
 from __future__ import annotations
@@ -91,7 +91,9 @@ class LinearOperator(abc.ABC):
         """Consistent combine: ``pinv(y) + (x_raw - pinv(forward(x_raw)))``,
         ``pinv(y)`` added in place into the difference (addition commutes
         exactly, so that is the sum's bits), which is ``reconstruct``'s
-        array with no paths.  Pushing the result back through ``forward``
+        array with no paths: ``forward(x_raw)`` is a first walk of
+        ``measure``, or, for a ``BlockOperator``, each stripe's measurement
+        within the one walk.  Pushing the result back through ``forward``
         reproduces ``y`` up to float rounding whenever ``forward(pinv(.))``
         is the identity.  ``y`` is checked first, then ``x_raw``'s shape,
         then its samples.
@@ -393,86 +395,69 @@ def reconstruct(op: LinearOperator, y, x_raw, *paths) -> list[ConsistencyReport]
     prediction, taken one stripe at a time, an ``ImageTensor``, an array or
     a stripe source.
 
-    A path's name picks its format (``tensor._open_writers``); a PNG
-    quantizes each stripe in place, and every later file receives that.
+    A block operator measures each stripe in place (``_combine_band``);
+    any other needs all of ``A x_raw``, its ``measure``, as a first walk.
+    The one walk then makes each stripe ``(rows - A+ (A x_raw)) + A+ y``
+    in a buffer from ``tensor._writable_stripes`` (with no paths, the
+    stripe of the fresh array) and hands it to each writer in turn, which
+    may quantize it in place, then to that file's measurer: the last may
+    overwrite it, the others share one spare stripe.  A path's name picks
+    its format (``tensor._open_writers``).
+
     The checks come in one order for every operator and source: every
     destination's, as the files are opened for the prediction's shape,
     then ``y``'s (by ``op._lift_source``, which makes the source of ``A+
     y``), then the prediction's shape, then its samples as the walks meet
-    them: first, where the combine needs all of ``A x_raw``, its measurer
-    refuses each non-finite band, then ``_reconstruct`` combines, writes
-    and measures.  The files are renamed into place one by one after the
-    last stripe, so an error before leaves every old file as it was.
+    them, each combined stripe before its first write unless a block
+    operator's PDT1 measurer checks it after.  The files are renamed into
+    place one by one after the last stripe, so an error before leaves
+    every old file as it was.
     """
     x_raw = x_raw.data if isinstance(x_raw, ImageTensor) else x_raw
     y = y.data if isinstance(y, ImageTensor) else y
+    banded = isinstance(op, BlockOperator)
     # A non-finite sample is carried into the walks to be refused where it
     # is met, where inf - inf would warn besides.
     with _open_writers(x_raw.shape, *paths) as writers, np.errstate(invalid="ignore"):
         lifted = op._lift_source(y)
         if x_raw.shape != lifted.shape:
             raise ValueError(f"raw prediction shape {x_raw.shape} does not match operator input {lifted.shape}")
-        raw = None if isinstance(op, BlockOperator) else _measured(op, x_raw).result()
+        raw_lifted = None if banded else op._lift_source(measure(op, x_raw))
         out = None if paths else np.empty(x_raw.shape, x_raw.dtype)
-        forwards = _reconstruct(op, y, lifted, x_raw, raw, writers, out)
+        stripes, scratch = op._walk(x_raw, partial(_writable_stripes, out=out))
+        measurers = [op._measurer(_Blank(x_raw.shape, x_raw.dtype), scratch) for _ in writers]
+        spare = None
+        for rows, held, ch, band in stripes:
+            if banded:
+                op._combine_band(rows, op._band(y, ch, band), held, scratch)
+            else:
+                np.subtract(rows, raw_lifted[ch, band], out=held)
+                held += lifted[ch, band]
+            if not (writers and banded and isinstance(writers[0], _RawWriter)):
+                _check_finite(held)
+            if spare is None and len(writers) > 1 and not banded:
+                spare = np.empty_like(held)  # a channel's first stripe is its largest
+            others = None if spare is None else spare[: len(held)]
+            for writer, measurer in zip(writers, measurers):
+                held = writer.write(held, held)
+                measurer.add(held, ch, band, held if measurer is measurers[-1] else others)
+        forwards = [measurer.result() for measurer in measurers]  # frees their buffers before a PNG encodes
     return [_compare_fresh(y, forward) for forward in forwards] if paths else out
-
-
-def _reconstruct(op: LinearOperator, y: np.ndarray, lifted, x_raw, raw, writers: list, out) -> list[np.ndarray]:
-    """The one walk of the combine: make each stripe of the source ``x_raw``
-    ``(rows - A+ (A x_raw)) + A+ y`` in a buffer from
-    ``tensor._writable_stripes``, the stripe of ``out`` if given, hand it to each writer in turn, which may
-    quantize it in place, and after each write to that file's measurer,
-    the last of which may overwrite it, the others one shared spare stripe;
-    return what each measures.  A block operator measures each
-    stripe in place (``_combine_band``); any other takes ``A+`` of the first
-    walk's measurement ``raw`` and ``A+ y``, ``lifted``, as arrays.  Each
-    stripe is checked once it is combined, so before its first write,
-    unless that is a PDT1's and a block operator's measurer checks it after.
-    """
-    banded = isinstance(op, BlockOperator)
-    stripes, scratch = op._walk(x_raw, partial(_writable_stripes, out=out))
-    measurers = [op._measurer(_Blank(x_raw.shape, x_raw.dtype), scratch) for _ in writers]
-    raw_lifted = None if banded else op._lift_source(raw)
-    spare = None
-    for rows, held, ch, band in stripes:
-        if banded:
-            op._combine_band(rows, op._band(y, ch, band), held, scratch)
-        else:
-            np.subtract(rows, raw_lifted[ch, band], out=held)
-            held += lifted[ch, band]
-        if not (writers and banded and isinstance(writers[0], _RawWriter)):
-            _check_finite(held)
-        if spare is None and len(writers) > 1 and not banded:
-            spare = np.empty_like(held)  # a channel's first stripe is its largest
-        others = None if spare is None else spare[: len(held)]
-        for writer, measurer in zip(writers, measurers):
-            held = writer.write(held, held)
-            measurer.add(held, ch, band, held if measurer is measurers[-1] else others)
-    return [measurer.result() for measurer in measurers]
-
-
-def _measured(op: LinearOperator, src):
-    """A measurer of ``op`` fed every stripe of the array or stripe source
-    ``src``, a stripe source's own stripe as its spare buffer."""
-    stripes, scratch = op._walk(src)
-    measurer = op._measurer(src, scratch)
-    for rows, ch, band in stripes:
-        measurer.add(rows, ch, band, None if isinstance(src, np.ndarray) else rows)
-    return measurer
 
 
 def measure(op: LinearOperator, x, *paths) -> np.ndarray | None:
     """Write ``op.forward`` of the ``ImageTensor``, array or stripe source
     ``x``, taken by ``op``'s measurer, to each of ``paths`` through
     ``tensor._open_writers``, in one call to each writer, or, with no
-    paths, return it as a fresh array.  Each file gets the forward, a PNG
-    its quantization, which the last file makes in place.  A source that
-    ``op._check_input`` refuses is refused before any of its samples is
-    read; the files are opened next, for the shape ``op._measured_shape``
-    gives, with every destination's checks, then the walk meets the
-    samples' faults, each stripe's where it is measured, all before a
-    file is renamed into place.
+    paths, return it as a fresh array; with no paths it is also the first
+    walk of every combine but a block operator's.  Each file gets the
+    forward, a PNG its quantization, which the last file makes in place.
+    A source that ``op._check_input`` refuses is refused before any of its
+    samples is read; the files are opened next, for the shape
+    ``op._measured_shape`` gives, with every destination's checks, then
+    the walk meets the samples' faults, each stripe's where it is
+    measured, all before a file is renamed into place.  A stripe source's
+    own stripe is the measurer's spare buffer.
     """
     x = x.data if isinstance(x, ImageTensor) else x
     op._check_input(x)
@@ -480,7 +465,11 @@ def measure(op: LinearOperator, x, *paths) -> np.ndarray | None:
     # inf - inf would warn besides.  With no paths, ``out_shape`` may be None.
     shape = op._measured_shape(x.shape) if paths else None
     with _open_writers(shape, *paths) as writers, np.errstate(invalid="ignore"):
-        forward = _measured(op, x).result()
+        stripes, scratch = op._walk(x)
+        measurer = op._measurer(x, scratch)
+        for rows, ch, band in stripes:
+            measurer.add(rows, ch, band, None if isinstance(x, np.ndarray) else rows)
+        forward = measurer.result()
         for writer in writers:
             writer.write(forward, forward if writer is writers[-1] else None)
     return None if paths else forward

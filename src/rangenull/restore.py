@@ -161,6 +161,8 @@ class BlockSenseOp(BlockOperator):
         rows = np.array(rows, dtype=np.float64)
         if rows.shape != (q, block * block):
             raise ValueError(f"rows must be {(q, block * block)}, got {rows.shape}")
+        if not np.isfinite(rows).all():
+            raise ValueError("rows must be finite (no NaN or infinity)")
         rows.setflags(write=False)
         self.block = block
         self.n = block * block

@@ -839,17 +839,21 @@ class TestStripeLayer:
 
     def test_files_open_before_the_first_walk(self):
         # Every protocol opens its files, and so checks every destination,
-        # before it walks its input: every walk it starts runs inside its
-        # one ``with _open_writers(...)``, and ``linop`` leaves the
-        # destination checks to ``tensor._write_atomic``.
-        walks = {"_measured", "_reconstruct", "_writable_stripes"}
-        for name in ("measure", "lift", "reconstruct"):
+        # before it walks its input: every walk it names, the operator's
+        # ``_walk``, ``measure`` (the combine's first walk) or
+        # ``_writable_stripes``, is named inside its one ``with
+        # _open_writers(...)``, and ``linop`` leaves the destination checks
+        # to ``tensor._write_atomic``.
+        walks = {"_walk", "measure", "_writable_stripes"}
+        expected = {"measure": {"_walk"}, "lift": {"_writable_stripes"},
+                    "reconstruct": {"_walk", "measure", "_writable_stripes"}}
+        for name, named in expected.items():
             (function,) = [node for node in self.trees["linop"].body if getattr(node, "name", None) == name]
             (opened,) = [node for node in ast.walk(function) if isinstance(node, ast.With)
                          and any(_calls(item.context_expr, "_open_writers") for item in node.items)]
             for walk in walks:
-                assert _calls(opened, walk) == _calls(function, walk), (name, walk)
-            assert walks & _names(opened), name
+                assert _uses(opened, walk) == _uses(function, walk), (name, walk)
+            assert {walk for walk in walks if _uses(opened, walk)} == named, name
         assert "check_destination" not in _names(self.trees["linop"])
 
     def _callers(self, name):
@@ -866,13 +870,13 @@ class TestStripeLayer:
         return found
 
     def test_one_combine_walk_per_operator(self):
-        # Every combine runs the one walk, ``_reconstruct``: the band combine
-        # is called only there, ``reconstruct`` (behind ``combine`` and
-        # ``table1``) alone runs it and alone makes the combine's checks, and
-        # no operator class overrides ``combine``.
-        assert self._callers("_combine_band") == {("linop", None, "_reconstruct")}
-        assert self._callers("_reconstruct") == {("linop", None, "reconstruct")}
-        assert not {"_combined", "_combine_checks"} & set().union(*map(_names, self.trees.values()))
+        # Every combine runs the one walk of ``reconstruct`` (behind
+        # ``combine`` and ``table1``): the band combine is called only
+        # there, ``reconstruct`` alone makes the combine's checks, it has no
+        # helper of its own, and no operator class overrides ``combine``.
+        assert self._callers("_combine_band") == {("linop", None, "reconstruct")}
+        removed = {"_combined", "_combine_checks", "_reconstruct"}
+        assert not removed & set().union(*map(_names, self.trees.values()))
         for module, cls in self._operator_classes():
             if cls != "LinearOperator":
                 assert "combine" not in self._members(module, cls), cls
@@ -900,18 +904,21 @@ class TestStripeLayer:
         return {getattr(node, "name", None) for node in body}
 
     def test_one_forward_walk_per_operator(self):
-        # Every forward of an array or a stripe source feeds the operator's
-        # measurer through ``_measured``, from ``measure`` and from the first
-        # walk of ``reconstruct``, which ``combine`` calls.  No walk of
-        # another shape is left, and no source is read through before it is
-        # refused: no protocol asks whether its input is an ``ImageTensor``
-        # to pick its order, and ``verify_consistency`` is one call.
-        assert self._callers("_measured") == {("linop", None, "measure"), ("linop", None, "reconstruct")}
-        assert self._callers("_measurer") == {("linop", None, "_measured"), ("linop", None, "_reconstruct")}
+        # Every forward of an array or a stripe source is ``measure``'s walk,
+        # which is also the first walk of ``reconstruct`` (behind
+        # ``combine``) for an operator that is not a block operator: only
+        # ``measure`` and ``reconstruct`` walk an operator's stripes or
+        # make its measurers.  No walk of another shape is left, and no
+        # source is read through before it is refused: no protocol asks
+        # whether its input is an ``ImageTensor`` to pick its order, and
+        # ``verify_consistency`` is one call.
+        protocols = {("linop", None, "measure"), ("linop", None, "reconstruct")}
+        assert self._callers("_measurer") == self._callers("_walk") == protocols
         assert {caller for caller in self._callers("_check_input") if caller[2] != "_check_input"} <= {
             ("linop", None, "measure")}
         removed = {"_read_first", "_WalkOperator", "_combine_walk", "_channel_mean", "_forward_checked",
-                   "_forward_walk", "_stream_walk", "_read_through", "_raw_shape", "_checked", "_raw_measured"}
+                   "_forward_walk", "_stream_walk", "_read_through", "_raw_shape", "_checked", "_raw_measured",
+                   "_measured"}
         assert not removed & set().union(*map(_names, self.trees.values()))
         for name in ("measure", "reconstruct"):
             (function,) = [node for node in self.trees["linop"].body if getattr(node, "name", None) == name]
@@ -963,7 +970,7 @@ class TestStripeLayer:
             ("tensor", "ImageTensor", "__post_init__"),
             ("linop", "_Banded", "add"),
             ("linop", "_Lifted", "_made"),
-            ("linop", None, "_reconstruct"),
+            ("linop", None, "reconstruct"),
             ("restore", "_ChannelMean", "add"),
         }
 
@@ -983,11 +990,10 @@ class TestStripeLayer:
         # call it, ``pool_up``, ``gray_to_color`` and ``cs_pinv`` call
         # ``pinv``, no operator class but ``DenseOperator`` defines ``pinv``
         # and none replicates by itself, and ``nearest`` is pooling's source.
-        # The one walk takes the sources of ``A+ y`` and ``A+ (A x_raw)``
+        # ``reconstruct`` takes the sources of ``A+ y`` and ``A+ (A x_raw)``
         # from the same kernel, and ``_Lifted._made`` makes ``A+ y`` itself.
         assert self._callers("_lift_source") == {
-            ("linop", None, "lift"), ("linop", None, "reconstruct"), ("linop", None, "_reconstruct"),
-            ("resample", None, "open_prediction")}
+            ("linop", None, "lift"), ("linop", None, "reconstruct"), ("resample", None, "open_prediction")}
         assert self._callers("lift") == {
             ("linop", "LinearOperator", "pinv"), ("cli", None, "_cmd_colorize"), ("cli", None, "_cmd_cs")}
         assert not {"lift"} & (_names(self.trees["pooling"]) | _names(self.trees["restore"]))
@@ -1025,9 +1031,9 @@ class TestStripeLayer:
     def test_block_walks_without_special_cases(self):
         # The one walk measures every file after its write and names the PDT1
         # writer only to check the stripe before a first write; ``reconstruct``
-        # and its walk alone tell a block operator, which measures each
-        # stripe in place, from another, by its class; ``lift`` walks
-        # every operator's source alike; and pooling's scratch is one array.
+        # alone tells a block operator, which measures each stripe in place,
+        # from another, by its class; ``lift`` walks every operator's source
+        # alike; and pooling's scratch is one array.
         def function(module, name, cls=None):
             body = self.trees[module].body
             if cls is not None:
@@ -1035,11 +1041,10 @@ class TestStripeLayer:
             (found,) = [node for node in body if getattr(node, "name", None) == name]
             return found
 
-        walk = function("linop", "_reconstruct")
+        walk = function("linop", "reconstruct")
         assert sum(getattr(node, "id", None) == "_RawWriter" for node in ast.walk(walk)) == 1
         functions = [node for node in self.trees["linop"].body if isinstance(node, ast.FunctionDef)]
-        assert [node.name for node in functions if "BlockOperator" in _names(node)] == ["reconstruct",
-                                                                                         "_reconstruct"]
+        assert [node.name for node in functions if "BlockOperator" in _names(node)] == ["reconstruct"]
         assert not [node for node in ast.walk(walk) if isinstance(node, ast.Compare)
                     and "raw" in _names(node) and isinstance(node.ops[0], (ast.Is, ast.IsNot))]
         lift_def = function("linop", "lift")
@@ -1047,6 +1052,54 @@ class TestStripeLayer:
         scratch = function("pooling", "_scratch", "PoolingOp")
         (returned,) = [node.value for node in ast.walk(scratch) if isinstance(node, ast.Return)]
         assert _calls(scratch, "empty") == 1 and not isinstance(returned, ast.Tuple)
+
+class TestCombineFirstWalkIsMeasure:
+    """The first walk of every combine but a block operator's is ``measure``
+    of the prediction itself, with no paths; a block operator measures each
+    stripe within the one walk and never calls it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The arguments of every ``linop.measure`` call from now on."""
+        calls = []
+
+        def spy(*args, real=linop.measure):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(linop, "measure", spy)
+        return calls
+
+    @pytest.mark.parametrize("operator", ["channel_mean", "dense"])
+    def test_combine_measures_the_prediction_once(self, calls, stream, operator):
+        if operator == "channel_mean":
+            op = ColorMeanOp(4, 6)
+        else:
+            op = DenseOperator(stream.gaussian((5, 12)), in_shape=(1, 3, 4), out_shape=(1, 1, 5))
+        x_raw = ImageTensor(stream.uniform(op.in_shape))
+        op.combine(ImageTensor(stream.uniform(op.out_shape)), x_raw)
+        assert len(calls) == 1
+        assert len(calls[0]) == 2 and calls[0][0] is op and calls[0][1] is x_raw.data
+
+    @pytest.mark.parametrize("operator", ["pooling", "block_sensing"])
+    def test_a_block_combine_never_calls_it(self, calls, stream, operator):
+        op = PoolingOp(2, 3, 8, 12) if operator == "pooling" else cs_build(4, 0.5, seed=1)
+        x_raw = ImageTensor(stream.uniform((3, 8, 12)))
+        y = ImageTensor(stream.uniform((3 * op.q, 2, 3) if operator == "block_sensing" else (3, 4, 6)))
+        op.combine(y, x_raw)
+        assert calls == []
+
+    def test_colorize_pd_measures_its_raw_once(self, capsys, calls, tmp_path, stream):
+        gray, raw, out = tmp_path / "y.pdt1", tmp_path / "raw.pdt1", tmp_path / "o.pdt1"
+        _pdt1(gray, stream.uniform((1, 4, 6)))
+        _pdt1(raw, stream.uniform((3, 4, 6)))
+        argv = ["colorize", "--mode", "pd", "--input", gray, "--raw", raw, "--output", out]
+        assert run_cli(capsys, *map(str, argv))[0] == 0
+        assert len(calls) == 1
+        (op, x_raw), = calls
+        assert isinstance(op, ColorMeanOp) and op.in_shape == (3, 4, 6)
+        assert isinstance(x_raw, RawReader) and x_raw.path == str(raw)
+
 
 class TestNoUnusedImports:
     """Every name a library module imports is used in it (``__init__`` only
@@ -1071,6 +1124,11 @@ def _calls(tree, name):
     """How many calls to ``name``, by name or as an attribute, ``tree`` holds."""
     funcs = (node.func for node in ast.walk(tree) if isinstance(node, ast.Call))
     return sum(name in (getattr(func, "id", None), getattr(func, "attr", None)) for func in funcs)
+
+
+def _uses(tree, name):
+    """How many times ``tree`` names ``name``, by name or as an attribute."""
+    return sum(name in (getattr(node, "id", None), getattr(node, "attr", None)) for node in ast.walk(tree))
 
 
 def _names(tree):
@@ -2211,10 +2269,11 @@ class TestCsStreamedFaults:
     @pytest.mark.parametrize("action", ["measure", "pinv", "pd"])
     def test_a_non_finite_weight_is_refused_before_the_image(self, capsys, tmp_path, stream, monkeypatch, action):
         # The operator file is loaded first, and names itself: no image is read.
+        # The constructor refuses such rows, so the PDM1 bytes are packed here.
         rows = cs_build(4, 0.5, seed=1).rows.copy()
         rows[1, 5] = np.nan
         op, x, m = tmp_path / "op.pdm1", tmp_path / "x.pdt1", tmp_path / "m.pdt1"
-        save_sense_op(BlockSenseOp(4, 8, seed=1, ratio=0.5, rows=rows), op)
+        op.write_bytes(struct.pack("<4sIIQ", b"PDM1", 4, 8, 1) + rows.astype("<f8").tobytes())
         _pdt1(x, stream.uniform((3, 8, 12)))
         _pdt1(m, stream.uniform((24, 2, 3)))
         inputs = {"measure": ["--input", x], "pinv": ["--input", m], "pd": ["--lr", m, "--raw", x]}[action]

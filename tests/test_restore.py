@@ -280,6 +280,15 @@ class TestSenseOpIO:
         with pytest.raises(ValueError, match="payload"):
             load_sense_op(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_constructor_refuses_non_finite_rows(self, bad):
+        # Such rows would make a PDM1 that ``load_sense_op`` refuses, and
+        # measure every image into a finiteness error that blames the image.
+        rows = cs_build(4, 0.5, seed=1).rows.copy()
+        rows[1, 5] = bad
+        with pytest.raises(ValueError, match=r"^rows must be finite \(no NaN or infinity\)$"):
+            BlockSenseOp(4, 8, seed=1, ratio=0.5, rows=rows)
+
 
 class TestGenericPd:
     def test_specializes_to_pooling_combine(self, stream):
