@@ -1053,6 +1053,7 @@ class TestStripeLayer:
         (returned,) = [node.value for node in ast.walk(scratch) if isinstance(node, ast.Return)]
         assert _calls(scratch, "empty") == 1 and not isinstance(returned, ast.Tuple)
 
+
 class TestCombineFirstWalkIsMeasure:
     """The first walk of every combine but a block operator's is ``measure``
     of the prediction itself, with no paths; a block operator measures each
@@ -1095,8 +1096,7 @@ class TestCombineFirstWalkIsMeasure:
         _pdt1(raw, stream.uniform((3, 4, 6)))
         argv = ["colorize", "--mode", "pd", "--input", gray, "--raw", raw, "--output", out]
         assert run_cli(capsys, *map(str, argv))[0] == 0
-        assert len(calls) == 1
-        (op, x_raw), = calls
+        ((op, x_raw),) = calls
         assert isinstance(op, ColorMeanOp) and op.in_shape == (3, 4, 6)
         assert isinstance(x_raw, RawReader) and x_raw.path == str(raw)
 
