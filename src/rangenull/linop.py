@@ -16,8 +16,9 @@ of an input it refuses: each checks shapes and opens its files, which
 checks every destination, before its first walk, then meets the
 samples' faults in its walks.  ``BlockOperator`` (pooling, the
 identity, block sensing) derives both kernels from two band kernels on
-one stripe of whole block rows and measures each stripe of the combine
-in place; the combine of any other operator (channel mean,
+one stripe of whole block rows, which ``reconstruct`` also runs to
+combine each stripe in place, so it alone spells the combine for every
+operator; the combine of any other operator (channel mean,
 ``DenseOperator``) first takes ``measure`` of the whole raw prediction.
 ``DenseOperator`` materializes an arbitrary matrix and derives its
 pseudo-inverse from its SVD, taken from LAPACK through
@@ -176,10 +177,10 @@ class BlockOperator(LinearOperator):
     ``A+`` of a measurement as tiles that broadcast against the stripe's.
     Both may use the ``scratch`` that ``_scratch`` makes once per walk.
     From them this class derives, in the input's dtype, the measurer
-    (``_Banded``), the combine ``(rows - A+ A rows) + A+ y`` of each stripe
-    in place (``_combine_band``) and ``A+ y`` (``_Lifted``).  A stripe holds
-    about twice ``tensor._STRIPE_BYTES`` (``tensor._pooling_rows``), or a
-    whole channel with ``whole_channels``.
+    (``_Banded``) and ``A+ y`` (``_Lifted``); the band combine ``(rows -
+    A+ A rows) + A+ y`` of each stripe in place is ``reconstruct``'s.  A
+    stripe holds about twice ``tensor._STRIPE_BYTES``
+    (``tensor._pooling_rows``), or a whole channel with ``whole_channels``.
 
     The measurements are NaN or infinite wherever a sample of their block
     is, by elementwise arithmetic for pooling, and for block sensing because
@@ -200,14 +201,6 @@ class BlockOperator(LinearOperator):
     def _expand(self, m: np.ndarray, scratch) -> np.ndarray:
         """Return ``A+ m`` of the measurements ``m`` of k block rows as (k,
         block or 1, width // block, block) tiles of image rows."""
-
-    def _combine_band(self, rows: np.ndarray, y: np.ndarray, out: np.ndarray, scratch) -> None:
-        """Write ``(rows - A+ A rows) + A+ y`` into ``out``, which may be
-        ``rows``: the measurement is taken and expanded first.  Addition
-        commutes exactly, so these are the generic combine's bytes."""
-        tiles = out.reshape(len(out), self.block, -1, self.block)
-        np.subtract(rows.reshape(tiles.shape), self._expand(self._forward_band(rows, scratch), scratch), out=tiles)
-        tiles += self._expand(y, scratch)
 
     def _scratch(self, rows: int, width: int, dtype: np.dtype, forward: bool = True):
         """Scratch for the kernels on stripes of at most ``rows`` block rows
@@ -395,8 +388,9 @@ def reconstruct(op: LinearOperator, y, x_raw, *paths) -> list[ConsistencyReport]
     prediction, taken one stripe at a time, an ``ImageTensor``, an array or
     a stripe source.
 
-    A block operator measures each stripe in place (``_combine_band``);
-    any other needs all of ``A x_raw``, its ``measure``, as a first walk.
+    A block operator's stripe is measured in place (``_forward_band``) and
+    expanded (``_expand``) here; any other operator needs all of ``A
+    x_raw``, its ``measure``, as a first walk.
     The one walk then makes each stripe ``(rows - A+ (A x_raw)) + A+ y``
     in a buffer from ``tensor._writable_stripes`` (with no paths, the
     stripe of the fresh array) and hands it to each writer in turn, which
@@ -428,8 +422,10 @@ def reconstruct(op: LinearOperator, y, x_raw, *paths) -> list[ConsistencyReport]
         measurers = [op._measurer(_Blank(x_raw.shape, x_raw.dtype), scratch) for _ in writers]
         spare = None
         for rows, held, ch, band in stripes:
-            if banded:
-                op._combine_band(rows, op._band(y, ch, band), held, scratch)
+            if banded:  # ``held`` may be ``rows``: ``A rows`` is expanded before it is written, then freed
+                tiles = held.reshape(len(held), op.block, -1, op.block)
+                np.subtract(rows.reshape(tiles.shape), op._expand(op._forward_band(rows, scratch), scratch), out=tiles)
+                tiles += op._expand(op._band(y, ch, band), scratch)
             else:
                 np.subtract(rows, raw_lifted[ch, band], out=held)
                 held += lifted[ch, band]

@@ -129,7 +129,7 @@ class PoolingOp(BlockOperator):
         _require_divisible(height, width, scale)
         self.scale = self.block = scale
         self.in_shape = (channels, height, width)
-        self.out_shape = (channels, height // scale, width // scale)
+        self.out_shape = self._measured_shape(self.in_shape)
 
     @staticmethod
     def for_measurement(y: ImageTensor, scale: int) -> "PoolingOp":

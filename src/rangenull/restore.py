@@ -176,7 +176,7 @@ class BlockSenseOp(BlockOperator):
         _require_blocks(height, width, self.block)
         bound = BlockSenseOp(self.block, self.q, self.seed, self.ratio, self.rows)
         bound.in_shape = (channels, height, width)
-        bound.out_shape = (channels * self.q, height // self.block, width // self.block)
+        bound.out_shape = bound._measured_shape(bound.in_shape)
         return bound
 
     def _check_input(self, x) -> None:

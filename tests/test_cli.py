@@ -871,11 +871,12 @@ class TestStripeLayer:
 
     def test_one_combine_walk_per_operator(self):
         # Every combine runs the one walk of ``reconstruct`` (behind
-        # ``combine`` and ``table1``): the band combine is called only
-        # there, ``reconstruct`` alone makes the combine's checks, it has no
-        # helper of its own, and no operator class overrides ``combine``.
-        assert self._callers("_combine_band") == {("linop", None, "reconstruct")}
-        removed = {"_combined", "_combine_checks", "_reconstruct"}
+        # ``combine`` and ``table1``): a block operator's stripe is measured
+        # only there and in its measurer, ``reconstruct`` alone makes the
+        # combine's checks, it has no helper of its own, and no operator
+        # class overrides ``combine``.
+        assert self._callers("_forward_band") == {("linop", "_Banded", "add"), ("linop", None, "reconstruct")}
+        removed = {"_combined", "_combine_checks", "_reconstruct", "_combine_band"}
         assert not removed & set().union(*map(_names, self.trees.values()))
         for module, cls in self._operator_classes():
             if cls != "LinearOperator":
@@ -1017,15 +1018,13 @@ class TestStripeLayer:
 
     def test_one_combine_formula(self):
         # A block operator gives its forward band and ``A+`` (``_expand``)
-        # only; ``BlockOperator`` derives the band combine and ``_Lifted``
-        # ``A+ y`` from them, once for every block operator.
-        def members(module, cls):
-            (body,) = [node.body for node in self.trees[module].body if getattr(node, "name", None) == cls]
-            return {getattr(node, "name", None) for node in body}
-
-        assert "_combine_band" not in members("pooling", "PoolingOp")
-        assert "_combine_band" not in members("restore", "BlockSenseOp")
-        assert self._callers("_expand") == {("linop", "BlockOperator", "_combine_band"), ("linop", "_Lifted", "_made")}
+        # only; ``reconstruct`` spells the band combine and ``_Lifted``
+        # ``A+ y`` from them, once for every block operator, and no module
+        # defines a band combine of its own.
+        defined = {node.name for tree in self.trees.values() for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert "_combine_band" not in defined
+        assert self._callers("_expand") == {("linop", None, "reconstruct"), ("linop", "_Lifted", "_made")}
         assert "_pinv_tiles" not in set().union(*map(_names, self.trees.values()))
 
     def test_block_walks_without_special_cases(self):

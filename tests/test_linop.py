@@ -29,6 +29,7 @@ from rangenull import (
     null_project,
     pinv_from_svd,
     pool_up,
+    predict_raw,
     quantize,
     range_project,
     save_matrix,
@@ -372,6 +373,50 @@ class TestCombineVerify:
         op = PoolingOp(2, 1, 4, 4)
         with pytest.raises(ValueError, match="measurement shape"):
             op.combine(ImageTensor(np.zeros((1, 3, 3))), ImageTensor(np.zeros((1, 4, 4))))
+
+
+def _smooth(stream, shape=(3, 64, 96)):
+    """A seeded smooth image in [0, 1]: each channel a Brownian sheet, scaled."""
+    x = np.cumsum(np.cumsum(stream.gaussian(shape), axis=1), axis=2)
+    lo, hi = x.min(axis=(1, 2), keepdims=True), x.max(axis=(1, 2), keepdims=True)
+    return ImageTensor((x - lo) / (hi - lo))
+
+
+class TestPdMovesOnlyTheNullPart:
+    """With ``y = A x``, the combine keeps ``A+ y`` and moves only the null
+    part of a raw prediction: ``x_hat - x`` is the null part of ``x_raw -
+    x``, so ``x_hat`` is never farther from ``x`` than ``x_raw`` is."""
+
+    def _combined(self, op, x, y, x_raw, tol):
+        x_hat = op.combine(y, x_raw)
+        moved = null_project(op, ImageTensor(x_raw.data - x.data)).data
+        assert np.max(np.abs(x_hat.data - x.data - moved)) <= tol
+        assert compare(x, x_hat).mse <= compare(x, x_raw).mse
+        return x_hat
+
+    @pytest.mark.parametrize("method", ["nearest", "bilinear", "bicubic"])
+    @pytest.mark.parametrize("s", [2, 4, 8])
+    def test_pooling(self, s, method, stream):
+        x = _smooth(stream)
+        op = PoolingOp(s, *x.shape)
+        y = op.forward(x)
+        x_raw = predict_raw(y, method, s)
+        x_hat = self._combined(op, x, y, x_raw, 1e-12)
+        if method == "nearest":  # already consistent: nothing to move
+            assert x_hat.data.tobytes() == x_raw.data.tobytes()
+        else:
+            assert compare(x, x_hat).mse < compare(x, x_raw).mse
+
+    def test_channel_mean(self, stream):
+        x = _smooth(stream)
+        op = ColorMeanOp(*x.shape[1:])
+        self._combined(op, x, op.forward(x), ImageTensor(stream.uniform(x.shape)), 1e-12)
+
+    @pytest.mark.parametrize("block, ratio", [(4, 0.25), (8, 0.5)])
+    def test_block_sensing(self, block, ratio, stream):
+        x = _smooth(stream)
+        op = cs_build(block, ratio).bind_shape(*x.shape)
+        self._combined(op, x, op.forward(x), ImageTensor(stream.uniform(x.shape)), 1e-10)
 
 
 class TestMeasure:
